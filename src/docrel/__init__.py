@@ -32,8 +32,8 @@ from .errors import (
     ShapeError,
 )
 from .head import (
+    BatchForward,
     HeadParams,
-    PairForward,
     head_backward,
     head_forward,
     init_head_params,
@@ -51,7 +51,6 @@ from .losses import (
     pair_entropy,
     pairwise_probs,
     pmt_loss,
-    sampled_negative_loss,
     scl_loss,
 )
 from .batching import (

@@ -14,13 +14,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Corpus
+from .core import Corpus, label_mask
 from .errors import ConfigError, ContractError
 from .rng import stream
 
 __all__ = [
     "Batch",
     "assemble_batches",
+    "batch_count",
     "compute_positive_sets",
     "sample_negative_labels",
     "sampled_set_size",
@@ -52,14 +53,13 @@ class Batch:
 
 def compute_positive_sets(batch: Batch, corpus: Corpus) -> dict[int, frozenset[int]]:
     """For each non-NA position, the other positions sharing a positive relation."""
-    labels = [corpus.examples[i].positive_relations for i in batch.example_indices]
-    s_sets: dict[int, frozenset[int]] = {}
-    for a in batch.bp_indices:
-        shared = frozenset(
-            p for p in range(len(labels)) if p != a and labels[p] & labels[a]
-        )
-        s_sets[a] = shared
-    return s_sets
+    labels = label_mask(
+        [corpus.examples[i].positive_relations for i in batch.example_indices],
+        corpus.vocabulary.num_relations,
+    ).astype(np.float64)
+    shared = labels @ labels.T > 0.0
+    np.fill_diagonal(shared, False)
+    return {a: frozenset(np.flatnonzero(shared[a]).tolist()) for a in batch.bp_indices}
 
 
 def assemble_batches(corpus: Corpus, batch_size: int, rng_seed: int) -> list[Batch]:
@@ -87,6 +87,11 @@ def assemble_batches(corpus: Corpus, batch_size: int, rng_seed: int) -> list[Bat
         batch = replace(batch, s_sets=compute_positive_sets(batch, corpus))
         batches.append(batch)
     return batches
+
+
+def batch_count(corpus: Corpus, batch_size: int) -> int:
+    """How many batches :func:`assemble_batches` makes: one per ``batch_size`` documents."""
+    return math.ceil(len(corpus.document_order()) / batch_size)
 
 
 def sampled_set_size(ratio: float, num_negatives: int) -> int:

@@ -14,13 +14,14 @@ set.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, DuplicatePairError, ShapeError
+from .errors import ConfigError, ContractError, DataFormatError, DuplicatePairError, ShapeError
 
 __all__ = [
     "Bucket",
@@ -31,6 +32,7 @@ __all__ = [
     "Corpus",
     "build_pair_index",
     "bucket_relations",
+    "label_mask",
     "save_corpus",
     "load_corpus",
 ]
@@ -189,6 +191,21 @@ class Corpus:
         for i, ex in enumerate(self.examples):
             groups.setdefault(ex.doc_id, []).append(i)
         return groups
+
+
+def label_mask(index_sets, width: int) -> np.ndarray:
+    """Boolean matrix with one row per set, true at the set's indices.
+
+    Raises ContractError if an index falls outside ``0 .. width-1``.
+    """
+    sizes = [len(s) for s in index_sets]
+    rows = np.repeat(np.arange(len(sizes)), sizes)
+    cols = np.fromiter(itertools.chain.from_iterable(index_sets), np.intp, len(rows))
+    if cols.size and (cols.min() < 0 or cols.max() >= width):
+        raise ContractError(f"indices span {cols.min()}..{cols.max()}, outside 0..{width - 1}")
+    mask = np.zeros((len(sizes), width), dtype=bool)
+    mask[rows, cols] = True
+    return mask
 
 
 def build_pair_index(corpus: Corpus) -> dict[tuple[str, int, int], int]:

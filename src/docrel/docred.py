@@ -119,10 +119,21 @@ def load_docred_json(path, dim: int = 64) -> Corpus:
                     raise DataFormatError(
                         f"{path}: document {title!r}: vertexSet[{ent_pos}]: bad mention: {exc}"
                     ) from exc
+                if not 0 <= sent_id < len(sent_offsets):
+                    raise DataFormatError(
+                        f"{path}: document {title!r}: vertexSet[{ent_pos}]: sent_id {sent_id} "
+                        f"outside the document's {len(sent_offsets)} sentences"
+                    )
                 lo = sent_offsets[sent_id] + start
                 hi = sent_offsets[sent_id] + end
                 spans.append((name, lo, hi))
-            entities.append((intern(spans[0][0]), spans))
+            ent_id = intern(spans[0][0])
+            # featurized once per entity; every pair of the entity shares them
+            mentions = tuple(
+                Mention(ent_id, hashed_featurizer(tokens[lo:hi], [], dim)[0])
+                for _, lo, hi in spans
+            )
+            entities.append((ent_id, spans, mentions))
 
         pair_labels: dict[tuple[int, int], set[int]] = {}
         for label in doc.get("labels", []):
@@ -142,18 +153,11 @@ def load_docred_json(path, dim: int = 64) -> Corpus:
             for t_pos in range(len(entities)):
                 if h_pos == t_pos:
                     continue
-                h_id, h_spans = entities[h_pos]
-                t_id, t_spans = entities[t_pos]
+                h_id, h_spans, h_mentions = entities[h_pos]
+                t_id, t_spans, t_mentions = entities[t_pos]
                 if h_id == t_id:
                     # distinct vertexSet entries sharing a surface name
                     continue
-
-                def build_mentions(ent_id, spans):
-                    out = []
-                    for _, lo, hi in spans:
-                        vec, _ = hashed_featurizer(tokens[lo:hi], [], dim)
-                        out.append(Mention(ent_id, vec))
-                    return tuple(out)
 
                 # context = tokens between (and just around) the closest mentions
                 best = None
@@ -172,8 +176,8 @@ def load_docred_json(path, dim: int = 64) -> Corpus:
                         doc_id=str(title),
                         head_id=h_id,
                         tail_id=t_id,
-                        head_mentions=build_mentions(h_id, h_spans),
-                        tail_mentions=build_mentions(t_id, t_spans),
+                        head_mentions=h_mentions,
+                        tail_mentions=t_mentions,
                         context=context,
                         positive_relations=labels,
                         gold_positive_relations=None,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Bucket, Corpus
+from .core import Bucket, Corpus, label_mask
 from .errors import NumericError
 from .head import HeadParams, head_forward
 
@@ -25,15 +25,21 @@ __all__ = [
     "evaluate",
 ]
 
+# pairs per forward pass when scoring a split; bounds the pass's memory
+_EVAL_BLOCK = 1024
+
+
+def _predicted_mask(f: np.ndarray, na_index: int) -> np.ndarray:
+    """Row-wise: which relations' logits strictly exceed the threshold logit."""
+    if not np.all(np.isfinite(f)):
+        raise NumericError("predict_labels: non-finite logits")
+    return f[:, :na_index] > f[:, na_index : na_index + 1]
+
 
 def predict_labels(f: np.ndarray, na_index: int) -> frozenset[int]:
     """Relations whose logit strictly exceeds the threshold logit."""
-    if not np.all(np.isfinite(f)):
-        raise NumericError("predict_labels: non-finite logits")
-    f_eta = f[na_index]
-    return frozenset(
-        r for r in range(len(f)) if r != na_index and f[r] > f_eta
-    )
+    row = _predicted_mask(np.asarray(f)[None, :], na_index)[0]
+    return frozenset(np.flatnonzero(row).tolist())
 
 
 def train_fact_set(corpus: Corpus) -> frozenset[tuple[int, int, int]]:
@@ -94,38 +100,38 @@ def evaluate(
     against the labels as annotated, e.g. for noisy-dev curves.
     """
     buckets = buckets or {}
-    per_relation: dict[int, list[int]] = {}
-    na = corpus.vocabulary.na_index
+    vocab = corpus.vocabulary
+    examples = corpus.examples
+    f = np.concatenate(
+        [
+            head_forward(examples[k : k + _EVAL_BLOCK], params, keep_cache=False).f
+            for k in range(0, max(1, len(examples)), _EVAL_BLOCK)
+        ]
+    )
+    predicted = _predicted_mask(f, vocab.na_index)
+    gold = label_mask([ex.labels(use_gold) for ex in examples], vocab.num_relations)
 
-    tp = fp = fn = 0
-    ign_tp = ign_fp = 0
-    excluded = 0
-    predicted_count = 0
-    gold_count = 0
+    hits = predicted & gold
+    cells = np.stack(
+        [hits.sum(axis=0), (predicted & ~gold).sum(axis=0), (gold & ~predicted).sum(axis=0)],
+        axis=1,
+    )
+    per_relation = {
+        r: tuple(int(v) for v in cells[r]) for r in np.flatnonzero(cells.any(axis=1)).tolist()
+    }
+    tp, fp, fn = (int(v) for v in cells.sum(axis=0))
+    predicted_count = int(predicted.sum())
+    gold_count = int(gold.sum())
 
-    for ex in corpus.examples:
-        fw = head_forward(ex, params, keep_cache=False)
-        predicted = predict_labels(fw.f, na)
-        gold = ex.labels(use_gold)
-        predicted_count += len(predicted)
-        gold_count += len(gold)
-
-        for r in predicted | gold:
-            cell = per_relation.setdefault(r, [0, 0, 0])
-            in_pred, in_gold = r in predicted, r in gold
-            hit = in_pred and in_gold
-            tp += hit
-            fp += in_pred and not in_gold
-            fn += in_gold and not in_pred
-            cell[0] += hit
-            cell[1] += in_pred and not in_gold
-            cell[2] += in_gold and not in_pred
-            if in_pred:
-                if (ex.head_id, r, ex.tail_id) in train_facts:
-                    excluded += 1
-                else:
-                    ign_tp += hit
-                    ign_fp += not in_gold
+    # predictions of facts seen in training are dropped for Ign F1
+    excluded = ign_tp = 0
+    for i, r in zip(*np.nonzero(predicted)):
+        ex = examples[i]
+        if (ex.head_id, int(r), ex.tail_id) in train_facts:
+            excluded += 1
+        else:
+            ign_tp += bool(hits[i, r])
+    ign_fp = predicted_count - excluded - ign_tp
 
     precision, recall, f1 = _prf(tp, fp, fn)
     # same gold set; only the surviving predictions change
@@ -148,7 +154,7 @@ def evaluate(
         f1=f1,
         ign_f1=ign_f1,
         bucket_f1=bucket_f1,
-        per_relation={r: tuple(v) for r, v in per_relation.items()},
+        per_relation=per_relation,
         predicted_triple_count=predicted_count,
         excluded_prediction_count=excluded,
         gold_triple_count=gold_count,
@@ -157,6 +163,6 @@ def evaluate(
             "label_source": corpus.label_source.value,
             "train_fact_count": len(train_facts),
             "bucketed_relations": len(buckets),
-            "examples": len(corpus.examples),
+            "examples": len(examples),
         },
     )

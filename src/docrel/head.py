@@ -1,6 +1,7 @@
 """Trainable classification head: pooling, grouped bilinear pair embedding, logits.
 
-The head maps one entity pair to a pair embedding and a logit vector:
+The head maps each entity pair of a batch to a pair embedding and a logit
+vector:
 
     h_head = logsumexp-pool of head mention embeddings
     h_tail = logsumexp-pool of tail mention embeddings
@@ -10,34 +11,35 @@ The head maps one entity pair to a pair embedding and a logit vector:
     f   = W_o x + b_o
 
 ``x`` (raw) feeds the logits; its L2-normalized copy ``x_unit`` feeds the
-contrastive losses. The backward pass is closed-form reverse mode over the
-same graph, including the normalization Jacobian (I - uu^T)/||x|| and the
-softmax distribution of the pooled gradient over mentions.
+contrastive losses. A batch runs as one pass: the mentions of all pairs are
+packed into one matrix cut into segments (head, then tail, pair by pair)
+and pooled with ``reduceat``; everything after pooling is one matrix
+product per step, with pairs as rows. The backward pass is closed-form
+reverse mode over the same graph, including the normalization Jacobian
+(I - uu^T)/||x|| and the softmax distribution of the pooled gradient over
+mentions.
 """
 
 from __future__ import annotations
 
-import logging
+import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PairExample
 from .errors import ConfigError, ContractError, DataFormatError, ShapeError
 
 __all__ = [
     "HeadParams",
-    "PairForward",
+    "BatchForward",
     "logsumexp_pool",
     "head_forward",
     "head_backward",
     "init_head_params",
-    "zero_gradients",
     "save_checkpoint",
     "load_checkpoint",
 ]
-
-logger = logging.getLogger(__name__)
 
 _PARAM_NAMES = ("W_h", "W_t", "W_c1", "W_c2", "W_o", "b_o")
 
@@ -104,13 +106,27 @@ class HeadParams:
 
 
 @dataclass(eq=False)
-class PairForward:
-    """Forward-pass outputs plus the cache needed for the backward pass."""
+class BatchForward:
+    """Forward-pass outputs, one row per pair, plus the cache the backward pass needs."""
 
     x: np.ndarray
     x_unit: np.ndarray
     f: np.ndarray
     cache: dict | None = field(default=None, repr=False)
+
+
+def _segment_pool(mat: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Componentwise log-sum-exp over consecutive row segments of ``mat``.
+
+    Returns the pooled rows, one per segment, and each row's softmax weight
+    within its segment (what the pooled gradient is distributed by).
+    """
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    shift = np.maximum.reduceat(mat, starts, axis=0)
+    weights = np.exp(mat - np.repeat(shift, counts, axis=0))
+    total = np.add.reduceat(weights, starts, axis=0)
+    weights /= np.repeat(total, counts, axis=0)
+    return shift + np.log(total), weights
 
 
 def logsumexp_pool(mention_embeddings) -> np.ndarray:
@@ -123,126 +139,124 @@ def logsumexp_pool(mention_embeddings) -> np.ndarray:
         raise ShapeError(f"logsumexp_pool: ragged mention stack: {exc}") from exc
     if mat.ndim != 2:
         raise ShapeError("logsumexp_pool: mentions must share one dimension")
-    shift = np.max(mat, axis=0)
-    return shift + np.log(np.sum(np.exp(mat - shift), axis=0))
+    return _segment_pool(mat, np.array([mat.shape[0]]))[0][0]
 
 
-def _pool_backward(mat: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Distribute the pooled gradient over mentions via componentwise softmax."""
-    shift = np.max(mat, axis=0)
-    w = np.exp(mat - shift)
-    w /= np.sum(w, axis=0)
-    return w * grad_out
-
-
-def head_forward(
-    example: PairExample, params: HeadParams, keep_cache: bool = True
-) -> PairForward:
-    """Compute the pair embedding and logits for one example."""
-    d = params.input_dim
-    if example.context.shape != (d,):
+def _pack(examples, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mention matrix (head then tail mentions, pair by pair), segment sizes, contexts."""
+    rows, counts = [], []
+    for ex in examples:
+        for mentions in (ex.head_mentions, ex.tail_mentions):
+            if not mentions:
+                raise ContractError(f"pair {ex.doc_id}/{ex.head_id}/{ex.tail_id}: no mentions")
+            counts.append(len(mentions))
+            rows.extend(m.embedding for m in mentions)
+    try:
+        mentions = np.stack(rows).astype(np.float64, copy=False)
+        context = np.stack([ex.context for ex in examples]).astype(np.float64, copy=False)
+    except ValueError as exc:
+        raise ShapeError(f"head_forward: ragged inputs: {exc}") from exc
+    if mentions.shape[1:] != (d,) or context.shape[1:] != (d,):
         raise ShapeError(
-            f"context shape {example.context.shape} incompatible with head input dim {d}"
+            f"mention shape {mentions.shape[1:]} and context shape {context.shape[1:]}: "
+            f"incompatible with head input dim {d}"
         )
-    head_mat = np.stack([m.embedding for m in example.head_mentions]).astype(np.float64)
-    tail_mat = np.stack([m.embedding for m in example.tail_mentions]).astype(np.float64)
-    if head_mat.shape[1] != d or tail_mat.shape[1] != d:
-        raise ShapeError("mention embedding dim incompatible with head input dim")
+    return mentions, np.array(counts), context
 
-    h_head = logsumexp_pool(head_mat)
-    h_tail = logsumexp_pool(tail_mat)
-    c = example.context.astype(np.float64)
 
-    z_h = np.tanh(params.W_h @ h_head + params.W_c1 @ c)
-    z_t = np.tanh(params.W_t @ h_tail + params.W_c2 @ c)
+def head_forward(examples, params: HeadParams, keep_cache: bool = True) -> BatchForward:
+    """Pair embeddings and logits for a batch of examples, one row per example."""
+    n, d = len(examples), params.input_dim
+    if n == 0:
+        empty = np.zeros((0, params.pair_dim))
+        return BatchForward(x=empty, x_unit=empty, f=np.zeros((0, params.num_logits)))
+    mentions, counts, context = _pack(examples, d)
+    pooled, weights = _segment_pool(mentions, counts)
+    h_head, h_tail = pooled[0::2], pooled[1::2]
+
+    z_h = np.tanh(h_head @ params.W_h.T + context @ params.W_c1.T)
+    z_t = np.tanh(h_tail @ params.W_t.T + context @ params.W_c2.T)
 
     P = params.group_count
     g = params.hidden_dim // P
     # per-group outer products, flattened row-major and concatenated
-    x = np.einsum("pi,pj->pij", z_h.reshape(P, g), z_t.reshape(P, g)).reshape(-1)
+    x = (z_h.reshape(n, P, g, 1) * z_t.reshape(n, P, 1, g)).reshape(n, -1)
 
-    norm = float(np.linalg.norm(x))
-    if norm > 0.0:
-        x_unit = x / norm
-    else:
-        logger.debug("zero pair embedding; unit vector set to zero")
-        x_unit = np.zeros_like(x)
+    norm = np.sqrt(np.einsum("ij,ij->i", x, x))
+    # a zero pair embedding gets a zero unit vector
+    x_unit = np.divide(x, norm[:, None], out=np.zeros_like(x), where=norm[:, None] > 0.0)
 
-    f = params.W_o @ x + params.b_o
+    f = x @ params.W_o.T + params.b_o
 
     cache = None
     if keep_cache:
         cache = {
-            "head_mat": head_mat,
-            "tail_mat": tail_mat,
+            "weights": weights,
+            "counts": counts,
             "h_head": h_head,
             "h_tail": h_tail,
-            "context": c,
+            "context": context,
             "z_h": z_h,
             "z_t": z_t,
             "norm": norm,
         }
-    return PairForward(x=x, x_unit=x_unit, f=f, cache=cache)
-
-
-def zero_gradients(params: HeadParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in params.tensors().items()}
+    return BatchForward(x=x, x_unit=x_unit, f=f, cache=cache)
 
 
 def head_backward(
-    forward: PairForward,
+    forward: BatchForward,
     grad_x_unit: np.ndarray,
     grad_f: np.ndarray,
     params: HeadParams,
-    grads: dict[str, np.ndarray] | None = None,
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Reverse-mode pass for one example.
+    """Reverse-mode pass for a batch.
 
-    ``grad_x_unit`` is the loss gradient w.r.t. the normalized pair
-    embedding, ``grad_f`` w.r.t. the logits. Parameter gradients are
-    accumulated into ``grads`` (created zeroed when omitted). The second
-    return value holds this example's input gradients under keys
-    ``head_mentions``, ``tail_mentions``, ``context``.
+    ``grad_x_unit`` (n, d_x) is the loss gradient w.r.t. the normalized
+    pair embeddings, ``grad_f`` (n, num_logits) w.r.t. the logits. Returns
+    the parameter gradients summed over the batch, and the input gradients:
+    ``context`` (n, d) and ``mentions``, one row per mention in packed
+    order (each pair's head mentions, then its tail mentions).
     """
     if forward.cache is None:
         raise ContractError("head_backward: forward pass was run without cache")
     cache = forward.cache
-    if grads is None:
-        grads = zero_gradients(params)
+    x, u = forward.x, forward.x_unit
+    n = x.shape[0]
 
-    x = forward.x
-    grads["W_o"] += np.outer(grad_f, x)
-    grads["b_o"] += grad_f
-    grad_x = params.W_o.T @ grad_f
-
+    grad_x = grad_f @ params.W_o
     norm = cache["norm"]
-    if norm > 0.0:
-        u = forward.x_unit
-        grad_x = grad_x + (grad_x_unit - np.dot(u, grad_x_unit) * u) / norm
+    radial = np.einsum("ij,ij->i", u, grad_x_unit)[:, None] * u
     # norm == 0: the unit branch emitted a constant zero; no gradient flows
+    grad_x += np.divide(
+        grad_x_unit - radial, norm[:, None], out=np.zeros_like(x), where=norm[:, None] > 0.0
+    )
 
     P = params.group_count
     g = params.hidden_dim // P
     z_h, z_t = cache["z_h"], cache["z_t"]
-    gx = grad_x.reshape(P, g, g)
-    grad_z_h = np.einsum("pij,pj->pi", gx, z_t.reshape(P, g)).reshape(-1)
-    grad_z_t = np.einsum("pij,pi->pj", gx, z_h.reshape(P, g)).reshape(-1)
+    gx = grad_x.reshape(n, P, g, g)
+    grad_z_h = np.einsum("npij,npj->npi", gx, z_t.reshape(n, P, g)).reshape(n, -1)
+    grad_z_t = np.einsum("npij,npi->npj", gx, z_h.reshape(n, P, g)).reshape(n, -1)
 
     grad_a_h = grad_z_h * (1.0 - z_h * z_h)
     grad_a_t = grad_z_t * (1.0 - z_t * z_t)
 
-    h_head, h_tail, c = cache["h_head"], cache["h_tail"], cache["context"]
-    grads["W_h"] += np.outer(grad_a_h, h_head)
-    grads["W_c1"] += np.outer(grad_a_h, c)
-    grads["W_t"] += np.outer(grad_a_t, h_tail)
-    grads["W_c2"] += np.outer(grad_a_t, c)
+    c = cache["context"]
+    grads = {
+        "W_h": grad_a_h.T @ cache["h_head"],
+        "W_t": grad_a_t.T @ cache["h_tail"],
+        "W_c1": grad_a_h.T @ c,
+        "W_c2": grad_a_t.T @ c,
+        "W_o": grad_f.T @ x,
+        "b_o": grad_f.sum(axis=0),
+    }
 
-    grad_h_head = params.W_h.T @ grad_a_h
-    grad_h_tail = params.W_t.T @ grad_a_t
+    grad_pooled = np.empty((2 * n, params.input_dim))
+    grad_pooled[0::2] = grad_a_h @ params.W_h
+    grad_pooled[1::2] = grad_a_t @ params.W_t
     input_grads = {
-        "context": params.W_c1.T @ grad_a_h + params.W_c2.T @ grad_a_t,
-        "head_mentions": _pool_backward(cache["head_mat"], grad_h_head),
-        "tail_mentions": _pool_backward(cache["tail_mat"], grad_h_tail),
+        "context": grad_a_h @ params.W_c1 + grad_a_t @ params.W_c2,
+        "mentions": cache["weights"] * np.repeat(grad_pooled, cache["counts"], axis=0),
     }
     return grads, input_grads
 
@@ -285,8 +299,6 @@ _CKPT_MAGIC = b"DOCREL-CKPT 1\n"
 
 
 def save_checkpoint(params: HeadParams, path) -> None:
-    import json
-
     meta = {
         "group_count": params.group_count,
         "tensors": [
@@ -301,27 +313,33 @@ def save_checkpoint(params: HeadParams, path) -> None:
 
 
 def load_checkpoint(path) -> HeadParams:
-    import json
-
+    """Read a checkpoint; any malformed, missing, extra or trailing content
+    raises DataFormatError naming the path."""
     with open(path, "rb") as fh:
-        magic = fh.readline()
-        if magic != _CKPT_MAGIC:
+        if fh.readline() != _CKPT_MAGIC:
             raise DataFormatError(f"{path}: not a checkpoint file (bad magic)")
-        meta = json.loads(fh.readline().decode("utf-8"))
-        arrays = {}
-        for spec in meta["tensors"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise DataFormatError(f"{path}: truncated payload for {spec['name']}")
-            arrays[spec["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    return HeadParams(
-        W_h=arrays["W_h"],
-        W_t=arrays["W_t"],
-        W_c1=arrays["W_c1"],
-        W_c2=arrays["W_c2"],
-        W_o=arrays["W_o"],
-        b_o=arrays["b_o"],
-        group_count=int(meta["group_count"]),
-    )
+        try:
+            meta = json.loads(fh.readline().decode("utf-8"))
+            group_count = int(meta["group_count"])
+            specs = [(str(s["name"]), tuple(int(k) for k in s["shape"])) for s in meta["tensors"]]
+        except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
+            raise DataFormatError(f"{path}: bad metadata line: {exc}") from exc
+        payload = fh.read()
+    names = [name for name, _ in specs]
+    if sorted(names) != sorted(_PARAM_NAMES) or group_count < 1:
+        raise DataFormatError(
+            f"{path}: tensors {names} with group count {group_count}; expected each of "
+            f"{list(_PARAM_NAMES)} once and a positive group count"
+        )
+    arrays, offset = {}, 0
+    for name, shape in specs:
+        if len(shape) != (1 if name == "b_o" else 2) or any(k < 0 for k in shape):
+            raise DataFormatError(f"{path}: bad shape {list(shape)} for {name}")
+        size = 8 * math.prod(shape)
+        if offset + size > len(payload):
+            raise DataFormatError(f"{path}: truncated payload for {name}")
+        arrays[name] = np.frombuffer(payload, "<f8", size // 8, offset).reshape(shape).copy()
+        offset += size
+    if offset != len(payload):
+        raise DataFormatError(f"{path}: {len(payload) - offset} bytes after the last tensor")
+    return HeadParams(**arrays, group_count=group_count)

@@ -17,15 +17,18 @@ negatives. On top of that:
 * ``scl_loss`` / ``lt_loss`` / ``l2_loss`` - supervised contrastive terms
   over L2-normalized pair embeddings; anchors with no in-batch positive
   fall back to pure dissimilarity maximization (the long-tail branch).
-* ``sampled_negative_loss`` - for NA-labeled examples, penalize only a
-  sampled subset of negative relations (false-negative robustness).
-* ``batch_loss`` - the combined objective with analytic gradients w.r.t.
-  per-example logits and unit embeddings.
+* ``batch_loss`` - the combined objective over a batch with analytic
+  gradients w.r.t. the logits and unit embeddings. For NA-labeled
+  examples, negative-label sampling penalizes only a sampled subset of
+  the negative relations (false-negative robustness).
 
-All scalar math uses overflow-safe forms: ``sigma`` and ``log(1+e^z)``
-branch at zero and ``0*log 0`` is taken as 0. Reductions run in a fixed
-order (ascending relation index, ascending batch position) so results are
-reproducible bit for bit.
+The per-example functions are value-only references, written term by term
+with overflow-safe scalar forms (``sigma`` and ``log(1+e^z)`` branch at
+zero; ``0*log 0`` is taken as 0). ``batch_loss`` is the one implementation
+used for training and gradients: the same terms as masked reductions over
+the batch's ``(n, |R|)`` logit gaps and ``n x n`` similarities, with the
+same overflow-safe forms, in a fixed order, so results are reproducible bit
+for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import label_mask
 from .errors import ConfigError, ContractError, NumericError, ShapeError
 
 __all__ = [
@@ -44,18 +48,11 @@ __all__ = [
     "log1p_exp",
     "pairwise_probs",
     "pmt_loss",
-    "pmt_loss_grad",
     "pair_entropy",
-    "pair_entropy_grad",
     "em_loss",
-    "em_loss_grad",
     "scl_loss",
-    "scl_loss_grad",
     "lt_loss",
-    "lt_loss_grad",
     "l2_loss",
-    "l2_loss_grad",
-    "sampled_negative_loss",
     "batch_loss",
 ]
 
@@ -101,8 +98,8 @@ class LossConfig:
 class BatchLossOutput:
     total: float
     parts: dict[str, float]
-    grad_logits: list[np.ndarray]
-    grad_embeddings: list[np.ndarray]
+    grad_logits: np.ndarray  # (n, num_logits)
+    grad_embeddings: np.ndarray  # (n, d_x), w.r.t. the unit embeddings
 
 
 # ---------------------------------------------------------------------------
@@ -158,28 +155,6 @@ def pmt_loss(f: np.ndarray, positives, negatives, na_index: int) -> float:
     return loss
 
 
-def pmt_loss_grad(
-    f: np.ndarray, positives, negatives, na_index: int
-) -> tuple[float, np.ndarray]:
-    _check_label_sets(positives, negatives, na_index)
-    f_eta = float(f[na_index])
-    grad = np.zeros_like(f, dtype=np.float64)
-    loss = 0.0
-    for r in sorted(positives):
-        gap = f_eta - float(f[r])
-        loss += log1p_exp(gap)
-        p_eta = sigmoid(gap)
-        grad[r] -= p_eta
-        grad[na_index] += p_eta
-    for r in sorted(negatives):
-        gap = float(f[r]) - f_eta
-        loss += log1p_exp(gap)
-        p_r = sigmoid(gap)
-        grad[r] += p_r
-        grad[na_index] -= p_r
-    return loss, grad
-
-
 # ---------------------------------------------------------------------------
 # entropy of the pairwise distributions
 
@@ -191,16 +166,6 @@ def pair_entropy(f_r: float, f_eta: float) -> float:
     q = 1.0 - p
     # -log p = log1p_exp(-gap), -log q = log1p_exp(gap); 0*log0 -> 0
     return p * log1p_exp(-gap) + q * log1p_exp(gap)
-
-
-def pair_entropy_grad(f_r: float, f_eta: float) -> tuple[float, float]:
-    """(entropy, d entropy / d f_r); the f_eta gradient is its negation."""
-    _require_finite(f_r, f_eta)
-    gap = f_r - f_eta
-    p = sigmoid(gap)
-    q = 1.0 - p
-    h = p * log1p_exp(-gap) + q * log1p_exp(gap)
-    return h, -gap * p * q
 
 
 def _gammas(n_pos: int, n_neg: int, config: LossConfig) -> tuple[float, float]:
@@ -223,28 +188,6 @@ def em_loss(
     for r in sorted(negatives):
         neg_sum += pair_entropy(float(f[r]), f_eta)
     return pos_sum / g1 + neg_sum / g2
-
-
-def em_loss_grad(
-    f: np.ndarray, positives, negatives, na_index: int, config: LossConfig
-) -> tuple[float, np.ndarray]:
-    _check_label_sets(positives, negatives, na_index)
-    f_eta = float(f[na_index])
-    g1, g2 = _gammas(len(positives), len(negatives), config)
-    grad = np.zeros_like(f, dtype=np.float64)
-    pos_sum = 0.0
-    for r in sorted(positives):
-        h, dh = pair_entropy_grad(float(f[r]), f_eta)
-        pos_sum += h
-        grad[r] += dh / g1
-        grad[na_index] -= dh / g1
-    neg_sum = 0.0
-    for r in sorted(negatives):
-        h, dh = pair_entropy_grad(float(f[r]), f_eta)
-        neg_sum += h
-        grad[r] += dh / g2
-        grad[na_index] -= dh / g2
-    return pos_sum / g1 + neg_sum / g2, grad
 
 
 # ---------------------------------------------------------------------------
@@ -285,30 +228,6 @@ def scl_loss(
     return _logsumexp(sims) + math.log(len(pos)) - _logsumexp(sims[pos_mask])
 
 
-def scl_loss_grad(
-    anchor_index: int, batch_embeddings, positive_set, tau: float
-) -> tuple[float, np.ndarray]:
-    """Loss and gradients w.r.t. every embedding in the batch."""
-    emb = np.asarray(batch_embeddings, dtype=np.float64)
-    loss = scl_loss(anchor_index, emb, positive_set, tau)
-    others, sims = _similarities(anchor_index, emb, tau)
-    pos_mask = np.isin(others, np.asarray(sorted(positive_set), dtype=np.intp))
-
-    all_soft = np.exp(sims - np.max(sims))
-    all_soft /= all_soft.sum()
-    pos_sims = sims[pos_mask]
-    pos_soft = np.exp(pos_sims - np.max(pos_sims))
-    pos_soft /= pos_soft.sum()
-
-    dloss_dsim = all_soft.copy()
-    dloss_dsim[pos_mask] -= pos_soft
-
-    grads = np.zeros_like(emb)
-    grads[anchor_index] = (dloss_dsim[:, None] * emb[others]).sum(axis=0) / tau
-    np.add.at(grads, others, dloss_dsim[:, None] * emb[anchor_index] / tau)
-    return loss, grads
-
-
 def lt_loss(anchor_index: int, batch_embeddings, tau: float) -> float:
     """Long-tail branch: push the anchor away from every other batch member."""
     emb = np.asarray(batch_embeddings, dtype=np.float64)
@@ -316,20 +235,6 @@ def lt_loss(anchor_index: int, batch_embeddings, tau: float) -> float:
         raise ContractError("lt_loss: batch must have at least 2 members")
     _, sims = _similarities(anchor_index, emb, tau)
     return _logsumexp(sims)
-
-
-def lt_loss_grad(
-    anchor_index: int, batch_embeddings, tau: float
-) -> tuple[float, np.ndarray]:
-    emb = np.asarray(batch_embeddings, dtype=np.float64)
-    loss = lt_loss(anchor_index, emb, tau)
-    others, sims = _similarities(anchor_index, emb, tau)
-    soft = np.exp(sims - np.max(sims))
-    soft /= soft.sum()
-    grads = np.zeros_like(emb)
-    grads[anchor_index] = (soft[:, None] * emb[others]).sum(axis=0) / tau
-    np.add.at(grads, others, soft[:, None] * emb[anchor_index] / tau)
-    return loss, grads
 
 
 def l2_loss(
@@ -354,167 +259,143 @@ def l2_loss(
     return total
 
 
-def l2_loss_grad(
-    bp_positions, s_sets: dict[int, frozenset[int]], batch_embeddings, tau: float
-) -> tuple[float, np.ndarray]:
-    emb = np.asarray(batch_embeddings, dtype=np.float64)
-    grads = np.zeros_like(emb)
-    if emb.shape[0] < 2:
-        return 0.0, grads
-    total = 0.0
-    for a in sorted(bp_positions):
-        positives = s_sets.get(a, frozenset())
-        if positives:
-            value, g = scl_loss_grad(a, emb, positives, tau)
-        else:
-            value, g = lt_loss_grad(a, emb, tau)
-        total += value
-        grads += g
-    return total, grads
-
-
-# ---------------------------------------------------------------------------
-# negative-label sampling for NA examples
-
-def _sampled_na_terms(
-    f: np.ndarray, sampled, na_index: int, config: LossConfig
-) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Per-example sampled-set terms: threshold-loss sum, normalized entropy
-    sum, and their two gradient arrays (kept separate so the full-set case
-    reproduces the unsampled accumulation exactly)."""
-    f_eta = float(f[na_index])
-    neg_grad = np.zeros_like(f, dtype=np.float64)
-    ent_grad = np.zeros_like(f, dtype=np.float64)
-    neg_loss = 0.0
-    for r in sorted(sampled):
-        gap = float(f[r]) - f_eta
-        neg_loss += log1p_exp(gap)
-        p_r = sigmoid(gap)
-        neg_grad[r] += p_r
-        neg_grad[na_index] -= p_r
-    ent_sum = 0.0
-    _, g2 = _gammas(0, len(sampled), config)
-    if config.use_entropy:
-        for r in sorted(sampled):
-            h, dh = pair_entropy_grad(float(f[r]), f_eta)
-            ent_sum += h
-            ent_grad[r] += dh / g2
-            ent_grad[na_index] -= dh / g2
-    return neg_loss, ent_sum / g2, neg_grad, ent_grad
-
-
-def sampled_negative_loss(
-    fs, sampled_sets, na_index: int, config: LossConfig, negatives=None
-) -> float:
-    """Sampled-subset loss over a sequence of NA-labeled examples.
-
-    ``fs`` and ``sampled_sets`` are aligned; ``negatives`` optionally gives
-    each example's full negative set for membership validation.
-    """
-    if len(fs) != len(sampled_sets):
-        raise ShapeError("sampled_negative_loss: misaligned inputs")
-    total = 0.0
-    for i, (f, sampled) in enumerate(zip(fs, sampled_sets)):
-        if not sampled:
-            raise ContractError(f"example {i}: empty sampled negative set")
-        if negatives is not None and not set(sampled) <= set(negatives[i]):
-            extra = sorted(set(sampled) - set(negatives[i]))
-            raise ContractError(f"example {i}: sampled labels {extra} are not negatives")
-        if na_index in sampled:
-            raise ContractError(f"example {i}: threshold class in sampled set")
-        neg_loss, ent, _, _ = _sampled_na_terms(
-            np.asarray(f, dtype=np.float64), sampled, na_index, config
-        )
-        total += neg_loss + ent
-    return total
-
-
 # ---------------------------------------------------------------------------
 # combined batch objective
 
-def batch_loss(examples, batch, forwards, vocab, config: LossConfig) -> BatchLossOutput:
-    """Combined objective and gradients for one batch.
+def _masked_logsumexp(s: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise log-sum-exp over the masked entries, and their softmax.
 
-    ``examples`` and ``forwards`` are aligned with the batch positions.
-    Without negative sampling every example contributes its threshold and
-    entropy terms; with sampling enabled the NA examples contribute only
-    over their sampled negative sets. The contrastive part is identical in
-    both cases and is scaled by ``contrastive_weight``.
+    Every row must have at least one masked entry.
     """
-    n = len(examples)
-    if len(forwards) != n:
-        raise ShapeError("batch_loss: forwards misaligned with examples")
-    na = vocab.na_index
-    n_rel = vocab.num_relations
-    all_relations = range(n_rel)
+    masked = np.where(mask, s, -np.inf)
+    shift = np.max(masked, axis=1, keepdims=True)
+    w = np.exp(masked - shift)
+    total = np.sum(w, axis=1, keepdims=True)
+    return (shift + np.log(total))[:, 0], w / total
 
-    grad_logits = [np.zeros(vocab.num_logits) for _ in range(n)]
-    dim = forwards[0].x_unit.shape[0] if n else 0
-    grad_embeddings = [np.zeros(dim) for _ in range(n)]
-    parts = {"pmt": 0.0, "em": 0.0, "scl": 0.0, "lt": 0.0, "sampled_neg": 0.0}
 
-    bn_set = set(batch.bn_indices)
-    classification = 0.0
-    for pos in range(n):
-        ex = examples[pos]
-        f = forwards[pos].f
-        if f.shape[0] != vocab.num_logits:
-            raise ShapeError(
-                f"batch_loss: logit vector of size {f.shape[0]}, expected {vocab.num_logits}"
-            )
-        positives = sorted(ex.positive_relations)
-        negatives = sorted(set(all_relations) - ex.positive_relations)
+def _negative_mask(labels: np.ndarray, batch, config: LossConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The penalized negatives N of every position and which rows were sampled.
 
-        if config.use_neg_sampling and pos in bn_set:
+    N is the complement of the label mask, except that with sampling
+    enabled each NA position uses its sampled set.
+    """
+    negatives = ~labels
+    sampled_rows = np.zeros(labels.shape[0], dtype=bool)
+    if config.use_neg_sampling and batch.bn_indices:
+        sets = []
+        for pos in batch.bn_indices:
             sampled = batch.sampled_negatives.get(pos)
             if sampled is None:
                 raise ContractError(
                     f"batch position {pos}: sampling enabled but no sampled set attached"
                 )
-            if not set(sampled) <= set(negatives):
-                raise ContractError(
-                    f"batch position {pos}: sampled labels outside the negative set"
-                )
-            neg_loss, ent, neg_grad, ent_grad = _sampled_na_terms(f, sampled, na, config)
-            example_loss = neg_loss + ent
-            parts["sampled_neg"] += example_loss
-            grad_logits[pos] += neg_grad
-            if config.use_entropy:
-                grad_logits[pos] += ent_grad
+            if not sampled:
+                raise ContractError(f"batch position {pos}: empty sampled negative set")
+            sets.append(sampled)
+        rows = np.asarray(batch.bn_indices, dtype=np.intp)
+        sampled_mask = label_mask(sets, labels.shape[1])
+        if np.any(sampled_mask & labels[rows]):
+            raise ContractError("sampled labels outside the negative set")
+        negatives[rows] = sampled_mask
+        sampled_rows[rows] = True
+    return negatives, sampled_rows
+
+
+def batch_loss(examples, batch, forward, vocab, config: LossConfig) -> BatchLossOutput:
+    """Combined objective and gradients for one batch.
+
+    ``forward`` holds one row of logits ``f`` and unit embeddings
+    ``x_unit`` per batch position (a :class:`~docrel.head.BatchForward`).
+    The threshold and entropy terms are reductions over the logit gaps
+    ``D = f[:, :|R|] - f[:, na]`` masked by Y (each example's positive
+    relations) and N (its penalized negatives, see ``_negative_mask``), with
+    per-row set-size normalizers. At sampling ratio 1.0 a sampled set is
+    every relation, so N equals the complement of Y and the sampled
+    objective runs the unsampled arithmetic exactly. The contrastive part
+    is row-masked log-sum-exp over the anchors' rows of ``U U^T / tau`` and
+    is scaled by ``contrastive_weight``.
+    """
+    n = len(examples)
+    f, unit = forward.f, forward.x_unit
+    if f.shape != (n, vocab.num_logits) or unit.shape[0] != n:
+        raise ShapeError(
+            f"batch_loss: logits {f.shape} and embeddings {unit.shape} for {n} examples, "
+            f"expected ({n}, {vocab.num_logits}) logits"
+        )
+    if not np.all(np.isfinite(f)):
+        raise NumericError("batch_loss: non-finite logit input")
+    na = vocab.na_index
+    n_rel = vocab.num_relations
+
+    labels = label_mask([ex.positive_relations for ex in examples], n_rel)
+    negatives, sampled_rows = _negative_mask(labels, batch, config)
+    active = labels | negatives
+
+    # two-way softmax of each relation against the threshold, overflow-safe
+    gap = f[:, :n_rel] - f[:, na : na + 1]
+    decay = np.exp(-np.abs(gap))
+    soft = np.log1p(decay)
+    above = gap >= 0.0
+    p = np.where(above, 1.0, decay) / (1.0 + decay)  # sigma(gap)
+    q = np.where(above, decay, 1.0) / (1.0 + decay)  # sigma(-gap)
+    nll_pos = np.maximum(-gap, 0.0) + soft  # -log p
+    nll_neg = np.maximum(gap, 0.0) + soft  # -log q
+
+    pmt_rows = np.sum(np.where(labels, nll_pos, np.where(negatives, nll_neg, 0.0)), axis=1)
+    grad_gap = np.where(labels, -q, np.where(negatives, p, 0.0))
+    if config.use_entropy:
+        entropy = p * nll_pos + q * nll_neg
+        if config.entropy_norm == "set_size":
+            gamma_pos = np.maximum(1, labels.sum(axis=1))
+            gamma_neg = np.maximum(1, negatives.sum(axis=1))
         else:
-            pmt_value, pmt_grad = pmt_loss_grad(f, positives, negatives, na)
-            grad_logits[pos] += pmt_grad
-            if config.use_entropy:
-                em_value, em_grad = em_loss_grad(f, positives, negatives, na, config)
-                grad_logits[pos] += em_grad
-            else:
-                em_value = 0.0
-            example_loss = pmt_value + em_value
-            parts["pmt"] += pmt_value
-            parts["em"] += em_value
-        classification += example_loss
+            gamma_pos = gamma_neg = np.ones(n)
+        em_rows = (
+            np.sum(np.where(labels, entropy, 0.0), axis=1) / gamma_pos
+            + np.sum(np.where(negatives, entropy, 0.0), axis=1) / gamma_neg
+        )
+        gamma = np.where(labels, gamma_pos[:, None], gamma_neg[:, None])
+        grad_gap += np.where(active, -gap * p * q / gamma, 0.0)
+    else:
+        em_rows = np.zeros(n)
+
+    grad_logits = np.zeros_like(f)
+    grad_logits[:, :n_rel] = grad_gap
+    grad_logits[:, na] = -np.sum(grad_gap, axis=1)
+    classification = float(np.sum(pmt_rows + em_rows))
+    parts = {
+        "pmt": float(np.sum(pmt_rows[~sampled_rows])),
+        "em": float(np.sum(em_rows[~sampled_rows])),
+        "scl": 0.0,
+        "lt": 0.0,
+        "sampled_neg": float(np.sum((pmt_rows + em_rows)[sampled_rows])),
+    }
 
     lam = config.contrastive_weight
+    grad_embeddings = np.zeros_like(unit)
+    anchors = np.asarray(batch.bp_indices, dtype=np.intp)
     contrastive = 0.0
-    if config.use_contrastive and lam != 0.0 and n >= 2:
-        embeddings = np.stack([fw.x_unit for fw in forwards])
-        scl_total = 0.0
-        lt_total = 0.0
-        contrast_grads = np.zeros_like(embeddings)
-        for a in sorted(batch.bp_indices):
-            positives = batch.s_sets.get(a, frozenset())
-            if positives:
-                value, g = scl_loss_grad(a, embeddings, positives, config.temperature)
-                scl_total += value
-            else:
-                value, g = lt_loss_grad(a, embeddings, config.temperature)
-                lt_total += value
-            contrast_grads += g
-        parts["scl"] = scl_total
-        parts["lt"] = lt_total
-        contrastive = scl_total + lt_total
-        for pos in range(n):
-            grad_embeddings[pos] += lam * contrast_grads[pos]
+    if config.use_contrastive and lam != 0.0 and n >= 2 and anchors.size:
+        tau = config.temperature
+        sims = unit[anchors] @ unit.T / tau
+        others = np.ones_like(sims, dtype=bool)
+        others[np.arange(anchors.size), anchors] = False
+        positives = label_mask([batch.s_sets.get(int(a), ()) for a in anchors], n)
+        if np.any(positives & ~others):
+            raise ContractError("batch_loss: an anchor cannot be its own positive")
+        values, grad_sims = _masked_logsumexp(sims, others)
+        has_pos = np.any(positives, axis=1)
+        if has_pos.any():
+            pos_lse, pos_soft = _masked_logsumexp(sims[has_pos], positives[has_pos])
+            values[has_pos] += np.log(np.sum(positives[has_pos], axis=1)) - pos_lse
+            grad_sims[has_pos] -= pos_soft
+        parts["scl"] = float(np.sum(values[has_pos]))
+        parts["lt"] = float(np.sum(values[~has_pos]))
+        contrastive = parts["scl"] + parts["lt"]
+        grad_embeddings[anchors] += grad_sims @ unit / tau
+        grad_embeddings += grad_sims.T @ unit[anchors] / tau
+        grad_embeddings *= lam
 
     total = classification + lam * contrastive
     return BatchLossOutput(

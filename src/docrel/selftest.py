@@ -1,8 +1,10 @@
 """Built-in verification suites: gradient checks, oracle equivalence, invariants.
 
 These run from the CLI (`docrel selftest`) and from the test suite. The
-gradient checker compares every analytic gradient against central finite
-differences (step 1e-5); a component passes when
+gradient checker compares every analytic gradient, all of which come from
+``batch_loss`` and ``head_backward``, against central finite differences
+(step 1e-5) of an independent value: the per-term scalar losses for the
+objective's terms, the forward pass for the head. A component passes when
 ``|analytic - numeric| <= 1e-4 * max(|analytic|, |numeric|)`` or the
 absolute difference is below 1e-8 (floor for vanishing gradients).
 """
@@ -18,23 +20,17 @@ from . import oracle
 from .batching import Batch
 from .core import Mention, PairExample, RelationVocabulary
 from .evaluation import predict_labels
-from .head import HeadParams, head_backward, head_forward
+from .head import BatchForward, HeadParams, head_backward, head_forward
 from .losses import (
     LossConfig,
     batch_loss,
     em_loss,
-    em_loss_grad,
     l2_loss,
-    l2_loss_grad,
     lt_loss,
-    lt_loss_grad,
     pair_entropy,
-    pair_entropy_grad,
     pairwise_probs,
     pmt_loss,
-    pmt_loss_grad,
     scl_loss,
-    scl_loss_grad,
 )
 from .rng import stream
 
@@ -120,6 +116,30 @@ def _unit_rows(rng, n: int, dim: int) -> np.ndarray:
 # gradient checks
 
 
+def _kernel(labels, logits, emb, cfg, bp=(), s_sets=None, sampled=None):
+    """``batch_loss`` on a batch given by its parts; NA positions are the unlabeled ones."""
+    n = len(labels)
+    batch = Batch(
+        example_indices=tuple(range(n)),
+        bp_indices=tuple(bp),
+        bn_indices=tuple(i for i, labels_i in enumerate(labels) if not labels_i),
+        s_sets=s_sets or {},
+        sampled_negatives=sampled or {},
+    )
+    vocab = RelationVocabulary.from_relations([f"r{k}" for k in range(logits.shape[1] - 1)])
+    return batch_loss(_examples_for(labels, 0), batch, _forwards_for(logits, emb), vocab, cfg)
+
+
+def _logit_grad(f: np.ndarray, positives, cfg: LossConfig, sampled=None) -> np.ndarray:
+    """The kernel's logit gradient for a one-example batch (no contrastive part)."""
+    sampled = None if sampled is None else {0: tuple(sampled)}
+    out = _kernel([frozenset(positives)], f[None, :], np.zeros((1, 1)), cfg, sampled=sampled)
+    return out.grad_logits[0]
+
+
+THRESHOLD_ONLY = LossConfig(use_entropy=False, use_contrastive=False)
+
+
 def _check_threshold_terms(result: SuiteResult, seed: int) -> None:
     n_rel, na = 96, 96
     for p_size in P_SIZES:
@@ -131,17 +151,20 @@ def _check_threshold_terms(result: SuiteResult, seed: int) -> None:
                     perm = rng.permutation(n_rel)
                     positives = sorted(int(r) for r in perm[:p_size])
                     negatives = sorted(int(r) for r in perm[p_size:])
-                    cfg = LossConfig(entropy_norm=mode)
+                    cfg = LossConfig(entropy_norm=mode, use_contrastive=False)
 
-                    value, grad = pmt_loss_grad(f, positives, negatives, na)
+                    grad_pmt = _logit_grad(f, positives, THRESHOLD_ONLY)
+                    value = pmt_loss(f, positives, negatives, na)
                     num = finite_difference(
                         lambda: pmt_loss(f, positives, negatives, na), f
                     )
                     result.record(
-                        gradients_close(grad, num, value), f"pmt P={p_size} scale={scale}"
+                        gradients_close(grad_pmt, num, value), f"pmt P={p_size} scale={scale}"
                     )
 
-                    value, grad = em_loss_grad(f, positives, negatives, na, cfg)
+                    # the entropy term's share of the kernel gradient
+                    grad = _logit_grad(f, positives, cfg) - grad_pmt
+                    value = em_loss(f, positives, negatives, na, cfg)
                     num = finite_difference(
                         lambda: em_loss(f, positives, negatives, na, cfg), f
                     )
@@ -152,19 +175,16 @@ def _check_threshold_terms(result: SuiteResult, seed: int) -> None:
 
 def _check_entropy(result: SuiteResult, seed: int) -> None:
     rng = stream(seed, "grad-entropy")
+    cfg = LossConfig(use_contrastive=False)
     for gap in (0.0, 0.5, -0.5, 2.0, -2.0, 5.0, -5.0, 8.0, -8.0):
         base = float(rng.normal())
         f = np.array([base + gap, base])
-        _, dh = pair_entropy_grad(f[0], f[1])
+        grad = _logit_grad(f, (), cfg) - _logit_grad(f, (), THRESHOLD_ONLY)
         num = finite_difference(lambda: pair_entropy(f[0], f[1]), f)
-        result.record(
-            gradients_close(np.array([dh, -dh]), num), f"entropy gap={gap}"
-        )
+        result.record(gradients_close(grad, num), f"entropy gap={gap}")
 
 
 def _check_sampled(result: SuiteResult, seed: int) -> None:
-    from .losses import _sampled_na_terms
-
     n_rel, na = 96, 96
     for ratio in (0.05, 0.5, 1.0):
         for mode in ("unit", "set_size"):
@@ -173,18 +193,23 @@ def _check_sampled(result: SuiteResult, seed: int) -> None:
                 f = _random_logits(rng, n_rel + 1, scale)
                 size = max(1, round(ratio * n_rel))
                 sampled = sorted(int(r) for r in rng.choice(n_rel, size=size, replace=False))
-                cfg = LossConfig(entropy_norm=mode)
+                cfg = LossConfig(entropy_norm=mode, use_contrastive=False, use_neg_sampling=True)
 
                 def value() -> float:
-                    neg, ent, _, _ = _sampled_na_terms(f, sampled, na, cfg)
-                    return neg + ent
+                    return pmt_loss(f, [], sampled, na) + em_loss(f, [], sampled, na, cfg)
 
-                neg, ent, g_neg, g_ent = _sampled_na_terms(f, sampled, na, cfg)
-                num = finite_difference(value, f)
+                grad = _logit_grad(f, (), cfg, sampled)
                 result.record(
-                    gradients_close(g_neg + g_ent, num, neg + ent),
+                    gradients_close(grad, finite_difference(value, f), value()),
                     f"sampled ratio={ratio} {mode} scale={scale}",
                 )
+
+
+def _embedding_grad(emb: np.ndarray, bp, s_sets, tau: float) -> np.ndarray:
+    """The kernel's unit-embedding gradient (contrastive weight 1)."""
+    n = emb.shape[0]
+    cfg = LossConfig(temperature=tau, use_entropy=False)
+    return _kernel([frozenset()] * n, np.zeros((n, 2)), emb, cfg, bp, s_sets).grad_embeddings
 
 
 def _check_contrastive(result: SuiteResult, seed: int) -> None:
@@ -198,11 +223,13 @@ def _check_contrastive(result: SuiteResult, seed: int) -> None:
                 k = int(rng.integers(1, len(others) + 1))
                 positives = frozenset(int(i) for i in rng.choice(others, size=k, replace=False))
 
-                value, grads = scl_loss_grad(anchor, emb, positives, tau)
+                grads = _embedding_grad(emb, (anchor,), {anchor: positives}, tau)
+                value = scl_loss(anchor, emb, positives, tau)
                 num = finite_difference(lambda: scl_loss(anchor, emb, positives, tau), emb)
                 result.record(gradients_close(grads, num, value), f"scl n={n} d={dim} tau={tau}")
 
-                value, grads = lt_loss_grad(anchor, emb, tau)
+                grads = _embedding_grad(emb, (anchor,), {}, tau)
+                value = lt_loss(anchor, emb, tau)
                 num = finite_difference(lambda: lt_loss(anchor, emb, tau), emb)
                 result.record(gradients_close(grads, num, value), f"lt n={n} d={dim} tau={tau}")
 
@@ -218,7 +245,8 @@ def _check_contrastive(result: SuiteResult, seed: int) -> None:
                 s_sets[a] = frozenset(
                     int(i) for i in rng.choice(others, size=k, replace=False)
                 )
-            value, grads = l2_loss_grad(bp, s_sets, emb, tau)
+            grads = _embedding_grad(emb, bp, s_sets, tau)
+            value = l2_loss(bp, s_sets, emb, tau)
             num = finite_difference(lambda: l2_loss(bp, s_sets, emb, tau), emb)
             result.record(gradients_close(grads, num, value), f"l2 n={n} tau={tau}")
 
@@ -274,13 +302,8 @@ def _examples_for(labels, dim: int) -> list[PairExample]:
     ]
 
 
-def _forwards_for(logits: np.ndarray, emb: np.ndarray):
-    from .head import PairForward
-
-    return [
-        PairForward(x=emb[i], x_unit=emb[i], f=logits[i], cache=None)
-        for i in range(logits.shape[0])
-    ]
+def _forwards_for(logits: np.ndarray, emb: np.ndarray) -> BatchForward:
+    return BatchForward(x=emb, x_unit=emb, f=logits)
 
 
 def _check_batch_loss(result: SuiteResult, seed: int) -> None:
@@ -308,9 +331,9 @@ def _check_batch_loss(result: SuiteResult, seed: int) -> None:
                 out = batch_loss(examples, batch, _forwards_for(logits, emb), vocab, cfg)
                 num_logits = finite_difference(total, logits)
                 num_emb = finite_difference(total, emb)
-                ok = gradients_close(
-                    np.stack(out.grad_logits), num_logits, out.total
-                ) and gradients_close(np.stack(out.grad_embeddings), num_emb, out.total)
+                ok = gradients_close(out.grad_logits, num_logits, out.total) and gradients_close(
+                    out.grad_embeddings, num_emb, out.total
+                )
                 result.record(ok, f"batch n={n} lam={lam} sampling={sampling}")
 
 
@@ -329,54 +352,105 @@ def _random_head(rng, d: int, d1: int, groups: int, n_logits: int) -> HeadParams
     )
 
 
+HEAD_SIZES = ((2, 2, 1), (3, 4, 2), (4, 4, 4), (3, 6, 3))
+
+
+def _head_gradients_close(params, examples, inputs, g_x, g_f, skip_rows=None) -> bool:
+    """Compare ``head_backward`` with finite differences of ``g_f . f + g_x . x_unit``.
+
+    ``inputs`` maps the input-gradient names to the arrays the examples'
+    mention embeddings and contexts are views of; ``skip_rows`` names rows
+    of those arrays left out of the comparison.
+    """
+
+    def loss() -> float:
+        fw = head_forward(examples, params, keep_cache=False)
+        return float(np.sum(g_f * fw.f) + np.sum(g_x * fw.x_unit))
+
+    grads, input_grads = head_backward(head_forward(examples, params), g_x, g_f, params)
+    ref = loss()
+    ok = all(
+        gradients_close(grads[name], finite_difference(loss, tensor), ref)
+        for name, tensor in params.tensors().items()
+    )
+    for name, array in inputs.items():
+        keep = np.ones(array.shape[0], dtype=bool)
+        keep[list((skip_rows or {}).get(name, ()))] = False
+        num = finite_difference(loss, array)
+        ok = ok and gradients_close(input_grads[name][keep], num[keep], ref)
+    return ok
+
+
+def _pairs(mentions: np.ndarray, contexts: np.ndarray, counts) -> list[PairExample]:
+    """Pairs whose mention embeddings are consecutive row views of ``mentions``."""
+    examples, row = [], 0
+    for i, (n_head, n_tail) in enumerate(counts):
+        head = tuple(Mention(0, mentions[k]) for k in range(row, row + n_head))
+        tail = tuple(Mention(1, mentions[k]) for k in range(row + n_head, row + n_head + n_tail))
+        row += n_head + n_tail
+        examples.append(
+            PairExample(
+                doc_id="d",
+                head_id=0,
+                tail_id=1,
+                head_mentions=head,
+                tail_mentions=tail,
+                context=contexts[i],
+                positive_relations=frozenset(),
+            )
+        )
+    return examples
+
+
 def _check_head(result: SuiteResult, seed: int) -> None:
-    sizes = ((2, 2, 1), (3, 4, 2), (4, 4, 4), (3, 6, 3))
-    for size_idx, (d, d1, groups) in enumerate(sizes):
+    for size_idx, (d, d1, groups) in enumerate(HEAD_SIZES):
         for rep in range(5):
             rng = stream(seed, "grad-head", size_idx, rep)
             n_logits = 4
             params = _random_head(rng, d, d1, groups, n_logits)
-            n_head = int(rng.integers(1, 4))
-            n_tail = int(rng.integers(1, 4))
-            head_emb = rng.normal(size=(n_head, d))
-            tail_emb = rng.normal(size=(n_tail, d))
-            context = rng.normal(size=d)
-            g_f = rng.normal(size=n_logits)
-            g_x = rng.normal(size=params.pair_dim)
-
-            def example() -> PairExample:
-                return PairExample(
-                    doc_id="d",
-                    head_id=0,
-                    tail_id=1,
-                    head_mentions=tuple(Mention(0, e) for e in head_emb),
-                    tail_mentions=tuple(Mention(1, e) for e in tail_emb),
-                    context=context,
-                    positive_relations=frozenset(),
-                )
-
-            def loss() -> float:
-                fw = head_forward(example(), params, keep_cache=False)
-                return float(g_f @ fw.f + g_x @ fw.x_unit)
-
-            fw = head_forward(example(), params)
-            grads, input_grads = head_backward(fw, g_x, g_f, params)
-
-            ref = loss()
-            ok = True
-            for name, tensor in params.tensors().items():
-                num = finite_difference(loss, tensor)
-                ok = ok and gradients_close(grads[name], num, ref)
-            ok = ok and gradients_close(
-                input_grads["context"], finite_difference(loss, context), ref
-            )
-            ok = ok and gradients_close(
-                input_grads["head_mentions"], finite_difference(loss, head_emb), ref
-            )
-            ok = ok and gradients_close(
-                input_grads["tail_mentions"], finite_difference(loss, tail_emb), ref
-            )
+            counts = [(int(rng.integers(1, 4)), int(rng.integers(1, 4)))]
+            mentions = rng.normal(size=(sum(counts[0]), d))  # head rows, then tail rows
+            contexts = rng.normal(size=(1, d))
+            g_f = rng.normal(size=(1, n_logits))
+            g_x = rng.normal(size=(1, params.pair_dim))
+            examples = _pairs(mentions, contexts, counts)
+            inputs = {"mentions": mentions, "context": contexts}
+            ok = _head_gradients_close(params, examples, inputs, g_x, g_f)
             result.record(ok, f"head d={d} d1={d1} P={groups} rep={rep}")
+
+
+# mention counts (head, tail) per pair of the packed-batch check: pooling
+# segments of 1, 2 and 3 rows; the last pair has a zero pair embedding
+BATCH_MENTION_COUNTS = ((1, 3), (2, 1), (3, 2), (1, 2))
+
+
+def _check_head_batch(result: SuiteResult, seed: int) -> None:
+    """One packed batch per head size, through the ``reduceat`` segment edges.
+
+    The last pair's head is a single zero mention with a zero context, so
+    ``z_h`` and the pair embedding are exactly zero, and stay so when a
+    parameter moves. Its unit embedding is discontinuous in its own inputs,
+    so those rows are left out of the input-gradient comparison.
+    """
+    for size_idx, (d, d1, groups) in enumerate(HEAD_SIZES):
+        rng = stream(seed, "grad-head-batch", size_idx)
+        n_logits = 4
+        params = _random_head(rng, d, d1, groups, n_logits)
+        n = len(BATCH_MENTION_COUNTS)
+        mentions = rng.normal(size=(sum(map(sum, BATCH_MENTION_COUNTS)), d))
+        contexts = rng.normal(size=(n, d))
+        zero_rows = range(mentions.shape[0] - sum(BATCH_MENTION_COUNTS[-1]), mentions.shape[0])
+        mentions[zero_rows[0]] = 0.0
+        contexts[-1] = 0.0
+        examples = _pairs(mentions, contexts, BATCH_MENTION_COUNTS)
+        g_f = rng.normal(size=(n, n_logits))
+        g_x = rng.normal(size=(n, params.pair_dim))
+        inputs = {"mentions": mentions, "context": contexts}
+        skip = {"mentions": zero_rows, "context": (n - 1,)}
+        ok = _head_gradients_close(params, examples, inputs, g_x, g_f, skip)
+        norms = head_forward(examples, params).cache["norm"]
+        ok = ok and norms[-1] == 0.0 and bool(np.all(norms[:-1] > 0.0))
+        result.record(ok, f"head batch d={d} d1={d1} P={groups}")
 
 
 def run_gradient_checks(seed: int = 0) -> SuiteResult:
@@ -387,6 +461,7 @@ def run_gradient_checks(seed: int = 0) -> SuiteResult:
     _check_contrastive(result, seed)
     _check_batch_loss(result, seed)
     _check_head(result, seed)
+    _check_head_batch(result, seed)
     return result
 
 

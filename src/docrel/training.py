@@ -8,11 +8,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .batching import assemble_batches, attach_negative_samples, sample_negative_labels
+from .batching import (
+    assemble_batches,
+    attach_negative_samples,
+    batch_count,
+    sample_negative_labels,
+)
 from .core import Corpus
 from .errors import ConfigError, NonFiniteLossError, NumericError
 from .evaluation import evaluate
-from .head import HeadParams, head_backward, head_forward, init_head_params, zero_gradients
+from .head import HeadParams, head_backward, head_forward, init_head_params
 from .losses import LossConfig, batch_loss
 from .optim import AdamW, clip_gradients, warmup_lr
 from .rng import stream
@@ -95,7 +100,10 @@ def train(
             num_logits=train_corpus.vocabulary.num_logits,
             rng=stream(config.seed, "init"),
         )
-    tensors = {name: arr.copy() for name, arr in params.tensors().items()}
+    # the optimizer updates these arrays in place, so ``current`` always
+    # holds the latest parameters
+    current = params.copy()
+    tensors = current.tensors()
 
     optimizer = AdamW(
         beta1=config.beta1,
@@ -104,9 +112,7 @@ def train(
         weight_decay=config.weight_decay,
     )
 
-    probe = assemble_batches(train_corpus, config.batch_size, config.seed)
-    steps_per_epoch = len(probe)
-    total_steps = steps_per_epoch * config.epochs
+    total_steps = batch_count(train_corpus, config.batch_size) * config.epochs
 
     once_samples: dict[int, tuple[int, ...]] | None = None
     if loss_cfg.use_neg_sampling and loss_cfg.resample == "once":
@@ -117,17 +123,6 @@ def train(
     best_f1 = -1.0
     best_tensors: dict[str, np.ndarray] | None = None
     step = 0
-
-    def current_params() -> HeadParams:
-        return HeadParams(
-            W_h=tensors["W_h"],
-            W_t=tensors["W_t"],
-            W_c1=tensors["W_c1"],
-            W_c2=tensors["W_c2"],
-            W_o=tensors["W_o"],
-            b_o=tensors["b_o"],
-            group_count=config.group_count,
-        )
 
     for epoch in range(config.epochs):
         batches = assemble_batches(
@@ -161,11 +156,10 @@ def train(
                     batch, train_corpus, loss_cfg.neg_sampling_ratio, rng
                 )
 
-            p = current_params()
             examples = [train_corpus.examples[i] for i in batch.example_indices]
             try:
-                forwards = [head_forward(ex, p) for ex in examples]
-                out = batch_loss(examples, batch, forwards, train_corpus.vocabulary, loss_cfg)
+                forward = head_forward(examples, current)
+                out = batch_loss(examples, batch, forward, train_corpus.vocabulary, loss_cfg)
             except NumericError as exc:
                 raise NonFiniteLossError(epoch, batch_index, {"error": str(exc)}) from exc
             if not math.isfinite(out.total):
@@ -174,18 +168,14 @@ def train(
             for key in epoch_parts:
                 epoch_parts[key] += out.parts[key]
 
-            grads = zero_gradients(p)
-            for pos in range(len(examples)):
-                head_backward(
-                    forwards[pos], out.grad_embeddings[pos], out.grad_logits[pos], p, grads
-                )
+            grads, _ = head_backward(forward, out.grad_embeddings, out.grad_logits, current)
             if config.grad_clip_norm is not None:
                 clip_gradients(grads, config.grad_clip_norm)
             lr = warmup_lr(config.learning_rate, step, total_steps, config.warmup_ratio)
             optimizer.step(tensors, grads, lr)
             step += 1
 
-        dev_report = evaluate(current_params(), dev_corpus, use_gold=False)
+        dev_report = evaluate(current, dev_corpus, use_gold=False)
         record = {
             "epoch": epoch,
             "loss_total": epoch_total,
@@ -205,20 +195,12 @@ def train(
             best_epoch = epoch
             best_tensors = {name: arr.copy() for name, arr in tensors.items()}
 
-    final = current_params().copy()
+    final = current.copy()
     if best_tensors is None:
         best = final
         best_epoch = 0
     else:
-        best = HeadParams(
-            W_h=best_tensors["W_h"],
-            W_t=best_tensors["W_t"],
-            W_c1=best_tensors["W_c1"],
-            W_c2=best_tensors["W_c2"],
-            W_o=best_tensors["W_o"],
-            b_o=best_tensors["b_o"],
-            group_count=config.group_count,
-        )
+        best = HeadParams(**best_tensors, group_count=config.group_count)
     return TrainResult(params=best, final_params=final, history=history, best_epoch=best_epoch)
 
 

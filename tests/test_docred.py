@@ -69,6 +69,13 @@ class TestLoader:
         with pytest.raises(DataFormatError, match="fixture"):
             load_docred_json(write(tmp_path, [doc]), dim=16)
 
+    @pytest.mark.parametrize("sent_id", [2, -1])
+    def test_sent_id_outside_document_rejected(self, tmp_path, sent_id):
+        doc = json.loads(json.dumps(DOC))
+        doc["vertexSet"][1][1]["sent_id"] = sent_id
+        with pytest.raises(DataFormatError, match=r"fixture.*vertexSet\[1\].*sent_id"):
+            load_docred_json(write(tmp_path, [doc]), dim=16)
+
     def test_entity_ids_shared_across_documents(self, tmp_path):
         second = dict(DOC)
         second = json.loads(json.dumps(DOC))

@@ -53,11 +53,14 @@ class FixedLogitHead:
         self.table = table
         self.num_logits = num_logits
 
-    def __call__(self, ex, params, keep_cache=True):
-        from docrel.head import PairForward
+    def __call__(self, examples, params, keep_cache=True):
+        from docrel.head import BatchForward
 
-        f = np.array(self.table[(ex.doc_id, ex.head_id, ex.tail_id)], dtype=float)
-        return PairForward(x=np.zeros(2), x_unit=np.zeros(2), f=f, cache=None)
+        f = np.array(
+            [self.table[(ex.doc_id, ex.head_id, ex.tail_id)] for ex in examples], dtype=float
+        ).reshape(len(examples), self.num_logits)
+        zeros = np.zeros((len(examples), 2))
+        return BatchForward(x=zeros, x_unit=zeros, f=f)
 
 
 def eval_with_logits(corpus, table, monkeypatch, **kwargs):

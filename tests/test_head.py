@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from docrel.core import Mention, PairExample
-from docrel.errors import ConfigError, ContractError, ShapeError
+from docrel.errors import ConfigError, ContractError, DataFormatError, ShapeError
 from docrel.head import (
     HeadParams,
     head_backward,
@@ -15,7 +15,6 @@ from docrel.head import (
     load_checkpoint,
     logsumexp_pool,
     save_checkpoint,
-    zero_gradients,
 )
 from docrel.rng import stream
 
@@ -84,10 +83,10 @@ class TestLogsumexpPool:
 class TestForward:
     def test_zero_params_give_bias_logits(self):
         params = zero_params(3, 4, 2, 5, b_o=[1, 2, 3, 4, 5])
-        fw = head_forward(pair([[1, 2, 3]], [[0, 1, 0]], [2, 2, 2]), params)
-        assert np.array_equal(fw.f, np.array([1.0, 2, 3, 4, 5]))
-        assert np.array_equal(fw.x, np.zeros(8))
-        assert np.array_equal(fw.x_unit, np.zeros(8))
+        fw = head_forward([pair([[1, 2, 3]], [[0, 1, 0]], [2, 2, 2])], params)
+        assert np.array_equal(fw.f, np.array([[1.0, 2, 3, 4, 5]]))
+        assert np.array_equal(fw.x, np.zeros((1, 8)))
+        assert np.array_equal(fw.x_unit, np.zeros((1, 8)))
 
     def test_single_group_outer_product(self):
         # d=2, d1=2, P=1, identity projections, no context mixing
@@ -95,12 +94,12 @@ class TestForward:
         params.W_h[:, :] = np.eye(2)
         params.W_t[:, :] = np.eye(2)
         a, b, c, e = 0.3, -1.2, 0.8, 0.5
-        fw = head_forward(pair([[a, b]], [[c, e]], [0, 0]), params)
+        fw = head_forward([pair([[a, b]], [[c, e]], [0, 0])], params)
         zh, zt = np.tanh([a, b]), np.tanh([c, e])
         expected = np.array(
             [zh[0] * zt[0], zh[0] * zt[1], zh[1] * zt[0], zh[1] * zt[1]]
         )
-        assert np.allclose(fw.x, expected, atol=1e-15)
+        assert np.allclose(fw.x[0], expected, atol=1e-15)
         assert np.allclose(fw.f, 0.0)
 
     def test_group_per_dimension_is_elementwise(self):
@@ -117,35 +116,35 @@ class TestForward:
             group_count=d1,
         )
         ex = pair([rng.normal(size=d)], [rng.normal(size=d)], rng.normal(size=d))
-        fw = head_forward(ex, params)
+        fw = head_forward([ex], params)
         zh = np.tanh(params.W_h @ ex.head_mentions[0].embedding + params.W_c1 @ ex.context)
         zt = np.tanh(params.W_t @ ex.tail_mentions[0].embedding + params.W_c2 @ ex.context)
-        assert fw.x.shape == (d1,)
-        assert np.allclose(fw.x, zh * zt, atol=1e-15)
+        assert fw.x.shape == (1, d1)
+        assert np.allclose(fw.x[0], zh * zt, atol=1e-15)
 
     def test_unit_norm(self):
         params = init_head_params(4, 4, 2, 3, stream(1, "init"))
-        fw = head_forward(pair([[1, 0, 0, 1]], [[0, 1, 1, 0]], [1, 1, 0, 0]), params)
-        assert abs(np.linalg.norm(fw.x_unit) - 1.0) < 1e-9
+        fw = head_forward([pair([[1, 0, 0, 1]], [[0, 1, 1, 0]], [1, 1, 0, 0])], params)
+        assert abs(np.linalg.norm(fw.x_unit[0]) - 1.0) < 1e-9
 
     def test_forward_determinism_bitwise(self):
         params = init_head_params(4, 4, 2, 3, stream(1, "init"))
         ex = pair([[1, 0, 0, 1], [2, 1, 0, 0]], [[0, 1, 1, 0]], [1, 1, 0, 0])
-        a = head_forward(ex, params)
-        b = head_forward(ex, params)
+        a = head_forward([ex], params)
+        b = head_forward([ex], params)
         assert np.array_equal(a.f, b.f) and np.array_equal(a.x, b.x)
 
     def test_shape_mismatch(self):
         params = zero_params(3, 4, 2, 5)
         with pytest.raises(ShapeError):
-            head_forward(pair([[1, 2]], [[1, 2]], [1, 2]), params)
+            head_forward([pair([[1, 2]], [[1, 2]], [1, 2])], params)
 
 
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         params = init_head_params(3, 4, 2, 5, stream(2, "init"))
-        fw = head_forward(pair([[1, 0, 2]], [[0, 1, 0]], [1, 1, 1]), params)
-        grads, input_grads = head_backward(fw, np.zeros(8), np.zeros(5), params)
+        fw = head_forward([pair([[1, 0, 2]], [[0, 1, 0]], [1, 1, 1])], params)
+        grads, input_grads = head_backward(fw, np.zeros((1, 8)), np.zeros((1, 5)), params)
         for g in grads.values():
             assert np.all(g == 0.0)
         for g in input_grads.values():
@@ -153,17 +152,17 @@ class TestBackward:
 
     def test_zero_embedding_routes_zero_normalization_grad(self):
         params = zero_params(2, 2, 1, 3, b_o=[0.5, 0, 0])
-        fw = head_forward(pair([[1, 1]], [[1, 1]], [0, 0]), params)
-        assert fw.cache["norm"] == 0.0
-        grads, _ = head_backward(fw, np.ones(4), np.zeros(3), params)
+        fw = head_forward([pair([[1, 1]], [[1, 1]], [0, 0])], params)
+        assert fw.cache["norm"][0] == 0.0
+        grads, _ = head_backward(fw, np.ones((1, 4)), np.zeros((1, 3)), params)
         # only W_o/b_o touch f; x-side gradient vanished with the zero vector
         assert np.all(grads["W_h"] == 0.0)
 
     def test_missing_cache_rejected(self):
         params = init_head_params(3, 4, 2, 5, stream(2, "init"))
-        fw = head_forward(pair([[1, 0, 2]], [[0, 1, 0]], [1, 1, 1]), params, keep_cache=False)
+        fw = head_forward([pair([[1, 0, 2]], [[0, 1, 0]], [1, 1, 1])], params, keep_cache=False)
         with pytest.raises(ContractError):
-            head_backward(fw, np.zeros(8), np.zeros(5), params)
+            head_backward(fw, np.zeros((1, 8)), np.zeros((1, 5)), params)
 
     def test_matches_finite_differences(self):
         # spot check; the selftest suite covers many more configurations
@@ -174,16 +173,56 @@ class TestBackward:
         assert result.passed, result.failures
 
     def test_accumulation_across_examples(self):
+        # parameter gradients of a batch are the sum over its examples
         params = init_head_params(3, 4, 2, 5, stream(3, "init"))
         ex = pair([[1, 0, 2]], [[0, 1, 0]], [1, 1, 1])
-        fw = head_forward(ex, params)
-        g_x, g_f = np.ones(8), np.ones(5)
-        once, _ = head_backward(fw, g_x, g_f, params)
-        twice = zero_gradients(params)
-        head_backward(fw, g_x, g_f, params, twice)
-        head_backward(fw, g_x, g_f, params, twice)
+        once, _ = head_backward(
+            head_forward([ex], params), np.ones((1, 8)), np.ones((1, 5)), params
+        )
+        twice, _ = head_backward(
+            head_forward([ex, ex], params), np.ones((2, 8)), np.ones((2, 5)), params
+        )
         for name in once:
             assert np.allclose(twice[name], 2 * once[name], rtol=1e-12)
+
+    def test_packed_batch_matches_finite_differences(self):
+        # mention segments of 1, 2 and 3 rows and a zero-norm pair in one batch
+        from docrel.selftest import SuiteResult, _check_head_batch
+
+        result = SuiteResult("head batch")
+        _check_head_batch(result, seed=123)
+        assert result.checks == 4 and result.passed, result.failures
+
+    def test_batch_rows_equal_single_pair_passes(self):
+        rng = stream(4, "rows")
+        params = init_head_params(3, 4, 2, 5, rng)
+        examples = [
+            pair(rng.normal(size=(k, 3)), rng.normal(size=(4 - k, 3)), rng.normal(size=3))
+            for k in (1, 2, 3)
+        ]
+        batch = head_forward(examples, params)
+        g_x, g_f = rng.normal(size=(3, 8)), rng.normal(size=(3, 5))
+        grads, inputs = head_backward(batch, g_x, g_f, params)
+        summed = {name: np.zeros_like(arr) for name, arr in grads.items()}
+        row = 0
+        for i, ex in enumerate(examples):
+            single = head_forward([ex], params)
+            for name in ("x", "x_unit", "f"):
+                assert np.allclose(getattr(single, name)[0], getattr(batch, name)[i], rtol=1e-12)
+            one, one_inputs = head_backward(single, g_x[i : i + 1], g_f[i : i + 1], params)
+            for name in summed:
+                summed[name] += one[name]
+            rows = slice(row, row + 4)
+            assert np.allclose(one_inputs["mentions"], inputs["mentions"][rows], rtol=1e-12)
+            assert np.allclose(one_inputs["context"][0], inputs["context"][i], rtol=1e-12)
+            row += 4
+        for name in summed:
+            assert np.allclose(summed[name], grads[name], rtol=1e-12)
+
+    def test_empty_batch(self):
+        params = init_head_params(3, 4, 2, 5, stream(5, "init"))
+        fw = head_forward([], params)
+        assert fw.f.shape == (0, 5) and fw.x_unit.shape == (0, 8)
 
 
 class TestParamsAndCheckpoint:
@@ -220,3 +259,59 @@ class TestParamsAndCheckpoint:
         assert loaded.group_count == params.group_count
         for name, arr in params.tensors().items():
             assert np.array_equal(arr, loaded.tensors()[name])
+
+
+class TestCheckpointFailsClosed:
+    def saved(self, tmp_path):
+        path = tmp_path / "params.ckpt"
+        save_checkpoint(init_head_params(4, 4, 2, 6, stream(9, "init")), path)
+        return path, path.read_bytes()
+
+    def rewrite_meta(self, data, edit):
+        magic, meta, payload = data.split(b"\n", 2)
+        import json
+
+        obj = json.loads(meta)
+        edit(obj)
+        return b"\n".join([magic, json.dumps(obj).encode(), payload])
+
+    def assert_rejected(self, path, data, match):
+        path.write_bytes(data)
+        with pytest.raises(DataFormatError, match=match) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_truncated_meta_line(self, tmp_path):
+        path, data = self.saved(tmp_path)
+        magic_end = data.index(b"\n") + 1
+        self.assert_rejected(path, data[: magic_end + 20], "metadata")
+
+    def test_garbled_meta_line(self, tmp_path):
+        path, data = self.saved(tmp_path)
+        magic_end = data.index(b"\n") + 1
+        garbled = data[:magic_end] + b"{not json" + data[data.index(b"\n", magic_end) :]
+        self.assert_rejected(path, garbled, "metadata")
+
+    def test_missing_tensor(self, tmp_path):
+        path, data = self.saved(tmp_path)
+
+        def drop_b_o(meta):
+            meta["tensors"] = [t for t in meta["tensors"] if t["name"] != "b_o"]
+
+        self.assert_rejected(path, self.rewrite_meta(data, drop_b_o)[: -6 * 8], "b_o")
+
+    def test_extra_tensor(self, tmp_path):
+        path, data = self.saved(tmp_path)
+
+        def add(meta):
+            meta["tensors"].append({"name": "W_x", "shape": [1]})
+
+        self.assert_rejected(path, self.rewrite_meta(data, add) + bytes(8), "W_x")
+
+    def test_trailing_bytes(self, tmp_path):
+        path, data = self.saved(tmp_path)
+        self.assert_rejected(path, data + b"\0", "after the last tensor")
+
+    def test_truncated_payload(self, tmp_path):
+        path, data = self.saved(tmp_path)
+        self.assert_rejected(path, data[:-1], "truncated")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,11 +18,11 @@ from docrel.losses import (
     pair_entropy,
     pairwise_probs,
     pmt_loss,
-    sampled_negative_loss,
     scl_loss,
 )
+from docrel.batching import Batch
 from docrel.rng import stream
-from docrel.selftest import _examples_for, _forwards_for, _tiny_instance
+from docrel.selftest import _examples_for, _forwards_for, _kernel, _tiny_instance
 
 LN2 = math.log(2.0)
 
@@ -265,11 +266,29 @@ class TestL2Loss:
         assert abs(mine - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
+def sampled_loss(f, sampled, cfg, labels=frozenset()):
+    """batch_loss of a one-example batch whose example is an NA position
+    with the given sampled negative set (no contrastive part)."""
+    f = np.asarray(f, dtype=float)
+    batch = Batch(
+        example_indices=(0,),
+        bp_indices=(),
+        bn_indices=(0,),
+        sampled_negatives={0: tuple(sampled)},
+    )
+    vocab = RelationVocabulary.from_relations([f"r{k}" for k in range(f.shape[0] - 1)])
+    cfg = replace(cfg, use_neg_sampling=True, use_contrastive=False)
+    return batch_loss(
+        _examples_for([frozenset(labels)], 0), batch, _forwards_for(f[None, :], np.zeros((1, 1))),
+        vocab, cfg,
+    ).total
+
+
 class TestSampledNegativeLoss:
     def test_single_sample_at_tie(self):
         f = np.array([0.0, 0.0])
         cfg = LossConfig(entropy_norm="unit")
-        v = sampled_negative_loss([f], [(0,)], 1, cfg)
+        v = sampled_loss(f, (0,), cfg)
         assert abs(v - 2 * LN2) < 1e-12
 
     def test_full_ratio_equals_pmt_plus_em(self):
@@ -277,10 +296,12 @@ class TestSampledNegativeLoss:
         f = rng.normal(scale=2, size=9)
         negatives = list(range(8))
         for mode in ("unit", "set_size"):
-            cfg = LossConfig(entropy_norm=mode)
-            full = sampled_negative_loss([f], [tuple(negatives)], 8, cfg)
-            split = pmt_loss(f, [], negatives, 8) + em_loss(f, [], negatives, 8, cfg)
-            assert full == split  # bitwise: same accumulation order
+            cfg = LossConfig(entropy_norm=mode, use_contrastive=False)
+            full = sampled_loss(f, negatives, cfg)
+            split = _kernel([frozenset()], f[None, :], np.zeros((1, 1)), cfg).total
+            assert full == split  # bitwise: the same masks and arithmetic
+            terms = pmt_loss(f, [], negatives, 8) + em_loss(f, [], negatives, 8, cfg)
+            assert abs(full - terms) <= 1e-12 * max(1.0, abs(terms))
 
     def test_frozen_single_negative_value(self):
         # -log P_eta at gap 3 plus the pairwise entropy at gap 3
@@ -290,19 +311,21 @@ class TestSampledNegativeLoss:
         expected_ent = oracle.entropy(3.0, 0.0)
         assert abs(expected_neg - 3.0485873515737420) < 1e-10
         assert abs(expected_ent - 0.1908649711064420) < 1e-10
-        v = sampled_negative_loss([f], [(0,)], 1, cfg)
+        v = sampled_loss(f, (0,), cfg)
         assert abs(v - (expected_neg + expected_ent)) < 1e-12
 
     def test_sample_outside_negative_set_rejected(self):
         f = np.array([0.0, 0.0, 0.0])
         cfg = LossConfig()
         with pytest.raises(ContractError):
-            sampled_negative_loss([f], [(0,)], 2, cfg, negatives=[(1,)])
+            sampled_loss(f, (0,), cfg, labels={0})  # a positive of the example
+        with pytest.raises(ContractError):
+            sampled_loss(f, (2,), cfg)  # the threshold class
 
     def test_empty_sample_rejected(self):
         cfg = LossConfig()
         with pytest.raises(ContractError):
-            sampled_negative_loss([np.zeros(2)], [()], 1, cfg)
+            sampled_loss(np.zeros(2), (), cfg)
 
 
 def build_batch_inputs(seed, n_rel, n, sampling):
@@ -375,11 +398,30 @@ class TestBatchLoss:
         )
         assert abs(recombined - out.total) <= 1e-9 * max(1.0, abs(out.total))
 
+    @pytest.mark.parametrize("sampling", [False, True])
+    def test_training_sized_batch_matches_oracle(self, sampling):
+        # 40 pairs over 32 relations, the shape of a training batch
+        rng = stream(13, "large-batch", int(sampling))
+        labels, batch, logits, emb = _tiny_instance(rng, 32, 40, 16, sampling)
+        vocab = RelationVocabulary.from_relations([f"r{k}" for k in range(32)])
+        cfg = LossConfig(
+            temperature=0.5, contrastive_weight=0.7, entropy_norm="set_size",
+            use_neg_sampling=sampling,
+        )
+        out = batch_loss(
+            _examples_for(labels, 16), batch, _forwards_for(logits, emb), vocab, cfg
+        )
+        ref = oracle.batch_total(
+            labels, 32, vocab.na_index, logits, emb, batch.bp_indices, batch.s_sets,
+            batch.sampled_negatives, 0.5, 0.7, "set_size", use_neg_sampling=sampling,
+        )
+        assert abs(out.total - ref) <= 1e-10 * max(1.0, abs(ref))
+
     def test_misaligned_forwards_rejected(self):
         labels, batch, logits, emb, vocab = build_batch_inputs(11, 3, 3, False)
         with pytest.raises(ShapeError):
             batch_loss(
-                _examples_for(labels, 6), batch, _forwards_for(logits, emb)[:-1], vocab,
+                _examples_for(labels, 6), batch, _forwards_for(logits[:-1], emb[:-1]), vocab,
                 LossConfig(),
             )
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from docrel.batching import assemble_batches, batch_count
 from docrel.core import Corpus, LabelSource, Mention, PairExample
 from docrel.datagen import SyntheticConfig, assemble_regime, generate_regime_splits
 from docrel.errors import ConfigError, NonFiniteLossError
@@ -56,6 +57,18 @@ class TestAdamW:
         for _ in range(500):
             opt.step(params, {"w": 2 * params["w"]}, lr=0.05)
         assert abs(params["w"][0]) < 1e-2
+
+
+class TestStepCount:
+    @pytest.mark.parametrize("docs", [0, 1, 3, 4, 5, 8, 9, 17])
+    @pytest.mark.parametrize("batch_size", [2, 3, 4])
+    def test_batch_count_equals_assembled_batches(self, docs, batch_size):
+        # the warm-up schedule's step count is computed without assembling
+        from conftest import make_corpus
+
+        corpus = make_corpus([{0}] * (2 * docs), docs_of=[f"d{i // 2}" for i in range(2 * docs)])
+        expected = len(assemble_batches(corpus, batch_size, rng_seed=0))
+        assert batch_count(corpus, batch_size) == expected
 
 
 class TestTrainLoop:
