@@ -25,8 +25,10 @@ __all__ = [
     "evaluate",
 ]
 
-# pairs per forward pass when scoring a split; bounds the pass's memory
-_EVAL_BLOCK = 1024
+# bytes of pair embeddings per forward pass when scoring a split: blocks
+# whose arrays stay under the allocator's default mmap threshold (128 KiB)
+# reuse freed heap memory instead of page-faulting fresh pages every pass
+_EVAL_BLOCK_BYTES = 1 << 16
 
 
 def _predicted_mask(f: np.ndarray, na_index: int) -> np.ndarray:
@@ -102,10 +104,11 @@ def evaluate(
     buckets = buckets or {}
     vocab = corpus.vocabulary
     examples = corpus.examples
+    block = max(1, _EVAL_BLOCK_BYTES // (8 * params.pair_dim))
     f = np.concatenate(
         [
-            head_forward(examples[k : k + _EVAL_BLOCK], params, keep_cache=False).f
-            for k in range(0, max(1, len(examples)), _EVAL_BLOCK)
+            head_forward(examples[k : k + block], params, keep_cache=False).f
+            for k in range(0, max(1, len(examples)), block)
         ]
     )
     predicted = _predicted_mask(f, vocab.na_index)

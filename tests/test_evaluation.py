@@ -110,6 +110,22 @@ class TestEvaluate:
         assert abs(report.recall - recall) < 1e-12
         assert abs(report.f1 - 2 * precision * recall / (precision + recall)) < 1e-12
 
+    def test_split_scored_in_blocks_counts_every_pair_once(self, monkeypatch):
+        import docrel.evaluation as ev
+
+        gold_sets = [{0}, {1, 2}, set(), {3}, {0, 3}]
+        pred_sets = [{0}, {1}, {2}, set(), {0, 3, 1}]
+        corpus = make_corpus(gold_sets)
+        table = logits_for(corpus, pred_sets)
+        whole = eval_with_logits(corpus, table, monkeypatch)
+        # two pairs per block: blocks of 2, 2 and 1
+        pair_dim = perfect_params_for(corpus).pair_dim
+        monkeypatch.setattr(ev, "_EVAL_BLOCK_BYTES", 2 * 8 * pair_dim)
+        blocked = eval_with_logits(corpus, table, monkeypatch)
+        assert blocked.summary() == whole.summary()
+        assert blocked.per_relation == whole.per_relation
+        assert blocked.predicted_triple_count == sum(map(len, pred_sets))
+
     def test_micro_f1_identity(self, monkeypatch):
         corpus = make_corpus([{0, 1}, {2}, set()])
         report = eval_with_logits(
