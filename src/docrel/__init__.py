@@ -66,8 +66,8 @@ from .datagen import (
     assemble_regime,
     generate_regime_splits,
     generate_synthetic_corpus,
-    inject_false_negatives,
     load_regime,
+    relabel_as_na,
     save_regime,
 )
 from .evaluation import EvalReport, evaluate, predict_labels, train_fact_set

@@ -126,7 +126,7 @@ def _resolved_config(args) -> dict[str, dict]:
     file_values = parse_config_file(args.config) if args.config else None
     manifest_values = None
     if args.from_manifest:
-        manifest_values = Manifest.load(args.from_manifest).config_values()
+        manifest_values = values(Manifest.load(args.from_manifest).config)
     return resolve(
         flag_values=flag_values,
         file_values=file_values,

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 
 from . import __version__
 from .errors import ConfigError
@@ -41,66 +42,68 @@ class KeySpec:
     name: str
     kind: str  # int | float | bool | str | opt_float | float_list | int_list
     default: object
-    help: str = ""
 
 
-def _spec(*args, **kwargs) -> tuple[str, KeySpec]:
-    ks = KeySpec(*args, **kwargs)
-    return ks.name, ks
+_KINDS = {int: "int", float: "float", bool: "bool", str: "str", float | None: "opt_float"}
 
-
-REGISTRY: dict[str, KeySpec] = dict(
-    [
-        # synthetic data
-        _spec("data.num_relations", "int", 96),
-        _spec("data.train_docs", "int", 100),
-        _spec("data.dev_docs", "int", 25),
-        _spec("data.test_docs", "int", 25),
-        _spec("data.pairs_min", "int", 8),
-        _spec("data.pairs_max", "int", 16),
-        _spec("data.zipf_exponent", "float", 1.05),
-        _spec("data.multi_label_rate", "float", 0.15),
-        _spec("data.embedding_dim", "int", 32),
-        _spec("data.noise_sigma", "float", 0.4),
-        _spec("data.na_fraction", "float", 0.5),
-        _spec("data.num_entities", "int", 150),
-        _spec("data.kg_pairs", "int", 300),
-        _spec("data.seed", "int", 0),
-        # regime assembly
-        _spec("regime.kind", "str", "OOG"),
-        _spec("regime.noise_rate", "float", 0.4),
-        _spec("regime.corruption", "str", "example"),
-        _spec("regime.seed", "int", 0),
-        # loss
-        _spec("loss.temperature", "float", 1.0),
-        _spec("loss.contrastive_weight", "float", 1.0),
-        _spec("loss.entropy_norm", "str", "unit"),
-        _spec("loss.neg_sampling_ratio", "float", 1.0),
-        _spec("loss.use_entropy", "bool", True),
-        _spec("loss.use_contrastive", "bool", True),
-        _spec("loss.use_neg_sampling", "bool", False),
-        _spec("loss.resample", "str", "per_epoch"),
-        # training
-        _spec("train.epochs", "int", 20),
-        _spec("train.batch_size", "int", 4),
-        _spec("train.learning_rate", "float", 1e-3),
-        _spec("train.warmup_ratio", "float", 0.06),
-        _spec("train.beta1", "float", 0.9),
-        _spec("train.beta2", "float", 0.999),
-        _spec("train.eps", "float", 1e-8),
-        _spec("train.weight_decay", "float", 0.01),
-        _spec("train.grad_clip_norm", "opt_float", None),
-        _spec("train.seed", "int", 0),
-        _spec("train.hidden_dim", "int", 32),
-        _spec("train.group_count", "int", 4),
-        # evaluation / experiments
-        _spec("eval.head_cut", "int", 10),
-        _spec("eval.tail_cut", "int", 20),
-        _spec("eval.use_gold", "bool", True),
-        _spec("experiment.seeds", "int_list", (0, 1, 2)),
-        _spec("experiment.ratios", "float_list", (0.1, 0.5, 1.0)),
-    ]
+# Each config dataclass fills one key section. A field's keys default to
+# its own name; this map renames a field, splits a pair field into one key
+# per element, or (with no names) leaves the field without a key.
+_SECTIONS = (
+    ("data", SyntheticConfig, {
+        "num_documents": ("train_docs",),
+        "pairs_per_document": ("pairs_min", "pairs_max"),
+        "prototype_noise_sigma": ("noise_sigma",),
+        "mentions_per_entity": (),
+        "split": (),
+    }),
+    ("loss", LossConfig, {}),
+    ("train", TrainConfig, {"loss": ()}),
 )
+
+
+def _field_keys(section: str, cls, renames) -> list[tuple[str, list[KeySpec]]]:
+    """(field name, its key specs) for every field of ``cls`` that has keys."""
+    hints = typing.get_type_hints(cls)
+    out = []
+    for f in fields(cls):
+        names = renames.get(f.name, (f.name,))
+        if not names:
+            continue
+        if len(names) == 1:
+            parts = [(names[0], hints[f.name], f.default)]
+        else:
+            parts = zip(names, typing.get_args(hints[f.name]), f.default)
+        out.append(
+            (f.name, [KeySpec(f"{section}.{n}", _KINDS[t], d) for n, t, d in parts])
+        )
+    return out
+
+
+_FIELD_KEYS = {cls: _field_keys(section, cls, renames) for section, cls, renames in _SECTIONS}
+
+# keys with no config dataclass behind them
+_LITERAL_KEYS = (
+    KeySpec("data.dev_docs", "int", 25),
+    KeySpec("data.test_docs", "int", 25),
+    KeySpec("regime.kind", "str", "OOG"),
+    KeySpec("regime.noise_rate", "float", 0.4),
+    KeySpec("regime.corruption", "str", "example"),
+    KeySpec("regime.seed", "int", 0),
+    KeySpec("eval.head_cut", "int", 10),
+    KeySpec("eval.tail_cut", "int", 20),
+    KeySpec("eval.use_gold", "bool", True),
+    KeySpec("experiment.seeds", "int_list", (0, 1, 2)),
+    KeySpec("experiment.ratios", "float_list", (0.1, 0.5, 1.0)),
+)
+
+REGISTRY: dict[str, KeySpec] = {
+    spec.name: spec
+    for spec in (
+        *(s for keys in _FIELD_KEYS.values() for _, specs in keys for s in specs),
+        *_LITERAL_KEYS,
+    )
+}
 
 # named hyperparameter presets, selectable with --preset
 PRESETS: dict[str, dict[str, object]] = {
@@ -150,16 +153,20 @@ def coerce(key: str, raw: str) -> object:
 
 
 def parse_config_file(path) -> dict[str, str]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}: cannot read config file: {exc}") from exc
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = body.split("=", 1)
-            values[key.strip()] = raw.strip()
+    for lineno, line in enumerate(lines, start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if "=" not in body:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, raw = body.split("=", 1)
+        values[key.strip()] = raw.strip()
     return values
 
 
@@ -191,7 +198,9 @@ def resolve(
         if key in flag_values and flag_values[key] is not None:
             resolved[key] = {"value": flag_values[key], "source": "flag"}
         elif key in manifest_values:
-            resolved[key] = {"value": _decode_value(spec, manifest_values[key]), "source": "manifest"}
+            value = manifest_values[key]  # JSON turns tuples into lists
+            value = tuple(value) if isinstance(value, list) else value
+            resolved[key] = {"value": value, "source": "manifest"}
         elif key in file_values:
             resolved[key] = {"value": coerce(key, file_values[key]), "source": "file"}
         elif key in preset_values:
@@ -201,65 +210,29 @@ def resolve(
     return resolved
 
 
-def _decode_value(spec: KeySpec, value):
-    # JSON round-trips tuples as lists
-    if spec.kind in ("float_list", "int_list") and isinstance(value, list):
-        return tuple(value)
-    return value
-
-
 def values(resolved: dict[str, dict]) -> dict[str, object]:
     return {k: v["value"] for k, v in resolved.items()}
 
 
-def loss_config_from(resolved: dict[str, dict]) -> LossConfig:
+def _config_from(cls, resolved: dict[str, dict], **extra):
     v = values(resolved)
-    return LossConfig(
-        temperature=v["loss.temperature"],
-        contrastive_weight=v["loss.contrastive_weight"],
-        entropy_norm=v["loss.entropy_norm"],
-        neg_sampling_ratio=v["loss.neg_sampling_ratio"],
-        use_entropy=v["loss.use_entropy"],
-        use_contrastive=v["loss.use_contrastive"],
-        use_neg_sampling=v["loss.use_neg_sampling"],
-        resample=v["loss.resample"],
-    )
+    kwargs = {}
+    for name, specs in _FIELD_KEYS[cls]:
+        picked = tuple(v[spec.name] for spec in specs)
+        kwargs[name] = picked[0] if len(picked) == 1 else picked
+    return cls(**kwargs, **extra)
+
+
+def loss_config_from(resolved: dict[str, dict]) -> LossConfig:
+    return _config_from(LossConfig, resolved)
 
 
 def train_config_from(resolved: dict[str, dict]) -> TrainConfig:
-    v = values(resolved)
-    return TrainConfig(
-        epochs=v["train.epochs"],
-        batch_size=v["train.batch_size"],
-        learning_rate=v["train.learning_rate"],
-        warmup_ratio=v["train.warmup_ratio"],
-        beta1=v["train.beta1"],
-        beta2=v["train.beta2"],
-        eps=v["train.eps"],
-        weight_decay=v["train.weight_decay"],
-        grad_clip_norm=v["train.grad_clip_norm"],
-        seed=v["train.seed"],
-        hidden_dim=v["train.hidden_dim"],
-        group_count=v["train.group_count"],
-        loss=loss_config_from(resolved),
-    )
+    return _config_from(TrainConfig, resolved, loss=loss_config_from(resolved))
 
 
 def synthetic_config_from(resolved: dict[str, dict]) -> SyntheticConfig:
-    v = values(resolved)
-    return SyntheticConfig(
-        num_relations=v["data.num_relations"],
-        num_documents=v["data.train_docs"],
-        pairs_per_document=(v["data.pairs_min"], v["data.pairs_max"]),
-        zipf_exponent=v["data.zipf_exponent"],
-        multi_label_rate=v["data.multi_label_rate"],
-        embedding_dim=v["data.embedding_dim"],
-        prototype_noise_sigma=v["data.noise_sigma"],
-        na_fraction=v["data.na_fraction"],
-        num_entities=v["data.num_entities"],
-        kg_pairs=v["data.kg_pairs"],
-        seed=v["data.seed"],
-    )
+    return _config_from(SyntheticConfig, resolved)
 
 
 @dataclass(eq=False)
@@ -282,14 +255,7 @@ class Manifest:
         return self
 
     def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "version": self.version,
-            "runtime_seconds": self.runtime_seconds,
-        }
+        return {k: v for k, v in vars(self).items() if k != "started_at"}
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -298,17 +264,19 @@ class Manifest:
 
     @classmethod
     def load(cls, path) -> "Manifest":
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        m = cls(
-            command=obj["command"],
-            config=obj["config"],
-            inputs=obj.get("inputs", {}),
-            outputs=obj.get("outputs", {}),
-            version=obj.get("version", "unknown"),
-        )
+        """Read a manifest; a missing, garbled or incomplete one raises ConfigError."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                obj = json.load(fh)
+            m = cls(
+                command=obj["command"],
+                config=obj["config"],
+                inputs=dict(obj.get("inputs", {})),
+                outputs=dict(obj.get("outputs", {})),
+                version=obj.get("version", "unknown"),
+            )
+            values(m.config)  # every entry must carry a value
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ConfigError(f"{path}: not a readable run manifest: {exc!r}") from exc
         m.runtime_seconds = obj.get("runtime_seconds")
         return m
-
-    def config_values(self) -> dict[str, object]:
-        return {k: v["value"] for k, v in self.config.items()}

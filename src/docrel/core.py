@@ -148,36 +148,8 @@ class Corpus:
 
     def validate(self) -> None:
         """Check the corpus-wide invariants; raises on the first violation."""
-        n_rel = self.vocabulary.num_relations
-        na = self.vocabulary.na_index
         for i, ex in enumerate(self.examples):
-            if ex.head_id == ex.tail_id:
-                raise DataFormatError(f"example {i}: head_id == tail_id == {ex.head_id}")
-            if not ex.head_mentions or not ex.tail_mentions:
-                raise DataFormatError(f"example {i}: entity with no mentions")
-            for m in (*ex.head_mentions, *ex.tail_mentions):
-                if m.embedding.shape != (self.embedding_dim,):
-                    raise ShapeError(
-                        f"example {i}: mention embedding shape {m.embedding.shape}, "
-                        f"expected ({self.embedding_dim},)"
-                    )
-            for m in ex.head_mentions:
-                if m.entity_id != ex.head_id:
-                    raise DataFormatError(f"example {i}: head mention entity mismatch")
-            for m in ex.tail_mentions:
-                if m.entity_id != ex.tail_id:
-                    raise DataFormatError(f"example {i}: tail mention entity mismatch")
-            if ex.context.shape != (self.embedding_dim,):
-                raise ShapeError(
-                    f"example {i}: context shape {ex.context.shape}, "
-                    f"expected ({self.embedding_dim},)"
-                )
-            for label_set in (ex.positive_relations, ex.gold_positive_relations or frozenset()):
-                for r in label_set:
-                    if not (0 <= r < n_rel):
-                        raise DataFormatError(f"example {i}: relation index {r} out of range")
-                    if r == na:
-                        raise DataFormatError(f"example {i}: NA index used as a label")
+            _check_example(ex, self.vocabulary.num_relations, self.embedding_dim, f"example {i}")
 
     def document_order(self) -> list[str]:
         """Distinct doc_ids in first-appearance order."""
@@ -191,6 +163,35 @@ class Corpus:
         for i, ex in enumerate(self.examples):
             groups.setdefault(ex.doc_id, []).append(i)
         return groups
+
+
+def _check_example(ex: PairExample, n_rel: int, dim: int, where: str) -> None:
+    """Check one example against a vocabulary of ``n_rel`` relations and ``dim``.
+
+    Errors name the example by ``where``. Relation indices run
+    ``0 .. n_rel-1``, so the NA index ``n_rel`` is never a valid label.
+    """
+    if ex.head_id == ex.tail_id:
+        raise DataFormatError(f"{where}: head_id == tail_id == {ex.head_id}")
+    if not ex.head_mentions or not ex.tail_mentions:
+        raise DataFormatError(f"{where}: entity with no mentions")
+    for m in (*ex.head_mentions, *ex.tail_mentions):
+        if m.embedding.shape != (dim,):
+            raise ShapeError(
+                f"{where}: mention embedding shape {m.embedding.shape}, expected ({dim},)"
+            )
+    for m in ex.head_mentions:
+        if m.entity_id != ex.head_id:
+            raise DataFormatError(f"{where}: head mention entity mismatch")
+    for m in ex.tail_mentions:
+        if m.entity_id != ex.tail_id:
+            raise DataFormatError(f"{where}: tail mention entity mismatch")
+    if ex.context.shape != (dim,):
+        raise ShapeError(f"{where}: context shape {ex.context.shape}, expected ({dim},)")
+    for label_set in (ex.positive_relations, ex.gold_positive_relations or frozenset()):
+        for r in label_set:
+            if not (0 <= r < n_rel):
+                raise DataFormatError(f"{where}: relation index {r} out of range")
 
 
 def label_mask(index_sets, width: int) -> np.ndarray:
@@ -297,15 +298,29 @@ def save_corpus(corpus: Corpus, path) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
-def load_corpus(path) -> Corpus:
-    with open(path, "r", encoding="utf-8") as fh:
-        header_line = fh.readline()
-        if not header_line:
-            raise DataFormatError(f"{path}: empty corpus file")
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: bad header: {exc}") from exc
+def _example_from_json(obj: dict) -> PairExample:
+    gold = obj.get("gold_positive_relations")
+    return PairExample(
+        doc_id=str(obj["doc_id"]),
+        head_id=int(obj["head_id"]),
+        tail_id=int(obj["tail_id"]),
+        head_mentions=tuple(_mention_from_json(m) for m in obj["head_mentions"]),
+        tail_mentions=tuple(_mention_from_json(m) for m in obj["tail_mentions"]),
+        context=np.asarray(obj["context"], dtype=np.float64),
+        positive_relations=frozenset(obj["positive_relations"]),
+        gold_positive_relations=frozenset(gold) if gold is not None else None,
+    )
+
+
+# what decoding a JSON value of the wrong shape or type raises
+_DECODE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
+
+
+def _header_from_json(line: str, path) -> tuple[dict, RelationVocabulary, LabelSource, int]:
+    if not line:
+        raise DataFormatError(f"{path}: empty corpus file")
+    try:
+        header = json.loads(line)
         if header.get("format") != _FORMAT:
             raise DataFormatError(f"{path}: not a corpus file")
         vocab = RelationVocabulary(
@@ -313,35 +328,44 @@ def load_corpus(path) -> Corpus:
             int(header["na_index"]),
             {k: int(v) for k, v in header.get("train_frequency", {}).items()},
         )
-        examples = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{path}:{lineno}: bad record: {exc}") from exc
-            gold = obj.get("gold_positive_relations")
-            examples.append(
-                PairExample(
-                    doc_id=str(obj["doc_id"]),
-                    head_id=int(obj["head_id"]),
-                    tail_id=int(obj["tail_id"]),
-                    head_mentions=tuple(_mention_from_json(m) for m in obj["head_mentions"]),
-                    tail_mentions=tuple(_mention_from_json(m) for m in obj["tail_mentions"]),
-                    context=np.asarray(obj["context"], dtype=np.float64),
-                    positive_relations=frozenset(obj["positive_relations"]),
-                    gold_positive_relations=(
-                        frozenset(gold) if gold is not None else None
-                    ),
-                )
-            )
-    return Corpus(
-        vocabulary=vocab,
-        examples=tuple(examples),
-        label_source=LabelSource(header["label_source"]),
-        embedding_dim=int(header["embedding_dim"]),
-    )
+        return header, vocab, LabelSource(header["label_source"]), int(header["embedding_dim"])
+    except (*_DECODE_ERRORS, ConfigError) as exc:
+        raise DataFormatError(f"{path}:1: bad header: {exc!r}") from exc
+
+
+def load_corpus(path) -> Corpus:
+    """Load and validate a corpus file.
+
+    Every record gets the checks of ``Corpus.validate`` as it is read, and
+    duplicate (doc, head, tail) triples are rejected. A file that cannot be
+    read or holds a malformed record raises DataFormatError (ShapeError for
+    a wrongly sized vector) naming ``path:line``.
+    """
+    examples = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header, vocab, label_source, dim = _header_from_json(fh.readline(), path)
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                try:
+                    ex = _example_from_json(json.loads(line))
+                    _check_example(ex, vocab.num_relations, dim, f"{path}:{lineno}")
+                except _DECODE_ERRORS as exc:
+                    raise DataFormatError(f"{path}:{lineno}: bad record: {exc!r}") from exc
+                examples.append(ex)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"{path}: cannot read corpus file: {exc}") from exc
+    if header.get("num_examples", len(examples)) != len(examples):
+        raise DataFormatError(
+            f"{path}: header declares {header['num_examples']} examples, found {len(examples)}"
+        )
+    corpus = Corpus(vocab, tuple(examples), label_source, dim)
+    try:
+        build_pair_index(corpus)
+    except DuplicatePairError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+    return corpus
 
 
 def count_relation_frequencies(corpus: Corpus) -> dict[str, int]:

@@ -9,9 +9,12 @@ background directions of comparable norm. Because facts live in the world
 rather than in single documents, the same (head, relation, tail) fact can
 recur across splits, which keeps train-fact exclusion meaningful.
 
-Corruption relabels positive examples as NA uniformly at random, preserving
-the gold label set on the side, which is exactly the false-negative noise
-the sampled objective is meant to survive.
+Corruption relabels positive examples as NA while keeping the gold label
+set on the side, which is exactly the false-negative noise the sampled
+objective is meant to survive. It comes in two modes: ``example`` drops
+each positive example independently with the noise rate, and ``fact``
+hides a sampled set of (head, tail) fact pairs wherever they occur, so the
+same facts go missing in every corrupted split.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -41,14 +45,13 @@ __all__ = [
     "Regime",
     "generate_synthetic_corpus",
     "generate_regime_splits",
-    "inject_false_negatives",
-    "hide_fact_pairs",
+    "relabel_as_na",
     "assemble_regime",
     "save_regime",
     "load_regime",
 ]
 
-REGIME_KINDS = ("OOG", "OGG", "GGG", "OOO", "custom")
+REGIME_KINDS = ("OOG", "OGG", "GGG", "OOO")
 CORRUPTION_MODES = ("example", "fact")
 
 
@@ -59,9 +62,8 @@ class SyntheticConfig:
     ``zipf_exponent`` controls the skew of relation frequencies; the
     default is calibrated so the ten most frequent relations carry about
     60% of positive labels when ``num_relations`` is 96. Generated splits
-    always carry gold labels; ``false_negative_rate`` records the intended
-    corruption for downstream regime assembly, which is where labels are
-    actually removed.
+    always carry gold labels; labels are removed only when a regime is
+    assembled.
     """
 
     num_relations: int = 96
@@ -71,7 +73,6 @@ class SyntheticConfig:
     multi_label_rate: float = 0.15
     embedding_dim: int = 32
     prototype_noise_sigma: float = 0.4
-    false_negative_rate: float = 0.0
     na_fraction: float = 0.5
     num_entities: int = 150
     kg_pairs: int = 300
@@ -86,8 +87,6 @@ class SyntheticConfig:
             v = getattr(self, name)
             if not (0 <= v < 1):
                 raise ConfigError(f"{name} must be in [0, 1), got {v}")
-        if not (0 <= self.false_negative_rate < 1):
-            raise ConfigError("false_negative_rate must be in [0, 1)")
         if self.embedding_dim < 2:
             raise ConfigError("embedding_dim must be >= 2")
         if self.num_entities < 4:
@@ -268,72 +267,27 @@ def generate_regime_splits(
     return train, dev, test
 
 
-def inject_false_negatives(
-    corpus: Corpus, rate: float, rng: np.random.Generator
+def relabel_as_na(
+    corpus: Corpus, predicate: Callable[[PairExample], bool]
 ) -> tuple[Corpus, int]:
-    """Relabel each positive example as NA with probability ``rate``.
+    """Relabel as NA every positive example for which ``predicate`` holds.
 
-    Gold labels are preserved; NA examples are untouched. Returns the
-    corrupted corpus (tagged as original/noisy labels) and the number of
-    examples corrupted.
-    """
-    if not (0 <= rate < 1):
-        raise ConfigError(f"corruption rate must be in [0, 1), got {rate}")
-    corrupted = 0
-    new_examples = []
-    for ex in corpus.examples:
-        if ex.positive_relations and rng.random() < rate:
-            gold = ex.gold_positive_relations
-            if gold is None:
-                gold = ex.positive_relations
-            new_examples.append(
-                replace(ex, positive_relations=frozenset(), gold_positive_relations=gold)
-            )
-            corrupted += 1
-        else:
-            new_examples.append(ex)
-    out = Corpus(
-        vocabulary=corpus.vocabulary,
-        examples=tuple(new_examples),
-        label_source=LabelSource.ORIGINAL,
-        embedding_dim=corpus.embedding_dim,
-    )
-    return out, corrupted
-
-
-def hide_fact_pairs(
-    corpus: Corpus, hidden: frozenset[tuple[int, int]]
-) -> tuple[Corpus, int]:
-    """Relabel as NA every positive example whose (head, tail) pair is hidden.
-
-    Models a systematic annotation gap: a missing fact is missing wherever
-    it occurs, so corruption is correlated across splits that share the
-    hidden set. Gold labels are preserved.
+    The predicate sees positive examples only, in corpus order, so a
+    predicate that draws from an RNG draws once per positive example. Gold
+    labels are preserved; NA examples are untouched. Returns the corrupted
+    corpus (tagged as original/noisy labels) and the number of examples
+    corrupted.
     """
     corrupted = 0
     new_examples = []
     for ex in corpus.examples:
-        if ex.positive_relations and (ex.head_id, ex.tail_id) in hidden:
-            gold = ex.gold_positive_relations
-            if gold is None:
-                gold = ex.positive_relations
-            new_examples.append(
-                replace(ex, positive_relations=frozenset(), gold_positive_relations=gold)
-            )
+        if ex.positive_relations and predicate(ex):
+            gold = ex.labels(use_gold=True)
+            ex = replace(ex, positive_relations=frozenset(), gold_positive_relations=gold)
             corrupted += 1
-        else:
-            new_examples.append(ex)
-    out = Corpus(
-        vocabulary=corpus.vocabulary,
-        examples=tuple(new_examples),
-        label_source=LabelSource.ORIGINAL,
-        embedding_dim=corpus.embedding_dim,
-    )
+        new_examples.append(ex)
+    out = replace(corpus, examples=tuple(new_examples), label_source=LabelSource.ORIGINAL)
     return out, corrupted
-
-
-def _as_gold(corpus: Corpus) -> Corpus:
-    return replace(corpus, label_source=LabelSource.GOLD)
 
 
 def assemble_regime(
@@ -355,18 +309,15 @@ def assemble_regime(
     consistently across all O splits, mimicking an annotation process that
     misses the same facts in train and dev.
     """
-    if kind not in REGIME_KINDS or kind == "custom":
+    if kind not in REGIME_KINDS:
         raise ConfigError(f"unknown regime kind {kind!r}")
+    if not (0 <= noise_rate < 1):
+        raise ConfigError(f"noise rate must be in [0, 1), got {noise_rate}")
     if corruption not in CORRUPTION_MODES:
         raise ConfigError(
             f"unknown corruption mode {corruption!r}; expected one of {CORRUPTION_MODES}"
         )
     train, dev, test = gold_splits
-    if not (
-        train.vocabulary.relations == dev.vocabulary.relations == test.vocabulary.relations
-    ):
-        raise ConfigError("regime splits must share one relation vocabulary")
-
     hidden: frozenset[tuple[int, int]] = frozenset()
     if corruption == "fact" and noise_rate > 0:
         pairs = sorted(
@@ -383,11 +334,12 @@ def assemble_regime(
 
     def pick(split: Corpus, letter: str, tag: str) -> Corpus:
         if letter == "G":
-            return _as_gold(split)
+            return replace(split, label_source=LabelSource.GOLD)
         if corruption == "fact":
-            noisy, _ = hide_fact_pairs(split, hidden)
+            noisy, _ = relabel_as_na(split, lambda ex: (ex.head_id, ex.tail_id) in hidden)
         else:
-            noisy, _ = inject_false_negatives(split, noise_rate, stream(seed, "noise", tag))
+            rng = stream(seed, "noise", tag)
+            noisy, _ = relabel_as_na(split, lambda ex: rng.random() < noise_rate)
         return noisy
 
     return Regime(
@@ -412,13 +364,17 @@ def save_regime(regime: Regime, directory, manifest_extra: dict | None = None) -
 
 def load_regime(directory) -> Regime:
     manifest_path = os.path.join(directory, "regime.json")
-    if not os.path.exists(manifest_path):
-        raise DataFormatError(f"{directory}: missing regime.json")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    return Regime(
-        train=load_corpus(os.path.join(directory, "train.jsonl")),
-        dev=load_corpus(os.path.join(directory, "dev.jsonl")),
-        test=load_corpus(os.path.join(directory, "test.jsonl")),
-        name=manifest["kind"],
-    )
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            kind = json.load(fh)["kind"]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise DataFormatError(f"{manifest_path}: bad regime manifest: {exc!r}") from exc
+    if kind not in REGIME_KINDS:
+        raise DataFormatError(
+            f"{manifest_path}: unknown regime kind {kind!r}; expected one of {REGIME_KINDS}"
+        )
+    splits = [load_corpus(os.path.join(directory, f"{s}.jsonl")) for s in ("train", "dev", "test")]
+    try:
+        return Regime(*splits, name=kind)
+    except ConfigError as exc:
+        raise DataFormatError(f"{directory}: {exc}") from exc

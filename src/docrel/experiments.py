@@ -18,35 +18,70 @@ __all__ = [
     "run_noise_comparison",
 ]
 
-SWEEP_SPLITS = ("orig_dev", "gold_dev", "gold_test")
-
-
-def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
+# evaluation split -> (regime split, score against gold labels); orig_dev
+# scores dev against its annotated, possibly noisy, labels
+SPLITS = {
+    "orig_dev": ("dev", False),
+    "gold_dev": ("dev", True),
+    "gold_test": ("test", True),
+}
 
 
 def _mean_summary(reports: Sequence[EvalReport]) -> dict[str, float]:
     keys = ("precision", "recall", "f1", "ign_f1", "head_f1", "mid_f1", "tail_f1")
     summaries = [r.summary() for r in reports]
-    return {k: _mean([s[k] for s in summaries]) for k in keys}
+    return {k: sum(s[k] for s in summaries) / len(summaries) if summaries else 0.0 for k in keys}
 
 
-def ablation_variants(toggles: set[str]) -> list[tuple[str, LossConfig]]:
-    """Fixed-order removal table: full model, single removals, combined."""
+def _run_arms(
+    regime: Regime,
+    train_config: TrainConfig,
+    arms: Sequence[tuple[str, LossConfig]],
+    seeds: Sequence[int],
+    splits: Sequence[str],
+    bucket_cuts: tuple[int, int],
+) -> list[tuple[str, dict]]:
+    """Train every arm once per seed and score it on each named split.
+
+    Returns ``(arm name, {"mean": {split: means}, "per_seed": {split:
+    [summary per seed]}})`` in arm order.
+    """
+    buckets = bucket_relations(regime.train.vocabulary, bucket_cuts)
+    facts = train_fact_set(regime.train)
+    out = []
+    for name, loss_cfg in arms:
+        reports: dict[str, list[EvalReport]] = {split: [] for split in splits}
+        for seed in seeds:
+            cfg = replace(train_config, seed=seed, loss=loss_cfg)
+            params = train(regime.train, regime.dev, cfg).params
+            for split in splits:
+                corpus, use_gold = SPLITS[split]
+                reports[split].append(
+                    evaluate(params, getattr(regime, corpus), facts, buckets, use_gold=use_gold)
+                )
+        out.append((name, {
+            "mean": {k: _mean_summary(v) for k, v in reports.items()},
+            "per_seed": {k: [r.summary() for r in v] for k, v in reports.items()},
+        }))
+    return out
+
+
+def ablation_variants(toggles: set[str]) -> list[tuple[str, dict]]:
+    """Fixed-order removal table: full model, single removals, combined.
+
+    Each variant is a name and the ``LossConfig`` changes that remove its
+    components.
+    """
     unknown = toggles - {"em", "scl"}
     if unknown:
         raise ValueError(f"unknown ablation toggles: {sorted(unknown)}")
-
-    def variant(name: str, **changes) -> tuple[str, dict]:
-        return name, changes
-
-    rows = [variant("full")]
+    rows = [("full", {})]
     if "em" in toggles:
-        rows.append(variant("-em", use_entropy=False))
+        rows.append(("-em", {"use_entropy": False}))
     if "scl" in toggles:
-        rows.append(variant("-scl", use_contrastive=False))
+        rows.append(("-scl", {"use_contrastive": False}))
     if {"em", "scl"} <= toggles:
-        rows.append(variant("-both", use_entropy=False, use_contrastive=False))
+        rows.append(("-both", {"use_entropy": False, "use_contrastive": False}))
     return rows
 
 
@@ -59,39 +94,24 @@ def run_ablation(
 ) -> list[dict]:
     """Train the full model and each removal variant with shared seeds.
 
-    Each variant is evaluated on the dev split (gold labels when present,
-    per the regime) with head/mid/tail bucket F1. Returns one row per
-    variant in fixed order with per-seed reports and metric means.
+    Each variant is evaluated on ``gold_dev`` with head/mid/tail bucket F1.
+    Returns one row per variant in fixed order with per-seed reports and
+    metric means.
     """
-    buckets = bucket_relations(regime.train.vocabulary, bucket_cuts)
-    facts = train_fact_set(regime.train)
-    rows = []
-    for name, changes in ablation_variants(toggles):
-        loss_cfg = replace(train_config.loss, **changes)
-        reports = []
-        for seed in seeds:
-            cfg = replace(train_config, seed=seed, loss=loss_cfg)
-            result = train(regime.train, regime.dev, cfg)
-            reports.append(
-                evaluate(result.params, regime.dev, facts, buckets, use_gold=True)
-            )
-        rows.append(
-            {
-                "variant": name,
-                "seeds": list(seeds),
-                "mean": _mean_summary(reports),
-                "per_seed": [r.summary() for r in reports],
-            }
-        )
-    return rows
+    arms = [
+        (name, replace(train_config.loss, **changes))
+        for name, changes in ablation_variants(toggles)
+    ]
+    results = _run_arms(regime, train_config, arms, seeds, ("gold_dev",), bucket_cuts)
+    return [
+        {"variant": name, "seeds": list(seeds),
+         "mean": result["mean"]["gold_dev"], "per_seed": result["per_seed"]["gold_dev"]}
+        for name, result in results
+    ]
 
 
-def _evaluate_splits(params, regime: Regime, facts, buckets) -> dict[str, EvalReport]:
-    return {
-        "orig_dev": evaluate(params, regime.dev, facts, buckets, use_gold=False),
-        "gold_dev": evaluate(params, regime.dev, facts, buckets, use_gold=True),
-        "gold_test": evaluate(params, regime.test, facts, buckets, use_gold=True),
-    }
+def _sampled(loss: LossConfig, ratio: float) -> LossConfig:
+    return replace(loss, use_neg_sampling=True, neg_sampling_ratio=ratio)
 
 
 def sweep_sampling_ratio(
@@ -101,33 +121,13 @@ def sweep_sampling_ratio(
     seeds: Sequence[int],
     bucket_cuts: tuple[int, int] = (10, 20),
 ) -> list[dict]:
-    """One sampled-objective model per ratio, shared seeds; three metric curves.
-
-    ``orig_dev`` scores the dev split against its annotated (possibly
-    noisy) labels; ``gold_dev``/``gold_test`` score against gold labels.
-    """
-    buckets = bucket_relations(regime.train.vocabulary, bucket_cuts)
-    facts = train_fact_set(regime.train)
-    rows = []
-    for ratio in ratios:
-        loss_cfg = replace(
-            train_config.loss, use_neg_sampling=True, neg_sampling_ratio=ratio
-        )
-        per_split: dict[str, list[EvalReport]] = {k: [] for k in SWEEP_SPLITS}
-        for seed in seeds:
-            cfg = replace(train_config, seed=seed, loss=loss_cfg)
-            result = train(regime.train, regime.dev, cfg)
-            for split, report in _evaluate_splits(result.params, regime, facts, buckets).items():
-                per_split[split].append(report)
-        rows.append(
-            {
-                "ratio": ratio,
-                "seeds": list(seeds),
-                "mean": {k: _mean_summary(v) for k, v in per_split.items()},
-                "per_seed": {k: [r.summary() for r in v] for k, v in per_split.items()},
-            }
-        )
-    return rows
+    """One sampled-objective model per ratio, shared seeds; one metric curve per split."""
+    arms = [(f"ratio={ratio}", _sampled(train_config.loss, ratio)) for ratio in ratios]
+    results = _run_arms(regime, train_config, arms, seeds, tuple(SPLITS), bucket_cuts)
+    return [
+        {"ratio": ratio, "seeds": list(seeds), **result}
+        for ratio, (_, result) in zip(ratios, results)
+    ]
 
 
 def run_noise_comparison(
@@ -142,22 +142,9 @@ def run_noise_comparison(
     Both arms share seeds and every other hyperparameter; reported on the
     same three evaluation splits as the ratio sweep.
     """
-    buckets = bucket_relations(regime.train.vocabulary, bucket_cuts)
-    facts = train_fact_set(regime.train)
-    arms = {
-        "sampled": replace(train_config.loss, use_neg_sampling=True, neg_sampling_ratio=ratio),
-        "unsampled": replace(train_config.loss, use_neg_sampling=False),
-    }
-    out: dict = {"ratio": ratio, "seeds": list(seeds)}
-    for arm, loss_cfg in arms.items():
-        per_split: dict[str, list[EvalReport]] = {k: [] for k in SWEEP_SPLITS}
-        for seed in seeds:
-            cfg = replace(train_config, seed=seed, loss=loss_cfg)
-            result = train(regime.train, regime.dev, cfg)
-            for split, report in _evaluate_splits(result.params, regime, facts, buckets).items():
-                per_split[split].append(report)
-        out[arm] = {
-            "mean": {k: _mean_summary(v) for k, v in per_split.items()},
-            "per_seed": {k: [r.summary() for r in v] for k, v in per_split.items()},
-        }
-    return out
+    arms = [
+        ("sampled", _sampled(train_config.loss, ratio)),
+        ("unsampled", replace(train_config.loss, use_neg_sampling=False)),
+    ]
+    results = _run_arms(regime, train_config, arms, seeds, tuple(SPLITS), bucket_cuts)
+    return {"ratio": ratio, "seeds": list(seeds), **dict(results)}

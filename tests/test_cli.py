@@ -1,5 +1,8 @@
 import json
 import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -213,3 +216,75 @@ class TestPipelineOutputs:
         code = main(["train", "--regime", workspace["regime"]] + FAST_TRAIN + CUTS)
         assert code == 0
         assert os.path.exists(tmp_path / "envout" / "train" / "manifest.json")
+
+
+def _break_dev_label(regime_dir, out_dir):
+    """A copy of a regime bundle whose first dev record holds label 99."""
+    shutil.copytree(regime_dir, out_dir)
+    path = os.path.join(out_dir, "dev.jsonl")
+    lines = open(path).read().splitlines()
+    record = json.loads(lines[1])
+    record["positive_relations"] = [99]
+    lines[1] = json.dumps(record)
+    open(path, "w").write("\n".join(lines) + "\n")
+    return path
+
+
+class TestInputsFailClosed:
+    def test_bad_corpus_label_exits_1_without_traceback(self, workspace, tmp_path):
+        bundle = str(tmp_path / "bad")
+        dev = _break_dev_label(workspace["regime"], bundle)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (os.path.abspath(src), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "docrel.cli", "train", "--regime", bundle,
+             "--out", str(tmp_path / "run")] + FAST_TRAIN + CUTS,
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert f"{dev}:2: relation index 99 out of range" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_custom_regime_kind_exits_1(self, workspace, tmp_path, capsys):
+        bundle = str(tmp_path / "custom")
+        shutil.copytree(workspace["regime"], bundle)
+        open(os.path.join(bundle, "regime.json"), "w").write('{"kind": "custom"}')
+        code = main(["train", "--regime", bundle, "--out", str(tmp_path / "run")] + FAST_TRAIN)
+        assert code == 1
+        assert os.path.join(bundle, "regime.json") in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [None, lambda m: m.pop("command"), lambda m: m.pop("config"),
+         lambda m: m["config"]["train.epochs"].pop("value")],
+        ids=["garbled", "no-command", "no-config", "entry-without-value"],
+    )
+    def test_bad_manifest_exits_3(self, workspace, tmp_path, capsys, edit):
+        run = str(tmp_path / "run")
+        assert main(["train", "--regime", workspace["regime"], "--out", run]
+                    + FAST_TRAIN + CUTS) == 0
+        path = os.path.join(run, "manifest.json")
+        if edit is None:
+            text = open(path).read()[:40]
+        else:
+            manifest = json.load(open(path))
+            edit(manifest)
+            text = json.dumps(manifest)
+        open(path, "w").write(text)
+        capsys.readouterr()
+        code = main(["train", "--from-manifest", path, "--out", str(tmp_path / "replay")])
+        assert code == 3
+        assert path in capsys.readouterr().err
+
+    def test_missing_manifest_exits_3(self, tmp_path, capsys):
+        path = str(tmp_path / "nope.json")
+        assert main(["train", "--from-manifest", path, "--out", str(tmp_path / "x")]) == 3
+        assert path in capsys.readouterr().err
+
+    def test_missing_config_file_exits_3(self, workspace, tmp_path, capsys):
+        path = str(tmp_path / "nope.cfg")
+        code = main(["train", "--regime", workspace["regime"], "--config", path,
+                     "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert path in capsys.readouterr().err

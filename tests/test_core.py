@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from docrel.core import (
     load_corpus,
     save_corpus,
 )
-from docrel.errors import ConfigError, DuplicatePairError
+from docrel.errors import ConfigError, DataFormatError, DocrelError, DuplicatePairError
 
 from conftest import make_corpus, make_example
 
@@ -147,3 +149,92 @@ class TestSerialization:
         bad = make_corpus([{9}], n_rel=4)
         with pytest.raises(DocrelError):
             bad.validate()
+
+
+class TestLoadFailsClosed:
+    """Every malformed corpus file raises DataFormatError naming the file."""
+
+    def saved(self, tmp_path, corpus):
+        path = tmp_path / "dev.jsonl"
+        save_corpus(corpus, path)
+        return path, path.read_text().splitlines()
+
+    def rewrite(self, path, lines, lineno, edit):
+        record = json.loads(lines[lineno - 1])
+        edit(record)
+        lines[lineno - 1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_record_without_context(self, tmp_path, small_corpus):
+        path, lines = self.saved(tmp_path, small_corpus)
+        self.rewrite(path, lines, 3, lambda r: r.pop("context"))
+        with pytest.raises(DataFormatError, match=f"{path}:3: .*context"):
+            load_corpus(path)
+
+    def test_out_of_range_label(self, tmp_path):
+        path, lines = self.saved(tmp_path, make_corpus([{0}, {1}], n_rel=8))
+        self.rewrite(path, lines, 3, lambda r: r.update(positive_relations=[99]))
+        with pytest.raises(DataFormatError, match=f"{path}:3: relation index 99 out of range"):
+            load_corpus(path)
+
+    def test_non_integer_label(self, tmp_path, small_corpus):
+        path, lines = self.saved(tmp_path, small_corpus)
+        self.rewrite(path, lines, 2, lambda r: r.update(gold_positive_relations=["r0"]))
+        with pytest.raises(DataFormatError, match=f"{path}:2: "):
+            load_corpus(path)
+
+    def test_duplicated_pair(self, tmp_path, small_corpus):
+        path, lines = self.saved(tmp_path, small_corpus)
+        path.write_text("\n".join(lines[:3] + lines[2:3] + lines[3:-1]) + "\n")
+        with pytest.raises(DataFormatError, match=f"{path}: duplicate entity pair"):
+            load_corpus(path)
+
+    def test_truncated_file(self, tmp_path, small_corpus):
+        path, lines = self.saved(tmp_path, small_corpus)
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(DataFormatError, match=f"{path}: header declares 5 examples, found 4"):
+            load_corpus(path)
+
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "dev.jsonl"
+        with pytest.raises(DataFormatError, match=f"{path}: cannot read"):
+            load_corpus(path)
+
+    def test_bytes_that_are_not_utf8(self, tmp_path, small_corpus):
+        path, lines = self.saved(tmp_path, small_corpus)
+        path.write_bytes(path.read_bytes()[:-40] + b"\xff\xfe\n")
+        with pytest.raises(DataFormatError, match=f"{path}: cannot read"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda h: h.pop("relations"), lambda h: h.update(label_source="bogus"),
+         lambda h: h.update(na_index=0)],
+        ids=["no-relations", "bad-label-source", "bad-na-index"],
+    )
+    def test_bad_header(self, tmp_path, small_corpus, edit):
+        path, lines = self.saved(tmp_path, small_corpus)
+        self.rewrite(path, lines, 1, edit)
+        with pytest.raises(DataFormatError, match=f"{path}:1: bad header"):
+            load_corpus(path)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    cuts=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), min_size=1, max_size=3),
+    truncate=st.booleans(),
+)
+def test_corrupted_file_loads_or_raises_docrel_error(tmp_path_factory, cuts, truncate):
+    """Flipped bytes and truncation end in a load or a DocrelError, never a raw exception."""
+    path = tmp_path_factory.mktemp("mutate") / "c.jsonl"
+    save_corpus(make_corpus([{0}, {1, 2}, set()]), path)
+    data = bytearray(path.read_bytes())
+    for position, value in cuts:
+        data[position % len(data)] = value
+    if truncate:
+        data = data[: cuts[0][0] % len(data)]
+    path.write_bytes(bytes(data))
+    try:
+        load_corpus(path)
+    except DocrelError:
+        pass

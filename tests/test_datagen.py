@@ -10,12 +10,11 @@ from docrel.datagen import (
     assemble_regime,
     generate_regime_splits,
     generate_synthetic_corpus,
-    hide_fact_pairs,
-    inject_false_negatives,
     load_regime,
+    relabel_as_na,
     save_regime,
 )
-from docrel.errors import ConfigError
+from docrel.errors import ConfigError, DataFormatError
 from docrel.rng import stream
 
 
@@ -87,10 +86,15 @@ class TestGenerator:
         assert train_pairs & dev_pairs, "splits should share knowledge-graph facts"
 
 
+def at_rate(rate, rng):
+    """The example-mode predicate: drop each positive example with probability rate."""
+    return lambda ex: rng.random() < rate
+
+
 class TestInjectFalseNegatives:
     def test_rate_zero_identity(self):
         corpus = generate_synthetic_corpus(SMALL)
-        out, corrupted = inject_false_negatives(corpus, 0.0, stream(0, "n"))
+        out, corrupted = relabel_as_na(corpus, at_rate(0.0, stream(0, "n")))
         assert corrupted == 0
         for a, b in zip(corpus.examples, out.examples):
             assert a.positive_relations == b.positive_relations
@@ -100,13 +104,13 @@ class TestInjectFalseNegatives:
         corpus = generate_synthetic_corpus(replace(SMALL, num_documents=300))
         positives = sum(1 for ex in corpus.examples if ex.positive_relations)
         rate = 0.9
-        out, corrupted = inject_false_negatives(corpus, rate, stream(1, "n"))
+        out, corrupted = relabel_as_na(corpus, at_rate(rate, stream(1, "n")))
         sigma = (positives * rate * (1 - rate)) ** 0.5
         assert abs(corrupted - rate * positives) <= 4 * sigma
 
     def test_gold_preserved_and_na_untouched(self):
         corpus = generate_synthetic_corpus(SMALL)
-        out, corrupted = inject_false_negatives(corpus, 0.5, stream(2, "n"))
+        out, corrupted = relabel_as_na(corpus, at_rate(0.5, stream(2, "n")))
         assert corrupted > 0
         for before, after in zip(corpus.examples, out.examples):
             assert after.gold_positive_relations == before.positive_relations
@@ -115,7 +119,7 @@ class TestInjectFalseNegatives:
 
     def test_positive_count_never_increases(self):
         corpus = generate_synthetic_corpus(SMALL)
-        out, _ = inject_false_negatives(corpus, 0.3, stream(3, "n"))
+        out, _ = relabel_as_na(corpus, at_rate(0.3, stream(3, "n")))
         for before, after in zip(corpus.examples, out.examples):
             assert after.positive_relations in (before.positive_relations, frozenset())
 
@@ -184,13 +188,55 @@ class TestRegimes:
             assert a.gold_positive_relations == b.gold_positive_relations
 
 
+class TestRelabelAsNa:
+    def test_predicate_sees_positive_examples_only(self):
+        corpus = generate_synthetic_corpus(SMALL)
+        seen = []
+        relabel_as_na(corpus, lambda ex: seen.append(ex) or False)
+        assert seen == [ex for ex in corpus.examples if ex.positive_relations]
+
+    @pytest.mark.parametrize("corruption", ["example", "fact"])
+    @pytest.mark.parametrize("rate", [1.0, -0.1])
+    def test_rate_outside_unit_interval_rejected(self, corruption, rate):
+        gold = generate_regime_splits(SMALL, 4, 4)
+        with pytest.raises(ConfigError, match="noise rate"):
+            assemble_regime(gold, rate, "OOG", corruption=corruption)
+
+
+class TestRegimeBundleFailsClosed:
+    @pytest.mark.parametrize(
+        "text",
+        ['{"kind": "OOG"', '{"noise_rate": 0.4}', '{"kind": "custom"}', '["OOG"]'],
+        ids=["garbled", "no-kind", "custom-kind", "not-an-object"],
+    )
+    def test_bad_regime_json(self, tmp_path, text):
+        regime = assemble_regime(generate_regime_splits(SMALL, 4, 4), 0.4, "OOG")
+        save_regime(regime, tmp_path)
+        (tmp_path / "regime.json").write_text(text)
+        with pytest.raises(DataFormatError, match=str(tmp_path / "regime.json")):
+            load_regime(tmp_path)
+
+    def test_split_with_another_vocabulary(self, tmp_path):
+        regime = assemble_regime(generate_regime_splits(SMALL, 4, 4), 0.4, "OOG")
+        save_regime(regime, tmp_path / "a")
+        other = replace(SMALL, num_relations=17)
+        save_regime(assemble_regime(generate_regime_splits(other, 4, 4), 0.4, "OOG"), tmp_path / "b")
+        (tmp_path / "b" / "dev.jsonl").replace(tmp_path / "a" / "dev.jsonl")
+        with pytest.raises(DataFormatError, match="share one relation vocabulary"):
+            load_regime(tmp_path / "a")
+
+    def test_missing_regime_json(self, tmp_path):
+        with pytest.raises(DataFormatError, match=str(tmp_path / "regime.json")):
+            load_regime(tmp_path)
+
+
 class TestHideFactPairs:
     def test_only_hidden_pairs_relabeled(self):
         corpus = generate_synthetic_corpus(SMALL)
         target = next(
             (e.head_id, e.tail_id) for e in corpus.examples if e.positive_relations
         )
-        out, corrupted = hide_fact_pairs(corpus, frozenset({target}))
+        out, corrupted = relabel_as_na(corpus, lambda ex: (ex.head_id, ex.tail_id) == target)
         assert corrupted >= 1
         for before, after in zip(corpus.examples, out.examples):
             if (before.head_id, before.tail_id) == target and before.positive_relations:
