@@ -41,18 +41,7 @@ from .head import (
     logsumexp_pool,
     save_checkpoint,
 )
-from .losses import (
-    BatchLossOutput,
-    LossConfig,
-    batch_loss,
-    em_loss,
-    l2_loss,
-    lt_loss,
-    pair_entropy,
-    pairwise_probs,
-    pmt_loss,
-    scl_loss,
-)
+from .losses import BatchLossOutput, LossConfig, batch_loss
 from .batching import (
     Batch,
     assemble_batches,

@@ -14,8 +14,8 @@ import json
 
 import numpy as np
 
-from .core import Corpus, LabelSource, Mention, PairExample, RelationVocabulary
-from .errors import ConfigError, DataFormatError
+from .core import Corpus, LabelSource, Mention, PairExample, RelationVocabulary, build_pair_index
+from .errors import ConfigError, DataFormatError, DuplicatePairError
 
 __all__ = ["hashed_featurizer", "load_docred_json"]
 
@@ -61,6 +61,36 @@ def _flat_tokens(sents) -> tuple[list[str], list[int]]:
     return tokens, offsets
 
 
+def _check_document(doc, doc_pos: int, path) -> tuple[str, list[tuple[int, int, str]]]:
+    """Check one document's structure; return its title and its (h, t, r) labels."""
+    if not isinstance(doc, dict):
+        raise DataFormatError(
+            f"{path}: document {doc_pos}: expected an object, got {type(doc).__name__}"
+        )
+    title = doc.get("title", f"doc{doc_pos}")
+    for fld in ("sents", "vertexSet"):
+        if fld not in doc:
+            raise DataFormatError(f"{path}: document {title!r}: missing field {fld!r}")
+    for fld in ("sents", "vertexSet", "labels"):
+        if not isinstance(doc.get(fld, []), list):
+            raise DataFormatError(f"{path}: document {title!r}: field {fld!r} is not a list")
+    for sent in doc["sents"]:
+        if not isinstance(sent, list) or not all(isinstance(tok, str) for tok in sent):
+            raise DataFormatError(f"{path}: document {title!r}: a sentence is not a token list")
+    for ent_pos, mention_list in enumerate(doc["vertexSet"]):
+        if not isinstance(mention_list, list) or not mention_list:
+            raise DataFormatError(
+                f"{path}: document {title!r}: vertexSet[{ent_pos}] is not a list of mentions"
+            )
+    triples = []
+    for label in doc.get("labels", []):
+        try:
+            triples.append((int(label["h"]), int(label["t"]), str(label["r"])))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataFormatError(f"{path}: document {title!r}: bad label record: {exc}") from exc
+    return title, triples
+
+
 def load_docred_json(path, dim: int = 64) -> Corpus:
     """Read a DocRED-format JSON file into a corpus of all ordered entity pairs.
 
@@ -69,7 +99,8 @@ def load_docred_json(path, dim: int = 64) -> Corpus:
     ``pos``), and optionally ``labels`` with ``h``/``t``/``r`` keys. Pairs
     absent from the labels become NA. Entities get corpus-global ids by
     interning their names, so the same surface entity shares one id across
-    documents.
+    documents. A malformed document, or two yielding the same (title, head,
+    tail) pair, raises DataFormatError naming the path and the document.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -79,14 +110,8 @@ def load_docred_json(path, dim: int = 64) -> Corpus:
     if not isinstance(documents, list):
         raise DataFormatError(f"{path}: expected a list of documents")
 
-    relation_ids = sorted(
-        {
-            str(label["r"])
-            for doc in documents
-            for label in doc.get("labels", [])
-            if "r" in label
-        }
-    )
+    checked = [_check_document(doc, pos, path) for pos, doc in enumerate(documents)]
+    relation_ids = sorted({r for _, triples in checked for _, _, r in triples})
     vocab = RelationVocabulary.from_relations(relation_ids)
     rel_index = {name: k for k, name in enumerate(relation_ids)}
 
@@ -96,19 +121,11 @@ def load_docred_json(path, dim: int = 64) -> Corpus:
         return entity_ids.setdefault(name, len(entity_ids))
 
     examples: list[PairExample] = []
-    for doc_pos, doc in enumerate(documents):
-        title = doc.get("title", f"doc{doc_pos}")
-        for fld in ("sents", "vertexSet"):
-            if fld not in doc:
-                raise DataFormatError(f"{path}: document {title!r}: missing field {fld!r}")
+    for doc, (title, triples) in zip(documents, checked):
         tokens, sent_offsets = _flat_tokens(doc["sents"])
 
         entities = []
         for ent_pos, mention_list in enumerate(doc["vertexSet"]):
-            if not mention_list:
-                raise DataFormatError(
-                    f"{path}: document {title!r}: vertexSet[{ent_pos}] has no mentions"
-                )
             spans = []
             for m in mention_list:
                 try:
@@ -136,13 +153,7 @@ def load_docred_json(path, dim: int = 64) -> Corpus:
             entities.append((ent_id, spans, mentions))
 
         pair_labels: dict[tuple[int, int], set[int]] = {}
-        for label in doc.get("labels", []):
-            try:
-                h, t, r = int(label["h"]), int(label["t"]), str(label["r"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataFormatError(
-                    f"{path}: document {title!r}: bad label record: {exc}"
-                ) from exc
+        for h, t, r in triples:
             if not (0 <= h < len(entities)) or not (0 <= t < len(entities)):
                 raise DataFormatError(
                     f"{path}: document {title!r}: label entity index out of range"
@@ -184,9 +195,14 @@ def load_docred_json(path, dim: int = 64) -> Corpus:
                     )
                 )
 
-    return Corpus(
+    corpus = Corpus(
         vocabulary=vocab,
         examples=tuple(examples),
         label_source=LabelSource.ORIGINAL,
         embedding_dim=dim,
     )
+    try:
+        build_pair_index(corpus)
+    except DuplicatePairError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+    return corpus

@@ -19,7 +19,6 @@ __all__ = [
     "scl",
     "lt",
     "l2",
-    "sampled_na",
     "batch_total",
 ]
 
@@ -71,23 +70,20 @@ def _dot(u, v) -> float:
     return sum(a * b for a, b in zip(u, v))
 
 
-def scl(anchor: int, embeddings, positive_set, tau: float) -> float:
-    denom = 0.0
-    for d in range(len(embeddings)):
-        if d != anchor:
-            denom += math.exp(_dot(embeddings[anchor], embeddings[d]) / tau)
-    num = 0.0
-    for p in positive_set:
-        num += math.exp(_dot(embeddings[anchor], embeddings[p]) / tau)
-    return -math.log((num / len(positive_set)) / denom)
-
-
 def lt(anchor: int, embeddings, tau: float) -> float:
     total = 0.0
     for d in range(len(embeddings)):
         if d != anchor:
             total += math.exp(_dot(embeddings[anchor], embeddings[d]) / tau)
     return math.log(total)
+
+
+def scl(anchor: int, embeddings, positive_set, tau: float) -> float:
+    # lt is the log of scl's denominator, the sum over every non-anchor member
+    num = 0.0
+    for p in positive_set:
+        num += math.exp(_dot(embeddings[anchor], embeddings[p]) / tau)
+    return lt(anchor, embeddings, tau) - math.log(num / len(positive_set))
 
 
 def l2(bp_positions, s_sets, embeddings, tau: float) -> float:
@@ -98,16 +94,6 @@ def l2(bp_positions, s_sets, embeddings, tau: float) -> float:
             total += scl(a, embeddings, positives, tau)
         else:
             total += lt(a, embeddings, tau)
-    return total
-
-
-def sampled_na(f, sampled, na_index: int, mode: str, use_entropy: bool = True) -> float:
-    total = 0.0
-    for r in sampled:
-        _, p_eta = probs(f[r], f[na_index])
-        total -= math.log(p_eta)
-    if use_entropy and sampled:
-        total += sum(entropy(f[r], f[na_index]) for r in sampled) / _gamma(len(sampled), mode)
     return total
 
 
@@ -131,15 +117,13 @@ def batch_total(
     total = 0.0
     for pos, labels in enumerate(label_sets):
         positives = sorted(labels)
-        negatives = sorted(set(range(num_relations)) - set(labels))
         if use_neg_sampling and not labels:
-            total += sampled_na(
-                logits[pos], sampled_sets[pos], na_index, entropy_norm, use_entropy
-            )
+            negatives = sorted(sampled_sets[pos])
         else:
-            total += pmt(logits[pos], positives, negatives, na_index)
-            if use_entropy:
-                total += em(logits[pos], positives, negatives, na_index, entropy_norm)
+            negatives = sorted(set(range(num_relations)) - set(labels))
+        total += pmt(logits[pos], positives, negatives, na_index)
+        if use_entropy:
+            total += em(logits[pos], positives, negatives, na_index, entropy_norm)
     if use_contrastive:
         total += contrastive_weight * l2(bp_positions, s_sets, embeddings, temperature)
     return total

@@ -3,10 +3,17 @@
 These run from the CLI (`docrel selftest`) and from the test suite. The
 gradient checker compares every analytic gradient, all of which come from
 ``batch_loss`` and ``head_backward``, against central finite differences
-(step 1e-5) of an independent value: the per-term scalar losses for the
-objective's terms, the forward pass for the head. A component passes when
+(step 1e-5) of the same code's own value: ``batch_loss``'s total (its
+``em`` part for the entropy term's share), and the forward pass for the
+head. A component passes when
 ``|analytic - numeric| <= 1e-4 * max(|analytic|, |numeric|)`` or the
-absolute difference is below 1e-8 (floor for vanishing gradients).
+absolute difference is below 1e-8 (floor for vanishing gradients). The
+values themselves are checked against :mod:`docrel.oracle`, the independent
+reference: every loss instance of the gradient checks records the kernel's
+total against ``oracle.batch_total``, and the oracle-equivalence suite does
+so over random batches. The invariant suite reads properties such as
+``p + q = 1``, entropy bounds and shift or permutation invariance from the
+kernel's two row functions.
 """
 
 from __future__ import annotations
@@ -18,20 +25,10 @@ import numpy as np
 
 from . import oracle
 from .batching import Batch
-from .core import Mention, PairExample, RelationVocabulary
+from .core import Mention, PairExample, RelationVocabulary, label_mask
 from .evaluation import predict_labels
 from .head import BatchForward, HeadParams, head_backward, head_forward
-from .losses import (
-    LossConfig,
-    batch_loss,
-    em_loss,
-    l2_loss,
-    lt_loss,
-    pair_entropy,
-    pairwise_probs,
-    pmt_loss,
-    scl_loss,
-)
+from .losses import LossConfig, _contrastive_rows, _threshold_rows, batch_loss
 from .rng import stream
 
 __all__ = [
@@ -45,6 +42,7 @@ __all__ = [
 FD_STEP = 1e-5
 REL_TOL = 1e-4
 ABS_FLOOR = 1e-8
+ORACLE_TOL = 1e-10  # bound on a kernel value's relative error against the oracle
 
 P_SIZES = (0, 1, 5, 95)
 LOGIT_SCALES = (0.1, 1.0, 10.0)
@@ -116,8 +114,13 @@ def _unit_rows(rng, n: int, dim: int) -> np.ndarray:
 # gradient checks
 
 
-def _kernel(labels, logits, emb, cfg, bp=(), s_sets=None, sampled=None):
-    """``batch_loss`` on a batch given by its parts; NA positions are the unlabeled ones."""
+def _loss_case(labels, logits, emb, cfg, bp=(), s_sets=None, sampled=None):
+    """``batch_loss`` and its oracle value on a batch given by its parts.
+
+    NA positions are the unlabeled ones. Both callables read ``logits`` and
+    ``emb`` when called, so finite differences that perturb those arrays in
+    place move both values.
+    """
     n = len(labels)
     batch = Batch(
         example_indices=tuple(range(n)),
@@ -127,50 +130,76 @@ def _kernel(labels, logits, emb, cfg, bp=(), s_sets=None, sampled=None):
         sampled_negatives=sampled or {},
     )
     vocab = RelationVocabulary.from_relations([f"r{k}" for k in range(logits.shape[1] - 1)])
-    return batch_loss(_examples_for(labels, 0), batch, _forwards_for(logits, emb), vocab, cfg)
+    examples = _examples_for(labels, 0)
+    forward = _forwards_for(logits, emb)
+
+    def kernel():
+        return batch_loss(examples, batch, forward, vocab, cfg)
+
+    def reference() -> float:
+        return oracle.batch_total(
+            labels, vocab.num_relations, vocab.na_index, logits, emb, batch.bp_indices,
+            batch.s_sets, batch.sampled_negatives, cfg.temperature, cfg.contrastive_weight,
+            cfg.entropy_norm, cfg.use_entropy, cfg.use_contrastive, cfg.use_neg_sampling,
+        )
+
+    return kernel, reference
 
 
-def _logit_grad(f: np.ndarray, positives, cfg: LossConfig, sampled=None) -> np.ndarray:
-    """The kernel's logit gradient for a one-example batch (no contrastive part)."""
-    sampled = None if sampled is None else {0: tuple(sampled)}
-    out = _kernel([frozenset(positives)], f[None, :], np.zeros((1, 1)), cfg, sampled=sampled)
-    return out.grad_logits[0]
+def _oracle_close(value: float, expected: float) -> bool:
+    return abs(value - expected) < ORACLE_TOL * max(1.0, abs(value), abs(expected))
+
+
+def _check_case(result: SuiteResult, label: str, case, wrt, part=None, minus=None) -> None:
+    """Record a finite-difference check of a loss case's gradients, then its oracle value.
+
+    ``wrt`` maps ``grad_logits``/``grad_embeddings`` to the array that
+    gradient is taken over. The numeric side is the central difference of
+    the kernel's total, or of ``parts[part]``; the kernel gradients of the
+    case ``minus`` are taken off the analytic side, which leaves a term's
+    share.
+    """
+    kernel, reference = case
+    out = kernel()
+    base = None if minus is None else minus[0]()
+
+    def value() -> float:
+        return kernel().total if part is None else kernel().parts[part]
+
+    ref = value()
+    ok = True
+    for name, array in wrt.items():
+        analytic = getattr(out, name)
+        if base is not None:
+            analytic = analytic - getattr(base, name)
+        ok = ok and gradients_close(analytic, finite_difference(value, array), ref)
+    result.record(ok, label)
+    expected = reference()
+    result.record(_oracle_close(out.total, expected), f"oracle {label}: {out.total} vs {expected}")
 
 
 THRESHOLD_ONLY = LossConfig(use_entropy=False, use_contrastive=False)
+NO_EMBEDDING = np.zeros((1, 1))
 
 
 def _check_threshold_terms(result: SuiteResult, seed: int) -> None:
-    n_rel, na = 96, 96
+    n_rel = 96
     for p_size in P_SIZES:
         for scale in LOGIT_SCALES:
             for mode in ("unit", "set_size"):
                 for rep in range(2):
                     rng = stream(seed, "grad-pmt", p_size, int(scale * 10), mode, rep)
-                    f = _random_logits(rng, n_rel + 1, scale)
-                    perm = rng.permutation(n_rel)
-                    positives = sorted(int(r) for r in perm[:p_size])
-                    negatives = sorted(int(r) for r in perm[p_size:])
+                    f = _random_logits(rng, n_rel + 1, scale)[None, :]
+                    positives = [frozenset(int(r) for r in rng.permutation(n_rel)[:p_size])]
                     cfg = LossConfig(entropy_norm=mode, use_contrastive=False)
 
-                    grad_pmt = _logit_grad(f, positives, THRESHOLD_ONLY)
-                    value = pmt_loss(f, positives, negatives, na)
-                    num = finite_difference(
-                        lambda: pmt_loss(f, positives, negatives, na), f
-                    )
-                    result.record(
-                        gradients_close(grad_pmt, num, value), f"pmt P={p_size} scale={scale}"
-                    )
-
+                    pmt = _loss_case(positives, f, NO_EMBEDDING, THRESHOLD_ONLY)
+                    wrt = {"grad_logits": f}
+                    _check_case(result, f"pmt P={p_size} scale={scale}", pmt, wrt)
                     # the entropy term's share of the kernel gradient
-                    grad = _logit_grad(f, positives, cfg) - grad_pmt
-                    value = em_loss(f, positives, negatives, na, cfg)
-                    num = finite_difference(
-                        lambda: em_loss(f, positives, negatives, na, cfg), f
-                    )
-                    result.record(
-                        gradients_close(grad, num, value), f"em P={p_size} scale={scale} {mode}"
-                    )
+                    both = _loss_case(positives, f, NO_EMBEDDING, cfg)
+                    label = f"em P={p_size} scale={scale} {mode}"
+                    _check_case(result, label, both, wrt, part="em", minus=pmt)
 
 
 def _check_entropy(result: SuiteResult, seed: int) -> None:
@@ -178,38 +207,34 @@ def _check_entropy(result: SuiteResult, seed: int) -> None:
     cfg = LossConfig(use_contrastive=False)
     for gap in (0.0, 0.5, -0.5, 2.0, -2.0, 5.0, -5.0, 8.0, -8.0):
         base = float(rng.normal())
-        f = np.array([base + gap, base])
-        grad = _logit_grad(f, (), cfg) - _logit_grad(f, (), THRESHOLD_ONLY)
-        num = finite_difference(lambda: pair_entropy(f[0], f[1]), f)
-        result.record(gradients_close(grad, num), f"entropy gap={gap}")
+        f = np.array([[base + gap, base]])
+        pmt = _loss_case([frozenset()], f, NO_EMBEDDING, THRESHOLD_ONLY)
+        case = _loss_case([frozenset()], f, NO_EMBEDDING, cfg)
+        wrt = {"grad_logits": f}
+        _check_case(result, f"entropy gap={gap}", case, wrt, part="em", minus=pmt)
 
 
 def _check_sampled(result: SuiteResult, seed: int) -> None:
-    n_rel, na = 96, 96
+    n_rel = 96
     for ratio in (0.05, 0.5, 1.0):
         for mode in ("unit", "set_size"):
             for scale in LOGIT_SCALES:
                 rng = stream(seed, "grad-sampled", int(ratio * 100), mode, int(scale * 10))
-                f = _random_logits(rng, n_rel + 1, scale)
+                f = _random_logits(rng, n_rel + 1, scale)[None, :]
                 size = max(1, round(ratio * n_rel))
-                sampled = sorted(int(r) for r in rng.choice(n_rel, size=size, replace=False))
+                drawn = rng.choice(n_rel, size=size, replace=False)
+                sampled = tuple(sorted(int(r) for r in drawn))
                 cfg = LossConfig(entropy_norm=mode, use_contrastive=False, use_neg_sampling=True)
-
-                def value() -> float:
-                    return pmt_loss(f, [], sampled, na) + em_loss(f, [], sampled, na, cfg)
-
-                grad = _logit_grad(f, (), cfg, sampled)
-                result.record(
-                    gradients_close(grad, finite_difference(value, f), value()),
-                    f"sampled ratio={ratio} {mode} scale={scale}",
-                )
+                case = _loss_case([frozenset()], f, NO_EMBEDDING, cfg, sampled={0: sampled})
+                label = f"sampled ratio={ratio} {mode} scale={scale}"
+                _check_case(result, label, case, {"grad_logits": f})
 
 
-def _embedding_grad(emb: np.ndarray, bp, s_sets, tau: float) -> np.ndarray:
-    """The kernel's unit-embedding gradient (contrastive weight 1)."""
+def _embedding_case(emb: np.ndarray, bp, s_sets, tau: float):
+    """A contrastive case at weight 1 over unit embeddings ``emb``."""
     n = emb.shape[0]
     cfg = LossConfig(temperature=tau, use_entropy=False)
-    return _kernel([frozenset()] * n, np.zeros((n, 2)), emb, cfg, bp, s_sets).grad_embeddings
+    return _loss_case([frozenset()] * n, np.zeros((n, 2)), emb, cfg, bp, s_sets)
 
 
 def _check_contrastive(result: SuiteResult, seed: int) -> None:
@@ -222,16 +247,11 @@ def _check_contrastive(result: SuiteResult, seed: int) -> None:
                 others = [i for i in range(n) if i != anchor]
                 k = int(rng.integers(1, len(others) + 1))
                 positives = frozenset(int(i) for i in rng.choice(others, size=k, replace=False))
-
-                grads = _embedding_grad(emb, (anchor,), {anchor: positives}, tau)
-                value = scl_loss(anchor, emb, positives, tau)
-                num = finite_difference(lambda: scl_loss(anchor, emb, positives, tau), emb)
-                result.record(gradients_close(grads, num, value), f"scl n={n} d={dim} tau={tau}")
-
-                grads = _embedding_grad(emb, (anchor,), {}, tau)
-                value = lt_loss(anchor, emb, tau)
-                num = finite_difference(lambda: lt_loss(anchor, emb, tau), emb)
-                result.record(gradients_close(grads, num, value), f"lt n={n} d={dim} tau={tau}")
+                wrt = {"grad_embeddings": emb}
+                case = _embedding_case(emb, (anchor,), {anchor: positives}, tau)
+                _check_case(result, f"scl n={n} d={dim} tau={tau}", case, wrt)
+                case = _embedding_case(emb, (anchor,), {}, tau)
+                _check_case(result, f"lt n={n} d={dim} tau={tau}", case, wrt)
 
     for n in BATCH_SIZES:
         for tau in (0.5, 1.5):
@@ -245,10 +265,8 @@ def _check_contrastive(result: SuiteResult, seed: int) -> None:
                 s_sets[a] = frozenset(
                     int(i) for i in rng.choice(others, size=k, replace=False)
                 )
-            grads = _embedding_grad(emb, bp, s_sets, tau)
-            value = l2_loss(bp, s_sets, emb, tau)
-            num = finite_difference(lambda: l2_loss(bp, s_sets, emb, tau), emb)
-            result.record(gradients_close(grads, num, value), f"l2 n={n} tau={tau}")
+            case = _embedding_case(emb, bp, s_sets, tau)
+            _check_case(result, f"l2 n={n} tau={tau}", case, {"grad_embeddings": emb})
 
 
 def _tiny_instance(rng, n_rel: int, n: int, dim: int, sampling: bool):
@@ -313,28 +331,18 @@ def _check_batch_loss(result: SuiteResult, seed: int) -> None:
                 rng = stream(seed, "grad-batch", n, scale_idx, int(sampling))
                 n_rel = int(rng.integers(3, 6))
                 labels, batch, logits, emb = _tiny_instance(rng, n_rel, n, 5, sampling)
-                vocab = RelationVocabulary.from_relations(
-                    [f"r{k}" for k in range(n_rel)]
-                )
                 cfg = LossConfig(
                     temperature=0.8,
                     contrastive_weight=lam,
                     entropy_norm="set_size" if n % 2 else "unit",
                     use_neg_sampling=sampling,
                 )
-                examples = _examples_for(labels, 5)
-
-                def total() -> float:
-                    fwd = _forwards_for(logits, emb)
-                    return batch_loss(examples, batch, fwd, vocab, cfg).total
-
-                out = batch_loss(examples, batch, _forwards_for(logits, emb), vocab, cfg)
-                num_logits = finite_difference(total, logits)
-                num_emb = finite_difference(total, emb)
-                ok = gradients_close(out.grad_logits, num_logits, out.total) and gradients_close(
-                    out.grad_embeddings, num_emb, out.total
+                case = _loss_case(
+                    labels, logits, emb, cfg, batch.bp_indices, batch.s_sets,
+                    batch.sampled_negatives,
                 )
-                result.record(ok, f"batch n={n} lam={lam} sampling={sampling}")
+                wrt = {"grad_logits": logits, "grad_embeddings": emb}
+                _check_case(result, f"batch n={n} lam={lam} sampling={sampling}", case, wrt)
 
 
 def _random_head(rng, d: int, d1: int, groups: int, n_logits: int) -> HeadParams:
@@ -479,32 +487,20 @@ def run_oracle_equivalence(seed: int = 0, instances: int = 50) -> SuiteResult:
         dim = int(rng.integers(2, 9))
         sampling = bool(rng.random() < 0.5)
         labels, batch, logits, emb = _tiny_instance(rng, n_rel, n, dim, sampling)
-        vocab = RelationVocabulary.from_relations([f"r{k}" for k in range(n_rel)])
         cfg = LossConfig(
             temperature=float(rng.uniform(0.2, 2.0)),
             contrastive_weight=float(rng.choice([0.0, 0.5, 2.0])),
             entropy_norm=str(rng.choice(["unit", "set_size"])),
             use_neg_sampling=sampling,
         )
-        out = batch_loss(
-            _examples_for(labels, dim), batch, _forwards_for(logits, emb), vocab, cfg
+        kernel, reference = _loss_case(
+            labels, logits, emb, cfg, batch.bp_indices, batch.s_sets, batch.sampled_negatives
         )
-        expected = oracle.batch_total(
-            labels,
-            n_rel,
-            vocab.na_index,
-            logits,
-            emb,
-            batch.bp_indices,
-            batch.s_sets,
-            batch.sampled_negatives,
-            cfg.temperature,
-            cfg.contrastive_weight,
-            cfg.entropy_norm,
-            use_neg_sampling=sampling,
+        out = kernel()
+        expected = reference()
+        result.record(
+            _oracle_close(out.total, expected), f"case {case}: got {out.total}, oracle {expected}"
         )
-        rel = abs(out.total - expected) / max(1.0, abs(out.total), abs(expected))
-        result.record(rel < 1e-10, f"case {case}: got {out.total}, oracle {expected}")
 
         recombined = (
             out.parts["pmt"]
@@ -521,56 +517,79 @@ def run_oracle_equivalence(seed: int = 0, instances: int = 50) -> SuiteResult:
 # invariants
 
 
+def _entropy_at(gaps) -> np.ndarray:
+    """The kernel's pairwise entropy at each gap: the em row of one negative."""
+    column = np.asarray(gaps, dtype=np.float64)[:, None]
+    negative = np.ones(column.shape, dtype=bool)
+    return _threshold_rows(column, ~negative, negative, LossConfig())[1]
+
+
+def _contrastive_values(emb: np.ndarray, anchors, s_sets, tau: float) -> np.ndarray:
+    """The kernel's contrastive value of each anchor, masked as ``batch_loss`` masks them."""
+    anchors = np.asarray(anchors, dtype=np.intp)
+    sims = emb[anchors] @ emb.T / tau
+    others = np.ones_like(sims, dtype=bool)
+    others[np.arange(anchors.size), anchors] = False
+    positives = label_mask([s_sets.get(int(a), ()) for a in anchors], emb.shape[0])
+    return _contrastive_rows(sims, others, positives)[0]
+
+
 def run_invariant_suite(seed: int = 0) -> SuiteResult:
     result = SuiteResult("invariants")
     rng = stream(seed, "invariants")
 
-    # two-way probabilities sum to one
-    for _ in range(200):
-        f_r, f_eta = rng.normal(scale=5, size=2)
-        p, q = pairwise_probs(float(f_r), float(f_eta))
-        result.record(p + q == 1.0, f"p+q != 1 at ({f_r}, {f_eta})")
+    # two-way probabilities sum to one, up to the rounding of their separate
+    # branches; the threshold-only gap gradient is -q on a label, p on a negative
+    draws = np.array([rng.normal(scale=5, size=2) for _ in range(200)])
+    gaps = np.tile(draws[:, 0] - draws[:, 1], (2, 1))
+    on_label = np.zeros(gaps.shape, dtype=bool)
+    on_label[0] = True
+    _, _, grad = _threshold_rows(gaps, on_label, ~on_label, THRESHOLD_ONLY)
+    for (f_r, f_eta), q, p in zip(draws.tolist(), (-grad[0]).tolist(), grad[1].tolist()):
+        result.record(abs(p + q - 1.0) <= 2.0**-52, f"p+q != 1 at ({f_r}, {f_eta})")
 
     # entropy bounds, symmetry, monotonicity
     ln2 = math.log(2.0)
     gaps = np.sort(np.abs(rng.normal(scale=4, size=50)))
-    values = [pair_entropy(float(g), 0.0) for g in gaps]
-    for g, h in zip(gaps, values):
+    values = _entropy_at(gaps)
+    for g, h, sym in zip(gaps.tolist(), values.tolist(), _entropy_at(-gaps).tolist()):
         result.record(0.0 <= h <= ln2 + 1e-15, f"entropy out of bounds at gap {g}")
-        sym = pair_entropy(0.0, float(g))
         result.record(abs(h - sym) < 1e-12, f"entropy asymmetric at gap {g}")
     result.record(
-        all(values[i] >= values[i + 1] - 1e-12 for i in range(len(values) - 1)),
-        "entropy not decreasing in |gap|",
+        bool(np.all(values[:-1] >= values[1:] - 1e-12)), "entropy not decreasing in |gap|"
     )
-    result.record(abs(pair_entropy(3.0, 3.0) - ln2) < 1e-12, "entropy maximum")
+    result.record(abs(_entropy_at([0.0])[0] - ln2) < 1e-12, "entropy maximum")
 
-    # logit-shift invariance of pairwise losses and predictions
-    for _ in range(25):
+    # logit-shift invariance of pairwise losses and predictions: each draw
+    # is a row pair (f, f + shift) of one padded gap matrix
+    shifts = 25
+    gaps = np.zeros((2 * shifts, 7))
+    labels = np.zeros(gaps.shape, dtype=bool)
+    negatives = np.zeros(gaps.shape, dtype=bool)
+    for i in range(shifts):
         n_rel = int(rng.integers(2, 8))
         f = rng.normal(scale=2, size=n_rel + 1)
         shift = float(rng.normal(scale=20))
         perm = rng.permutation(n_rel)
         k = int(rng.integers(0, n_rel + 1))
-        pos = sorted(int(r) for r in perm[:k])
-        neg = sorted(int(r) for r in perm[k:])
-        cfg = LossConfig()
-        a = pmt_loss(f, pos, neg, n_rel)
-        b = pmt_loss(f + shift, pos, neg, n_rel)
-        result.record(abs(a - b) <= 1e-9 * max(1.0, abs(a)), "pmt not shift invariant")
-        a = em_loss(f, pos, neg, n_rel, cfg)
-        b = em_loss(f + shift, pos, neg, n_rel, cfg)
-        result.record(abs(a - b) <= 1e-9 * max(1.0, abs(a)), "em not shift invariant")
+        both = np.stack([f, f + shift])
+        gaps[2 * i : 2 * i + 2, :n_rel] = both[:, :n_rel] - both[:, n_rel:]
+        labels[2 * i : 2 * i + 2, perm[:k]] = True
+        negatives[2 * i : 2 * i + 2, perm[k:]] = True
         result.record(
             predict_labels(f, n_rel) == predict_labels(f + shift, n_rel),
             "prediction not shift invariant",
         )
+    pmt, em, _ = _threshold_rows(gaps, labels, negatives, LossConfig())
+    for name, rows in (("pmt", pmt), ("em", em)):
+        for a, b in rows.reshape(shifts, 2).tolist():
+            result.record(abs(a - b) <= 1e-9 * max(1.0, abs(a)), f"{name} not shift invariant")
 
     # contrastive batch-permutation invariance
     for _ in range(10):
         n = int(rng.integers(3, 7))
         labels, batch, _, emb = _tiny_instance(rng, 4, n, 5, False)
-        value = l2_loss(batch.bp_indices, batch.s_sets, emb, 0.5)
+        value = float(np.sum(_contrastive_values(emb, batch.bp_indices, batch.s_sets, 0.5)))
         perm = rng.permutation(n)
         inv = np.argsort(perm)
         emb_p = emb[perm]
@@ -579,18 +598,20 @@ def run_invariant_suite(seed: int = 0) -> SuiteResult:
             int(inv[a]): frozenset(int(inv[m]) for m in members)
             for a, members in batch.s_sets.items()
         }
-        value_p = l2_loss(bp_p, s_p, emb_p, 0.5)
+        value_p = float(np.sum(_contrastive_values(emb_p, bp_p, s_p, 0.5)))
         result.record(
             abs(value - value_p) <= 1e-12 * max(1.0, abs(value)),
             "l2 not permutation invariant",
         )
 
-    # identical-embedding batches: scl is log(n-1) independent of temperature
+    # identical-embedding batches: scl is log(n-1) independent of temperature;
+    # one anchor row per temperature
+    taus = (0.1, 1.0, 3.0)
     for n in (2, 3, 5, 9):
         base = _unit_rows(rng, 1, 6)[0]
         emb = np.tile(base, (n, 1))
-        for tau in (0.1, 1.0, 3.0):
-            v = scl_loss(0, emb, frozenset({1}), tau)
+        rows = _contrastive_values(emb, (0,) * len(taus), {0: {1}}, np.array(taus)[:, None])
+        for tau, v in zip(taus, rows.tolist()):
             result.record(
                 abs(v - math.log(n - 1)) < 1e-9, f"identical batch scl n={n} tau={tau}"
             )

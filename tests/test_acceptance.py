@@ -20,8 +20,11 @@ from docrel.core import bucket_relations
 from docrel.datagen import SyntheticConfig, assemble_regime, generate_regime_splits
 from docrel.evaluation import evaluate, train_fact_set
 from docrel.experiments import run_ablation, sweep_sampling_ratio
-from docrel.losses import LossConfig, pair_entropy, pairwise_probs, pmt_loss, scl_loss
+from docrel.losses import LossConfig, _threshold_rows
 from docrel.selftest import (
+    THRESHOLD_ONLY,
+    _embedding_case,
+    _loss_case,
     run_gradient_checks,
     run_invariant_suite,
     run_oracle_equivalence,
@@ -120,7 +123,7 @@ def test_criterion_1_gradient_correctness():
     check(
         "criterion 1: gradient correctness",
         result.passed and result.checks >= 200 and elapsed < 60.0,
-        f"{result.checks} configurations in {elapsed:.1f}s; failures: {result.failures[:3]}",
+        f"{result.checks} checks in {elapsed:.1f}s; failures: {result.failures[:3]}",
     )
 
 
@@ -135,19 +138,26 @@ def test_criterion_2_oracle_equivalence():
 
 def test_criterion_3_closed_form_spot_values():
     tol = 1e-6
-    p, q = pairwise_probs(2.0, 0.0)
+    # p and q at gap 2, from the threshold gradient: -q on a label, p on a negative
+    on_label = np.array([[True], [False]])
+    _, _, grad = _threshold_rows(np.full((2, 1), 2.0), on_label, ~on_label, THRESHOLD_ONLY)
+    p, q = grad[1, 0], -grad[0, 0]
     ok = abs(p - 0.8807970779778823) < tol and abs(q - (1 - 0.8807970779778823)) < tol
 
-    ok &= abs(pmt_loss(np.array([0.0, 0.0]), [0], [], 1) - math.log(2)) < tol
+    pmt, _ = _loss_case([frozenset({0})], np.zeros((1, 2)), np.zeros((1, 1)), THRESHOLD_ONLY)
+    ok &= abs(pmt().total - math.log(2)) < tol
 
     # entropy at gap 2, frozen from direct evaluation of the formula
     gap2 = oracle.entropy(2.0, 0.0)
     ok &= abs(gap2 - 0.3653338550872078) < 1e-12
-    ok &= abs(pair_entropy(2.0, 0.0) - gap2) < tol
+    cfg = LossConfig(use_contrastive=False)
+    entropy, _ = _loss_case([frozenset()], np.array([[2.0, 0.0]]), np.zeros((1, 1)), cfg)
+    ok &= abs(entropy().parts["em"] - gap2) < tol
 
     for n in (2, 3, 6):
         emb = np.tile(np.ones(4) / 2.0, (n, 1))
-        ok &= abs(scl_loss(0, emb, frozenset({1}), 0.3) - math.log(n - 1)) < tol
+        scl, _ = _embedding_case(emb, (0,), {0: frozenset({1})}, 0.3)
+        ok &= abs(scl().parts["scl"] - math.log(n - 1)) < tol
 
     check("criterion 3: closed-form spot values", bool(ok))
 

@@ -218,32 +218,51 @@ class TestPipelineOutputs:
         assert os.path.exists(tmp_path / "envout" / "train" / "manifest.json")
 
 
-def _break_dev_label(regime_dir, out_dir):
-    """A copy of a regime bundle whose first dev record holds label 99."""
+def _break_record(regime_dir, out_dir, split, edit):
+    """A copy of a regime bundle whose first ``split`` record is changed by ``edit``."""
     shutil.copytree(regime_dir, out_dir)
-    path = os.path.join(out_dir, "dev.jsonl")
+    path = os.path.join(out_dir, f"{split}.jsonl")
     lines = open(path).read().splitlines()
     record = json.loads(lines[1])
-    record["positive_relations"] = [99]
+    edit(record)
     lines[1] = json.dumps(record)
     open(path, "w").write("\n".join(lines) + "\n")
     return path
 
 
+def _train_subprocess(bundle, out):
+    """``docrel train`` on ``bundle`` in a fresh interpreter, as a user runs it."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.abspath(src), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run(
+        [sys.executable, "-m", "docrel.cli", "train", "--regime", bundle, "--out", out]
+        + FAST_TRAIN + CUTS,
+        capture_output=True, text=True, env=env,
+    )
+
+
 class TestInputsFailClosed:
     def test_bad_corpus_label_exits_1_without_traceback(self, workspace, tmp_path):
         bundle = str(tmp_path / "bad")
-        dev = _break_dev_label(workspace["regime"], bundle)
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (os.path.abspath(src), os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run(
-            [sys.executable, "-m", "docrel.cli", "train", "--regime", bundle,
-             "--out", str(tmp_path / "run")] + FAST_TRAIN + CUTS,
-            capture_output=True, text=True, env=env,
+        dev = _break_record(
+            workspace["regime"], bundle, "dev", lambda r: r.update(positive_relations=[99])
         )
+        proc = _train_subprocess(bundle, str(tmp_path / "run"))
         assert proc.returncode == 1
         assert f"{dev}:2: relation index 99 out of range" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_non_finite_vector_exits_1_without_traceback(self, workspace, tmp_path):
+        bundle = str(tmp_path / "nan")
+
+        def edit(record):
+            record["context"][0] = float("nan")
+
+        train = _break_record(workspace["regime"], bundle, "train", edit)
+        proc = _train_subprocess(bundle, str(tmp_path / "run"))
+        assert proc.returncode == 1
+        assert f"{train}:2: non-finite value in the context" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_custom_regime_kind_exits_1(self, workspace, tmp_path, capsys):

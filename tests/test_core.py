@@ -5,16 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from docrel.batching import Batch, attach_negative_samples
 from docrel.core import (
     Bucket,
     LabelSource,
     RelationVocabulary,
     bucket_relations,
     build_pair_index,
+    label_mask,
     load_corpus,
     save_corpus,
 )
 from docrel.errors import ConfigError, DataFormatError, DocrelError, DuplicatePairError
+from docrel.losses import LossConfig, _negative_mask
 
 from conftest import make_corpus, make_example
 
@@ -110,20 +113,34 @@ class TestBuckets:
 
 
 class TestPartition:
+    """A pair's negatives come from one route, the loss kernel's negative mask N."""
+
+    @staticmethod
+    def negative_mask(corpus, config, sample_rng=None):
+        rows = (0,) if corpus.examples[0].is_na else ()
+        batch = Batch(example_indices=(0,), bp_indices=(0,)[len(rows):], bn_indices=rows)
+        if sample_rng is not None:
+            batch = attach_negative_samples(batch, corpus, config.neg_sampling_ratio, sample_rng)
+        n_rel = corpus.vocabulary.num_relations
+        labels = label_mask([corpus.examples[0].positive_relations], n_rel)
+        return labels, _negative_mask(labels, batch, config)[0]
+
     @given(st.sets(st.integers(0, 9), max_size=6))
     @settings(max_examples=50, deadline=None)
     def test_positives_negatives_partition(self, labels):
-        corpus = make_corpus([labels], n_rel=10)
-        ex = corpus.examples[0]
-        neg = ex.negative_relations(corpus.vocabulary)
-        assert ex.positive_relations | neg == set(range(10))
-        assert ex.positive_relations & neg == frozenset()
+        positives, negatives = self.negative_mask(make_corpus([labels], n_rel=10), LossConfig())
+        assert np.all(positives | negatives)
+        assert not np.any(positives & negatives)
 
     def test_na_example_has_all_relations_negative(self):
         corpus = make_corpus([set()], n_rel=7)
-        ex = corpus.examples[0]
-        assert ex.is_na
-        assert ex.negative_relations(corpus.vocabulary) == frozenset(range(7))
+        assert corpus.examples[0].is_na
+        _, negatives = self.negative_mask(corpus, LossConfig())
+        assert negatives.tolist() == [[True] * 7]
+        # a sample at ratio 1.0 is every relation too
+        sampling = LossConfig(use_neg_sampling=True, neg_sampling_ratio=1.0)
+        _, sampled = self.negative_mask(corpus, sampling, np.random.default_rng(0))
+        assert sampled.tolist() == [[True] * 7]
 
 
 class TestSerialization:
@@ -181,6 +198,33 @@ class TestLoadFailsClosed:
         path, lines = self.saved(tmp_path, small_corpus)
         self.rewrite(path, lines, 2, lambda r: r.update(gold_positive_relations=["r0"]))
         with pytest.raises(DataFormatError, match=f"{path}:2: "):
+            load_corpus(path)
+
+    def test_nan_in_context(self, tmp_path, small_corpus):
+        path, lines = self.saved(tmp_path, small_corpus)
+
+        def edit(record):
+            record["context"][1] = float("nan")  # written as the JSON literal NaN
+
+        self.rewrite(path, lines, 4, edit)
+        with pytest.raises(DataFormatError, match=f"{path}:4: non-finite value in the context"):
+            load_corpus(path)
+        small_corpus.examples[2].context[0] = np.nan
+        with pytest.raises(DataFormatError, match="example 2: non-finite value in the context"):
+            small_corpus.validate()
+
+    def test_overflowing_literal_in_mention_embedding(self, tmp_path, small_corpus):
+        path, lines = self.saved(tmp_path, small_corpus)
+
+        def edit(record):
+            record["tail_mentions"][0]["embedding"][0] = 0.125
+
+        self.rewrite(path, lines, 2, edit)
+        # JSON decoding turns 1e999 into inf
+        path.write_text(path.read_text().replace("[0.125,", "[1e999,", 1))
+        with pytest.raises(
+            DataFormatError, match=f"{path}:2: non-finite value in a mention embedding"
+        ):
             load_corpus(path)
 
     def test_duplicated_pair(self, tmp_path, small_corpus):

@@ -76,6 +76,39 @@ class TestLoader:
         with pytest.raises(DataFormatError, match=r"fixture.*vertexSet\[1\].*sent_id"):
             load_docred_json(write(tmp_path, [doc]), dim=16)
 
+    def test_document_not_an_object_rejected(self, tmp_path):
+        with pytest.raises(DataFormatError, match=r"docred\.json: document 1: expected an object"):
+            load_docred_json(write(tmp_path, [DOC, ["not", "a", "document"]]), dim=16)
+
+    @pytest.mark.parametrize("field", ["sents", "vertexSet", "labels"])
+    def test_field_not_a_list_rejected(self, tmp_path, field):
+        doc = json.loads(json.dumps(DOC))
+        doc[field] = 7
+        with pytest.raises(DataFormatError, match=f"fixture.*{field}.*not a list"):
+            load_docred_json(write(tmp_path, [doc]), dim=16)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["sents"].__setitem__(1, "Acme makes widgets"), "sentence"),
+            (lambda d: d["sents"][1].__setitem__(0, 5), "sentence"),
+            (lambda d: d["vertexSet"].__setitem__(2, 5), r"vertexSet\[2\]"),
+            (lambda d: d["vertexSet"].__setitem__(2, []), r"vertexSet\[2\]"),
+        ],
+        ids=["sentence-string", "token-number", "entity-number", "entity-empty"],
+    )
+    def test_malformed_sentence_or_entity_rejected(self, tmp_path, edit, message):
+        doc = json.loads(json.dumps(DOC))
+        edit(doc)
+        with pytest.raises(DataFormatError, match=f"fixture.*{message}"):
+            load_docred_json(write(tmp_path, [doc]), dim=16)
+
+    def test_repeated_title_rejected(self, tmp_path):
+        # the same title and entity names yield the same (doc, head, tail) pairs
+        message = r"docred\.json: duplicate entity pair: doc='fixture'"
+        with pytest.raises(DataFormatError, match=message):
+            load_docred_json(write(tmp_path, [DOC, DOC]), dim=16)
+
     def test_entity_ids_shared_across_documents(self, tmp_path):
         second = dict(DOC)
         second = json.loads(json.dumps(DOC))

@@ -9,90 +9,147 @@ from hypothesis import strategies as st
 from docrel import oracle
 from docrel.core import RelationVocabulary
 from docrel.errors import ConfigError, ContractError, NumericError, ShapeError
-from docrel.losses import (
-    LossConfig,
-    batch_loss,
-    em_loss,
-    l2_loss,
-    lt_loss,
-    pair_entropy,
-    pairwise_probs,
-    pmt_loss,
-    scl_loss,
-)
+from docrel.losses import LossConfig, _threshold_rows, batch_loss
 from docrel.batching import Batch
 from docrel.rng import stream
-from docrel.selftest import _examples_for, _forwards_for, _kernel, _tiny_instance
+from docrel.selftest import (
+    THRESHOLD_ONLY,
+    _embedding_case,
+    _examples_for,
+    _forwards_for,
+    _loss_case,
+    _tiny_instance,
+)
 
 LN2 = math.log(2.0)
 
 
+def one_row(f, positives=(), cfg=THRESHOLD_ONLY):
+    """batch_loss of a one-example batch with logits ``f`` (threshold last),
+    without the contrastive part."""
+    f = np.asarray(f, dtype=float)[None, :]
+    cfg = replace(cfg, use_contrastive=False)
+    kernel, _ = _loss_case([frozenset(positives)], f, np.zeros((1, 1)), cfg)
+    return kernel()
+
+
+def pmt(f, positives):
+    return one_row(f, positives).total
+
+
+def entropy(f_r, f_eta):
+    """The pairwise entropy, as the em part of one negative relation."""
+    return one_row([f_r, f_eta], (), LossConfig()).parts["em"]
+
+
+def em(f, positives, mode):
+    return one_row(f, positives, LossConfig(entropy_norm=mode)).parts["em"]
+
+
+def probs(f_r, f_eta):
+    """p = sigma(f_r - f_eta) and q = sigma(f_eta - f_r), from the threshold
+    gradient: -q on a label, p on a negative."""
+    gap = np.full((2, 1), f_r - f_eta)
+    on_label = np.array([[True], [False]])
+    _, _, grad = _threshold_rows(gap, on_label, ~on_label, THRESHOLD_ONLY)
+    return float(grad[1, 0]), float(-grad[0, 0])
+
+
+def masked_rows(n_rel, mode):
+    """Row values of a gap row with empty label and negative sets."""
+    empty = np.zeros((1, n_rel), dtype=bool)
+    return _threshold_rows(np.ones((1, n_rel)), empty, empty, LossConfig(entropy_norm=mode))
+
+
+def contrastive(emb, bp, s_sets, tau):
+    """The contrastive parts of batch_loss at weight 1, as {"scl", "lt"}."""
+    kernel, _ = _embedding_case(np.asarray(emb, dtype=float), bp, s_sets, tau)
+    parts = kernel().parts
+    return {"scl": parts["scl"], "lt": parts["lt"]}
+
+
+def scl(anchor, emb, positives, tau):
+    return contrastive(emb, (anchor,), {anchor: frozenset(positives)}, tau)["scl"]
+
+
+def lt(anchor, emb, tau):
+    return contrastive(emb, (anchor,), {}, tau)["lt"]
+
+
+def l2(bp, s_sets, emb, tau):
+    parts = contrastive(emb, bp, s_sets, tau)
+    return parts["scl"] + parts["lt"]
+
+
 class TestPairwiseProbs:
     def test_symmetric_point(self):
-        assert pairwise_probs(0.0, 0.0) == (0.5, 0.5)
+        assert probs(0.0, 0.0) == (0.5, 0.5)
 
     def test_frozen_sigmoid_values(self):
-        p, q = pairwise_probs(2.0, 0.0)
+        p, q = probs(2.0, 0.0)
         assert abs(p - 0.8807970779778823) < 1e-6
         assert abs(q - 0.1192029220221177) < 1e-6
-        p, q = pairwise_probs(-3.0, 1.0)
+        p, q = probs(-3.0, 1.0)
         assert abs(p - 0.0179862099620916) < 1e-6
         assert abs(q - 0.9820137900379084) < 1e-6
 
     def test_non_finite_rejected(self):
         with pytest.raises(NumericError):
-            pairwise_probs(float("nan"), 0.0)
+            pmt([float("nan"), 0.0], ())
         with pytest.raises(NumericError):
-            pairwise_probs(0.0, float("inf"))
+            pmt([0.0, float("inf")], ())
 
     @given(st.floats(-700, 700), st.floats(-700, 700))
     @settings(max_examples=200, deadline=None)
-    def test_sum_to_one_exactly(self, f_r, f_eta):
-        p, q = pairwise_probs(f_r, f_eta)
-        assert p + q == 1.0
+    def test_sum_to_one_within_an_ulp(self, f_r, f_eta):
+        # p and q come from separate branches, so their sum may round by an ulp
+        p, q = probs(f_r, f_eta)
+        assert abs(p + q - 1.0) <= 2.0**-52
         assert 0.0 <= p <= 1.0
 
     def test_matches_oracle(self):
         rng = stream(0, "probs")
         for _ in range(50):
             f_r, f_eta = rng.normal(scale=5, size=2)
-            p, q = pairwise_probs(float(f_r), float(f_eta))
+            p, q = probs(float(f_r), float(f_eta))
             po, qo = oracle.probs(float(f_r), float(f_eta))
             assert abs(p - po) < 1e-12 and abs(q - qo) < 1e-12
 
 
 class TestPmtLoss:
+    # the negatives are every relation outside the positives (N = not Y)
+
     def test_single_positive_at_tie(self):
-        f = np.array([0.0, 0.0])
-        assert abs(pmt_loss(f, [0], [], 1) - LN2) < 1e-12
+        assert abs(pmt([0.0, 0.0], [0]) - LN2) < 1e-12
 
     def test_frozen_two_sided_value(self):
         # one positive at logit 5, one negative at -5, threshold 0:
         # both sides contribute log(1 + e^-5)
         f = np.array([5.0, -5.0, 0.0])
         expected = 2 * math.log1p(math.exp(-5))
-        assert abs(pmt_loss(f, [0], [1], 2) - expected) < 1e-9
+        assert abs(pmt(f, [0]) - expected) < 1e-9
         assert abs(expected - 0.0134306969782361) < 1e-10
 
     def test_empty_sets_give_zero(self):
-        f = np.array([1.0, 2.0, 3.0])
-        assert pmt_loss(f, [], [], 2) == 0.0
+        pmt_rows, _, _ = masked_rows(2, "unit")
+        assert pmt_rows[0] == 0.0
 
     def test_threshold_in_label_set_rejected(self):
         f = np.array([0.0, 0.0])
         with pytest.raises(ContractError):
-            pmt_loss(f, [1], [], 1)
+            pmt(f, [1])
         with pytest.raises(ContractError):
-            pmt_loss(f, [], [1], 1)
+            sampled_loss(f, (1,), LossConfig())
 
     def test_overlapping_sets_rejected(self):
-        f = np.array([0.0, 0.0, 0.0])
-        with pytest.raises(ContractError):
-            pmt_loss(f, [0], [0], 2)
+        # N is the complement of Y except on sampled rows, whose sampled set
+        # must stay outside the row's positives
+        f = np.zeros(4)
+        with pytest.raises(ContractError, match="outside the negative set"):
+            sampled_loss(f, (1, 2), LossConfig(), labels={0, 1})
 
     def test_stable_at_extreme_logits(self):
-        f = np.array([500.0, -500.0, 0.0])
-        assert math.isfinite(pmt_loss(f, [1], [0], 2))
+        assert math.isfinite(pmt([500.0, -500.0, 0.0], [1]))
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -100,13 +157,13 @@ class TestPmtLoss:
         # raising a positive's logit lowers the loss; same for lowering a negative's
         rng_vals = data.draw(st.lists(st.floats(-5, 5), min_size=4, max_size=4))
         f = np.array(rng_vals)
-        base = pmt_loss(f, [0], [1, 2], 3)
+        base = pmt(f, [0])
         up = f.copy()
         up[0] += 0.5
-        assert pmt_loss(up, [0], [1, 2], 3) < base
+        assert pmt(up, [0]) < base
         down = f.copy()
         down[1] -= 0.5
-        assert pmt_loss(down, [0], [1, 2], 3) < base
+        assert pmt(down, [0]) < base
 
     def test_matches_oracle(self):
         rng = stream(1, "pmt")
@@ -115,58 +172,52 @@ class TestPmtLoss:
             perm = rng.permutation(6)
             k = int(rng.integers(0, 7))
             pos, neg = sorted(perm[:k].tolist()), sorted(perm[k:].tolist())
-            mine = pmt_loss(f, pos, neg, 6)
+            mine = pmt(f, pos)
             ref = oracle.pmt(f, pos, neg, 6)
             assert abs(mine - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
 class TestPairEntropy:
     def test_maximum_at_tie(self):
-        assert abs(pair_entropy(3.7, 3.7) - LN2) < 1e-12
+        assert abs(entropy(3.7, 3.7) - LN2) < 1e-12
 
     def test_frozen_gap_two_value(self):
         # -(sigma(2) ln sigma(2) + sigma(-2) ln sigma(-2)), computed directly
         expected = oracle.entropy(2.0, 0.0)
         assert abs(expected - 0.3653338550872078) < 1e-12
-        assert abs(pair_entropy(2.0, 0.0) - expected) < 1e-12
+        assert abs(entropy(2.0, 0.0) - expected) < 1e-12
 
     def test_underflow_safe_at_huge_gap(self):
-        assert 0.0 <= pair_entropy(50.0, 0.0) < 1e-15
-        assert 0.0 <= pair_entropy(0.0, 50.0) < 1e-15
+        assert 0.0 <= entropy(50.0, 0.0) < 1e-15
+        assert 0.0 <= entropy(0.0, 50.0) < 1e-15
 
     @given(st.floats(-40, 40), st.floats(-40, 40))
     @settings(max_examples=150, deadline=None)
     def test_bounds_and_symmetry(self, f_r, f_eta):
-        h = pair_entropy(f_r, f_eta)
+        h = entropy(f_r, f_eta)
         assert 0.0 <= h <= LN2 + 1e-15
-        assert abs(h - pair_entropy(f_eta, f_r)) < 1e-12
+        assert abs(h - entropy(f_eta, f_r)) < 1e-12
 
     @given(st.floats(0.01, 30), st.floats(1.01, 3))
     @settings(max_examples=80, deadline=None)
     def test_strictly_decreasing_in_gap(self, gap, factor):
-        assert pair_entropy(gap * factor, 0.0) < pair_entropy(gap, 0.0)
+        assert entropy(gap * factor, 0.0) < entropy(gap, 0.0)
 
 
 class TestEmLoss:
     def test_unit_mode_counts_every_term(self):
-        f = np.zeros(6)
-        cfg = LossConfig(entropy_norm="unit")
-        assert abs(em_loss(f, [0, 1], [2, 3, 4], 5, cfg) - 5 * LN2) < 1e-12
+        assert abs(em(np.zeros(6), [0, 1], "unit") - 5 * LN2) < 1e-12
 
     def test_set_size_mode_normalizes(self):
-        f = np.zeros(6)
-        cfg = LossConfig(entropy_norm="set_size")
-        assert abs(em_loss(f, [0, 1], [2, 3, 4], 5, cfg) - 2 * LN2) < 1e-12
+        assert abs(em(np.zeros(6), [0, 1], "set_size") - 2 * LN2) < 1e-12
 
     def test_na_example_set_size(self):
-        f = np.zeros(97)
-        cfg = LossConfig(entropy_norm="set_size")
-        assert abs(em_loss(f, [], list(range(96)), 96, cfg) - LN2) < 1e-12
+        assert abs(em(np.zeros(97), [], "set_size") - LN2) < 1e-12
 
     def test_empty_sets_no_division_error(self):
-        f = np.array([1.0, 0.0])
         for mode in ("unit", "set_size"):
-            assert em_loss(f, [], [], 1, LossConfig(entropy_norm=mode)) == 0.0
+            _, em_rows, _ = masked_rows(1, mode)
+            assert em_rows[0] == 0.0
 
 
 class TestSclLoss:
@@ -175,7 +226,7 @@ class TestSclLoss:
         for tau in (0.1, 1.0, 5.0):
             emb = rng.normal(size=(2, 6))
             emb /= np.linalg.norm(emb, axis=1, keepdims=True)
-            assert abs(scl_loss(0, emb, frozenset({1}), tau)) < 1e-12
+            assert abs(scl(0, emb, {1}, tau)) < 1e-12
 
     def test_identical_embeddings_give_log_n_minus_1(self):
         base = np.ones(4) / 2.0
@@ -183,32 +234,30 @@ class TestSclLoss:
             emb = np.tile(base, (n, 1))
             for s_size in range(1, n):
                 for tau in (0.05, 1.0, 2.0):
-                    v = scl_loss(0, emb, frozenset(range(1, s_size + 1)), tau)
+                    v = scl(0, emb, range(1, s_size + 1), tau)
                     assert abs(v - math.log(n - 1)) < 1e-9
 
     def test_orthogonal_anchor_log3(self):
-        emb = np.eye(4)
-        v = scl_loss(0, emb, frozenset({1}), 1.0)
-        assert abs(v - math.log(3)) < 1e-12
+        assert abs(scl(0, np.eye(4), {1}, 1.0) - math.log(3)) < 1e-12
 
-    def test_empty_positive_set_rejected(self):
+    def test_empty_positive_set_takes_long_tail_branch(self):
         emb = np.eye(3)
-        with pytest.raises(ContractError):
-            scl_loss(0, emb, frozenset(), 1.0)
+        parts = contrastive(emb, (0,), {0: frozenset()}, 1.0)
+        assert parts["scl"] == 0.0
+        assert abs(parts["lt"] - LN2) < 1e-12
 
     def test_anchor_in_positives_rejected(self):
-        emb = np.eye(3)
         with pytest.raises(ContractError):
-            scl_loss(0, emb, frozenset({0, 1}), 1.0)
+            scl(0, np.eye(3), {0, 1}, 1.0)
 
     def test_permutation_and_relabel_invariance(self):
         rng = stream(3, "sclperm")
         emb = rng.normal(size=(5, 8))
         emb /= np.linalg.norm(emb, axis=1, keepdims=True)
-        value = scl_loss(2, emb, frozenset({0, 4}), 0.7)
+        value = scl(2, emb, {0, 4}, 0.7)
         perm = np.array([4, 2, 0, 1, 3])
         inv = np.argsort(perm)
-        value_p = scl_loss(int(inv[2]), emb[perm], frozenset({int(inv[0]), int(inv[4])}), 0.7)
+        value_p = scl(int(inv[2]), emb[perm], {int(inv[0]), int(inv[4])}, 0.7)
         assert abs(value - value_p) < 1e-12
 
     def test_matches_oracle(self):
@@ -222,38 +271,39 @@ class TestSclLoss:
             k = int(rng.integers(1, len(others) + 1))
             pos = frozenset(int(i) for i in rng.choice(others, size=k, replace=False))
             tau = float(rng.uniform(0.2, 2))
-            mine = scl_loss(anchor, emb, pos, tau)
+            mine = scl(anchor, emb, pos, tau)
             ref = oracle.scl(anchor, emb, sorted(pos), tau)
             assert abs(mine - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
 class TestLtLoss:
     def test_batch_two_orthogonal_zero(self):
-        assert abs(lt_loss(0, np.eye(2), 1.0)) < 1e-12
+        assert abs(lt(0, np.eye(2), 1.0)) < 1e-12
 
     def test_batch_three_orthogonal_ln2(self):
-        assert abs(lt_loss(0, np.eye(3), 1.0) - LN2) < 1e-12
+        assert abs(lt(0, np.eye(3), 1.0) - LN2) < 1e-12
 
     def test_identical_pair_tau_half(self):
         emb = np.tile(np.ones(3) / math.sqrt(3), (2, 1))
-        assert abs(lt_loss(0, emb, 0.5) - 2.0) < 1e-12
+        assert abs(lt(0, emb, 0.5) - 2.0) < 1e-12
 
-    def test_degenerate_batch_rejected(self):
-        with pytest.raises(ContractError):
-            lt_loss(0, np.ones((1, 3)), 1.0)
+    def test_batch_of_one_has_no_contrastive_term(self):
+        kernel, _ = _embedding_case(np.ones((1, 3)), (0,), {}, 1.0)
+        out = kernel()
+        assert out.parts["lt"] == 0.0 and out.parts["scl"] == 0.0
+        assert not out.grad_embeddings.any()
 
 
 class TestL2Loss:
     def test_no_anchors_gives_zero(self):
-        emb = np.eye(3)
-        assert l2_loss((), {}, emb, 1.0) == 0.0
+        assert l2((), {}, np.eye(3), 1.0) == 0.0
 
     def test_all_anchors_longtail(self):
         emb = np.eye(3)
         bp = (0, 1)
         s_sets = {0: frozenset(), 1: frozenset()}
-        expected = lt_loss(0, emb, 1.0) + lt_loss(1, emb, 1.0)
-        assert abs(l2_loss(bp, s_sets, emb, 1.0) - expected) < 1e-12
+        expected = lt(0, emb, 1.0) + lt(1, emb, 1.0)
+        assert abs(l2(bp, s_sets, emb, 1.0) - expected) < 1e-12
 
     def test_hand_built_batch_matches_oracle(self):
         rng = stream(5, "l2")
@@ -261,7 +311,7 @@ class TestL2Loss:
         emb /= np.linalg.norm(emb, axis=1, keepdims=True)
         bp = (0, 1, 3)
         s_sets = {0: frozenset({1}), 1: frozenset({0, 3}), 3: frozenset()}
-        mine = l2_loss(bp, s_sets, emb, 0.4)
+        mine = l2(bp, s_sets, emb, 0.4)
         ref = oracle.l2(bp, s_sets, emb, 0.4)
         assert abs(mine - ref) <= 1e-10 * max(1.0, abs(ref))
 
@@ -298,9 +348,9 @@ class TestSampledNegativeLoss:
         for mode in ("unit", "set_size"):
             cfg = LossConfig(entropy_norm=mode, use_contrastive=False)
             full = sampled_loss(f, negatives, cfg)
-            split = _kernel([frozenset()], f[None, :], np.zeros((1, 1)), cfg).total
+            split = one_row(f, (), cfg).total
             assert full == split  # bitwise: the same masks and arithmetic
-            terms = pmt_loss(f, [], negatives, 8) + em_loss(f, [], negatives, 8, cfg)
+            terms = oracle.pmt(f, [], negatives, 8) + oracle.em(f, [], negatives, 8, mode)
             assert abs(full - terms) <= 1e-12 * max(1.0, abs(terms))
 
     def test_frozen_single_negative_value(self):
@@ -343,7 +393,7 @@ class TestBatchLoss:
             _examples_for(labels, 6), batch, _forwards_for(logits, emb), vocab, cfg
         )
         expected = sum(
-            pmt_loss(logits[i], sorted(labels[i]), sorted(set(range(4)) - labels[i]), 4)
+            oracle.pmt(logits[i], sorted(labels[i]), sorted(set(range(4)) - labels[i]), 4)
             for i in range(4)
         )
         assert abs(out.total - expected) < 1e-12
