@@ -86,7 +86,7 @@ def _check_document(doc, doc_pos: int, path) -> tuple[str, list[tuple[int, int, 
     for label in doc.get("labels", []):
         try:
             triples.append((int(label["h"]), int(label["t"]), str(label["r"])))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataFormatError(f"{path}: document {title!r}: bad label record: {exc}") from exc
     return title, triples
 
@@ -100,13 +100,18 @@ def load_docred_json(path, dim: int = 64) -> Corpus:
     absent from the labels become NA. Entities get corpus-global ids by
     interning their names, so the same surface entity shares one id across
     documents. A malformed document, or two yielding the same (title, head,
-    tail) pair, raises DataFormatError naming the path and the document.
+    tail) pair, raises DataFormatError naming the path and the document; a
+    mention's ``pos`` must be a non-empty span ``[start, end)`` inside its
+    sentence. A file that cannot be read or decoded raises DataFormatError
+    naming the path.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             documents = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"{path}: cannot read DocRED file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(documents, list):
         raise DataFormatError(f"{path}: expected a list of documents")
 
@@ -132,7 +137,7 @@ def load_docred_json(path, dim: int = 64) -> Corpus:
                     sent_id = int(m["sent_id"])
                     start, end = int(m["pos"][0]), int(m["pos"][1])
                     name = str(m["name"])
-                except (KeyError, IndexError, TypeError, ValueError) as exc:
+                except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
                     raise DataFormatError(
                         f"{path}: document {title!r}: vertexSet[{ent_pos}]: bad mention: {exc}"
                     ) from exc
@@ -140,6 +145,12 @@ def load_docred_json(path, dim: int = 64) -> Corpus:
                     raise DataFormatError(
                         f"{path}: document {title!r}: vertexSet[{ent_pos}]: sent_id {sent_id} "
                         f"outside the document's {len(sent_offsets)} sentences"
+                    )
+                sent_len = len(doc["sents"][sent_id])
+                if not 0 <= start < end <= sent_len:
+                    raise DataFormatError(
+                        f"{path}: document {title!r}: vertexSet[{ent_pos}]: pos [{start}, {end}] "
+                        f"is not a span of sentence {sent_id} ({sent_len} tokens)"
                     )
                 lo = sent_offsets[sent_id] + start
                 hi = sent_offsets[sent_id] + end

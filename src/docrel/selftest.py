@@ -26,7 +26,7 @@ import numpy as np
 from . import oracle
 from .batching import Batch
 from .core import Mention, PairExample, RelationVocabulary, label_mask
-from .evaluation import predict_labels
+from .evaluation import _prf, predict_labels
 from .head import BatchForward, HeadParams, head_backward, head_forward
 from .losses import LossConfig, _contrastive_rows, _threshold_rows, batch_loss
 from .rng import stream
@@ -616,14 +616,11 @@ def run_invariant_suite(seed: int = 0) -> SuiteResult:
                 abs(v - math.log(n - 1)) < 1e-9, f"identical batch scl n={n} tau={tau}"
             )
 
-    # micro-F1 identity
+    # micro-F1 identity: evaluation's F1 equals 2tp / (2tp + fp + fn)
     for _ in range(50):
         tp, fp, fn = (int(x) for x in rng.integers(0, 20, size=3))
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         expected = 2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else 0.0
-        result.record(abs(f1 - expected) < 1e-12, "micro F1 identity")
+        result.record(abs(_prf(tp, fp, fn)[2] - expected) < 1e-12, "micro F1 identity")
 
     return result
 

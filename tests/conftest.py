@@ -1,3 +1,5 @@
+import base64
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,16 @@ def make_corpus(label_sets, n_rel=4, dim=4, docs_of=None, source=LabelSource.GOL
         for i, labels in enumerate(label_sets)
     )
     return Corpus(vocabulary=vocab, examples=examples, label_source=source, embedding_dim=dim)
+
+
+def edit_vectors(record, edit):
+    """Decode a saved corpus record's ``vectors``, apply ``edit`` to its rows
+    (head mentions, tail mentions, context) and encode them back."""
+    n_head, n_tail = record["mentions"]
+    data = base64.b64decode(record["vectors"])
+    rows = np.frombuffer(data, "<f8").reshape(n_head + n_tail + 1, -1).copy()
+    edit(rows)
+    record["vectors"] = base64.b64encode(rows.astype("<f8").tobytes()).decode("ascii")
 
 
 @pytest.fixture

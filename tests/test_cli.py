@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from docrel.cli import main
@@ -15,6 +16,8 @@ from docrel.config import (
     train_config_from,
 )
 from docrel.errors import ConfigError
+
+from conftest import edit_vectors
 
 
 GEN_ARGS = [
@@ -256,10 +259,12 @@ class TestInputsFailClosed:
     def test_non_finite_vector_exits_1_without_traceback(self, workspace, tmp_path):
         bundle = str(tmp_path / "nan")
 
-        def edit(record):
-            record["context"][0] = float("nan")
+        def edit(rows):
+            rows[-1, 0] = np.nan
 
-        train = _break_record(workspace["regime"], bundle, "train", edit)
+        train = _break_record(
+            workspace["regime"], bundle, "train", lambda r: edit_vectors(r, edit)
+        )
         proc = _train_subprocess(bundle, str(tmp_path / "run"))
         assert proc.returncode == 1
         assert f"{train}:2: non-finite value in the context" in proc.stderr

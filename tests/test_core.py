@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -8,7 +9,10 @@ from hypothesis import strategies as st
 from docrel.batching import Batch, attach_negative_samples
 from docrel.core import (
     Bucket,
+    Corpus,
     LabelSource,
+    Mention,
+    PairExample,
     RelationVocabulary,
     bucket_relations,
     build_pair_index,
@@ -19,7 +23,7 @@ from docrel.core import (
 from docrel.errors import ConfigError, DataFormatError, DocrelError, DuplicatePairError
 from docrel.losses import LossConfig, _negative_mask
 
-from conftest import make_corpus, make_example
+from conftest import edit_vectors, make_corpus, make_example
 
 
 class TestRelationVocabulary:
@@ -60,8 +64,6 @@ class TestPairIndex:
             assert index[(ex.doc_id, ex.head_id, ex.tail_id)] == i
 
     def test_duplicate_triple_rejected(self):
-        from docrel.core import Corpus
-
         vocab = RelationVocabulary.from_relations(["r0", "r1"])
         examples = (make_example("d", 1, 2, {0}, dim=4), make_example("d", 1, 2, {1}, dim=4))
         corpus = Corpus(vocab, examples, LabelSource.GOLD, 4)
@@ -160,6 +162,13 @@ class TestSerialization:
                 assert ma.entity_id == mb.entity_id
                 assert np.array_equal(ma.embedding, mb.embedding)
 
+    def test_saving_twice_gives_identical_bytes(self, small_corpus, tmp_path):
+        first, second, again = (tmp_path / name for name in ("a.jsonl", "b.jsonl", "c.jsonl"))
+        save_corpus(small_corpus, first)
+        save_corpus(small_corpus, second)
+        save_corpus(load_corpus(first), again)
+        assert first.read_bytes() == second.read_bytes() == again.read_bytes()
+
     def test_validate_catches_bad_labels(self):
         from docrel.errors import DocrelError
 
@@ -184,8 +193,8 @@ class TestLoadFailsClosed:
 
     def test_record_without_context(self, tmp_path, small_corpus):
         path, lines = self.saved(tmp_path, small_corpus)
-        self.rewrite(path, lines, 3, lambda r: r.pop("context"))
-        with pytest.raises(DataFormatError, match=f"{path}:3: .*context"):
+        self.rewrite(path, lines, 3, lambda r: r.pop("vectors"))
+        with pytest.raises(DataFormatError, match=f"{path}:3: .*vectors"):
             load_corpus(path)
 
     def test_out_of_range_label(self, tmp_path):
@@ -203,10 +212,10 @@ class TestLoadFailsClosed:
     def test_nan_in_context(self, tmp_path, small_corpus):
         path, lines = self.saved(tmp_path, small_corpus)
 
-        def edit(record):
-            record["context"][1] = float("nan")  # written as the JSON literal NaN
+        def edit(rows):
+            rows[-1, 1] = np.nan
 
-        self.rewrite(path, lines, 4, edit)
+        self.rewrite(path, lines, 4, lambda r: edit_vectors(r, edit))
         with pytest.raises(DataFormatError, match=f"{path}:4: non-finite value in the context"):
             load_corpus(path)
         small_corpus.examples[2].context[0] = np.nan
@@ -216,12 +225,10 @@ class TestLoadFailsClosed:
     def test_overflowing_literal_in_mention_embedding(self, tmp_path, small_corpus):
         path, lines = self.saved(tmp_path, small_corpus)
 
-        def edit(record):
-            record["tail_mentions"][0]["embedding"][0] = 0.125
+        def edit(rows):
+            rows[1, 0] = np.inf  # the first tail mention
 
-        self.rewrite(path, lines, 2, edit)
-        # JSON decoding turns 1e999 into inf
-        path.write_text(path.read_text().replace("[0.125,", "[1e999,", 1))
+        self.rewrite(path, lines, 2, lambda r: edit_vectors(r, edit))
         with pytest.raises(
             DataFormatError, match=f"{path}:2: non-finite value in a mention embedding"
         ):
@@ -250,6 +257,33 @@ class TestLoadFailsClosed:
         with pytest.raises(DataFormatError, match=f"{path}: cannot read"):
             load_corpus(path)
 
+    def test_version_1_file_asks_for_a_rebuild(self, tmp_path, small_corpus):
+        path, lines = self.saved(tmp_path, small_corpus)
+        self.rewrite(path, lines, 1, lambda h: h.update(version=1))
+        with pytest.raises(DataFormatError, match=f"{path}:1: corpus format version 1.*rebuild"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda r: r.update(vectors="not base64"), "bad record"),
+            (lambda r: r.update(vectors=base64.b64encode(base64.b64decode(r["vectors"])[:-3])
+                                .decode()), "vectors hold 93 bytes, expected 3 rows of 4"),
+            (lambda r: r.update(mentions=[2, 1]), "vectors hold 96 bytes, expected 4 rows of 4"),
+            (lambda r: r.update(mentions=[0, 2]), "mention counts .* not positive integers"),
+            (lambda r: r.update(mentions=[1.0, 1]), "mention counts .* not positive integers"),
+            (lambda r: r.update(mentions=["1", 1]), "mention counts .* not positive integers"),
+            (lambda r: r.update(mentions=[3]), "bad record"),
+        ],
+        ids=["not-base64", "partial-float", "wrong-row-count", "zero-count", "float-count",
+             "string-count", "one-count"],
+    )
+    def test_malformed_vectors(self, tmp_path, small_corpus, edit, message):
+        path, lines = self.saved(tmp_path, small_corpus)
+        self.rewrite(path, lines, 2, edit)
+        with pytest.raises(DataFormatError, match=f"{path}:2: {message}"):
+            load_corpus(path)
+
     @pytest.mark.parametrize(
         "edit",
         [lambda h: h.pop("relations"), lambda h: h.update(label_source="bogus"),
@@ -261,6 +295,46 @@ class TestLoadFailsClosed:
         self.rewrite(path, lines, 1, edit)
         with pytest.raises(DataFormatError, match=f"{path}:1: bad header"):
             load_corpus(path)
+
+
+# -0.0, the smallest and largest subnormals, and the ends of the float64 range
+EDGE_VALUES = [
+    -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308, -1e308, -1.7976931348623157e308
+]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), dim=st.integers(2, 8), count=st.integers(1, 3))
+def test_round_trip_is_bitwise(tmp_path_factory, data, dim, count):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = st.one_of(st.sampled_from(EDGE_VALUES), finite)
+
+    def vector():
+        return np.array(data.draw(st.lists(values, min_size=dim, max_size=dim)))
+
+    def mentions(entity):
+        return tuple(Mention(entity, vector()) for _ in range(data.draw(st.integers(1, 3))))
+
+    examples = tuple(
+        PairExample(f"doc{i}", 2 * i, 2 * i + 1, mentions(2 * i), mentions(2 * i + 1), vector(),
+                    frozenset({i % 3}), None if i % 2 else frozenset())
+        for i in range(count)
+    )
+    corpus = Corpus(RelationVocabulary.from_relations(["a", "b", "c"]), examples,
+                    LabelSource.GOLD, dim)
+    path = tmp_path_factory.mktemp("round-trip") / "c.jsonl"
+    save_corpus(corpus, path)
+    loaded = load_corpus(path)
+    for x, y in zip(corpus.examples, loaded.examples, strict=True):
+        assert (x.doc_id, x.head_id, x.tail_id) == (y.doc_id, y.head_id, y.tail_id)
+        assert (x.positive_relations, x.gold_positive_relations) == (
+            y.positive_relations, y.gold_positive_relations)
+        for a, b in zip((*x.head_mentions, *x.tail_mentions), (*y.head_mentions, *y.tail_mentions),
+                        strict=True):
+            assert a.entity_id == b.entity_id
+            assert a.embedding.tobytes() == b.embedding.tobytes()
+        assert len(x.head_mentions) == len(y.head_mentions)
+        assert x.context.tobytes() == y.context.tobytes()
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -3,9 +3,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from docrel.docred import hashed_featurizer, load_docred_json
-from docrel.errors import ConfigError, DataFormatError
+from docrel.errors import ConfigError, DataFormatError, DocrelError
 
 
 DOC = {
@@ -76,6 +78,26 @@ class TestLoader:
         with pytest.raises(DataFormatError, match=r"fixture.*vertexSet\[1\].*sent_id"):
             load_docred_json(write(tmp_path, [doc]), dim=16)
 
+    @pytest.mark.parametrize(
+        "pos", [[2, 1], [1, 1], [0, 5], [-1, 1]], ids=["reversed", "empty", "past-end", "negative"]
+    )
+    def test_mention_span_outside_sentence_rejected(self, tmp_path, pos):
+        doc = json.loads(json.dumps(DOC))
+        doc["vertexSet"][1][1]["pos"] = pos  # sentence 1 has 4 tokens
+        message = rf"docred\.json: document 'fixture': vertexSet\[1\]: pos \[.*\] is not a span"
+        with pytest.raises(DataFormatError, match=message):
+            load_docred_json(write(tmp_path, [doc]), dim=16)
+
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(DataFormatError, match=r"absent\.json: cannot read"):
+            load_docred_json(tmp_path / "absent.json", dim=16)
+
+    def test_bytes_that_are_not_utf8_rejected(self, tmp_path):
+        path = write(tmp_path, [DOC])
+        path.write_bytes(path.read_bytes().replace(b"Berlin", b"Berl\xffn"))
+        with pytest.raises(DataFormatError, match=r"docred\.json: cannot read"):
+            load_docred_json(path, dim=16)
+
     def test_document_not_an_object_rejected(self, tmp_path):
         with pytest.raises(DataFormatError, match=r"docred\.json: document 1: expected an object"):
             load_docred_json(write(tmp_path, [DOC, ["not", "a", "document"]]), dim=16)
@@ -94,8 +116,12 @@ class TestLoader:
             (lambda d: d["sents"][1].__setitem__(0, 5), "sentence"),
             (lambda d: d["vertexSet"].__setitem__(2, 5), r"vertexSet\[2\]"),
             (lambda d: d["vertexSet"].__setitem__(2, []), r"vertexSet\[2\]"),
+            (lambda d: d["vertexSet"][2][0].__setitem__("pos", [0, float("inf")]),
+             r"vertexSet\[2\]: bad mention"),
+            (lambda d: d["labels"][0].__setitem__("h", float("inf")), "bad label record"),
         ],
-        ids=["sentence-string", "token-number", "entity-number", "entity-empty"],
+        ids=["sentence-string", "token-number", "entity-number", "entity-empty",
+             "pos-infinite", "label-infinite"],
     )
     def test_malformed_sentence_or_entity_rejected(self, tmp_path, edit, message):
         doc = json.loads(json.dumps(DOC))
@@ -122,6 +148,26 @@ class TestLoader:
             corpus.examples[i].head_id for i in by_doc["fixture2"]
         }
         assert first_ids == second_ids  # same surface names, same global ids
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    cuts=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), min_size=1, max_size=3),
+    truncate=st.booleans(),
+)
+def test_corrupted_file_loads_or_raises_docrel_error(tmp_path_factory, cuts, truncate):
+    """Flipped bytes and truncation end in a load or a DocrelError, never a raw exception."""
+    path = write(tmp_path_factory.mktemp("mutate"), [DOC])
+    data = bytearray(path.read_bytes())
+    for position, value in cuts:
+        data[position % len(data)] = value
+    if truncate:
+        data = data[: cuts[0][0] % len(data)]
+    path.write_bytes(bytes(data))
+    try:
+        load_docred_json(path, dim=16)
+    except DocrelError:
+        pass
 
 
 class TestHashedFeaturizer:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from docrel.core import Mention, PairExample
-from docrel.errors import ConfigError, ContractError, DataFormatError, ShapeError
+from docrel.errors import ConfigError, ContractError, DataFormatError, DocrelError, ShapeError
 from docrel.head import (
     HeadParams,
     head_backward,
@@ -315,3 +315,24 @@ class TestCheckpointFailsClosed:
     def test_truncated_payload(self, tmp_path):
         path, data = self.saved(tmp_path)
         self.assert_rejected(path, data[:-1], "truncated")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    cuts=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), min_size=1, max_size=3),
+    truncate=st.booleans(),
+)
+def test_corrupted_checkpoint_loads_or_raises_docrel_error(tmp_path_factory, cuts, truncate):
+    """Flipped bytes and truncation end in a load or a DocrelError, never a raw exception."""
+    path = tmp_path_factory.mktemp("mutate") / "params.ckpt"
+    save_checkpoint(init_head_params(4, 4, 2, 6, stream(9, "init")), path)
+    data = bytearray(path.read_bytes())
+    for position, value in cuts:
+        data[position % len(data)] = value
+    if truncate:
+        data = data[: cuts[0][0] % len(data)]
+    path.write_bytes(bytes(data))
+    try:
+        load_checkpoint(path)
+    except DocrelError:
+        pass
