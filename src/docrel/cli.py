@@ -22,20 +22,16 @@ from . import __version__
 from .config import (
     Manifest,
     PRESETS,
+    coerce,
+    gold_splits_from,
     parse_config_file,
+    regime_from,
     resolve,
-    synthetic_config_from,
     train_config_from,
     values,
 )
 from .core import bucket_relations
-from .datagen import (
-    Regime,
-    assemble_regime,
-    generate_regime_splits,
-    load_regime,
-    save_regime,
-)
+from .datagen import Regime, assemble_regime, load_regime, save_regime
 from .errors import ConfigError, DocrelError, NumericError
 from .evaluation import evaluate, train_fact_set
 from .experiments import run_ablation, sweep_sampling_ratio
@@ -103,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-ratio", help="negative-label sampling ratio sweep")
     _add_common(p)
     p.add_argument("--regime")
-    p.add_argument("--ratios", help="comma list, e.g. 0.1,0.5,1.0")
 
     p = sub.add_parser("selftest", help="run gradient, oracle, and invariant suites")
     p.add_argument("--seed", type=int, default=0)
@@ -112,16 +107,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolved_config(args) -> dict[str, dict]:
-    from .config import coerce
-
     flag_values: dict[str, object] = {}
     for item in args.overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, raw = item.split("=", 1)
         flag_values[key.strip()] = coerce(key.strip(), raw)
-    if getattr(args, "command", None) == "sweep-ratio" and getattr(args, "ratios", None):
-        flag_values["experiment.ratios"] = coerce("experiment.ratios", args.ratios)
 
     file_values = parse_config_file(args.config) if args.config else None
     manifest_values = None
@@ -158,14 +149,11 @@ def _cmd_gen_data(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     manifest = Manifest("gen-data", resolved, {}, {"bundle": out_dir}).start()
 
-    v = values(resolved)
-    config = synthetic_config_from(resolved)
-    splits = generate_regime_splits(config, v["data.dev_docs"], v["data.test_docs"])
-    regime = assemble_regime(splits, 0.0, "GGG")
+    regime = assemble_regime(gold_splits_from(resolved), 0.0, "GGG")
     save_regime(
         regime,
         out_dir,
-        manifest_extra={"noise_rate": 0.0, "generator_seed": config.seed},
+        manifest_extra={"noise_rate": 0.0, "generator_seed": values(resolved)["data.seed"]},
     )
     _finish(manifest, out_dir)
     print(
@@ -187,13 +175,7 @@ def _cmd_build_regime(args) -> int:
 
     v = values(resolved)
     gold = load_regime(data_dir)
-    regime = assemble_regime(
-        (gold.train, gold.dev, gold.test),
-        v["regime.noise_rate"],
-        v["regime.kind"],
-        seed=v["regime.seed"],
-        corruption=v["regime.corruption"],
-    )
+    regime = regime_from((gold.train, gold.dev, gold.test), resolved)
     save_regime(
         regime,
         out_dir,

@@ -23,7 +23,7 @@ from . import __version__
 from .errors import ConfigError
 from .losses import LossConfig
 from .training import TrainConfig
-from .datagen import SyntheticConfig
+from .datagen import Regime, SyntheticConfig, assemble_regime, generate_regime_splits
 
 __all__ = [
     "REGISTRY",
@@ -33,6 +33,8 @@ __all__ = [
     "loss_config_from",
     "train_config_from",
     "synthetic_config_from",
+    "gold_splits_from",
+    "regime_from",
     "Manifest",
 ]
 
@@ -152,6 +154,34 @@ def coerce(key: str, raw: str) -> object:
         raise ConfigError(f"config key {key}: {exc}") from exc
 
 
+# the Python types a recorded (JSON) value may have, per kind; a bool is
+# never taken for a number
+_KIND_TYPES = {
+    "int": (int,),
+    "float": (float, int),
+    "bool": (bool,),
+    "str": (str,),
+    "opt_float": (float, int, type(None)),
+}
+
+
+def checked(key: str, value: object) -> object:
+    """A recorded ``value`` if ``key`` is known and ``value`` is of its kind,
+    lists made tuples; else ConfigError."""
+    if key not in REGISTRY:
+        raise ConfigError(f"unknown config key {key!r}")
+    kind = REGISTRY[key].kind
+    if kind.endswith("_list"):
+        types = _KIND_TYPES[kind.removesuffix("_list")]
+        ok = type(value) in (list, tuple) and all(type(v) in types for v in value)
+        value = tuple(value) if ok else value
+    else:
+        ok = type(value) in _KIND_TYPES[kind]
+    if not ok:
+        raise ConfigError(f"config key {key}: {value!r} is not of kind {kind}")
+    return value
+
+
 def parse_config_file(path) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -198,9 +228,7 @@ def resolve(
         if key in flag_values and flag_values[key] is not None:
             resolved[key] = {"value": flag_values[key], "source": "flag"}
         elif key in manifest_values:
-            value = manifest_values[key]  # JSON turns tuples into lists
-            value = tuple(value) if isinstance(value, list) else value
-            resolved[key] = {"value": value, "source": "manifest"}
+            resolved[key] = {"value": manifest_values[key], "source": "manifest"}
         elif key in file_values:
             resolved[key] = {"value": coerce(key, file_values[key]), "source": "file"}
         elif key in preset_values:
@@ -235,6 +263,26 @@ def synthetic_config_from(resolved: dict[str, dict]) -> SyntheticConfig:
     return _config_from(SyntheticConfig, resolved)
 
 
+def gold_splits_from(resolved: dict[str, dict]):
+    """The gold train/dev/test splits of the resolved ``data.*`` world."""
+    v = values(resolved)
+    return generate_regime_splits(
+        synthetic_config_from(resolved), v["data.dev_docs"], v["data.test_docs"]
+    )
+
+
+def regime_from(splits, resolved: dict[str, dict]) -> Regime:
+    """Gold ``splits`` relabelled into the resolved ``regime.*`` regime."""
+    v = values(resolved)
+    return assemble_regime(
+        splits,
+        v["regime.noise_rate"],
+        v["regime.kind"],
+        seed=v["regime.seed"],
+        corruption=v["regime.corruption"],
+    )
+
+
 @dataclass(eq=False)
 class Manifest:
     command: str
@@ -264,7 +312,8 @@ class Manifest:
 
     @classmethod
     def load(cls, path) -> "Manifest":
-        """Read a manifest; a missing, garbled or incomplete one raises ConfigError."""
+        """Read a manifest; a missing, garbled or incomplete one, or one that
+        records an unknown key or a value of the wrong kind, raises ConfigError."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
@@ -275,8 +324,9 @@ class Manifest:
                 outputs=dict(obj.get("outputs", {})),
                 version=obj.get("version", "unknown"),
             )
-            values(m.config)  # every entry must carry a value
-        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            for key, entry in m.config.items():  # each entry carries a value of its key's kind
+                entry["value"] = checked(key, entry["value"])
+        except (OSError, ValueError, KeyError, TypeError, AttributeError, ConfigError) as exc:
             raise ConfigError(f"{path}: not a readable run manifest: {exc!r}") from exc
         m.runtime_seconds = obj.get("runtime_seconds")
         return m

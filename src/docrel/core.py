@@ -317,8 +317,11 @@ def _example_from_json(obj: dict, dim: int, where: str) -> PairExample:
         )
     # one owning array per record; the mentions and the context are its rows
     vectors = np.frombuffer(data, "<f8").reshape(rows, dim).astype(np.float64)
-    head_id, tail_id = int(obj["head_id"]), int(obj["tail_id"])
+    head_id, tail_id = obj["head_id"], obj["tail_id"]
     gold = obj.get("gold_positive_relations")
+    for value in (head_id, tail_id, *obj["positive_relations"], *(gold or ())):
+        if type(value) is not int:
+            raise DataFormatError(f"{where}: id or label {value!r} is not an integer")
     return PairExample(
         doc_id=str(obj["doc_id"]),
         head_id=head_id,

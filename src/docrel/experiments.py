@@ -1,4 +1,8 @@
-"""Multi-seed experiment drivers: ablations, sampling-ratio sweeps, noise robustness."""
+"""Multi-seed experiment drivers: ablations and sampling-ratio sweeps.
+
+The noise-robustness comparison is the sweep's ratio 0.1 and 1.0 rows: at
+ratio 1.0 the sampled objective is bitwise the unsampled one.
+"""
 
 from __future__ import annotations
 
@@ -15,7 +19,6 @@ __all__ = [
     "ablation_variants",
     "run_ablation",
     "sweep_sampling_ratio",
-    "run_noise_comparison",
 ]
 
 # evaluation split -> (regime split, score against gold labels); orig_dev
@@ -110,10 +113,6 @@ def run_ablation(
     ]
 
 
-def _sampled(loss: LossConfig, ratio: float) -> LossConfig:
-    return replace(loss, use_neg_sampling=True, neg_sampling_ratio=ratio)
-
-
 def sweep_sampling_ratio(
     regime: Regime,
     train_config: TrainConfig,
@@ -122,29 +121,14 @@ def sweep_sampling_ratio(
     bucket_cuts: tuple[int, int] = (10, 20),
 ) -> list[dict]:
     """One sampled-objective model per ratio, shared seeds; one metric curve per split."""
-    arms = [(f"ratio={ratio}", _sampled(train_config.loss, ratio)) for ratio in ratios]
+    arms = [
+        (f"ratio={ratio}",
+         replace(train_config.loss, use_neg_sampling=True, neg_sampling_ratio=ratio))
+        for ratio in ratios
+    ]
     results = _run_arms(regime, train_config, arms, seeds, tuple(SPLITS), bucket_cuts)
     return [
         {"ratio": ratio, "seeds": list(seeds), **result}
         for ratio, (_, result) in zip(ratios, results)
     ]
 
-
-def run_noise_comparison(
-    regime: Regime,
-    train_config: TrainConfig,
-    seeds: Sequence[int],
-    ratio: float = 0.1,
-    bucket_cuts: tuple[int, int] = (10, 20),
-) -> dict:
-    """Sampled objective at the given ratio vs the plain objective.
-
-    Both arms share seeds and every other hyperparameter; reported on the
-    same three evaluation splits as the ratio sweep.
-    """
-    arms = [
-        ("sampled", _sampled(train_config.loss, ratio)),
-        ("unsampled", replace(train_config.loss, use_neg_sampling=False)),
-    ]
-    results = _run_arms(regime, train_config, arms, seeds, tuple(SPLITS), bucket_cuts)
-    return {"ratio": ratio, "seeds": list(seeds), **dict(results)}

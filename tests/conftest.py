@@ -1,9 +1,31 @@
 import base64
+import os
 
 import numpy as np
 import pytest
 
+from docrel.config import parse_config_file, resolve
 from docrel.core import Corpus, LabelSource, Mention, PairExample, RelationVocabulary
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+# gen-data flags for a tiny world that CLI tests train on in seconds
+GEN_ARGS = [
+    "--set", "data.num_relations=8",
+    "--set", "data.train_docs=10",
+    "--set", "data.dev_docs=4",
+    "--set", "data.test_docs=4",
+    "--set", "data.num_entities=30",
+    "--set", "data.kg_pairs=40",
+    "--set", "data.pairs_min=4",
+    "--set", "data.pairs_max=6",
+    "--set", "data.embedding_dim=12",
+]
+
+
+def pinned(name: str) -> dict[str, dict]:
+    """The resolved configuration of the pinned experiment ``configs/<name>``."""
+    return resolve(file_values=parse_config_file(os.path.join(CONFIGS, name)))
 
 
 def make_example(doc, h, t, labels, dim=4, gold=None, seed=0):

@@ -16,10 +16,9 @@ import pytest
 
 from docrel import oracle
 from docrel.cli import main as cli_main
-from docrel.core import bucket_relations
+from docrel.config import gold_splits_from, regime_from, train_config_from, values
 from docrel.datagen import SyntheticConfig, assemble_regime, generate_regime_splits
-from docrel.evaluation import evaluate, train_fact_set
-from docrel.experiments import run_ablation, sweep_sampling_ratio
+from docrel.experiments import SPLITS, _run_arms, run_ablation, sweep_sampling_ratio
 from docrel.losses import LossConfig, _threshold_rows
 from docrel.selftest import (
     THRESHOLD_ONLY,
@@ -31,7 +30,17 @@ from docrel.selftest import (
 )
 from docrel.training import TrainConfig, train
 
-SEEDS = (0, 1, 2)
+from conftest import GEN_ARGS, pinned
+
+
+def seeds_and_cuts(resolved: dict[str, dict]) -> tuple[tuple[int, ...], tuple[int, int]]:
+    v = values(resolved)
+    return v["experiment.seeds"], (v["eval.head_cut"], v["eval.tail_cut"])
+
+
+NOISE = pinned("noise.conf")
+ABLATION = pinned("ablation.conf")
+TRAIN_CFG = train_config_from(NOISE)
 
 
 def check(label: str, condition: bool, detail: str = "") -> None:
@@ -46,70 +55,35 @@ def check(label: str, condition: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def noise_regime():
-    config = SyntheticConfig(
-        num_relations=32,
-        num_documents=200,
-        pairs_per_document=(12, 18),
-        embedding_dim=32,
-        num_entities=80,
-        kg_pairs=120,
-        na_fraction=0.5,
-        seed=7,
-    )
-    splits = generate_regime_splits(config, dev_documents=40, test_documents=40)
-    return assemble_regime(splits, 0.4, "OOG", seed=11, corruption="fact")
-
-
-TRAIN_CFG = TrainConfig(
-    epochs=15,
-    learning_rate=1e-2,
-    seed=0,
-    loss=LossConfig(temperature=0.5, contrastive_weight=0.1, entropy_norm="set_size"),
-)
+    return regime_from(gold_splits_from(NOISE), NOISE)
 
 
 @pytest.fixture(scope="module")
 def noise_experiment(noise_regime):
-    """Ratio sweep (0.1 vs 1.0) plus an explicitly unsampled arm, 3 seeds each."""
+    """Ratio sweep (0.1 vs 1.0) plus an explicitly unsampled arm, shared seeds."""
+    seeds, cuts = seeds_and_cuts(NOISE)
     started = time.perf_counter()
-    rows = sweep_sampling_ratio(
-        noise_regime, TRAIN_CFG, ratios=[0.1, 1.0], seeds=SEEDS, bucket_cuts=(6, 16)
-    )
-    facts = train_fact_set(noise_regime.train)
-    buckets = bucket_relations(noise_regime.train.vocabulary, (6, 16))
-    unsampled = []
-    for seed in SEEDS:
-        cfg = replace(TRAIN_CFG, seed=seed, loss=replace(TRAIN_CFG.loss, use_neg_sampling=False))
-        result = train(noise_regime.train, noise_regime.dev, cfg)
-        unsampled.append(
-            evaluate(result.params, noise_regime.test, facts, buckets, use_gold=True).f1
-        )
+    rows = sweep_sampling_ratio(noise_regime, TRAIN_CFG, ratios=[0.1, 1.0], seeds=seeds,
+                                bucket_cuts=cuts)
+    unsampled_loss = replace(TRAIN_CFG.loss, use_neg_sampling=False)
+    [(_, unsampled)] = _run_arms(noise_regime, TRAIN_CFG, [("unsampled", unsampled_loss)],
+                                 seeds, tuple(SPLITS), cuts)
     return {
         "ratio_0_1": rows[0]["mean"],
         "ratio_1_0": rows[1]["mean"],
-        "unsampled_gold_test_f1": sum(unsampled) / len(unsampled),
+        "ratio_1_0_per_seed": rows[1]["per_seed"],
+        "unsampled_per_seed": unsampled["per_seed"],
+        "unsampled_gold_test_f1": unsampled["mean"]["gold_test"]["f1"],
         "elapsed": time.perf_counter() - started,
     }
 
 
 @pytest.fixture(scope="module")
 def ablation_rows():
-    config = SyntheticConfig(
-        num_relations=32,
-        num_documents=100,
-        pairs_per_document=(10, 14),
-        embedding_dim=32,
-        num_entities=100,
-        kg_pairs=200,
-        na_fraction=0.45,
-        zipf_exponent=0.7,
-        prototype_noise_sigma=0.5,
-        seed=3,
-    )
-    splits = generate_regime_splits(config, dev_documents=30, test_documents=30)
-    regime = assemble_regime(splits, 0.0, "GGG")
-    cfg = replace(TRAIN_CFG, epochs=12)
-    return run_ablation(regime, cfg, {"em", "scl"}, seeds=SEEDS, bucket_cuts=(6, 16))
+    seeds, cuts = seeds_and_cuts(ABLATION)
+    regime = regime_from(gold_splits_from(ABLATION), ABLATION)
+    return run_ablation(regime, train_config_from(ABLATION), {"em", "scl"}, seeds=seeds,
+                        bucket_cuts=cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +191,16 @@ def test_criterion_4_sampling_consistency():
     )
 
 
+def test_criterion_4_at_acceptance_scale(noise_experiment):
+    """The noise regime's ratio-1.0 sweep arm is the unsampled arm, seed by seed."""
+    same = noise_experiment["ratio_1_0_per_seed"] == noise_experiment["unsampled_per_seed"]
+    check(
+        "criterion 4 at acceptance scale: ratio 1.0 reproduces the unsampled arm",
+        same,
+        f"per-seed summaries on {', '.join(SPLITS)}",
+    )
+
+
 def test_criterion_5_noise_robustness_gap(noise_experiment):
     sampled = noise_experiment["ratio_0_1"]["gold_test"]["f1"]
     unsampled = noise_experiment["unsampled_gold_test_f1"]
@@ -271,14 +255,7 @@ def test_criterion_8_invariant_suite():
 def test_criterion_9_manifest_determinism(tmp_path):
     gold = str(tmp_path / "gold")
     regime = str(tmp_path / "regime")
-    gen_args = [
-        "--set", "data.num_relations=8", "--set", "data.train_docs=10",
-        "--set", "data.dev_docs=4", "--set", "data.test_docs=4",
-        "--set", "data.num_entities=30", "--set", "data.kg_pairs=40",
-        "--set", "data.pairs_min=4", "--set", "data.pairs_max=6",
-        "--set", "data.embedding_dim=12",
-    ]
-    assert cli_main(["gen-data", "--out", gold] + gen_args) == 0
+    assert cli_main(["gen-data", "--out", gold] + GEN_ARGS) == 0
     assert cli_main(["build-regime", "--data", gold, "--out", regime]) == 0
 
     first = str(tmp_path / "first")

@@ -17,20 +17,9 @@ from docrel.config import (
 )
 from docrel.errors import ConfigError
 
-from conftest import edit_vectors
+from conftest import GEN_ARGS, edit_vectors
 
 
-GEN_ARGS = [
-    "--set", "data.num_relations=8",
-    "--set", "data.train_docs=10",
-    "--set", "data.dev_docs=4",
-    "--set", "data.test_docs=4",
-    "--set", "data.num_entities=30",
-    "--set", "data.kg_pairs=40",
-    "--set", "data.pairs_min=4",
-    "--set", "data.pairs_max=6",
-    "--set", "data.embedding_dim=12",
-]
 CUTS = ["--set", "eval.head_cut=2", "--set", "eval.tail_cut=3"]
 FAST_TRAIN = [
     "--set", "train.epochs=2",
@@ -173,7 +162,7 @@ class TestPipelineOutputs:
         out = str(tmp_path / "sweep")
         code = main(
             ["sweep-ratio", "--regime", workspace["regime"], "--out", out,
-             "--ratios", "0.2,0.6,1.0", "--set", "experiment.seeds=0"]
+             "--set", "experiment.ratios=0.2,0.6,1.0", "--set", "experiment.seeds=0"]
             + FAST_TRAIN + CUTS
         )
         assert code == 0
@@ -204,8 +193,8 @@ class TestPipelineOutputs:
     def test_byte_identical_csv_for_identical_manifest(self, workspace, tmp_path):
         a = str(tmp_path / "s1")
         b = str(tmp_path / "s2")
-        args = ["sweep-ratio", "--regime", workspace["regime"], "--ratios", "0.5",
-                "--set", "experiment.seeds=0"] + FAST_TRAIN + CUTS
+        args = ["sweep-ratio", "--regime", workspace["regime"],
+                "--set", "experiment.ratios=0.5", "--set", "experiment.seeds=0"] + FAST_TRAIN + CUTS
         main(args + ["--out", a])
         main(["sweep-ratio", "--from-manifest", os.path.join(a, "manifest.json"), "--out", b])
         for split in ("orig_dev", "gold_dev", "gold_test"):
@@ -281,8 +270,11 @@ class TestInputsFailClosed:
     @pytest.mark.parametrize(
         "edit",
         [None, lambda m: m.pop("command"), lambda m: m.pop("config"),
-         lambda m: m["config"]["train.epochs"].pop("value")],
-        ids=["garbled", "no-command", "no-config", "entry-without-value"],
+         lambda m: m["config"]["train.epochs"].pop("value"),
+         lambda m: m["config"]["train.epochs"].update(value="abc"),
+         lambda m: m["config"].update({"train.epochz": m["config"].pop("train.epochs")})],
+        ids=["garbled", "no-command", "no-config", "entry-without-value", "string-epochs",
+             "renamed-key"],
     )
     def test_bad_manifest_exits_3(self, workspace, tmp_path, capsys, edit):
         run = str(tmp_path / "run")

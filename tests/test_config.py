@@ -1,19 +1,27 @@
 """The config keys mirror the config dataclasses' fields and defaults."""
 
+import json
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from docrel.config import (
     REGISTRY,
+    Manifest,
     loss_config_from,
     resolve,
     synthetic_config_from,
     train_config_from,
+    values,
 )
 from docrel.datagen import SyntheticConfig
+from docrel.errors import ConfigError
 from docrel.losses import LossConfig
 from docrel.training import TrainConfig
+
+from conftest import pinned
 
 # the key set the CLI, config files and recorded manifests rely on
 KEYS = [
@@ -83,3 +91,59 @@ def test_flag_values_reach_every_field():
     cfg = train_config_from(resolved)
     assert cfg.grad_clip_norm == 1.5
     assert cfg.loss.resample == "once"
+
+
+def saved_manifest(path):
+    """An ``ablate`` manifest of the pinned ablation experiment, written to ``path``."""
+    Manifest("ablate", pinned("ablation.conf"), {"regime": "gold", "toggles": "em,scl"},
+             {}).save(path)
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "key, edit",
+    [
+        ("train.epochz", lambda c: c.update({"train.epochz": c.pop("train.epochs")})),
+        ("train.epochs", lambda c: c["train.epochs"].update(value="abc")),
+        ("train.epochs", lambda c: c["train.epochs"].update(value=True)),
+        ("train.epochs", lambda c: c["train.epochs"].update(value=12.0)),
+        ("train.learning_rate", lambda c: c["train.learning_rate"].update(value=False)),
+        ("loss.use_entropy", lambda c: c["loss.use_entropy"].update(value=1)),
+        ("experiment.seeds", lambda c: c["experiment.seeds"].update(value=[0, 1.5])),
+        ("experiment.seeds", lambda c: c["experiment.seeds"].update(value=0)),
+        ("experiment.ratios", lambda c: c["experiment.ratios"].update(value=[0.1, "1"])),
+    ],
+    ids=["renamed-key", "string-int", "bool-int", "float-int", "bool-float", "int-bool",
+         "float-in-int-list", "int-for-list", "string-in-float-list"],
+)
+def test_manifest_with_unknown_key_or_wrong_kind_is_rejected(tmp_path, key, edit):
+    path = tmp_path / "manifest.json"
+    manifest = saved_manifest(path)
+    edit(manifest["config"])
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError, match=f"{path}: .*{key}"):
+        Manifest.load(path)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    cuts=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), min_size=1, max_size=3),
+    truncate=st.booleans(),
+)
+def test_corrupted_manifest_fails_closed_or_replays_every_key(tmp_path_factory, cuts, truncate):
+    """A flipped or truncated manifest raises ConfigError, or replays every key it records."""
+    path = tmp_path_factory.mktemp("mutate") / "manifest.json"
+    saved_manifest(path)
+    data = bytearray(path.read_bytes())
+    for position, value in cuts:
+        data[position % len(data)] = value
+    if truncate:
+        data = data[: cuts[0][0] % len(data)]
+    path.write_bytes(bytes(data))
+    try:
+        recorded = Manifest.load(path).config
+        resolved = resolve(manifest_values=values(recorded))
+        train_config_from(resolved)
+    except ConfigError:
+        return
+    assert all(resolved[key]["source"] == "manifest" for key in recorded)

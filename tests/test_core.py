@@ -209,6 +209,19 @@ class TestLoadFailsClosed:
         with pytest.raises(DataFormatError, match=f"{path}:2: "):
             load_corpus(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("head_id", 48.7), ("head_id", True), ("tail_id", 3.0),
+         ("positive_relations", [0.0, True]), ("gold_positive_relations", [1.0])],
+        ids=["float-head", "bool-head", "whole-float-tail", "float-and-bool-labels",
+             "float-gold-label"],
+    )
+    def test_non_integer_id_or_label(self, tmp_path, small_corpus, field, value):
+        path, lines = self.saved(tmp_path, small_corpus)
+        self.rewrite(path, lines, 3, lambda r: r.update({field: value}))
+        with pytest.raises(DataFormatError, match=f"{path}:3: id or label .* is not an integer"):
+            load_corpus(path)
+
     def test_nan_in_context(self, tmp_path, small_corpus):
         path, lines = self.saved(tmp_path, small_corpus)
 
