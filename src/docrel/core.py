@@ -102,7 +102,8 @@ class RelationVocabulary:
 
 @dataclass(frozen=True, eq=False)
 class Mention:
-    """One mention of an entity, carrying its embedding."""
+    """One mention of an entity, carrying its embedding: a read-only view of
+    one row of a pair's ``head_vectors`` or ``tail_vectors``."""
 
     entity_id: int
     embedding: np.ndarray
@@ -112,19 +113,29 @@ class Mention:
 class PairExample:
     """One ordered entity pair with its features and label set.
 
-    ``positive_relations`` is the label set used for training; an empty set
-    is the NA class. ``gold_positive_relations`` preserves the uncorrupted
-    ground truth when the training labels come from a noisy source.
+    ``head_vectors`` and ``tail_vectors`` are ``(k, d)`` arrays, one row per
+    mention of the head or the tail entity. ``positive_relations`` is the
+    label set used for training; an empty set is the NA class.
+    ``gold_positive_relations`` preserves the uncorrupted ground truth when
+    the training labels come from a noisy source.
     """
 
     doc_id: str
     head_id: int
     tail_id: int
-    head_mentions: tuple[Mention, ...]
-    tail_mentions: tuple[Mention, ...]
+    head_vectors: np.ndarray
+    tail_vectors: np.ndarray
     context: np.ndarray
     positive_relations: frozenset[int]
     gold_positive_relations: frozenset[int] | None = None
+
+    @property
+    def head_mentions(self) -> tuple[Mention, ...]:
+        return tuple(Mention(self.head_id, row) for row in self.head_vectors)
+
+    @property
+    def tail_mentions(self) -> tuple[Mention, ...]:
+        return tuple(Mention(self.tail_id, row) for row in self.tail_vectors)
 
     @property
     def is_na(self) -> bool:
@@ -171,27 +182,17 @@ def _check_example(ex: PairExample, n_rel: int, dim: int, where: str) -> None:
     """
     if ex.head_id == ex.tail_id:
         raise DataFormatError(f"{where}: head_id == tail_id == {ex.head_id}")
-    if not ex.head_mentions or not ex.tail_mentions:
-        raise DataFormatError(f"{where}: entity with no mentions")
-    mentions = (*ex.head_mentions, *ex.tail_mentions)
-    for m in mentions:
-        if m.embedding.shape != (dim,):
-            raise ShapeError(
-                f"{where}: mention embedding shape {m.embedding.shape}, expected ({dim},)"
-            )
-    for m in ex.head_mentions:
-        if m.entity_id != ex.head_id:
-            raise DataFormatError(f"{where}: head mention entity mismatch")
-    for m in ex.tail_mentions:
-        if m.entity_id != ex.tail_id:
-            raise DataFormatError(f"{where}: tail mention entity mismatch")
+    for side, vectors in (("head", ex.head_vectors), ("tail", ex.tail_vectors)):
+        if vectors.ndim != 2 or vectors.shape[1] != dim:
+            raise ShapeError(f"{where}: {side} mention shape {vectors.shape}, expected (k, {dim})")
+        if not len(vectors):
+            raise DataFormatError(f"{where}: {side} entity with no mentions")
     if ex.context.shape != (dim,):
         raise ShapeError(f"{where}: context shape {ex.context.shape}, expected ({dim},)")
-    # one check over all of the example's vectors costs a third of a check
-    # per vector, which would add about 12% to a corpus load
-    if not np.isfinite(np.concatenate([m.embedding for m in mentions] + [ex.context])).all():
-        vector = "the context" if not np.isfinite(ex.context).all() else "a mention embedding"
-        raise DataFormatError(f"{where}: non-finite value in {vector}")
+    if not np.isfinite(ex.context).all():
+        raise DataFormatError(f"{where}: non-finite value in the context")
+    if not (np.isfinite(ex.head_vectors).all() and np.isfinite(ex.tail_vectors).all()):
+        raise DataFormatError(f"{where}: non-finite value in a mention embedding")
     for label_set in (ex.positive_relations, ex.gold_positive_relations or frozenset()):
         for r in label_set:
             if not (0 <= r < n_rel):
@@ -283,15 +284,14 @@ def save_corpus(corpus: Corpus, path) -> None:
         }
         fh.write(json.dumps(header) + "\n")
         for ex in corpus.examples:
-            vectors = [m.embedding for m in (*ex.head_mentions, *ex.tail_mentions)]
-            vectors.append(ex.context)
+            vectors = np.concatenate((ex.head_vectors, ex.tail_vectors, ex.context[None]))
             record = {
                 "doc_id": ex.doc_id,
                 "head_id": ex.head_id,
                 "tail_id": ex.tail_id,
-                "mentions": [len(ex.head_mentions), len(ex.tail_mentions)],
+                "mentions": [len(ex.head_vectors), len(ex.tail_vectors)],
                 "vectors": base64.b64encode(
-                    np.concatenate(vectors).astype("<f8", copy=False).tobytes()
+                    vectors.astype("<f8", copy=False).tobytes()
                 ).decode("ascii"),
                 "positive_relations": sorted(ex.positive_relations),
                 "gold_positive_relations": (
@@ -326,8 +326,8 @@ def _example_from_json(obj: dict, dim: int, where: str) -> PairExample:
         doc_id=str(obj["doc_id"]),
         head_id=head_id,
         tail_id=tail_id,
-        head_mentions=tuple(Mention(head_id, v) for v in vectors[:n_head]),
-        tail_mentions=tuple(Mention(tail_id, v) for v in vectors[n_head:-1]),
+        head_vectors=vectors[:n_head],
+        tail_vectors=vectors[n_head:-1],
         context=vectors[-1],
         positive_relations=frozenset(obj["positive_relations"]),
         gold_positive_relations=frozenset(gold) if gold is not None else None,

@@ -30,7 +30,6 @@ import numpy as np
 from .core import (
     Corpus,
     LabelSource,
-    Mention,
     PairExample,
     RelationVocabulary,
     count_relation_frequencies,
@@ -92,6 +91,8 @@ class SyntheticConfig:
         if self.num_entities < 4:
             raise ConfigError("num_entities must be >= 4")
         max_pairs = self.num_entities * (self.num_entities - 1)
+        if self.kg_pairs < 1:
+            raise ConfigError(f"kg_pairs must be >= 1, got {self.kg_pairs}")
         if self.kg_pairs >= max_pairs:
             raise ConfigError(
                 f"kg_pairs={self.kg_pairs} leaves no room for NA pairs "
@@ -102,6 +103,8 @@ class SyntheticConfig:
             raise ConfigError(f"pairs_per_document range {self.pairs_per_document} invalid")
         if hi > max_pairs - self.kg_pairs and self.na_fraction > 0:
             raise ConfigError("pairs_per_document too large for the NA pair pool")
+        if not (1 <= self.mentions_per_entity[0] <= self.mentions_per_entity[1]):
+            raise ConfigError(f"mentions_per_entity range {self.mentions_per_entity} invalid")
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +180,7 @@ def generate_synthetic_corpus(config: SyntheticConfig) -> Corpus:
     sig = config.prototype_noise_sigma
     m_lo, m_hi = config.mentions_per_entity
 
-    def make_mentions(rng, entity: int, mixture: np.ndarray | None) -> tuple[Mention, ...]:
+    def make_mentions(rng, entity: int, mixture: np.ndarray | None) -> np.ndarray:
         count = int(rng.integers(m_lo, m_hi + 1))
         out = []
         for _ in range(count):
@@ -186,8 +189,8 @@ def generate_synthetic_corpus(config: SyntheticConfig) -> Corpus:
                 vec = base + 0.8 * mixture + _noise(rng, d, sig)
             else:
                 vec = base + _noise(rng, d, 1.0)
-            out.append(Mention(entity, vec))
-        return tuple(out)
+            out.append(vec)
+        return np.stack(out)
 
     examples: list[PairExample] = []
     for doc_index in range(config.num_documents):
@@ -229,8 +232,8 @@ def generate_synthetic_corpus(config: SyntheticConfig) -> Corpus:
                     doc_id=doc_id,
                     head_id=h,
                     tail_id=t,
-                    head_mentions=make_mentions(rng, h, mixture),
-                    tail_mentions=make_mentions(rng, t, mixture),
+                    head_vectors=make_mentions(rng, h, mixture),
+                    tail_vectors=make_mentions(rng, t, mixture),
                     context=context,
                     positive_relations=gold,
                     gold_positive_relations=gold,
@@ -253,7 +256,13 @@ def generate_regime_splits(
     """Generate gold train/dev/test splits sharing one world and vocabulary.
 
     Relation frequencies on all three splits come from the train split.
+    Each split needs at least one document.
     """
+    for split, count in (
+        ("train", config.num_documents), ("dev", dev_documents), ("test", test_documents)
+    ):
+        if count < 1:
+            raise ConfigError(f"data.{split}_docs must be >= 1, got {count}")
     train = generate_synthetic_corpus(replace(config, split="train"))
     dev = generate_synthetic_corpus(
         replace(config, split="dev", num_documents=dev_documents)
@@ -374,6 +383,8 @@ def load_regime(directory) -> Regime:
             f"{manifest_path}: unknown regime kind {kind!r}; expected one of {REGIME_KINDS}"
         )
     splits = [load_corpus(os.path.join(directory, f"{s}.jsonl")) for s in ("train", "dev", "test")]
+    if not splits[0].examples:
+        raise DataFormatError(f"{os.path.join(directory, 'train.jsonl')}: no train examples")
     try:
         return Regime(*splits, name=kind)
     except ConfigError as exc:

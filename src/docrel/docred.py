@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .core import Corpus, LabelSource, Mention, PairExample, RelationVocabulary, build_pair_index
+from .core import Corpus, LabelSource, PairExample, RelationVocabulary, build_pair_index
 from .errors import ConfigError, DataFormatError, DuplicatePairError
 
 __all__ = ["hashed_featurizer", "load_docred_json"]
@@ -156,10 +156,9 @@ def load_docred_json(path, dim: int = 64) -> Corpus:
                 hi = sent_offsets[sent_id] + end
                 spans.append((name, lo, hi))
             ent_id = intern(spans[0][0])
-            # featurized once per entity; every pair of the entity shares them
-            mentions = tuple(
-                Mention(ent_id, hashed_featurizer(tokens[lo:hi], [], dim)[0])
-                for _, lo, hi in spans
+            # featurized once per entity; every pair of the entity shares the array
+            mentions = np.stack(
+                [hashed_featurizer(tokens[lo:hi], [], dim)[0] for _, lo, hi in spans]
             )
             entities.append((ent_id, spans, mentions))
 
@@ -198,8 +197,8 @@ def load_docred_json(path, dim: int = 64) -> Corpus:
                         doc_id=str(title),
                         head_id=h_id,
                         tail_id=t_id,
-                        head_mentions=h_mentions,
-                        tail_mentions=t_mentions,
+                        head_vectors=h_mentions,
+                        tail_vectors=t_mentions,
                         context=context,
                         positive_relations=labels,
                         gold_positive_relations=None,

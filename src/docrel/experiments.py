@@ -11,6 +11,7 @@ from typing import Sequence
 
 from .core import bucket_relations
 from .datagen import Regime
+from .errors import ConfigError
 from .evaluation import EvalReport, evaluate, train_fact_set
 from .losses import LossConfig
 from .training import TrainConfig, train
@@ -33,7 +34,7 @@ SPLITS = {
 def _mean_summary(reports: Sequence[EvalReport]) -> dict[str, float]:
     keys = ("precision", "recall", "f1", "ign_f1", "head_f1", "mid_f1", "tail_f1")
     summaries = [r.summary() for r in reports]
-    return {k: sum(s[k] for s in summaries) / len(summaries) if summaries else 0.0 for k in keys}
+    return {k: sum(s[k] for s in summaries) / len(summaries) for k in keys}
 
 
 def _run_arms(
@@ -47,8 +48,11 @@ def _run_arms(
     """Train every arm once per seed and score it on each named split.
 
     Returns ``(arm name, {"mean": {split: means}, "per_seed": {split:
-    [summary per seed]}})`` in arm order.
+    [summary per seed]}})`` in arm order. Raises ConfigError if ``seeds`` is
+    empty.
     """
+    if not seeds:
+        raise ConfigError("experiment.seeds must name at least one seed")
     buckets = bucket_relations(regime.train.vocabulary, bucket_cuts)
     facts = train_fact_set(regime.train)
     out = []
@@ -121,6 +125,8 @@ def sweep_sampling_ratio(
     bucket_cuts: tuple[int, int] = (10, 20),
 ) -> list[dict]:
     """One sampled-objective model per ratio, shared seeds; one metric curve per split."""
+    if not ratios:
+        raise ConfigError("experiment.ratios must name at least one ratio")
     arms = [
         (f"ratio={ratio}",
          replace(train_config.loss, use_neg_sampling=True, neg_sampling_ratio=ratio))

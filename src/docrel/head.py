@@ -144,15 +144,14 @@ def logsumexp_pool(mention_embeddings) -> np.ndarray:
 
 def _pack(examples, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mention matrix (head then tail mentions, pair by pair), segment sizes, contexts."""
-    rows, counts = [], []
+    sides = []
     for ex in examples:
-        for mentions in (ex.head_mentions, ex.tail_mentions):
-            if not mentions:
+        for vectors in (ex.head_vectors, ex.tail_vectors):
+            if not len(vectors):
                 raise ContractError(f"pair {ex.doc_id}/{ex.head_id}/{ex.tail_id}: no mentions")
-            counts.append(len(mentions))
-            rows.extend(m.embedding for m in mentions)
+            sides.append(vectors)
     try:
-        mentions = np.stack(rows).astype(np.float64, copy=False)
+        mentions = np.concatenate(sides).astype(np.float64, copy=False)
         context = np.stack([ex.context for ex in examples]).astype(np.float64, copy=False)
     except ValueError as exc:
         raise ShapeError(f"head_forward: ragged inputs: {exc}") from exc
@@ -161,7 +160,7 @@ def _pack(examples, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"mention shape {mentions.shape[1:]} and context shape {context.shape[1:]}: "
             f"incompatible with head input dim {d}"
         )
-    return mentions, np.array(counts), context
+    return mentions, np.array([len(v) for v in sides]), context
 
 
 def head_forward(examples, params: HeadParams, keep_cache: bool = True) -> BatchForward:

@@ -34,6 +34,7 @@ for bit. :mod:`docrel.oracle` is the independent reference for the values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,9 +64,9 @@ class LossConfig:
     def __post_init__(self):
         if not (self.temperature > 0):
             raise ConfigError(f"loss.temperature must be > 0, got {self.temperature}")
-        if self.contrastive_weight < 0:
+        if not (math.isfinite(self.contrastive_weight) and self.contrastive_weight >= 0):
             raise ConfigError(
-                f"loss.contrastive_weight must be >= 0, got {self.contrastive_weight}"
+                f"loss.contrastive_weight must be finite and >= 0, got {self.contrastive_weight}"
             )
         if not (0 < self.neg_sampling_ratio <= 1):
             raise ConfigError(

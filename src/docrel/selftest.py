@@ -25,7 +25,7 @@ import numpy as np
 
 from . import oracle
 from .batching import Batch
-from .core import Mention, PairExample, RelationVocabulary, label_mask
+from .core import PairExample, RelationVocabulary, label_mask
 from .evaluation import _prf, predict_labels
 from .head import BatchForward, HeadParams, head_backward, head_forward
 from .losses import LossConfig, _contrastive_rows, _threshold_rows, batch_loss
@@ -305,15 +305,15 @@ def _tiny_instance(rng, n_rel: int, n: int, dim: int, sampling: bool):
 
 
 def _examples_for(labels, dim: int) -> list[PairExample]:
-    dummy = np.zeros(2)
+    dummy = np.zeros((1, 2))
     return [
         PairExample(
             doc_id="d",
             head_id=0,
             tail_id=1,
-            head_mentions=(Mention(0, dummy),),
-            tail_mentions=(Mention(1, dummy),),
-            context=dummy,
+            head_vectors=dummy,
+            tail_vectors=dummy,
+            context=dummy[0],
             positive_relations=l,
         )
         for l in labels
@@ -391,23 +391,19 @@ def _head_gradients_close(params, examples, inputs, g_x, g_f, skip_rows=None) ->
 
 def _pairs(mentions: np.ndarray, contexts: np.ndarray, counts) -> list[PairExample]:
     """Pairs whose mention embeddings are consecutive row views of ``mentions``."""
-    examples, row = [], 0
-    for i, (n_head, n_tail) in enumerate(counts):
-        head = tuple(Mention(0, mentions[k]) for k in range(row, row + n_head))
-        tail = tuple(Mention(1, mentions[k]) for k in range(row + n_head, row + n_head + n_tail))
-        row += n_head + n_tail
-        examples.append(
-            PairExample(
-                doc_id="d",
-                head_id=0,
-                tail_id=1,
-                head_mentions=head,
-                tail_mentions=tail,
-                context=contexts[i],
-                positive_relations=frozenset(),
-            )
+    sides = np.split(mentions, np.cumsum([n for pair in counts for n in pair])[:-1])
+    return [
+        PairExample(
+            doc_id="d",
+            head_id=0,
+            tail_id=1,
+            head_vectors=head,
+            tail_vectors=tail,
+            context=context,
+            positive_relations=frozenset(),
         )
-    return examples
+        for head, tail, context in zip(sides[0::2], sides[1::2], contexts)
+    ]
 
 
 def _check_head(result: SuiteResult, seed: int) -> None:

@@ -46,12 +46,29 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError(f"train.epochs must be >= 1, got {self.epochs}")
-        if not (self.learning_rate > 0):
-            raise ConfigError(f"train.learning_rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(
+                f"train.learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ConfigError(f"train.eps must be finite and > 0, got {self.eps}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError(
+                f"train.weight_decay must be finite and >= 0, got {self.weight_decay}"
+            )
+        if self.grad_clip_norm is not None and not (self.grad_clip_norm > 0):
+            raise ConfigError(
+                f"train.grad_clip_norm must be > 0 or none, got {self.grad_clip_norm}"
+            )
         if not (0 <= self.warmup_ratio < 1):
             raise ConfigError(f"train.warmup_ratio must be in [0, 1), got {self.warmup_ratio}")
         if self.batch_size < 2:
             raise ConfigError(f"train.batch_size must be >= 2, got {self.batch_size}")
+        if self.hidden_dim < 1 or self.group_count < 1:
+            raise ConfigError(
+                f"train.hidden_dim and train.group_count must be >= 1, got "
+                f"{self.hidden_dim} and {self.group_count}"
+            )
         if self.hidden_dim % self.group_count != 0:
             raise ConfigError("train.hidden_dim must be divisible by train.group_count")
 

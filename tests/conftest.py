@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from docrel.config import parse_config_file, resolve
-from docrel.core import Corpus, LabelSource, Mention, PairExample, RelationVocabulary
+from docrel.core import Corpus, LabelSource, PairExample, RelationVocabulary
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -34,8 +34,8 @@ def make_example(doc, h, t, labels, dim=4, gold=None, seed=0):
         doc_id=doc,
         head_id=h,
         tail_id=t,
-        head_mentions=(Mention(h, rng.normal(size=dim)),),
-        tail_mentions=(Mention(t, rng.normal(size=dim)),),
+        head_vectors=rng.normal(size=(1, dim)),
+        tail_vectors=rng.normal(size=(1, dim)),
         context=rng.normal(size=dim),
         positive_relations=frozenset(labels),
         gold_positive_relations=frozenset(gold) if gold is not None else frozenset(labels),

@@ -293,6 +293,32 @@ class TestInputsFailClosed:
         assert code == 3
         assert path in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, value",
+        [("gen-data", "data.kg_pairs=0"),
+         ("gen-data", "data.train_docs=0"),
+         ("gen-data", "data.dev_docs=0"),
+         ("gen-data", "data.test_docs=0"),
+         ("train", "train.group_count=0"),
+         ("train", "train.hidden_dim=0"),
+         ("train", "train.grad_clip_norm=-1"),
+         ("train", "train.grad_clip_norm=0"),
+         ("train", "train.learning_rate=inf"),
+         ("train", "train.eps=nan"),
+         ("train", "train.weight_decay=nan"),
+         ("train", "loss.contrastive_weight=nan"),
+         ("ablate", "experiment.seeds="),
+         ("sweep-ratio", "experiment.ratios=")],
+    )
+    def test_invalid_config_value_exits_3(self, workspace, tmp_path, capsys, command, value):
+        inputs = [] if command == "gen-data" else ["--regime", workspace["regime"]]
+        code = main([command, "--out", str(tmp_path / "x"), *inputs]
+                    + GEN_ARGS + FAST_TRAIN + CUTS + ["--set", value])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: invalid configuration: ")
+        assert "Traceback" not in err
+
     def test_missing_manifest_exits_3(self, tmp_path, capsys):
         path = str(tmp_path / "nope.json")
         assert main(["train", "--from-manifest", path, "--out", str(tmp_path / "x")]) == 3

@@ -1,5 +1,6 @@
 import base64
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from docrel.core import (
     Bucket,
     Corpus,
     LabelSource,
-    Mention,
     PairExample,
     RelationVocabulary,
     bucket_relations,
@@ -20,7 +20,7 @@ from docrel.core import (
     load_corpus,
     save_corpus,
 )
-from docrel.errors import ConfigError, DataFormatError, DocrelError, DuplicatePairError
+from docrel.errors import ConfigError, DataFormatError, DocrelError, DuplicatePairError, ShapeError
 from docrel.losses import LossConfig, _negative_mask
 
 from conftest import edit_vectors, make_corpus, make_example
@@ -176,6 +176,32 @@ class TestSerialization:
         with pytest.raises(DocrelError):
             bad.validate()
 
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [("head_vectors", np.zeros(4), ShapeError),
+         ("tail_vectors", np.zeros((2, 5)), ShapeError),
+         ("head_vectors", np.zeros((0, 4)), DataFormatError),
+         ("tail_vectors", np.array([[0.0, 1.0, 0.0, 0.0], [0.0, np.inf, 0.0, 0.0]]),
+          DataFormatError),
+         ("context", np.array([0.0, np.nan, 0.0, 0.0]), DataFormatError)],
+        ids=["1-d-side", "wrong-width", "no-mentions", "inf-in-a-mention", "nan-in-context"],
+    )
+    def test_validate_catches_bad_vectors(self, small_corpus, field, value, error):
+        examples = list(small_corpus.examples)
+        examples[3] = replace(examples[3], **{field: value})
+        with pytest.raises(error, match="example 3: "):
+            replace(small_corpus, examples=tuple(examples)).validate()
+
+    def test_mention_views_are_rows_of_the_side_arrays(self, small_corpus):
+        ex = replace(small_corpus.examples[1], head_vectors=np.arange(8.0).reshape(2, 4))
+        for views, vectors, entity in ((ex.head_mentions, ex.head_vectors, ex.head_id),
+                                       (ex.tail_mentions, ex.tail_vectors, ex.tail_id)):
+            assert len(views) == len(vectors)
+            for view, row in zip(views, vectors):
+                assert view.entity_id == entity
+                assert np.shares_memory(view.embedding, vectors)
+                assert np.array_equal(view.embedding, row)
+
 
 class TestLoadFailsClosed:
     """Every malformed corpus file raises DataFormatError naming the file."""
@@ -325,11 +351,11 @@ def test_round_trip_is_bitwise(tmp_path_factory, data, dim, count):
     def vector():
         return np.array(data.draw(st.lists(values, min_size=dim, max_size=dim)))
 
-    def mentions(entity):
-        return tuple(Mention(entity, vector()) for _ in range(data.draw(st.integers(1, 3))))
+    def mentions():
+        return np.array([vector() for _ in range(data.draw(st.integers(1, 3)))])
 
     examples = tuple(
-        PairExample(f"doc{i}", 2 * i, 2 * i + 1, mentions(2 * i), mentions(2 * i + 1), vector(),
+        PairExample(f"doc{i}", 2 * i, 2 * i + 1, mentions(), mentions(), vector(),
                     frozenset({i % 3}), None if i % 2 else frozenset())
         for i in range(count)
     )

@@ -76,6 +76,18 @@ class TestGenerator:
             SyntheticConfig(num_relations=2)
         with pytest.raises(ConfigError):
             SyntheticConfig(na_fraction=1.5)
+        with pytest.raises(ConfigError, match="kg_pairs"):
+            SyntheticConfig(kg_pairs=0)
+        with pytest.raises(ConfigError, match="mentions_per_entity"):
+            SyntheticConfig(mentions_per_entity=(0, 2))
+
+    @pytest.mark.parametrize(
+        "docs, key", [((0, 4, 4), "train"), ((4, 0, 4), "dev"), ((4, 4, 0), "test")]
+    )
+    def test_split_without_documents_rejected(self, docs, key):
+        train_docs, dev_docs, test_docs = docs
+        with pytest.raises(ConfigError, match=f"data.{key}_docs must be >= 1"):
+            generate_regime_splits(replace(SMALL, num_documents=train_docs), dev_docs, test_docs)
 
     def test_splits_share_vocabulary_and_world(self):
         train, dev, test = generate_regime_splits(SMALL, 10, 10)
@@ -224,6 +236,13 @@ class TestRegimeBundleFailsClosed:
         (tmp_path / "b" / "dev.jsonl").replace(tmp_path / "a" / "dev.jsonl")
         with pytest.raises(DataFormatError, match="share one relation vocabulary"):
             load_regime(tmp_path / "a")
+
+    def test_train_split_without_examples(self, tmp_path):
+        regime = assemble_regime(generate_regime_splits(SMALL, 4, 4), 0.4, "OOG")
+        save_regime(replace(regime, train=replace(regime.train, examples=())), tmp_path)
+        path = tmp_path / "train.jsonl"
+        with pytest.raises(DataFormatError, match=f"{path}: no train examples"):
+            load_regime(tmp_path)
 
     def test_missing_regime_json(self, tmp_path):
         with pytest.raises(DataFormatError, match=str(tmp_path / "regime.json")):

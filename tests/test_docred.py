@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import os
 from itertools import combinations
 
 import numpy as np
@@ -148,6 +150,24 @@ class TestLoader:
             corpus.examples[i].head_id for i in by_doc["fixture2"]
         }
         assert first_ids == second_ids  # same surface names, same global ids
+
+    def test_pairs_of_one_entity_share_its_mention_array(self, tmp_path):
+        # one array per entity, not one per pair: the benchmark's DocRED
+        # workload holds every mention row once
+        spec = importlib.util.spec_from_file_location(
+            "docred_gen",
+            os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "docred_gen.py"),
+        )
+        docred_gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(docred_gen)
+        path = tmp_path / "docred.json"
+        docred_gen.write_docred_json(path, seed=0, num_docs=2)
+        corpus = load_docred_json(path, dim=16)
+        first = {}
+        for ex in corpus.examples:
+            for entity, vectors in ((ex.head_id, ex.head_vectors), (ex.tail_id, ex.tail_vectors)):
+                assert first.setdefault(entity, vectors) is vectors
+        assert 2 * len(first) < len(corpus.examples)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -155,8 +155,8 @@ class TestEvaluate:
             doc_id=ex.doc_id,
             head_id=ex.head_id,
             tail_id=ex.tail_id,
-            head_mentions=ex.head_mentions,
-            tail_mentions=ex.tail_mentions,
+            head_vectors=ex.head_vectors,
+            tail_vectors=ex.tail_vectors,
             context=ex.context,
             positive_relations=frozenset(),
             gold_positive_relations=frozenset({2}),

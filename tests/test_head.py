@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from docrel.core import Mention, PairExample
+from docrel.core import PairExample
 from docrel.errors import ConfigError, ContractError, DataFormatError, DocrelError, ShapeError
 from docrel.head import (
     HeadParams,
@@ -24,8 +24,8 @@ def pair(head_vecs, tail_vecs, context):
         doc_id="d",
         head_id=0,
         tail_id=1,
-        head_mentions=tuple(Mention(0, np.asarray(v, float)) for v in head_vecs),
-        tail_mentions=tuple(Mention(1, np.asarray(v, float)) for v in tail_vecs),
+        head_vectors=np.asarray(head_vecs, float),
+        tail_vectors=np.asarray(tail_vecs, float),
         context=np.asarray(context, float),
         positive_relations=frozenset(),
     )
@@ -117,8 +117,8 @@ class TestForward:
         )
         ex = pair([rng.normal(size=d)], [rng.normal(size=d)], rng.normal(size=d))
         fw = head_forward([ex], params)
-        zh = np.tanh(params.W_h @ ex.head_mentions[0].embedding + params.W_c1 @ ex.context)
-        zt = np.tanh(params.W_t @ ex.tail_mentions[0].embedding + params.W_c2 @ ex.context)
+        zh = np.tanh(params.W_h @ ex.head_vectors[0] + params.W_c1 @ ex.context)
+        zt = np.tanh(params.W_t @ ex.tail_vectors[0] + params.W_c2 @ ex.context)
         assert fw.x.shape == (1, d1)
         assert np.allclose(fw.x[0], zh * zt, atol=1e-15)
 
@@ -138,6 +138,12 @@ class TestForward:
         params = zero_params(3, 4, 2, 5)
         with pytest.raises(ShapeError):
             head_forward([pair([[1, 2]], [[1, 2]], [1, 2])], params)
+
+    def test_side_without_mentions_names_the_pair(self):
+        params = zero_params(2, 2, 1, 3)
+        empty = pair(np.zeros((0, 2)), [[1, 2]], [1, 2])
+        with pytest.raises(ContractError, match="pair d/0/1: no mentions"):
+            head_forward([pair([[1, 2]], [[1, 2]], [1, 2]), empty], params)
 
 
 class TestBackward:

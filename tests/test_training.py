@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from docrel.batching import assemble_batches, batch_count
-from docrel.core import Corpus, LabelSource, Mention, PairExample
+from docrel.core import Corpus, LabelSource, PairExample
 from docrel.datagen import SyntheticConfig, assemble_regime, generate_regime_splits
 from docrel.errors import ConfigError, NonFiniteLossError
 from docrel.experiments import ablation_variants, run_ablation, sweep_sampling_ratio
@@ -125,8 +125,8 @@ class TestTrainLoop:
             doc_id=bad.doc_id,
             head_id=bad.head_id,
             tail_id=bad.tail_id,
-            head_mentions=(Mention(bad.head_id, np.full(12, np.inf)),),
-            tail_mentions=bad.tail_mentions,
+            head_vectors=np.full((1, 12), np.inf),
+            tail_vectors=bad.tail_vectors,
             context=bad.context,
             positive_relations=bad.positive_relations,
         )
