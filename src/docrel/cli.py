@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from . import __version__
 from .config import (
@@ -33,7 +34,7 @@ from .config import (
 from .core import bucket_relations
 from .datagen import Regime, assemble_regime, load_regime, save_regime
 from .errors import ConfigError, DocrelError, NumericError
-from .evaluation import evaluate, train_fact_set
+from .evaluation import EvalReport, evaluate, train_fact_set
 from .experiments import run_ablation, sweep_sampling_ratio
 from .head import load_checkpoint, save_checkpoint
 from .reports import write_ablation_csv, write_eval_csv, write_json, write_sweep_csvs
@@ -41,6 +42,7 @@ from .selftest import run_all
 from .training import train as train_model
 
 OUT_DIR_ENV = "DOCREL_OUT_DIR"
+_SPLITS = ("train", "dev", "test")
 
 
 def _default_out(command: str) -> str:
@@ -87,14 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--regime")
     p.add_argument("--checkpoint")
-    p.add_argument("--split", choices=("train", "dev", "test"), default="test")
+    p.add_argument("--split", choices=_SPLITS, help="regime split to score (default: test)")
 
     p = sub.add_parser("ablate", help="component-removal study over shared seeds")
     _add_common(p)
     p.add_argument("--regime")
-    p.add_argument(
-        "--toggles", default="em,scl", help="comma list of removable parts (em, scl)"
-    )
 
     p = sub.add_parser("sweep-ratio", help="negative-label sampling ratio sweep")
     _add_common(p)
@@ -106,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolved_config(args) -> dict[str, dict]:
+def _resolved_config(args, replayed: Manifest | None) -> dict[str, dict]:
     flag_values: dict[str, object] = {}
     for item in args.overrides:
         if "=" not in item:
@@ -114,67 +113,70 @@ def _resolved_config(args) -> dict[str, dict]:
         key, raw = item.split("=", 1)
         flag_values[key.strip()] = coerce(key.strip(), raw)
 
-    file_values = parse_config_file(args.config) if args.config else None
-    manifest_values = None
-    if args.from_manifest:
-        manifest_values = values(Manifest.load(args.from_manifest).config)
     return resolve(
         flag_values=flag_values,
-        file_values=file_values,
+        file_values=parse_config_file(args.config) if args.config else None,
         preset=args.preset,
-        manifest_values=manifest_values,
+        manifest_values=values(replayed.config) if replayed else None,
     )
 
 
-def _input_path(args, name: str) -> str:
-    """An input path from the flag, falling back to a replayed manifest."""
-    value = getattr(args, name, None)
-    if value:
-        return value
-    if args.from_manifest:
-        recorded = Manifest.load(args.from_manifest).inputs.get(name)
-        if recorded:
-            return recorded
-    raise ConfigError(f"missing required input --{name}")
+def _input(args, replayed: Manifest | None, name: str, default: str | None) -> str:
+    """An input from its flag, else from the replayed manifest, else ``default``."""
+    value = getattr(args, name) or (replayed.inputs.get(name) if replayed else None) or default
+    if value is None:
+        raise ConfigError(f"missing required input --{name}")
+    return value
 
 
-def _finish(manifest: Manifest, out_dir: str) -> None:
-    manifest.finish()
-    manifest.save(os.path.join(out_dir, "manifest.json"))
+def _run(args, body, input_names: dict[str, str | None]) -> int:
+    """Run one pipeline command and record it in ``<out>/manifest.json``.
+
+    Loads the ``--from-manifest`` manifest once, resolves the config,
+    creates the output directory, takes each input in ``input_names`` (name
+    -> default, None where the input is required) and times
+    ``body(args, resolved, out_dir, inputs)``, which returns the outputs.
+    """
+    replayed = Manifest.load(args.from_manifest) if args.from_manifest else None
+    resolved = _resolved_config(args, replayed)
+    out_dir = args.out or _default_out(args.command)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise DocrelError(f"{out_dir}: cannot create output directory: {exc}") from exc
+    inputs = {
+        name: _input(args, replayed, name, default) for name, default in input_names.items()
+    }
+    started = time.time()
+    outputs = body(args, resolved, out_dir, inputs)
+    Manifest(
+        args.command, resolved, inputs, outputs, runtime_seconds=time.time() - started
+    ).save(os.path.join(out_dir, "manifest.json"))
+    return 0
 
 
-def _cmd_gen_data(args) -> int:
-    resolved = _resolved_config(args)
-    out_dir = args.out or _default_out("gen-data")
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = Manifest("gen-data", resolved, {}, {"bundle": out_dir}).start()
+def _cuts(v: dict[str, object]) -> tuple[int, int]:
+    return v["eval.head_cut"], v["eval.tail_cut"]
 
+
+def _gen_data(args, resolved, out_dir, inputs) -> dict[str, str]:
     regime = assemble_regime(gold_splits_from(resolved), 0.0, "GGG")
     save_regime(
         regime,
         out_dir,
         manifest_extra={"noise_rate": 0.0, "generator_seed": values(resolved)["data.seed"]},
     )
-    _finish(manifest, out_dir)
     print(
         f"wrote gold bundle to {out_dir} "
         f"(train={len(regime.train.examples)} dev={len(regime.dev.examples)} "
         f"test={len(regime.test.examples)} examples)"
     )
-    return 0
+    return {"bundle": out_dir}
 
 
-def _cmd_build_regime(args) -> int:
-    resolved = _resolved_config(args)
-    out_dir = args.out or _default_out("build-regime")
-    os.makedirs(out_dir, exist_ok=True)
-    data_dir = _input_path(args, "data")
-    manifest = Manifest(
-        "build-regime", resolved, {"data": data_dir}, {"bundle": out_dir}
-    ).start()
-
+def _build_regime(args, resolved, out_dir, inputs) -> dict[str, str]:
     v = values(resolved)
-    gold = load_regime(data_dir)
+    gold = load_regime(inputs["data"])
     regime = regime_from((gold.train, gold.dev, gold.test), resolved)
     save_regime(
         regime,
@@ -185,154 +187,104 @@ def _cmd_build_regime(args) -> int:
             "seed": v["regime.seed"],
         },
     )
-    _finish(manifest, out_dir)
     print(f"wrote {regime.name} regime to {out_dir}")
-    return 0
+    return {"bundle": out_dir}
 
 
-def _bucket_setup(regime: Regime, resolved):
+def _evaluate(regime: Regime, params, split: str, resolved, path: str, **extra) -> EvalReport:
+    """Score ``params`` on one regime split; write ``<path>.json`` (``extra``
+    and the split's summary) and ``<path>.csv``."""
     v = values(resolved)
-    cuts = (v["eval.head_cut"], v["eval.tail_cut"])
-    return bucket_relations(regime.train.vocabulary, cuts), train_fact_set(regime.train)
+    report = evaluate(
+        params,
+        getattr(regime, split),
+        train_fact_set(regime.train),
+        bucket_relations(regime.train.vocabulary, _cuts(v)),
+        use_gold=v["eval.use_gold"],
+    )
+    write_json({**extra, split: report.summary()}, path + ".json")
+    write_eval_csv([(split, report)], path + ".csv")
+    return report
 
 
-def _cmd_train(args) -> int:
-    resolved = _resolved_config(args)
-    out_dir = args.out or _default_out("train")
-    os.makedirs(out_dir, exist_ok=True)
-    regime_dir = _input_path(args, "regime")
-    manifest = Manifest(
-        "train",
-        resolved,
-        {"regime": regime_dir},
-        {
-            "checkpoint": os.path.join(out_dir, "checkpoint.ckpt"),
-            "history": os.path.join(out_dir, "history.jsonl"),
-            "report": os.path.join(out_dir, "dev_report.json"),
-        },
-    ).start()
-
-    regime = load_regime(regime_dir)
+def _train(args, resolved, out_dir, inputs) -> dict[str, str]:
+    regime = load_regime(inputs["regime"])
     config = train_config_from(resolved)
     result = train_model(regime.train, regime.dev, config)
 
-    save_checkpoint(result.params, os.path.join(out_dir, "checkpoint.ckpt"))
+    checkpoint = os.path.join(out_dir, "checkpoint.ckpt")
+    history = os.path.join(out_dir, "history.jsonl")
+    save_checkpoint(result.params, checkpoint)
     save_checkpoint(result.final_params, os.path.join(out_dir, "final.ckpt"))
-    with open(os.path.join(out_dir, "history.jsonl"), "w", encoding="utf-8") as fh:
+    with open(history, "w", encoding="utf-8") as fh:
         for record in result.history:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
-    buckets, facts = _bucket_setup(regime, resolved)
-    report = evaluate(result.params, regime.dev, facts, buckets, use_gold=values(resolved)["eval.use_gold"])
-    write_json(
-        {"best_epoch": result.best_epoch, "dev": report.summary()},
-        os.path.join(out_dir, "dev_report.json"),
-    )
-    write_eval_csv([("dev", report)], os.path.join(out_dir, "dev_report.csv"))
-    _finish(manifest, out_dir)
+    report = os.path.join(out_dir, "dev_report")
+    _evaluate(regime, result.params, "dev", resolved, report, best_epoch=result.best_epoch)
     print(
         f"trained {config.epochs} epochs; best epoch {result.best_epoch} "
         f"dev F1 {result.best_dev_f1:.4f}; outputs in {out_dir}"
     )
-    return 0
+    return {"checkpoint": checkpoint, "history": history, "report": report + ".json"}
 
 
-def _cmd_eval(args) -> int:
-    resolved = _resolved_config(args)
-    out_dir = args.out or _default_out("eval")
-    os.makedirs(out_dir, exist_ok=True)
-    regime_dir = _input_path(args, "regime")
-    checkpoint = _input_path(args, "checkpoint")
-    manifest = Manifest(
-        "eval",
-        resolved,
-        {"regime": regime_dir, "checkpoint": checkpoint, "split": args.split},
-        {"report": os.path.join(out_dir, "report.json")},
-    ).start()
-
-    regime = load_regime(regime_dir)
-    params = load_checkpoint(checkpoint)
-    corpus = getattr(regime, args.split)
-    buckets, facts = _bucket_setup(regime, resolved)
-    report = evaluate(
-        params, corpus, facts, buckets, use_gold=values(resolved)["eval.use_gold"]
-    )
-    write_json({args.split: report.summary()}, os.path.join(out_dir, "report.json"))
-    write_eval_csv([(args.split, report)], os.path.join(out_dir, "report.csv"))
-    _finish(manifest, out_dir)
-    print(f"{args.split}: F1={report.f1:.4f} IgnF1={report.ign_f1:.4f} (in {out_dir})")
-    return 0
+def _eval(args, resolved, out_dir, inputs) -> dict[str, str]:
+    split = inputs["split"]
+    if split not in _SPLITS:
+        raise ConfigError(
+            f"{args.from_manifest}: recorded split {split!r} is not one of {_SPLITS}"
+        )
+    regime = load_regime(inputs["regime"])
+    params = load_checkpoint(inputs["checkpoint"])
+    report_path = os.path.join(out_dir, "report")
+    report = _evaluate(regime, params, split, resolved, report_path)
+    print(f"{split}: F1={report.f1:.4f} IgnF1={report.ign_f1:.4f} (in {out_dir})")
+    return {"report": report_path + ".json"}
 
 
-def _cmd_ablate(args) -> int:
-    resolved = _resolved_config(args)
-    out_dir = args.out or _default_out("ablate")
-    os.makedirs(out_dir, exist_ok=True)
-    regime_dir = _input_path(args, "regime")
-    manifest = Manifest(
-        "ablate",
-        resolved,
-        {"regime": regime_dir, "toggles": args.toggles},
-        {"table": os.path.join(out_dir, "ablation.csv")},
-    ).start()
-
-    regime = load_regime(regime_dir)
+def _ablate(args, resolved, out_dir, inputs) -> dict[str, str]:
     v = values(resolved)
-    toggles = {t.strip() for t in args.toggles.split(",") if t.strip()}
     rows = run_ablation(
-        regime,
+        load_regime(inputs["regime"]),
         train_config_from(resolved),
-        toggles,
         seeds=v["experiment.seeds"],
-        bucket_cuts=(v["eval.head_cut"], v["eval.tail_cut"]),
+        bucket_cuts=_cuts(v),
     )
-    write_ablation_csv(rows, os.path.join(out_dir, "ablation.csv"))
+    table = os.path.join(out_dir, "ablation.csv")
+    write_ablation_csv(rows, table)
     write_json(rows, os.path.join(out_dir, "ablation.json"))
-    _finish(manifest, out_dir)
     for row in rows:
         m = row["mean"]
         print(
             f"{row['variant']:>6}: F1={m['f1']:.4f} head={m['head_f1']:.4f} "
             f"mid={m['mid_f1']:.4f} tail={m['tail_f1']:.4f}"
         )
-    return 0
+    return {"table": table}
 
 
-def _cmd_sweep_ratio(args) -> int:
-    resolved = _resolved_config(args)
-    out_dir = args.out or _default_out("sweep-ratio")
-    os.makedirs(out_dir, exist_ok=True)
-    regime_dir = _input_path(args, "regime")
-    manifest = Manifest(
-        "sweep-ratio",
-        resolved,
-        {"regime": regime_dir},
-        {"summary": os.path.join(out_dir, "sweep.json")},
-    ).start()
-
-    regime = load_regime(regime_dir)
+def _sweep_ratio(args, resolved, out_dir, inputs) -> dict[str, str]:
     v = values(resolved)
     rows = sweep_sampling_ratio(
-        regime,
+        load_regime(inputs["regime"]),
         train_config_from(resolved),
         ratios=v["experiment.ratios"],
         seeds=v["experiment.seeds"],
-        bucket_cuts=(v["eval.head_cut"], v["eval.tail_cut"]),
+        bucket_cuts=_cuts(v),
     )
+    summary = os.path.join(out_dir, "sweep.json")
     write_sweep_csvs(rows, out_dir)
-    write_json(rows, os.path.join(out_dir, "sweep.json"))
-    _finish(manifest, out_dir)
+    write_json(rows, summary)
     for row in rows:
         gt = row["mean"]["gold_test"]["f1"]
         od = row["mean"]["orig_dev"]["f1"]
         print(f"ratio {row['ratio']}: gold-test F1={gt:.4f} orig-dev F1={od:.4f}")
-    return 0
+    return {"summary": summary}
 
 
-def _cmd_selftest(args) -> int:
-    results = run_all(args.seed)
+def _selftest(seed: int) -> int:
     ok = True
-    for result in results:
+    for result in run_all(seed):
         print(result.line())
         for failure in result.failures[:10]:
             print(f"    {failure}", file=sys.stderr)
@@ -340,22 +292,23 @@ def _cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
+# pipeline command -> (body, its inputs: name -> default, None where required)
 _COMMANDS = {
-    "gen-data": _cmd_gen_data,
-    "build-regime": _cmd_build_regime,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "ablate": _cmd_ablate,
-    "sweep-ratio": _cmd_sweep_ratio,
-    "selftest": _cmd_selftest,
+    "gen-data": (_gen_data, {}),
+    "build-regime": (_build_regime, {"data": None}),
+    "train": (_train, {"regime": None}),
+    "eval": (_eval, {"regime": None, "checkpoint": None, "split": "test"}),
+    "ablate": (_ablate, {"regime": None}),
+    "sweep-ratio": (_sweep_ratio, {"regime": None}),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        if args.command == "selftest":
+            return _selftest(args.seed)
+        return _run(args, *_COMMANDS[args.command])
     except ConfigError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 3

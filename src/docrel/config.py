@@ -15,7 +15,6 @@ a manifest can be replayed to reproduce a run exactly.
 from __future__ import annotations
 
 import json
-import time
 import typing
 from dataclasses import dataclass, fields
 
@@ -291,29 +290,17 @@ class Manifest:
     outputs: dict[str, str]
     version: str = __version__
     runtime_seconds: float | None = None
-    started_at: float | None = None
-
-    def start(self) -> "Manifest":
-        self.started_at = time.time()
-        return self
-
-    def finish(self) -> "Manifest":
-        if self.started_at is not None:
-            self.runtime_seconds = time.time() - self.started_at
-        return self
-
-    def to_json(self) -> dict:
-        return {k: v for k, v in vars(self).items() if k != "started_at"}
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
+            json.dump(vars(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
     @classmethod
     def load(cls, path) -> "Manifest":
         """Read a manifest; a missing, garbled or incomplete one, or one that
-        records an unknown key or a value of the wrong kind, raises ConfigError."""
+        records an unknown key, a value of the wrong kind or an input that is
+        not a string, raises ConfigError."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
@@ -323,10 +310,13 @@ class Manifest:
                 inputs=dict(obj.get("inputs", {})),
                 outputs=dict(obj.get("outputs", {})),
                 version=obj.get("version", "unknown"),
+                runtime_seconds=obj.get("runtime_seconds"),
             )
             for key, entry in m.config.items():  # each entry carries a value of its key's kind
                 entry["value"] = checked(key, entry["value"])
+            for name, value in m.inputs.items():
+                if type(value) is not str:
+                    raise TypeError(f"input {name}: {value!r} is not a string")
         except (OSError, ValueError, KeyError, TypeError, AttributeError, ConfigError) as exc:
             raise ConfigError(f"{path}: not a readable run manifest: {exc!r}") from exc
-        m.runtime_seconds = obj.get("runtime_seconds")
         return m

@@ -86,6 +86,12 @@ class SyntheticConfig:
             v = getattr(self, name)
             if not (0 <= v < 1):
                 raise ConfigError(f"{name} must be in [0, 1), got {v}")
+        if not math.isfinite(self.zipf_exponent):
+            raise ConfigError(f"zipf_exponent must be finite, got {self.zipf_exponent}")
+        if not (math.isfinite(self.prototype_noise_sigma) and self.prototype_noise_sigma >= 0):
+            raise ConfigError(
+                f"prototype_noise_sigma must be finite and >= 0, got {self.prototype_noise_sigma}"
+            )
         if self.embedding_dim < 2:
             raise ConfigError("embedding_dim must be >= 2")
         if self.num_entities < 4:

@@ -10,7 +10,7 @@ recomputing against the unchanged gold set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +64,6 @@ class EvalReport:
     predicted_triple_count: int
     excluded_prediction_count: int
     gold_triple_count: int
-    config: dict = field(default_factory=dict)
 
     def summary(self) -> dict:
         return {
@@ -161,11 +160,4 @@ def evaluate(
         predicted_triple_count=predicted_count,
         excluded_prediction_count=excluded,
         gold_triple_count=gold_count,
-        config={
-            "use_gold": use_gold,
-            "label_source": corpus.label_source.value,
-            "train_fact_count": len(train_facts),
-            "bucketed_relations": len(buckets),
-            "examples": len(examples),
-        },
     )

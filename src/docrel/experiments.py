@@ -17,7 +17,7 @@ from .losses import LossConfig
 from .training import TrainConfig, train
 
 __all__ = [
-    "ablation_variants",
+    "ABLATION_VARIANTS",
     "run_ablation",
     "sweep_sampling_ratio",
 ]
@@ -73,41 +73,31 @@ def _run_arms(
     return out
 
 
-def ablation_variants(toggles: set[str]) -> list[tuple[str, dict]]:
-    """Fixed-order removal table: full model, single removals, combined.
-
-    Each variant is a name and the ``LossConfig`` changes that remove its
-    components.
-    """
-    unknown = toggles - {"em", "scl"}
-    if unknown:
-        raise ValueError(f"unknown ablation toggles: {sorted(unknown)}")
-    rows = [("full", {})]
-    if "em" in toggles:
-        rows.append(("-em", {"use_entropy": False}))
-    if "scl" in toggles:
-        rows.append(("-scl", {"use_contrastive": False}))
-    if {"em", "scl"} <= toggles:
-        rows.append(("-both", {"use_entropy": False, "use_contrastive": False}))
-    return rows
+# the component-removal table in report order: each variant's name and the
+# LossConfig changes that remove its components
+ABLATION_VARIANTS = (
+    ("full", {}),
+    ("-em", {"use_entropy": False}),
+    ("-scl", {"use_contrastive": False}),
+    ("-both", {"use_entropy": False, "use_contrastive": False}),
+)
 
 
 def run_ablation(
     regime: Regime,
     train_config: TrainConfig,
-    toggles: set[str],
     seeds: Sequence[int],
     bucket_cuts: tuple[int, int] = (10, 20),
 ) -> list[dict]:
-    """Train the full model and each removal variant with shared seeds.
+    """Train the full model and each variant of ``ABLATION_VARIANTS`` with
+    shared seeds.
 
     Each variant is evaluated on ``gold_dev`` with head/mid/tail bucket F1.
-    Returns one row per variant in fixed order with per-seed reports and
+    Returns one row per variant in table order with per-seed reports and
     metric means.
     """
     arms = [
-        (name, replace(train_config.loss, **changes))
-        for name, changes in ablation_variants(toggles)
+        (name, replace(train_config.loss, **changes)) for name, changes in ABLATION_VARIANTS
     ]
     results = _run_arms(regime, train_config, arms, seeds, ("gold_dev",), bucket_cuts)
     return [

@@ -312,18 +312,23 @@ def save_checkpoint(params: HeadParams, path) -> None:
 
 
 def load_checkpoint(path) -> HeadParams:
-    """Read a checkpoint; any malformed, missing, extra or trailing content
-    raises DataFormatError naming the path."""
-    with open(path, "rb") as fh:
-        if fh.readline() != _CKPT_MAGIC:
-            raise DataFormatError(f"{path}: not a checkpoint file (bad magic)")
-        try:
-            meta = json.loads(fh.readline().decode("utf-8"))
-            group_count = int(meta["group_count"])
-            specs = [(str(s["name"]), tuple(int(k) for k in s["shape"])) for s in meta["tensors"]]
-        except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
-            raise DataFormatError(f"{path}: bad metadata line: {exc}") from exc
-        payload = fh.read()
+    """Read a checkpoint; a file that cannot be read, or any malformed,
+    missing, extra or trailing content, raises DataFormatError naming the path."""
+    try:
+        with open(path, "rb") as fh:
+            if fh.readline() != _CKPT_MAGIC:
+                raise DataFormatError(f"{path}: not a checkpoint file (bad magic)")
+            try:
+                meta = json.loads(fh.readline().decode("utf-8"))
+                group_count = int(meta["group_count"])
+                specs = [
+                    (str(s["name"]), tuple(int(k) for k in s["shape"])) for s in meta["tensors"]
+                ]
+            except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
+                raise DataFormatError(f"{path}: bad metadata line: {exc}") from exc
+            payload = fh.read()
+    except OSError as exc:
+        raise DataFormatError(f"{path}: cannot read checkpoint file: {exc}") from exc
     names = [name for name, _ in specs]
     if sorted(names) != sorted(_PARAM_NAMES) or group_count < 1:
         raise DataFormatError(

@@ -62,8 +62,8 @@ class LossConfig:
     resample: str = "per_epoch"
 
     def __post_init__(self):
-        if not (self.temperature > 0):
-            raise ConfigError(f"loss.temperature must be > 0, got {self.temperature}")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ConfigError(f"loss.temperature must be finite and > 0, got {self.temperature}")
         if not (math.isfinite(self.contrastive_weight) and self.contrastive_weight >= 0):
             raise ConfigError(
                 f"loss.contrastive_weight must be finite and >= 0, got {self.contrastive_weight}"

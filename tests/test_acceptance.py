@@ -82,8 +82,7 @@ def noise_experiment(noise_regime):
 def ablation_rows():
     seeds, cuts = seeds_and_cuts(ABLATION)
     regime = regime_from(gold_splits_from(ABLATION), ABLATION)
-    return run_ablation(regime, train_config_from(ABLATION), {"em", "scl"}, seeds=seeds,
-                        bucket_cuts=cuts)
+    return run_ablation(regime, train_config_from(ABLATION), seeds=seeds, bucket_cuts=cuts)
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,19 @@ class TestPipelineOutputs:
             os.path.join(b, "dev_report.csv")
         ).read()
 
+    def test_eval_replay_keeps_split(self, workspace, tmp_path):
+        run, a, b = (str(tmp_path / name) for name in ("run", "a", "b"))
+        main(["train", "--regime", workspace["regime"], "--out", run] + FAST_TRAIN + CUTS)
+        assert main(["eval", "--regime", workspace["regime"], "--checkpoint",
+                     os.path.join(run, "checkpoint.ckpt"), "--split", "dev", "--out", a]
+                    + CUTS) == 0
+        assert main(["eval", "--from-manifest", os.path.join(a, "manifest.json"),
+                     "--out", b]) == 0
+        report = open(os.path.join(b, "report.json")).read()
+        assert report == open(os.path.join(a, "report.json")).read()
+        assert list(json.loads(report)) == ["dev"]
+        assert Manifest.load(os.path.join(b, "manifest.json")).inputs["split"] == "dev"
+
     def test_sweep_ratio_csv_rows(self, workspace, tmp_path):
         out = str(tmp_path / "sweep")
         code = main(
@@ -175,7 +188,7 @@ class TestPipelineOutputs:
         out = str(tmp_path / "ablate")
         code = main(
             ["ablate", "--regime", workspace["regime"], "--out", out,
-             "--toggles", "em,scl", "--set", "experiment.seeds=0"]
+             "--set", "experiment.seeds=0"]
             + FAST_TRAIN + CUTS
         )
         assert code == 0
@@ -222,15 +235,13 @@ def _break_record(regime_dir, out_dir, split, edit):
     return path
 
 
-def _train_subprocess(bundle, out):
-    """``docrel train`` on ``bundle`` in a fresh interpreter, as a user runs it."""
+def _cli_subprocess(*args):
+    """``docrel <args>`` in a fresh interpreter, as a user runs it."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (os.path.abspath(src), os.environ.get("PYTHONPATH")) if p))
     return subprocess.run(
-        [sys.executable, "-m", "docrel.cli", "train", "--regime", bundle, "--out", out]
-        + FAST_TRAIN + CUTS,
-        capture_output=True, text=True, env=env,
+        [sys.executable, "-m", "docrel.cli", *args], capture_output=True, text=True, env=env
     )
 
 
@@ -240,7 +251,8 @@ class TestInputsFailClosed:
         dev = _break_record(
             workspace["regime"], bundle, "dev", lambda r: r.update(positive_relations=[99])
         )
-        proc = _train_subprocess(bundle, str(tmp_path / "run"))
+        proc = _cli_subprocess("train", "--regime", bundle, "--out", str(tmp_path / "run"),
+                               *FAST_TRAIN, *CUTS)
         assert proc.returncode == 1
         assert f"{dev}:2: relation index 99 out of range" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -254,7 +266,8 @@ class TestInputsFailClosed:
         train = _break_record(
             workspace["regime"], bundle, "train", lambda r: edit_vectors(r, edit)
         )
-        proc = _train_subprocess(bundle, str(tmp_path / "run"))
+        proc = _cli_subprocess("train", "--regime", bundle, "--out", str(tmp_path / "run"),
+                               *FAST_TRAIN, *CUTS)
         assert proc.returncode == 1
         assert f"{train}:2: non-finite value in the context" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -272,9 +285,10 @@ class TestInputsFailClosed:
         [None, lambda m: m.pop("command"), lambda m: m.pop("config"),
          lambda m: m["config"]["train.epochs"].pop("value"),
          lambda m: m["config"]["train.epochs"].update(value="abc"),
-         lambda m: m["config"].update({"train.epochz": m["config"].pop("train.epochs")})],
+         lambda m: m["config"].update({"train.epochz": m["config"].pop("train.epochs")}),
+         lambda m: m["inputs"].update(regime=5)],
         ids=["garbled", "no-command", "no-config", "entry-without-value", "string-epochs",
-             "renamed-key"],
+             "renamed-key", "number-input"],
     )
     def test_bad_manifest_exits_3(self, workspace, tmp_path, capsys, edit):
         run = str(tmp_path / "run")
@@ -307,6 +321,10 @@ class TestInputsFailClosed:
          ("train", "train.eps=nan"),
          ("train", "train.weight_decay=nan"),
          ("train", "loss.contrastive_weight=nan"),
+         ("train", "loss.temperature=inf"),
+         ("gen-data", "data.zipf_exponent=nan"),
+         ("gen-data", "data.noise_sigma=nan"),
+         ("gen-data", "data.noise_sigma=-1"),
          ("ablate", "experiment.seeds="),
          ("sweep-ratio", "experiment.ratios=")],
     )
@@ -318,6 +336,30 @@ class TestInputsFailClosed:
         assert code == 3
         assert err.startswith("error: invalid configuration: ")
         assert "Traceback" not in err
+
+    def test_out_naming_a_file_exits_1_without_traceback(self, tmp_path):
+        out = tmp_path / "taken"
+        out.write_text("")
+        proc = _cli_subprocess("gen-data", "--out", str(out), *GEN_ARGS)
+        assert proc.returncode == 1
+        assert f"{out}: cannot create output directory" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_missing_checkpoint_exits_1_without_traceback(self, workspace, tmp_path):
+        checkpoint = str(tmp_path / "nope.ckpt")
+        proc = _cli_subprocess("eval", "--regime", workspace["regime"], "--checkpoint",
+                               checkpoint, "--out", str(tmp_path / "eval"))
+        assert proc.returncode == 1
+        assert f"{checkpoint}: cannot read checkpoint file" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_bad_recorded_split_exits_3(self, workspace, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        Manifest("eval", resolve(), {"regime": workspace["regime"], "checkpoint": "x.ckpt",
+                                     "split": "bogus"}, {}).save(path)
+        code = main(["eval", "--from-manifest", str(path), "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert str(path) in capsys.readouterr().err
 
     def test_missing_manifest_exits_3(self, tmp_path, capsys):
         path = str(tmp_path / "nope.json")

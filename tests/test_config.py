@@ -95,8 +95,7 @@ def test_flag_values_reach_every_field():
 
 def saved_manifest(path):
     """An ``ablate`` manifest of the pinned ablation experiment, written to ``path``."""
-    Manifest("ablate", pinned("ablation.conf"), {"regime": "gold", "toggles": "em,scl"},
-             {}).save(path)
+    Manifest("ablate", pinned("ablation.conf"), {"regime": "gold"}, {}).save(path)
     return json.loads(path.read_text())
 
 

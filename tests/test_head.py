@@ -322,6 +322,15 @@ class TestCheckpointFailsClosed:
         path, data = self.saved(tmp_path)
         self.assert_rejected(path, data[:-1], "truncated")
 
+    @pytest.mark.parametrize("make", [lambda p: None, lambda p: p.mkdir()],
+                             ids=["missing", "directory"])
+    def test_unreadable_path(self, tmp_path, make):
+        path = tmp_path / "params.ckpt"
+        make(path)
+        with pytest.raises(DataFormatError, match="cannot read checkpoint file") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(

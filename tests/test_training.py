@@ -7,7 +7,7 @@ from docrel.batching import assemble_batches, batch_count
 from docrel.core import Corpus, LabelSource, PairExample
 from docrel.datagen import SyntheticConfig, assemble_regime, generate_regime_splits
 from docrel.errors import ConfigError, NonFiniteLossError
-from docrel.experiments import ablation_variants, run_ablation, sweep_sampling_ratio
+from docrel.experiments import run_ablation, sweep_sampling_ratio
 from docrel.head import init_head_params
 from docrel.losses import LossConfig
 from docrel.optim import AdamW, warmup_lr
@@ -184,20 +184,11 @@ class TestTrainLoop:
 
 
 class TestExperimentDrivers:
-    def test_ablation_variant_table(self):
-        assert [name for name, _ in ablation_variants(set())] == ["full"]
-        assert [name for name, _ in ablation_variants({"em"})] == ["full", "-em"]
-        assert [name for name, _ in ablation_variants({"em", "scl"})] == [
-            "full", "-em", "-scl", "-both",
-        ]
-        with pytest.raises(ValueError):
-            ablation_variants({"bogus"})
-
     def test_run_ablation_shapes(self):
         regime = tiny_regime()
         cfg = TrainConfig(seed=0, **FAST)
-        rows = run_ablation(regime, cfg, {"em"}, seeds=[0], bucket_cuts=(2, 2))
-        assert [r["variant"] for r in rows] == ["full", "-em"]
+        rows = run_ablation(regime, cfg, seeds=[0], bucket_cuts=(2, 2))
+        assert [r["variant"] for r in rows] == ["full", "-em", "-scl", "-both"]
         for row in rows:
             assert set(row["mean"]) >= {"f1", "head_f1", "mid_f1", "tail_f1"}
             assert len(row["per_seed"]) == 1
