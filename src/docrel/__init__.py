@@ -46,7 +46,6 @@ from .batching import (
     Batch,
     assemble_batches,
     attach_negative_samples,
-    compute_positive_sets,
     sample_negative_labels,
 )
 from .datagen import (

@@ -1,4 +1,4 @@
-"""Batch assembly, in-batch positive sets, and negative-label sampling.
+"""Batch assembly and negative-label sampling.
 
 Batches are built at document granularity: documents are shuffled with a
 seeded stream and consecutive documents are grouped until the configured
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Corpus, label_mask
+from .core import Corpus
 from .errors import ConfigError, ContractError
 from .rng import stream
 
@@ -22,7 +22,6 @@ __all__ = [
     "Batch",
     "assemble_batches",
     "batch_count",
-    "compute_positive_sets",
     "sample_negative_labels",
     "sampled_set_size",
     "attach_negative_samples",
@@ -33,33 +32,20 @@ __all__ = [
 class Batch:
     """One training batch over a corpus.
 
-    ``bp_indices`` are positions with at least one positive relation;
-    ``bn_indices`` are the NA-labeled positions; together they partition
-    the batch. ``s_sets`` maps each non-NA position to the other positions
-    sharing at least one positive relation with it. ``sampled_negatives``
-    maps NA positions to their sampled negative-label sets (attached by
+    ``bp_indices`` are positions with at least one positive relation (the
+    contrastive anchors); ``bn_indices`` are the NA-labeled positions;
+    together they partition the batch. ``sampled_negatives`` maps NA
+    positions to their sampled negative-label sets (attached by
     :func:`attach_negative_samples` when sampling is enabled).
     """
 
     example_indices: tuple[int, ...]
     bp_indices: tuple[int, ...]
     bn_indices: tuple[int, ...]
-    s_sets: dict[int, frozenset[int]] = field(default_factory=dict)
     sampled_negatives: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.example_indices)
-
-
-def compute_positive_sets(batch: Batch, corpus: Corpus) -> dict[int, frozenset[int]]:
-    """For each non-NA position, the other positions sharing a positive relation."""
-    labels = label_mask(
-        [corpus.examples[i].positive_relations for i in batch.example_indices],
-        corpus.vocabulary.num_relations,
-    ).astype(np.float64)
-    shared = labels @ labels.T > 0.0
-    np.fill_diagonal(shared, False)
-    return {a: frozenset(np.flatnonzero(shared[a]).tolist()) for a in batch.bp_indices}
 
 
 def assemble_batches(corpus: Corpus, batch_size: int, rng_seed: int) -> list[Batch]:
@@ -83,9 +69,7 @@ def assemble_batches(corpus: Corpus, batch_size: int, rng_seed: int) -> list[Bat
         bn = tuple(
             pos for pos, i in enumerate(indices) if not corpus.examples[i].positive_relations
         )
-        batch = Batch(example_indices=indices, bp_indices=bp, bn_indices=bn)
-        batch = replace(batch, s_sets=compute_positive_sets(batch, corpus))
-        batches.append(batch)
+        batches.append(Batch(example_indices=indices, bp_indices=bp, bn_indices=bn))
     return batches
 
 

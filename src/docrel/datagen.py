@@ -54,6 +54,12 @@ REGIME_KINDS = ("OOG", "OGG", "GGG", "OOO")
 CORRUPTION_MODES = ("example", "fact")
 
 
+def _zipf_weights(num_relations: int, exponent: float) -> np.ndarray:
+    """Relation frequencies ``k ** -exponent``, k = 1..num_relations, unnormalized."""
+    with np.errstate(over="ignore"):  # SyntheticConfig rejects the inf
+        return np.arange(1, num_relations + 1, dtype=np.float64) ** (-exponent)
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     """Knobs for the synthetic world and one generated split.
@@ -86,8 +92,9 @@ class SyntheticConfig:
             v = getattr(self, name)
             if not (0 <= v < 1):
                 raise ConfigError(f"{name} must be in [0, 1), got {v}")
-        if not math.isfinite(self.zipf_exponent):
-            raise ConfigError(f"zipf_exponent must be finite, got {self.zipf_exponent}")
+        weights = _zipf_weights(self.num_relations, self.zipf_exponent)
+        if not (math.isfinite(self.zipf_exponent) and np.isfinite(weights.sum())):
+            raise ConfigError(f"zipf_exponent={self.zipf_exponent}: non-finite relation weights")
         if not (math.isfinite(self.prototype_noise_sigma) and self.prototype_noise_sigma >= 0):
             raise ConfigError(
                 f"prototype_noise_sigma must be finite and >= 0, got {self.prototype_noise_sigma}"
@@ -145,7 +152,7 @@ class _World:
         self.entity_base = rng.normal(size=(config.num_entities, d))
         self.entity_base /= np.linalg.norm(self.entity_base, axis=1, keepdims=True)
 
-        weights = np.arange(1, n_rel + 1, dtype=np.float64) ** (-config.zipf_exponent)
+        weights = _zipf_weights(n_rel, config.zipf_exponent)
         self.relation_probs = weights / weights.sum()
 
         # knowledge graph: ordered entity pairs with persistent label sets

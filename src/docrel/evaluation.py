@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Bucket, Corpus, label_mask
-from .errors import NumericError
+from .errors import NumericError, ShapeError
 from .head import HeadParams, head_forward
 
 __all__ = [
@@ -102,6 +102,8 @@ def evaluate(
     """
     buckets = buckets or {}
     vocab = corpus.vocabulary
+    if params.num_logits != vocab.num_logits:
+        raise ShapeError(f"head has {params.num_logits} logits, corpus has {vocab.num_logits}")
     examples = corpus.examples
     block = max(1, _EVAL_BLOCK_BYTES // (8 * params.pair_dim))
     f = np.concatenate(

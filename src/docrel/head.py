@@ -66,8 +66,6 @@ class HeadParams:
             raise ConfigError(
                 f"hidden dim {d1} not divisible by group count {self.group_count}"
             )
-        if (d1 * d1) % self.group_count != 0:
-            raise ConfigError("d1^2 must be divisible by the group count")
         for name in ("W_t", "W_c1", "W_c2"):
             if getattr(self, name).shape != (d1, d):
                 raise ShapeError(f"{name} shape {getattr(self, name).shape} != ({d1}, {d})")
@@ -268,10 +266,6 @@ def init_head_params(
     rng: np.random.Generator,
 ) -> HeadParams:
     """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)]; zero output bias."""
-    if hidden_dim % group_count != 0:
-        raise ConfigError(
-            f"hidden dim {hidden_dim} not divisible by group count {group_count}"
-        )
     bound = 1.0 / np.sqrt(input_dim)
     pair_dim = hidden_dim * hidden_dim // group_count
     bound_o = 1.0 / np.sqrt(pair_dim)

@@ -16,9 +16,9 @@ w.r.t. the logits and unit embeddings:
   to sharpen it away from 0.5 and optionally normalized by the
   positive/negative set sizes;
 * supervised contrastive terms over L2-normalized pair embeddings:
-  ``scl`` for anchors with in-batch positives, and ``lt``, pure
-  dissimilarity maximization, for anchors with none (the long-tail
-  branch).
+  ``scl`` for anchors with in-batch positives (the other batch members
+  sharing one of the anchor's relations), and ``lt``, pure dissimilarity
+  maximization, for anchors with none (the long-tail branch).
 
 For NA-labeled examples, negative-label sampling penalizes only a sampled
 subset of the negative relations (false-negative robustness).
@@ -171,17 +171,21 @@ def _threshold_rows(
 
 
 def _contrastive_rows(
-    sims: np.ndarray, others: np.ndarray, positives: np.ndarray
+    sims: np.ndarray, labels: np.ndarray, anchors: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-anchor contrastive values over scaled similarities ``sims``.
 
-    Row ``i`` holds anchor ``i``'s similarities with the batch; ``others``
-    masks every member but the anchor (the denominator) and ``positives``
-    its in-batch positives. Anchors with a positive take the ``scl`` value,
-    the others the long-tail ``lt`` value. Returns the values, which
-    anchors have a positive, and the gradient of the values' sum w.r.t.
-    ``sims``.
+    Row ``i`` holds anchor ``anchors[i]``'s similarities with the batch; its
+    denominator is every member but the anchor, its positives the others
+    whose row of ``labels`` (Y) shares a relation with the anchor's. Anchors
+    with a positive take the ``scl`` value, the others the long-tail ``lt``
+    value. Returns the values, which anchors have a positive, and the
+    gradient of the values' sum w.r.t. ``sims``.
     """
+    others = np.ones(sims.shape, dtype=bool)
+    others[np.arange(anchors.size), anchors] = False
+    y = labels.astype(np.float64)
+    positives = (y[anchors] @ y.T > 0.0) & others
     values, grad_sims = _masked_logsumexp(sims, others)
     has_pos = np.any(positives, axis=1)
     if has_pos.any():
@@ -203,7 +207,8 @@ def batch_loss(examples, batch, forward, vocab, config: LossConfig) -> BatchLoss
     every relation, so N equals the complement of Y and the sampled
     objective runs the unsampled arithmetic exactly. The contrastive part
     is row-masked log-sum-exp over the anchors' rows of ``U U^T / tau`` and
-    is scaled by ``contrastive_weight``.
+    is scaled by ``contrastive_weight``; its anchors are ``bp_indices``, and
+    an anchor's positives are the other positions sharing a relation in Y.
     """
     n = len(examples)
     f, unit = forward.f, forward.x_unit
@@ -241,12 +246,7 @@ def batch_loss(examples, batch, forward, vocab, config: LossConfig) -> BatchLoss
     if config.use_contrastive and lam != 0.0 and n >= 2 and anchors.size:
         tau = config.temperature
         sims = unit[anchors] @ unit.T / tau
-        others = np.ones_like(sims, dtype=bool)
-        others[np.arange(anchors.size), anchors] = False
-        positives = label_mask([batch.s_sets.get(int(a), ()) for a in anchors], n)
-        if np.any(positives & ~others):
-            raise ContractError("batch_loss: an anchor cannot be its own positive")
-        values, has_pos, grad_sims = _contrastive_rows(sims, others, positives)
+        values, has_pos, grad_sims = _contrastive_rows(sims, labels, anchors)
         parts["scl"] = float(np.sum(values[has_pos]))
         parts["lt"] = float(np.sum(values[~has_pos]))
         contrastive = parts["scl"] + parts["lt"]

@@ -18,6 +18,7 @@ __all__ = [
     "em",
     "scl",
     "lt",
+    "in_batch_positives",
     "l2",
     "batch_total",
 ]
@@ -86,10 +87,19 @@ def scl(anchor: int, embeddings, positive_set, tau: float) -> float:
     return lt(anchor, embeddings, tau) - math.log(num / len(positive_set))
 
 
-def l2(bp_positions, s_sets, embeddings, tau: float) -> float:
+def in_batch_positives(label_sets, anchor: int) -> list[int]:
+    """The other positions whose label set shares a relation with the anchor's."""
+    return [
+        p
+        for p in range(len(label_sets))
+        if p != anchor and any(r in label_sets[anchor] for r in label_sets[p])
+    ]
+
+
+def l2(bp_positions, label_sets, embeddings, tau: float) -> float:
     total = 0.0
     for a in bp_positions:
-        positives = s_sets.get(a, frozenset())
+        positives = in_batch_positives(label_sets, a)
         if positives:
             total += scl(a, embeddings, positives, tau)
         else:
@@ -104,7 +114,6 @@ def batch_total(
     logits,
     embeddings,
     bp_positions,
-    s_sets,
     sampled_sets,
     temperature: float,
     contrastive_weight: float,
@@ -125,5 +134,5 @@ def batch_total(
         if use_entropy:
             total += em(logits[pos], positives, negatives, na_index, entropy_norm)
     if use_contrastive:
-        total += contrastive_weight * l2(bp_positions, s_sets, embeddings, temperature)
+        total += contrastive_weight * l2(bp_positions, label_sets, embeddings, temperature)
     return total

@@ -11,7 +11,8 @@ absolute difference is below 1e-8 (floor for vanishing gradients). The
 values themselves are checked against :mod:`docrel.oracle`, the independent
 reference: every loss instance of the gradient checks records the kernel's
 total against ``oracle.batch_total``, and the oracle-equivalence suite does
-so over random batches. The invariant suite reads properties such as
+so over random batches; each derives the in-batch positives from the
+cases' label sets. The invariant suite reads properties such as
 ``p + q = 1``, entropy bounds and shift or permutation invariance from the
 kernel's two row functions.
 """
@@ -114,19 +115,18 @@ def _unit_rows(rng, n: int, dim: int) -> np.ndarray:
 # gradient checks
 
 
-def _loss_case(labels, logits, emb, cfg, bp=(), s_sets=None, sampled=None):
+def _loss_case(labels, logits, emb, cfg, bp=(), sampled=None):
     """``batch_loss`` and its oracle value on a batch given by its parts.
 
-    NA positions are the unlabeled ones. Both callables read ``logits`` and
-    ``emb`` when called, so finite differences that perturb those arrays in
-    place move both values.
+    NA positions are the unlabeled ones and ``bp`` the contrastive anchors.
+    Both callables read ``logits`` and ``emb`` when called, so finite
+    differences that perturb those arrays in place move both values.
     """
     n = len(labels)
     batch = Batch(
         example_indices=tuple(range(n)),
         bp_indices=tuple(bp),
         bn_indices=tuple(i for i, labels_i in enumerate(labels) if not labels_i),
-        s_sets=s_sets or {},
         sampled_negatives=sampled or {},
     )
     vocab = RelationVocabulary.from_relations([f"r{k}" for k in range(logits.shape[1] - 1)])
@@ -139,7 +139,7 @@ def _loss_case(labels, logits, emb, cfg, bp=(), s_sets=None, sampled=None):
     def reference() -> float:
         return oracle.batch_total(
             labels, vocab.num_relations, vocab.na_index, logits, emb, batch.bp_indices,
-            batch.s_sets, batch.sampled_negatives, cfg.temperature, cfg.contrastive_weight,
+            batch.sampled_negatives, cfg.temperature, cfg.contrastive_weight,
             cfg.entropy_norm, cfg.use_entropy, cfg.use_contrastive, cfg.use_neg_sampling,
         )
 
@@ -230,11 +230,13 @@ def _check_sampled(result: SuiteResult, seed: int) -> None:
                 _check_case(result, label, case, {"grad_logits": f})
 
 
-def _embedding_case(emb: np.ndarray, bp, s_sets, tau: float):
-    """A contrastive case at weight 1 over unit embeddings ``emb``."""
+def _embedding_case(emb: np.ndarray, bp, positives, tau: float):
+    """A contrastive case at weight 1 over unit embeddings ``emb``: the
+    anchors ``bp`` and ``positives`` carry relation 0, the rest are NA."""
     n = emb.shape[0]
     cfg = LossConfig(temperature=tau, use_entropy=False)
-    return _loss_case([frozenset()] * n, np.zeros((n, 2)), emb, cfg, bp, s_sets)
+    labels = [frozenset({0} if i in bp or i in positives else ()) for i in range(n)]
+    return _loss_case(labels, np.zeros((n, 2)), emb, cfg, bp)
 
 
 def _check_contrastive(result: SuiteResult, seed: int) -> None:
@@ -248,9 +250,9 @@ def _check_contrastive(result: SuiteResult, seed: int) -> None:
                 k = int(rng.integers(1, len(others) + 1))
                 positives = frozenset(int(i) for i in rng.choice(others, size=k, replace=False))
                 wrt = {"grad_embeddings": emb}
-                case = _embedding_case(emb, (anchor,), {anchor: positives}, tau)
+                case = _embedding_case(emb, (anchor,), positives, tau)
                 _check_case(result, f"scl n={n} d={dim} tau={tau}", case, wrt)
-                case = _embedding_case(emb, (anchor,), {}, tau)
+                case = _embedding_case(emb, (anchor,), (), tau)
                 _check_case(result, f"lt n={n} d={dim} tau={tau}", case, wrt)
 
     for n in BATCH_SIZES:
@@ -258,14 +260,8 @@ def _check_contrastive(result: SuiteResult, seed: int) -> None:
             rng = stream(seed, "grad-l2", n, int(tau * 10))
             emb = _unit_rows(rng, n, 6)
             bp = tuple(i for i in range(n) if rng.random() < 0.7) or (0,)
-            s_sets = {}
-            for a in bp:
-                others = [i for i in range(n) if i != a]
-                k = int(rng.integers(0, len(others) + 1))
-                s_sets[a] = frozenset(
-                    int(i) for i in rng.choice(others, size=k, replace=False)
-                )
-            case = _embedding_case(emb, bp, s_sets, tau)
+            positives = tuple(i for i in range(n) if i not in bp and rng.random() < 0.5)
+            case = _embedding_case(emb, bp, positives, tau)
             _check_case(result, f"l2 n={n} tau={tau}", case, {"grad_embeddings": emb})
 
 
@@ -282,9 +278,6 @@ def _tiny_instance(rng, n_rel: int, n: int, dim: int, sampling: bool):
         labels[0] = frozenset({0})  # keep at least one anchor
     bp = tuple(i for i, l in enumerate(labels) if l)
     bn = tuple(i for i, l in enumerate(labels) if not l)
-    s_sets = {
-        a: frozenset(p for p in range(n) if p != a and labels[p] & labels[a]) for a in bp
-    }
     sampled = {}
     if sampling:
         for pos in bn:
@@ -296,7 +289,6 @@ def _tiny_instance(rng, n_rel: int, n: int, dim: int, sampling: bool):
         example_indices=tuple(range(n)),
         bp_indices=bp,
         bn_indices=bn,
-        s_sets=s_sets,
         sampled_negatives=sampled,
     )
     logits = rng.normal(scale=1.5, size=(n, n_rel + 1))
@@ -338,8 +330,7 @@ def _check_batch_loss(result: SuiteResult, seed: int) -> None:
                     use_neg_sampling=sampling,
                 )
                 case = _loss_case(
-                    labels, logits, emb, cfg, batch.bp_indices, batch.s_sets,
-                    batch.sampled_negatives,
+                    labels, logits, emb, cfg, batch.bp_indices, batch.sampled_negatives
                 )
                 wrt = {"grad_logits": logits, "grad_embeddings": emb}
                 _check_case(result, f"batch n={n} lam={lam} sampling={sampling}", case, wrt)
@@ -490,7 +481,7 @@ def run_oracle_equivalence(seed: int = 0, instances: int = 50) -> SuiteResult:
             use_neg_sampling=sampling,
         )
         kernel, reference = _loss_case(
-            labels, logits, emb, cfg, batch.bp_indices, batch.s_sets, batch.sampled_negatives
+            labels, logits, emb, cfg, batch.bp_indices, batch.sampled_negatives
         )
         out = kernel()
         expected = reference()
@@ -520,14 +511,11 @@ def _entropy_at(gaps) -> np.ndarray:
     return _threshold_rows(column, ~negative, negative, LossConfig())[1]
 
 
-def _contrastive_values(emb: np.ndarray, anchors, s_sets, tau: float) -> np.ndarray:
-    """The kernel's contrastive value of each anchor, masked as ``batch_loss`` masks them."""
+def _contrastive_values(emb: np.ndarray, anchors, labels, tau) -> np.ndarray:
+    """The kernel's contrastive value of each anchor over a batch with label sets ``labels``."""
     anchors = np.asarray(anchors, dtype=np.intp)
-    sims = emb[anchors] @ emb.T / tau
-    others = np.ones_like(sims, dtype=bool)
-    others[np.arange(anchors.size), anchors] = False
-    positives = label_mask([s_sets.get(int(a), ()) for a in anchors], emb.shape[0])
-    return _contrastive_rows(sims, others, positives)[0]
+    mask = label_mask(labels, 1 + max((r for l in labels for r in l), default=0))
+    return _contrastive_rows(emb[anchors] @ emb.T / tau, mask, anchors)[0]
 
 
 def run_invariant_suite(seed: int = 0) -> SuiteResult:
@@ -585,16 +573,11 @@ def run_invariant_suite(seed: int = 0) -> SuiteResult:
     for _ in range(10):
         n = int(rng.integers(3, 7))
         labels, batch, _, emb = _tiny_instance(rng, 4, n, 5, False)
-        value = float(np.sum(_contrastive_values(emb, batch.bp_indices, batch.s_sets, 0.5)))
+        value = float(np.sum(_contrastive_values(emb, batch.bp_indices, labels, 0.5)))
         perm = rng.permutation(n)
-        inv = np.argsort(perm)
-        emb_p = emb[perm]
-        bp_p = tuple(sorted(int(inv[a]) for a in batch.bp_indices))
-        s_p = {
-            int(inv[a]): frozenset(int(inv[m]) for m in members)
-            for a, members in batch.s_sets.items()
-        }
-        value_p = float(np.sum(_contrastive_values(emb_p, bp_p, s_p, 0.5)))
+        labels_p = [labels[i] for i in perm]
+        bp_p = tuple(i for i, l in enumerate(labels_p) if l)
+        value_p = float(np.sum(_contrastive_values(emb[perm], bp_p, labels_p, 0.5)))
         result.record(
             abs(value - value_p) <= 1e-12 * max(1.0, abs(value)),
             "l2 not permutation invariant",
@@ -606,7 +589,8 @@ def run_invariant_suite(seed: int = 0) -> SuiteResult:
     for n in (2, 3, 5, 9):
         base = _unit_rows(rng, 1, 6)[0]
         emb = np.tile(base, (n, 1))
-        rows = _contrastive_values(emb, (0,) * len(taus), {0: {1}}, np.array(taus)[:, None])
+        labels = [frozenset({0})] * 2 + [frozenset()] * (n - 2)
+        rows = _contrastive_values(emb, (0,) * len(taus), labels, np.array(taus)[:, None])
         for tau, v in zip(taus, rows.tolist()):
             result.record(
                 abs(v - math.log(n - 1)) < 1e-9, f"identical batch scl n={n} tau={tau}"

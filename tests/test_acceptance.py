@@ -129,7 +129,7 @@ def test_criterion_3_closed_form_spot_values():
 
     for n in (2, 3, 6):
         emb = np.tile(np.ones(4) / 2.0, (n, 1))
-        scl, _ = _embedding_case(emb, (0,), {0: frozenset({1})}, 0.3)
+        scl, _ = _embedding_case(emb, (0,), {1}, 0.3)
         ok &= abs(scl().parts["scl"] - math.log(n - 1)) < tol
 
     check("criterion 3: closed-form spot values", bool(ok))

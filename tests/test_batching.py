@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from docrel import oracle
 from docrel.batching import (
     assemble_batches,
     attach_negative_samples,
@@ -9,7 +10,9 @@ from docrel.batching import (
 )
 from docrel.core import RelationVocabulary
 from docrel.errors import ConfigError, ContractError
+from docrel.losses import LossConfig, batch_loss
 from docrel.rng import stream
+from docrel.selftest import _forwards_for, _unit_rows
 
 from conftest import make_corpus
 
@@ -65,49 +68,81 @@ class TestAssembleBatches:
         assert TrainConfig().batch_size == 4
 
 
+def contrastive_parts(label_sets, tau=0.7):
+    """batch_loss's scl and lt parts over a one-document batch from
+    assemble_batches, beside the oracle's over the batch's label sets.
+
+    Returns the batch, its embeddings, the kernel parts and the oracle parts.
+    """
+    corpus = corpus_with_docs(label_sets, ["a"] * len(label_sets))
+    batch = assemble_batches(corpus, 4, rng_seed=0)[0]
+    examples = [corpus.examples[i] for i in batch.example_indices]
+    labels = [ex.positive_relations for ex in examples]
+    emb = _unit_rows(stream(0, "positives", len(labels)), len(labels), 5)
+    logits = np.zeros((len(labels), corpus.vocabulary.num_logits))
+    cfg = LossConfig(temperature=tau, use_entropy=False)
+    out = batch_loss(examples, batch, _forwards_for(logits, emb), corpus.vocabulary, cfg)
+    expected = {"scl": 0.0, "lt": 0.0}
+    for a in batch.bp_indices:
+        positives = oracle.in_batch_positives(labels, a)
+        if positives:
+            expected["scl"] += oracle.scl(a, emb, positives, tau)
+        else:
+            expected["lt"] += oracle.lt(a, emb, tau)
+    return batch, emb, {k: out.parts[k] for k in expected}, expected
+
+
+def close(a, b):
+    return abs(a - b) <= 1e-10 * max(1.0, abs(b))
+
+
 class TestPositiveSets:
+    """In-batch positives, as batch_loss derives them from the label mask."""
+
     def test_shared_relation_is_mutual(self):
-        corpus = corpus_with_docs([{3}, {3, 1}, set()], ["a", "a", "a"])
-        batches = assemble_batches(corpus, 4, rng_seed=0)
-        s = batches[0].s_sets
-        idx = list(batches[0].example_indices)
+        batch, emb, parts, expected = contrastive_parts([{3}, {3, 1}, set()])
+        idx = list(batch.example_indices)
         p0, p1 = idx.index(0), idx.index(1)
-        assert p1 in s[p0] and p0 in s[p1]
+        both = oracle.scl(p0, emb, [p1], 0.7) + oracle.scl(p1, emb, [p0], 0.7)
+        assert close(parts["scl"], both) and close(expected["scl"], both)
+        assert parts["lt"] == 0.0
 
-    def test_unique_relation_gets_empty_set(self):
-        corpus = corpus_with_docs([{0}, {1}, {2}], ["a", "a", "a"])
-        batch = assemble_batches(corpus, 4, rng_seed=0)[0]
-        assert all(batch.s_sets[a] == frozenset() for a in batch.bp_indices)
+    def test_unique_relation_takes_long_tail_branch(self):
+        batch, emb, parts, expected = contrastive_parts([{0}, {1}, {2}])
+        assert parts["scl"] == 0.0
+        assert close(parts["lt"], sum(oracle.lt(a, emb, 0.7) for a in range(3)))
+        assert close(parts["lt"], expected["lt"])
 
-    def test_na_anchor_gets_no_entry(self):
-        corpus = corpus_with_docs([{0}, set()], ["a", "a"])
-        batch = assemble_batches(corpus, 4, rng_seed=0)[0]
-        assert set(batch.s_sets) == set(batch.bp_indices)
+    def test_na_position_is_not_an_anchor(self):
+        batch, emb, parts, expected = contrastive_parts([{0}, set()])
+        anchor = list(batch.example_indices).index(0)
+        assert batch.bp_indices == (anchor,)
+        assert parts["scl"] == 0.0
+        assert close(parts["lt"], oracle.lt(anchor, emb, 0.7))
 
     def test_five_example_brute_force(self):
-        label_sets = [{0, 2}, {1}, {2}, set(), {1, 3}]
-        corpus = corpus_with_docs(label_sets, ["a"] * 5)
-        batch = assemble_batches(corpus, 4, rng_seed=0)[0]
-        idx = list(batch.example_indices)
-        labels = [corpus.examples[i].positive_relations for i in idx]
-        for a in batch.bp_indices:
-            expected = {
-                p for p in range(5) if p != a and labels[p] & labels[a]
-            }
-            assert batch.s_sets[a] == expected
+        _, _, parts, expected = contrastive_parts([{0, 2}, {1}, {2}, set(), {1, 3}])
+        assert close(parts["scl"], expected["scl"]) and close(parts["lt"], expected["lt"])
 
     def test_symmetry_property(self):
+        # in a batch of two anchors, one is the other's positive exactly when
+        # the other is its own: both take the scl branch (value 0) or both lt
         rng = stream(0, "sym")
         label_sets = [
             set(int(r) for r in rng.choice(6, size=rng.integers(0, 3), replace=False))
             for _ in range(10)
         ]
-        corpus = corpus_with_docs(label_sets, ["a"] * 10)
-        batch = assemble_batches(corpus, 4, rng_seed=0)[0]
-        for a, members in batch.s_sets.items():
-            for b in members:
-                if b in batch.s_sets:
-                    assert a in batch.s_sets[b]
+        labeled = [s for s in label_sets if s]
+        for i, first in enumerate(labeled):
+            for second in labeled[i + 1 :]:
+                _, emb, parts, expected = contrastive_parts([first, second])
+                both_lt = oracle.lt(0, emb, 0.7) + oracle.lt(1, emb, 0.7)
+                assert parts["scl"] == 0.0
+                if first & second:
+                    assert parts["lt"] == 0.0
+                else:
+                    assert close(parts["lt"], both_lt)
+                assert close(parts["lt"], expected["lt"])
 
 
 class TestNegativeSampling:

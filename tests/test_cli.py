@@ -16,6 +16,8 @@ from docrel.config import (
     train_config_from,
 )
 from docrel.errors import ConfigError
+from docrel.head import init_head_params, save_checkpoint
+from docrel.rng import stream
 
 from conftest import GEN_ARGS, edit_vectors
 
@@ -323,6 +325,7 @@ class TestInputsFailClosed:
          ("train", "loss.contrastive_weight=nan"),
          ("train", "loss.temperature=inf"),
          ("gen-data", "data.zipf_exponent=nan"),
+         ("gen-data", "data.zipf_exponent=-1000"),
          ("gen-data", "data.noise_sigma=nan"),
          ("gen-data", "data.noise_sigma=-1"),
          ("ablate", "experiment.seeds="),
@@ -351,6 +354,17 @@ class TestInputsFailClosed:
                                checkpoint, "--out", str(tmp_path / "eval"))
         assert proc.returncode == 1
         assert f"{checkpoint}: cannot read checkpoint file" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("num_logits", [5, 21], ids=["fewer", "more"])
+    def test_checkpoint_with_wrong_logit_count_exits_1(self, workspace, tmp_path, num_logits):
+        # the workspace regime has 8 relations and the threshold: 9 logits
+        checkpoint = str(tmp_path / "other.ckpt")
+        save_checkpoint(init_head_params(12, 8, 2, num_logits, stream(0, "init")), checkpoint)
+        proc = _cli_subprocess("eval", "--regime", workspace["regime"], "--checkpoint",
+                               checkpoint, "--out", str(tmp_path / "eval"), *CUTS)
+        assert proc.returncode == 1
+        assert f"head has {num_logits} logits, corpus has 9" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_bad_recorded_split_exits_3(self, workspace, tmp_path, capsys):

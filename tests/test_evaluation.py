@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from docrel.core import Bucket, bucket_relations
-from docrel.errors import NumericError
+from docrel.errors import NumericError, ShapeError
 from docrel.evaluation import evaluate, predict_labels, train_fact_set
 from docrel.head import init_head_params
 from docrel.rng import stream
@@ -189,6 +189,13 @@ class TestEvaluate:
         params = init_head_params(4, 4, 2, 5, stream(0, "init"))
         report = evaluate(params, corpus)
         assert report.f1 == 0.0 and report.predicted_triple_count == 0
+
+    @pytest.mark.parametrize("num_logits", [4, 6], ids=["fewer", "more"])
+    def test_head_with_wrong_logit_count_rejected(self, num_logits):
+        corpus = make_corpus([{0}, set()])  # 4 relations and the threshold: 5 logits
+        params = init_head_params(4, 4, 2, num_logits, stream(0, "init"))
+        with pytest.raises(ShapeError, match=f"head has {num_logits} logits, corpus has 5"):
+            evaluate(params, corpus)
 
 
 class TestTrainFactSet:

@@ -235,6 +235,8 @@ class TestParamsAndCheckpoint:
     def test_group_divisibility_enforced(self):
         with pytest.raises(ConfigError):
             zero_params(3, 5, 2, 4)
+        with pytest.raises(ConfigError, match="not divisible by group count 3"):
+            init_head_params(4, 4, 3, 5, stream(0, "init"))
 
     def test_non_finite_rejected(self):
         params = zero_params(2, 2, 1, 3)

@@ -61,23 +61,31 @@ def masked_rows(n_rel, mode):
     return _threshold_rows(np.ones((1, n_rel)), empty, empty, LossConfig(entropy_norm=mode))
 
 
-def contrastive(emb, bp, s_sets, tau):
-    """The contrastive parts of batch_loss at weight 1, as {"scl", "lt"}."""
-    kernel, _ = _embedding_case(np.asarray(emb, dtype=float), bp, s_sets, tau)
-    parts = kernel().parts
-    return {"scl": parts["scl"], "lt": parts["lt"]}
+def anchor_parts(anchor, emb, positives, tau):
+    """batch_loss's parts at contrastive weight 1 for one anchor, whose
+    in-batch positives are ``positives`` (see ``_embedding_case``)."""
+    kernel, _ = _embedding_case(np.asarray(emb, dtype=float), (anchor,), positives, tau)
+    return kernel().parts
 
 
 def scl(anchor, emb, positives, tau):
-    return contrastive(emb, (anchor,), {anchor: frozenset(positives)}, tau)["scl"]
+    return anchor_parts(anchor, emb, positives, tau)["scl"]
 
 
 def lt(anchor, emb, tau):
-    return contrastive(emb, (anchor,), {}, tau)["lt"]
+    return anchor_parts(anchor, emb, (), tau)["lt"]
 
 
-def l2(bp, s_sets, emb, tau):
-    parts = contrastive(emb, bp, s_sets, tau)
+def l2(label_sets, emb, tau):
+    """batch_loss's contrastive value at weight 1 over a batch with the given
+    label sets, whose anchors are its labeled positions."""
+    label_sets = [frozenset(s) for s in label_sets]
+    n_rel = 1 + max((r for s in label_sets for r in s), default=0)
+    bp = tuple(i for i, s in enumerate(label_sets) if s)
+    cfg = LossConfig(temperature=tau, use_entropy=False)
+    logits = np.zeros((len(label_sets), n_rel + 1))
+    kernel, _ = _loss_case(label_sets, logits, np.asarray(emb, dtype=float), cfg, bp)
+    parts = kernel().parts
     return parts["scl"] + parts["lt"]
 
 
@@ -241,14 +249,9 @@ class TestSclLoss:
         assert abs(scl(0, np.eye(4), {1}, 1.0) - math.log(3)) < 1e-12
 
     def test_empty_positive_set_takes_long_tail_branch(self):
-        emb = np.eye(3)
-        parts = contrastive(emb, (0,), {0: frozenset()}, 1.0)
+        parts = anchor_parts(0, np.eye(3), (), 1.0)
         assert parts["scl"] == 0.0
         assert abs(parts["lt"] - LN2) < 1e-12
-
-    def test_anchor_in_positives_rejected(self):
-        with pytest.raises(ContractError):
-            scl(0, np.eye(3), {0, 1}, 1.0)
 
     def test_permutation_and_relabel_invariance(self):
         rng = stream(3, "sclperm")
@@ -296,23 +299,21 @@ class TestLtLoss:
 
 class TestL2Loss:
     def test_no_anchors_gives_zero(self):
-        assert l2((), {}, np.eye(3), 1.0) == 0.0
+        assert l2([()] * 3, np.eye(3), 1.0) == 0.0
 
     def test_all_anchors_longtail(self):
         emb = np.eye(3)
-        bp = (0, 1)
-        s_sets = {0: frozenset(), 1: frozenset()}
         expected = lt(0, emb, 1.0) + lt(1, emb, 1.0)
-        assert abs(l2(bp, s_sets, emb, 1.0) - expected) < 1e-12
+        assert abs(l2([{0}, {1}, ()], emb, 1.0) - expected) < 1e-12
 
     def test_hand_built_batch_matches_oracle(self):
         rng = stream(5, "l2")
-        emb = rng.normal(size=(4, 6))
+        emb = rng.normal(size=(5, 6))
         emb /= np.linalg.norm(emb, axis=1, keepdims=True)
-        bp = (0, 1, 3)
-        s_sets = {0: frozenset({1}), 1: frozenset({0, 3}), 3: frozenset()}
-        mine = l2(bp, s_sets, emb, 0.4)
-        ref = oracle.l2(bp, s_sets, emb, 0.4)
+        # anchors 0, 1 and 3 take the scl branch, anchor 4 the lt branch
+        label_sets = [{0}, {0, 2}, set(), {2}, {4}]
+        mine = l2(label_sets, emb, 0.4)
+        ref = oracle.l2((0, 1, 3, 4), label_sets, emb, 0.4)
         assert abs(mine - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
@@ -407,8 +408,7 @@ class TestBatchLoss:
             _examples_for(labels, 6), batch, _forwards_for(logits, emb), vocab, cfg
         )
         ref = oracle.batch_total(
-            labels, 3, vocab.na_index, logits, emb, batch.bp_indices, batch.s_sets,
-            {}, 0.6, 1.5, "set_size",
+            labels, 3, vocab.na_index, logits, emb, batch.bp_indices, {}, 0.6, 1.5, "set_size",
         )
         assert abs(out.total - ref) <= 1e-10 * max(1.0, abs(ref))
 
@@ -462,7 +462,7 @@ class TestBatchLoss:
             _examples_for(labels, 16), batch, _forwards_for(logits, emb), vocab, cfg
         )
         ref = oracle.batch_total(
-            labels, 32, vocab.na_index, logits, emb, batch.bp_indices, batch.s_sets,
+            labels, 32, vocab.na_index, logits, emb, batch.bp_indices,
             batch.sampled_negatives, 0.5, 0.7, "set_size", use_neg_sampling=sampling,
         )
         assert abs(out.total - ref) <= 1e-10 * max(1.0, abs(ref))
