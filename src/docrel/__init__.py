@@ -46,7 +46,7 @@ from .batching import (
     Batch,
     assemble_batches,
     attach_negative_samples,
-    sample_negative_labels,
+    sample_negative_sets,
 )
 from .datagen import (
     Regime,

@@ -15,14 +15,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import Corpus
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 from .rng import stream
 
 __all__ = [
     "Batch",
     "assemble_batches",
     "batch_count",
-    "sample_negative_labels",
+    "sample_negative_sets",
     "sampled_set_size",
     "attach_negative_samples",
 ]
@@ -34,9 +34,9 @@ class Batch:
 
     ``bp_indices`` are positions with at least one positive relation (the
     contrastive anchors); ``bn_indices`` are the NA-labeled positions;
-    together they partition the batch. ``sampled_negatives`` maps NA
-    positions to their sampled negative-label sets (attached by
-    :func:`attach_negative_samples` when sampling is enabled).
+    together they partition the batch. ``sampled_negatives`` maps each NA
+    position to its sampled negative-label set, a tuple sorted ascending
+    (filled for sampled training, as by :func:`attach_negative_samples`).
     """
 
     example_indices: tuple[int, ...]
@@ -85,33 +85,31 @@ def sampled_set_size(ratio: float, num_negatives: int) -> int:
     return max(1, int(math.floor(ratio * num_negatives + 0.5)))
 
 
-def sample_negative_labels(
-    example, vocab, ratio: float, rng: np.random.Generator
-) -> tuple[int, ...]:
-    """Uniform without-replacement sample from an NA example's negative set.
+def sample_negative_sets(
+    count: int, num_relations: int, ratio: float, rng: np.random.Generator
+) -> np.ndarray:
+    """``count`` uniform without-replacement negative-label sets in one draw.
 
-    NA examples have every relation negative, so the sample is drawn from
-    the full relation set. Returned sorted ascending for deterministic
-    downstream iteration.
+    Returns ``(count, k)``, k from :func:`sampled_set_size`, each row sorted
+    ascending: the k smallest of ``num_relations`` uniform keys, so every
+    k-subset is equally likely. When k covers every relation, each row is
+    ``range(num_relations)`` and nothing is drawn from ``rng``.
     """
-    if example.positive_relations:
-        raise ContractError("negative-label sampling applies only to NA-labeled examples")
-    n_rel = vocab.num_relations
-    size = sampled_set_size(ratio, n_rel)
-    if size >= n_rel:
-        return tuple(range(n_rel))
-    chosen = rng.choice(n_rel, size=size, replace=False)
-    return tuple(sorted(int(r) for r in chosen))
+    k = sampled_set_size(ratio, num_relations)
+    if k >= num_relations:
+        return np.tile(np.arange(num_relations), (count, 1))
+    keys = rng.random((count, num_relations))
+    return np.sort(np.argpartition(keys, k - 1, axis=1)[:, :k], axis=1)
 
 
 def attach_negative_samples(
     batch: Batch, corpus: Corpus, ratio: float, rng: np.random.Generator
 ) -> Batch:
-    """Return a copy of the batch with fresh sampled sets for its NA members."""
-    sampled = {
-        pos: sample_negative_labels(
-            corpus.examples[batch.example_indices[pos]], corpus.vocabulary, ratio, rng
-        )
-        for pos in batch.bn_indices
-    }
-    return replace(batch, sampled_negatives=sampled)
+    """Return a copy of the batch with fresh sampled sets for its NA members:
+    row i of one :func:`sample_negative_sets` draw for ``bn_indices[i]``."""
+    sets = sample_negative_sets(
+        len(batch.bn_indices), corpus.vocabulary.num_relations, ratio, rng
+    )
+    return replace(
+        batch, sampled_negatives=dict(zip(batch.bn_indices, map(tuple, sets.tolist())))
+    )

@@ -14,6 +14,7 @@ configuration, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -133,25 +134,34 @@ def _run(args, body, input_names: dict[str, str | None]) -> int:
     """Run one pipeline command and record it in ``<out>/manifest.json``.
 
     Loads the ``--from-manifest`` manifest once, resolves the config,
-    creates the output directory, takes each input in ``input_names`` (name
-    -> default, None where the input is required) and times
+    takes each input in ``input_names`` (name -> default, None where the
+    input is required), creates the output directory and times
     ``body(args, resolved, out_dir, inputs)``, which returns the outputs.
+    If the command fails, an output directory it created and left empty is
+    removed; one that existed before is never touched.
     """
     replayed = Manifest.load(args.from_manifest) if args.from_manifest else None
     resolved = _resolved_config(args, replayed)
     out_dir = args.out or _default_out(args.command)
+    inputs = {
+        name: _input(args, replayed, name, default) for name, default in input_names.items()
+    }
+    created = not os.path.isdir(out_dir)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise DocrelError(f"{out_dir}: cannot create output directory: {exc}") from exc
-    inputs = {
-        name: _input(args, replayed, name, default) for name, default in input_names.items()
-    }
-    started = time.time()
-    outputs = body(args, resolved, out_dir, inputs)
-    Manifest(
-        args.command, resolved, inputs, outputs, runtime_seconds=time.time() - started
-    ).save(os.path.join(out_dir, "manifest.json"))
+    try:
+        started = time.time()
+        outputs = body(args, resolved, out_dir, inputs)
+        Manifest(
+            args.command, resolved, inputs, outputs, runtime_seconds=time.time() - started
+        ).save(os.path.join(out_dir, "manifest.json"))
+    except BaseException:
+        if created:
+            with contextlib.suppress(OSError):
+                os.rmdir(out_dir)
+        raise
     return 0
 
 

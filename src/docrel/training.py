@@ -12,7 +12,7 @@ from .batching import (
     assemble_batches,
     attach_negative_samples,
     batch_count,
-    sample_negative_labels,
+    sample_negative_sets,
 )
 from .core import Corpus
 from .errors import ConfigError, NonFiniteLossError, NumericError
@@ -86,13 +86,12 @@ class TrainResult:
 
 
 def _fixed_samples(corpus: Corpus, ratio: float, seed: int) -> dict[int, tuple[int, ...]]:
-    """One sampled negative set per NA example, reused every epoch."""
-    rng = stream(seed, "negsample", "once")
-    return {
-        i: sample_negative_labels(ex, corpus.vocabulary, ratio, rng)
-        for i, ex in enumerate(corpus.examples)
-        if not ex.positive_relations
-    }
+    """One sampled negative set per NA example, reused every epoch, from one draw."""
+    na = [i for i, ex in enumerate(corpus.examples) if not ex.positive_relations]
+    sets = sample_negative_sets(
+        len(na), corpus.vocabulary.num_relations, ratio, stream(seed, "negsample", "once")
+    )
+    return dict(zip(na, map(tuple, sets.tolist())))
 
 
 def train(
@@ -145,30 +144,19 @@ def train(
         batches = assemble_batches(
             train_corpus, config.batch_size, _epoch_seed(config.seed, epoch)
         )
-        if loss_cfg.use_neg_sampling:
-            if loss_cfg.resample == "once":
-                batches = [
-                    replace(
-                        b,
-                        sampled_negatives={
-                            pos: once_samples[b.example_indices[pos]] for pos in b.bn_indices
-                        },
-                    )
-                    for b in batches
-                ]
-            elif loss_cfg.resample == "per_epoch":
-                rng = stream(config.seed, "negsample", epoch)
-                batches = [
-                    attach_negative_samples(b, train_corpus, loss_cfg.neg_sampling_ratio, rng)
-                    for b in batches
-                ]
+        if loss_cfg.use_neg_sampling and loss_cfg.resample == "per_epoch":
+            rng = stream(config.seed, "negsample", epoch)
 
         epoch_parts = {"pmt": 0.0, "em": 0.0, "scl": 0.0, "lt": 0.0, "sampled_neg": 0.0}
         epoch_total = 0.0
 
         for batch_index, batch in enumerate(batches):
-            if loss_cfg.use_neg_sampling and loss_cfg.resample == "per_step":
-                rng = stream(config.seed, "negsample", epoch, batch_index)
+            if loss_cfg.use_neg_sampling and loss_cfg.resample == "once":
+                fixed = {pos: once_samples[batch.example_indices[pos]] for pos in batch.bn_indices}
+                batch = replace(batch, sampled_negatives=fixed)
+            elif loss_cfg.use_neg_sampling:
+                if loss_cfg.resample == "per_step":
+                    rng = stream(config.seed, "negsample", epoch, batch_index)
                 batch = attach_negative_samples(
                     batch, train_corpus, loss_cfg.neg_sampling_ratio, rng
                 )

@@ -340,6 +340,21 @@ class TestInputsFailClosed:
         assert err.startswith("error: invalid configuration: ")
         assert "Traceback" not in err
 
+    def test_rejected_command_removes_the_output_directory_it_made(self, tmp_path):
+        out = tmp_path / "z"
+        code = main(["gen-data", "--out", str(out), *GEN_ARGS,
+                     "--set", "data.zipf_exponent=-1000"])
+        assert code == 3
+        assert not out.exists()
+
+    def test_rejected_command_keeps_an_existing_output_directory(self, tmp_path):
+        out = tmp_path / "z"
+        out.mkdir()
+        code = main(["gen-data", "--out", str(out), *GEN_ARGS,
+                     "--set", "data.zipf_exponent=-1000"])
+        assert code == 3
+        assert out.is_dir()
+
     def test_out_naming_a_file_exits_1_without_traceback(self, tmp_path):
         out = tmp_path / "taken"
         out.write_text("")

@@ -3,13 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from docrel.batching import assemble_batches, batch_count
+from docrel import training
+from docrel.batching import assemble_batches, attach_negative_samples, batch_count
 from docrel.core import Corpus, LabelSource, PairExample
 from docrel.datagen import SyntheticConfig, assemble_regime, generate_regime_splits
 from docrel.errors import ConfigError, NonFiniteLossError
 from docrel.experiments import run_ablation, sweep_sampling_ratio
 from docrel.head import init_head_params
-from docrel.losses import LossConfig
+from docrel.losses import LossConfig, batch_loss
 from docrel.optim import AdamW, warmup_lr
 from docrel.rng import stream
 from docrel.training import TrainConfig, train
@@ -159,18 +160,52 @@ class TestTrainLoop:
         for name, arr in off.params.tensors().items():
             assert np.array_equal(arr, on.params.tensors()[name])
 
-    def test_resample_modes_run(self):
+    def test_resample_modes_run(self, monkeypatch):
+        # each batch's sampled sets, as batch_loss receives them, keyed by
+        # corpus index: "once" reuses one draw, "per_epoch" draws each epoch
+        # from the epoch's stream, "per_step" each batch from its own stream
         regime = tiny_regime(noise=0.4, kind="OOG")
-        from dataclasses import replace
+        ratio = 0.3
+        seen = []
 
+        def recording(examples, batch, *rest):
+            seen.append(batch)
+            return batch_loss(examples, batch, *rest)
+
+        monkeypatch.setattr(training, "batch_loss", recording)
+        na = {i for i, ex in enumerate(regime.train.examples) if not ex.positive_relations}
         for mode in ("once", "per_epoch", "per_step"):
             cfg = TrainConfig(
                 seed=6,
-                loss=LossConfig(use_neg_sampling=True, neg_sampling_ratio=0.3, resample=mode),
+                loss=LossConfig(use_neg_sampling=True, neg_sampling_ratio=ratio, resample=mode),
                 **FAST,
             )
+            seen.clear()
             result = train(regime.train, regime.dev, cfg)
             assert len(result.history) == cfg.epochs
+            per_epoch = batch_count(regime.train, cfg.batch_size)
+            assert len(seen) == per_epoch * cfg.epochs
+            epochs = [seen[e * per_epoch : (e + 1) * per_epoch] for e in range(cfg.epochs)]
+            sets = [
+                {
+                    b.example_indices[pos]: s
+                    for b in batches
+                    for pos, s in b.sampled_negatives.items()
+                }
+                for batches in epochs
+            ]
+            assert set(sets[0]) == set(sets[1]) == na
+            if mode == "once":
+                assert sets[0] == sets[1]
+                continue
+            assert sets[0] != sets[1]
+            for e, batches in enumerate(epochs):
+                rng = stream(cfg.seed, "negsample", e)
+                for b, batch in enumerate(batches):
+                    if mode == "per_step":
+                        rng = stream(cfg.seed, "negsample", e, b)
+                    fresh = attach_negative_samples(batch, regime.train, ratio, rng)
+                    assert fresh.sampled_negatives == batch.sampled_negatives
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
