@@ -137,16 +137,16 @@ def _run(args, body, input_names: dict[str, str | None]) -> int:
     takes each input in ``input_names`` (name -> default, None where the
     input is required), creates the output directory and times
     ``body(args, resolved, out_dir, inputs)``, which returns the outputs.
-    If the command fails, an output directory it created and left empty is
-    removed; one that existed before is never touched.
+    If the command fails, the directories it made for the output (missing
+    parents too) are removed while empty; none that existed is touched.
     """
     replayed = Manifest.load(args.from_manifest) if args.from_manifest else None
     resolved = _resolved_config(args, replayed)
     out_dir = args.out or _default_out(args.command)
-    inputs = {
-        name: _input(args, replayed, name, default) for name, default in input_names.items()
-    }
-    created = not os.path.isdir(out_dir)
+    inputs = {n: _input(args, replayed, n, default) for n, default in input_names.items()}
+    created, path = [], os.path.abspath(out_dir)  # what makedirs will make, deepest first
+    while not os.path.isdir(path) and os.path.dirname(path) != path:
+        created, path = [*created, path], os.path.dirname(path)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -158,9 +158,9 @@ def _run(args, body, input_names: dict[str, str | None]) -> int:
             args.command, resolved, inputs, outputs, runtime_seconds=time.time() - started
         ).save(os.path.join(out_dir, "manifest.json"))
     except BaseException:
-        if created:
-            with contextlib.suppress(OSError):
-                os.rmdir(out_dir)
+        with contextlib.suppress(OSError):
+            for path in created:
+                os.rmdir(path)
         raise
     return 0
 

@@ -173,10 +173,12 @@ class TestNegativeSampling:
         assert sets.shape == (0, sampled_set_size(ratio, 96))
 
     def test_uniform_inclusion_frequency(self):
-        # 10,000 seeded sets at ratio 0.1: every relation's inclusion count
-        # within 4 sigma of the binomial expectation 10000 * 10/96 (a 3-sigma
-        # bound on all 96 counts fails a uniform sampler on about 1 seed in 4)
-        draws = 10_000
+        # 20,000 seeded sets at ratio 0.1: every relation's inclusion count
+        # within 4 sigma of the binomial expectation 20000 * 10/96. A 3-sigma
+        # bound on all 96 counts fails a uniform sampler on about 1 seed in 4;
+        # at 4 sigma over 20,000 draws the smallest detectable relative bias,
+        # 4 / sqrt(20000), is still below 3 / sqrt(10000).
+        draws = 20_000
         sets = sample_negative_sets(draws, 96, 0.1, stream(123, "uniformity"))
         counts = np.bincount(sets.ravel(), minlength=96)
         p = 10.0 / 96.0

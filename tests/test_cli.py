@@ -347,6 +347,24 @@ class TestInputsFailClosed:
         assert code == 3
         assert not out.exists()
 
+    def test_rejected_command_removes_the_parents_it_made(self, tmp_path):
+        out = tmp_path / "a" / "b" / "c"
+        code = main(["gen-data", "--out", str(out), *GEN_ARGS,
+                     "--set", "data.zipf_exponent=-1000"])
+        assert code == 3
+        assert not (tmp_path / "a").exists()
+        assert tmp_path.is_dir()
+
+    def test_rejected_command_keeps_an_existing_parent(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        (tmp_path / "a").mkdir()
+        (tmp_path / "a" / "keep").write_text("")
+        code = main(["gen-data", "--out", str(out), *GEN_ARGS,
+                     "--set", "data.zipf_exponent=-1000"])
+        assert code == 3
+        assert not out.exists()
+        assert (tmp_path / "a" / "keep").is_file()
+
     def test_rejected_command_keeps_an_existing_output_directory(self, tmp_path):
         out = tmp_path / "z"
         out.mkdir()
