@@ -19,6 +19,7 @@ from .core import (
     bucket_relations,
     build_pair_index,
     load_corpus,
+    logsumexp_pool,
     save_corpus,
 )
 from .errors import (
@@ -38,7 +39,6 @@ from .head import (
     head_forward,
     init_head_params,
     load_checkpoint,
-    logsumexp_pool,
     save_checkpoint,
 )
 from .losses import BatchLossOutput, LossConfig, batch_loss

@@ -52,30 +52,28 @@ def assemble_batches(corpus: Corpus, batch_size: int, rng_seed: int) -> list[Bat
     """Seeded document shuffle, then chunks of ``batch_size`` documents."""
     if batch_size < 2:
         raise ConfigError(f"batch_size must be >= 2 documents, got {batch_size}")
-    docs = corpus.document_order()
-    if not docs:
+    groups = list(corpus.document_groups.values())
+    if not groups:
         return []
-    by_doc = corpus.examples_by_document()
-    order = stream(rng_seed, "shuffle").permutation(len(docs))
-    shuffled = [docs[i] for i in order]
+    order = stream(rng_seed, "shuffle").permutation(len(groups))
 
     batches: list[Batch] = []
-    for start in range(0, len(shuffled), batch_size):
-        chunk = shuffled[start : start + batch_size]
-        indices = tuple(i for doc in chunk for i in by_doc[doc])
-        bp = tuple(
-            pos for pos, i in enumerate(indices) if corpus.examples[i].positive_relations
+    for start in range(0, len(order), batch_size):
+        indices = np.concatenate([groups[d] for d in order[start : start + batch_size]])
+        na = corpus.na_flags[indices]
+        batches.append(
+            Batch(
+                example_indices=tuple(indices.tolist()),
+                bp_indices=tuple(np.flatnonzero(~na).tolist()),
+                bn_indices=tuple(np.flatnonzero(na).tolist()),
+            )
         )
-        bn = tuple(
-            pos for pos, i in enumerate(indices) if not corpus.examples[i].positive_relations
-        )
-        batches.append(Batch(example_indices=indices, bp_indices=bp, bn_indices=bn))
     return batches
 
 
 def batch_count(corpus: Corpus, batch_size: int) -> int:
     """How many batches :func:`assemble_batches` makes: one per ``batch_size`` documents."""
-    return math.ceil(len(corpus.document_order()) / batch_size)
+    return math.ceil(len(corpus.document_groups) / batch_size)
 
 
 def sampled_set_size(ratio: float, num_negatives: int) -> int:

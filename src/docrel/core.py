@@ -18,6 +18,7 @@ import enum
 import itertools
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
     "build_pair_index",
     "bucket_relations",
     "label_mask",
+    "logsumexp_pool",
     "save_corpus",
     "load_corpus",
 ]
@@ -147,8 +149,18 @@ class PairExample:
         return self.positive_relations
 
 
+# bytes of each temporary when pooling a corpus or scoring a split: blocks
+# whose arrays stay under the allocator's default mmap threshold (128 KiB)
+# reuse freed heap memory instead of page-faulting fresh pages every pass
+_BLOCK_BYTES = 1 << 16
+
+
 @dataclass(frozen=True, eq=False)
 class Corpus:
+    """A relation vocabulary and its pair examples. The arrays derived from
+    the examples are built on first use and cached read-only; a copy made
+    with ``replace(corpus, examples=...)`` derives its own."""
+
     vocabulary: RelationVocabulary
     examples: tuple[PairExample, ...]
     label_source: LabelSource
@@ -159,40 +171,127 @@ class Corpus:
         for i, ex in enumerate(self.examples):
             _check_example(ex, self.vocabulary.num_relations, self.embedding_dim, f"example {i}")
 
-    def document_order(self) -> list[str]:
-        """Distinct doc_ids in first-appearance order."""
-        seen: dict[str, None] = {}
-        for ex in self.examples:
-            seen.setdefault(ex.doc_id, None)
-        return list(seen)
+    @cached_property
+    def head_rows(self) -> np.ndarray:
+        """``(n, d)``: each pair's head mentions, log-sum-exp pooled."""
+        return _frozen(_pool_sides([ex.head_vectors for ex in self.examples], self))
 
-    def examples_by_document(self) -> dict[str, list[int]]:
+    @cached_property
+    def tail_rows(self) -> np.ndarray:
+        """``(n, d)``: each pair's tail mentions, log-sum-exp pooled."""
+        return _frozen(_pool_sides([ex.tail_vectors for ex in self.examples], self))
+
+    @cached_property
+    def context_rows(self) -> np.ndarray:
+        """``(n, d)``: each pair's context vector."""
+        contexts = [ex.context for ex in self.examples]
+        return _frozen(np.stack(contexts) if contexts else np.empty((0, self.embedding_dim)))
+
+    @cached_property
+    def label_rows(self) -> np.ndarray:
+        """``(n, |R|)`` boolean: each pair's training label set."""
+        sets = [ex.positive_relations for ex in self.examples]
+        return _frozen(label_mask(sets, self.vocabulary.num_relations))
+
+    @cached_property
+    def gold_rows(self) -> np.ndarray:
+        """``(n, |R|)`` boolean: each pair's gold label set, else its training set."""
+        sets = [ex.labels(use_gold=True) for ex in self.examples]
+        return _frozen(label_mask(sets, self.vocabulary.num_relations))
+
+    @cached_property
+    def na_flags(self) -> np.ndarray:
+        """``(n,)`` boolean: which pairs are NA (no training label)."""
+        return _frozen(~self.label_rows.any(axis=1))
+
+    @cached_property
+    def document_groups(self) -> dict[str, np.ndarray]:
+        """Each doc_id, in first-appearance order, with its examples' indices."""
         groups: dict[str, list[int]] = {}
         for i, ex in enumerate(self.examples):
             groups.setdefault(ex.doc_id, []).append(i)
-        return groups
+        return {doc: _frozen(np.array(rows, dtype=np.intp)) for doc, rows in groups.items()}
+
+    def document_order(self) -> list[str]:
+        """Distinct doc_ids in first-appearance order."""
+        return list(self.document_groups)
+
+    def examples_by_document(self) -> dict[str, list[int]]:
+        return {doc: rows.tolist() for doc, rows in self.document_groups.items()}
 
 
-def _check_example(ex: PairExample, n_rel: int, dim: int, where: str) -> None:
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _segment_lse(mat: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Componentwise log-sum-exp over consecutive row segments of ``mat``."""
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    shift = np.maximum.reduceat(mat, starts, axis=0)
+    total = np.add.reduceat(np.exp(mat - np.repeat(shift, counts, axis=0)), starts, axis=0)
+    return shift + np.log(total)
+
+
+def _pool_sides(sides: list[np.ndarray], corpus: Corpus) -> np.ndarray:
+    """One log-sum-exp row per ``(k, d)`` mention array, ``(n, d)``.
+
+    Runs of sides are pooled together, as many as keep the stacked mentions
+    of the largest sides under ``_BLOCK_BYTES``; a row's value does not
+    depend on its run.
+    """
+    counts = np.fromiter(map(len, sides), np.intp, len(sides))
+    if counts.size and counts.min() == 0:
+        ex = corpus.examples[int(np.argmin(counts))]
+        raise ContractError(f"pair {ex.doc_id}/{ex.head_id}/{ex.tail_id}: no mentions")
+    dim = corpus.embedding_dim
+    step = max(1, _BLOCK_BYTES // (8 * dim * counts.max(initial=1)))
+    pooled = np.empty((len(sides), dim))
+    for k in range(0, len(sides), step):
+        mat = np.concatenate(sides[k : k + step], dtype=np.float64)
+        if mat.shape[1:] != (dim,):
+            raise ShapeError(f"mentions of shape {mat.shape[1:]} in a corpus of dimension {dim}")
+        pooled[k : k + step] = _segment_lse(mat, counts[k : k + step])
+    return pooled
+
+
+def logsumexp_pool(mention_embeddings) -> np.ndarray:
+    """Componentwise log-sum-exp over a nonempty stack of same-length vectors."""
+    if len(mention_embeddings) == 0:
+        raise ContractError("logsumexp_pool: empty mention sequence")
+    try:
+        mat = np.asarray(mention_embeddings, dtype=np.float64)
+    except ValueError as exc:
+        raise ShapeError(f"logsumexp_pool: ragged mention stack: {exc}") from exc
+    if mat.ndim != 2:
+        raise ShapeError("logsumexp_pool: mentions must share one dimension")
+    return _segment_lse(mat, np.array([mat.shape[0]]))[0]
+
+
+def _check_example(
+    ex: PairExample, n_rel: int, dim: int, where: str, vectors: np.ndarray | None = None
+) -> None:
     """Check one example against a vocabulary of ``n_rel`` relations and ``dim``.
 
     Errors name the example by ``where``. Relation indices run
     ``0 .. n_rel-1``, so the NA index ``n_rel`` is never a valid label, and
-    every vector must be finite.
+    every vector must be finite. ``vectors``, when given, is the one array
+    whose rows the example's mentions and context are (as a loaded record's
+    are), and is checked in one call in place of the three.
     """
     if ex.head_id == ex.tail_id:
         raise DataFormatError(f"{where}: head_id == tail_id == {ex.head_id}")
-    for side, vectors in (("head", ex.head_vectors), ("tail", ex.tail_vectors)):
-        if vectors.ndim != 2 or vectors.shape[1] != dim:
-            raise ShapeError(f"{where}: {side} mention shape {vectors.shape}, expected (k, {dim})")
-        if not len(vectors):
+    for side, mentions in (("head", ex.head_vectors), ("tail", ex.tail_vectors)):
+        if mentions.ndim != 2 or mentions.shape[1] != dim:
+            raise ShapeError(f"{where}: {side} mention shape {mentions.shape}, expected (k, {dim})")
+        if not len(mentions):
             raise DataFormatError(f"{where}: {side} entity with no mentions")
     if ex.context.shape != (dim,):
         raise ShapeError(f"{where}: context shape {ex.context.shape}, expected ({dim},)")
-    if not np.isfinite(ex.context).all():
-        raise DataFormatError(f"{where}: non-finite value in the context")
-    if not (np.isfinite(ex.head_vectors).all() and np.isfinite(ex.tail_vectors).all()):
-        raise DataFormatError(f"{where}: non-finite value in a mention embedding")
+    arrays = (ex.context, ex.head_vectors, ex.tail_vectors) if vectors is None else (vectors,)
+    if not all(np.isfinite(a).all() for a in arrays):
+        part = "a mention embedding" if np.isfinite(ex.context).all() else "the context"
+        raise DataFormatError(f"{where}: non-finite value in {part}")
     for label_set in (ex.positive_relations, ex.gold_positive_relations or frozenset()):
         for r in label_set:
             if not (0 <= r < n_rel):
@@ -303,7 +402,8 @@ def save_corpus(corpus: Corpus, path) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
-def _example_from_json(obj: dict, dim: int, where: str) -> PairExample:
+def _example_from_json(obj: dict, dim: int, where: str) -> tuple[PairExample, np.ndarray]:
+    """The record's example, and the one array its vectors are rows of."""
     n_head, n_tail = obj["mentions"]
     if not all(type(n) is int and n > 0 for n in (n_head, n_tail)):
         raise DataFormatError(
@@ -322,7 +422,7 @@ def _example_from_json(obj: dict, dim: int, where: str) -> PairExample:
     for value in (head_id, tail_id, *obj["positive_relations"], *(gold or ())):
         if type(value) is not int:
             raise DataFormatError(f"{where}: id or label {value!r} is not an integer")
-    return PairExample(
+    example = PairExample(
         doc_id=str(obj["doc_id"]),
         head_id=head_id,
         tail_id=tail_id,
@@ -332,6 +432,7 @@ def _example_from_json(obj: dict, dim: int, where: str) -> PairExample:
         positive_relations=frozenset(obj["positive_relations"]),
         gold_positive_relations=frozenset(gold) if gold is not None else None,
     )
+    return example, vectors
 
 
 # what decoding a JSON value of the wrong shape or type raises
@@ -377,8 +478,8 @@ def load_corpus(path) -> Corpus:
                     continue
                 try:
                     where = f"{path}:{lineno}"
-                    ex = _example_from_json(json.loads(line), dim, where)
-                    _check_example(ex, vocab.num_relations, dim, where)
+                    ex, vectors = _example_from_json(json.loads(line), dim, where)
+                    _check_example(ex, vocab.num_relations, dim, where, vectors)
                 except _DECODE_ERRORS as exc:
                     raise DataFormatError(f"{path}:{lineno}: bad record: {exc!r}") from exc
                 examples.append(ex)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Bucket, Corpus, label_mask
+from .core import _BLOCK_BYTES, Bucket, Corpus
 from .errors import NumericError, ShapeError
 from .head import HeadParams, head_forward
 
@@ -25,10 +25,8 @@ __all__ = [
     "evaluate",
 ]
 
-# bytes of pair embeddings per forward pass when scoring a split: blocks
-# whose arrays stay under the allocator's default mmap threshold (128 KiB)
-# reuse freed heap memory instead of page-faulting fresh pages every pass
-_EVAL_BLOCK_BYTES = 1 << 16
+# bytes of pair embeddings per forward pass when scoring a split
+_EVAL_BLOCK_BYTES = _BLOCK_BYTES
 
 
 def _predicted_mask(f: np.ndarray, na_index: int) -> np.ndarray:
@@ -105,15 +103,16 @@ def evaluate(
     if params.num_logits != vocab.num_logits:
         raise ShapeError(f"head has {params.num_logits} logits, corpus has {vocab.num_logits}")
     examples = corpus.examples
+    inputs = (corpus.head_rows, corpus.tail_rows, corpus.context_rows)
     block = max(1, _EVAL_BLOCK_BYTES // (8 * params.pair_dim))
     f = np.concatenate(
         [
-            head_forward(examples[k : k + block], params, keep_cache=False).f
+            head_forward(*(rows[k : k + block] for rows in inputs), params, keep_cache=False).f
             for k in range(0, max(1, len(examples)), block)
         ]
     )
     predicted = _predicted_mask(f, vocab.na_index)
-    gold = label_mask([ex.labels(use_gold) for ex in examples], vocab.num_relations)
+    gold = corpus.gold_rows if use_gold else corpus.label_rows
 
     hits = predicted & gold
     cells = np.stack(

@@ -1,7 +1,9 @@
-"""Trainable classification head: pooling, grouped bilinear pair embedding, logits.
+"""Trainable classification head: grouped bilinear pair embedding and logits.
 
 The head maps each entity pair of a batch to a pair embedding and a logit
-vector:
+vector. It starts from the pair's pooled inputs, which have no parameters
+and which :class:`~docrel.core.Corpus` derives once per corpus
+(``head_rows``, ``tail_rows``, ``context_rows``):
 
     h_head = logsumexp-pool of head mention embeddings
     h_tail = logsumexp-pool of tail mention embeddings
@@ -11,13 +13,11 @@ vector:
     f   = W_o x + b_o
 
 ``x`` (raw) feeds the logits; its L2-normalized copy ``x_unit`` feeds the
-contrastive losses. A batch runs as one pass: the mentions of all pairs are
-packed into one matrix cut into segments (head, then tail, pair by pair)
-and pooled with ``reduceat``; everything after pooling is one matrix
-product per step, with pairs as rows. The backward pass is closed-form
-reverse mode over the same graph, including the normalization Jacobian
-(I - uu^T)/||x|| and the softmax distribution of the pooled gradient over
-mentions.
+contrastive losses. A batch runs as one pass with pairs as rows, one matrix
+product per step. The backward pass is closed-form reverse mode over the
+same graph, including the normalization Jacobian (I - uu^T)/||x||, and
+returns the parameter gradients: no input has a trainable encoder, so no
+gradient flows past the pooled rows.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .errors import ConfigError, ContractError, DataFormatError, ShapeError
 __all__ = [
     "HeadParams",
     "BatchForward",
-    "logsumexp_pool",
     "head_forward",
     "head_backward",
     "init_head_params",
@@ -113,63 +112,28 @@ class BatchForward:
     cache: dict | None = field(default=None, repr=False)
 
 
-def _segment_pool(mat: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Componentwise log-sum-exp over consecutive row segments of ``mat``.
+def head_forward(
+    h_head: np.ndarray,
+    h_tail: np.ndarray,
+    context: np.ndarray,
+    params: HeadParams,
+    keep_cache: bool = True,
+) -> BatchForward:
+    """Pair embeddings and logits from pooled rows, one row per pair.
 
-    Returns the pooled rows, one per segment, and each row's softmax weight
-    within its segment (what the pooled gradient is distributed by).
+    ``h_head``, ``h_tail`` and ``context`` are ``(n, d)``: each pair's
+    pooled head and tail mentions and its context, as gathered from a
+    corpus's ``head_rows``, ``tail_rows`` and ``context_rows``.
     """
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    shift = np.maximum.reduceat(mat, starts, axis=0)
-    weights = np.exp(mat - np.repeat(shift, counts, axis=0))
-    total = np.add.reduceat(weights, starts, axis=0)
-    weights /= np.repeat(total, counts, axis=0)
-    return shift + np.log(total), weights
-
-
-def logsumexp_pool(mention_embeddings) -> np.ndarray:
-    """Componentwise log-sum-exp over a nonempty stack of same-length vectors."""
-    if len(mention_embeddings) == 0:
-        raise ContractError("logsumexp_pool: empty mention sequence")
-    try:
-        mat = np.asarray(mention_embeddings, dtype=np.float64)
-    except ValueError as exc:
-        raise ShapeError(f"logsumexp_pool: ragged mention stack: {exc}") from exc
-    if mat.ndim != 2:
-        raise ShapeError("logsumexp_pool: mentions must share one dimension")
-    return _segment_pool(mat, np.array([mat.shape[0]]))[0][0]
-
-
-def _pack(examples, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mention matrix (head then tail mentions, pair by pair), segment sizes, contexts."""
-    sides = []
-    for ex in examples:
-        for vectors in (ex.head_vectors, ex.tail_vectors):
-            if not len(vectors):
-                raise ContractError(f"pair {ex.doc_id}/{ex.head_id}/{ex.tail_id}: no mentions")
-            sides.append(vectors)
-    try:
-        mentions = np.concatenate(sides).astype(np.float64, copy=False)
-        context = np.stack([ex.context for ex in examples]).astype(np.float64, copy=False)
-    except ValueError as exc:
-        raise ShapeError(f"head_forward: ragged inputs: {exc}") from exc
-    if mentions.shape[1:] != (d,) or context.shape[1:] != (d,):
+    n, d = len(h_head), params.input_dim
+    if any(rows.shape != (n, d) for rows in (h_head, h_tail, context)):
         raise ShapeError(
-            f"mention shape {mentions.shape[1:]} and context shape {context.shape[1:]}: "
-            f"incompatible with head input dim {d}"
+            f"head_forward: inputs {h_head.shape}, {h_tail.shape} and {context.shape}: "
+            f"expected ({n}, {d}) each, for head input dim {d}"
         )
-    return mentions, np.array([len(v) for v in sides]), context
-
-
-def head_forward(examples, params: HeadParams, keep_cache: bool = True) -> BatchForward:
-    """Pair embeddings and logits for a batch of examples, one row per example."""
-    n, d = len(examples), params.input_dim
     if n == 0:
         empty = np.zeros((0, params.pair_dim))
         return BatchForward(x=empty, x_unit=empty, f=np.zeros((0, params.num_logits)))
-    mentions, counts, context = _pack(examples, d)
-    pooled, weights = _segment_pool(mentions, counts)
-    h_head, h_tail = pooled[0::2], pooled[1::2]
 
     z_h = np.tanh(h_head @ params.W_h.T + context @ params.W_c1.T)
     z_t = np.tanh(h_tail @ params.W_t.T + context @ params.W_c2.T)
@@ -188,8 +152,6 @@ def head_forward(examples, params: HeadParams, keep_cache: bool = True) -> Batch
     cache = None
     if keep_cache:
         cache = {
-            "weights": weights,
-            "counts": counts,
             "h_head": h_head,
             "h_tail": h_tail,
             "context": context,
@@ -205,14 +167,12 @@ def head_backward(
     grad_x_unit: np.ndarray,
     grad_f: np.ndarray,
     params: HeadParams,
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+) -> dict[str, np.ndarray]:
     """Reverse-mode pass for a batch.
 
     ``grad_x_unit`` (n, d_x) is the loss gradient w.r.t. the normalized
     pair embeddings, ``grad_f`` (n, num_logits) w.r.t. the logits. Returns
-    the parameter gradients summed over the batch, and the input gradients:
-    ``context`` (n, d) and ``mentions``, one row per mention in packed
-    order (each pair's head mentions, then its tail mentions).
+    the parameter gradients summed over the batch.
     """
     if forward.cache is None:
         raise ContractError("head_backward: forward pass was run without cache")
@@ -239,7 +199,7 @@ def head_backward(
     grad_a_t = grad_z_t * (1.0 - z_t * z_t)
 
     c = cache["context"]
-    grads = {
+    return {
         "W_h": grad_a_h.T @ cache["h_head"],
         "W_t": grad_a_t.T @ cache["h_tail"],
         "W_c1": grad_a_h.T @ c,
@@ -247,15 +207,6 @@ def head_backward(
         "W_o": grad_f.T @ x,
         "b_o": grad_f.sum(axis=0),
     }
-
-    grad_pooled = np.empty((2 * n, params.input_dim))
-    grad_pooled[0::2] = grad_a_h @ params.W_h
-    grad_pooled[1::2] = grad_a_t @ params.W_t
-    input_grads = {
-        "context": grad_a_h @ params.W_c1 + grad_a_t @ params.W_c2,
-        "mentions": cache["weights"] * np.repeat(grad_pooled, cache["counts"], axis=0),
-    }
-    return grads, input_grads
 
 
 def init_head_params(
@@ -340,4 +291,7 @@ def load_checkpoint(path) -> HeadParams:
         offset += size
     if offset != len(payload):
         raise DataFormatError(f"{path}: {len(payload) - offset} bytes after the last tensor")
-    return HeadParams(**arrays, group_count=group_count)
+    try:
+        return HeadParams(**arrays, group_count=group_count)
+    except (ConfigError, ShapeError) as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc

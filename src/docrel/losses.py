@@ -195,14 +195,16 @@ def _contrastive_rows(
     return values, has_pos, grad_sims
 
 
-def batch_loss(examples, batch, forward, vocab, config: LossConfig) -> BatchLossOutput:
+def batch_loss(labels, batch, forward, vocab, config: LossConfig) -> BatchLossOutput:
     """Combined objective and gradients for one batch.
 
-    ``forward`` holds one row of logits ``f`` and unit embeddings
-    ``x_unit`` per batch position (a :class:`~docrel.head.BatchForward`).
-    The threshold and entropy terms are reductions over the logit gaps
-    ``D = f[:, :|R|] - f[:, na]`` masked by Y (each example's positive
-    relations) and N (its penalized negatives, see ``_negative_mask``), with
+    ``labels`` is the batch's ``(n, |R|)`` boolean label mask Y, one row of
+    positive relations per batch position (rows of a corpus's
+    ``label_rows``). ``forward`` holds one row of logits ``f`` and unit
+    embeddings ``x_unit`` per batch position (a
+    :class:`~docrel.head.BatchForward`). The threshold and entropy terms
+    are reductions over the logit gaps ``D = f[:, :|R|] - f[:, na]`` masked
+    by Y and N (its penalized negatives, see ``_negative_mask``), with
     per-row set-size normalizers. At sampling ratio 1.0 a sampled set is
     every relation, so N equals the complement of Y and the sampled
     objective runs the unsampled arithmetic exactly. The contrastive part
@@ -210,19 +212,18 @@ def batch_loss(examples, batch, forward, vocab, config: LossConfig) -> BatchLoss
     is scaled by ``contrastive_weight``; its anchors are ``bp_indices``, and
     an anchor's positives are the other positions sharing a relation in Y.
     """
-    n = len(examples)
+    n = len(labels)
+    na = vocab.na_index
+    n_rel = vocab.num_relations
     f, unit = forward.f, forward.x_unit
-    if f.shape != (n, vocab.num_logits) or unit.shape[0] != n:
+    if f.shape != (n, vocab.num_logits) or unit.shape[0] != n or labels.shape != (n, n_rel):
         raise ShapeError(
-            f"batch_loss: logits {f.shape} and embeddings {unit.shape} for {n} examples, "
-            f"expected ({n}, {vocab.num_logits}) logits"
+            f"batch_loss: logits {f.shape}, embeddings {unit.shape} and labels "
+            f"{labels.shape}, expected ({n}, {vocab.num_logits}) logits and ({n}, {n_rel}) labels"
         )
     if not np.all(np.isfinite(f)):
         raise NumericError("batch_loss: non-finite logit input")
-    na = vocab.na_index
-    n_rel = vocab.num_relations
 
-    labels = label_mask([ex.positive_relations for ex in examples], n_rel)
     negatives, sampled_rows = _negative_mask(labels, batch, config)
     pmt_rows, em_rows, grad_gap = _threshold_rows(
         f[:, :n_rel] - f[:, na : na + 1], labels, negatives, config

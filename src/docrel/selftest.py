@@ -26,7 +26,7 @@ import numpy as np
 
 from . import oracle
 from .batching import Batch
-from .core import PairExample, RelationVocabulary, label_mask
+from .core import RelationVocabulary, label_mask
 from .evaluation import _prf, predict_labels
 from .head import BatchForward, HeadParams, head_backward, head_forward
 from .losses import LossConfig, _contrastive_rows, _threshold_rows, batch_loss
@@ -130,11 +130,11 @@ def _loss_case(labels, logits, emb, cfg, bp=(), sampled=None):
         sampled_negatives=sampled or {},
     )
     vocab = RelationVocabulary.from_relations([f"r{k}" for k in range(logits.shape[1] - 1)])
-    examples = _examples_for(labels, 0)
+    mask = label_mask(labels, vocab.num_relations)
     forward = _forwards_for(logits, emb)
 
     def kernel():
-        return batch_loss(examples, batch, forward, vocab, cfg)
+        return batch_loss(mask, batch, forward, vocab, cfg)
 
     def reference() -> float:
         return oracle.batch_total(
@@ -296,22 +296,6 @@ def _tiny_instance(rng, n_rel: int, n: int, dim: int, sampling: bool):
     return labels, batch, logits, emb
 
 
-def _examples_for(labels, dim: int) -> list[PairExample]:
-    dummy = np.zeros((1, 2))
-    return [
-        PairExample(
-            doc_id="d",
-            head_id=0,
-            tail_id=1,
-            head_vectors=dummy,
-            tail_vectors=dummy,
-            context=dummy[0],
-            positive_relations=l,
-        )
-        for l in labels
-    ]
-
-
 def _forwards_for(logits: np.ndarray, emb: np.ndarray) -> BatchForward:
     return BatchForward(x=emb, x_unit=emb, f=logits)
 
@@ -354,47 +338,20 @@ def _random_head(rng, d: int, d1: int, groups: int, n_logits: int) -> HeadParams
 HEAD_SIZES = ((2, 2, 1), (3, 4, 2), (4, 4, 4), (3, 6, 3))
 
 
-def _head_gradients_close(params, examples, inputs, g_x, g_f, skip_rows=None) -> bool:
-    """Compare ``head_backward`` with finite differences of ``g_f . f + g_x . x_unit``.
-
-    ``inputs`` maps the input-gradient names to the arrays the examples'
-    mention embeddings and contexts are views of; ``skip_rows`` names rows
-    of those arrays left out of the comparison.
-    """
+def _head_gradients_close(params, inputs, g_x, g_f) -> bool:
+    """Compare ``head_backward`` with finite differences of ``g_f . f + g_x . x_unit``
+    over every parameter, from the pooled rows ``inputs`` (head, tail, context)."""
 
     def loss() -> float:
-        fw = head_forward(examples, params, keep_cache=False)
+        fw = head_forward(*inputs, params, keep_cache=False)
         return float(np.sum(g_f * fw.f) + np.sum(g_x * fw.x_unit))
 
-    grads, input_grads = head_backward(head_forward(examples, params), g_x, g_f, params)
+    grads = head_backward(head_forward(*inputs, params), g_x, g_f, params)
     ref = loss()
-    ok = all(
+    return all(
         gradients_close(grads[name], finite_difference(loss, tensor), ref)
         for name, tensor in params.tensors().items()
     )
-    for name, array in inputs.items():
-        keep = np.ones(array.shape[0], dtype=bool)
-        keep[list((skip_rows or {}).get(name, ()))] = False
-        num = finite_difference(loss, array)
-        ok = ok and gradients_close(input_grads[name][keep], num[keep], ref)
-    return ok
-
-
-def _pairs(mentions: np.ndarray, contexts: np.ndarray, counts) -> list[PairExample]:
-    """Pairs whose mention embeddings are consecutive row views of ``mentions``."""
-    sides = np.split(mentions, np.cumsum([n for pair in counts for n in pair])[:-1])
-    return [
-        PairExample(
-            doc_id="d",
-            head_id=0,
-            tail_id=1,
-            head_vectors=head,
-            tail_vectors=tail,
-            context=context,
-            positive_relations=frozenset(),
-        )
-        for head, tail, context in zip(sides[0::2], sides[1::2], contexts)
-    ]
 
 
 def _check_head(result: SuiteResult, seed: int) -> None:
@@ -403,47 +360,31 @@ def _check_head(result: SuiteResult, seed: int) -> None:
             rng = stream(seed, "grad-head", size_idx, rep)
             n_logits = 4
             params = _random_head(rng, d, d1, groups, n_logits)
-            counts = [(int(rng.integers(1, 4)), int(rng.integers(1, 4)))]
-            mentions = rng.normal(size=(sum(counts[0]), d))  # head rows, then tail rows
-            contexts = rng.normal(size=(1, d))
+            inputs = rng.normal(size=(3, 1, d))  # pooled head, pooled tail, context
             g_f = rng.normal(size=(1, n_logits))
             g_x = rng.normal(size=(1, params.pair_dim))
-            examples = _pairs(mentions, contexts, counts)
-            inputs = {"mentions": mentions, "context": contexts}
-            ok = _head_gradients_close(params, examples, inputs, g_x, g_f)
+            ok = _head_gradients_close(params, inputs, g_x, g_f)
             result.record(ok, f"head d={d} d1={d1} P={groups} rep={rep}")
 
 
-# mention counts (head, tail) per pair of the packed-batch check: pooling
-# segments of 1, 2 and 3 rows; the last pair has a zero pair embedding
-BATCH_MENTION_COUNTS = ((1, 3), (2, 1), (3, 2), (1, 2))
-
-
 def _check_head_batch(result: SuiteResult, seed: int) -> None:
-    """One packed batch per head size, through the ``reduceat`` segment edges.
+    """One batch of pairs per head size.
 
-    The last pair's head is a single zero mention with a zero context, so
-    ``z_h`` and the pair embedding are exactly zero, and stay so when a
-    parameter moves. Its unit embedding is discontinuous in its own inputs,
-    so those rows are left out of the input-gradient comparison.
+    The last pair's pooled head and context are zero, so ``z_h`` and the
+    pair embedding are exactly zero, and stay so when a parameter moves:
+    its unit embedding takes the zero branch, whose gradient is zero.
     """
     for size_idx, (d, d1, groups) in enumerate(HEAD_SIZES):
         rng = stream(seed, "grad-head-batch", size_idx)
         n_logits = 4
         params = _random_head(rng, d, d1, groups, n_logits)
-        n = len(BATCH_MENTION_COUNTS)
-        mentions = rng.normal(size=(sum(map(sum, BATCH_MENTION_COUNTS)), d))
-        contexts = rng.normal(size=(n, d))
-        zero_rows = range(mentions.shape[0] - sum(BATCH_MENTION_COUNTS[-1]), mentions.shape[0])
-        mentions[zero_rows[0]] = 0.0
-        contexts[-1] = 0.0
-        examples = _pairs(mentions, contexts, BATCH_MENTION_COUNTS)
+        n = 4
+        head, tail, context = rng.normal(size=(3, n, d))
+        head[-1] = context[-1] = 0.0
         g_f = rng.normal(size=(n, n_logits))
         g_x = rng.normal(size=(n, params.pair_dim))
-        inputs = {"mentions": mentions, "context": contexts}
-        skip = {"mentions": zero_rows, "context": (n - 1,)}
-        ok = _head_gradients_close(params, examples, inputs, g_x, g_f, skip)
-        norms = head_forward(examples, params).cache["norm"]
+        ok = _head_gradients_close(params, (head, tail, context), g_x, g_f)
+        norms = head_forward(head, tail, context, params).cache["norm"]
         ok = ok and norms[-1] == 0.0 and bool(np.all(norms[:-1] > 0.0))
         result.record(ok, f"head batch d={d} d1={d1} P={groups}")
 

@@ -87,7 +87,7 @@ class TrainResult:
 
 def _fixed_samples(corpus: Corpus, ratio: float, seed: int) -> dict[int, tuple[int, ...]]:
     """One sampled negative set per NA example, reused every epoch, from one draw."""
-    na = [i for i, ex in enumerate(corpus.examples) if not ex.positive_relations]
+    na = np.flatnonzero(corpus.na_flags).tolist()
     sets = sample_negative_sets(
         len(na), corpus.vocabulary.num_relations, ratio, stream(seed, "negsample", "once")
     )
@@ -134,6 +134,9 @@ def train(
     if loss_cfg.use_neg_sampling and loss_cfg.resample == "once":
         once_samples = _fixed_samples(train_corpus, loss_cfg.neg_sampling_ratio, config.seed)
 
+    head, tail = train_corpus.head_rows, train_corpus.tail_rows
+    context, labels = train_corpus.context_rows, train_corpus.label_rows
+
     history: list[dict] = []
     best_epoch = -1
     best_f1 = -1.0
@@ -161,10 +164,10 @@ def train(
                     batch, train_corpus, loss_cfg.neg_sampling_ratio, rng
                 )
 
-            examples = [train_corpus.examples[i] for i in batch.example_indices]
+            rows = np.array(batch.example_indices)
             try:
-                forward = head_forward(examples, current)
-                out = batch_loss(examples, batch, forward, train_corpus.vocabulary, loss_cfg)
+                forward = head_forward(head[rows], tail[rows], context[rows], current)
+                out = batch_loss(labels[rows], batch, forward, train_corpus.vocabulary, loss_cfg)
             except NumericError as exc:
                 raise NonFiniteLossError(epoch, batch_index, {"error": str(exc)}) from exc
             if not math.isfinite(out.total):
@@ -173,7 +176,7 @@ def train(
             for key in epoch_parts:
                 epoch_parts[key] += out.parts[key]
 
-            grads, _ = head_backward(forward, out.grad_embeddings, out.grad_logits, current)
+            grads = head_backward(forward, out.grad_embeddings, out.grad_logits, current)
             if config.grad_clip_norm is not None:
                 clip_gradients(grads, config.grad_clip_norm)
             lr = warmup_lr(config.learning_rate, step, total_steps, config.warmup_ratio)

@@ -136,8 +136,8 @@ def test_criterion_3_closed_form_spot_values():
 
 
 def test_criterion_4_sampling_consistency():
-    from docrel.selftest import _examples_for, _forwards_for, _tiny_instance
-    from docrel.core import RelationVocabulary
+    from docrel.selftest import _forwards_for, _tiny_instance
+    from docrel.core import RelationVocabulary, label_mask
     from docrel.losses import batch_loss
     from docrel.rng import stream
 
@@ -151,9 +151,9 @@ def test_criterion_4_sampling_consistency():
         batch_on = replace(batch, sampled_negatives=full)
         cfg_off = LossConfig(temperature=0.7, contrastive_weight=1.3, entropy_norm="set_size")
         cfg_on = replace(cfg_off, use_neg_sampling=True, neg_sampling_ratio=1.0)
-        examples = _examples_for(labels, 6)
-        off = batch_loss(examples, batch, _forwards_for(logits, emb), vocab, cfg_off)
-        on = batch_loss(examples, batch_on, _forwards_for(logits, emb), vocab, cfg_on)
+        mask = label_mask(labels, vocab.num_relations)
+        off = batch_loss(mask, batch, _forwards_for(logits, emb), vocab, cfg_off)
+        on = batch_loss(mask, batch_on, _forwards_for(logits, emb), vocab, cfg_on)
         bitwise_ok &= on.total == off.total
         bitwise_ok &= all(
             np.array_equal(a, b) for a, b in zip(on.grad_logits, off.grad_logits)

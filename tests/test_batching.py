@@ -82,7 +82,8 @@ def contrastive_parts(label_sets, tau=0.7):
     emb = _unit_rows(stream(0, "positives", len(labels)), len(labels), 5)
     logits = np.zeros((len(labels), corpus.vocabulary.num_logits))
     cfg = LossConfig(temperature=tau, use_entropy=False)
-    out = batch_loss(examples, batch, _forwards_for(logits, emb), corpus.vocabulary, cfg)
+    rows = corpus.label_rows[list(batch.example_indices)]
+    out = batch_loss(rows, batch, _forwards_for(logits, emb), corpus.vocabulary, cfg)
     expected = {"scl": 0.0, "lt": 0.0}
     for a in batch.bp_indices:
         positives = oracle.in_batch_positives(labels, a)
@@ -206,12 +207,12 @@ class TestNegativeSampling:
         batch = assemble_batches(corpus, 4, rng_seed=0)[0]
         wrong = replace(batch, bp_indices=(), bn_indices=(0, 1))
         wrong = attach_negative_samples(wrong, corpus, 1.0, stream(0, "s"))
-        examples = [corpus.examples[i] for i in batch.example_indices]
+        rows = corpus.label_rows[list(batch.example_indices)]
         logits = np.zeros((2, corpus.vocabulary.num_logits))
         forwards = _forwards_for(logits, np.zeros((2, 1)))
         cfg = LossConfig(use_neg_sampling=True, use_contrastive=False)
         with pytest.raises(ContractError, match="outside the negative set"):
-            batch_loss(examples, wrong, forwards, corpus.vocabulary, cfg)
+            batch_loss(rows, wrong, forwards, corpus.vocabulary, cfg)
 
     def test_attach_negative_samples(self):
         corpus = corpus_with_docs([{0}, set(), set()], ["a", "a", "a"], n_rel=6)

@@ -400,6 +400,17 @@ class TestInputsFailClosed:
         assert f"head has {num_logits} logits, corpus has 9" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_checkpoint_with_a_nan_exits_1(self, workspace, tmp_path):
+        checkpoint = tmp_path / "nan.ckpt"
+        save_checkpoint(init_head_params(12, 8, 2, 9, stream(0, "init")), checkpoint)
+        data = checkpoint.read_bytes()
+        checkpoint.write_bytes(data[:-8] + np.array([np.nan], "<f8").tobytes())
+        proc = _cli_subprocess("eval", "--regime", workspace["regime"], "--checkpoint",
+                               str(checkpoint), "--out", str(tmp_path / "eval"), *CUTS)
+        assert proc.returncode == 1
+        assert f"{checkpoint}: b_o contains non-finite values" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_bad_recorded_split_exits_3(self, workspace, tmp_path, capsys):
         path = tmp_path / "manifest.json"
         Manifest("eval", resolve(), {"regime": workspace["regime"], "checkpoint": "x.ckpt",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from docrel import core
 from docrel.batching import Batch, attach_negative_samples
 from docrel.core import (
     Bucket,
@@ -18,6 +19,7 @@ from docrel.core import (
     build_pair_index,
     label_mask,
     load_corpus,
+    logsumexp_pool,
     save_corpus,
 )
 from docrel.errors import ConfigError, DataFormatError, DocrelError, DuplicatePairError, ShapeError
@@ -201,6 +203,89 @@ class TestSerialization:
                 assert view.entity_id == entity
                 assert np.shares_memory(view.embedding, vectors)
                 assert np.array_equal(view.embedding, row)
+
+
+CACHED = ("head_rows", "tail_rows", "context_rows", "label_rows", "gold_rows", "na_flags",
+          "document_groups")
+
+
+def mention_corpus(seed=0, pairs=40, dim=3):
+    """A corpus whose sides hold 1 to 4 mentions, over several documents."""
+    rng = np.random.default_rng(seed)
+    examples = tuple(
+        PairExample(f"doc{i % 7}", 2 * i, 2 * i + 1,
+                    rng.normal(scale=5, size=(int(rng.integers(1, 5)), dim)),
+                    rng.normal(scale=5, size=(int(rng.integers(1, 5)), dim)),
+                    rng.normal(size=dim), frozenset({i % 3} if i % 2 else ()),
+                    None if i % 4 == 1 else frozenset({(i + 1) % 3}))
+        for i in range(pairs)
+    )
+    return Corpus(RelationVocabulary.from_relations(["a", "b", "c"]), examples,
+                  LabelSource.ORIGINAL, dim)
+
+
+class TestCorpusCache:
+    """The per-corpus derived arrays that training and evaluation read."""
+
+    # 2 rows: every side of 3 or 4 mentions is a pooling run of its own
+    @pytest.mark.parametrize("block_bytes", [core._BLOCK_BYTES, 2 * 8 * 3],
+                             ids=["default-runs", "two-row-runs"])
+    def test_pooled_rows_are_logsumexp_pool_bitwise(self, monkeypatch, block_bytes):
+        monkeypatch.setattr(core, "_BLOCK_BYTES", block_bytes)
+        corpus = mention_corpus()
+        for i, ex in enumerate(corpus.examples):
+            assert corpus.head_rows[i].tobytes() == logsumexp_pool(ex.head_vectors).tobytes()
+            assert corpus.tail_rows[i].tobytes() == logsumexp_pool(ex.tail_vectors).tobytes()
+            assert corpus.context_rows[i].tobytes() == ex.context.tobytes()
+
+    def test_label_rows_and_gold_rows_are_the_label_masks(self):
+        corpus = mention_corpus()
+        examples = corpus.examples
+        assert any(ex.gold_positive_relations is None for ex in examples)
+        assert np.array_equal(corpus.label_rows,
+                              label_mask([ex.positive_relations for ex in examples], 3))
+        gold = [ex.positive_relations if ex.gold_positive_relations is None
+                else ex.gold_positive_relations for ex in examples]
+        assert np.array_equal(corpus.gold_rows, label_mask(gold, 3))
+        assert corpus.na_flags.tolist() == [ex.is_na for ex in examples]
+
+    def test_document_groups_keep_first_appearance_order(self):
+        corpus = mention_corpus()
+        assert corpus.document_order() == [f"doc{k}" for k in range(7)]
+        groups = corpus.examples_by_document()
+        assert groups["doc2"] == [i for i in range(40) if i % 7 == 2]
+        groups["doc2"].clear()  # a caller's copy, not the cache
+        assert corpus.examples_by_document()["doc2"] != []
+
+    def test_replaced_copy_derives_arrays_of_its_own(self):
+        corpus = mention_corpus()
+        first = [getattr(corpus, name) for name in CACHED]
+        part = replace(corpus, examples=corpus.examples[:5])
+        for name, array in zip(CACHED, first):
+            assert getattr(corpus, name) is array
+            assert len(getattr(part, name)) == 5 < len(array), name
+        assert part.head_rows.tobytes() == corpus.head_rows[:5].tobytes()
+
+    def test_cached_arrays_are_read_only(self):
+        corpus = mention_corpus()
+        for name in CACHED[:-1]:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(corpus, name)[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            corpus.document_groups["doc0"][0] = 5
+
+    def test_building_or_loading_a_corpus_derives_nothing(self, monkeypatch, tmp_path):
+        path = tmp_path / "c.jsonl"
+        save_corpus(mention_corpus(), path)
+
+        def refuse(*args):
+            raise AssertionError("pooled while building a corpus")
+
+        monkeypatch.setattr(core, "_pool_sides", refuse)
+        monkeypatch.setattr(core, "label_mask", refuse)
+        built, loaded = mention_corpus(), load_corpus(path)
+        for corpus in (built, loaded, replace(loaded, examples=loaded.examples[:3])):
+            assert not set(CACHED) & set(vars(corpus))
 
 
 class TestLoadFailsClosed:

@@ -47,26 +47,30 @@ def perfect_params_for(corpus):
 
 
 class FixedLogitHead:
-    """Stub forward: returns preset logits per (doc, head, tail)."""
+    """Stub forward: returns preset logits per (doc, head, tail), finding
+    each pair by its context row (distinct across a ``make_corpus`` corpus)."""
 
-    def __init__(self, table, num_logits):
-        self.table = table
-        self.num_logits = num_logits
+    def __init__(self, table, corpus):
+        self.by_context = {
+            ex.context.tobytes(): table[(ex.doc_id, ex.head_id, ex.tail_id)]
+            for ex in corpus.examples
+        }
+        self.num_logits = corpus.vocabulary.num_logits
 
-    def __call__(self, examples, params, keep_cache=True):
+    def __call__(self, h_head, h_tail, context, params, keep_cache=True):
         from docrel.head import BatchForward
 
         f = np.array(
-            [self.table[(ex.doc_id, ex.head_id, ex.tail_id)] for ex in examples], dtype=float
-        ).reshape(len(examples), self.num_logits)
-        zeros = np.zeros((len(examples), 2))
+            [self.by_context[row.tobytes()] for row in context], dtype=float
+        ).reshape(len(context), self.num_logits)
+        zeros = np.zeros((len(context), 2))
         return BatchForward(x=zeros, x_unit=zeros, f=f)
 
 
 def eval_with_logits(corpus, table, monkeypatch, **kwargs):
     import docrel.evaluation as ev
 
-    stub = FixedLogitHead(table, corpus.vocabulary.num_logits)
+    stub = FixedLogitHead(table, corpus)
     monkeypatch.setattr(ev, "head_forward", stub)
     params = perfect_params_for(corpus)
     return ev.evaluate(params, corpus, **kwargs)

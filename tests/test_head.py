@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from docrel.core import PairExample
+from docrel.core import Corpus, LabelSource, PairExample, RelationVocabulary, logsumexp_pool
 from docrel.errors import ConfigError, ContractError, DataFormatError, DocrelError, ShapeError
 from docrel.head import (
     HeadParams,
@@ -13,22 +13,23 @@ from docrel.head import (
     head_forward,
     init_head_params,
     load_checkpoint,
-    logsumexp_pool,
     save_checkpoint,
 )
 from docrel.rng import stream
 
 
 def pair(head_vecs, tail_vecs, context):
-    return PairExample(
-        doc_id="d",
-        head_id=0,
-        tail_id=1,
-        head_vectors=np.asarray(head_vecs, float),
-        tail_vectors=np.asarray(tail_vecs, float),
-        context=np.asarray(context, float),
-        positive_relations=frozenset(),
+    """One pair's head inputs: its pooled head and tail rows and its context, each (1, d)."""
+    return (
+        logsumexp_pool(np.asarray(head_vecs, float))[None],
+        logsumexp_pool(np.asarray(tail_vecs, float))[None],
+        np.asarray(context, float)[None],
     )
+
+
+def stack(*pairs):
+    """The head inputs of a batch of pairs, one row per pair."""
+    return tuple(np.concatenate(rows) for rows in zip(*pairs))
 
 
 def zero_params(d, d1, groups, n_logits, b_o=None):
@@ -83,7 +84,7 @@ class TestLogsumexpPool:
 class TestForward:
     def test_zero_params_give_bias_logits(self):
         params = zero_params(3, 4, 2, 5, b_o=[1, 2, 3, 4, 5])
-        fw = head_forward([pair([[1, 2, 3]], [[0, 1, 0]], [2, 2, 2])], params)
+        fw = head_forward(*pair([[1, 2, 3]], [[0, 1, 0]], [2, 2, 2]), params)
         assert np.array_equal(fw.f, np.array([[1.0, 2, 3, 4, 5]]))
         assert np.array_equal(fw.x, np.zeros((1, 8)))
         assert np.array_equal(fw.x_unit, np.zeros((1, 8)))
@@ -94,7 +95,7 @@ class TestForward:
         params.W_h[:, :] = np.eye(2)
         params.W_t[:, :] = np.eye(2)
         a, b, c, e = 0.3, -1.2, 0.8, 0.5
-        fw = head_forward([pair([[a, b]], [[c, e]], [0, 0])], params)
+        fw = head_forward(*pair([[a, b]], [[c, e]], [0, 0]), params)
         zh, zt = np.tanh([a, b]), np.tanh([c, e])
         expected = np.array(
             [zh[0] * zt[0], zh[0] * zt[1], zh[1] * zt[0], zh[1] * zt[1]]
@@ -115,58 +116,64 @@ class TestForward:
             b_o=np.zeros(2),
             group_count=d1,
         )
-        ex = pair([rng.normal(size=d)], [rng.normal(size=d)], rng.normal(size=d))
-        fw = head_forward([ex], params)
-        zh = np.tanh(params.W_h @ ex.head_vectors[0] + params.W_c1 @ ex.context)
-        zt = np.tanh(params.W_t @ ex.tail_vectors[0] + params.W_c2 @ ex.context)
+        head, tail, context = pair([rng.normal(size=d)], [rng.normal(size=d)], rng.normal(size=d))
+        fw = head_forward(head, tail, context, params)
+        zh = np.tanh(params.W_h @ head[0] + params.W_c1 @ context[0])
+        zt = np.tanh(params.W_t @ tail[0] + params.W_c2 @ context[0])
         assert fw.x.shape == (1, d1)
         assert np.allclose(fw.x[0], zh * zt, atol=1e-15)
 
     def test_unit_norm(self):
         params = init_head_params(4, 4, 2, 3, stream(1, "init"))
-        fw = head_forward([pair([[1, 0, 0, 1]], [[0, 1, 1, 0]], [1, 1, 0, 0])], params)
+        fw = head_forward(*pair([[1, 0, 0, 1]], [[0, 1, 1, 0]], [1, 1, 0, 0]), params)
         assert abs(np.linalg.norm(fw.x_unit[0]) - 1.0) < 1e-9
 
     def test_forward_determinism_bitwise(self):
         params = init_head_params(4, 4, 2, 3, stream(1, "init"))
-        ex = pair([[1, 0, 0, 1], [2, 1, 0, 0]], [[0, 1, 1, 0]], [1, 1, 0, 0])
-        a = head_forward([ex], params)
-        b = head_forward([ex], params)
+        inputs = pair([[1, 0, 0, 1], [2, 1, 0, 0]], [[0, 1, 1, 0]], [1, 1, 0, 0])
+        a = head_forward(*inputs, params)
+        b = head_forward(*inputs, params)
         assert np.array_equal(a.f, b.f) and np.array_equal(a.x, b.x)
 
     def test_shape_mismatch(self):
         params = zero_params(3, 4, 2, 5)
         with pytest.raises(ShapeError):
-            head_forward([pair([[1, 2]], [[1, 2]], [1, 2])], params)
+            head_forward(*pair([[1, 2]], [[1, 2]], [1, 2]), params)
+        head, tail, context = pair([[1, 2, 3]], [[1, 2, 3]], [1, 2, 3])
+        with pytest.raises(ShapeError):
+            head_forward(head, np.concatenate([tail, tail]), context, params)
 
     def test_side_without_mentions_names_the_pair(self):
-        params = zero_params(2, 2, 1, 3)
-        empty = pair(np.zeros((0, 2)), [[1, 2]], [1, 2])
-        with pytest.raises(ContractError, match="pair d/0/1: no mentions"):
-            head_forward([pair([[1, 2]], [[1, 2]], [1, 2]), empty], params)
+        def example(tail, head_vectors):
+            return PairExample("d", 0, tail, np.asarray(head_vectors, float),
+                               np.ones((1, 2)), np.ones(2), frozenset())
+
+        examples = (example(1, [[1, 2]]), example(2, np.zeros((0, 2))))
+        corpus = Corpus(RelationVocabulary.from_relations(["r"]), examples, LabelSource.GOLD, 2)
+        with pytest.raises(ContractError, match="pair d/0/2: no mentions"):
+            corpus.head_rows
 
 
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         params = init_head_params(3, 4, 2, 5, stream(2, "init"))
-        fw = head_forward([pair([[1, 0, 2]], [[0, 1, 0]], [1, 1, 1])], params)
-        grads, input_grads = head_backward(fw, np.zeros((1, 8)), np.zeros((1, 5)), params)
+        fw = head_forward(*pair([[1, 0, 2]], [[0, 1, 0]], [1, 1, 1]), params)
+        grads = head_backward(fw, np.zeros((1, 8)), np.zeros((1, 5)), params)
+        assert set(grads) == set(params.tensors())
         for g in grads.values():
-            assert np.all(g == 0.0)
-        for g in input_grads.values():
             assert np.all(g == 0.0)
 
     def test_zero_embedding_routes_zero_normalization_grad(self):
         params = zero_params(2, 2, 1, 3, b_o=[0.5, 0, 0])
-        fw = head_forward([pair([[1, 1]], [[1, 1]], [0, 0])], params)
+        fw = head_forward(*pair([[1, 1]], [[1, 1]], [0, 0]), params)
         assert fw.cache["norm"][0] == 0.0
-        grads, _ = head_backward(fw, np.ones((1, 4)), np.zeros((1, 3)), params)
+        grads = head_backward(fw, np.ones((1, 4)), np.zeros((1, 3)), params)
         # only W_o/b_o touch f; x-side gradient vanished with the zero vector
         assert np.all(grads["W_h"] == 0.0)
 
     def test_missing_cache_rejected(self):
         params = init_head_params(3, 4, 2, 5, stream(2, "init"))
-        fw = head_forward([pair([[1, 0, 2]], [[0, 1, 0]], [1, 1, 1])], params, keep_cache=False)
+        fw = head_forward(*pair([[1, 0, 2]], [[0, 1, 0]], [1, 1, 1]), params, keep_cache=False)
         with pytest.raises(ContractError):
             head_backward(fw, np.zeros((1, 8)), np.zeros((1, 5)), params)
 
@@ -182,17 +189,15 @@ class TestBackward:
         # parameter gradients of a batch are the sum over its examples
         params = init_head_params(3, 4, 2, 5, stream(3, "init"))
         ex = pair([[1, 0, 2]], [[0, 1, 0]], [1, 1, 1])
-        once, _ = head_backward(
-            head_forward([ex], params), np.ones((1, 8)), np.ones((1, 5)), params
-        )
-        twice, _ = head_backward(
-            head_forward([ex, ex], params), np.ones((2, 8)), np.ones((2, 5)), params
+        once = head_backward(head_forward(*ex, params), np.ones((1, 8)), np.ones((1, 5)), params)
+        twice = head_backward(
+            head_forward(*stack(ex, ex), params), np.ones((2, 8)), np.ones((2, 5)), params
         )
         for name in once:
             assert np.allclose(twice[name], 2 * once[name], rtol=1e-12)
 
     def test_packed_batch_matches_finite_differences(self):
-        # mention segments of 1, 2 and 3 rows and a zero-norm pair in one batch
+        # a four-pair batch whose last pair has a zero pair embedding
         from docrel.selftest import SuiteResult, _check_head_batch
 
         result = SuiteResult("head batch")
@@ -202,32 +207,27 @@ class TestBackward:
     def test_batch_rows_equal_single_pair_passes(self):
         rng = stream(4, "rows")
         params = init_head_params(3, 4, 2, 5, rng)
-        examples = [
+        pairs = [
             pair(rng.normal(size=(k, 3)), rng.normal(size=(4 - k, 3)), rng.normal(size=3))
             for k in (1, 2, 3)
         ]
-        batch = head_forward(examples, params)
+        batch = head_forward(*stack(*pairs), params)
         g_x, g_f = rng.normal(size=(3, 8)), rng.normal(size=(3, 5))
-        grads, inputs = head_backward(batch, g_x, g_f, params)
+        grads = head_backward(batch, g_x, g_f, params)
         summed = {name: np.zeros_like(arr) for name, arr in grads.items()}
-        row = 0
-        for i, ex in enumerate(examples):
-            single = head_forward([ex], params)
+        for i, inputs in enumerate(pairs):
+            single = head_forward(*inputs, params)
             for name in ("x", "x_unit", "f"):
                 assert np.allclose(getattr(single, name)[0], getattr(batch, name)[i], rtol=1e-12)
-            one, one_inputs = head_backward(single, g_x[i : i + 1], g_f[i : i + 1], params)
+            one = head_backward(single, g_x[i : i + 1], g_f[i : i + 1], params)
             for name in summed:
                 summed[name] += one[name]
-            rows = slice(row, row + 4)
-            assert np.allclose(one_inputs["mentions"], inputs["mentions"][rows], rtol=1e-12)
-            assert np.allclose(one_inputs["context"][0], inputs["context"][i], rtol=1e-12)
-            row += 4
         for name in summed:
             assert np.allclose(summed[name], grads[name], rtol=1e-12)
 
     def test_empty_batch(self):
         params = init_head_params(3, 4, 2, 5, stream(5, "init"))
-        fw = head_forward([], params)
+        fw = head_forward(*np.zeros((3, 0, 3)), params)
         assert fw.f.shape == (0, 5) and fw.x_unit.shape == (0, 8)
 
 
@@ -323,6 +323,24 @@ class TestCheckpointFailsClosed:
     def test_truncated_payload(self, tmp_path):
         path, data = self.saved(tmp_path)
         self.assert_rejected(path, data[:-1], "truncated")
+
+    def test_non_finite_payload(self, tmp_path):
+        path, data = self.saved(tmp_path)
+        self.assert_rejected(path, data[:-8] + np.array([np.nan], "<f8").tobytes(),
+                             "b_o contains non-finite values")
+
+    def test_tensor_shapes_that_disagree(self, tmp_path):
+        path, data = self.saved(tmp_path)
+
+        def reshape_w_t(meta):
+            meta["tensors"][1]["shape"] = [2, 8]  # W_t: W_h is [4, 4]
+
+        self.assert_rejected(path, self.rewrite_meta(data, reshape_w_t), r"W_t shape \(2, 8\)")
+
+    def test_group_count_not_dividing_the_hidden_dim(self, tmp_path):
+        path, data = self.saved(tmp_path)
+        self.assert_rejected(path, self.rewrite_meta(data, lambda m: m.update(group_count=3)),
+                             "not divisible by group count 3")
 
     @pytest.mark.parametrize("make", [lambda p: None, lambda p: p.mkdir()],
                              ids=["missing", "directory"])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from docrel import oracle
-from docrel.core import RelationVocabulary
+from docrel.core import RelationVocabulary, label_mask
 from docrel.errors import ConfigError, ContractError, NumericError, ShapeError
 from docrel.losses import LossConfig, _threshold_rows, batch_loss
 from docrel.batching import Batch
@@ -15,7 +15,6 @@ from docrel.rng import stream
 from docrel.selftest import (
     THRESHOLD_ONLY,
     _embedding_case,
-    _examples_for,
     _forwards_for,
     _loss_case,
     _tiny_instance,
@@ -329,10 +328,8 @@ def sampled_loss(f, sampled, cfg, labels=frozenset()):
     )
     vocab = RelationVocabulary.from_relations([f"r{k}" for k in range(f.shape[0] - 1)])
     cfg = replace(cfg, use_neg_sampling=True, use_contrastive=False)
-    return batch_loss(
-        _examples_for([frozenset(labels)], 0), batch, _forwards_for(f[None, :], np.zeros((1, 1))),
-        vocab, cfg,
-    ).total
+    mask = label_mask([labels], vocab.num_relations)
+    return batch_loss(mask, batch, _forwards_for(f[None, :], np.zeros((1, 1))), vocab, cfg).total
 
 
 class TestSampledNegativeLoss:
@@ -391,7 +388,7 @@ class TestBatchLoss:
         labels, batch, logits, emb, vocab = build_batch_inputs(7, 4, 4, False)
         cfg = LossConfig(contrastive_weight=0.0, use_entropy=False)
         out = batch_loss(
-            _examples_for(labels, 6), batch, _forwards_for(logits, emb), vocab, cfg
+            label_mask(labels, vocab.num_relations), batch, _forwards_for(logits, emb), vocab, cfg
         )
         expected = sum(
             oracle.pmt(logits[i], sorted(labels[i]), sorted(set(range(4)) - labels[i]), 4)
@@ -405,7 +402,7 @@ class TestBatchLoss:
         labels, batch, logits, emb, vocab = build_batch_inputs(8, 3, 3, False)
         cfg = LossConfig(temperature=0.6, contrastive_weight=1.5, entropy_norm="set_size")
         out = batch_loss(
-            _examples_for(labels, 6), batch, _forwards_for(logits, emb), vocab, cfg
+            label_mask(labels, vocab.num_relations), batch, _forwards_for(logits, emb), vocab, cfg
         )
         ref = oracle.batch_total(
             labels, 3, vocab.na_index, logits, emb, batch.bp_indices, {}, 0.6, 1.5, "set_size",
@@ -423,9 +420,9 @@ class TestBatchLoss:
             temperature=0.5, contrastive_weight=0.7, entropy_norm="set_size",
             use_neg_sampling=True, neg_sampling_ratio=1.0,
         )
-        examples = _examples_for(labels, 6)
-        out_off = batch_loss(examples, batch, _forwards_for(logits, emb), vocab, cfg_off)
-        out_on = batch_loss(examples, batch_sampled, _forwards_for(logits, emb), vocab, cfg_on)
+        mask = label_mask(labels, vocab.num_relations)
+        out_off = batch_loss(mask, batch, _forwards_for(logits, emb), vocab, cfg_off)
+        out_on = batch_loss(mask, batch_sampled, _forwards_for(logits, emb), vocab, cfg_on)
         assert out_on.total == out_off.total
         for a, b in zip(out_on.grad_logits, out_off.grad_logits):
             assert np.array_equal(a, b)
@@ -438,7 +435,7 @@ class TestBatchLoss:
             temperature=0.8, contrastive_weight=2.0, use_neg_sampling=True
         )
         out = batch_loss(
-            _examples_for(labels, 6), batch, _forwards_for(logits, emb), vocab, cfg
+            label_mask(labels, vocab.num_relations), batch, _forwards_for(logits, emb), vocab, cfg
         )
         recombined = (
             out.parts["pmt"]
@@ -459,7 +456,7 @@ class TestBatchLoss:
             use_neg_sampling=sampling,
         )
         out = batch_loss(
-            _examples_for(labels, 16), batch, _forwards_for(logits, emb), vocab, cfg
+            label_mask(labels, vocab.num_relations), batch, _forwards_for(logits, emb), vocab, cfg
         )
         ref = oracle.batch_total(
             labels, 32, vocab.na_index, logits, emb, batch.bp_indices,
@@ -471,17 +468,17 @@ class TestBatchLoss:
         labels, batch, logits, emb, vocab = build_batch_inputs(11, 3, 3, False)
         with pytest.raises(ShapeError):
             batch_loss(
-                _examples_for(labels, 6), batch, _forwards_for(logits[:-1], emb[:-1]), vocab,
-                LossConfig(),
+                label_mask(labels, vocab.num_relations), batch,
+                _forwards_for(logits[:-1], emb[:-1]), vocab, LossConfig(),
             )
 
     def test_logit_shift_leaves_classification_terms(self):
         labels, batch, logits, emb, vocab = build_batch_inputs(12, 4, 4, False)
         cfg = LossConfig(contrastive_weight=0.0)
-        examples = _examples_for(labels, 6)
-        base = batch_loss(examples, batch, _forwards_for(logits, emb), vocab, cfg)
+        mask = label_mask(labels, vocab.num_relations)
+        base = batch_loss(mask, batch, _forwards_for(logits, emb), vocab, cfg)
         shifted = batch_loss(
-            examples, batch, _forwards_for(logits + 13.5, emb), vocab, cfg
+            mask, batch, _forwards_for(logits + 13.5, emb), vocab, cfg
         )
         assert abs(base.total - shifted.total) <= 1e-8 * max(1.0, abs(base.total))
 
