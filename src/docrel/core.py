@@ -13,7 +13,6 @@ set.
 
 from __future__ import annotations
 
-import base64
 import enum
 import itertools
 import json
@@ -119,7 +118,8 @@ class PairExample:
     mention of the head or the tail entity. ``positive_relations`` is the
     label set used for training; an empty set is the NA class.
     ``gold_positive_relations`` preserves the uncorrupted ground truth when
-    the training labels come from a noisy source.
+    the training labels come from a noisy source. In a loaded corpus the
+    vectors of every pair are row views of one float64 array per file.
     """
 
     doc_id: str
@@ -268,19 +268,29 @@ def logsumexp_pool(mention_embeddings) -> np.ndarray:
     return _segment_lse(mat, np.array([mat.shape[0]]))[0]
 
 
-def _check_example(
-    ex: PairExample, n_rel: int, dim: int, where: str, vectors: np.ndarray | None = None
-) -> None:
+def _check_pair(head_id: int, tail_id: int, label_sets, n_rel: int, where: str) -> None:
+    """The pair's two ids differ, and every label is one of ``n_rel`` relations.
+
+    Relation indices run ``0 .. n_rel-1``, so the NA index ``n_rel`` is never
+    a valid label. Errors name the pair by ``where``.
+    """
+    if head_id == tail_id:
+        raise DataFormatError(f"{where}: head_id == tail_id == {head_id}")
+    for label_set in label_sets:
+        for r in label_set:
+            if not (0 <= r < n_rel):
+                raise DataFormatError(f"{where}: relation index {r} out of range")
+
+
+def _check_example(ex: PairExample, n_rel: int, dim: int, where: str) -> None:
     """Check one example against a vocabulary of ``n_rel`` relations and ``dim``.
 
-    Errors name the example by ``where``. Relation indices run
-    ``0 .. n_rel-1``, so the NA index ``n_rel`` is never a valid label, and
-    every vector must be finite. ``vectors``, when given, is the one array
-    whose rows the example's mentions and context are (as a loaded record's
-    are), and is checked in one call in place of the three.
+    Errors name the example by ``where``. Besides ``_check_pair``'s checks,
+    each side is a nonempty ``(k, dim)`` array, the context a ``(dim,)``
+    vector, and every vector is finite.
     """
-    if ex.head_id == ex.tail_id:
-        raise DataFormatError(f"{where}: head_id == tail_id == {ex.head_id}")
+    labels = (ex.positive_relations, ex.gold_positive_relations or frozenset())
+    _check_pair(ex.head_id, ex.tail_id, labels, n_rel, where)
     for side, mentions in (("head", ex.head_vectors), ("tail", ex.tail_vectors)):
         if mentions.ndim != 2 or mentions.shape[1] != dim:
             raise ShapeError(f"{where}: {side} mention shape {mentions.shape}, expected (k, {dim})")
@@ -288,14 +298,9 @@ def _check_example(
             raise DataFormatError(f"{where}: {side} entity with no mentions")
     if ex.context.shape != (dim,):
         raise ShapeError(f"{where}: context shape {ex.context.shape}, expected ({dim},)")
-    arrays = (ex.context, ex.head_vectors, ex.tail_vectors) if vectors is None else (vectors,)
-    if not all(np.isfinite(a).all() for a in arrays):
+    if not all(np.isfinite(a).all() for a in (ex.context, ex.head_vectors, ex.tail_vectors)):
         part = "a mention embedding" if np.isfinite(ex.context).all() else "the context"
         raise DataFormatError(f"{where}: non-finite value in {part}")
-    for label_set in (ex.positive_relations, ex.gold_positive_relations or frozenset()):
-        for r in label_set:
-            if not (0 <= r < n_rel):
-                raise DataFormatError(f"{where}: relation index {r} out of range")
 
 
 def label_mask(index_sets, width: int) -> np.ndarray:
@@ -356,90 +361,77 @@ def bucket_relations(
 
 
 # ---------------------------------------------------------------------------
-# Serialization: one JSON record per example, preceded by one header record.
-# A record holds the example's ids and label sets, its mention counts
-# ``"mentions": [h, t]`` and its vectors: ``"vectors"`` is one base64 string
-# of ``h + t + 1`` rows of ``embedding_dim`` little-endian float64 values, the
-# head mentions, then the tail mentions, then the context. Raw bytes
-# round-trip every value bitwise and cost a fraction of decimal formatting
-# and parsing. A mention's entity is its pair's head or tail id, so it is
-# not stored.
+# Serialization, format version 3. A corpus file holds text lines, then one
+# raw payload, as a checkpoint does: one JSON header line, one JSON record
+# line per example, an empty line, then the vectors of every example as
+# little-endian float64 rows of ``embedding_dim`` values. A record holds the
+# example's ids and label sets and its mention counts ``"mentions": [h, t]``;
+# its ``h + t + 1`` rows (the head mentions, then the tail mentions, then the
+# context) follow the rows of the records before it. Raw bytes round-trip
+# every value bitwise, and the payload is written and read in one call. A
+# mention's entity is its pair's head or tail id, so it is not stored.
 
 _FORMAT = "docrel-corpus"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 
 def save_corpus(corpus: Corpus, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {
-            "format": _FORMAT,
-            "version": _FORMAT_VERSION,
-            "relations": list(corpus.vocabulary.relations),
-            "na_index": corpus.vocabulary.na_index,
-            "train_frequency": dict(corpus.vocabulary.train_frequency),
-            "label_source": corpus.label_source.value,
-            "embedding_dim": corpus.embedding_dim,
-            "num_examples": len(corpus.examples),
+    header = {
+        "format": _FORMAT,
+        "version": _FORMAT_VERSION,
+        "relations": list(corpus.vocabulary.relations),
+        "na_index": corpus.vocabulary.na_index,
+        "train_frequency": dict(corpus.vocabulary.train_frequency),
+        "label_source": corpus.label_source.value,
+        "embedding_dim": corpus.embedding_dim,
+        "num_examples": len(corpus.examples),
+    }
+    lines = [json.dumps(header)]
+    rows = []
+    for ex in corpus.examples:
+        record = {
+            "doc_id": ex.doc_id,
+            "head_id": ex.head_id,
+            "tail_id": ex.tail_id,
+            "mentions": [len(ex.head_vectors), len(ex.tail_vectors)],
+            "positive_relations": sorted(ex.positive_relations),
+            "gold_positive_relations": (
+                sorted(ex.gold_positive_relations)
+                if ex.gold_positive_relations is not None
+                else None
+            ),
         }
-        fh.write(json.dumps(header) + "\n")
-        for ex in corpus.examples:
-            vectors = np.concatenate((ex.head_vectors, ex.tail_vectors, ex.context[None]))
-            record = {
-                "doc_id": ex.doc_id,
-                "head_id": ex.head_id,
-                "tail_id": ex.tail_id,
-                "mentions": [len(ex.head_vectors), len(ex.tail_vectors)],
-                "vectors": base64.b64encode(
-                    vectors.astype("<f8", copy=False).tobytes()
-                ).decode("ascii"),
-                "positive_relations": sorted(ex.positive_relations),
-                "gold_positive_relations": (
-                    sorted(ex.gold_positive_relations)
-                    if ex.gold_positive_relations is not None
-                    else None
-                ),
-            }
-            fh.write(json.dumps(record) + "\n")
+        lines.append(json.dumps(record))
+        rows += (ex.head_vectors, ex.tail_vectors, ex.context[None])
+    payload = np.concatenate(rows, dtype="<f8").tobytes() if rows else b""
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(lines) + "\n\n").encode("utf-8"))
+        fh.write(payload)
 
 
-def _example_from_json(obj: dict, dim: int, where: str) -> tuple[PairExample, np.ndarray]:
-    """The record's example, and the one array its vectors are rows of."""
+def _record_from_json(obj: dict, n_rel: int, where: str) -> tuple:
+    """A checked record: its ids, mention counts and label sets."""
     n_head, n_tail = obj["mentions"]
     if not all(type(n) is int and n > 0 for n in (n_head, n_tail)):
         raise DataFormatError(
             f"{where}: mention counts {[n_head, n_tail]} are not positive integers"
         )
-    rows = n_head + n_tail + 1
-    data = base64.b64decode(obj["vectors"], validate=True)
-    if len(data) != 8 * rows * dim:
-        raise DataFormatError(
-            f"{where}: vectors hold {len(data)} bytes, expected {rows} rows of {dim} float64 values"
-        )
-    # one owning array per record; the mentions and the context are its rows
-    vectors = np.frombuffer(data, "<f8").reshape(rows, dim).astype(np.float64)
     head_id, tail_id = obj["head_id"], obj["tail_id"]
-    gold = obj.get("gold_positive_relations")
-    for value in (head_id, tail_id, *obj["positive_relations"], *(gold or ())):
+    positive, gold = obj["positive_relations"], obj.get("gold_positive_relations")
+    for value in (head_id, tail_id, *positive, *(gold or ())):
         if type(value) is not int:
             raise DataFormatError(f"{where}: id or label {value!r} is not an integer")
-    example = PairExample(
-        doc_id=str(obj["doc_id"]),
-        head_id=head_id,
-        tail_id=tail_id,
-        head_vectors=vectors[:n_head],
-        tail_vectors=vectors[n_head:-1],
-        context=vectors[-1],
-        positive_relations=frozenset(obj["positive_relations"]),
-        gold_positive_relations=frozenset(gold) if gold is not None else None,
-    )
-    return example, vectors
+    positive = frozenset(positive)
+    gold = frozenset(gold) if gold is not None else None
+    _check_pair(head_id, tail_id, (positive, gold or frozenset()), n_rel, where)
+    return str(obj["doc_id"]), head_id, tail_id, n_head, n_tail, positive, gold
 
 
 # what decoding a JSON value of the wrong shape or type raises
 _DECODE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 
 
-def _header_from_json(line: str, path) -> tuple[dict, RelationVocabulary, LabelSource, int]:
+def _header_from_json(line: bytes, path) -> tuple[dict, RelationVocabulary, LabelSource, int]:
     if not line:
         raise DataFormatError(f"{path}: empty corpus file")
     try:
@@ -451,12 +443,13 @@ def _header_from_json(line: str, path) -> tuple[dict, RelationVocabulary, LabelS
                 f"{path}:1: corpus format version {header.get('version')!r}, expected "
                 f"{_FORMAT_VERSION}; rebuild the bundle with gen-data and build-regime"
             )
-        vocab = RelationVocabulary(
-            tuple(header["relations"]),
-            int(header["na_index"]),
-            {k: int(v) for k, v in header.get("train_frequency", {}).items()},
-        )
-        return header, vocab, LabelSource(header["label_source"]), int(header["embedding_dim"])
+        dim, frequencies = header["embedding_dim"], header.get("train_frequency", {})
+        counts = (header["na_index"], dim, *frequencies.values())
+        if not all(type(n) is int for n in counts) or dim < 1:
+            raise ValueError(f"na_index {counts[0]!r}, embedding_dim {dim!r} and train "
+                             "frequencies must be integers, the dimension positive")
+        vocab = RelationVocabulary(tuple(header["relations"]), header["na_index"], frequencies)
+        return header, vocab, LabelSource(header["label_source"]), dim
     except (*_DECODE_ERRORS, ConfigError) as exc:
         raise DataFormatError(f"{path}:1: bad header: {exc!r}") from exc
 
@@ -464,37 +457,76 @@ def _header_from_json(line: str, path) -> tuple[dict, RelationVocabulary, LabelS
 def load_corpus(path) -> Corpus:
     """Load and validate a corpus file.
 
-    Every record gets the checks of ``Corpus.validate`` as it is read, and
-    duplicate (doc, head, tail) triples are rejected. A file that cannot be
-    read, is not format version 2, or holds a malformed record raises
-    DataFormatError naming ``path:line``.
+    Every record gets the checks of ``Corpus.validate``, and duplicate
+    (doc, head, tail) triples are rejected. Each pair's vectors are row views
+    of one float64 array that holds the whole file's payload. A file that
+    cannot be read, is not format version 3, holds a malformed record or a
+    payload of the wrong size raises DataFormatError naming the path, and
+    ``path:line`` for a fault in one record.
     """
-    examples = []
+    records = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             header, vocab, label_source, dim = _header_from_json(fh.readline(), path)
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
+            for lineno in itertools.count(2):
+                line = fh.readline()
+                if line in (b"\n", b""):
+                    break
+                text = line.decode("utf-8")
                 try:
-                    where = f"{path}:{lineno}"
-                    ex, vectors = _example_from_json(json.loads(line), dim, where)
-                    _check_example(ex, vocab.num_relations, dim, where, vectors)
+                    records.append(
+                        _record_from_json(json.loads(text), vocab.num_relations, f"{path}:{lineno}")
+                    )
                 except _DECODE_ERRORS as exc:
                     raise DataFormatError(f"{path}:{lineno}: bad record: {exc!r}") from exc
-                examples.append(ex)
+            payload = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{path}: cannot read corpus file: {exc}") from exc
-    if header.get("num_examples", len(examples)) != len(examples):
+    if header.get("num_examples", len(records)) != len(records):
         raise DataFormatError(
-            f"{path}: header declares {header['num_examples']} examples, found {len(examples)}"
+            f"{path}: header declares {header['num_examples']} examples, found {len(records)}"
         )
+    sizes = (n_head + n_tail + 1 for _, _, _, n_head, n_tail, _, _ in records)
+    ends = list(itertools.accumulate(sizes))  # Python integers: a huge count cannot wrap
+    rows = ends[-1] if ends else 0
+    if len(payload) != 8 * rows * dim:
+        raise DataFormatError(
+            f"{path}: vectors hold {len(payload)} bytes, expected {rows} rows of {dim} "
+            "float64 values"
+        )
+    vectors = np.frombuffer(payload, "<f8").reshape(rows, dim).astype(np.float64)
+    if not np.isfinite(vectors).all():
+        _raise_non_finite(vectors, ends, path)
+    examples = []
+    start = 0
+    for (doc_id, head_id, tail_id, n_head, n_tail, positive, gold), end in zip(records, ends):
+        examples.append(
+            PairExample(
+                doc_id=doc_id,
+                head_id=head_id,
+                tail_id=tail_id,
+                head_vectors=vectors[start : start + n_head],
+                tail_vectors=vectors[start + n_head : end - 1],
+                context=vectors[end - 1],
+                positive_relations=positive,
+                gold_positive_relations=gold,
+            )
+        )
+        start = end
     corpus = Corpus(vocab, tuple(examples), label_source, dim)
     try:
         build_pair_index(corpus)
     except DuplicatePairError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
     return corpus
+
+
+def _raise_non_finite(vectors: np.ndarray, ends: list[int], path) -> None:
+    """Name the first record whose rows of ``vectors`` hold a non-finite value."""
+    finite = np.isfinite(vectors).all(axis=1)
+    k = int(np.searchsorted(ends, np.argmin(finite), side="right"))
+    part = "the context" if not finite[ends[k] - 1] else "a mention embedding"
+    raise DataFormatError(f"{path}:{k + 2}: non-finite value in {part}")
 
 
 def count_relation_frequencies(corpus: Corpus) -> dict[str, int]:

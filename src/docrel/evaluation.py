@@ -11,6 +11,7 @@ recomputing against the unchanged gold set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .head import HeadParams, head_forward
 
 __all__ = [
     "EvalReport",
+    "FactSet",
     "predict_labels",
     "train_fact_set",
     "evaluate",
@@ -42,13 +44,42 @@ def predict_labels(f: np.ndarray, na_index: int) -> frozenset[int]:
     return frozenset(np.flatnonzero(row).tolist())
 
 
-def train_fact_set(corpus: Corpus) -> frozenset[tuple[int, int, int]]:
+class FactSet(frozenset):
+    """(head entity, relation, tail entity) facts. ``relations_by_pair``
+    indexes them by entity pair, on first use and once per fact set."""
+
+    @cached_property
+    def relations_by_pair(self) -> dict[tuple[int, int], list[int]]:
+        index: dict[tuple[int, int], list[int]] = {}
+        for head, r, tail in self:
+            index.setdefault((head, tail), []).append(r)
+        return index
+
+
+def train_fact_set(corpus: Corpus) -> FactSet:
     """(head entity, relation, tail entity) facts present in the labels."""
-    facts = set()
-    for ex in corpus.examples:
-        for r in ex.positive_relations:
-            facts.add((ex.head_id, r, ex.tail_id))
-    return frozenset(facts)
+    return FactSet(
+        (ex.head_id, r, ex.tail_id) for ex in corpus.examples for r in ex.positive_relations
+    )
+
+
+def _seen_mask(corpus: Corpus, rows: np.ndarray, facts: FactSet) -> np.ndarray:
+    """``(n, |R|)``: which of the corpus's (pair, relation) triples, over the
+    given rows, are facts in ``facts``."""
+    index = facts.relations_by_pair
+    examples = corpus.examples
+    triples = [
+        (i, r)
+        for i in rows.tolist()
+        for r in index.get((examples[i].head_id, examples[i].tail_id), ())
+    ]
+    n_rel = corpus.vocabulary.num_relations
+    seen = np.zeros((len(examples), n_rel), dtype=bool)
+    if triples:
+        i, r = np.array(triples).T
+        keep = (r >= 0) & (r < n_rel)
+        seen[i[keep], r[keep]] = True
+    return seen
 
 
 @dataclass(eq=False)
@@ -119,37 +150,26 @@ def evaluate(
         [hits.sum(axis=0), (predicted & ~gold).sum(axis=0), (gold & ~predicted).sum(axis=0)],
         axis=1,
     )
-    per_relation = {
-        r: tuple(int(v) for v in cells[r]) for r in np.flatnonzero(cells.any(axis=1)).tolist()
-    }
+    per_relation = {r: tuple(c) for r, c in enumerate(cells.tolist()) if any(c)}
     tp, fp, fn = (int(v) for v in cells.sum(axis=0))
+    precision, recall, f1 = _prf(tp, fp, fn)
     predicted_count = int(predicted.sum())
     gold_count = int(gold.sum())
 
-    # predictions of facts seen in training are dropped for Ign F1
-    excluded = ign_tp = 0
-    for i, r in zip(*np.nonzero(predicted)):
-        ex = examples[i]
-        if (ex.head_id, int(r), ex.tail_id) in train_facts:
-            excluded += 1
-        else:
-            ign_tp += bool(hits[i, r])
-    ign_fp = predicted_count - excluded - ign_tp
+    # predictions of facts seen in training are dropped for Ign F1, against
+    # the same gold set; with no such facts Ign F1 is F1
+    excluded, ign_f1 = 0, f1
+    if train_facts:
+        facts = train_facts if isinstance(train_facts, FactSet) else FactSet(train_facts)
+        seen = _seen_mask(corpus, np.flatnonzero(predicted.any(axis=1)), facts)
+        excluded = int((predicted & seen).sum())
+        ign_tp = int((hits & ~seen).sum())
+        ign_f1 = _prf(ign_tp, predicted_count - excluded - ign_tp, gold_count - ign_tp)[2]
 
-    precision, recall, f1 = _prf(tp, fp, fn)
-    # same gold set; only the surviving predictions change
-    ign_fn = gold_count - ign_tp
-    _, _, ign_f1 = _prf(ign_tp, ign_fp, ign_fn)
-
-    bucket_f1: dict[Bucket, float] = {}
-    for bucket in (Bucket.HEAD, Bucket.MID, Bucket.TAIL):
-        btp = bfp = bfn = 0
-        for r, (ctp, cfp, cfn) in per_relation.items():
-            if buckets.get(r) == bucket:
-                btp += ctp
-                bfp += cfp
-                bfn += cfn
-        bucket_f1[bucket] = _prf(btp, bfp, bfn)[2]
+    order = (Bucket.HEAD, Bucket.MID, Bucket.TAIL)
+    members = np.array([[buckets.get(r) == b for r in range(len(cells))] for b in order])
+    bucket_cells = (members.astype(np.int64) @ cells).tolist()
+    bucket_f1 = {b: _prf(*bucket_cells[k])[2] for k, b in enumerate(order)}
 
     return EvalReport(
         precision=precision,

@@ -72,8 +72,11 @@ class HeadParams:
             raise ShapeError(
                 f"W_o shape {self.W_o.shape} != ({self.b_o.shape[0]}, {self.pair_dim})"
             )
+        self._check_finite()
+
+    def _check_finite(self) -> None:
         for name in _PARAM_NAMES:
-            if not np.all(np.isfinite(getattr(self, name))):
+            if not np.isfinite(getattr(self, name)).all():
                 raise ConfigError(f"{name} contains non-finite values")
 
     @property
@@ -97,9 +100,15 @@ class HeadParams:
         return {name: getattr(self, name) for name in _PARAM_NAMES}
 
     def copy(self) -> "HeadParams":
-        return HeadParams(
-            *(getattr(self, name).copy() for name in _PARAM_NAMES), self.group_count
+        """Parameters with arrays of their own. A copy has this instance's
+        shapes, so only its values are checked again."""
+        copy = object.__new__(HeadParams)
+        vars(copy).update(
+            {name: getattr(self, name).copy() for name in _PARAM_NAMES},
+            group_count=self.group_count,
         )
+        copy._check_finite()
+        return copy
 
 
 @dataclass(eq=False)

@@ -140,7 +140,7 @@ def train(
     history: list[dict] = []
     best_epoch = -1
     best_f1 = -1.0
-    best_tensors: dict[str, np.ndarray] | None = None
+    best: HeadParams | None = None
     step = 0
 
     for epoch in range(config.epochs):
@@ -201,14 +201,12 @@ def train(
         if dev_report.f1 > best_f1:
             best_f1 = dev_report.f1
             best_epoch = epoch
-            best_tensors = {name: arr.copy() for name, arr in tensors.items()}
+            best = current.copy()
 
     final = current.copy()
-    if best_tensors is None:
+    if best is None:
         best = final
         best_epoch = 0
-    else:
-        best = HeadParams(**best_tensors, group_count=config.group_count)
     return TrainResult(params=best, final_params=final, history=history, best_epoch=best_epoch)
 
 

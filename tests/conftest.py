@@ -1,4 +1,4 @@
-import base64
+import json
 import os
 
 import numpy as np
@@ -58,14 +58,48 @@ def make_corpus(label_sets, n_rel=4, dim=4, docs_of=None, source=LabelSource.GOL
     return Corpus(vocabulary=vocab, examples=examples, label_source=source, embedding_dim=dim)
 
 
-def edit_vectors(record, edit):
-    """Decode a saved corpus record's ``vectors``, apply ``edit`` to its rows
-    (head mentions, tail mentions, context) and encode them back."""
-    n_head, n_tail = record["mentions"]
-    data = base64.b64decode(record["vectors"])
-    rows = np.frombuffer(data, "<f8").reshape(n_head + n_tail + 1, -1).copy()
-    edit(rows)
-    record["vectors"] = base64.b64encode(rows.astype("<f8").tobytes()).decode("ascii")
+class CorpusFile:
+    """A saved corpus file as parts to edit: ``header``, ``records`` (the
+    JSON line ``k`` is ``records[k - 2]``) and ``rows``, each record's vector
+    rows (head mentions, tail mentions, context). ``save`` writes the parts
+    back in the file's layout."""
+
+    def __init__(self, path):
+        with open(path, "rb") as fh:
+            text, payload = fh.read().split(b"\n\n", 1)
+        self.path = path
+        self.header, *self.records = (json.loads(line) for line in text.split(b"\n"))
+        vectors = np.frombuffer(payload, "<f8").reshape(-1, self.header["embedding_dim"])
+        ends = np.cumsum([sum(record["mentions"]) + 1 for record in self.records])
+        self.rows = np.split(vectors.copy(), ends[:-1]) if self.records else []
+
+    def line(self, lineno):
+        return self.header if lineno == 1 else self.records[lineno - 2]
+
+    def edit(self, lineno, record=None, rows=None):
+        """Apply ``record`` to JSON line ``lineno`` and ``rows`` to its rows, then save."""
+        if rows is not None:
+            rows(self.rows[lineno - 2])
+        if record is not None:
+            record(self.line(lineno))
+        self.save()
+
+    def save(self):
+        text = "".join(json.dumps(line) + "\n" for line in (self.header, *self.records))
+        payload = np.concatenate(self.rows).astype("<f8").tobytes() if self.rows else b""
+        with open(self.path, "wb") as fh:
+            fh.write(text.encode() + b"\n" + payload)
+
+
+# a corpus file as format version 2 wrote it: each record's vectors a base64
+# string of its float64 rows
+FORMAT_2_FILE = (
+    '{"format": "docrel-corpus", "version": 2, "relations": ["r0"], "na_index": 1, '
+    '"train_frequency": {}, "label_source": "gold", "embedding_dim": 1, "num_examples": 1}\n'
+    '{"doc_id": "doc0", "head_id": 0, "tail_id": 1, "mentions": [1, 1], '
+    '"vectors": "AAAAAAAA4D8AAAAAAADwvwAAAAAAAABA", "positive_relations": [0], '
+    '"gold_positive_relations": null}\n'
+)
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from docrel.errors import ConfigError
 from docrel.head import init_head_params, save_checkpoint
 from docrel.rng import stream
 
-from conftest import GEN_ARGS, edit_vectors
+from conftest import FORMAT_2_FILE, GEN_ARGS, CorpusFile
 
 
 CUTS = ["--set", "eval.head_cut=2", "--set", "eval.tail_cut=3"]
@@ -225,15 +225,12 @@ class TestPipelineOutputs:
         assert os.path.exists(tmp_path / "envout" / "train" / "manifest.json")
 
 
-def _break_record(regime_dir, out_dir, split, edit):
-    """A copy of a regime bundle whose first ``split`` record is changed by ``edit``."""
+def _break_record(regime_dir, out_dir, split, record=None, rows=None):
+    """A copy of a regime bundle whose first ``split`` record is changed by
+    ``record`` and that record's vector rows by ``rows``."""
     shutil.copytree(regime_dir, out_dir)
     path = os.path.join(out_dir, f"{split}.jsonl")
-    lines = open(path).read().splitlines()
-    record = json.loads(lines[1])
-    edit(record)
-    lines[1] = json.dumps(record)
-    open(path, "w").write("\n".join(lines) + "\n")
+    CorpusFile(path).edit(2, record, rows)
     return path
 
 
@@ -265,13 +262,25 @@ class TestInputsFailClosed:
         def edit(rows):
             rows[-1, 0] = np.nan
 
-        train = _break_record(
-            workspace["regime"], bundle, "train", lambda r: edit_vectors(r, edit)
-        )
+        train = _break_record(workspace["regime"], bundle, "train", rows=edit)
         proc = _cli_subprocess("train", "--regime", bundle, "--out", str(tmp_path / "run"),
                                *FAST_TRAIN, *CUTS)
         assert proc.returncode == 1
         assert f"{train}:2: non-finite value in the context" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_format_2_bundle_exits_1_asking_for_a_rebuild(self, workspace, tmp_path):
+        bundle = tmp_path / "old"
+        shutil.copytree(workspace["regime"], bundle)
+        for split in ("train", "dev", "test"):
+            (bundle / f"{split}.jsonl").write_text(FORMAT_2_FILE)
+        checkpoint = str(tmp_path / "head.ckpt")
+        save_checkpoint(init_head_params(1, 8, 2, 2, stream(0, "init")), checkpoint)
+        proc = _cli_subprocess("eval", "--regime", str(bundle), "--checkpoint", checkpoint,
+                               "--out", str(tmp_path / "eval"))
+        assert proc.returncode == 1
+        assert (f"{bundle / 'train.jsonl'}:1: corpus format version 2, expected 3; rebuild the "
+                "bundle with gen-data and build-regime") in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_custom_regime_kind_exits_1(self, workspace, tmp_path, capsys):

@@ -1,5 +1,4 @@
-import base64
-import json
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +24,7 @@ from docrel.core import (
 from docrel.errors import ConfigError, DataFormatError, DocrelError, DuplicatePairError, ShapeError
 from docrel.losses import LossConfig, _negative_mask
 
-from conftest import edit_vectors, make_corpus, make_example
+from conftest import FORMAT_2_FILE, CorpusFile, make_corpus, make_example
 
 
 class TestRelationVocabulary:
@@ -147,6 +146,10 @@ class TestPartition:
         assert sampled.tolist() == [[True] * 7]
 
 
+# sha256 of the corpus file that test_saved_bytes_are_pinned saves
+PINNED_SHA256 = "b7e3a0dddf4febaae983fd11874de60bac5bbec9c8e5fd0de67fd7e1d050a877"
+
+
 class TestSerialization:
     def test_round_trip(self, small_corpus, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -170,6 +173,20 @@ class TestSerialization:
         save_corpus(small_corpus, second)
         save_corpus(load_corpus(first), again)
         assert first.read_bytes() == second.read_bytes() == again.read_bytes()
+
+    def test_saved_bytes_are_pinned(self, tmp_path):
+        """The corpus file format: bytes that change here change every bundle."""
+        vocab = RelationVocabulary.from_relations(["P17", "P131"], {"P17": 2, "P131": 1})
+        rows = np.arange(-4.0, 6.0).reshape(5, 2) / 3
+        examples = (
+            PairExample("d0", 0, 1, rows[:2], rows[2:3], rows[3], frozenset({1, 0}),
+                        frozenset({0})),
+            PairExample("d1", 1, 0, rows[4:], rows[:1], np.array([-0.0, 5e-324]), frozenset(),
+                        None),
+        )
+        path = tmp_path / "pinned.jsonl"
+        save_corpus(Corpus(vocab, examples, LabelSource.SYNTHETIC, 2), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256
 
     def test_validate_catches_bad_labels(self):
         from docrel.errors import DocrelError
@@ -288,35 +305,35 @@ class TestCorpusCache:
             assert not set(CACHED) & set(vars(corpus))
 
 
+def counts(text):
+    """An edit of a saved file: the first record's mention counts become ``text``."""
+    return lambda data: data.replace(b'"mentions": [1, 1]', b'"mentions": ' + text, 1)
+
+
 class TestLoadFailsClosed:
     """Every malformed corpus file raises DataFormatError naming the file."""
 
     def saved(self, tmp_path, corpus):
         path = tmp_path / "dev.jsonl"
         save_corpus(corpus, path)
-        return path, path.read_text().splitlines()
-
-    def rewrite(self, path, lines, lineno, edit):
-        record = json.loads(lines[lineno - 1])
-        edit(record)
-        lines[lineno - 1] = json.dumps(record)
-        path.write_text("\n".join(lines) + "\n")
+        return path, CorpusFile(path)
 
     def test_record_without_context(self, tmp_path, small_corpus):
-        path, lines = self.saved(tmp_path, small_corpus)
-        self.rewrite(path, lines, 3, lambda r: r.pop("vectors"))
-        with pytest.raises(DataFormatError, match=f"{path}:3: .*vectors"):
+        # a record without its mention counts cannot locate its rows
+        path, saved = self.saved(tmp_path, small_corpus)
+        saved.edit(3, lambda r: r.pop("mentions"))
+        with pytest.raises(DataFormatError, match=f"{path}:3: .*mentions"):
             load_corpus(path)
 
     def test_out_of_range_label(self, tmp_path):
-        path, lines = self.saved(tmp_path, make_corpus([{0}, {1}], n_rel=8))
-        self.rewrite(path, lines, 3, lambda r: r.update(positive_relations=[99]))
+        path, saved = self.saved(tmp_path, make_corpus([{0}, {1}], n_rel=8))
+        saved.edit(3, lambda r: r.update(positive_relations=[99]))
         with pytest.raises(DataFormatError, match=f"{path}:3: relation index 99 out of range"):
             load_corpus(path)
 
     def test_non_integer_label(self, tmp_path, small_corpus):
-        path, lines = self.saved(tmp_path, small_corpus)
-        self.rewrite(path, lines, 2, lambda r: r.update(gold_positive_relations=["r0"]))
+        path, saved = self.saved(tmp_path, small_corpus)
+        saved.edit(2, lambda r: r.update(gold_positive_relations=["r0"]))
         with pytest.raises(DataFormatError, match=f"{path}:2: "):
             load_corpus(path)
 
@@ -328,18 +345,18 @@ class TestLoadFailsClosed:
              "float-gold-label"],
     )
     def test_non_integer_id_or_label(self, tmp_path, small_corpus, field, value):
-        path, lines = self.saved(tmp_path, small_corpus)
-        self.rewrite(path, lines, 3, lambda r: r.update({field: value}))
+        path, saved = self.saved(tmp_path, small_corpus)
+        saved.edit(3, lambda r: r.update({field: value}))
         with pytest.raises(DataFormatError, match=f"{path}:3: id or label .* is not an integer"):
             load_corpus(path)
 
     def test_nan_in_context(self, tmp_path, small_corpus):
-        path, lines = self.saved(tmp_path, small_corpus)
+        path, saved = self.saved(tmp_path, small_corpus)
 
         def edit(rows):
             rows[-1, 1] = np.nan
 
-        self.rewrite(path, lines, 4, lambda r: edit_vectors(r, edit))
+        saved.edit(4, rows=edit)
         with pytest.raises(DataFormatError, match=f"{path}:4: non-finite value in the context"):
             load_corpus(path)
         small_corpus.examples[2].context[0] = np.nan
@@ -347,26 +364,48 @@ class TestLoadFailsClosed:
             small_corpus.validate()
 
     def test_overflowing_literal_in_mention_embedding(self, tmp_path, small_corpus):
-        path, lines = self.saved(tmp_path, small_corpus)
+        path, saved = self.saved(tmp_path, small_corpus)
 
         def edit(rows):
             rows[1, 0] = np.inf  # the first tail mention
 
-        self.rewrite(path, lines, 2, lambda r: edit_vectors(r, edit))
+        saved.edit(2, rows=edit)
         with pytest.raises(
             DataFormatError, match=f"{path}:2: non-finite value in a mention embedding"
         ):
             load_corpus(path)
 
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_nan_in_record_k_names_line_k_plus_2(self, tmp_path, k):
+        # sides of 1 to 4 mentions, so a record's first row is not a multiple
+        # of its index; record 5 is faulty too, and the first one is named
+        corpus = mention_corpus(pairs=6, dim=3)
+        path, saved = self.saved(tmp_path, corpus)
+
+        def edit(rows):
+            rows[0, 2] = np.nan
+
+        saved.edit(k + 2, rows=edit)
+        saved.rows[5][-1, 0] = np.inf
+        saved.save()
+        with pytest.raises(
+            DataFormatError, match=f"{path}:{k + 2}: non-finite value in a mention embedding$"
+        ):
+            load_corpus(path)
+
     def test_duplicated_pair(self, tmp_path, small_corpus):
-        path, lines = self.saved(tmp_path, small_corpus)
-        path.write_text("\n".join(lines[:3] + lines[2:3] + lines[3:-1]) + "\n")
+        path, saved = self.saved(tmp_path, small_corpus)
+        saved.records = saved.records[:2] + saved.records[1:2] + saved.records[2:-1]
+        saved.rows = saved.rows[:2] + saved.rows[1:2] + saved.rows[2:-1]
+        saved.save()
         with pytest.raises(DataFormatError, match=f"{path}: duplicate entity pair"):
             load_corpus(path)
 
     def test_truncated_file(self, tmp_path, small_corpus):
-        path, lines = self.saved(tmp_path, small_corpus)
-        path.write_text("\n".join(lines[:-1]) + "\n")
+        # fewer records, with their rows, than the header declares
+        path, saved = self.saved(tmp_path, small_corpus)
+        saved.records, saved.rows = saved.records[:-1], saved.rows[:-1]
+        saved.save()
         with pytest.raises(DataFormatError, match=f"{path}: header declares 5 examples, found 4"):
             load_corpus(path)
 
@@ -376,47 +415,58 @@ class TestLoadFailsClosed:
             load_corpus(path)
 
     def test_bytes_that_are_not_utf8(self, tmp_path, small_corpus):
-        path, lines = self.saved(tmp_path, small_corpus)
-        path.write_bytes(path.read_bytes()[:-40] + b"\xff\xfe\n")
+        path, _ = self.saved(tmp_path, small_corpus)
+        path.write_bytes(path.read_bytes().replace(b'"doc3"', b'"doc\xff\xfe"', 1))
         with pytest.raises(DataFormatError, match=f"{path}: cannot read"):
             load_corpus(path)
 
     def test_version_1_file_asks_for_a_rebuild(self, tmp_path, small_corpus):
-        path, lines = self.saved(tmp_path, small_corpus)
-        self.rewrite(path, lines, 1, lambda h: h.update(version=1))
+        path, saved = self.saved(tmp_path, small_corpus)
+        saved.edit(1, lambda h: h.update(version=1))
         with pytest.raises(DataFormatError, match=f"{path}:1: corpus format version 1.*rebuild"):
+            load_corpus(path)
+
+    def test_format_2_file_asks_for_a_rebuild(self, tmp_path):
+        path = tmp_path / "dev.jsonl"
+        path.write_text(FORMAT_2_FILE)
+        with pytest.raises(DataFormatError, match=f"{path}:1: corpus format version 2.*rebuild"):
             load_corpus(path)
 
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda r: r.update(vectors="not base64"), "bad record"),
-            (lambda r: r.update(vectors=base64.b64encode(base64.b64decode(r["vectors"])[:-3])
-                                .decode()), "vectors hold 93 bytes, expected 3 rows of 4"),
-            (lambda r: r.update(mentions=[2, 1]), "vectors hold 96 bytes, expected 4 rows of 4"),
-            (lambda r: r.update(mentions=[0, 2]), "mention counts .* not positive integers"),
-            (lambda r: r.update(mentions=[1.0, 1]), "mention counts .* not positive integers"),
-            (lambda r: r.update(mentions=["1", 1]), "mention counts .* not positive integers"),
-            (lambda r: r.update(mentions=[3]), "bad record"),
+            (lambda data: data[:-3], ": vectors hold 477 bytes, expected 15 rows of 4"),
+            (lambda data: data[:-1], ": vectors hold 479 bytes, expected 15 rows of 4"),
+            (lambda data: data + bytes(8), ": vectors hold 488 bytes, expected 15 rows of 4"),
+            (counts(b"[2, 1]"), ": vectors hold 480 bytes, expected 16 rows of 4"),
+            (counts(b"[4611686018427387904, 4611686018427387904]"),
+             ": vectors hold 480 bytes, expected 9223372036854775821 rows of 4"),
+            (counts(b"[0, 2]"), ":2: mention counts .* not positive integers"),
+            (counts(b"[1.0, 1]"), ":2: mention counts .* not positive integers"),
+            (counts(b'["1", 1]'), ":2: mention counts .* not positive integers"),
+            (counts(b"[3]"), ":2: bad record"),
         ],
-        ids=["not-base64", "partial-float", "wrong-row-count", "zero-count", "float-count",
-             "string-count", "one-count"],
+        ids=["partial-float", "short-by-one-byte", "trailing-bytes", "wrong-row-count",
+             "counts-past-int64", "zero-count", "float-count", "string-count", "one-count"],
     )
     def test_malformed_vectors(self, tmp_path, small_corpus, edit, message):
-        path, lines = self.saved(tmp_path, small_corpus)
-        self.rewrite(path, lines, 2, edit)
-        with pytest.raises(DataFormatError, match=f"{path}:2: {message}"):
+        path, _ = self.saved(tmp_path, small_corpus)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(DataFormatError, match=f"{path}{message}"):
             load_corpus(path)
 
     @pytest.mark.parametrize(
         "edit",
         [lambda h: h.pop("relations"), lambda h: h.update(label_source="bogus"),
-         lambda h: h.update(na_index=0)],
-        ids=["no-relations", "bad-label-source", "bad-na-index"],
+         lambda h: h.update(na_index=0), lambda h: h.update(na_index=4.0),
+         lambda h: h.update(embedding_dim=4.7), lambda h: h.update(embedding_dim=0),
+         lambda h: h.update(train_frequency={"r0": "3"})],
+        ids=["no-relations", "bad-label-source", "bad-na-index", "float-na-index", "float-dim",
+             "zero-dim", "string-frequency"],
     )
     def test_bad_header(self, tmp_path, small_corpus, edit):
-        path, lines = self.saved(tmp_path, small_corpus)
-        self.rewrite(path, lines, 1, edit)
+        path, saved = self.saved(tmp_path, small_corpus)
+        saved.edit(1, edit)
         with pytest.raises(DataFormatError, match=f"{path}:1: bad header"):
             load_corpus(path)
 

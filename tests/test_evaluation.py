@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from docrel.core import Bucket, bucket_relations
 from docrel.errors import NumericError, ShapeError
-from docrel.evaluation import evaluate, predict_labels, train_fact_set
+from docrel.evaluation import FactSet, evaluate, predict_labels, train_fact_set
 from docrel.head import init_head_params
 from docrel.rng import stream
 
@@ -151,6 +151,31 @@ class TestEvaluate:
         assert report.f1 == 1.0  # plain F1 unaffected
         # surviving predictions: 1 correct of gold 2
         assert abs(report.ign_f1 - 2 * (1 / 1) * (1 / 2) / (1 / 1 + 1 / 2)) < 1e-12
+
+    def test_ign_f1_matches_a_loop_over_predicted_triples(self, monkeypatch):
+        gold_sets = [{0, 1}, {2}, {0}, set(), {3}]
+        pred_sets = [{0, 1, 2}, {2, 3}, {0, 1}, {1}, set()]
+        corpus = make_corpus(gold_sets)
+        table = logits_for(corpus, pred_sets)
+        # entity pairs (0, 1), (2, 3), (6, 7) and (8, 9) are examples 0, 1, 3
+        # and 4; relation 9 is outside the vocabulary
+        facts = {(0, 0, 1), (0, 2, 1), (0, 9, 1), (2, 3, 3), (6, 1, 7), (8, 1, 9)}
+        excluded = ign_tp = 0
+        for ex, gold, predicted in zip(corpus.examples, gold_sets, pred_sets):
+            for r in predicted:
+                if (ex.head_id, r, ex.tail_id) in facts:
+                    excluded += 1
+                else:
+                    ign_tp += r in gold
+        precision = ign_tp / (sum(map(len, pred_sets)) - excluded)
+        recall = ign_tp / sum(map(len, gold_sets))
+        for given in (frozenset(facts), FactSet(facts)):
+            report = eval_with_logits(corpus, table, monkeypatch, train_facts=given)
+            assert report.excluded_prediction_count == excluded == 4
+            assert abs(report.ign_f1 - 2 * precision * recall / (precision + recall)) < 1e-12
+        unexcluded = eval_with_logits(corpus, table, monkeypatch)
+        assert unexcluded.ign_f1 == unexcluded.f1 == report.f1
+        assert unexcluded.excluded_prediction_count == 0
 
     def test_gold_vs_annotated_labels(self, monkeypatch):
         corpus = make_corpus([set()], n_rel=4)

@@ -251,6 +251,16 @@ class TestParamsAndCheckpoint:
                 b_o=params.b_o,
                 group_count=1,
             )
+        with pytest.raises(ConfigError, match="W_h contains non-finite values"):
+            params.copy()
+
+    def test_copy_holds_equal_arrays_of_its_own(self):
+        params = init_head_params(6, 4, 2, 3, stream(0, "init"))
+        copy = params.copy()
+        assert type(copy) is HeadParams and copy.group_count == params.group_count
+        for name, array in params.tensors().items():
+            assert copy.tensors()[name].tobytes() == array.tobytes()
+            assert not np.shares_memory(copy.tensors()[name], array)
 
     def test_init_bounds_and_determinism(self):
         a = init_head_params(16, 8, 2, 5, stream(7, "init"))
