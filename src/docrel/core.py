@@ -403,10 +403,19 @@ def save_corpus(corpus: Corpus, path) -> None:
         }
         lines.append(json.dumps(record))
         rows += (ex.head_vectors, ex.tail_vectors, ex.context[None])
-    payload = np.concatenate(rows, dtype="<f8").tobytes() if rows else b""
+    # checked before the file is opened, so a bad corpus leaves any file there as it was
+    try:
+        payload = np.concatenate(rows, dtype="<f8") if rows else np.empty((0, corpus.embedding_dim))
+    except (ValueError, TypeError) as exc:
+        raise DataFormatError(f"{path}: cannot save corpus: {exc}") from exc
+    if payload.shape[1:] != (corpus.embedding_dim,):
+        raise DataFormatError(
+            f"{path}: cannot save corpus: vectors of shape {payload.shape[1:]} in a corpus "
+            f"of dimension {corpus.embedding_dim}"
+        )
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n\n").encode("utf-8"))
-        fh.write(payload)
+        fh.write(payload.tobytes())
 
 
 def _record_from_json(obj: dict, n_rel: int, where: str) -> tuple:

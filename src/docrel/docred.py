@@ -5,6 +5,12 @@ bigrams are hashed into ``dim`` signed buckets (SHA-1 based, so vectors do
 not depend on the process hash seed) and the result is L2-normalized. It
 is deliberately crude; absolute scores on real data are not comparable to
 encoder-based systems.
+
+The loader hashes each distinct gram once per call and builds every mention
+and context vector of a document from two prefix sums over its tokens, one
+of signed unigram buckets and one of signed bigram buckets. Every entry is
+a sum of +-1, held exactly in float64 in any order of addition, so the
+vectors are bitwise those of :func:`hashed_featurizer` on the same tokens.
 """
 
 from __future__ import annotations
@@ -29,16 +35,44 @@ def _bucket(token: str, dim: int) -> tuple[int, float]:
     return index, sign
 
 
-def _hash_tokens(tokens, dim: int) -> np.ndarray:
-    vec = np.zeros(dim)
-    grams = list(tokens) + [f"{a}__{b}" for a, b in zip(tokens, tokens[1:])]
-    for tok in grams:
-        idx, sign = _bucket(tok, dim)
-        vec[idx] += sign
-    norm = np.linalg.norm(vec)
-    if norm > 0:
-        vec /= norm
-    return vec
+def _check_dim(dim: int) -> None:
+    if dim < 8:
+        raise ConfigError(f"featurizer dim must be >= 8, got {dim}")
+
+
+def _signed_prefix(grams: list[str], buckets: dict, dim: int) -> np.ndarray:
+    """``(len(grams) + 1, dim)``: row ``j`` sums the signed buckets of ``grams[:j]``."""
+    for gram in grams:
+        if gram not in buckets:
+            buckets[gram] = _bucket(gram, dim)
+    prefix = np.zeros((len(grams) + 1, dim))
+    if grams:
+        index, sign = zip(*map(buckets.__getitem__, grams))
+        prefix[np.arange(1, len(grams) + 1), index] = sign
+        np.cumsum(prefix, axis=0, out=prefix)
+    return prefix
+
+
+def _prefix_sums(tokens: list[str], buckets: dict, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """A token list's unigram and bigram prefix sums; ``buckets`` caches each gram's hash."""
+    bigrams = [f"{a}__{b}" for a, b in zip(tokens, tokens[1:])]
+    return _signed_prefix(tokens, buckets, dim), _signed_prefix(bigrams, buckets, dim)
+
+
+def _window_rows(prefix, starts, ends) -> np.ndarray:
+    """``(n, dim)``: the L2-normalized features of the windows ``tokens[start:end]``.
+
+    A window holds the unigrams ``[start, end)`` and the bigrams that start
+    in ``[start, end - 1)``; an empty window, or one whose buckets cancel,
+    is a zero row.
+    """
+    unigrams, bigrams = prefix
+    starts, ends = np.asarray(starts), np.asarray(ends)
+    last_bigram = np.maximum(ends - 1, starts)
+    rows = (unigrams[ends] - unigrams[starts]) + (bigrams[last_bigram] - bigrams[starts])
+    # a sum of squared integers: the same bits as np.linalg.norm of each row
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
+    return np.divide(rows, norms, out=rows, where=norms > 0)
 
 
 def hashed_featurizer(mention_tokens, window_tokens, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -46,9 +80,9 @@ def hashed_featurizer(mention_tokens, window_tokens, dim: int) -> tuple[np.ndarr
 
     Empty token lists map to zero vectors.
     """
-    if dim < 8:
-        raise ConfigError(f"featurizer dim must be >= 8, got {dim}")
-    return _hash_tokens(list(mention_tokens), dim), _hash_tokens(list(window_tokens), dim)
+    _check_dim(dim)
+    token_lists = (list(mention_tokens), list(window_tokens))
+    return tuple(_window_rows(_prefix_sums(t, {}, dim), [0], [len(t)])[0] for t in token_lists)
 
 
 def _flat_tokens(sents) -> tuple[list[str], list[int]]:
@@ -59,6 +93,13 @@ def _flat_tokens(sents) -> tuple[list[str], list[int]]:
         offsets.append(len(tokens))
         tokens.extend(sent)
     return tokens, offsets
+
+
+def _integer(value, field: str, where: str) -> int:
+    """``value`` if it is a JSON integer; a float or a boolean is refused, not truncated."""
+    if type(value) is not int:
+        raise DataFormatError(f"{where}: field {field!r} holds {value!r}, not an integer")
+    return value
 
 
 def _check_document(doc, doc_pos: int, path) -> tuple[str, list[tuple[int, int, str]]]:
@@ -83,12 +124,96 @@ def _check_document(doc, doc_pos: int, path) -> tuple[str, list[tuple[int, int, 
                 f"{path}: document {title!r}: vertexSet[{ent_pos}] is not a list of mentions"
             )
     triples = []
+    where = f"{path}: document {title!r}: bad label record"
     for label in doc.get("labels", []):
         try:
-            triples.append((int(label["h"]), int(label["t"]), str(label["r"])))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DataFormatError(f"{path}: document {title!r}: bad label record: {exc}") from exc
+            h = _integer(label["h"], "h", where)
+            t = _integer(label["t"], "t", where)
+            triples.append((h, t, str(label["r"])))
+        except (KeyError, TypeError) as exc:
+            raise DataFormatError(f"{where}: {exc}") from exc
     return title, triples
+
+
+def _mention_span(m, sents, sent_offsets, where: str) -> tuple[str, int, int]:
+    """A checked mention's name and its ``[lo, hi)`` span in the flat token list."""
+    bad = f"{where}: bad mention"
+    try:
+        sent_id = _integer(m["sent_id"], "sent_id", bad)
+        start = _integer(m["pos"][0], "pos", bad)
+        end = _integer(m["pos"][1], "pos", bad)
+        name = str(m["name"])
+    except (KeyError, IndexError, TypeError) as exc:
+        raise DataFormatError(f"{bad}: {exc}") from exc
+    if not 0 <= sent_id < len(sent_offsets):
+        raise DataFormatError(
+            f"{where}: sent_id {sent_id} outside the document's {len(sent_offsets)} sentences"
+        )
+    sent_len = len(sents[sent_id])
+    if not 0 <= start < end <= sent_len:
+        raise DataFormatError(
+            f"{where}: pos [{start}, {end}] is not a span of sentence {sent_id} ({sent_len} tokens)"
+        )
+    return name, sent_offsets[sent_id] + start, sent_offsets[sent_id] + end
+
+
+def _closest_spans(lo: np.ndarray, hi: np.ndarray, counts: list[int]):
+    """For every ordered entity pair, the span covering its closest mentions.
+
+    ``lo``/``hi`` hold the mention spans entity by entity, ``counts[e]``
+    mentions for entity ``e``. The closest mentions are those with the
+    smallest gap between them, the first in (head mention, tail mention)
+    order on a tie. Returns ``(E, E)`` arrays of the covering span's ends.
+    """
+    width = max(counts)
+    valid = np.arange(width) < np.array(counts)[:, None]
+    los = np.zeros(valid.shape, dtype=np.int64)
+    his = np.zeros(valid.shape, dtype=np.int64)
+    los[valid], his[valid] = lo, hi
+    # axes: head entity, tail entity, head mention, tail mention
+    h_lo, h_hi = los[:, None, :, None], his[:, None, :, None]
+    t_lo, t_hi = los[None, :, None, :], his[None, :, None, :]
+    gaps = np.maximum(np.maximum(t_lo - h_hi, h_lo - t_hi), 0)
+    gaps[~(valid[:, None, :, None] & valid[None, :, None, :])] = np.iinfo(np.int64).max
+    n = len(counts)
+    # argmin returns the first minimum: the strict-< scan order
+    head_m, tail_m = np.divmod(gaps.reshape(n, n, width * width).argmin(axis=2), width)
+    entity = np.arange(n)
+    head_rows, tail_rows = (entity[:, None], head_m), (entity[None, :], tail_m)
+    return np.minimum(los[head_rows], los[tail_rows]), np.maximum(his[head_rows], his[tail_rows])
+
+
+def _document_examples(title, tokens, ids, spans, counts, pair_labels, buckets, dim):
+    """Every ordered pair of distinct entities of one document, head-major."""
+    prefix = _prefix_sums(tokens, buckets, dim)
+    lo, hi = np.array(spans, dtype=np.int64).reshape(-1, 2).T
+    mention_rows = _window_rows(prefix, lo, hi)
+    bounds = np.cumsum([0, *counts]).tolist()
+    # one (k, dim) array per entity, shared by all its pairs
+    mentions = [mention_rows[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    id_array = np.array(ids)
+    # distinct vertexSet entries sharing a surface name make no pair
+    heads, tails = np.nonzero(id_array[:, None] != id_array[None, :])
+    # context = tokens between (and just around) the closest mentions
+    span_lo, span_hi = _closest_spans(lo, hi, counts)
+    starts = np.maximum(span_lo[heads, tails] - _CONTEXT_MARGIN, 0)
+    ends = np.minimum(span_hi[heads, tails] + _CONTEXT_MARGIN, len(tokens))
+    contexts = _window_rows(prefix, starts, ends)
+
+    return [
+        PairExample(
+            doc_id=str(title),
+            head_id=ids[h],
+            tail_id=ids[t],
+            head_vectors=mentions[h],
+            tail_vectors=mentions[t],
+            context=context,
+            positive_relations=frozenset(pair_labels.get((h, t), ())),
+            gold_positive_relations=None,
+        )
+        for h, t, context in zip(heads.tolist(), tails.tolist(), contexts)
+    ]
 
 
 def load_docred_json(path, dim: int = 64) -> Corpus:
@@ -102,15 +227,16 @@ def load_docred_json(path, dim: int = 64) -> Corpus:
     documents. A malformed document, or two yielding the same (title, head,
     tail) pair, raises DataFormatError naming the path and the document; a
     mention's ``pos`` must be a non-empty span ``[start, end)`` inside its
-    sentence. A file that cannot be read or decoded raises DataFormatError
-    naming the path.
+    sentence, and ``h``, ``t``, ``sent_id`` and ``pos`` must be integers. A
+    file that cannot be read or decoded raises DataFormatError naming the
+    path.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             documents = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{path}: cannot read DocRED file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of over 4,300 digits
         raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(documents, list):
         raise DataFormatError(f"{path}: expected a list of documents")
@@ -121,89 +247,33 @@ def load_docred_json(path, dim: int = 64) -> Corpus:
     rel_index = {name: k for k, name in enumerate(relation_ids)}
 
     entity_ids: dict[str, int] = {}
-
-    def intern(name: str) -> int:
-        return entity_ids.setdefault(name, len(entity_ids))
-
+    buckets: dict[str, tuple[int, float]] = {}  # gram -> (bucket, sign), hashed once per call
     examples: list[PairExample] = []
     for doc, (title, triples) in zip(documents, checked):
         tokens, sent_offsets = _flat_tokens(doc["sents"])
 
-        entities = []
+        ids, spans, counts = [], [], []
         for ent_pos, mention_list in enumerate(doc["vertexSet"]):
-            spans = []
-            for m in mention_list:
-                try:
-                    sent_id = int(m["sent_id"])
-                    start, end = int(m["pos"][0]), int(m["pos"][1])
-                    name = str(m["name"])
-                except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
-                    raise DataFormatError(
-                        f"{path}: document {title!r}: vertexSet[{ent_pos}]: bad mention: {exc}"
-                    ) from exc
-                if not 0 <= sent_id < len(sent_offsets):
-                    raise DataFormatError(
-                        f"{path}: document {title!r}: vertexSet[{ent_pos}]: sent_id {sent_id} "
-                        f"outside the document's {len(sent_offsets)} sentences"
-                    )
-                sent_len = len(doc["sents"][sent_id])
-                if not 0 <= start < end <= sent_len:
-                    raise DataFormatError(
-                        f"{path}: document {title!r}: vertexSet[{ent_pos}]: pos [{start}, {end}] "
-                        f"is not a span of sentence {sent_id} ({sent_len} tokens)"
-                    )
-                lo = sent_offsets[sent_id] + start
-                hi = sent_offsets[sent_id] + end
-                spans.append((name, lo, hi))
-            ent_id = intern(spans[0][0])
-            # featurized once per entity; every pair of the entity shares the array
-            mentions = np.stack(
-                [hashed_featurizer(tokens[lo:hi], [], dim)[0] for _, lo, hi in spans]
-            )
-            entities.append((ent_id, spans, mentions))
+            where = f"{path}: document {title!r}: vertexSet[{ent_pos}]"
+            named = [_mention_span(m, doc["sents"], sent_offsets, where) for m in mention_list]
+            # a bad dim is reported where the first mention would be featurized
+            _check_dim(dim)
+            ids.append(entity_ids.setdefault(named[0][0], len(entity_ids)))
+            spans.extend((lo, hi) for _, lo, hi in named)
+            counts.append(len(named))
 
         pair_labels: dict[tuple[int, int], set[int]] = {}
         for h, t, r in triples:
-            if not (0 <= h < len(entities)) or not (0 <= t < len(entities)):
+            if not (0 <= h < len(ids)) or not (0 <= t < len(ids)):
                 raise DataFormatError(
                     f"{path}: document {title!r}: label entity index out of range"
                 )
             pair_labels.setdefault((h, t), set()).add(rel_index[r])
 
-        for h_pos in range(len(entities)):
-            for t_pos in range(len(entities)):
-                if h_pos == t_pos:
-                    continue
-                h_id, h_spans, h_mentions = entities[h_pos]
-                t_id, t_spans, t_mentions = entities[t_pos]
-                if h_id == t_id:
-                    # distinct vertexSet entries sharing a surface name
-                    continue
-
-                # context = tokens between (and just around) the closest mentions
-                best = None
-                for _, hlo, hhi in h_spans:
-                    for _, tlo, thi in t_spans:
-                        gap = max(tlo - hhi, hlo - thi, 0)
-                        if best is None or gap < best[0]:
-                            best = (gap, min(hlo, tlo), max(hhi, thi))
-                _, lo, hi = best
-                window = tokens[max(0, lo - _CONTEXT_MARGIN) : hi + _CONTEXT_MARGIN]
-                _, context = hashed_featurizer([], window, dim)
-
-                labels = frozenset(pair_labels.get((h_pos, t_pos), set()))
-                examples.append(
-                    PairExample(
-                        doc_id=str(title),
-                        head_id=h_id,
-                        tail_id=t_id,
-                        head_vectors=h_mentions,
-                        tail_vectors=t_mentions,
-                        context=context,
-                        positive_relations=labels,
-                        gold_positive_relations=None,
-                    )
-                )
+        if ids:
+            examples += _document_examples(
+                title, tokens, ids, spans, counts, pair_labels, buckets, dim
+            )
 
     corpus = Corpus(
         vocabulary=vocab,

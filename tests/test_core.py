@@ -188,6 +188,25 @@ class TestSerialization:
         save_corpus(Corpus(vocab, examples, LabelSource.SYNTHETIC, 2), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256
 
+    @pytest.mark.parametrize(
+        "every, message",
+        [(False, r"corpus\.jsonl: cannot save corpus: all the input array"),
+         (True, r"corpus\.jsonl: cannot save corpus: vectors of shape \(5,\) in a corpus of "
+                r"dimension 4")],
+        ids=["one-example-5-wide", "every-example-5-wide"],
+    )
+    def test_save_refuses_vectors_of_the_wrong_width(self, small_corpus, tmp_path, every, message):
+        """Caught before the file is opened: a file already there stays as it was."""
+        wide = {"head_vectors": np.ones((2, 5)), "tail_vectors": np.ones((1, 5)),
+                "context": np.ones(5)}
+        examples = tuple(replace(ex, **wide) if every or i == 0 else ex
+                         for i, ex in enumerate(small_corpus.examples))
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b"an earlier corpus")
+        with pytest.raises(DataFormatError, match=message):
+            save_corpus(replace(small_corpus, examples=examples), path)
+        assert path.read_bytes() == b"an earlier corpus"
+
     def test_validate_catches_bad_labels(self):
         from docrel.errors import DocrelError
 

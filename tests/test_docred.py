@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from docrel.docred import hashed_featurizer, load_docred_json
+from docrel.docred import _bucket, hashed_featurizer, load_docred_json
 from docrel.errors import ConfigError, DataFormatError, DocrelError
 
 
@@ -100,6 +101,12 @@ class TestLoader:
         with pytest.raises(DataFormatError, match=r"docred\.json: cannot read"):
             load_docred_json(path, dim=16)
 
+    def test_integer_past_the_digit_limit_rejected(self, tmp_path):
+        path = write(tmp_path, [DOC])
+        path.write_text(path.read_text().replace('"h": 0', '"h": ' + "1" * 5000, 1))
+        with pytest.raises(DataFormatError, match=r"docred\.json: not valid JSON: .*digits"):
+            load_docred_json(path, dim=16)
+
     def test_document_not_an_object_rejected(self, tmp_path):
         with pytest.raises(DataFormatError, match=r"docred\.json: document 1: expected an object"):
             load_docred_json(write(tmp_path, [DOC, ["not", "a", "document"]]), dim=16)
@@ -121,15 +128,40 @@ class TestLoader:
             (lambda d: d["vertexSet"][2][0].__setitem__("pos", [0, float("inf")]),
              r"vertexSet\[2\]: bad mention"),
             (lambda d: d["labels"][0].__setitem__("h", float("inf")), "bad label record"),
+            # a float or a boolean is refused, not truncated to an integer
+            (lambda d: d["labels"][0].__setitem__("h", 0.7),
+             "bad label record: field 'h' holds 0.7, not an integer"),
+            (lambda d: d["labels"][1].__setitem__("t", True),
+             "bad label record: field 't' holds True, not an integer"),
+            (lambda d: d["vertexSet"][1][1].__setitem__("sent_id", 1.9),
+             r"vertexSet\[1\]: bad mention: field 'sent_id' holds 1.9, not an integer"),
+            (lambda d: d["vertexSet"][2][0].__setitem__("pos", [4.2, 5.9]),
+             r"vertexSet\[2\]: bad mention: field 'pos' holds 4.2, not an integer"),
         ],
         ids=["sentence-string", "token-number", "entity-number", "entity-empty",
-             "pos-infinite", "label-infinite"],
+             "pos-infinite", "label-infinite", "label-h-float", "label-t-bool",
+             "sent-id-float", "pos-float"],
     )
     def test_malformed_sentence_or_entity_rejected(self, tmp_path, edit, message):
         doc = json.loads(json.dumps(DOC))
         edit(doc)
-        with pytest.raises(DataFormatError, match=f"fixture.*{message}"):
+        message = rf"docred\.json: document 'fixture': .*{message}"
+        with pytest.raises(DataFormatError, match=message):
             load_docred_json(write(tmp_path, [doc]), dim=16)
+
+    @pytest.mark.parametrize("bad_label_first", [True, False])
+    def test_first_fault_in_file_order_reported(self, tmp_path, bad_label_first):
+        """Each document is checked in full before the next one's mentions."""
+        bad_label = json.loads(json.dumps(DOC))
+        bad_label["labels"][0]["t"] = 7
+        bad_span = json.loads(json.dumps(DOC))
+        bad_span["vertexSet"][1][1]["pos"] = [2, 1]
+        docs = [bad_label, bad_span] if bad_label_first else [bad_span, bad_label]
+        for pos, doc in enumerate(docs):
+            doc["title"] = f"doc{pos}"
+        first = "label entity index out of range" if bad_label_first else r"pos \[2, 1\]"
+        with pytest.raises(DataFormatError, match=rf"document 'doc0': .*{first}"):
+            load_docred_json(write(tmp_path, docs), dim=16)
 
     def test_repeated_title_rejected(self, tmp_path):
         # the same title and entity names yield the same (doc, head, tail) pairs
@@ -154,20 +186,167 @@ class TestLoader:
     def test_pairs_of_one_entity_share_its_mention_array(self, tmp_path):
         # one array per entity, not one per pair: the benchmark's DocRED
         # workload holds every mention row once
-        spec = importlib.util.spec_from_file_location(
-            "docred_gen",
-            os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "docred_gen.py"),
-        )
-        docred_gen = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(docred_gen)
-        path = tmp_path / "docred.json"
-        docred_gen.write_docred_json(path, seed=0, num_docs=2)
-        corpus = load_docred_json(path, dim=16)
+        corpus = load_docred_json(docred_gen_file(tmp_path / "docred.json", 0, 2), dim=16)
         first = {}
         for ex in corpus.examples:
             for entity, vectors in ((ex.head_id, ex.head_vectors), (ex.tail_id, ex.tail_vectors)):
                 assert first.setdefault(entity, vectors) is vectors
         assert 2 * len(first) < len(corpus.examples)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def reference_vector(tokens, dim):
+    """The featurizer spelled out: one hash and one addition per gram."""
+    vec = np.zeros(dim)
+    for gram in list(tokens) + [f"{a}__{b}" for a, b in zip(tokens, tokens[1:])]:
+        index, sign = _bucket(gram, dim)
+        vec[index] += sign
+    norm = np.linalg.norm(vec)
+    return vec / norm if norm > 0 else vec
+
+
+def reference_pairs(path):
+    """What the loader does, one ordered pair at a time, on a well-formed file.
+
+    Returns the sorted relations and, per pair in load order, its doc, head
+    and tail ids, the token lists of its head and tail mentions, its context
+    window and its label set.
+    """
+    with open(path, encoding="utf-8") as fh:
+        docs = json.load(fh)
+    relations = sorted({label["r"] for doc in docs for label in doc.get("labels", [])})
+    entity_ids = {}
+    pairs = []
+    for doc in docs:
+        tokens = [tok for sent in doc["sents"] for tok in sent]
+        offsets = [sum(map(len, doc["sents"][:k])) for k in range(len(doc["sents"]))]
+        entities = []
+        for mentions in doc["vertexSet"]:
+            spans = [(offsets[m["sent_id"]] + m["pos"][0], offsets[m["sent_id"]] + m["pos"][1])
+                     for m in mentions]
+            entities.append((entity_ids.setdefault(mentions[0]["name"], len(entity_ids)), spans))
+        labels = {}
+        for label in doc.get("labels", []):
+            labels.setdefault((label["h"], label["t"]), set()).add(relations.index(label["r"]))
+        for h, (h_id, h_spans) in enumerate(entities):
+            for t, (t_id, t_spans) in enumerate(entities):
+                if h_id == t_id:
+                    continue
+                best = None
+                for h_lo, h_hi in h_spans:
+                    for t_lo, t_hi in t_spans:
+                        gap = max(t_lo - h_hi, h_lo - t_hi, 0)
+                        if best is None or gap < best[0]:
+                            best = (gap, min(h_lo, t_lo), max(h_hi, t_hi))
+                pairs.append((
+                    doc["title"], h_id, t_id,
+                    [tokens[lo:hi] for lo, hi in h_spans],
+                    [tokens[lo:hi] for lo, hi in t_spans],
+                    tokens[max(0, best[1] - 5) : best[2] + 5],
+                    frozenset(labels.get((h, t), ())),
+                ))
+    return relations, pairs
+
+
+# Sentence 0 has 14 tokens and sentence 1 has 2. Ann's first two mentions
+# are 3 tokens from Bob on either side, a tie either way round; Ann's third
+# mention touches Cy. Windows are clipped at the start (Ann, Bob) and at
+# the end (Ann, Cy).
+TIES = {
+    "title": "ties",
+    "sents": [["Ann", "a", "b", "c", "Bob", "d", "e", "f", "Ann", "g", "h", "i", "j", "Cy"],
+              ["Ann", "k"]],
+    "vertexSet": [
+        [{"name": "Ann", "sent_id": 0, "pos": [0, 1]}, {"name": "Ann", "sent_id": 0, "pos": [8, 9]},
+         {"name": "Ann", "sent_id": 1, "pos": [0, 1]}],
+        [{"name": "Bob", "sent_id": 0, "pos": [4, 5]}],
+        [{"name": "Cy", "sent_id": 0, "pos": [13, 14]}],
+    ],
+    "labels": [{"h": 0, "t": 1, "r": "P1"}, {"h": 0, "t": 1, "r": "P3"},
+               {"h": 2, "t": 0, "r": "P2"}],
+}
+# every window is one token, which has no bigram
+SOLO = {
+    "title": "solo",
+    "sents": [["Solo"]],
+    "vertexSet": [[{"name": "Solo", "sent_id": 0, "pos": [0, 1]}],
+                  [{"name": "Alias", "sent_id": 0, "pos": [0, 1]}]],
+}
+# two vertexSet entries sharing a name: one entity id, and no pair
+TWINS = {
+    "title": "twins",
+    "sents": [["Twin", "and", "Twin"]],
+    "vertexSet": [[{"name": "Twin", "sent_id": 0, "pos": [0, 1]}],
+                  [{"name": "Twin", "sent_id": 0, "pos": [2, 3]}]],
+}
+
+
+def docred_gen_file(path, seed, num_docs):
+    spec = importlib.util.spec_from_file_location(
+        "docred_gen",
+        os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "docred_gen.py"),
+    )
+    docred_gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(docred_gen)
+    docred_gen.write_docred_json(path, seed=seed, num_docs=num_docs)
+    return path
+
+
+class TestAgainstReference:
+    """The loader's vectors are bitwise those of a per-pair loop."""
+
+    @staticmethod
+    def assert_matches_reference(path, dim):
+        corpus = load_docred_json(path, dim=dim)
+        relations, pairs = reference_pairs(path)
+        assert corpus.vocabulary.relations == tuple(relations)
+        assert [(ex.doc_id, ex.head_id, ex.tail_id, ex.positive_relations)
+                for ex in corpus.examples] == [(p[0], p[1], p[2], p[6]) for p in pairs]
+        for ex, (_, _, _, head, tail, window, _) in zip(corpus.examples, pairs):
+            for side, vectors in ((head, ex.head_vectors), (tail, ex.tail_vectors)):
+                assert same_bits(vectors, np.stack([reference_vector(m, dim) for m in side]))
+                for mention, row in zip(side, vectors):
+                    assert same_bits(hashed_featurizer(mention, [], dim)[0], row)
+            assert same_bits(ex.context, reference_vector(window, dim))
+            assert same_bits(hashed_featurizer([], window, dim)[1], ex.context)
+        return corpus, pairs
+
+    @pytest.mark.parametrize("dim", [8, 16, 64])
+    def test_fixtures(self, tmp_path, dim):
+        second = json.loads(json.dumps(DOC))
+        second["title"] = "fixture2"
+        corpus, pairs = self.assert_matches_reference(
+            write(tmp_path, [DOC, TIES, TWINS, SOLO, second]), dim
+        )
+        assert len(pairs) == 6 + 6 + 2 + 6
+        windows = {(p[1], p[2]): p[5] for p in pairs if p[0] == "ties"}
+        ann, bob, cy = (corpus.examples[6].head_id, corpus.examples[6].tail_id,
+                        corpus.examples[7].tail_id)
+        # ties go to the first head mention, then the first tail mention
+        assert windows[ann, bob] == windows[bob, ann] == TIES["sents"][0][:10]
+        assert windows[ann, cy] == TIES["sents"][0][8:] + TIES["sents"][1]
+        assert [p[5] for p in pairs if p[0] == "solo"] == [["Solo"], ["Solo"]]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_docred_gen(self, tmp_path, seed):
+        self.assert_matches_reference(docred_gen_file(tmp_path / "gen.json", seed, 4), 64)
+
+    def test_vectors_pinned(self, tmp_path):
+        corpus = load_docred_json(docred_gen_file(tmp_path / "gen.json", 0, 2))
+        digest = hashlib.sha256()
+        for ex in corpus.examples:
+            for vectors in (ex.head_vectors, ex.tail_vectors, ex.context):
+                digest.update(vectors.tobytes())
+        assert len(corpus.examples) == 200
+        assert digest.hexdigest() == PINNED_GEN_SHA256
+
+
+# sha256 of docred_gen seed 0 (2 documents) loaded at dim 64: every pair's
+# head, tail and context bytes in load order
+PINNED_GEN_SHA256 = "6db8a8fc4edffddf69f7485bd3db4266e2dca39abf02dce20ade2d5eb9f7dca9"
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -210,8 +389,6 @@ class TestHashedFeaturizer:
 
     def test_bucket_collision_rate_near_one_over_dim(self):
         # distinct tokens collide in a bucket with probability about 1/d
-        from docrel.docred import _bucket
-
         dim = 64
         words = [f"tok{i}" for i in range(400)]
         buckets = {w: _bucket(w, dim)[0] for w in words}
