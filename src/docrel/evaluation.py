@@ -138,7 +138,7 @@ def evaluate(
     block = max(1, _EVAL_BLOCK_BYTES // (8 * params.pair_dim))
     f = np.concatenate(
         [
-            head_forward(*(rows[k : k + block] for rows in inputs), params, keep_cache=False).f
+            head_forward(*(rows[k : k + block] for rows in inputs), params).f
             for k in range(0, max(1, len(examples)), block)
         ]
     )

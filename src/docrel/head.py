@@ -16,8 +16,9 @@ and which :class:`~docrel.core.Corpus` derives once per corpus
 contrastive losses. A batch runs as one pass with pairs as rows, one matrix
 product per step. The backward pass is closed-form reverse mode over the
 same graph, including the normalization Jacobian (I - uu^T)/||x||, and
-returns the parameter gradients: no input has a trainable encoder, so no
-gradient flows past the pooled rows.
+returns the parameter gradients as one vector laid out like the parameters'
+``flat``: no input has a trainable encoder, so no gradient flows past the
+pooled rows.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataFormatError, ShapeError
+from .errors import ConfigError, DataFormatError, ShapeError
 
 __all__ = [
     "HeadParams",
@@ -48,7 +49,9 @@ class HeadParams:
     """Learnable parameters of the head.
 
     W_h, W_t, W_c1, W_c2 are (d1, d); W_o is (num_logits, d_x) with
-    d_x = d1^2 / group_count; b_o is (num_logits,).
+    d_x = d1^2 / group_count; b_o is (num_logits,). The constructor copies
+    the six arrays into one float64 vector, ``flat``, in ``_PARAM_NAMES``
+    order; the named attributes are views of it.
     """
 
     W_h: np.ndarray
@@ -58,9 +61,15 @@ class HeadParams:
     W_o: np.ndarray
     b_o: np.ndarray
     group_count: int
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         d1, d = self.W_h.shape
+        if min(d1, d, len(self.b_o), self.group_count) < 1:
+            raise ShapeError(
+                f"head dimensions must be >= 1: input {d}, hidden {d1}, "
+                f"logits {len(self.b_o)}, group count {self.group_count}"
+            )
         if d1 % self.group_count != 0:
             raise ConfigError(
                 f"hidden dim {d1} not divisible by group count {self.group_count}"
@@ -72,12 +81,12 @@ class HeadParams:
             raise ShapeError(
                 f"W_o shape {self.W_o.shape} != ({self.b_o.shape[0]}, {self.pair_dim})"
             )
-        self._check_finite()
-
-    def _check_finite(self) -> None:
-        for name in _PARAM_NAMES:
-            if not np.isfinite(getattr(self, name)).all():
-                raise ConfigError(f"{name} contains non-finite values")
+        flat = np.concatenate([np.ravel(a) for a in self.tensors().values()], dtype=float)
+        object.__setattr__(self, "flat", flat)
+        vars(self).update(self.split(flat))
+        if not np.isfinite(flat).all():
+            bad = next(name for name, a in self.tensors().items() if not np.isfinite(a).all())
+            raise ConfigError(f"{bad} contains non-finite values")
 
     @property
     def input_dim(self) -> int:
@@ -99,26 +108,39 @@ class HeadParams:
     def tensors(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in _PARAM_NAMES}
 
+    def split(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views of a vector laid out like ``flat``, such as a gradient."""
+        return _views(vector, [a.shape for a in self.tensors().values()])
+
     def copy(self) -> "HeadParams":
-        """Parameters with arrays of their own. A copy has this instance's
-        shapes, so only its values are checked again."""
-        copy = object.__new__(HeadParams)
-        vars(copy).update(
-            {name: getattr(self, name).copy() for name in _PARAM_NAMES},
-            group_count=self.group_count,
-        )
-        copy._check_finite()
-        return copy
+        """Parameters with a vector of their own."""
+        return HeadParams(**self.tensors(), group_count=self.group_count)
+
+
+def _views(vector: np.ndarray, shapes) -> dict[str, np.ndarray]:
+    """``vector`` cut into consecutive blocks of ``shapes``, named in ``_PARAM_NAMES`` order."""
+    views, start = {}, 0
+    for name, shape in zip(_PARAM_NAMES, shapes):
+        stop = start + math.prod(shape)
+        views[name] = vector[start:stop].reshape(shape)
+        start = stop
+    return views
 
 
 @dataclass(eq=False)
 class BatchForward:
-    """Forward-pass outputs, one row per pair, plus the cache the backward pass needs."""
+    """Forward-pass outputs, one row per pair, and what the backward pass reads:
+    the pooled input rows, the activations ``z_h``/``z_t`` and the norms of ``x``."""
 
     x: np.ndarray
     x_unit: np.ndarray
     f: np.ndarray
-    cache: dict | None = field(default=None, repr=False)
+    h_head: np.ndarray = field(default=None, repr=False)
+    h_tail: np.ndarray = field(default=None, repr=False)
+    context: np.ndarray = field(default=None, repr=False)
+    z_h: np.ndarray = field(default=None, repr=False)
+    z_t: np.ndarray = field(default=None, repr=False)
+    norm: np.ndarray = field(default=None, repr=False)
 
 
 def head_forward(
@@ -126,7 +148,6 @@ def head_forward(
     h_tail: np.ndarray,
     context: np.ndarray,
     params: HeadParams,
-    keep_cache: bool = True,
 ) -> BatchForward:
     """Pair embeddings and logits from pooled rows, one row per pair.
 
@@ -157,18 +178,7 @@ def head_forward(
     x_unit = np.divide(x, norm[:, None], out=np.zeros_like(x), where=norm[:, None] > 0.0)
 
     f = x @ params.W_o.T + params.b_o
-
-    cache = None
-    if keep_cache:
-        cache = {
-            "h_head": h_head,
-            "h_tail": h_tail,
-            "context": context,
-            "z_h": z_h,
-            "z_t": z_t,
-            "norm": norm,
-        }
-    return BatchForward(x=x, x_unit=x_unit, f=f, cache=cache)
+    return BatchForward(x, x_unit, f, h_head, h_tail, context, z_h, z_t, norm)
 
 
 def head_backward(
@@ -176,21 +186,18 @@ def head_backward(
     grad_x_unit: np.ndarray,
     grad_f: np.ndarray,
     params: HeadParams,
-) -> dict[str, np.ndarray]:
+) -> np.ndarray:
     """Reverse-mode pass for a batch.
 
     ``grad_x_unit`` (n, d_x) is the loss gradient w.r.t. the normalized
     pair embeddings, ``grad_f`` (n, num_logits) w.r.t. the logits. Returns
-    the parameter gradients summed over the batch.
+    the parameter gradients summed over the batch, as one vector laid out
+    like ``params.flat``.
     """
-    if forward.cache is None:
-        raise ContractError("head_backward: forward pass was run without cache")
-    cache = forward.cache
-    x, u = forward.x, forward.x_unit
+    x, u, norm = forward.x, forward.x_unit, forward.norm
     n = x.shape[0]
 
     grad_x = grad_f @ params.W_o
-    norm = cache["norm"]
     radial = np.einsum("ij,ij->i", u, grad_x_unit)[:, None] * u
     # norm == 0: the unit branch emitted a constant zero; no gradient flows
     grad_x += np.divide(
@@ -199,7 +206,7 @@ def head_backward(
 
     P = params.group_count
     g = params.hidden_dim // P
-    z_h, z_t = cache["z_h"], cache["z_t"]
+    z_h, z_t = forward.z_h, forward.z_t
     gx = grad_x.reshape(n, P, g, g)
     grad_z_h = np.einsum("npij,npj->npi", gx, z_t.reshape(n, P, g)).reshape(n, -1)
     grad_z_t = np.einsum("npij,npi->npj", gx, z_h.reshape(n, P, g)).reshape(n, -1)
@@ -207,15 +214,15 @@ def head_backward(
     grad_a_h = grad_z_h * (1.0 - z_h * z_h)
     grad_a_t = grad_z_t * (1.0 - z_t * z_t)
 
-    c = cache["context"]
-    return {
-        "W_h": grad_a_h.T @ cache["h_head"],
-        "W_t": grad_a_t.T @ cache["h_tail"],
-        "W_c1": grad_a_h.T @ c,
-        "W_c2": grad_a_t.T @ c,
-        "W_o": grad_f.T @ x,
-        "b_o": grad_f.sum(axis=0),
-    }
+    grads = np.empty_like(params.flat)
+    out = params.split(grads)
+    np.matmul(grad_a_h.T, forward.h_head, out=out["W_h"])
+    np.matmul(grad_a_t.T, forward.h_tail, out=out["W_t"])
+    np.matmul(grad_a_h.T, forward.context, out=out["W_c1"])
+    np.matmul(grad_a_t.T, forward.context, out=out["W_c2"])
+    np.matmul(grad_f.T, x, out=out["W_o"])
+    np.sum(grad_f, axis=0, out=out["b_o"])
+    return grads
 
 
 def init_head_params(
@@ -246,7 +253,8 @@ def init_head_params(
 
 # ---------------------------------------------------------------------------
 # Checkpoint format: one text header line, one JSON metadata line, then the
-# tensors as raw little-endian float64 in declaration order.
+# parameter vector ``flat`` as raw little-endian float64, that is the tensors
+# in ``_PARAM_NAMES`` order.
 
 _CKPT_MAGIC = b"DOCREL-CKPT 1\n"
 
@@ -261,46 +269,45 @@ def save_checkpoint(params: HeadParams, path) -> None:
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write((json.dumps(meta) + "\n").encode("utf-8"))
-        for arr in params.tensors().values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(params.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> HeadParams:
     """Read a checkpoint; a file that cannot be read, or any malformed,
-    missing, extra or trailing content, raises DataFormatError naming the path."""
+    missing, extra, reordered or trailing content, raises DataFormatError
+    naming the path."""
     try:
         with open(path, "rb") as fh:
             if fh.readline() != _CKPT_MAGIC:
                 raise DataFormatError(f"{path}: not a checkpoint file (bad magic)")
             try:
                 meta = json.loads(fh.readline().decode("utf-8"))
-                group_count = int(meta["group_count"])
-                specs = [
-                    (str(s["name"]), tuple(int(k) for k in s["shape"])) for s in meta["tensors"]
-                ]
+                group_count = meta["group_count"]
+                specs = [(s["name"], tuple(s["shape"])) for s in meta["tensors"]]
             except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
                 raise DataFormatError(f"{path}: bad metadata line: {exc}") from exc
             payload = fh.read()
     except OSError as exc:
         raise DataFormatError(f"{path}: cannot read checkpoint file: {exc}") from exc
     names = [name for name, _ in specs]
-    if sorted(names) != sorted(_PARAM_NAMES) or group_count < 1:
+    if names != list(_PARAM_NAMES):
         raise DataFormatError(
-            f"{path}: tensors {names} with group count {group_count}; expected each of "
-            f"{list(_PARAM_NAMES)} once and a positive group count"
+            f"{path}: tensors {names}; expected {list(_PARAM_NAMES)} in that order"
         )
-    arrays, offset = {}, 0
+    if type(group_count) is not int:
+        raise DataFormatError(f"{path}: group count {group_count!r} is not an integer")
     for name, shape in specs:
-        if len(shape) != (1 if name == "b_o" else 2) or any(k < 0 for k in shape):
+        if len(shape) != (1 if name == "b_o" else 2) or any(
+            type(k) is not int or k < 0 for k in shape
+        ):
             raise DataFormatError(f"{path}: bad shape {list(shape)} for {name}")
-        size = 8 * math.prod(shape)
-        if offset + size > len(payload):
-            raise DataFormatError(f"{path}: truncated payload for {name}")
-        arrays[name] = np.frombuffer(payload, "<f8", size // 8, offset).reshape(shape).copy()
-        offset += size
-    if offset != len(payload):
-        raise DataFormatError(f"{path}: {len(payload) - offset} bytes after the last tensor")
+    shapes = [shape for _, shape in specs]
+    excess = len(payload) - 8 * sum(math.prod(shape) for shape in shapes)
+    if excess < 0:
+        raise DataFormatError(f"{path}: truncated payload, {-excess} bytes short")
+    if excess > 0:
+        raise DataFormatError(f"{path}: {excess} bytes after the last tensor")
     try:
-        return HeadParams(**arrays, group_count=group_count)
+        return HeadParams(**_views(np.frombuffer(payload, "<f8"), shapes), group_count=group_count)
     except (ConfigError, ShapeError) as exc:
         raise DataFormatError(f"{path}: {exc}") from exc

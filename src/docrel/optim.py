@@ -25,8 +25,8 @@ class AdamW:
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 0.01
-    _m: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
-    _v: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    _m: np.ndarray | None = field(default=None, repr=False)
+    _v: np.ndarray | None = field(default=None, repr=False)
     _t: int = 0
 
     def __post_init__(self):
@@ -35,34 +35,27 @@ class AdamW:
         if self.eps <= 0:
             raise ConfigError("eps must be positive")
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float) -> None:
-        """In-place update; iteration order is fixed by sorted tensor name."""
+    def step(self, params: np.ndarray, grads: np.ndarray, lr: float) -> None:
+        """In-place update of one parameter vector, such as ``HeadParams.flat``."""
+        if self._m is None:
+            self._m = np.zeros_like(params)
+            self._v = np.zeros_like(params)
         self._t += 1
         bc1 = 1.0 - self.beta1**self._t
         bc2 = 1.0 - self.beta2**self._t
-        for name in sorted(params):
-            g = grads[name]
-            if name not in self._m:
-                self._m[name] = np.zeros_like(params[name])
-                self._v[name] = np.zeros_like(params[name])
-            m = self._m[name]
-            v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            params[name] -= lr * (update + self.weight_decay * params[name])
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grads
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (grads * grads)
+        update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        params -= lr * (update + self.weight_decay * params)
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm."""
-    total = 0.0
-    for g in grads.values():
-        total += float(np.sum(g * g))
-    norm = float(np.sqrt(total))
+def clip_gradients(grads: np.ndarray, max_norm: float) -> float:
+    """Scale a gradient vector in place so its L2 norm is at most max_norm;
+    returns the norm before clipping."""
+    norm = float(np.sqrt(grads @ grads))
     if norm > max_norm and norm > 0:
-        scale = max_norm / norm
-        for g in grads.values():
-            g *= scale
+        grads *= max_norm / norm
     return norm

@@ -343,10 +343,10 @@ def _head_gradients_close(params, inputs, g_x, g_f) -> bool:
     over every parameter, from the pooled rows ``inputs`` (head, tail, context)."""
 
     def loss() -> float:
-        fw = head_forward(*inputs, params, keep_cache=False)
+        fw = head_forward(*inputs, params)
         return float(np.sum(g_f * fw.f) + np.sum(g_x * fw.x_unit))
 
-    grads = head_backward(head_forward(*inputs, params), g_x, g_f, params)
+    grads = params.split(head_backward(head_forward(*inputs, params), g_x, g_f, params))
     ref = loss()
     return all(
         gradients_close(grads[name], finite_difference(loss, tensor), ref)
@@ -384,7 +384,7 @@ def _check_head_batch(result: SuiteResult, seed: int) -> None:
         g_f = rng.normal(size=(n, n_logits))
         g_x = rng.normal(size=(n, params.pair_dim))
         ok = _head_gradients_close(params, (head, tail, context), g_x, g_f)
-        norms = head_forward(head, tail, context, params).cache["norm"]
+        norms = head_forward(head, tail, context, params).norm
         ok = ok and norms[-1] == 0.0 and bool(np.all(norms[:-1] > 0.0))
         result.record(ok, f"head batch d={d} d1={d1} P={groups}")
 

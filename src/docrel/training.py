@@ -116,10 +116,9 @@ def train(
             num_logits=train_corpus.vocabulary.num_logits,
             rng=stream(config.seed, "init"),
         )
-    # the optimizer updates these arrays in place, so ``current`` always
+    # the optimizer updates this vector in place, so ``current`` always
     # holds the latest parameters
     current = params.copy()
-    tensors = current.tensors()
 
     optimizer = AdamW(
         beta1=config.beta1,
@@ -180,7 +179,7 @@ def train(
             if config.grad_clip_norm is not None:
                 clip_gradients(grads, config.grad_clip_norm)
             lr = warmup_lr(config.learning_rate, step, total_steps, config.warmup_ratio)
-            optimizer.step(tensors, grads, lr)
+            optimizer.step(current.flat, grads, lr)
             step += 1
 
         dev_report = evaluate(current, dev_corpus, use_gold=False)
@@ -203,11 +202,9 @@ def train(
             best_epoch = epoch
             best = current.copy()
 
-    final = current.copy()
-    if best is None:
-        best = final
-        best_epoch = 0
-    return TrainResult(params=best, final_params=final, history=history, best_epoch=best_epoch)
+    # the first epoch sets ``best`` (an F1 is >= 0, best_f1 starts at -1); the
+    # optimizer is done with ``current``, so it is the final snapshot
+    return TrainResult(params=best, final_params=current, history=history, best_epoch=best_epoch)
 
 
 def _epoch_seed(seed: int, epoch: int) -> int:

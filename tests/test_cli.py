@@ -420,6 +420,20 @@ class TestInputsFailClosed:
         assert f"{checkpoint}: b_o contains non-finite values" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_checkpoint_with_zero_hidden_dim_exits_1(self, workspace, tmp_path):
+        checkpoint = tmp_path / "empty.ckpt"
+        shapes = [[0, 12]] * 4 + [[9, 0], [9]]
+        meta = {"group_count": 2, "tensors": [
+            {"name": name, "shape": shape}
+            for name, shape in zip(["W_h", "W_t", "W_c1", "W_c2", "W_o", "b_o"], shapes)
+        ]}
+        checkpoint.write_bytes(b"DOCREL-CKPT 1\n" + json.dumps(meta).encode() + b"\n" + bytes(72))
+        proc = _cli_subprocess("eval", "--regime", workspace["regime"], "--checkpoint",
+                               str(checkpoint), "--out", str(tmp_path / "eval"), *CUTS)
+        assert proc.returncode == 1
+        assert f"{checkpoint}: head dimensions must be >= 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_bad_recorded_split_exits_3(self, workspace, tmp_path, capsys):
         path = tmp_path / "manifest.json"
         Manifest("eval", resolve(), {"regime": workspace["regime"], "checkpoint": "x.ckpt",

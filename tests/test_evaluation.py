@@ -57,7 +57,7 @@ class FixedLogitHead:
         }
         self.num_logits = corpus.vocabulary.num_logits
 
-    def __call__(self, h_head, h_tail, context, params, keep_cache=True):
+    def __call__(self, h_head, h_tail, context, params):
         from docrel.head import BatchForward
 
         f = np.array(

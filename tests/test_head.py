@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -159,23 +160,26 @@ class TestBackward:
         params = init_head_params(3, 4, 2, 5, stream(2, "init"))
         fw = head_forward(*pair([[1, 0, 2]], [[0, 1, 0]], [1, 1, 1]), params)
         grads = head_backward(fw, np.zeros((1, 8)), np.zeros((1, 5)), params)
-        assert set(grads) == set(params.tensors())
-        for g in grads.values():
-            assert np.all(g == 0.0)
+        assert grads.shape == params.flat.shape
+        assert np.all(grads == 0.0)
 
     def test_zero_embedding_routes_zero_normalization_grad(self):
         params = zero_params(2, 2, 1, 3, b_o=[0.5, 0, 0])
         fw = head_forward(*pair([[1, 1]], [[1, 1]], [0, 0]), params)
-        assert fw.cache["norm"][0] == 0.0
+        assert fw.norm[0] == 0.0
         grads = head_backward(fw, np.ones((1, 4)), np.zeros((1, 3)), params)
         # only W_o/b_o touch f; x-side gradient vanished with the zero vector
-        assert np.all(grads["W_h"] == 0.0)
+        assert np.all(params.split(grads)["W_h"] == 0.0)
 
-    def test_missing_cache_rejected(self):
+    def test_gradient_blocks_follow_the_parameter_layout(self):
         params = init_head_params(3, 4, 2, 5, stream(2, "init"))
-        fw = head_forward(*pair([[1, 0, 2]], [[0, 1, 0]], [1, 1, 1]), params, keep_cache=False)
-        with pytest.raises(ContractError):
-            head_backward(fw, np.zeros((1, 8)), np.zeros((1, 5)), params)
+        fw = head_forward(*pair([[1, 0, 2]], [[0, 1, 0]], [1, 1, 1]), params)
+        g_f = np.arange(5.0)[None]
+        grads = params.split(head_backward(fw, np.ones((1, 8)), g_f, params))
+        assert list(grads) == list(params.tensors())
+        assert all(grads[name].shape == arr.shape for name, arr in params.tensors().items())
+        assert np.array_equal(grads["b_o"], g_f[0])
+        assert np.array_equal(grads["W_o"], g_f.T @ fw.x)
 
     def test_matches_finite_differences(self):
         # spot check; the selftest suite covers many more configurations
@@ -193,8 +197,7 @@ class TestBackward:
         twice = head_backward(
             head_forward(*stack(ex, ex), params), np.ones((2, 8)), np.ones((2, 5)), params
         )
-        for name in once:
-            assert np.allclose(twice[name], 2 * once[name], rtol=1e-12)
+        assert np.allclose(twice, 2 * once, rtol=1e-12)
 
     def test_packed_batch_matches_finite_differences(self):
         # a four-pair batch whose last pair has a zero pair embedding
@@ -214,16 +217,13 @@ class TestBackward:
         batch = head_forward(*stack(*pairs), params)
         g_x, g_f = rng.normal(size=(3, 8)), rng.normal(size=(3, 5))
         grads = head_backward(batch, g_x, g_f, params)
-        summed = {name: np.zeros_like(arr) for name, arr in grads.items()}
+        summed = np.zeros_like(grads)
         for i, inputs in enumerate(pairs):
             single = head_forward(*inputs, params)
             for name in ("x", "x_unit", "f"):
                 assert np.allclose(getattr(single, name)[0], getattr(batch, name)[i], rtol=1e-12)
-            one = head_backward(single, g_x[i : i + 1], g_f[i : i + 1], params)
-            for name in summed:
-                summed[name] += one[name]
-        for name in summed:
-            assert np.allclose(summed[name], grads[name], rtol=1e-12)
+            summed += head_backward(single, g_x[i : i + 1], g_f[i : i + 1], params)
+        assert np.allclose(summed, grads, rtol=1e-12)
 
     def test_empty_batch(self):
         params = init_head_params(3, 4, 2, 5, stream(5, "init"))
@@ -258,9 +258,38 @@ class TestParamsAndCheckpoint:
         params = init_head_params(6, 4, 2, 3, stream(0, "init"))
         copy = params.copy()
         assert type(copy) is HeadParams and copy.group_count == params.group_count
+        assert copy.flat.tobytes() == params.flat.tobytes()
+        assert not np.shares_memory(copy.flat, params.flat)
         for name, array in params.tensors().items():
             assert copy.tensors()[name].tobytes() == array.tobytes()
-            assert not np.shares_memory(copy.tensors()[name], array)
+
+    def test_tensors_are_views_of_one_vector_in_name_order(self):
+        given = init_head_params(3, 4, 2, 5, stream(0, "init")).tensors()
+        params = HeadParams(**given, group_count=2)
+        assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
+        assert np.array_equal(params.flat, np.concatenate([a.ravel() for a in given.values()]))
+        for name, view in params.tensors().items():
+            assert np.shares_memory(view, params.flat) and not np.shares_memory(view, given[name])
+        params.flat[:] = np.arange(params.flat.size)
+        assert params.W_h[0, 1] == 1.0 and params.b_o[-1] == params.flat.size - 1
+        vector = np.arange(params.flat.size, dtype=float)
+        views = params.split(vector)
+        assert list(views) == list(params.tensors())
+        for name, view in views.items():
+            assert view.shape == getattr(params, name).shape
+            assert np.shares_memory(view, vector)
+            assert np.array_equal(view, getattr(params, name))
+
+    @pytest.mark.parametrize("d, d1, n_logits", [(0, 4, 5), (3, 0, 5), (3, 4, 0)],
+                             ids=["input", "hidden", "logits"])
+    def test_zero_dimension_rejected(self, d, d1, n_logits):
+        with pytest.raises(ShapeError, match="head dimensions must be >= 1"):
+            zero_params(d, d1, 2, n_logits)
+
+    def test_zero_group_count_rejected(self):
+        tensors = zero_params(3, 4, 1, 5).tensors()
+        with pytest.raises(ShapeError, match="group count 0"):
+            HeadParams(**tensors, group_count=0)
 
     def test_init_bounds_and_determinism(self):
         a = init_head_params(16, 8, 2, 5, stream(7, "init"))
@@ -277,6 +306,13 @@ class TestParamsAndCheckpoint:
         assert loaded.group_count == params.group_count
         for name, arr in params.tensors().items():
             assert np.array_equal(arr, loaded.tensors()[name])
+
+    def test_saved_bytes_are_pinned(self, tmp_path):
+        # header, metadata line and the tensors' raw float64 in name order
+        path = tmp_path / "params.ckpt"
+        save_checkpoint(init_head_params(4, 4, 2, 6, stream(9, "init")), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "b4a567ae02d152f0caccda854d7a525d3fa94f96e04f9b631f716f4e40f7560f"
 
 
 class TestCheckpointFailsClosed:
@@ -346,6 +382,42 @@ class TestCheckpointFailsClosed:
             meta["tensors"][1]["shape"] = [2, 8]  # W_t: W_h is [4, 4]
 
         self.assert_rejected(path, self.rewrite_meta(data, reshape_w_t), r"W_t shape \(2, 8\)")
+
+    def test_tensors_out_of_order(self, tmp_path):
+        path, data = self.saved(tmp_path)
+
+        def swap(meta):
+            meta["tensors"][0], meta["tensors"][1] = meta["tensors"][1], meta["tensors"][0]
+
+        self.assert_rejected(path, self.rewrite_meta(data, swap), "in that order")
+
+    @pytest.mark.parametrize("value", [2.9, 2.0, "2", True, None, [2]])
+    def test_group_count_not_an_integer(self, tmp_path, value):
+        path, data = self.saved(tmp_path)
+        self.assert_rejected(path, self.rewrite_meta(data, lambda m: m.update(group_count=value)),
+                             "group count .* is not an integer")
+
+    @pytest.mark.parametrize("shape", [[4.7, 8], [4, 4.0], ["4", 4], [True, 4], [4, None]])
+    def test_shape_entry_not_an_integer(self, tmp_path, shape):
+        path, data = self.saved(tmp_path)
+
+        def reshape_w_h(meta):
+            meta["tensors"][0]["shape"] = shape
+
+        self.assert_rejected(path, self.rewrite_meta(data, reshape_w_h), "bad shape .* for W_h")
+
+    def test_zero_hidden_dim(self, tmp_path):
+        # every tensor but b_o (6 zeros) is empty, so the payload is consistent
+        path, data = self.saved(tmp_path)
+
+        def empty_hidden(meta):
+            for spec in meta["tensors"][:4]:
+                spec["shape"] = [0, 4]
+            meta["tensors"][4]["shape"] = [6, 0]
+
+        magic, meta, _ = self.rewrite_meta(data, empty_hidden).split(b"\n", 2)
+        self.assert_rejected(path, b"\n".join([magic, meta, bytes(48)]),
+                             "head dimensions must be >= 1")
 
     def test_group_count_not_dividing_the_hidden_dim(self, tmp_path):
         path, data = self.saved(tmp_path)

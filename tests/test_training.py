@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from docrel.errors import ConfigError, NonFiniteLossError
 from docrel.experiments import run_ablation, sweep_sampling_ratio
 from docrel.head import init_head_params
 from docrel.losses import LossConfig, batch_loss
-from docrel.optim import AdamW, warmup_lr
+from docrel.optim import AdamW, clip_gradients, warmup_lr
 from docrel.rng import stream
 from docrel.training import TrainConfig, train
 
@@ -48,16 +49,54 @@ class TestWarmup:
 class TestAdamW:
     def test_decoupled_decay_moves_params_without_gradient(self):
         opt = AdamW(weight_decay=0.1)
-        params = {"w": np.ones(3)}
-        opt.step(params, {"w": np.zeros(3)}, lr=0.1)
-        assert np.allclose(params["w"], 1.0 - 0.1 * 0.1 * 1.0)
+        params = np.ones(3)
+        opt.step(params, np.zeros(3), lr=0.1)
+        assert np.allclose(params, 1.0 - 0.1 * 0.1 * 1.0)
 
     def test_descends_a_quadratic(self):
         opt = AdamW(weight_decay=0.0)
-        params = {"w": np.array([5.0])}
+        params = np.array([5.0, -3.0])
         for _ in range(500):
-            opt.step(params, {"w": 2 * params["w"]}, lr=0.05)
-        assert abs(params["w"][0]) < 1e-2
+            opt.step(params, 2 * params, lr=0.05)
+        assert np.all(np.abs(params) < 1e-2)
+
+    def test_vector_update_is_elementwise(self):
+        # one update of a concatenated vector equals separate updates of its parts
+        rng = stream(0, "adamw")
+        whole = AdamW()
+        parts = [AdamW(), AdamW()]
+        params = rng.normal(size=7)
+        split = [params[:3].copy(), params[3:].copy()]
+        for _ in range(20):
+            grads = rng.normal(size=7)
+            whole.step(params, grads, lr=0.01)
+            parts[0].step(split[0], grads[:3].copy(), lr=0.01)
+            parts[1].step(split[1], grads[3:].copy(), lr=0.01)
+        assert params.tobytes() == np.concatenate(split).tobytes()
+
+
+class TestClipGradients:
+    def test_vector_above_the_limit_is_scaled_to_it(self):
+        grads = np.array([3.0, 0.0, -4.0])
+        assert clip_gradients(grads, 1.0) == 5.0
+        assert np.allclose(grads, [0.6, 0.0, -0.8], rtol=1e-15)
+        assert np.linalg.norm(grads) == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("grads", [np.array([0.3, -0.4]), np.array([3.0, 4.0]), np.zeros(4)],
+                             ids=["below", "at", "zero"])
+    def test_vector_within_the_limit_is_untouched(self, grads):
+        before = grads.copy()
+        assert clip_gradients(grads, 5.0) == float(np.linalg.norm(before))
+        assert grads.tobytes() == before.tobytes()
+
+    def test_clipped_run_differs_from_unclipped(self):
+        regime = tiny_regime()
+        cfg = TrainConfig(seed=5, **FAST)
+        free = train(regime.train, regime.dev, cfg)
+        clipped = train(regime.train, regime.dev, replace(cfg, grad_clip_norm=1e-3))
+        assert not np.array_equal(free.final_params.flat, clipped.final_params.flat)
+        loose = train(regime.train, regime.dev, replace(cfg, grad_clip_norm=1e12))
+        assert loose.final_params.flat.tobytes() == free.final_params.flat.tobytes()
 
 
 class TestStepCount:
@@ -87,8 +126,7 @@ class TestTrainLoop:
             empty.embedding_dim, cfg.hidden_dim, cfg.group_count,
             empty.vocabulary.num_logits, stream(3, "init"),
         )
-        for name, arr in init.tensors().items():
-            assert np.array_equal(arr, result.final_params.tensors()[name])
+        assert np.array_equal(init.flat, result.final_params.flat)
 
     def test_separable_corpus_reaches_f1(self):
         # clean well-separated features; train F1 must reach 0.95 within 30 epochs
@@ -108,8 +146,7 @@ class TestTrainLoop:
         a = train(regime.train, regime.dev, cfg)
         b = train(regime.train, regime.dev, cfg)
         assert json.dumps(a.history, sort_keys=True) == json.dumps(b.history, sort_keys=True)
-        for name, arr in a.params.tensors().items():
-            assert np.array_equal(arr, b.params.tensors()[name])
+        assert np.array_equal(a.params.flat, b.params.flat)
 
     def test_best_epoch_is_argmax_of_history(self):
         regime = tiny_regime(noise=0.3, kind="OOG")
@@ -131,8 +168,6 @@ class TestTrainLoop:
             context=bad.context,
             positive_relations=bad.positive_relations,
         )
-        from dataclasses import replace
-
         corrupt = replace(regime.train, examples=(poisoned,) + regime.train.examples[1:])
         cfg = TrainConfig(seed=1, **FAST)
         with pytest.raises(NonFiniteLossError) as err:
@@ -145,8 +180,6 @@ class TestTrainLoop:
         # only the loss-part bookkeeping (pmt/em vs sampled_neg) may differ
         regime = tiny_regime(noise=0.4, kind="OOG")
         base = TrainConfig(seed=4, **FAST)
-        from dataclasses import replace
-
         off = train(regime.train, regime.dev, base)
         on = train(
             regime.train,
@@ -157,8 +190,7 @@ class TestTrainLoop:
             assert rec_off["loss_total"] == rec_on["loss_total"]
             assert rec_off["dev"] == rec_on["dev"]
         assert off.best_epoch == on.best_epoch
-        for name, arr in off.params.tensors().items():
-            assert np.array_equal(arr, on.params.tensors()[name])
+        assert np.array_equal(off.params.flat, on.params.flat)
 
     def test_resample_modes_run(self, monkeypatch):
         # each batch's sampled sets, as batch_loss receives them, keyed by
@@ -232,7 +264,6 @@ class TestExperimentDrivers:
         regime = tiny_regime(noise=0.4, kind="OOG")
         cfg = TrainConfig(seed=0, **FAST)
         rows = sweep_sampling_ratio(regime, cfg, ratios=[1.0], seeds=[0], bucket_cuts=(2, 2))
-        from dataclasses import replace
         from docrel.core import bucket_relations
         from docrel.evaluation import evaluate, train_fact_set
 
