@@ -9,6 +9,9 @@ negative-label sampling for robustness to false-negative annotations.
 
 __version__ = "0.1.0"
 
+# on glibc, keeps freed heap mapped so that training steps do not fault it in again
+from . import _heap  # noqa: E402,F401
+
 from .core import (
     Bucket,
     Corpus,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import logging
 import os
 import sys
 import time
@@ -25,6 +26,7 @@ from .config import (
     Manifest,
     PRESETS,
     coerce,
+    environment,
     gold_splits_from,
     parse_config_file,
     regime_from,
@@ -155,7 +157,12 @@ def _run(args, body, input_names: dict[str, str | None]) -> int:
         started = time.time()
         outputs = body(args, resolved, out_dir, inputs)
         Manifest(
-            args.command, resolved, inputs, outputs, runtime_seconds=time.time() - started
+            args.command,
+            resolved,
+            inputs,
+            outputs,
+            runtime_seconds=time.time() - started,
+            environment=environment(),
         ).save(os.path.join(out_dir, "manifest.json"))
     except BaseException:
         with contextlib.suppress(OSError):
@@ -313,12 +320,29 @@ _COMMANDS = {
 }
 
 
+@contextlib.contextmanager
+def _log_to_stderr():
+    """Print the library's INFO lines (one per training epoch) on stderr."""
+    logger = logging.getLogger("docrel")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "selftest":
-            return _selftest(args.seed)
-        return _run(args, *_COMMANDS[args.command])
+        with _log_to_stderr():
+            if args.command == "selftest":
+                return _selftest(args.seed)
+            return _run(args, *_COMMANDS[args.command])
     except ConfigError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 3

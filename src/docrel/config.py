@@ -15,10 +15,13 @@ a manifest can be replayed to reproduce a run exactly.
 from __future__ import annotations
 
 import json
+import platform
 import typing
 from dataclasses import dataclass, fields
 
-from . import __version__
+import numpy as np
+
+from . import __version__, _heap
 from .errors import ConfigError
 from .losses import LossConfig
 from .training import TrainConfig
@@ -35,6 +38,7 @@ __all__ = [
     "gold_splits_from",
     "regime_from",
     "Manifest",
+    "environment",
 ]
 
 
@@ -282,6 +286,29 @@ def regime_from(splits, resolved: dict[str, dict]) -> Regime:
     )
 
 
+def environment() -> dict[str, object]:
+    """What a run ran on: the Python, NumPy, platform and glibc versions
+    (glibc None on another C library) and the heap pad docrel set (None
+    where it left the allocator alone)."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "glibc": _heap.glibc_version(),
+        "heap_top_pad": _heap.top_pad,
+    }
+
+
+# each environment entry -> the types its value may have
+_ENVIRONMENT_KINDS = {
+    "python": (str,),
+    "numpy": (str,),
+    "platform": (str,),
+    "glibc": (str, type(None)),
+    "heap_top_pad": (int, type(None)),
+}
+
+
 @dataclass(eq=False)
 class Manifest:
     command: str
@@ -290,6 +317,7 @@ class Manifest:
     outputs: dict[str, str]
     version: str = __version__
     runtime_seconds: float | None = None
+    environment: dict[str, object] | None = None  # see ``environment()``
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -299,8 +327,9 @@ class Manifest:
     @classmethod
     def load(cls, path) -> "Manifest":
         """Read a manifest; a missing, garbled or incomplete one, or one that
-        records an unknown key, a value of the wrong kind or an input that is
-        not a string, raises ConfigError."""
+        records an unknown key, a value of the wrong kind, an input that is
+        not a string or an environment unlike ``environment()``'s, raises
+        ConfigError. A manifest without an environment loads with None."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
@@ -311,12 +340,19 @@ class Manifest:
                 outputs=dict(obj.get("outputs", {})),
                 version=obj.get("version", "unknown"),
                 runtime_seconds=obj.get("runtime_seconds"),
+                environment=obj.get("environment"),
             )
             for key, entry in m.config.items():  # each entry carries a value of its key's kind
                 entry["value"] = checked(key, entry["value"])
             for name, value in m.inputs.items():
                 if type(value) is not str:
                     raise TypeError(f"input {name}: {value!r} is not a string")
+            if m.environment is not None:
+                if m.environment.keys() != _ENVIRONMENT_KINDS.keys():
+                    raise KeyError(f"environment keys {sorted(m.environment)}")
+                for name, value in m.environment.items():
+                    if type(value) not in _ENVIRONMENT_KINDS[name]:
+                        raise TypeError(f"environment {name}: {value!r} is of the wrong kind")
         except (OSError, ValueError, KeyError, TypeError, AttributeError, ConfigError) as exc:
             raise ConfigError(f"{path}: not a readable run manifest: {exc!r}") from exc
         return m

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -143,6 +144,7 @@ def train(
     step = 0
 
     for epoch in range(config.epochs):
+        started = time.perf_counter()
         batches = assemble_batches(
             train_corpus, config.batch_size, _epoch_seed(config.seed, epoch)
         )
@@ -194,8 +196,14 @@ def train(
             },
         }
         history.append(record)
+        seconds = time.perf_counter() - started
         logger.info(
-            "epoch %d: loss=%.4f dev_f1=%.4f", epoch, epoch_total, dev_report.f1
+            "epoch %d: loss=%.4f dev_f1=%.4f wall=%.3fs pairs/s=%.0f",
+            epoch,
+            epoch_total,
+            dev_report.f1,
+            seconds,
+            len(train_corpus.examples) / seconds,
         )
         if dev_report.f1 > best_f1:
             best_f1 = dev_report.f1

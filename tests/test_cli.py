@@ -11,6 +11,7 @@ from docrel.cli import main
 from docrel.config import (
     Manifest,
     PRESETS,
+    environment,
     parse_config_file,
     resolve,
     train_config_from,
@@ -130,6 +131,16 @@ class TestPipelineOutputs:
         assert manifest.command == "train"
         assert manifest.config["train.epochs"]["value"] == 2
         assert manifest.runtime_seconds is not None
+        assert manifest.environment == environment()
+
+    def test_train_prints_epoch_lines_on_stderr(self, workspace, tmp_path):
+        proc = _cli_subprocess("train", "--regime", workspace["regime"],
+                               "--out", str(tmp_path / "run"), *FAST_TRAIN, *CUTS)
+        assert proc.returncode == 0
+        assert "docrel.training: epoch 0: loss=" in proc.stderr
+        assert "epoch 1: " in proc.stderr and " pairs/s=" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.startswith("trained 2 epochs")
 
     def test_eval_csv_header_and_row(self, workspace, tmp_path):
         run = str(tmp_path / "run")
@@ -159,6 +170,8 @@ class TestPipelineOutputs:
         assert open(os.path.join(a, "dev_report.csv")).read() == open(
             os.path.join(b, "dev_report.csv")
         ).read()
+        recorded = [Manifest.load(os.path.join(run, "manifest.json")) for run in (a, b)]
+        assert recorded[0].environment == recorded[1].environment == environment()
 
     def test_eval_replay_keeps_split(self, workspace, tmp_path):
         run, a, b = (str(tmp_path / name) for name in ("run", "a", "b"))
@@ -297,9 +310,13 @@ class TestInputsFailClosed:
          lambda m: m["config"]["train.epochs"].pop("value"),
          lambda m: m["config"]["train.epochs"].update(value="abc"),
          lambda m: m["config"].update({"train.epochz": m["config"].pop("train.epochs")}),
-         lambda m: m["inputs"].update(regime=5)],
+         lambda m: m["inputs"].update(regime=5),
+         lambda m: m["environment"].update(heap_top_pad="33554432"),
+         lambda m: m["environment"].pop("glibc"),
+         lambda m: m.update(environment=["3.11"])],
         ids=["garbled", "no-command", "no-config", "entry-without-value", "string-epochs",
-             "renamed-key", "number-input"],
+             "renamed-key", "number-input", "string-heap-pad", "environment-without-glibc",
+             "environment-list"],
     )
     def test_bad_manifest_exits_3(self, workspace, tmp_path, capsys, edit):
         run = str(tmp_path / "run")

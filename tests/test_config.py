@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from docrel.config import (
     REGISTRY,
     Manifest,
+    environment,
     loss_config_from,
     resolve,
     synthetic_config_from,
@@ -95,8 +96,43 @@ def test_flag_values_reach_every_field():
 
 def saved_manifest(path):
     """An ``ablate`` manifest of the pinned ablation experiment, written to ``path``."""
-    Manifest("ablate", pinned("ablation.conf"), {"regime": "gold"}, {}).save(path)
+    Manifest(
+        "ablate", pinned("ablation.conf"), {"regime": "gold"}, {}, environment=environment()
+    ).save(path)
     return json.loads(path.read_text())
+
+
+def test_manifest_environment_round_trips(tmp_path):
+    path = tmp_path / "manifest.json"
+    recorded = saved_manifest(path)["environment"]
+    assert recorded == environment() == Manifest.load(path).environment
+    assert set(recorded) == {"python", "numpy", "platform", "glibc", "heap_top_pad"}
+
+
+def test_manifest_without_environment_loads(tmp_path):
+    path = tmp_path / "manifest.json"
+    manifest = saved_manifest(path)
+    del manifest["environment"]
+    path.write_text(json.dumps(manifest))
+    assert Manifest.load(path).environment is None
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda e: e.update(heap_top_pad=True), lambda e: e.update(heap_top_pad=1.5),
+     lambda e: e.update(python=3.11), lambda e: e.update(numpy=None),
+     lambda e: e.update(glibc=2.36), lambda e: e.pop("platform"),
+     lambda e: e.update(allocator="jemalloc")],
+    ids=["bool-pad", "float-pad", "number-python", "null-numpy", "number-glibc",
+         "no-platform", "unknown-entry"],
+)
+def test_manifest_with_bad_environment_is_rejected(tmp_path, edit):
+    path = tmp_path / "manifest.json"
+    manifest = saved_manifest(path)
+    edit(manifest["environment"])
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError, match=f"{path}: .*environment"):
+        Manifest.load(path)
 
 
 @pytest.mark.parametrize(
