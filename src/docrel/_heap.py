@@ -40,7 +40,7 @@ def pad_heap(environ=os.environ, libc=None) -> int | None:
     except (OSError, AttributeError):  # no C library to load, or no mallopt in it
         return None
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    return TOP_PAD if mallopt(_M_TOP_PAD, TOP_PAD) == 1 else None  # 1: done
+    return TOP_PAD if mallopt(_M_TOP_PAD, TOP_PAD) == 1 else None  # mallopt returns 1 on success
 
 
 top_pad = pad_heap()  # what importing docrel set, recorded in run manifests
