@@ -8,7 +8,6 @@ import pytest
 
 from docrel import _heap
 
-GLIBC_SETTINGS = ["MALLOC_TOP_PAD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_"]
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 on_glibc = pytest.mark.skipif(_heap.glibc_version() is None, reason="needs glibc")
 
@@ -43,7 +42,7 @@ def test_other_tunables_leave_the_pad_on(glibc):
 
 @pytest.mark.parametrize(
     "name, value",
-    [*((name, "65536") for name in GLIBC_SETTINGS),
+    [*((name, "65536") for name in _heap._GLIBC_SETTINGS),
      ("GLIBC_TUNABLES", "glibc.pthread.rseq=0:glibc.malloc.top_pad=0")],
 )
 def test_glibc_malloc_settings_leave_the_allocator_alone(glibc, name, value):
@@ -57,6 +56,18 @@ def test_failed_call_returns_none(glibc, libc):
     assert _heap.pad_heap({}, libc) is None
 
 
+def test_missing_ctypes_returns_none(glibc, monkeypatch):
+    monkeypatch.setitem(sys.modules, "ctypes", None)  # makes ``import ctypes`` raise ImportError
+    assert _heap.pad_heap({}) is None
+
+
+def test_no_confstr_means_no_glibc(monkeypatch):
+    """Python has ``os.confstr`` only on Unix; elsewhere the import must still succeed."""
+    monkeypatch.delattr(os, "confstr")
+    assert _heap.glibc_version() is None
+    assert _heap.pad_heap({}) is None
+
+
 def test_other_libc_is_left_alone(monkeypatch):
     monkeypatch.setattr(_heap, "glibc_version", lambda: None)
     libc = FakeLibc()
@@ -67,7 +78,8 @@ def test_other_libc_is_left_alone(monkeypatch):
 def _python(code, **env):
     """Run ``code`` in a fresh interpreter that imports docrel from this tree,
     with none of glibc's malloc settings but those in ``env``; return stdout."""
-    clean = {k: v for k, v in os.environ.items() if k not in GLIBC_SETTINGS + ["GLIBC_TUNABLES"]}
+    settings = (*_heap._GLIBC_SETTINGS, "GLIBC_TUNABLES")
+    clean = {k: v for k, v in os.environ.items() if k not in settings}
     clean["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env={**clean, **env}
