@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -127,20 +128,33 @@ def _views(vector: np.ndarray, shapes) -> dict[str, np.ndarray]:
     return views
 
 
-@dataclass(eq=False)
 class BatchForward:
-    """Forward-pass outputs, one row per pair, and what the backward pass reads:
-    the pooled input rows, the activations ``z_h``/``z_t`` and the norms of ``x``."""
+    """Forward-pass outputs, one row per pair, and what the backward pass reads: the
+    pooled input rows and the activations ``z_h``/``z_t``. The norms of ``x`` and the
+    unit embeddings ``x_unit`` are built on first read, so reading ``f`` alone skips them."""
 
-    x: np.ndarray
-    x_unit: np.ndarray
-    f: np.ndarray
-    h_head: np.ndarray = field(default=None, repr=False)
-    h_tail: np.ndarray = field(default=None, repr=False)
-    context: np.ndarray = field(default=None, repr=False)
-    z_h: np.ndarray = field(default=None, repr=False)
-    z_t: np.ndarray = field(default=None, repr=False)
-    norm: np.ndarray = field(default=None, repr=False)
+    def __init__(self, x, x_unit, f, h_head=None, h_tail=None, context=None, z_h=None, z_t=None):
+        self.x, self.f, self.h_head, self.h_tail = x, f, h_head, h_tail
+        self.context, self.z_h, self.z_t = context, z_h, z_t
+        if x_unit is not None:
+            self.x_unit = x_unit
+
+    @cached_property
+    def norm(self) -> np.ndarray:
+        return np.sqrt(np.einsum("ij,ij->i", self.x, self.x))
+
+    @cached_property
+    def x_unit(self) -> np.ndarray:
+        # a zero pair embedding gets a zero unit vector
+        return _divide_rows(self.x, self.norm)
+
+
+def _divide_rows(a: np.ndarray, norm: np.ndarray, out=None) -> np.ndarray:
+    """``a / norm`` row by row, with zero rows where ``norm`` is 0."""
+    zero = norm == 0.0
+    out = np.divide(a, np.where(zero, 1.0, norm)[:, None], out=out)
+    out[zero] = 0.0
+    return out
 
 
 def head_forward(
@@ -156,29 +170,21 @@ def head_forward(
     corpus's ``head_rows``, ``tail_rows`` and ``context_rows``.
     """
     n, d = len(h_head), params.input_dim
-    if any(rows.shape != (n, d) for rows in (h_head, h_tail, context)):
+    if not h_head.shape == h_tail.shape == context.shape == (n, d):
         raise ShapeError(
             f"head_forward: inputs {h_head.shape}, {h_tail.shape} and {context.shape}: "
             f"expected ({n}, {d}) each, for head input dim {d}"
         )
-    if n == 0:
-        empty = np.zeros((0, params.pair_dim))
-        return BatchForward(x=empty, x_unit=empty, f=np.zeros((0, params.num_logits)))
-
     z_h = np.tanh(h_head @ params.W_h.T + context @ params.W_c1.T)
     z_t = np.tanh(h_tail @ params.W_t.T + context @ params.W_c2.T)
 
     P = params.group_count
     g = params.hidden_dim // P
     # per-group outer products, flattened row-major and concatenated
-    x = (z_h.reshape(n, P, g, 1) * z_t.reshape(n, P, 1, g)).reshape(n, -1)
-
-    norm = np.sqrt(np.einsum("ij,ij->i", x, x))
-    # a zero pair embedding gets a zero unit vector
-    x_unit = np.divide(x, norm[:, None], out=np.zeros_like(x), where=norm[:, None] > 0.0)
-
+    x = np.einsum("npi,npj->npij", z_h.reshape(n, P, g), z_t.reshape(n, P, g))
+    x = x.reshape(n, P * g * g)
     f = x @ params.W_o.T + params.b_o
-    return BatchForward(x, x_unit, f, h_head, h_tail, context, z_h, z_t, norm)
+    return BatchForward(x, None, f, h_head, h_tail, context, z_h, z_t)
 
 
 def head_backward(
@@ -194,15 +200,13 @@ def head_backward(
     the parameter gradients summed over the batch, as one vector laid out
     like ``params.flat``.
     """
-    x, u, norm = forward.x, forward.x_unit, forward.norm
+    x, u = forward.x, forward.x_unit
     n = x.shape[0]
 
-    grad_x = grad_f @ params.W_o
-    radial = np.einsum("ij,ij->i", u, grad_x_unit)[:, None] * u
-    # norm == 0: the unit branch emitted a constant zero; no gradient flows
-    grad_x += np.divide(
-        grad_x_unit - radial, norm[:, None], out=np.zeros_like(x), where=norm[:, None] > 0.0
-    )
+    # the tangent part of grad_x_unit over ||x||; none flows from a zero embedding
+    tangent = np.einsum("ij,ij->i", u, grad_x_unit)[:, None] * u
+    np.subtract(grad_x_unit, tangent, out=tangent)
+    grad_x = grad_f @ params.W_o + _divide_rows(tangent, forward.norm, out=tangent)
 
     P = params.group_count
     g = params.hidden_dim // P

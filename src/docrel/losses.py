@@ -99,9 +99,9 @@ def _masked_logsumexp(s: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.n
     Every row must have at least one masked entry.
     """
     masked = np.where(mask, s, -np.inf)
-    shift = np.max(masked, axis=1, keepdims=True)
+    shift = masked.max(axis=1, keepdims=True)
     w = np.exp(masked - shift)
-    total = np.sum(w, axis=1, keepdims=True)
+    total = w.sum(axis=1, keepdims=True)
     return (shift + np.log(total))[:, 0], w / total
 
 
@@ -114,19 +114,13 @@ def _negative_mask(labels: np.ndarray, batch, config: LossConfig) -> tuple[np.nd
     negatives = ~labels
     sampled_rows = np.zeros(labels.shape[0], dtype=bool)
     if config.use_neg_sampling and batch.bn_indices:
-        sets = []
-        for pos in batch.bn_indices:
-            sampled = batch.sampled_negatives.get(pos)
-            if sampled is None:
-                raise ContractError(
-                    f"batch position {pos}: sampling enabled but no sampled set attached"
-                )
-            if not sampled:
-                raise ContractError(f"batch position {pos}: empty sampled negative set")
-            sets.append(sampled)
+        sets = [batch.sampled_negatives.get(pos) for pos in batch.bn_indices]
+        for pos, sampled in zip(batch.bn_indices, sets):
+            if not sampled:  # none attached, or an empty set
+                raise ContractError(f"batch position {pos}: sampling on but no sampled negatives")
         rows = np.asarray(batch.bn_indices, dtype=np.intp)
         sampled_mask = label_mask(sets, labels.shape[1])
-        if np.any(sampled_mask & labels[rows]):
+        if (sampled_mask & labels[rows]).any():
             raise ContractError("sampled labels outside the negative set")
         negatives[rows] = sampled_mask
         sampled_rows[rows] = True
@@ -143,31 +137,29 @@ def _threshold_rows(
     with the entropy term off) and the gradient of their sum w.r.t. ``gap``.
     """
     # two-way softmax of each relation against the threshold, overflow-safe
-    decay = np.exp(-np.abs(gap))
+    neg_gap = np.negative(gap)
+    decay = np.exp(np.minimum(gap, neg_gap))  # e^-|gap|
     soft = np.log1p(decay)
+    denom = 1.0 + decay
     above = gap >= 0.0
-    p = np.where(above, 1.0, decay) / (1.0 + decay)  # sigma(gap)
-    q = np.where(above, decay, 1.0) / (1.0 + decay)  # sigma(-gap)
-    nll_pos = np.maximum(-gap, 0.0) + soft  # -log p
+    p = np.where(above, 1.0, decay) / denom  # sigma(gap)
+    q = np.where(above, decay, 1.0) / denom  # sigma(-gap)
+    nll_pos = np.maximum(neg_gap, 0.0) + soft  # -log p
     nll_neg = np.maximum(gap, 0.0) + soft  # -log q
 
-    pmt_rows = np.sum(np.where(labels, nll_pos, np.where(negatives, nll_neg, 0.0)), axis=1)
+    pmt_rows = np.where(labels, nll_pos, np.where(negatives, nll_neg, 0.0)).sum(axis=1)
     grad_gap = np.where(labels, -q, np.where(negatives, p, 0.0))
     if not config.use_entropy:
         return pmt_rows, np.zeros(gap.shape[0]), grad_gap
     entropy = p * nll_pos + q * nll_neg
-    if config.entropy_norm == "set_size":
-        gamma_pos = np.maximum(1, labels.sum(axis=1))
-        gamma_neg = np.maximum(1, negatives.sum(axis=1))
-    else:
-        gamma_pos = gamma_neg = np.ones(gap.shape[0])
-    em_rows = (
-        np.sum(np.where(labels, entropy, 0.0), axis=1) / gamma_pos
-        + np.sum(np.where(negatives, entropy, 0.0), axis=1) / gamma_neg
-    )
-    gamma = np.where(labels, gamma_pos[:, None], gamma_neg[:, None])
-    grad_gap += np.where(labels | negatives, -gap * p * q / gamma, 0.0)
-    return pmt_rows, em_rows, grad_gap
+    # the entropy summed over Y and over N, each over its normalizer
+    sides = np.array((labels, negatives))
+    sizes = sides.sum(axis=2)
+    gamma = np.maximum(1, sizes) if config.entropy_norm == "set_size" else np.ones(sizes.shape)
+    em_pos, em_neg = np.where(sides, entropy, 0.0).sum(axis=2) / gamma
+    entry_gamma = np.where(labels, gamma[0][:, None], gamma[1][:, None])
+    grad_gap += np.where(labels | negatives, neg_gap * p * q / entry_gamma, 0.0)
+    return pmt_rows, em_pos + em_neg, grad_gap
 
 
 def _contrastive_rows(
@@ -187,10 +179,10 @@ def _contrastive_rows(
     y = labels.astype(np.float64)
     positives = (y[anchors] @ y.T > 0.0) & others
     values, grad_sims = _masked_logsumexp(sims, others)
-    has_pos = np.any(positives, axis=1)
+    has_pos = positives.any(axis=1)
     if has_pos.any():
         pos_lse, pos_soft = _masked_logsumexp(sims[has_pos], positives[has_pos])
-        values[has_pos] += np.log(np.sum(positives[has_pos], axis=1)) - pos_lse
+        values[has_pos] += np.log(positives[has_pos].sum(axis=1)) - pos_lse
         grad_sims[has_pos] -= pos_soft
     return values, has_pos, grad_sims
 
@@ -221,7 +213,7 @@ def batch_loss(labels, batch, forward, vocab, config: LossConfig) -> BatchLossOu
             f"batch_loss: logits {f.shape}, embeddings {unit.shape} and labels "
             f"{labels.shape}, expected ({n}, {vocab.num_logits}) logits and ({n}, {n_rel}) labels"
         )
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise NumericError("batch_loss: non-finite logit input")
 
     negatives, sampled_rows = _negative_mask(labels, batch, config)
@@ -230,30 +222,32 @@ def batch_loss(labels, batch, forward, vocab, config: LossConfig) -> BatchLossOu
     )
     grad_logits = np.zeros_like(f)
     grad_logits[:, :n_rel] = grad_gap
-    grad_logits[:, na] = -np.sum(grad_gap, axis=1)
-    classification = float(np.sum(pmt_rows + em_rows))
+    grad_logits[:, na] = -grad_gap.sum(axis=1)
+    classification = float((pmt_rows + em_rows).sum())
     parts = {
-        "pmt": float(np.sum(pmt_rows[~sampled_rows])),
-        "em": float(np.sum(em_rows[~sampled_rows])),
+        "pmt": float(pmt_rows[~sampled_rows].sum()),
+        "em": float(em_rows[~sampled_rows].sum()),
         "scl": 0.0,
         "lt": 0.0,
-        "sampled_neg": float(np.sum((pmt_rows + em_rows)[sampled_rows])),
+        "sampled_neg": float((pmt_rows + em_rows)[sampled_rows].sum()),
     }
 
     lam = config.contrastive_weight
-    grad_embeddings = np.zeros_like(unit)
     anchors = np.asarray(batch.bp_indices, dtype=np.intp)
     contrastive = 0.0
     if config.use_contrastive and lam != 0.0 and n >= 2 and anchors.size:
         tau = config.temperature
         sims = unit[anchors] @ unit.T / tau
         values, has_pos, grad_sims = _contrastive_rows(sims, labels, anchors)
-        parts["scl"] = float(np.sum(values[has_pos]))
-        parts["lt"] = float(np.sum(values[~has_pos]))
+        parts["scl"] = float(values[has_pos].sum())
+        parts["lt"] = float(values[~has_pos].sum())
         contrastive = parts["scl"] + parts["lt"]
+        grad_embeddings = grad_sims.T @ unit[anchors]  # through unit.T, then unit[anchors]
+        grad_embeddings /= tau
         grad_embeddings[anchors] += grad_sims @ unit / tau
-        grad_embeddings += grad_sims.T @ unit[anchors] / tau
         grad_embeddings *= lam
+    else:
+        grad_embeddings = np.zeros_like(unit)
 
     total = classification + lam * contrastive
     return BatchLossOutput(

@@ -25,8 +25,7 @@ class AdamW:
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 0.01
-    _m: np.ndarray | None = field(default=None, repr=False)
-    _v: np.ndarray | None = field(default=None, repr=False)
+    _state: np.ndarray | None = field(default=None, repr=False)  # m, v, two scratch rows
     _t: int = 0
 
     def __post_init__(self):
@@ -36,20 +35,23 @@ class AdamW:
             raise ConfigError("eps must be positive")
 
     def step(self, params: np.ndarray, grads: np.ndarray, lr: float) -> None:
-        """In-place update of one parameter vector, such as ``HeadParams.flat``."""
-        if self._m is None:
-            self._m = np.zeros_like(params)
-            self._v = np.zeros_like(params)
+        """In-place update of one parameter vector, such as ``HeadParams.flat``,
+        that allocates nothing after the first step; ``grads`` is left unchanged."""
+        if self._state is None:
+            self._state = np.zeros((4, *params.shape))
         self._t += 1
         bc1 = 1.0 - self.beta1**self._t
         bc2 = 1.0 - self.beta2**self._t
-        m, v = self._m, self._v
+        m, v, a, b = self._state
         m *= self.beta1
-        m += (1.0 - self.beta1) * grads
+        m += np.multiply(grads, 1.0 - self.beta1, out=a)
         v *= self.beta2
-        v += (1.0 - self.beta2) * (grads * grads)
-        update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-        params -= lr * (update + self.weight_decay * params)
+        v += np.multiply(np.multiply(grads, grads, out=a), 1.0 - self.beta2, out=a)
+        # update = (m / bc1) / (sqrt(v / bc2) + eps) + weight_decay * params
+        denom = np.add(np.sqrt(np.divide(v, bc2, out=a), out=a), self.eps, out=a)
+        update = np.divide(np.divide(m, bc1, out=b), denom, out=b)
+        update += np.multiply(params, self.weight_decay, out=a)
+        params -= np.multiply(update, lr, out=b)
 
 
 def clip_gradients(grads: np.ndarray, max_norm: float) -> float:

@@ -109,17 +109,17 @@ def train(
     independent streams derived from it.
     """
     loss_cfg = config.loss
+    # the optimizer updates ``current`` in place; a caller's ``params`` stay untouched
     if params is None:
-        params = init_head_params(
+        current = init_head_params(
             input_dim=train_corpus.embedding_dim,
             hidden_dim=config.hidden_dim,
             group_count=config.group_count,
             num_logits=train_corpus.vocabulary.num_logits,
             rng=stream(config.seed, "init"),
         )
-    # the optimizer updates this vector in place, so ``current`` always
-    # holds the latest parameters
-    current = params.copy()
+    else:
+        current = params.copy()
 
     optimizer = AdamW(
         beta1=config.beta1,

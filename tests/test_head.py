@@ -171,6 +171,27 @@ class TestBackward:
         # only W_o/b_o touch f; x-side gradient vanished with the zero vector
         assert np.all(params.split(grads)["W_h"] == 0.0)
 
+    def test_zero_row_in_a_mixed_batch(self):
+        # the last pair's tail side cancels its context (W_c2 = W_t, pooled
+        # tail = -context), so z_t and its pair embedding are exactly zero,
+        # while its inputs and z_h are not
+        rng = stream(6, "mixed")
+        params = init_head_params(3, 4, 2, 5, rng)
+        params.W_c2[:] = params.W_t
+        head, tail, context = rng.normal(size=(3, 4, 3))
+        tail[-1] = -context[-1]
+        fw = head_forward(head, tail, context, params)
+        assert fw.norm[-1] == 0.0 and np.all(fw.norm[:-1] > 0.0)
+        assert np.all(fw.z_h[-1] != 0.0)
+        assert fw.x_unit[-1].tobytes() == np.zeros(8).tobytes()
+        assert np.allclose(np.linalg.norm(fw.x_unit[:-1], axis=1), 1.0, rtol=1e-12)
+        # the zero row's unit-embedding gradient reaches no parameter
+        g_x, g_f = rng.normal(size=(4, 8)), rng.normal(size=(4, 5))
+        cut = g_x.copy()
+        cut[-1] = 0.0
+        grads = head_backward(fw, g_x, g_f, params)
+        assert grads.tobytes() == head_backward(fw, cut, g_f, params).tobytes()
+
     def test_gradient_blocks_follow_the_parameter_layout(self):
         params = init_head_params(3, 4, 2, 5, stream(2, "init"))
         fw = head_forward(*pair([[1, 0, 2]], [[0, 1, 0]], [1, 1, 1]), params)

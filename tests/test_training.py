@@ -75,6 +75,26 @@ class TestAdamW:
         assert params.tobytes() == np.concatenate(split).tobytes()
 
 
+    def test_matches_the_textbook_update_bit_for_bit(self):
+        # each update written out as in the AdamW paper, decay decoupled
+        # from zero parameters and lr 0.5, the first update is exposed bit for bit
+        b1, b2, eps, wd, lr = 0.9, 0.999, 1e-8, 0.05, 0.5
+        rng = stream(1, "adamw")
+        opt = AdamW(beta1=b1, beta2=b2, eps=eps, weight_decay=wd)
+        params = np.zeros(64)
+        ref, m, v = params.copy(), np.zeros(64), np.zeros(64)
+        for t in range(1, 21):
+            grads = rng.normal(size=64)
+            before = grads.copy()
+            opt.step(params, grads, lr=lr)
+            assert grads.tobytes() == before.tobytes()
+            m = b1 * m + (1.0 - b1) * grads
+            v = b2 * v + (1.0 - b2) * (grads * grads)
+            m_hat, v_hat = m / (1.0 - b1**t), v / (1.0 - b2**t)
+            ref = ref - lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * ref)
+            assert params.tobytes() == ref.tobytes(), f"step {t}"
+
+
 class TestClipGradients:
     def test_vector_above_the_limit_is_scaled_to_it(self):
         grads = np.array([3.0, 0.0, -4.0])
@@ -127,6 +147,20 @@ class TestTrainLoop:
             empty.vocabulary.num_logits, stream(3, "init"),
         )
         assert np.array_equal(init.flat, result.final_params.flat)
+
+    def test_given_params_are_left_alone(self):
+        regime = tiny_regime()
+        cfg = TrainConfig(seed=4, **FAST)
+        p = init_head_params(
+            regime.train.embedding_dim, cfg.hidden_dim, cfg.group_count,
+            regime.train.vocabulary.num_logits, stream(9, "init"),
+        )
+        before = p.flat.tobytes()
+        result = train(regime.train, regime.dev, cfg, params=p)
+        assert p.flat.tobytes() == before
+        assert result.final_params.flat.tobytes() != before
+        for out in (result.params, result.final_params):
+            assert not np.shares_memory(out.flat, p.flat)
 
     def test_separable_corpus_reaches_f1(self):
         # clean well-separated features; train F1 must reach 0.95 within 30 epochs
