@@ -15,6 +15,7 @@ a manifest can be replayed to reproduce a run exactly.
 from __future__ import annotations
 
 import json
+import os
 import platform
 import typing
 from dataclasses import dataclass, fields
@@ -286,16 +287,23 @@ def regime_from(splits, resolved: dict[str, dict]) -> Regime:
     )
 
 
+# the BLAS thread-count variables that the ``docrel`` command sets to 1
+# where none is set (``docrel_cli.BLAS_THREAD_VARIABLES``)
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def environment() -> dict[str, object]:
     """What a run ran on: the Python, NumPy, platform and glibc versions
-    (glibc None on another C library) and the heap pad docrel set (None
-    where it left the allocator alone)."""
+    (glibc None on another C library), the heap pad docrel set (None where
+    it left the allocator alone) and the BLAS thread-count variables (None
+    where unset)."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "platform": platform.platform(),
         "glibc": _heap.glibc_version(),
         "heap_top_pad": _heap.top_pad,
+        "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},
     }
 
 
@@ -306,6 +314,7 @@ _ENVIRONMENT_KINDS = {
     "platform": (str,),
     "glibc": (str, type(None)),
     "heap_top_pad": (int, type(None)),
+    "blas_threads": (dict,),
 }
 
 
@@ -348,7 +357,9 @@ class Manifest:
                 if type(value) is not str:
                     raise TypeError(f"input {name}: {value!r} is not a string")
             if m.environment is not None:
-                if m.environment.keys() != _ENVIRONMENT_KINDS.keys():
+                # a manifest written before blas_threads was recorded has none
+                required = _ENVIRONMENT_KINDS.keys() - {"blas_threads"}
+                if not required <= m.environment.keys() <= _ENVIRONMENT_KINDS.keys():
                     raise KeyError(f"environment keys {sorted(m.environment)}")
                 for name, value in m.environment.items():
                     if type(value) not in _ENVIRONMENT_KINDS[name]:

@@ -16,8 +16,12 @@ from __future__ import annotations
 import enum
 import itertools
 import json
+import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from json.decoder import scanstring
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter, eq
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -66,7 +70,8 @@ class RelationVocabulary:
     train_frequency: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(set(self.relations)) != len(self.relations):
+        names = set(self.relations)
+        if len(names) != len(self.relations):
             raise ConfigError("relation identifiers must be unique")
         if self.na_index != len(self.relations):
             raise ConfigError(
@@ -74,7 +79,7 @@ class RelationVocabulary:
                 f"relation index), got {self.na_index}"
             )
         for name, count in self.train_frequency.items():
-            if name not in self.relations:
+            if name not in names:
                 raise ConfigError(f"train_frequency key {name!r} is not a relation")
             if count < 0:
                 raise ConfigError(f"train_frequency[{name!r}] is negative")
@@ -149,8 +154,8 @@ class PairExample:
         return self.positive_relations
 
 
-# bytes of each temporary when pooling a corpus or scoring a split: blocks
-# whose arrays stay under the allocator's default mmap threshold (128 KiB)
+# bytes of each temporary when pooling a corpus: blocks whose arrays stay
+# under the allocator's default mmap threshold (128 KiB)
 # reuse freed heap memory instead of page-faulting fresh pages every pass
 _BLOCK_BYTES = 1 << 16
 
@@ -165,6 +170,9 @@ class Corpus:
     examples: tuple[PairExample, ...]
     label_source: LabelSource
     embedding_dim: int
+    # set by load_corpus: the file's payload and each pair's mention counts,
+    # which pool every pair's rows in place; a replaced copy starts without
+    _payload: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def validate(self) -> None:
         """Check the corpus-wide invariants; raises on the first violation."""
@@ -172,20 +180,23 @@ class Corpus:
             _check_example(ex, self.vocabulary.num_relations, self.embedding_dim, f"example {i}")
 
     @cached_property
+    def _pair_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return tuple(map(_frozen, _pool_sides(self)))
+
+    @property
     def head_rows(self) -> np.ndarray:
         """``(n, d)``: each pair's head mentions, log-sum-exp pooled."""
-        return _frozen(_pool_sides([ex.head_vectors for ex in self.examples], self))
+        return self._pair_rows[0]
 
-    @cached_property
+    @property
     def tail_rows(self) -> np.ndarray:
         """``(n, d)``: each pair's tail mentions, log-sum-exp pooled."""
-        return _frozen(_pool_sides([ex.tail_vectors for ex in self.examples], self))
+        return self._pair_rows[1]
 
-    @cached_property
+    @property
     def context_rows(self) -> np.ndarray:
         """``(n, d)``: each pair's context vector."""
-        contexts = [ex.context for ex in self.examples]
-        return _frozen(np.stack(contexts) if contexts else np.empty((0, self.embedding_dim)))
+        return self._pair_rows[2]
 
     @cached_property
     def label_rows(self) -> np.ndarray:
@@ -196,7 +207,8 @@ class Corpus:
     @cached_property
     def gold_rows(self) -> np.ndarray:
         """``(n, |R|)`` boolean: each pair's gold label set, else its training set."""
-        sets = [ex.labels(use_gold=True) for ex in self.examples]
+        sets = [ex.positive_relations if ex.gold_positive_relations is None
+                else ex.gold_positive_relations for ex in self.examples]
         return _frozen(label_mask(sets, self.vocabulary.num_relations))
 
     @cached_property
@@ -233,25 +245,55 @@ def _segment_lse(mat: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return shift + np.log(total)
 
 
-def _pool_sides(sides: list[np.ndarray], corpus: Corpus) -> np.ndarray:
-    """One log-sum-exp row per ``(k, d)`` mention array, ``(n, d)``.
+def _pool_sides(corpus: Corpus) -> np.ndarray:
+    """``(3, n, d)``: each pair's head and tail mentions, log-sum-exp pooled,
+    and its context.
 
-    Runs of sides are pooled together, as many as keep the stacked mentions
-    of the largest sides under ``_BLOCK_BYTES``; a row's value does not
-    depend on its run.
+    A pair's head mentions and its tail mentions are two segments of one
+    ``_segment_lse`` call per run of pairs, a run being as many pairs as
+    keep their mention rows under ``_BLOCK_BYTES`` (at least one pair); a
+    row's value does not depend on its run. A loaded corpus takes each run's
+    rows from its payload, where every pair's context row follows its
+    mention rows; any other corpus gathers them from its examples.
     """
-    counts = np.fromiter(map(len, sides), np.intp, len(sides))
-    if counts.size and counts.min() == 0:
-        ex = corpus.examples[int(np.argmin(counts))]
-        raise ContractError(f"pair {ex.doc_id}/{ex.head_id}/{ex.tail_id}: no mentions")
-    dim = corpus.embedding_dim
-    step = max(1, _BLOCK_BYTES // (8 * dim * counts.max(initial=1)))
-    pooled = np.empty((len(sides), dim))
-    for k in range(0, len(sides), step):
-        mat = np.concatenate(sides[k : k + step], dtype=np.float64)
-        if mat.shape[1:] != (dim,):
-            raise ShapeError(f"mentions of shape {mat.shape[1:]} in a corpus of dimension {dim}")
-        pooled[k : k + step] = _segment_lse(mat, counts[k : k + step])
+    examples, dim, payload = corpus.examples, corpus.embedding_dim, corpus._payload
+    if payload is not None:
+        vectors, counts = payload
+    else:
+        sides = [(len(ex.head_vectors), len(ex.tail_vectors)) for ex in examples]
+        counts = np.array(sides, dtype=np.intp).reshape(-1, 2)
+        if counts.size and counts.min() == 0:
+            ex = examples[int(np.argmin(counts.min(axis=1)))]
+            raise ContractError(f"pair {ex.doc_id}/{ex.head_id}/{ex.tail_id}: no mentions")
+    sizes = counts.sum(axis=1)
+    mention_ends = np.cumsum(sizes)
+    if payload is not None:
+        context_rows = mention_ends + np.arange(len(sizes))
+        is_mention = np.ones(len(vectors), dtype=bool)
+        is_mention[context_rows] = False
+    budget = _BLOCK_BYTES // (8 * dim)
+    pooled = np.empty((3, len(examples), dim))
+    k = 0
+    while k < len(examples):
+        before = mention_ends[k] - sizes[k]
+        stop = max(k + 1, int(np.searchsorted(mention_ends, before + budget, side="right")))
+        run = slice(k, stop)
+        if payload is not None:
+            first, last = context_rows[k] - sizes[k], context_rows[stop - 1] + 1
+            mat, contexts = vectors[first:last][is_mention[first:last]], vectors[context_rows[run]]
+        else:
+            mat = np.concatenate(
+                [side for ex in examples[run] for side in (ex.head_vectors, ex.tail_vectors)],
+                dtype=np.float64,
+            )
+            if mat.shape[1:] != (dim,):
+                raise ShapeError(
+                    f"mentions of shape {mat.shape[1:]} in a corpus of dimension {dim}"
+                )
+            contexts = [ex.context for ex in examples[run]]
+        pooled[:2, run] = _segment_lse(mat, counts[run].ravel()).reshape(-1, 2, dim).swapaxes(0, 1)
+        pooled[2, run] = contexts
+        k = stop
     return pooled
 
 
@@ -376,6 +418,15 @@ _FORMAT_VERSION = 3
 
 
 def save_corpus(corpus: Corpus, path) -> None:
+    """Write ``corpus`` to ``path`` in format version 3.
+
+    A corpus that ``load_corpus`` would not read back as it is raises
+    DataFormatError naming the path, and the example where one is at fault,
+    before the file is opened: a doc_id that is not a string, label sets
+    that are not frozensets, an id or label that is not an ``int`` (``True``
+    and NumPy integers are not), or vectors that do not fit the corpus's
+    dimension.
+    """
     header = {
         "format": _FORMAT,
         "version": _FORMAT_VERSION,
@@ -386,24 +437,29 @@ def save_corpus(corpus: Corpus, path) -> None:
         "embedding_dim": corpus.embedding_dim,
         "num_examples": len(corpus.examples),
     }
+    examples = corpus.examples
+    golds = map(attrgetter("gold_positive_relations"), examples)
+    label_sets = [*map(attrgetter("positive_relations"), examples),
+                  *(labels for labels in golds if labels is not None)]
+    _check_saveable(examples, label_sets, path)
+    # each line is what json.dumps writes for the record: a doc_id is
+    # encoded by json's own string encoder, every id and label is an int, so
+    # its text is its repr, and a list of them is the list's repr
+    doc_ids = set(map(attrgetter("doc_id"), examples))
+    doc_texts = {doc: encode_basestring_ascii(doc) for doc in doc_ids}
+    label_texts = {labels: str(sorted(labels)) for labels in set(label_sets)}
+    label_texts[None] = "null"
     lines = [json.dumps(header)]
     rows = []
-    for ex in corpus.examples:
-        record = {
-            "doc_id": ex.doc_id,
-            "head_id": ex.head_id,
-            "tail_id": ex.tail_id,
-            "mentions": [len(ex.head_vectors), len(ex.tail_vectors)],
-            "positive_relations": sorted(ex.positive_relations),
-            "gold_positive_relations": (
-                sorted(ex.gold_positive_relations)
-                if ex.gold_positive_relations is not None
-                else None
-            ),
-        }
-        lines.append(json.dumps(record))
+    for ex in examples:
+        lines.append(
+            f'{{"doc_id": {doc_texts[ex.doc_id]}, "head_id": {ex.head_id}, '
+            f'"tail_id": {ex.tail_id}, "mentions": [{len(ex.head_vectors)}, '
+            f'{len(ex.tail_vectors)}], "positive_relations": '
+            f'{label_texts[ex.positive_relations]}, "gold_positive_relations": '
+            f'{label_texts[ex.gold_positive_relations]}}}'
+        )
         rows += (ex.head_vectors, ex.tail_vectors, ex.context[None])
-    # checked before the file is opened, so a bad corpus leaves any file there as it was
     try:
         payload = np.concatenate(rows, dtype="<f8") if rows else np.empty((0, corpus.embedding_dim))
     except (ValueError, TypeError) as exc:
@@ -415,7 +471,36 @@ def save_corpus(corpus: Corpus, path) -> None:
         )
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n\n").encode("utf-8"))
-        fh.write(payload.tobytes())
+        fh.write(payload)
+
+
+def _check_saveable(examples, label_sets: list, path) -> None:
+    """Raise DataFormatError naming the first example that ``load_corpus``
+    would not give back as it is: one whose doc_id is not a string, whose
+    label sets are not frozensets, or whose ids and labels are not all
+    ``int``s. ``label_sets`` holds every example's label set and its gold
+    set where it has one."""
+    ids = itertools.chain(
+        map(attrgetter("head_id"), examples), map(attrgetter("tail_id"), examples)
+    )
+    # the whole corpus at C speed first; the loop below names the example
+    if (
+        set(map(type, label_sets)) <= {frozenset}
+        and set(map(type, itertools.chain(ids, *label_sets))) <= {int}
+        and set(map(type, map(attrgetter("doc_id"), examples))) <= {str}
+    ):
+        return
+    for i, ex in enumerate(examples):
+        where = f"{path}: cannot save corpus: example {i}"
+        gold = ex.gold_positive_relations
+        sets = (ex.positive_relations,) if gold is None else (ex.positive_relations, gold)
+        if not isinstance(ex.doc_id, str):
+            raise DataFormatError(f"{where}: doc_id {ex.doc_id!r} is not a string")
+        if not all(isinstance(s, frozenset) for s in sets):
+            raise DataFormatError(f"{where}: label sets {sets!r} are not frozensets")
+        for value in (ex.head_id, ex.tail_id, *itertools.chain(*sets)):
+            if type(value) is not int:
+                raise DataFormatError(f"{where}: id or label {value!r} is not an integer")
 
 
 def _record_from_json(obj: dict, n_rel: int, where: str) -> tuple:
@@ -463,74 +548,151 @@ def _header_from_json(line: bytes, path) -> tuple[dict, RelationVocabulary, Labe
         raise DataFormatError(f"{path}:1: bad header: {exc!r}") from exc
 
 
+def _records_by_line(lines: list[bytes], n_rel: int, path) -> list:
+    """The records of ``lines``, each decoded and checked on its own: the
+    reference decode, which names the first faulty line."""
+    records = []
+    for lineno, line in enumerate(lines, 2):
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: cannot read corpus file: {exc}") from exc
+        try:
+            records.append(_record_from_json(json.loads(text), n_rel, f"{path}:{lineno}"))
+        except _DECODE_ERRORS as exc:
+            raise DataFormatError(f"{path}:{lineno}: bad record: {exc!r}") from exc
+    return list(zip(*records)) or [()] * 7
+
+
+# one record line exactly as save_corpus writes it, newline included; a
+# doc_id is any JSON string token that does not span lines
+_NUMBER = r"(?:0|[1-9]\d*)"
+_LABELS = rf"\[(?:{_NUMBER}(?:, {_NUMBER})*)?\]"
+_RECORD_LINE = re.compile(
+    rf'^\{{"doc_id": ("[^"\\\n]*(?:\\.[^"\\\n]*)*"), "head_id": (-?{_NUMBER}), '
+    rf'"tail_id": (-?{_NUMBER}), "mentions": \[([1-9]\d*), ([1-9]\d*)\], '
+    rf'"positive_relations": ({_LABELS}), "gold_positive_relations": (null|{_LABELS})\}}\n',
+    re.MULTILINE,
+)
+
+
+def _label_set(text: str) -> frozenset[int] | None:
+    """A label list as ``_RECORD_LINE`` matches it: ``null``, ``[]`` or ``[3, 5]``."""
+    if text == "null":
+        return None
+    return frozenset(map(int, text[1:-1].split(", "))) if len(text) > 2 else frozenset()
+
+
+def _records_as_saved(section: bytes, n_lines: int, n_rel: int) -> list | None:
+    """The record columns of ``section`` if each of its ``n_lines`` lines is a
+    valid record in the form save_corpus writes, else None.
+
+    One regular-expression pass splits every line into its fields, and each
+    distinct doc_id and label list is decoded once. Where a line does not
+    match on its own, or holds a value that ``_records_by_line`` refuses, the
+    result is None, and the file is then decoded line by line.
+    """
+    try:
+        found = _RECORD_LINE.findall(section.decode("utf-8"))
+        if len(found) != n_lines:
+            return None
+        docs, heads, tails, n_head, n_tail, positive, gold = zip(*found) if found else [()] * 7
+        # JSON's own string decoder: it refuses bad escapes and control characters
+        doc_ids = {token: scanstring(token, 1)[0] for token in set(docs)}
+        label_sets = {text: _label_set(text) for text in {*positive, *gold}}
+        heads, tails = list(map(int, heads)), list(map(int, tails))
+    except ValueError:  # not UTF-8, a bad doc_id string, an int too long to convert
+        return None
+    if any(map(eq, heads, tails)) or any(
+        max(labels) >= n_rel for labels in label_sets.values() if labels
+    ):
+        return None
+    return [
+        list(map(doc_ids.__getitem__, docs)),
+        heads,
+        tails,
+        list(map(int, n_head)),
+        list(map(int, n_tail)),
+        list(map(label_sets.__getitem__, positive)),
+        list(map(label_sets.__getitem__, gold)),
+    ]
+
+
 def load_corpus(path) -> Corpus:
     """Load and validate a corpus file.
 
     Every record gets the checks of ``Corpus.validate``, and duplicate
     (doc, head, tail) triples are rejected. Each pair's vectors are row views
-    of one float64 array that holds the whole file's payload. A file that
-    cannot be read, is not format version 3, holds a malformed record or a
-    payload of the wrong size raises DataFormatError naming the path, and
-    ``path:line`` for a fault in one record.
+    of one float64 array that holds the whole file's payload; the corpus
+    keeps that array and the mention counts, and pools from them. Record
+    lines in the form save_corpus writes are decoded in one pass; a file with
+    any other line is decoded line by line. A file that cannot be read, is
+    not format version 3, holds a malformed record or a payload of the wrong
+    size raises DataFormatError naming the path, and ``path:line`` for a
+    fault in one record.
     """
-    records = []
     try:
         with open(path, "rb") as fh:
-            header, vocab, label_source, dim = _header_from_json(fh.readline(), path)
-            for lineno in itertools.count(2):
-                line = fh.readline()
-                if line in (b"\n", b""):
-                    break
-                text = line.decode("utf-8")
-                try:
-                    records.append(
-                        _record_from_json(json.loads(text), vocab.num_relations, f"{path}:{lineno}")
-                    )
-                except _DECODE_ERRORS as exc:
-                    raise DataFormatError(f"{path}:{lineno}: bad record: {exc!r}") from exc
-            payload = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+            data = fh.read()
+    except OSError as exc:
         raise DataFormatError(f"{path}: cannot read corpus file: {exc}") from exc
-    if header.get("num_examples", len(records)) != len(records):
+    text_start = data.find(b"\n") + 1 or len(data)
+    header, vocab, label_source, dim = _header_from_json(data[:text_start], path)
+    # the records run to the first empty line, else to the end of the file
+    text_end = data.find(b"\n\n", text_start - 1) + 1 or len(data)
+    section = data[text_start:text_end]
+    # a last line without its newline is a line too
+    n_lines = section.count(b"\n") + (section[-1:] not in (b"", b"\n"))
+    n_rel = vocab.num_relations
+    columns = _records_as_saved(section, n_lines, n_rel) or _records_by_line(
+        section.split(b"\n")[:n_lines], n_rel, path
+    )
+    doc_ids, heads, tails, n_head, n_tail, positive, gold = columns
+    if header.get("num_examples", len(heads)) != len(heads):
         raise DataFormatError(
-            f"{path}: header declares {header['num_examples']} examples, found {len(records)}"
+            f"{path}: header declares {header['num_examples']} examples, found {len(heads)}"
         )
-    sizes = (n_head + n_tail + 1 for _, _, _, n_head, n_tail, _, _ in records)
-    ends = list(itertools.accumulate(sizes))  # Python integers: a huge count cannot wrap
-    rows = ends[-1] if ends else 0
+    payload = memoryview(data)[text_end + 1 :]
+    rows = sum(n_head) + sum(n_tail) + len(heads)  # Python integers: a huge count cannot wrap
     if len(payload) != 8 * rows * dim:
         raise DataFormatError(
             f"{path}: vectors hold {len(payload)} bytes, expected {rows} rows of {dim} "
             "float64 values"
         )
     vectors = np.frombuffer(payload, "<f8").reshape(rows, dim).astype(np.float64)
+    counts = np.array((n_head, n_tail), dtype=np.intp).T
+    ends = np.cumsum(counts.sum(axis=1) + 1)
     if not np.isfinite(vectors).all():
         _raise_non_finite(vectors, ends, path)
-    examples = []
-    start = 0
-    for (doc_id, head_id, tail_id, n_head, n_tail, positive, gold), end in zip(records, ends):
-        examples.append(
-            PairExample(
-                doc_id=doc_id,
-                head_id=head_id,
-                tail_id=tail_id,
-                head_vectors=vectors[start : start + n_head],
-                tail_vectors=vectors[start + n_head : end - 1],
-                context=vectors[end - 1],
-                positive_relations=positive,
-                gold_positive_relations=gold,
-            )
+    context_rows = ends - 1
+    tail_starts = context_rows - counts[:, 1]
+    starts = (tail_starts - counts[:, 0]).tolist()
+    tail_starts, context_rows = tail_starts.tolist(), context_rows.tolist()
+    row = vectors.__getitem__
+    examples = tuple(
+        map(
+            PairExample,
+            doc_ids,
+            heads,
+            tails,
+            map(row, map(slice, starts, tail_starts)),
+            map(row, map(slice, tail_starts, context_rows)),
+            map(row, context_rows),
+            positive,
+            gold,
         )
-        start = end
-    corpus = Corpus(vocab, tuple(examples), label_source, dim)
-    try:
-        build_pair_index(corpus)
-    except DuplicatePairError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+    )
+    corpus = Corpus(vocab, examples, label_source, dim)
+    if len(set(zip(doc_ids, heads, tails))) != len(examples):
+        try:
+            build_pair_index(corpus)
+        except DuplicatePairError as exc:
+            raise DataFormatError(f"{path}: {exc}") from exc
+    object.__setattr__(corpus, "_payload", (vectors, counts))
     return corpus
 
 
-def _raise_non_finite(vectors: np.ndarray, ends: list[int], path) -> None:
+def _raise_non_finite(vectors: np.ndarray, ends: np.ndarray, path) -> None:
     """Name the first record whose rows of ``vectors`` hold a non-finite value."""
     finite = np.isfinite(vectors).all(axis=1)
     k = int(np.searchsorted(ends, np.argmin(finite), side="right"))

@@ -20,6 +20,8 @@ from docrel.errors import ConfigError
 from docrel.head import init_head_params, save_checkpoint
 from docrel.rng import stream
 
+from docrel_cli import BLAS_THREAD_VARIABLES
+
 from conftest import FORMAT_2_FILE, GEN_ARGS, CorpusFile
 
 
@@ -247,14 +249,47 @@ def _break_record(regime_dir, out_dir, split, record=None, rows=None):
     return path
 
 
-def _cli_subprocess(*args):
-    """``docrel <args>`` in a fresh interpreter, as a user runs it."""
+def _cli_subprocess(*args, module="docrel.cli", environ=os.environ):
+    """``python -m <module> <args>`` in a fresh interpreter with ``environ``, as a user runs it."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (os.path.abspath(src), os.environ.get("PYTHONPATH")) if p))
+    env = dict(environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.abspath(src), environ.get("PYTHONPATH")) if p))
     return subprocess.run(
-        [sys.executable, "-m", "docrel.cli", *args], capture_output=True, text=True, env=env
+        [sys.executable, "-m", module, *args], capture_output=True, text=True, env=env
     )
+
+
+class TestBlasThreads:
+    """The ``docrel`` command runs BLAS on one thread unless the environment sets a count."""
+
+    @staticmethod
+    def environ(**settings):
+        unset = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+        return dict(unset, **settings)
+
+    def recorded(self, tmp_path, **settings):
+        out = tmp_path / "gold"
+        proc = _cli_subprocess("gen-data", "--out", str(out), *GEN_ARGS, module="docrel_cli",
+                               environ=self.environ(**settings))
+        assert proc.returncode == 0, proc.stderr
+        return Manifest.load(out / "manifest.json").environment["blas_threads"]
+
+    def test_one_thread_where_none_is_set(self, tmp_path):
+        assert self.recorded(tmp_path) == dict.fromkeys(BLAS_THREAD_VARIABLES, "1")
+
+    def test_a_set_count_is_left_as_it_is(self, tmp_path):
+        assert self.recorded(tmp_path, OMP_NUM_THREADS="2") == {
+            "OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None}
+
+    def test_importing_docrel_sets_nothing(self):
+        code = ("import os, docrel, docrel.cli; "
+                f"print([os.environ.get(name) for name in {BLAS_THREAD_VARIABLES!r}])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=self.environ(PYTHONPATH=os.pathsep.join(sys.path)))
+        assert proc.stdout.strip() == "[None, None, None]", proc.stderr
+
+    def test_manifests_record_the_variables_the_command_sets(self):
+        assert environment()["blas_threads"].keys() == set(BLAS_THREAD_VARIABLES)
 
 
 class TestInputsFailClosed:

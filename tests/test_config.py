@@ -110,6 +110,14 @@ def test_manifest_environment_round_trips(tmp_path):
     assert recorded.keys() == _ENVIRONMENT_KINDS.keys()
 
 
+def test_manifest_recorded_before_blas_threads_loads(tmp_path):
+    path = tmp_path / "manifest.json"
+    manifest = saved_manifest(path)
+    del manifest["environment"]["blas_threads"]
+    path.write_text(json.dumps(manifest))
+    assert "blas_threads" not in Manifest.load(path).environment
+
+
 def test_manifest_without_environment_loads(tmp_path):
     path = tmp_path / "manifest.json"
     manifest = saved_manifest(path)
@@ -123,9 +131,9 @@ def test_manifest_without_environment_loads(tmp_path):
     [lambda e: e.update(heap_top_pad=True), lambda e: e.update(heap_top_pad=1.5),
      lambda e: e.update(python=3.11), lambda e: e.update(numpy=None),
      lambda e: e.update(glibc=2.36), lambda e: e.pop("platform"),
-     lambda e: e.update(allocator="jemalloc")],
+     lambda e: e.update(allocator="jemalloc"), lambda e: e.update(blas_threads="1")],
     ids=["bool-pad", "float-pad", "number-python", "null-numpy", "number-glibc",
-         "no-platform", "unknown-entry"],
+         "no-platform", "unknown-entry", "string-blas-threads"],
 )
 def test_manifest_with_bad_environment_is_rejected(tmp_path, edit):
     path = tmp_path / "manifest.json"

@@ -1,5 +1,7 @@
 import hashlib
+import json
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -207,6 +209,28 @@ class TestSerialization:
             save_corpus(replace(small_corpus, examples=examples), path)
         assert path.read_bytes() == b"an earlier corpus"
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("head_id", np.int64(6), r"id or label np\.int64\(6\) is not an integer"),
+         ("positive_relations", frozenset({True}), "id or label True is not an integer"),
+         ("gold_positive_relations", frozenset({np.int32(1)}),
+          r"id or label np\.int32\(1\) is not an integer"),
+         ("doc_id", 3, "doc_id 3 is not a string"),
+         ("positive_relations", {0}, r"label sets \(\{0\},.*\) are not frozensets")],
+        ids=["numpy-int-id", "true-label", "numpy-int-gold-label", "int-doc-id", "set-labels"],
+    )
+    def test_save_refuses_what_load_would_not_give_back(self, small_corpus, tmp_path, field,
+                                                        value, message):
+        """Caught before the file is opened, naming the example."""
+        examples = list(small_corpus.examples)
+        examples[3] = replace(examples[3], **{field: value})
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b"an earlier corpus")
+        with pytest.raises(DataFormatError, match=f"{path}: cannot save corpus: example 3: "
+                                                  f"{message}"):
+            save_corpus(replace(small_corpus, examples=tuple(examples)), path)
+        assert path.read_bytes() == b"an earlier corpus"
+
     def test_validate_catches_bad_labels(self):
         from docrel.errors import DocrelError
 
@@ -301,6 +325,15 @@ class TestCorpusCache:
             assert getattr(corpus, name) is array
             assert len(getattr(part, name)) == 5 < len(array), name
         assert part.head_rows.tobytes() == corpus.head_rows[:5].tobytes()
+
+    def test_replaced_copy_of_a_loaded_corpus_pools_its_own_examples(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        save_corpus(mention_corpus(), path)
+        loaded = load_corpus(path)
+        part = replace(loaded, examples=loaded.examples[::3])
+        assert part._payload is None
+        for name in ("head_rows", "tail_rows", "context_rows"):
+            assert getattr(part, name).tobytes() == getattr(loaded, name)[::3].tobytes()
 
     def test_cached_arrays_are_read_only(self):
         corpus = mention_corpus()
@@ -549,3 +582,165 @@ def test_corrupted_file_loads_or_raises_docrel_error(tmp_path_factory, cuts, tru
         load_corpus(path)
     except DocrelError:
         pass
+
+
+def reference_bytes(corpus):
+    """A corpus file as one ``json.dumps`` per record writes it: the bytes save_corpus keeps."""
+    vocab = corpus.vocabulary
+    header = {"format": "docrel-corpus", "version": 3, "relations": list(vocab.relations),
+              "na_index": vocab.na_index, "train_frequency": dict(vocab.train_frequency),
+              "label_source": corpus.label_source.value, "embedding_dim": corpus.embedding_dim,
+              "num_examples": len(corpus.examples)}
+    lines = [json.dumps(header)]
+    for ex in corpus.examples:
+        gold = ex.gold_positive_relations
+        lines.append(json.dumps({
+            "doc_id": ex.doc_id, "head_id": ex.head_id, "tail_id": ex.tail_id,
+            "mentions": [len(ex.head_vectors), len(ex.tail_vectors)],
+            "positive_relations": sorted(ex.positive_relations),
+            "gold_positive_relations": None if gold is None else sorted(gold)}))
+    rows = [a for ex in corpus.examples
+            for a in (ex.head_vectors, ex.tail_vectors, ex.context[None])]
+    payload = np.concatenate(rows).astype("<f8").tobytes() if rows else b""
+    return ("\n".join(lines) + "\n\n").encode() + payload
+
+
+DERIVED = ("head_rows", "tail_rows", "context_rows", "label_rows", "gold_rows")
+# doc_ids that JSON must escape, or that need more than one UTF-8 byte
+DOC_IDS = st.one_of(st.sampled_from(['"', "\\", 'a"b\\c', "é", "文書", "\n", "\x00", "\u2028",
+                                     "\\u0041", "x}\", {"]),
+                    st.text(max_size=6))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data(), dim=st.integers(1, 4), count=st.integers(0, 7))
+def test_round_trip_keeps_bytes_and_derived_rows(tmp_path_factory, data, dim, count):
+    """Saved bytes are the reference encoder's, and the rows a loaded corpus
+    derives from its payload are the in-memory corpus's, bit for bit."""
+    n_rel = 5
+    labels = st.frozensets(st.integers(0, n_rel - 1), max_size=3)
+    values = st.floats(-50, 50, allow_subnormal=True)
+
+    def mentions():
+        return np.array(data.draw(st.lists(st.lists(values, min_size=dim, max_size=dim),
+                                           min_size=1, max_size=4)))
+
+    examples = tuple(
+        PairExample(data.draw(DOC_IDS), 2 * i, 2 * i + 1, mentions(), mentions(),
+                    mentions()[0], data.draw(labels), data.draw(st.none() | labels))
+        for i in range(count)
+    )
+    corpus = Corpus(RelationVocabulary.from_relations([f"r{k}" for k in range(n_rel)]),
+                    examples, LabelSource.ORIGINAL, dim)
+    path = tmp_path_factory.mktemp("round-trip") / "c.jsonl"
+    save_corpus(corpus, path)
+    assert path.read_bytes() == reference_bytes(corpus)
+    # 2 rows: a side of more than two mentions is a pooling run of its own
+    for block_bytes in (core._BLOCK_BYTES, 2 * 8 * dim):
+        with mock.patch.object(core, "_BLOCK_BYTES", block_bytes):
+            built, loaded = replace(corpus, examples=examples), load_corpus(path)
+            for name in DERIVED:
+                assert getattr(loaded, name).tobytes() == getattr(built, name).tobytes(), name
+
+
+class TestDecodeKeepsTheLineByLineVerdict:
+    """The whole-file decode of records as save_corpus writes them gives what
+    the line-by-line decode gives, or leaves the file to it."""
+
+    @staticmethod
+    def write(path, records, rows=2, dim=2):
+        header = {"format": "docrel-corpus", "version": 3, "relations": ["r0", "r1"],
+                  "na_index": 2, "train_frequency": {}, "label_source": "gold",
+                  "embedding_dim": dim, "num_examples": rows}
+        text = "\n".join([json.dumps(header), *records]) + "\n\n"
+        path.write_bytes(text.encode() + np.ones((3 * rows, dim)).astype("<f8").tobytes())
+
+    def test_lines_that_parse_only_when_joined_fail_at_the_first(self, tmp_path):
+        # joined into one JSON array, lines 2 and 3 are two valid records:
+        # the first one's doc_id is 'x},{'
+        rest = ('", "head_id": 0, "tail_id": 1, "mentions": [1, 1], "positive_relations": [], '
+                '"gold_positive_relations": null}')
+        second = ('{"doc_id": "y", "head_id": 2, "tail_id": 3, "mentions": [1, 1], '
+                  '"positive_relations": [1], "gold_positive_relations": null}')
+        joined = json.loads("[" + ",".join(['{"doc_id": "x}', "{" + rest + ", " + second]) + "]")
+        assert [r["doc_id"] for r in joined] == ["x},{", "y"]
+        path = tmp_path / "c.jsonl"
+        self.write(path, ['{"doc_id": "x}', "{" + rest + ", " + second])
+        with pytest.raises(DataFormatError, match=f"{path}:2: bad record"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda r: r.update(gold_positive_relations=[0, 4]), "relation index 4 out of range"),
+         (lambda r: r.update(tail_id=r["head_id"]), "head_id == tail_id == 4")],
+        ids=["na-index-label", "head-is-tail"],
+    )
+    def test_pair_checks_hold_for_lines_in_the_saved_form(self, tmp_path, small_corpus, edit,
+                                                          message):
+        path = tmp_path / "dev.jsonl"
+        save_corpus(small_corpus, path)
+        CorpusFile(path).edit(4, edit)
+        with pytest.raises(DataFormatError, match=f"{path}:4: {message}"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [lambda r: json.dumps(r, sort_keys=True), lambda r: json.dumps(r, indent=None,
+                                                                        separators=(",", ":")),
+         lambda r: " " + json.dumps(r) + "\t", lambda r: json.dumps(r, ensure_ascii=False),
+         lambda r: json.dumps(dict(r, positive_relations=sorted(r["positive_relations"])[::-1]))],
+        ids=["sorted-keys", "no-spaces", "padded", "raw-utf8", "reversed-labels"],
+    )
+    def test_valid_lines_in_another_form_load_the_same(self, tmp_path, rewrite):
+        corpus = mention_corpus(pairs=9, dim=2)
+        corpus = replace(corpus, examples=tuple(
+            replace(ex, doc_id=f"dóc {i % 3}", positive_relations=frozenset({0, i % 3}))
+            for i, ex in enumerate(corpus.examples)))
+        canonical, other = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        save_corpus(corpus, canonical)
+        text, payload = canonical.read_bytes().split(b"\n\n", 1)
+        header, *records = text.decode().split("\n")
+        lines = [rewrite(json.loads(r)) for r in records]
+        assert lines != records
+        other.write_bytes("\n".join([header, *lines]).encode() + b"\n\n" + payload)
+        a, b = load_corpus(canonical), load_corpus(other)
+        assert not corpus_differences(a, b)
+
+    # digits most of all: they are the edits most likely to keep a line in the saved form
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(edits=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(
+        list(b"0123456789" * 3 + b' -,:"\\{}[]\nnulx\xc3\xa9')), st.integers(0, 2)),
+        min_size=1, max_size=2))
+    def test_edited_records_decode_as_line_by_line(self, edits):
+        """Edits that keep a line in the saved form decode to the same records;
+        any other edit leaves the file to the line-by-line decode."""
+        path = "c.jsonl"
+        text = reference_bytes(mention_corpus(pairs=6, dim=2)).split(b"\n\n")[0]
+        lines = bytearray(text.split(b"\n", 1)[1] + b"\n")  # the record lines
+        for position, value, action in edits:  # replace, insert or delete one byte
+            k = position % len(lines)
+            if action == 0:
+                lines[k] = value
+            elif action == 1:
+                lines.insert(k, value)
+            else:
+                del lines[k]
+        section = bytes(lines)
+        split = section.split(b"\n")
+        n_lines = len(split) - (split[-1] == b"")
+        fast = core._records_as_saved(section, n_lines, 3)
+        if fast is not None:
+            assert [list(c) for c in core._records_by_line(split[:n_lines], 3, path)] == fast
+
+
+def corpus_differences(a, b):
+    """What differs between two corpora, compared field by field and bit for bit."""
+    if (a.vocabulary, a.label_source, a.embedding_dim) != (b.vocabulary, b.label_source,
+                                                         b.embedding_dim):
+        return ["header"]
+    fields = ("doc_id", "head_id", "tail_id", "positive_relations", "gold_positive_relations")
+    return [i for i, (x, y) in enumerate(zip(a.examples, b.examples, strict=True))
+            if [getattr(x, f) for f in fields] != [getattr(y, f) for f in fields]
+            or any(getattr(x, f).tobytes() != getattr(y, f).tobytes()
+                   or getattr(x, f).shape != getattr(y, f).shape
+                   for f in ("head_vectors", "tail_vectors", "context"))]
