@@ -22,6 +22,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from docrel_cli import BLAS_THREAD_VARIABLES
+
 from . import __version__, _heap
 from .errors import ConfigError
 from .losses import LossConfig
@@ -287,23 +289,18 @@ def regime_from(splits, resolved: dict[str, dict]) -> Regime:
     )
 
 
-# the BLAS thread-count variables that the ``docrel`` command sets to 1
-# where none is set (``docrel_cli.BLAS_THREAD_VARIABLES``)
-_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
 def environment() -> dict[str, object]:
     """What a run ran on: the Python, NumPy, platform and glibc versions
     (glibc None on another C library), the heap pad docrel set (None where
-    it left the allocator alone) and the BLAS thread-count variables (None
-    where unset)."""
+    it left the allocator alone) and the BLAS thread-count variables that the
+    ``docrel`` command sets (None where unset)."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "platform": platform.platform(),
         "glibc": _heap.glibc_version(),
         "heap_top_pad": _heap.top_pad,
-        "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},
+        "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
     }
 
 
@@ -364,6 +361,13 @@ class Manifest:
                 for name, value in m.environment.items():
                     if type(value) not in _ENVIRONMENT_KINDS[name]:
                         raise TypeError(f"environment {name}: {value!r} is of the wrong kind")
+                threads = m.environment.get("blas_threads")
+                if threads is not None and (
+                    threads.keys() != set(BLAS_THREAD_VARIABLES)
+                    or not all(type(v) in (str, type(None)) for v in threads.values())
+                ):
+                    raise TypeError(f"environment blas_threads: {threads!r} is not one string "
+                                    f"or None for each of {BLAS_THREAD_VARIABLES}")
         except (OSError, ValueError, KeyError, TypeError, AttributeError, ConfigError) as exc:
             raise ConfigError(f"{path}: not a readable run manifest: {exc!r}") from exc
         return m

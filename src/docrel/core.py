@@ -154,8 +154,8 @@ class PairExample:
         return self.positive_relations
 
 
-# bytes of each temporary when pooling a corpus: blocks whose arrays stay
-# under the allocator's default mmap threshold (128 KiB)
+# bytes of each temporary when pooling a corpus or scoring a split: blocks
+# whose arrays stay under the allocator's default mmap threshold (128 KiB)
 # reuse freed heap memory instead of page-faulting fresh pages every pass
 _BLOCK_BYTES = 1 << 16
 
@@ -260,8 +260,10 @@ def _pool_sides(corpus: Corpus) -> np.ndarray:
     if payload is not None:
         vectors, counts = payload
     else:
-        sides = [(len(ex.head_vectors), len(ex.tail_vectors)) for ex in examples]
-        counts = np.array(sides, dtype=np.intp).reshape(-1, 2)
+        # counted without a tuple per pair: thousands of 2-tuples freed at
+        # once would stay on CPython's tuple free list, in the peak RSS
+        sides = (side for ex in examples for side in (ex.head_vectors, ex.tail_vectors))
+        counts = np.fromiter(map(len, sides), np.intp, 2 * len(examples)).reshape(-1, 2)
         if counts.size and counts.min() == 0:
             ex = examples[int(np.argmin(counts.min(axis=1)))]
             raise ContractError(f"pair {ex.doc_id}/{ex.head_id}/{ex.tail_id}: no mentions")
@@ -565,14 +567,16 @@ def _records_by_line(lines: list[bytes], n_rel: int, path) -> list:
 
 
 # one record line exactly as save_corpus writes it, newline included; a
-# doc_id is any JSON string token that does not span lines
-_NUMBER = r"(?:0|[1-9]\d*)"
+# doc_id is any JSON string token that does not span lines. Digits are
+# ASCII only: ``\d`` would match any Unicode digit, which int() converts and
+# JSON refuses. The pattern is compiled on first use, through re's own
+# cache: compiling it takes about 1 ms, which every import would pay
+_NUMBER = r"(?:0|[1-9][0-9]*)"
 _LABELS = rf"\[(?:{_NUMBER}(?:, {_NUMBER})*)?\]"
-_RECORD_LINE = re.compile(
+_RECORD_LINE = (
     rf'^\{{"doc_id": ("[^"\\\n]*(?:\\.[^"\\\n]*)*"), "head_id": (-?{_NUMBER}), '
-    rf'"tail_id": (-?{_NUMBER}), "mentions": \[([1-9]\d*), ([1-9]\d*)\], '
-    rf'"positive_relations": ({_LABELS}), "gold_positive_relations": (null|{_LABELS})\}}\n',
-    re.MULTILINE,
+    rf'"tail_id": (-?{_NUMBER}), "mentions": \[([1-9][0-9]*), ([1-9][0-9]*)\], '
+    rf'"positive_relations": ({_LABELS}), "gold_positive_relations": (null|{_LABELS})\}}\n'
 )
 
 
@@ -593,7 +597,7 @@ def _records_as_saved(section: bytes, n_lines: int, n_rel: int) -> list | None:
     result is None, and the file is then decoded line by line.
     """
     try:
-        found = _RECORD_LINE.findall(section.decode("utf-8"))
+        found = re.findall(_RECORD_LINE, section.decode("utf-8"), re.MULTILINE)
         if len(found) != n_lines:
             return None
         docs, heads, tails, n_head, n_tail, positive, gold = zip(*found) if found else [()] * 7

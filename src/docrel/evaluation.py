@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Bucket, Corpus
+from .core import _BLOCK_BYTES, Bucket, Corpus
 from .errors import NumericError, ShapeError
 from .head import HeadParams, head_forward
 
@@ -27,15 +27,13 @@ __all__ = [
     "evaluate",
 ]
 
-# bytes of pair embeddings per forward pass when scoring a split: under
-# glibc's mmap threshold (128 KiB), with room for the allocator's header, so
-# that each block's embeddings reuse heap instead of being mapped afresh
-_EVAL_BLOCK_BYTES = (128 - 4) << 10
+# bytes of pair embeddings per forward pass when scoring a split
+_EVAL_BLOCK_BYTES = _BLOCK_BYTES
 
 
 def _predicted_mask(f: np.ndarray, na_index: int) -> np.ndarray:
     """Row-wise: which relations' logits strictly exceed the threshold logit."""
-    if not np.isfinite(f).all():
+    if not np.all(np.isfinite(f)):
         raise NumericError("predict_labels: non-finite logits")
     return f[:, :na_index] > f[:, na_index : na_index + 1]
 
@@ -148,16 +146,15 @@ def evaluate(
     gold = corpus.gold_rows if use_gold else corpus.label_rows
 
     hits = predicted & gold
-    tp_per_relation = hits.sum(axis=0)
     cells = np.stack(
-        [tp_per_relation, predicted.sum(axis=0) - tp_per_relation,
-         gold.sum(axis=0) - tp_per_relation],
+        [hits.sum(axis=0), (predicted & ~gold).sum(axis=0), (gold & ~predicted).sum(axis=0)],
         axis=1,
     )
     per_relation = {r: tuple(c) for r, c in enumerate(cells.tolist()) if any(c)}
     tp, fp, fn = (int(v) for v in cells.sum(axis=0))
     precision, recall, f1 = _prf(tp, fp, fn)
-    predicted_count, gold_count = tp + fp, tp + fn
+    predicted_count = int(predicted.sum())
+    gold_count = int(gold.sum())
 
     # predictions of facts seen in training are dropped for Ign F1, against
     # the same gold set; with no such facts Ign F1 is F1
@@ -170,8 +167,7 @@ def evaluate(
         ign_f1 = _prf(ign_tp, predicted_count - excluded - ign_tp, gold_count - ign_tp)[2]
 
     order = (Bucket.HEAD, Bucket.MID, Bucket.TAIL)
-    codes = [order.index(b) if b in order else -1 for b in map(buckets.get, range(len(cells)))]
-    members = np.arange(len(order))[:, None] == np.array(codes, dtype=np.intp)
+    members = np.array([[buckets.get(r) == b for r in range(len(cells))] for b in order])
     bucket_cells = (members.astype(np.int64) @ cells).tolist()
     bucket_f1 = {b: _prf(*bucket_cells[k])[2] for k, b in enumerate(order)}
 

@@ -288,9 +288,6 @@ class TestBlasThreads:
                               env=self.environ(PYTHONPATH=os.pathsep.join(sys.path)))
         assert proc.stdout.strip() == "[None, None, None]", proc.stderr
 
-    def test_manifests_record_the_variables_the_command_sets(self):
-        assert environment()["blas_threads"].keys() == set(BLAS_THREAD_VARIABLES)
-
 
 class TestInputsFailClosed:
     def test_bad_corpus_label_exits_1_without_traceback(self, workspace, tmp_path):

@@ -131,9 +131,13 @@ def test_manifest_without_environment_loads(tmp_path):
     [lambda e: e.update(heap_top_pad=True), lambda e: e.update(heap_top_pad=1.5),
      lambda e: e.update(python=3.11), lambda e: e.update(numpy=None),
      lambda e: e.update(glibc=2.36), lambda e: e.pop("platform"),
-     lambda e: e.update(allocator="jemalloc"), lambda e: e.update(blas_threads="1")],
+     lambda e: e.update(allocator="jemalloc"), lambda e: e.update(blas_threads="1"),
+     lambda e: e["blas_threads"].update(GOTO_NUM_THREADS="1"),
+     lambda e: e["blas_threads"].pop("MKL_NUM_THREADS"),
+     lambda e: e["blas_threads"].update(OMP_NUM_THREADS=2)],
     ids=["bool-pad", "float-pad", "number-python", "null-numpy", "number-glibc",
-         "no-platform", "unknown-entry", "string-blas-threads"],
+         "no-platform", "unknown-entry", "string-blas-threads", "unknown-blas-variable",
+         "missing-blas-variable", "number-blas-threads"],
 )
 def test_manifest_with_bad_environment_is_rejected(tmp_path, edit):
     path = tmp_path / "manifest.json"

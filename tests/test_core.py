@@ -648,12 +648,14 @@ class TestDecodeKeepsTheLineByLineVerdict:
     the line-by-line decode gives, or leaves the file to it."""
 
     @staticmethod
-    def write(path, records, rows=2, dim=2):
-        header = {"format": "docrel-corpus", "version": 3, "relations": ["r0", "r1"],
-                  "na_index": 2, "train_frequency": {}, "label_source": "gold",
-                  "embedding_dim": dim, "num_examples": rows}
+    def write(path, records, rows=2, dim=2, relations=2, vector_rows=None):
+        header = {"format": "docrel-corpus", "version": 3,
+                  "relations": [f"r{r}" for r in range(relations)], "na_index": relations,
+                  "train_frequency": {}, "label_source": "gold", "embedding_dim": dim,
+                  "num_examples": rows}
         text = "\n".join([json.dumps(header), *records]) + "\n\n"
-        path.write_bytes(text.encode() + np.ones((3 * rows, dim)).astype("<f8").tobytes())
+        vectors = np.ones((vector_rows or 3 * rows, dim))
+        path.write_bytes(text.encode() + vectors.astype("<f8").tobytes())
 
     def test_lines_that_parse_only_when_joined_fail_at_the_first(self, tmp_path):
         # joined into one JSON array, lines 2 and 3 are two valid records:
@@ -667,6 +669,25 @@ class TestDecodeKeepsTheLineByLineVerdict:
         path = tmp_path / "c.jsonl"
         self.write(path, ['{"doc_id": "x}', "{" + rest + ", " + second])
         with pytest.raises(DataFormatError, match=f"{path}:2: bad record"):
+            load_corpus(path)
+
+    # "1\u0660" ends in an Arabic-Indic zero: int() reads it as 10, JSON refuses it.
+    # Each file is otherwise one that would load with that 10 in place.
+    @pytest.mark.parametrize(
+        "field, value, relations, vector_rows",
+        [('"tail_id": 1', '"tail_id": 1\u0660', 2, 6),
+         ('"mentions": [1, 1]', '"mentions": [1, 1\u0660]', 2, 15),
+         ('"positive_relations": []', '"positive_relations": [1\u0660]', 11, 6)],
+        ids=["id", "mention-count", "label"],
+    )
+    def test_non_ascii_digits_fail_at_their_line(self, tmp_path, field, value, relations,
+                                                 vector_rows):
+        record = ('{"doc_id": "a", "head_id": 0, "tail_id": 1, "mentions": [1, 1], '
+                  '"positive_relations": [], "gold_positive_relations": null}')
+        path = tmp_path / "c.jsonl"
+        self.write(path, [record, record.replace('"a"', '"b"').replace(field, value)],
+                   relations=relations, vector_rows=vector_rows)
+        with pytest.raises(DataFormatError, match=f"{path}:3: bad record"):
             load_corpus(path)
 
     @pytest.mark.parametrize(
@@ -731,6 +752,20 @@ class TestDecodeKeepsTheLineByLineVerdict:
         fast = core._records_as_saved(section, n_lines, 3)
         if fast is not None:
             assert [list(c) for c in core._records_by_line(split[:n_lines], 3, path)] == fast
+
+    def test_non_ascii_digits_anywhere_decode_as_line_by_line(self):
+        """A non-ASCII digit put in place of or after any character of the saved
+        lines leaves them to the line-by-line decode, or decodes as it does."""
+        text = reference_bytes(mention_corpus(pairs=6, dim=2)).split(b"\n\n")[0]
+        lines = text.split(b"\n", 1)[1] + b"\n"
+        for digit in ("\u0660".encode(), "\u0661".encode(), "\uff11".encode()):
+            for k in range(len(lines)):
+                for section in (lines[:k] + digit + lines[k + 1 :], lines[: k + 1] + digit
+                                + lines[k + 1 :]):
+                    split = section.split(b"\n")
+                    fast = core._records_as_saved(section, len(split) - 1, 3)
+                    if fast is not None:
+                        assert [list(c) for c in core._records_by_line(split[:-1], 3, "c")] == fast
 
 
 def corpus_differences(a, b):
