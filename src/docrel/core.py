@@ -22,7 +22,7 @@ from functools import cached_property
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, eq
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -123,8 +123,9 @@ class PairExample:
     mention of the head or the tail entity. ``positive_relations`` is the
     label set used for training; an empty set is the NA class.
     ``gold_positive_relations`` preserves the uncorrupted ground truth when
-    the training labels come from a noisy source. In a loaded corpus the
-    vectors of every pair are row views of one float64 array per file.
+    the training labels come from a noisy source. A loaded corpus builds
+    its examples on first access, the vectors of every pair row views of
+    one float64 array per file.
     """
 
     doc_id: str
@@ -159,25 +160,41 @@ class PairExample:
 # reuse freed heap memory instead of page-faulting fresh pages every pass
 _BLOCK_BYTES = 1 << 16
 
+# the per-pair fields that ``Corpus.column`` reads, in a corpus file's record order
+_FIELDS = ("doc_id", "head_id", "tail_id", "positive_relations", "gold_positive_relations")
+
 
 @dataclass(frozen=True, eq=False)
 class Corpus:
     """A relation vocabulary and its pair examples. The arrays derived from
     the examples are built on first use and cached read-only; a copy made
-    with ``replace(corpus, examples=...)`` derives its own."""
+    with ``replace(corpus, examples=...)`` derives its own. A loaded corpus
+    builds its examples on first access and derives every array from the
+    columns it was loaded with, so scoring or training on it builds no
+    ``PairExample``."""
 
     vocabulary: RelationVocabulary
-    examples: tuple[PairExample, ...]
+    examples: Sequence[PairExample]
     label_source: LabelSource
     embedding_dim: int
     # set by load_corpus: the file's payload and each pair's mention counts,
-    # which pool every pair's rows in place; a replaced copy starts without
+    # which pool every pair's rows in place, and one column per field of
+    # ``column``; a replaced copy starts without
     _payload: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
+    _columns: dict[str, Sequence] | None = field(default=None, init=False, repr=False)
 
     def validate(self) -> None:
         """Check the corpus-wide invariants; raises on the first violation."""
         for i, ex in enumerate(self.examples):
             _check_example(ex, self.vocabulary.num_relations, self.embedding_dim, f"example {i}")
+
+    def column(self, name: str) -> Sequence:
+        """One field of every pair, one of ``_FIELDS``, in corpus order. A
+        loaded corpus returns its own column; any other reads its examples
+        on each call and keeps nothing."""
+        if self._columns is not None:
+            return self._columns[name]
+        return list(map(attrgetter(name), self.examples))
 
     @cached_property
     def _pair_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -201,14 +218,13 @@ class Corpus:
     @cached_property
     def label_rows(self) -> np.ndarray:
         """``(n, |R|)`` boolean: each pair's training label set."""
-        sets = [ex.positive_relations for ex in self.examples]
-        return _frozen(label_mask(sets, self.vocabulary.num_relations))
+        return _frozen(label_mask(self.column("positive_relations"), self.vocabulary.num_relations))
 
     @cached_property
     def gold_rows(self) -> np.ndarray:
         """``(n, |R|)`` boolean: each pair's gold label set, else its training set."""
-        sets = [ex.positive_relations if ex.gold_positive_relations is None
-                else ex.gold_positive_relations for ex in self.examples]
+        training, gold = self.column("positive_relations"), self.column("gold_positive_relations")
+        sets = [t if g is None else g for t, g in zip(training, gold)]
         return _frozen(label_mask(sets, self.vocabulary.num_relations))
 
     @cached_property
@@ -220,8 +236,8 @@ class Corpus:
     def document_groups(self) -> dict[str, np.ndarray]:
         """Each doc_id, in first-appearance order, with its examples' indices."""
         groups: dict[str, list[int]] = {}
-        for i, ex in enumerate(self.examples):
-            groups.setdefault(ex.doc_id, []).append(i)
+        for i, doc in enumerate(self.column("doc_id")):
+            groups.setdefault(doc, []).append(i)
         return {doc: _frozen(np.array(rows, dtype=np.intp)) for doc, rows in groups.items()}
 
     def document_order(self) -> list[str]:
@@ -230,6 +246,59 @@ class Corpus:
 
     def examples_by_document(self) -> dict[str, list[int]]:
         return {doc: rows.tolist() for doc, rows in self.document_groups.items()}
+
+
+class _LoadedExamples(Sequence):
+    """A loaded corpus's examples. ``len`` is known at once; the tuple of
+    ``PairExample`` is built on first access, each pair's vectors row views
+    of the payload. Indexing and iteration work as on that tuple, and a
+    slice is a tuple."""
+
+    __slots__ = ("_count", "_parts", "_tuple")
+
+    def __init__(self, vectors: np.ndarray, counts: np.ndarray, columns: dict[str, Sequence]):
+        self._count = len(counts)
+        self._parts = (vectors, counts, columns)
+        self._tuple = None
+
+    def _built(self) -> tuple[PairExample, ...]:
+        if self._tuple is None:
+            self._tuple = _pair_examples(*self._parts)
+            self._parts = None
+        return self._tuple
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self):
+        return iter(self._built())
+
+
+def _pair_examples(vectors: np.ndarray, counts: np.ndarray, columns: dict[str, Sequence]) -> tuple:
+    """Every pair of a corpus file as a ``PairExample``: its fields from
+    ``columns``, its head, tail and context rows views of ``vectors``, where
+    pair ``k``'s ``counts[k].sum() + 1`` rows follow those of the pairs before it."""
+    context_rows = np.cumsum(counts.sum(axis=1) + 1) - 1
+    tail_starts = context_rows - counts[:, 1]
+    starts = (tail_starts - counts[:, 0]).tolist()
+    tail_starts, context_rows = tail_starts.tolist(), context_rows.tolist()
+    row = vectors.__getitem__
+    return tuple(
+        map(
+            PairExample,
+            columns["doc_id"],
+            columns["head_id"],
+            columns["tail_id"],
+            map(row, map(slice, starts, tail_starts)),
+            map(row, map(slice, tail_starts, context_rows)),
+            map(row, context_rows),
+            columns["positive_relations"],
+            columns["gold_positive_relations"],
+        )
+    )
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -368,8 +437,8 @@ def build_pair_index(corpus: Corpus) -> dict[tuple[str, int, int], int]:
     Raises DuplicatePairError if the same triple appears twice.
     """
     index: dict[tuple[str, int, int], int] = {}
-    for i, ex in enumerate(corpus.examples):
-        key = (ex.doc_id, ex.head_id, ex.tail_id)
+    keys = zip(corpus.column("doc_id"), corpus.column("head_id"), corpus.column("tail_id"))
+    for i, key in enumerate(keys):
         if key in index:
             raise DuplicatePairError(*key)
         index[key] = i
@@ -626,14 +695,15 @@ def load_corpus(path) -> Corpus:
     """Load and validate a corpus file.
 
     Every record gets the checks of ``Corpus.validate``, and duplicate
-    (doc, head, tail) triples are rejected. Each pair's vectors are row views
-    of one float64 array that holds the whole file's payload; the corpus
-    keeps that array and the mention counts, and pools from them. Record
-    lines in the form save_corpus writes are decoded in one pass; a file with
-    any other line is decoded line by line. A file that cannot be read, is
-    not format version 3, holds a malformed record or a payload of the wrong
-    size raises DataFormatError naming the path, and ``path:line`` for a
-    fault in one record.
+    (doc, head, tail) triples are rejected. The corpus keeps one float64
+    array that holds the whole file's payload, the mention counts and one
+    column per field of ``Corpus.column``, and derives every array from
+    them. It builds its examples on first access, each pair's vectors row
+    views of that array. Record lines in the form save_corpus writes are
+    decoded in one pass; a file with any other line is decoded line by
+    line. A file that cannot be read, is not format version 3, holds a
+    malformed record or a payload of the wrong size raises DataFormatError
+    naming the path, and ``path:line`` for a fault in one record.
     """
     try:
         with open(path, "rb") as fh:
@@ -648,10 +718,9 @@ def load_corpus(path) -> Corpus:
     # a last line without its newline is a line too
     n_lines = section.count(b"\n") + (section[-1:] not in (b"", b"\n"))
     n_rel = vocab.num_relations
-    columns = _records_as_saved(section, n_lines, n_rel) or _records_by_line(
-        section.split(b"\n")[:n_lines], n_rel, path
-    )
-    doc_ids, heads, tails, n_head, n_tail, positive, gold = columns
+    doc_ids, heads, tails, n_head, n_tail, positive, gold = _records_as_saved(
+        section, n_lines, n_rel
+    ) or _records_by_line(section.split(b"\n")[:n_lines], n_rel, path)
     if header.get("num_examples", len(heads)) != len(heads):
         raise DataFormatError(
             f"{path}: header declares {header['num_examples']} examples, found {len(heads)}"
@@ -665,34 +734,17 @@ def load_corpus(path) -> Corpus:
         )
     vectors = np.frombuffer(payload, "<f8").reshape(rows, dim).astype(np.float64)
     counts = np.array((n_head, n_tail), dtype=np.intp).T
-    ends = np.cumsum(counts.sum(axis=1) + 1)
     if not np.isfinite(vectors).all():
-        _raise_non_finite(vectors, ends, path)
-    context_rows = ends - 1
-    tail_starts = context_rows - counts[:, 1]
-    starts = (tail_starts - counts[:, 0]).tolist()
-    tail_starts, context_rows = tail_starts.tolist(), context_rows.tolist()
-    row = vectors.__getitem__
-    examples = tuple(
-        map(
-            PairExample,
-            doc_ids,
-            heads,
-            tails,
-            map(row, map(slice, starts, tail_starts)),
-            map(row, map(slice, tail_starts, context_rows)),
-            map(row, context_rows),
-            positive,
-            gold,
-        )
-    )
-    corpus = Corpus(vocab, examples, label_source, dim)
-    if len(set(zip(doc_ids, heads, tails))) != len(examples):
+        _raise_non_finite(vectors, np.cumsum(counts.sum(axis=1) + 1), path)
+    columns = dict(zip(_FIELDS, (doc_ids, heads, tails, positive, gold)))
+    corpus = Corpus(vocab, _LoadedExamples(vectors, counts, columns), label_source, dim)
+    object.__setattr__(corpus, "_payload", (vectors, counts))
+    object.__setattr__(corpus, "_columns", columns)
+    if len(set(zip(doc_ids, heads, tails))) != len(heads):
         try:
             build_pair_index(corpus)
         except DuplicatePairError as exc:
             raise DataFormatError(f"{path}: {exc}") from exc
-    object.__setattr__(corpus, "_payload", (vectors, counts))
     return corpus
 
 

@@ -26,6 +26,9 @@ from .errors import ConfigError, DataFormatError, DuplicatePairError
 __all__ = ["hashed_featurizer", "load_docred_json"]
 
 _CONTEXT_MARGIN = 5
+# the closest-mention search builds a few int64 (E, E, W, W) grids per
+# document of E entities, the largest with W mentions: at most 128 MiB each
+_MAX_GRID_CELLS = 1 << 24
 
 
 def _bucket(token: str, dim: int) -> tuple[int, float]:
@@ -228,8 +231,10 @@ def load_docred_json(path, dim: int = 64) -> Corpus:
     tail) pair, raises DataFormatError naming the path and the document; a
     mention's ``pos`` must be a non-empty span ``[start, end)`` inside its
     sentence, and ``h``, ``t``, ``sent_id`` and ``pos`` must be integers. A
-    file that cannot be read or decoded raises DataFormatError naming the
-    path.
+    document whose closest-mention grid (entities squared times the largest
+    mention count squared) exceeds ``_MAX_GRID_CELLS`` raises
+    DataFormatError before the grid is allocated. A file that cannot be
+    read or decoded raises DataFormatError naming the path.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -270,6 +275,13 @@ def load_docred_json(path, dim: int = 64) -> Corpus:
                 )
             pair_labels.setdefault((h, t), set()).add(rel_index[r])
 
+        cells = len(ids) ** 2 * max(counts, default=0) ** 2
+        if cells > _MAX_GRID_CELLS:
+            raise DataFormatError(
+                f"{path}: document {title!r}: {len(ids)} entities, the largest with "
+                f"{max(counts)} mentions, need a closest-mention grid of {cells:,} cells; "
+                f"at most {_MAX_GRID_CELLS:,} are allowed"
+            )
         if ids:
             examples += _document_examples(
                 title, tokens, ids, spans, counts, pair_labels, buckets, dim

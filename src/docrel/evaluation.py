@@ -58,23 +58,18 @@ class FactSet(frozenset):
 
 def train_fact_set(corpus: Corpus) -> FactSet:
     """(head entity, relation, tail entity) facts present in the labels."""
-    return FactSet(
-        (ex.head_id, r, ex.tail_id) for ex in corpus.examples for r in ex.positive_relations
-    )
+    columns = map(corpus.column, ("head_id", "tail_id", "positive_relations"))
+    return FactSet((head, r, tail) for head, tail, labels in zip(*columns) for r in labels)
 
 
 def _seen_mask(corpus: Corpus, rows: np.ndarray, facts: FactSet) -> np.ndarray:
     """``(n, |R|)``: which of the corpus's (pair, relation) triples, over the
     given rows, are facts in ``facts``."""
     index = facts.relations_by_pair
-    examples = corpus.examples
-    triples = [
-        (i, r)
-        for i in rows.tolist()
-        for r in index.get((examples[i].head_id, examples[i].tail_id), ())
-    ]
+    heads, tails = corpus.column("head_id"), corpus.column("tail_id")
+    triples = [(i, r) for i in rows.tolist() for r in index.get((heads[i], tails[i]), ())]
     n_rel = corpus.vocabulary.num_relations
-    seen = np.zeros((len(examples), n_rel), dtype=bool)
+    seen = np.zeros((len(heads), n_rel), dtype=bool)
     if triples:
         i, r = np.array(triples).T
         keep = (r >= 0) & (r < n_rel)
@@ -133,13 +128,12 @@ def evaluate(
     vocab = corpus.vocabulary
     if params.num_logits != vocab.num_logits:
         raise ShapeError(f"head has {params.num_logits} logits, corpus has {vocab.num_logits}")
-    examples = corpus.examples
     inputs = (corpus.head_rows, corpus.tail_rows, corpus.context_rows)
     block = max(1, _EVAL_BLOCK_BYTES // (8 * params.pair_dim))
     f = np.concatenate(
         [
             head_forward(*(rows[k : k + block] for rows in inputs), params).f
-            for k in range(0, max(1, len(examples)), block)
+            for k in range(0, max(1, len(corpus.examples)), block)
         ]
     )
     predicted = _predicted_mask(f, vocab.na_index)

@@ -1,5 +1,7 @@
+import contextlib
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,6 +42,21 @@ def make_example(doc, h, t, labels, dim=4, gold=None, seed=0):
         positive_relations=frozenset(labels),
         gold_positive_relations=frozenset(gold) if gold is not None else frozenset(labels),
     )
+
+
+@contextlib.contextmanager
+def counting_pair_examples():
+    """Count the ``PairExample`` objects built inside the block: yields a
+    one-item list that holds the count."""
+    count = [0]
+    init = PairExample.__init__
+
+    def counted(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    with mock.patch.object(PairExample, "__init__", counted):
+        yield count
 
 
 def make_corpus(label_sets, n_rel=4, dim=4, docs_of=None, source=LabelSource.GOLD):

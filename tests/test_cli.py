@@ -3,11 +3,13 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from docrel.cli import main
+from docrel.datagen import Regime, load_regime
 from docrel.config import (
     Manifest,
     PRESETS,
@@ -22,7 +24,7 @@ from docrel.rng import stream
 
 from docrel_cli import BLAS_THREAD_VARIABLES
 
-from conftest import FORMAT_2_FILE, GEN_ARGS, CorpusFile
+from conftest import FORMAT_2_FILE, GEN_ARGS, CorpusFile, counting_pair_examples
 
 
 CUTS = ["--set", "eval.head_cut=2", "--set", "eval.tail_cut=3"]
@@ -238,6 +240,35 @@ class TestPipelineOutputs:
         code = main(["train", "--regime", workspace["regime"]] + FAST_TRAIN + CUTS)
         assert code == 0
         assert os.path.exists(tmp_path / "envout" / "train" / "manifest.json")
+
+    def test_train_and_eval_on_a_bundle_build_no_pair_example(self, workspace, tmp_path,
+                                                              monkeypatch):
+        """``train`` and ``eval`` on a saved bundle build no ``PairExample`` and
+        write what they write from the bundle's corpora held in memory."""
+
+        def in_memory(directory):
+            loaded = load_regime(directory)
+            splits = (loaded.train, loaded.dev, loaded.test)
+            return Regime(*(replace(s, examples=tuple(s.examples)) for s in splits),
+                          name=loaded.name)
+
+        built = {}
+        for name, loader in (("loaded", load_regime), ("in-memory", in_memory)):
+            monkeypatch.setattr("docrel.cli.load_regime", loader)
+            run, scored = str(tmp_path / name / "run"), str(tmp_path / name / "eval")
+            with counting_pair_examples() as count:
+                assert main(["train", "--regime", workspace["regime"], "--out", run]
+                            + FAST_TRAIN + CUTS) == 0
+                assert main(["eval", "--regime", workspace["regime"], "--checkpoint",
+                             os.path.join(run, "checkpoint.ckpt"), "--split", "test",
+                             "--out", scored] + CUTS) == 0
+            built[name] = count[0]
+        assert built["loaded"] == 0 < built["in-memory"]
+        for name in ("run/checkpoint.ckpt", "run/final.ckpt", "run/history.jsonl",
+                     "run/dev_report.json", "run/dev_report.csv", "eval/report.json",
+                     "eval/report.csv"):
+            assert (tmp_path / "loaded" / name).read_bytes() == (
+                tmp_path / "in-memory" / name).read_bytes(), name
 
 
 def _break_record(regime_dir, out_dir, split, record=None, rows=None):

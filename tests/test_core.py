@@ -26,7 +26,7 @@ from docrel.core import (
 from docrel.errors import ConfigError, DataFormatError, DocrelError, DuplicatePairError, ShapeError
 from docrel.losses import LossConfig, _negative_mask
 
-from conftest import FORMAT_2_FILE, CorpusFile, make_corpus, make_example
+from conftest import FORMAT_2_FILE, CorpusFile, counting_pair_examples, make_corpus, make_example
 
 
 class TestRelationVocabulary:
@@ -352,9 +352,59 @@ class TestCorpusCache:
 
         monkeypatch.setattr(core, "_pool_sides", refuse)
         monkeypatch.setattr(core, "label_mask", refuse)
-        built, loaded = mention_corpus(), load_corpus(path)
+        built = mention_corpus()
+        with counting_pair_examples() as count:
+            loaded = load_corpus(path)
+        assert count == [0]
         for corpus in (built, loaded, replace(loaded, examples=loaded.examples[:3])):
             assert not set(CACHED) & set(vars(corpus))
+
+    @pytest.mark.parametrize("corpus", [
+        mention_corpus(),
+        make_corpus([{0}, {1, 2}, set(), {0, 3}, set()]),
+        make_corpus([{1}, set(), {1}, {0, 2}], docs_of=["b", "a", "b", "a"]),
+        make_corpus([]),
+    ], ids=["mentions", "small", "interleaved-docs", "empty"])
+    def test_lazy_examples_equal_eager_ones(self, corpus, tmp_path):
+        path = tmp_path / "c.jsonl"
+        save_corpus(corpus, path)
+        check_lazy_examples(corpus, path)
+
+
+def check_lazy_examples(corpus, path):
+    """Load ``path``, where ``corpus`` was saved: the arrays derived from the
+    loaded columns are built with no ``PairExample`` and equal, bit for bit,
+    those derived from the examples; the examples, built on first access,
+    hold the in-memory corpus's fields and views of the payload."""
+    with counting_pair_examples() as count:
+        loaded = load_corpus(path)
+        assert len(loaded.examples) == len(corpus.examples)
+        assert [list(loaded.column(f)) for f in core._FIELDS] == [
+            corpus.column(f) for f in core._FIELDS]
+        from_columns = [getattr(loaded, name) for name in CACHED]
+    assert count == [0]
+    assert type(loaded.examples[:]) is tuple and type(loaded.examples[1:2]) is tuple
+    eager = replace(loaded, examples=loaded.examples[:])
+    assert eager._columns is None
+    for name, array in zip(CACHED[:-1], from_columns):
+        other = getattr(eager, name)
+        assert (other.dtype, other.shape, other.tobytes()) == (
+            array.dtype, array.shape, array.tobytes()), name
+    groups, eager_groups = from_columns[-1], eager.document_groups
+    assert list(groups) == list(eager_groups) == list(dict.fromkeys(
+        ex.doc_id for ex in corpus.examples))
+    for doc, rows in groups.items():
+        assert (rows.dtype, rows.tobytes()) == (eager_groups[doc].dtype,
+                                                eager_groups[doc].tobytes())
+    payload = loaded._payload[0]
+    for x, y in zip(corpus.examples, loaded.examples, strict=True):
+        assert [getattr(x, f) for f in core._FIELDS] == [getattr(y, f) for f in core._FIELDS]
+        for f in ("head_vectors", "tail_vectors", "context"):
+            a, b = getattr(x, f), getattr(y, f)
+            assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), f
+            assert np.shares_memory(b, payload), f
+    if corpus.examples:  # built once, then kept
+        assert loaded.examples[0] is loaded.examples[0]
 
 
 def counts(text):
@@ -641,6 +691,7 @@ def test_round_trip_keeps_bytes_and_derived_rows(tmp_path_factory, data, dim, co
             built, loaded = replace(corpus, examples=examples), load_corpus(path)
             for name in DERIVED:
                 assert getattr(loaded, name).tobytes() == getattr(built, name).tobytes(), name
+    check_lazy_examples(corpus, path)
 
 
 class TestDecodeKeepsTheLineByLineVerdict:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from docrel import docred
 from docrel.docred import _bucket, hashed_featurizer, load_docred_json
 from docrel.errors import ConfigError, DataFormatError, DocrelError
 
@@ -182,6 +183,26 @@ class TestLoader:
             corpus.examples[i].head_id for i in by_doc["fixture2"]
         }
         assert first_ids == second_ids  # same surface names, same global ids
+
+    def test_document_too_large_for_the_mention_grid_rejected(self, tmp_path, monkeypatch):
+        # 60 entities, one with 600 mentions: a closest-mention grid of
+        # 60 * 60 * 600 * 600 cells, 9.66 GiB as int64, is refused unbuilt
+        sents = [["Big", "said", "so", "."] for _ in range(600)]
+        sents += [[f"E{e}", "was", "there", "."] for e in range(1, 60)]
+        vertex_set = [[{"name": "Big", "sent_id": k, "pos": [0, 1]} for k in range(600)]]
+        vertex_set += [[{"name": f"E{e}", "sent_id": 599 + e, "pos": [0, 1]}]
+                       for e in range(1, 60)]
+        doc = {"title": "crowded", "sents": sents, "vertexSet": vertex_set, "labels": []}
+        path = write(tmp_path, [doc, DOC])
+
+        def refuse(*args):
+            raise AssertionError("featurized a document past the grid bound")
+
+        monkeypatch.setattr(docred, "_document_examples", refuse)
+        monkeypatch.setattr(docred, "_closest_spans", refuse)
+        message = r"docred\.json: document 'crowded': 60 entities, the largest with 600 mentions"
+        with pytest.raises(DataFormatError, match=message):
+            load_docred_json(path, dim=16)
 
     def test_pairs_of_one_entity_share_its_mention_array(self, tmp_path):
         # one array per entity, not one per pair: the benchmark's DocRED

@@ -6,15 +6,24 @@ import pytest
 
 from docrel import training
 from docrel.batching import assemble_batches, attach_negative_samples, batch_count
-from docrel.core import Corpus, LabelSource, PairExample
-from docrel.datagen import SyntheticConfig, assemble_regime, generate_regime_splits
+from docrel.core import Corpus, LabelSource, PairExample, bucket_relations
+from docrel.datagen import (
+    SyntheticConfig,
+    assemble_regime,
+    generate_regime_splits,
+    load_regime,
+    save_regime,
+)
 from docrel.errors import ConfigError, NonFiniteLossError
+from docrel.evaluation import evaluate, train_fact_set
 from docrel.experiments import run_ablation, sweep_sampling_ratio
-from docrel.head import init_head_params
+from docrel.head import init_head_params, save_checkpoint
 from docrel.losses import LossConfig, batch_loss
 from docrel.optim import AdamW, clip_gradients, warmup_lr
 from docrel.rng import stream
 from docrel.training import TrainConfig, train
+
+from conftest import counting_pair_examples
 
 
 def tiny_regime(seed=7, noise=0.0, kind="GGG", **overrides):
@@ -298,9 +307,6 @@ class TestExperimentDrivers:
         regime = tiny_regime(noise=0.4, kind="OOG")
         cfg = TrainConfig(seed=0, **FAST)
         rows = sweep_sampling_ratio(regime, cfg, ratios=[1.0], seeds=[0], bucket_cuts=(2, 2))
-        from docrel.core import bucket_relations
-        from docrel.evaluation import evaluate, train_fact_set
-
         result = train(regime.train, regime.dev, cfg)
         report = evaluate(
             result.params,
@@ -310,3 +316,36 @@ class TestExperimentDrivers:
             use_gold=True,
         )
         assert rows[0]["mean"]["gold_test"]["f1"] == report.f1
+
+
+class TestLoadedBundle:
+    """Scoring and training on a saved bundle build no ``PairExample`` and
+    give what the in-memory corpora give, bit for bit."""
+
+    def test_evaluate_and_train_build_no_pair_example(self, tmp_path):
+        regime = tiny_regime(noise=0.4, kind="OOG")
+        save_regime(regime, tmp_path)
+        config = TrainConfig(seed=0, **FAST)
+        params = init_head_params(12, 8, 2, regime.train.vocabulary.num_logits, stream(0, "t"))
+
+        def run(bundle):
+            splits = (bundle.train, bundle.dev, bundle.test)
+            facts = train_fact_set(bundle.train)
+            buckets = bucket_relations(bundle.train.vocabulary, (2, 3))
+            reports = [evaluate(params, split, facts, buckets, use_gold=gold)
+                       for split in splits for gold in (True, False)]
+            reports = [(report.summary(), report.per_relation) for report in reports]
+            return facts, reports, train(bundle.train, bundle.dev, config)
+
+        with counting_pair_examples() as count:
+            facts, reports, result = run(load_regime(tmp_path))
+        assert count == [0]
+        expected_facts, expected_reports, expected = run(regime)
+        assert facts == expected_facts and len(facts) > 0
+        assert reports == expected_reports
+        assert result.history == expected.history
+        for name in ("params", "final_params"):
+            paths = [tmp_path / f"{name}-{k}.ckpt" for k in range(2)]
+            save_checkpoint(getattr(result, name), paths[0])
+            save_checkpoint(getattr(expected, name), paths[1])
+            assert paths[0].read_bytes() == paths[1].read_bytes()
