@@ -22,7 +22,7 @@ from functools import cached_property
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, eq
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -168,32 +168,30 @@ _FIELDS = ("doc_id", "head_id", "tail_id", "positive_relations", "gold_positive_
 class Corpus:
     """A relation vocabulary and its pair examples. The arrays derived from
     the examples are built on first use and cached read-only; a copy made
-    with ``replace(corpus, examples=...)`` derives its own. A loaded corpus
-    builds its examples on first access and derives every array from the
-    columns it was loaded with, so scoring or training on it builds no
-    ``PairExample``."""
+    with ``replace`` derives its own. A loaded corpus's examples object holds
+    the file's payload, mention counts and columns, and every array is
+    derived from them, so scoring or training on it builds no
+    ``PairExample``; so does a copy made with ``replace`` that keeps it."""
 
     vocabulary: RelationVocabulary
     examples: Sequence[PairExample]
     label_source: LabelSource
     embedding_dim: int
-    # set by load_corpus: the file's payload and each pair's mention counts,
-    # which pool every pair's rows in place, and one column per field of
-    # ``column``; a replaced copy starts without
-    _payload: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
-    _columns: dict[str, Sequence] | None = field(default=None, init=False, repr=False)
 
     def validate(self) -> None:
-        """Check the corpus-wide invariants; raises on the first violation."""
+        """Check every example with ``_check_example``, naming the first at
+        fault ``example k``, then that no (doc_id, head_id, tail_id) triple
+        repeats (``build_pair_index``)."""
         for i, ex in enumerate(self.examples):
             _check_example(ex, self.vocabulary.num_relations, self.embedding_dim, f"example {i}")
+        build_pair_index(self)
 
     def column(self, name: str) -> Sequence:
         """One field of every pair, one of ``_FIELDS``, in corpus order. A
-        loaded corpus returns its own column; any other reads its examples
-        on each call and keeps nothing."""
-        if self._columns is not None:
-            return self._columns[name]
+        loaded corpus returns its examples object's column; any other reads
+        its examples on each call and keeps nothing."""
+        if isinstance(self.examples, _LoadedExamples):
+            return self.examples.columns[name]
         return list(map(attrgetter(name), self.examples))
 
     @cached_property
@@ -249,26 +247,40 @@ class Corpus:
 
 
 class _LoadedExamples(Sequence):
-    """A loaded corpus's examples. ``len`` is known at once; the tuple of
-    ``PairExample`` is built on first access, each pair's vectors row views
-    of the payload. Indexing and iteration work as on that tuple, and a
-    slice is a tuple."""
+    """A loaded corpus's examples and what they are built from: the file's
+    payload ``vectors``, each pair's mention ``counts`` and one column per
+    field of ``Corpus.column``. ``len`` is known at once; the tuple of
+    ``PairExample`` is built on first access and kept, each pair's vectors
+    row views of the payload. Indexing and iteration work as on that tuple,
+    and a slice is a tuple."""
 
-    __slots__ = ("_count", "_parts", "_tuple")
+    __slots__ = ("vectors", "counts", "columns", "_tuple")
 
     def __init__(self, vectors: np.ndarray, counts: np.ndarray, columns: dict[str, Sequence]):
-        self._count = len(counts)
-        self._parts = (vectors, counts, columns)
+        self.vectors, self.counts, self.columns = vectors, counts, columns
         self._tuple = None
 
     def _built(self) -> tuple[PairExample, ...]:
         if self._tuple is None:
-            self._tuple = _pair_examples(*self._parts)
-            self._parts = None
+            starts, tail_starts, context_rows = (a.tolist() for a in _offsets(self.counts))
+            row, columns = self.vectors.__getitem__, self.columns
+            self._tuple = tuple(
+                map(
+                    PairExample,
+                    columns["doc_id"],
+                    columns["head_id"],
+                    columns["tail_id"],
+                    map(row, map(slice, starts, tail_starts)),
+                    map(row, map(slice, tail_starts, context_rows)),
+                    map(row, context_rows),
+                    columns["positive_relations"],
+                    columns["gold_positive_relations"],
+                )
+            )
         return self._tuple
 
     def __len__(self) -> int:
-        return self._count
+        return len(self.counts)
 
     def __getitem__(self, index):
         return self._built()[index]
@@ -277,28 +289,13 @@ class _LoadedExamples(Sequence):
         return iter(self._built())
 
 
-def _pair_examples(vectors: np.ndarray, counts: np.ndarray, columns: dict[str, Sequence]) -> tuple:
-    """Every pair of a corpus file as a ``PairExample``: its fields from
-    ``columns``, its head, tail and context rows views of ``vectors``, where
-    pair ``k``'s ``counts[k].sum() + 1`` rows follow those of the pairs before it."""
+def _offsets(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each record's rows lie in a corpus file's payload: its first
+    head row, its first tail row and its context row, where record ``k``'s
+    ``counts[k].sum() + 1`` rows follow those of the records before it."""
     context_rows = np.cumsum(counts.sum(axis=1) + 1) - 1
     tail_starts = context_rows - counts[:, 1]
-    starts = (tail_starts - counts[:, 0]).tolist()
-    tail_starts, context_rows = tail_starts.tolist(), context_rows.tolist()
-    row = vectors.__getitem__
-    return tuple(
-        map(
-            PairExample,
-            columns["doc_id"],
-            columns["head_id"],
-            columns["tail_id"],
-            map(row, map(slice, starts, tail_starts)),
-            map(row, map(slice, tail_starts, context_rows)),
-            map(row, context_rows),
-            columns["positive_relations"],
-            columns["gold_positive_relations"],
-        )
-    )
+    return tail_starts - counts[:, 0], tail_starts, context_rows
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -322,12 +319,18 @@ def _pool_sides(corpus: Corpus) -> np.ndarray:
     ``_segment_lse`` call per run of pairs, a run being as many pairs as
     keep their mention rows under ``_BLOCK_BYTES`` (at least one pair); a
     row's value does not depend on its run. A loaded corpus takes each run's
-    rows from its payload, where every pair's context row follows its
-    mention rows; any other corpus gathers them from its examples.
+    rows from its payload; any other corpus gathers them from its examples.
     """
-    examples, dim, payload = corpus.examples, corpus.embedding_dim, corpus._payload
-    if payload is not None:
-        vectors, counts = payload
+    examples, dim = corpus.examples, corpus.embedding_dim
+    if isinstance(examples, _LoadedExamples):
+        vectors, counts = examples.vectors, examples.counts
+        starts, _, context_rows = _offsets(counts)
+        is_mention = np.ones(len(vectors), dtype=bool)
+        is_mention[context_rows] = False
+
+        def run_rows(run: slice) -> tuple:
+            rows = slice(starts[run.start], context_rows[run.stop - 1] + 1)
+            return vectors[rows][is_mention[rows]], vectors[context_rows[run]]
     else:
         # counted without a tuple per pair: thousands of 2-tuples freed at
         # once would stay on CPython's tuple free list, in the peak RSS
@@ -336,23 +339,8 @@ def _pool_sides(corpus: Corpus) -> np.ndarray:
         if counts.size and counts.min() == 0:
             ex = examples[int(np.argmin(counts.min(axis=1)))]
             raise ContractError(f"pair {ex.doc_id}/{ex.head_id}/{ex.tail_id}: no mentions")
-    sizes = counts.sum(axis=1)
-    mention_ends = np.cumsum(sizes)
-    if payload is not None:
-        context_rows = mention_ends + np.arange(len(sizes))
-        is_mention = np.ones(len(vectors), dtype=bool)
-        is_mention[context_rows] = False
-    budget = _BLOCK_BYTES // (8 * dim)
-    pooled = np.empty((3, len(examples), dim))
-    k = 0
-    while k < len(examples):
-        before = mention_ends[k] - sizes[k]
-        stop = max(k + 1, int(np.searchsorted(mention_ends, before + budget, side="right")))
-        run = slice(k, stop)
-        if payload is not None:
-            first, last = context_rows[k] - sizes[k], context_rows[stop - 1] + 1
-            mat, contexts = vectors[first:last][is_mention[first:last]], vectors[context_rows[run]]
-        else:
+
+        def run_rows(run: slice) -> tuple:
             mat = np.concatenate(
                 [side for ex in examples[run] for side in (ex.head_vectors, ex.tail_vectors)],
                 dtype=np.float64,
@@ -361,9 +349,18 @@ def _pool_sides(corpus: Corpus) -> np.ndarray:
                 raise ShapeError(
                     f"mentions of shape {mat.shape[1:]} in a corpus of dimension {dim}"
                 )
-            contexts = [ex.context for ex in examples[run]]
+            return mat, [ex.context for ex in examples[run]]
+    sizes = counts.sum(axis=1)
+    mention_ends = np.cumsum(sizes)
+    budget = _BLOCK_BYTES // (8 * dim)
+    pooled = np.empty((3, len(examples), dim))
+    k = 0
+    while k < len(examples):
+        before = mention_ends[k] - sizes[k]
+        stop = max(k + 1, int(np.searchsorted(mention_ends, before + budget, side="right")))
+        run = slice(k, stop)
+        mat, pooled[2, run] = run_rows(run)
         pooled[:2, run] = _segment_lse(mat, counts[run].ravel()).reshape(-1, 2, dim).swapaxes(0, 1)
-        pooled[2, run] = contexts
         k = stop
     return pooled
 
@@ -395,15 +392,31 @@ def _check_pair(head_id: int, tail_id: int, label_sets, n_rel: int, where: str) 
                 raise DataFormatError(f"{where}: relation index {r} out of range")
 
 
-def _check_example(ex: PairExample, n_rel: int, dim: int, where: str) -> None:
-    """Check one example against a vocabulary of ``n_rel`` relations and ``dim``.
+def _pairs_valid(heads, tails, label_sets, n_rel: int) -> bool:
+    """``_check_pair`` over a whole corpus at C speed: whether no pair's head
+    id is its tail id and every label of ``label_sets`` is one of ``n_rel``
+    relations. Ids are ``int``s and label sets frozensets of ``int``s."""
+    labels = frozenset().union(*label_sets)
+    return not any(map(eq, heads, tails)) and all(0 <= r < n_rel for r in labels)
 
-    Errors name the example by ``where``. Besides ``_check_pair``'s checks,
-    each side is a nonempty ``(k, dim)`` array, the context a ``(dim,)``
-    vector, and every vector is finite.
-    """
-    labels = (ex.positive_relations, ex.gold_positive_relations or frozenset())
-    _check_pair(ex.head_id, ex.tail_id, labels, n_rel, where)
+
+def _check_example(ex: PairExample, n_rel: int, dim: int, where: str) -> None:
+    """The one check that names a fault in an example, by ``where``: the
+    doc_id is a ``str``, the label sets frozensets (the gold set may be
+    None), every id and label an ``int`` (``True`` and NumPy integers are
+    not), ``_check_pair`` holds for ``n_rel`` relations, each side is a
+    nonempty ``(k, dim)`` array, the context a ``(dim,)`` vector, and every
+    vector real and finite."""
+    gold = ex.gold_positive_relations
+    sets = (ex.positive_relations,) if gold is None else (ex.positive_relations, gold)
+    if type(ex.doc_id) is not str:
+        raise DataFormatError(f"{where}: doc_id {ex.doc_id!r} is not a string")
+    if not all(type(s) is frozenset for s in sets):
+        raise DataFormatError(f"{where}: label sets {sets!r} are not frozensets")
+    for value in (ex.head_id, ex.tail_id, *itertools.chain(*sets)):
+        if type(value) is not int:
+            raise DataFormatError(f"{where}: id or label {value!r} is not an integer")
+    _check_pair(ex.head_id, ex.tail_id, sets, n_rel, where)
     for side, mentions in (("head", ex.head_vectors), ("tail", ex.tail_vectors)):
         if mentions.ndim != 2 or mentions.shape[1] != dim:
             raise ShapeError(f"{where}: {side} mention shape {mentions.shape}, expected (k, {dim})")
@@ -411,6 +424,9 @@ def _check_example(ex: PairExample, n_rel: int, dim: int, where: str) -> None:
             raise DataFormatError(f"{where}: {side} entity with no mentions")
     if ex.context.shape != (dim,):
         raise ShapeError(f"{where}: context shape {ex.context.shape}, expected ({dim},)")
+    for vectors in (ex.head_vectors, ex.tail_vectors, ex.context):
+        if not np.can_cast(vectors.dtype, np.float64, "same_kind"):
+            raise DataFormatError(f"{where}: vectors of dtype {vectors.dtype} are not real numbers")
     if not all(np.isfinite(a).all() for a in (ex.context, ex.head_vectors, ex.tail_vectors)):
         part = "a mention embedding" if np.isfinite(ex.context).all() else "the context"
         raise DataFormatError(f"{where}: non-finite value in {part}")
@@ -491,12 +507,10 @@ _FORMAT_VERSION = 3
 def save_corpus(corpus: Corpus, path) -> None:
     """Write ``corpus`` to ``path`` in format version 3.
 
-    A corpus that ``load_corpus`` would not read back as it is raises
-    DataFormatError naming the path, and the example where one is at fault,
-    before the file is opened: a doc_id that is not a string, label sets
-    that are not frozensets, an id or label that is not an ``int`` (``True``
-    and NumPy integers are not), or vectors that do not fit the corpus's
-    dimension.
+    A corpus that ``load_corpus`` would not read back as it is, one that
+    ``Corpus.validate`` refuses, raises DataFormatError before the file is
+    opened, naming the path and the fault as ``validate`` names it. Checks
+    over the whole corpus decide; ``validate`` runs only to name the fault.
     """
     header = {
         "format": _FORMAT,
@@ -508,16 +522,20 @@ def save_corpus(corpus: Corpus, path) -> None:
         "embedding_dim": corpus.embedding_dim,
         "num_examples": len(corpus.examples),
     }
-    examples = corpus.examples
-    golds = map(attrgetter("gold_positive_relations"), examples)
-    label_sets = [*map(attrgetter("positive_relations"), examples),
-                  *(labels for labels in golds if labels is not None)]
-    _check_saveable(examples, label_sets, path)
+    examples, dim = corpus.examples, corpus.embedding_dim
+    doc_ids, heads, tails, positive, gold = map(corpus.column, _FIELDS)
+    label_sets = [*positive, *(labels for labels in gold if labels is not None)]
+    # the record lines below need these types
+    if not (
+        set(map(type, label_sets)) <= {frozenset}
+        and set(map(type, itertools.chain(heads, tails, *label_sets))) <= {int}
+        and set(map(type, doc_ids)) <= {str}
+    ):
+        _refuse(corpus, path, "ids, labels or doc_ids of another type")
     # each line is what json.dumps writes for the record: a doc_id is
     # encoded by json's own string encoder, every id and label is an int, so
     # its text is its repr, and a list of them is the list's repr
-    doc_ids = set(map(attrgetter("doc_id"), examples))
-    doc_texts = {doc: encode_basestring_ascii(doc) for doc in doc_ids}
+    doc_texts = {doc: encode_basestring_ascii(doc) for doc in set(doc_ids)}
     label_texts = {labels: str(sorted(labels)) for labels in set(label_sets)}
     label_texts[None] = "null"
     lines = [json.dumps(header)]
@@ -532,46 +550,30 @@ def save_corpus(corpus: Corpus, path) -> None:
         )
         rows += (ex.head_vectors, ex.tail_vectors, ex.context[None])
     try:
-        payload = np.concatenate(rows, dtype="<f8") if rows else np.empty((0, corpus.embedding_dim))
+        payload = np.concatenate(rows, dtype="<f8") if rows else np.empty((0, dim))
     except (ValueError, TypeError) as exc:
-        raise DataFormatError(f"{path}: cannot save corpus: {exc}") from exc
-    if payload.shape[1:] != (corpus.embedding_dim,):
-        raise DataFormatError(
-            f"{path}: cannot save corpus: vectors of shape {payload.shape[1:]} in a corpus "
-            f"of dimension {corpus.embedding_dim}"
-        )
+        _refuse(corpus, path, exc)
+    if not (
+        payload.shape[1:] == (dim,)
+        and np.isfinite(payload).all()
+        and 0 not in map(len, rows)
+        and _pairs_valid(heads, tails, label_sets, corpus.vocabulary.num_relations)
+        and len(set(zip(doc_ids, heads, tails))) == len(heads)
+    ):
+        _refuse(corpus, path, "invalid pairs or vectors")
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n\n").encode("utf-8"))
         fh.write(payload)
 
 
-def _check_saveable(examples, label_sets: list, path) -> None:
-    """Raise DataFormatError naming the first example that ``load_corpus``
-    would not give back as it is: one whose doc_id is not a string, whose
-    label sets are not frozensets, or whose ids and labels are not all
-    ``int``s. ``label_sets`` holds every example's label set and its gold
-    set where it has one."""
-    ids = itertools.chain(
-        map(attrgetter("head_id"), examples), map(attrgetter("tail_id"), examples)
-    )
-    # the whole corpus at C speed first; the loop below names the example
-    if (
-        set(map(type, label_sets)) <= {frozenset}
-        and set(map(type, itertools.chain(ids, *label_sets))) <= {int}
-        and set(map(type, map(attrgetter("doc_id"), examples))) <= {str}
-    ):
-        return
-    for i, ex in enumerate(examples):
-        where = f"{path}: cannot save corpus: example {i}"
-        gold = ex.gold_positive_relations
-        sets = (ex.positive_relations,) if gold is None else (ex.positive_relations, gold)
-        if not isinstance(ex.doc_id, str):
-            raise DataFormatError(f"{where}: doc_id {ex.doc_id!r} is not a string")
-        if not all(isinstance(s, frozenset) for s in sets):
-            raise DataFormatError(f"{where}: label sets {sets!r} are not frozensets")
-        for value in (ex.head_id, ex.tail_id, *itertools.chain(*sets)):
-            if type(value) is not int:
-                raise DataFormatError(f"{where}: id or label {value!r} is not an integer")
+def _refuse(corpus: Corpus, path, reason) -> NoReturn:
+    """Refuse to save ``corpus``: name its fault as ``Corpus.validate`` does,
+    else give ``reason``."""
+    try:
+        corpus.validate()
+    except (ShapeError, DataFormatError) as exc:
+        raise DataFormatError(f"{path}: cannot save corpus: {exc}") from exc
+    raise DataFormatError(f"{path}: cannot save corpus: {reason}")
 
 
 def _record_from_json(obj: dict, n_rel: int, where: str) -> tuple:
@@ -676,9 +678,7 @@ def _records_as_saved(section: bytes, n_lines: int, n_rel: int) -> list | None:
         heads, tails = list(map(int, heads)), list(map(int, tails))
     except ValueError:  # not UTF-8, a bad doc_id string, an int too long to convert
         return None
-    if any(map(eq, heads, tails)) or any(
-        max(labels) >= n_rel for labels in label_sets.values() if labels
-    ):
+    if not _pairs_valid(heads, tails, filter(None, label_sets.values()), n_rel):
         return None
     return [
         list(map(doc_ids.__getitem__, docs)),
@@ -694,12 +694,12 @@ def _records_as_saved(section: bytes, n_lines: int, n_rel: int) -> list | None:
 def load_corpus(path) -> Corpus:
     """Load and validate a corpus file.
 
-    Every record gets the checks of ``Corpus.validate``, and duplicate
-    (doc, head, tail) triples are rejected. The corpus keeps one float64
-    array that holds the whole file's payload, the mention counts and one
-    column per field of ``Corpus.column``, and derives every array from
-    them. It builds its examples on first access, each pair's vectors row
-    views of that array. Record lines in the form save_corpus writes are
+    Every record gets the checks of ``Corpus.validate``. The corpus's
+    examples object keeps one float64 array that holds the whole file's
+    payload, the mention counts and one column per field of
+    ``Corpus.column``, and the corpus derives every array from them. The
+    examples are built on first access, each pair's vectors row views of
+    that array. Record lines in the form save_corpus writes are
     decoded in one pass; a file with any other line is decoded line by
     line. A file that cannot be read, is not format version 3, holds a
     malformed record or a payload of the wrong size raises DataFormatError
@@ -734,12 +734,13 @@ def load_corpus(path) -> Corpus:
         )
     vectors = np.frombuffer(payload, "<f8").reshape(rows, dim).astype(np.float64)
     counts = np.array((n_head, n_tail), dtype=np.intp).T
-    if not np.isfinite(vectors).all():
-        _raise_non_finite(vectors, np.cumsum(counts.sum(axis=1) + 1), path)
     columns = dict(zip(_FIELDS, (doc_ids, heads, tails, positive, gold)))
-    corpus = Corpus(vocab, _LoadedExamples(vectors, counts, columns), label_source, dim)
-    object.__setattr__(corpus, "_payload", (vectors, counts))
-    object.__setattr__(corpus, "_columns", columns)
+    examples = _LoadedExamples(vectors, counts, columns)
+    if not np.isfinite(vectors).all():
+        # the record that holds the first non-finite row
+        k = int(np.searchsorted(_offsets(counts)[2], np.argmin(np.isfinite(vectors).all(axis=1))))
+        _check_example(examples[k], n_rel, dim, f"{path}:{k + 2}")
+    corpus = Corpus(vocab, examples, label_source, dim)
     if len(set(zip(doc_ids, heads, tails))) != len(heads):
         try:
             build_pair_index(corpus)
@@ -748,18 +749,11 @@ def load_corpus(path) -> Corpus:
     return corpus
 
 
-def _raise_non_finite(vectors: np.ndarray, ends: np.ndarray, path) -> None:
-    """Name the first record whose rows of ``vectors`` hold a non-finite value."""
-    finite = np.isfinite(vectors).all(axis=1)
-    k = int(np.searchsorted(ends, np.argmin(finite), side="right"))
-    part = "the context" if not finite[ends[k] - 1] else "a mention embedding"
-    raise DataFormatError(f"{path}:{k + 2}: non-finite value in {part}")
-
-
 def count_relation_frequencies(corpus: Corpus) -> dict[str, int]:
     """Count how many examples carry each relation (by current labels)."""
-    counts = {name: 0 for name in corpus.vocabulary.relations}
-    for ex in corpus.examples:
-        for r in ex.positive_relations:
-            counts[corpus.vocabulary.relations[r]] += 1
+    relations = corpus.vocabulary.relations
+    counts = dict.fromkeys(relations, 0)
+    for labels in corpus.column("positive_relations"):
+        for r in labels:
+            counts[relations[r]] += 1
     return counts

@@ -177,8 +177,9 @@ class _World:
         return m / np.linalg.norm(m)
 
 
-def _noise(rng: np.random.Generator, d: int, sigma: float) -> np.ndarray:
-    return rng.normal(size=d) * (sigma / math.sqrt(d))
+def _noise(rng: np.random.Generator, size, d: int, sigma: float) -> np.ndarray:
+    """Gaussian noise of shape ``size`` whose ``d``-vectors have norm about ``sigma``."""
+    return rng.normal(size=size) * (sigma / math.sqrt(d))
 
 
 def generate_synthetic_corpus(config: SyntheticConfig) -> Corpus:
@@ -195,15 +196,10 @@ def generate_synthetic_corpus(config: SyntheticConfig) -> Corpus:
 
     def make_mentions(rng, entity: int, mixture: np.ndarray | None) -> np.ndarray:
         count = int(rng.integers(m_lo, m_hi + 1))
-        out = []
-        for _ in range(count):
-            base = 0.6 * world.entity_base[entity]
-            if mixture is not None:
-                vec = base + 0.8 * mixture + _noise(rng, d, sig)
-            else:
-                vec = base + _noise(rng, d, 1.0)
-            out.append(vec)
-        return np.stack(out)
+        base = 0.6 * world.entity_base[entity]
+        if mixture is not None:
+            return base + 0.8 * mixture + _noise(rng, (count, d), d, sig)
+        return base + _noise(rng, (count, d), d, 1.0)
 
     examples: list[PairExample] = []
     for doc_index in range(config.num_documents):
@@ -224,7 +220,7 @@ def generate_synthetic_corpus(config: SyntheticConfig) -> Corpus:
                 seen.add(pair)
                 h, t = pair
                 mixture = world.mixture(labels)
-                context = mixture + _noise(rng, d, sig)
+                context = mixture + _noise(rng, d, d, sig)
                 gold = labels
             else:
                 # NA: draw an ordered pair outside the knowledge graph
@@ -237,7 +233,7 @@ def generate_synthetic_corpus(config: SyntheticConfig) -> Corpus:
                     continue
                 seen.add((h, t))
                 mixture = None
-                context = _noise(rng, d, 1.0)
+                context = _noise(rng, d, d, 1.0)
                 gold = frozenset()
 
             examples.append(

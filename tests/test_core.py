@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -190,21 +191,19 @@ class TestSerialization:
         save_corpus(Corpus(vocab, examples, LabelSource.SYNTHETIC, 2), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256
 
-    @pytest.mark.parametrize(
-        "every, message",
-        [(False, r"corpus\.jsonl: cannot save corpus: all the input array"),
-         (True, r"corpus\.jsonl: cannot save corpus: vectors of shape \(5,\) in a corpus of "
-                r"dimension 4")],
-        ids=["one-example-5-wide", "every-example-5-wide"],
-    )
-    def test_save_refuses_vectors_of_the_wrong_width(self, small_corpus, tmp_path, every, message):
-        """Caught before the file is opened: a file already there stays as it was."""
+    @pytest.mark.parametrize("every", [False, True],
+                             ids=["one-example-5-wide", "every-example-5-wide"])
+    def test_save_refuses_vectors_of_the_wrong_width(self, small_corpus, tmp_path, every):
+        """Caught before the file is opened, naming the first example: a
+        file already there stays as it was."""
         wide = {"head_vectors": np.ones((2, 5)), "tail_vectors": np.ones((1, 5)),
                 "context": np.ones(5)}
         examples = tuple(replace(ex, **wide) if every or i == 0 else ex
                          for i, ex in enumerate(small_corpus.examples))
         path = tmp_path / "corpus.jsonl"
         path.write_bytes(b"an earlier corpus")
+        message = (rf"corpus\.jsonl: cannot save corpus: example 0: head mention shape "
+                   rf"\(2, 5\), expected \(k, 4\)$")
         with pytest.raises(DataFormatError, match=message):
             save_corpus(replace(small_corpus, examples=examples), path)
         assert path.read_bytes() == b"an earlier corpus"
@@ -228,6 +227,34 @@ class TestSerialization:
         path.write_bytes(b"an earlier corpus")
         with pytest.raises(DataFormatError, match=f"{path}: cannot save corpus: example 3: "
                                                   f"{message}"):
+            save_corpus(replace(small_corpus, examples=tuple(examples)), path)
+        assert path.read_bytes() == b"an earlier corpus"
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [({"head_vectors": np.zeros((0, 4))}, "example 3: head entity with no mentions"),
+         ({"tail_id": 6}, "example 3: head_id == tail_id == 6"),
+         ({"positive_relations": frozenset({0, 4})}, "example 3: relation index 4 out of range"),
+         ({"positive_relations": frozenset({-1})}, "example 3: relation index -1 out of range"),
+         ({"gold_positive_relations": frozenset({9})}, "example 3: relation index 9 out of range"),
+         ({"context": np.array([0.0, np.nan, 0.0, 0.0])},
+          "example 3: non-finite value in the context"),
+         ({"tail_vectors": np.array([[0.0, np.inf, 0.0, 0.0]])},
+          "example 3: non-finite value in a mention embedding"),
+         ({"doc_id": "doc1", "head_id": 2, "tail_id": 3},
+          "duplicate entity pair: doc='doc1' head=2 tail=3")],
+        ids=["no-head-mentions", "head-is-tail", "label-past-relations", "negative-label",
+             "gold-label-past-relations", "nan-in-context", "inf-in-a-mention", "repeated-pair"],
+    )
+    def test_save_refuses_what_load_refuses(self, small_corpus, tmp_path, changes, message):
+        """Caught before the file is opened, naming the example or the
+        repeated pair: a file already there stays as it was."""
+        examples = list(small_corpus.examples)
+        examples[3] = replace(examples[3], **changes)
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b"an earlier corpus")
+        with pytest.raises(DataFormatError,
+                           match=re.escape(f"{path}: cannot save corpus: {message}") + "$"):
             save_corpus(replace(small_corpus, examples=tuple(examples)), path)
         assert path.read_bytes() == b"an earlier corpus"
 
@@ -330,10 +357,34 @@ class TestCorpusCache:
         path = tmp_path / "c.jsonl"
         save_corpus(mention_corpus(), path)
         loaded = load_corpus(path)
-        part = replace(loaded, examples=loaded.examples[::3])
-        assert part._payload is None
+        part = replace(loaded, examples=loaded.examples[::-3])
+        assert part.column("head_id") == [ex.head_id for ex in loaded.examples[::-3]]
         for name in ("head_rows", "tail_rows", "context_rows"):
-            assert getattr(part, name).tobytes() == getattr(loaded, name)[::3].tobytes()
+            assert getattr(part, name).tobytes() == getattr(loaded, name)[::-3].tobytes()
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"vocabulary": RelationVocabulary.from_relations(["a", "b", "c"], {"b": 2})},
+         {"label_source": LabelSource.GOLD}],
+        ids=["vocabulary", "label-source"],
+    )
+    def test_replaced_labels_of_a_loaded_corpus_derive_from_its_columns(self, changes, tmp_path):
+        path = tmp_path / "c.jsonl"
+        save_corpus(mention_corpus(), path)
+        loaded = load_corpus(path)
+        with counting_pair_examples() as count:
+            copy = replace(loaded, **changes)
+            derived = [(getattr(copy, name), getattr(loaded, name)) for name in CACHED]
+        assert count == [0]
+        for name, (array, own) in zip(CACHED[:-1], derived):
+            assert array is not own
+            assert (array.dtype, array.shape, array.tobytes()) == (
+                own.dtype, own.shape, own.tobytes()), name
+        groups, own_groups = derived[-1]
+        assert list(groups) == list(own_groups)
+        for doc, rows in groups.items():
+            assert (rows.dtype, rows.tobytes()) == (own_groups[doc].dtype,
+                                                    own_groups[doc].tobytes())
 
     def test_cached_arrays_are_read_only(self):
         corpus = mention_corpus()
@@ -385,7 +436,7 @@ def check_lazy_examples(corpus, path):
     assert count == [0]
     assert type(loaded.examples[:]) is tuple and type(loaded.examples[1:2]) is tuple
     eager = replace(loaded, examples=loaded.examples[:])
-    assert eager._columns is None
+    assert eager.column("doc_id") is not eager.column("doc_id")  # read from its examples
     for name, array in zip(CACHED[:-1], from_columns):
         other = getattr(eager, name)
         assert (other.dtype, other.shape, other.tobytes()) == (
@@ -396,13 +447,15 @@ def check_lazy_examples(corpus, path):
     for doc, rows in groups.items():
         assert (rows.dtype, rows.tobytes()) == (eager_groups[doc].dtype,
                                                 eager_groups[doc].tobytes())
-    payload = loaded._payload[0]
+    rows = sum(len(ex.head_vectors) + len(ex.tail_vectors) + 1 for ex in corpus.examples)
     for x, y in zip(corpus.examples, loaded.examples, strict=True):
         assert [getattr(x, f) for f in core._FIELDS] == [getattr(y, f) for f in core._FIELDS]
         for f in ("head_vectors", "tail_vectors", "context"):
             a, b = getattr(x, f), getattr(y, f)
             assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), f
-            assert np.shares_memory(b, payload), f
+            # a view of the one array that holds the file's payload
+            assert b.base is loaded.examples[0].context.base, f
+            assert b.base.shape == (rows, corpus.embedding_dim), f
     if corpus.examples:  # built once, then kept
         assert loaded.examples[0] is loaded.examples[0]
 
@@ -662,12 +715,9 @@ DOC_IDS = st.one_of(st.sampled_from(['"', "\\", 'a"b\\c', "é", "文書", "\n", 
                     st.text(max_size=6))
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(data=st.data(), dim=st.integers(1, 4), count=st.integers(0, 7))
-def test_round_trip_keeps_bytes_and_derived_rows(tmp_path_factory, data, dim, count):
-    """Saved bytes are the reference encoder's, and the rows a loaded corpus
-    derives from its payload are the in-memory corpus's, bit for bit."""
-    n_rel = 5
+def drawn_corpus(data, dim, count, n_rel=5):
+    """A valid corpus of ``count`` examples drawn by hypothesis, with
+    doc_ids from ``DOC_IDS`` and 1 to 4 mentions a side."""
     labels = st.frozensets(st.integers(0, n_rel - 1), max_size=3)
     values = st.floats(-50, 50, allow_subnormal=True)
 
@@ -680,8 +730,17 @@ def test_round_trip_keeps_bytes_and_derived_rows(tmp_path_factory, data, dim, co
                     mentions()[0], data.draw(labels), data.draw(st.none() | labels))
         for i in range(count)
     )
-    corpus = Corpus(RelationVocabulary.from_relations([f"r{k}" for k in range(n_rel)]),
-                    examples, LabelSource.ORIGINAL, dim)
+    return Corpus(RelationVocabulary.from_relations([f"r{k}" for k in range(n_rel)]),
+                  examples, LabelSource.ORIGINAL, dim)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data(), dim=st.integers(1, 4), count=st.integers(0, 7))
+def test_round_trip_keeps_bytes_and_derived_rows(tmp_path_factory, data, dim, count):
+    """Saved bytes are the reference encoder's, and the rows a loaded corpus
+    derives from its payload are the in-memory corpus's, bit for bit."""
+    corpus = drawn_corpus(data, dim, count)
+    examples = corpus.examples
     path = tmp_path_factory.mktemp("round-trip") / "c.jsonl"
     save_corpus(corpus, path)
     assert path.read_bytes() == reference_bytes(corpus)
@@ -692,6 +751,82 @@ def test_round_trip_keeps_bytes_and_derived_rows(tmp_path_factory, data, dim, co
             for name in DERIVED:
                 assert getattr(loaded, name).tobytes() == getattr(built, name).tobytes(), name
     check_lazy_examples(corpus, path)
+
+
+def _with_value(field, value):
+    return lambda ex, other: replace(ex, **{field: value(ex)})
+
+
+def _with_row(field, index, value):
+    def fault(ex, other):
+        rows = getattr(ex, field).copy()
+        rows[index] = value
+        return replace(ex, **{field: rows})
+    return fault
+
+
+# one fault in one example of a drawn corpus (5 relations): each is one that
+# load_corpus refuses, or a type that the reference encoder writes as another
+FAULTS = {
+    "no-head-mentions": _with_value("head_vectors", lambda ex: ex.head_vectors[:0]),
+    "head-is-tail": _with_value("tail_id", lambda ex: ex.head_id),
+    "label-past-relations": _with_value("positive_relations",
+                                        lambda ex: ex.positive_relations | {5}),
+    "negative-gold-label": _with_value("gold_positive_relations", lambda ex: frozenset({-1})),
+    "nan-in-context": _with_row("context", 0, np.nan),
+    "inf-in-a-mention": _with_row("tail_vectors", (-1, -1), -np.inf),
+    "repeated-pair": lambda ex, other: replace(ex, doc_id=other.doc_id, head_id=other.head_id,
+                                               tail_id=other.tail_id),
+    "numpy-int-id": _with_value("head_id", lambda ex: np.int64(ex.head_id)),
+    "true-label": _with_value("positive_relations", lambda ex: frozenset({True})),
+    "numpy-int-gold-label": _with_value("gold_positive_relations",
+                                        lambda ex: frozenset({np.int32(1)})),
+    "int-doc-id": _with_value("doc_id", lambda ex: 3),
+    "set-labels": _with_value("positive_relations", lambda ex: set(ex.positive_relations)),
+    "one-side-wider": _with_value("head_vectors", lambda ex: np.ones((1, ex.context.size + 1))),
+    "text-vectors": _with_value("head_vectors", lambda ex: ex.head_vectors.astype(str)),
+}
+
+
+def typed_fields(corpus):
+    """Every field of every example, with the type of each value and the
+    shape and bits of each vector array."""
+    return [
+        (type(value), value) if not isinstance(value, np.ndarray)
+        else (value.shape, value.tobytes())
+        for ex in corpus.examples
+        for value in (ex.doc_id, ex.head_id, ex.tail_id, ex.positive_relations,
+                      ex.gold_positive_relations, ex.head_vectors, ex.tail_vectors, ex.context)
+    ]
+
+
+@pytest.mark.parametrize("fault", [None, *FAULTS])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data(), dim=st.integers(1, 4), count=st.integers(1, 5))
+def test_save_succeeds_exactly_when_load_gives_the_corpus_back(tmp_path_factory, data, dim,
+                                                                count, fault):
+    """save_corpus writes a corpus exactly when load_corpus, reading the
+    reference encoder's bytes for it, gives back every field as it was."""
+    corpus = drawn_corpus(data, dim, count)
+    if fault is not None:
+        examples = list(corpus.examples)
+        k, other = data.draw(st.integers(0, count - 1)), data.draw(st.integers(0, count - 1))
+        examples[k] = FAULTS[fault](examples[k], examples[other])
+        corpus = replace(corpus, examples=tuple(examples))
+    directory = tmp_path_factory.mktemp("verdict")
+    try:
+        save_corpus(corpus, directory / "saved.jsonl")
+        saved = True
+    except DataFormatError:
+        saved = False
+    try:
+        (directory / "reference.jsonl").write_bytes(reference_bytes(corpus))
+        given_back = typed_fields(load_corpus(directory / "reference.jsonl")) == typed_fields(
+            corpus)
+    except (TypeError, ValueError, DocrelError):  # the reference encoder refused, or the loader
+        given_back = False
+    assert saved == given_back, fault
+    assert not saved or (directory / "saved.jsonl").read_bytes() == reference_bytes(corpus)
 
 
 class TestDecodeKeepsTheLineByLineVerdict:

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from dataclasses import replace
 
@@ -96,6 +97,23 @@ class TestGenerator:
         train_pairs = {(e.head_id, e.tail_id) for e in train.examples if e.positive_relations}
         dev_pairs = {(e.head_id, e.tail_id) for e in dev.examples if e.positive_relations}
         assert train_pairs & dev_pairs, "splits should share knowledge-graph facts"
+
+    def test_generated_regime_bits_are_pinned(self):
+        """Every id, label and vector of a small fact-noise regime with up to
+        four mentions a side: bits that change here change every bundle."""
+        gold = generate_regime_splits(replace(SMALL, mentions_per_entity=(1, 4)), 8, 8)
+        regime = assemble_regime(gold, 0.4, "OOG", seed=1, corruption="fact")
+        digest = hashlib.sha256()
+        for split in (regime.train, regime.dev, regime.test):
+            for ex in split.examples:
+                gold_labels = ex.gold_positive_relations
+                digest.update(repr((ex.doc_id, ex.head_id, ex.tail_id,
+                                    sorted(ex.positive_relations),
+                                    None if gold_labels is None else sorted(gold_labels))).encode())
+                for a in (ex.head_vectors, ex.tail_vectors, ex.context):
+                    digest.update(repr(a.shape).encode() + a.tobytes())
+        assert digest.hexdigest() == (
+            "793b33e1ed517edfe20aece99ff6315ff2360a21ac1ea66fbd586713f95b3094")
 
 
 def at_rate(rate, rng):
