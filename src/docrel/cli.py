@@ -208,16 +208,21 @@ def _build_regime(args, resolved, out_dir, inputs) -> dict[str, str]:
     return {"bundle": out_dir}
 
 
-def _evaluate(regime: Regime, params, split: str, resolved, path: str, **extra) -> EvalReport:
-    """Score ``params`` on one regime split; write ``<path>.json`` (``extra``
-    and the split's summary) and ``<path>.csv``."""
-    v = values(resolved)
+def _buckets(regime: Regime, resolved) -> dict:
+    """The head/mid/tail buckets of ``regime``'s relations under the resolved cuts."""
+    return bucket_relations(regime.train.vocabulary, _cuts(values(resolved)))
+
+
+def _evaluate(regime: Regime, params, split: str, resolved, buckets, path: str,
+              **extra) -> EvalReport:
+    """Score ``params`` on one regime split with ``buckets``; write
+    ``<path>.json`` (``extra`` and the split's summary) and ``<path>.csv``."""
     report = evaluate(
         params,
         getattr(regime, split),
         train_fact_set(regime.train),
-        bucket_relations(regime.train.vocabulary, _cuts(v)),
-        use_gold=v["eval.use_gold"],
+        buckets,
+        use_gold=values(resolved)["eval.use_gold"],
     )
     write_json({**extra, split: report.summary()}, path + ".json")
     write_eval_csv([(split, report)], path + ".csv")
@@ -227,6 +232,7 @@ def _evaluate(regime: Regime, params, split: str, resolved, path: str, **extra) 
 def _train(args, resolved, out_dir, inputs) -> dict[str, str]:
     regime = load_regime(inputs["regime"])
     config = train_config_from(resolved)
+    buckets = _buckets(regime, resolved)  # bad cuts fail before training
     result = train_model(regime.train, regime.dev, config)
 
     checkpoint = os.path.join(out_dir, "checkpoint.ckpt")
@@ -238,7 +244,8 @@ def _train(args, resolved, out_dir, inputs) -> dict[str, str]:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
     report = os.path.join(out_dir, "dev_report")
-    _evaluate(regime, result.params, "dev", resolved, report, best_epoch=result.best_epoch)
+    _evaluate(regime, result.params, "dev", resolved, buckets, report,
+              best_epoch=result.best_epoch)
     print(
         f"trained {config.epochs} epochs; best epoch {result.best_epoch} "
         f"dev F1 {result.best_dev_f1:.4f}; outputs in {out_dir}"
@@ -255,7 +262,7 @@ def _eval(args, resolved, out_dir, inputs) -> dict[str, str]:
     regime = load_regime(inputs["regime"])
     params = load_checkpoint(inputs["checkpoint"])
     report_path = os.path.join(out_dir, "report")
-    report = _evaluate(regime, params, split, resolved, report_path)
+    report = _evaluate(regime, params, split, resolved, _buckets(regime, resolved), report_path)
     print(f"{split}: F1={report.f1:.4f} IgnF1={report.ign_f1:.4f} (in {out_dir})")
     return {"report": report_path + ".json"}
 

@@ -6,10 +6,13 @@ Config files look like::
     loss.temperature = 0.2
     train.epochs = 30
 
-Every run resolves each registered key from, in decreasing precedence:
-command-line flag, config-file entry, preset value, built-in default. The
-resolved value and its source are recorded in the experiment manifest, and
-a manifest can be replayed to reproduce a run exactly.
+Every value is typed where it is read: a ``--set`` flag or a config-file
+line by ``coerce``, a recorded manifest value by ``checked``, both from one
+table of kinds. Every run resolves each registered key from, in decreasing
+precedence: command-line flag, replayed manifest, config-file entry, preset
+value, built-in default. The resolved value and its source are recorded in
+the experiment manifest, and a manifest can be replayed to reproduce a run
+exactly.
 """
 
 from __future__ import annotations
@@ -127,121 +130,115 @@ PRESETS: dict[str, dict[str, object]] = {
     },
 }
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def _bool(raw: str) -> bool:
+    if raw.lower() not in _BOOLS:
+        raise ValueError(f"not a boolean: {raw!r}")
+    return _BOOLS[raw.lower()]
+
+
+# each base kind -> (the parser of its config text, the Python types a recorded
+# (JSON) value may have; a bool is never a number). A list kind is a comma list.
+_KIND_RULES = {
+    "int": (int, (int,)),
+    "float": (float, (float, int)),
+    "bool": (_bool, (bool,)),
+    "str": (str, (str,)),
+    "opt_float": (lambda raw: None if raw.lower() in ("none", "") else float(raw),
+                  (float, int, type(None))),
+}
+
+
+def _kind(key: str) -> tuple[str, bool]:
+    """``key``'s base kind and whether it is a list kind; ConfigError if unknown."""
+    if key not in REGISTRY:
+        raise ConfigError(f"unknown config key {key!r}")
+    kind = REGISTRY[key].kind
+    return kind.removesuffix("_list"), kind.endswith("_list")
 
 
 def coerce(key: str, raw: str) -> object:
-    spec = REGISTRY.get(key)
-    if spec is None:
-        raise ConfigError(f"unknown config key {key!r}")
-    kind = spec.kind
-    raw = raw.strip()
+    """Config text ``raw`` as a value of ``key``'s kind, else ConfigError."""
+    kind, is_list = _kind(key)
+    parse = _KIND_RULES[kind][0]
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            low = raw.lower()
-            if low in _TRUE:
-                return True
-            if low in _FALSE:
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if kind == "opt_float":
-            return None if raw.lower() in {"none", ""} else float(raw)
-        if kind == "float_list":
-            return tuple(float(part) for part in raw.split(",") if part.strip())
-        if kind == "int_list":
-            return tuple(int(part) for part in raw.split(",") if part.strip())
-        return raw
+        if is_list:
+            return tuple(parse(part.strip()) for part in raw.split(",") if part.strip())
+        return parse(raw.strip())
     except ValueError as exc:
         raise ConfigError(f"config key {key}: {exc}") from exc
-
-
-# the Python types a recorded (JSON) value may have, per kind; a bool is
-# never taken for a number
-_KIND_TYPES = {
-    "int": (int,),
-    "float": (float, int),
-    "bool": (bool,),
-    "str": (str,),
-    "opt_float": (float, int, type(None)),
-}
 
 
 def checked(key: str, value: object) -> object:
     """A recorded ``value`` if ``key`` is known and ``value`` is of its kind,
     lists made tuples; else ConfigError."""
-    if key not in REGISTRY:
-        raise ConfigError(f"unknown config key {key!r}")
-    kind = REGISTRY[key].kind
-    if kind.endswith("_list"):
-        types = _KIND_TYPES[kind.removesuffix("_list")]
+    kind, is_list = _kind(key)
+    types = _KIND_RULES[kind][1]
+    if is_list:
         ok = type(value) in (list, tuple) and all(type(v) in types for v in value)
         value = tuple(value) if ok else value
     else:
-        ok = type(value) in _KIND_TYPES[kind]
+        ok = type(value) in types
     if not ok:
-        raise ConfigError(f"config key {key}: {value!r} is not of kind {kind}")
+        raise ConfigError(f"config key {key}: {value!r} is not of kind {REGISTRY[key].kind}")
     return value
 
 
-def parse_config_file(path) -> dict[str, str]:
+def parse_config_file(path) -> dict[str, object]:
+    """Each key of a config file with its value, typed by ``coerce``. A line
+    without ``=``, an unknown key, a value not of its key's kind or a key
+    set twice raises ConfigError naming ``path:line``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{path}: cannot read config file: {exc}") from exc
-    values: dict[str, str] = {}
+    values: dict[str, object] = {}
     for lineno, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
-        if "=" not in body:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, raw = body.split("=", 1)
-        values[key.strip()] = raw.strip()
+        try:
+            if "=" not in body:
+                raise ConfigError("expected 'key = value'")
+            key, raw = (part.strip() for part in body.split("=", 1))
+            if key in values:
+                raise ConfigError(f"config key {key} is set twice")
+            values[key] = coerce(key, raw)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return values
 
 
 def resolve(
     flag_values: dict[str, object] | None = None,
-    file_values: dict[str, str] | None = None,
+    file_values: dict[str, object] | None = None,
     preset: str | None = None,
     manifest_values: dict[str, object] | None = None,
 ) -> dict[str, dict]:
     """Resolve every registered key to {value, source}.
 
-    Precedence: flag > replayed manifest > file > preset > default. A
+    Every value of every layer must be of its key's kind (``checked``).
+    Each key then takes its value from the first layer that holds it, None
+    included: flag > replayed manifest > file > preset > default. A
     manifest replay therefore reproduces the recorded run unless a flag
     explicitly overrides a key.
     """
     if preset is not None and preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; available: {sorted(PRESETS)}")
-    flag_values = flag_values or {}
-    file_values = file_values or {}
-    preset_values = PRESETS.get(preset, {}) if preset else {}
-    manifest_values = manifest_values or {}
-
-    for key in file_values:
-        if key not in REGISTRY:
-            raise ConfigError(f"unknown config key {key!r} in config file")
-
-    resolved: dict[str, dict] = {}
-    for key, spec in REGISTRY.items():
-        if key in flag_values and flag_values[key] is not None:
-            resolved[key] = {"value": flag_values[key], "source": "flag"}
-        elif key in manifest_values:
-            resolved[key] = {"value": manifest_values[key], "source": "manifest"}
-        elif key in file_values:
-            resolved[key] = {"value": coerce(key, file_values[key]), "source": "file"}
-        elif key in preset_values:
-            resolved[key] = {"value": preset_values[key], "source": f"preset:{preset}"}
-        else:
-            resolved[key] = {"value": spec.default, "source": "default"}
-    return resolved
+    layers = [
+        ("flag", flag_values or {}),
+        ("manifest", manifest_values or {}),
+        ("file", file_values or {}),
+        (f"preset:{preset}", PRESETS[preset] if preset else {}),
+        ("default", {key: spec.default for key, spec in REGISTRY.items()}),
+    ]
+    layers = [(source, {k: checked(k, v) for k, v in layer.items()}) for source, layer in layers]
+    return {key: next({"value": layer[key], "source": source}
+                      for source, layer in layers if key in layer) for key in REGISTRY}
 
 
 def values(resolved: dict[str, dict]) -> dict[str, object]:

@@ -108,8 +108,9 @@ class RelationVocabulary:
 
 @dataclass(frozen=True, eq=False)
 class Mention:
-    """One mention of an entity, carrying its embedding: a read-only view of
-    one row of a pair's ``head_vectors`` or ``tail_vectors``."""
+    """One mention of an entity, carrying its embedding: a view of one row
+    of a pair's ``head_vectors`` or ``tail_vectors``, read-only when the
+    pair comes from a loaded corpus."""
 
     entity_id: int
     embedding: np.ndarray
@@ -124,8 +125,8 @@ class PairExample:
     label set used for training; an empty set is the NA class.
     ``gold_positive_relations`` preserves the uncorrupted ground truth when
     the training labels come from a noisy source. A loaded corpus builds
-    its examples on first access, the vectors of every pair row views of
-    one float64 array per file.
+    its examples on first access, the vectors of every pair read-only row
+    views of one float64 array per file.
     """
 
     doc_id: str
@@ -162,16 +163,21 @@ _BLOCK_BYTES = 1 << 16
 
 # the per-pair fields that ``Corpus.column`` reads, in a corpus file's record order
 _FIELDS = ("doc_id", "head_id", "tail_id", "positive_relations", "gold_positive_relations")
+# the per-pair vector fields, in a corpus file's row order
+_VECTOR_FIELDS = ("head_vectors", "tail_vectors", "context")
 
 
 @dataclass(frozen=True, eq=False)
 class Corpus:
     """A relation vocabulary and its pair examples. The arrays derived from
-    the examples are built on first use and cached read-only; a copy made
-    with ``replace`` derives its own. A loaded corpus's examples object holds
-    the file's payload, mention counts and columns, and every array is
-    derived from them, so scoring or training on it builds no
-    ``PairExample``; so does a copy made with ``replace`` that keeps it."""
+    the examples are computed once, on first use, and are read-only; a copy
+    made with ``replace`` derives its own. An in-memory corpus's vector
+    arrays stay its caller's, so writing into one after the first use
+    leaves the derived arrays as they were. A loaded corpus's examples
+    object holds the file's payload (read-only), mention counts and
+    columns, and every array is derived from them, so scoring or training
+    on it builds no ``PairExample``; so does a copy made with ``replace``
+    that keeps it."""
 
     vocabulary: RelationVocabulary
     examples: Sequence[PairExample]
@@ -404,9 +410,10 @@ def _check_example(ex: PairExample, n_rel: int, dim: int, where: str) -> None:
     """The one check that names a fault in an example, by ``where``: the
     doc_id is a ``str``, the label sets frozensets (the gold set may be
     None), every id and label an ``int`` (``True`` and NumPy integers are
-    not), ``_check_pair`` holds for ``n_rel`` relations, each side is a
-    nonempty ``(k, dim)`` array, the context a ``(dim,)`` vector, and every
-    vector real and finite."""
+    not), ``_check_pair`` holds for ``n_rel`` relations, the three vector
+    fields are ``np.ndarray``s (exactly: a list or a subclass is not), each
+    side is a nonempty ``(k, dim)`` array, the context a ``(dim,)`` vector,
+    and every vector real and finite."""
     gold = ex.gold_positive_relations
     sets = (ex.positive_relations,) if gold is None else (ex.positive_relations, gold)
     if type(ex.doc_id) is not str:
@@ -417,6 +424,10 @@ def _check_example(ex: PairExample, n_rel: int, dim: int, where: str) -> None:
         if type(value) is not int:
             raise DataFormatError(f"{where}: id or label {value!r} is not an integer")
     _check_pair(ex.head_id, ex.tail_id, sets, n_rel, where)
+    for name in _VECTOR_FIELDS:
+        if type(getattr(ex, name)) is not np.ndarray:
+            raise DataFormatError(f"{where}: {name} is a {type(getattr(ex, name)).__name__}, "
+                                  "not a NumPy array")
     for side, mentions in (("head", ex.head_vectors), ("tail", ex.tail_vectors)):
         if mentions.ndim != 2 or mentions.shape[1] != dim:
             raise ShapeError(f"{where}: {side} mention shape {mentions.shape}, expected (k, {dim})")
@@ -461,9 +472,7 @@ def build_pair_index(corpus: Corpus) -> dict[tuple[str, int, int], int]:
     return index
 
 
-def bucket_relations(
-    vocab: RelationVocabulary, cuts: tuple[int, int] = (10, 20)
-) -> dict[int, Bucket]:
+def bucket_relations(vocab: RelationVocabulary, cuts: tuple[int, int]) -> dict[int, Bucket]:
     """Partition relations into head/mid/tail buckets by training frequency.
 
     Relations are ranked by descending train frequency, ties broken by
@@ -530,8 +539,10 @@ def save_corpus(corpus: Corpus, path) -> None:
         set(map(type, label_sets)) <= {frozenset}
         and set(map(type, itertools.chain(heads, tails, *label_sets))) <= {int}
         and set(map(type, doc_ids)) <= {str}
+        and all(set(map(type, map(attrgetter(name), examples))) <= {np.ndarray}
+                for name in _VECTOR_FIELDS)
     ):
-        _refuse(corpus, path, "ids, labels or doc_ids of another type")
+        _refuse(corpus, path, "ids, labels, doc_ids or vectors of another type")
     # each line is what json.dumps writes for the record: a doc_id is
     # encoded by json's own string encoder, every id and label is an int, so
     # its text is its repr, and a list of them is the list's repr
@@ -698,8 +709,8 @@ def load_corpus(path) -> Corpus:
     examples object keeps one float64 array that holds the whole file's
     payload, the mention counts and one column per field of
     ``Corpus.column``, and the corpus derives every array from them. The
-    examples are built on first access, each pair's vectors row views of
-    that array. Record lines in the form save_corpus writes are
+    examples are built on first access, each pair's vectors read-only row
+    views of that array. Record lines in the form save_corpus writes are
     decoded in one pass; a file with any other line is decoded line by
     line. A file that cannot be read, is not format version 3, holds a
     malformed record or a payload of the wrong size raises DataFormatError
@@ -740,6 +751,7 @@ def load_corpus(path) -> Corpus:
         # the record that holds the first non-finite row
         k = int(np.searchsorted(_offsets(counts)[2], np.argmin(np.isfinite(vectors).all(axis=1))))
         _check_example(examples[k], n_rel, dim, f"{path}:{k + 2}")
+    vectors.flags.writeable = False  # a pair's vectors cannot drift from the rows derived from them
     corpus = Corpus(vocab, examples, label_source, dim)
     if len(set(zip(doc_ids, heads, tails))) != len(heads):
         try:

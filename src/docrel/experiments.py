@@ -87,7 +87,7 @@ def run_ablation(
     regime: Regime,
     train_config: TrainConfig,
     seeds: Sequence[int],
-    bucket_cuts: tuple[int, int] = (10, 20),
+    bucket_cuts: tuple[int, int],
 ) -> list[dict]:
     """Train the full model and each variant of ``ABLATION_VARIANTS`` with
     shared seeds.
@@ -112,7 +112,7 @@ def sweep_sampling_ratio(
     train_config: TrainConfig,
     ratios: Sequence[float],
     seeds: Sequence[int],
-    bucket_cuts: tuple[int, int] = (10, 20),
+    bucket_cuts: tuple[int, int],
 ) -> list[dict]:
     """One sampled-objective model per ratio, shared seeds; one metric curve per split."""
     if not ratios:

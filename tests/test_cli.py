@@ -64,6 +64,24 @@ class TestConfigResolution:
         assert resolved["loss.temperature"] == {"value": 0.7, "source": "file"}
         assert resolved["loss.contrastive_weight"]["source"] == "default"
 
+    def test_none_flag_overrides_a_file_value(self, workspace, tmp_path):
+        """``--set train.grad_clip_norm=none`` trains as if the file did not
+        clip, and the manifest records the flag's null."""
+        runs = {}
+        for name, text in (("flag", "train.grad_clip_norm = 1.5\n"), ("no-line", "")):
+            cfg_file = tmp_path / f"{name}.conf"
+            cfg_file.write_text(text + "loss.temperature = 0.5\n")
+            runs[name] = tmp_path / name
+            flag = ["--set", "train.grad_clip_norm=none"] if name == "flag" else []
+            assert main(["train", "--regime", workspace["regime"], "--out", str(runs[name]),
+                         "--config", str(cfg_file)] + flag + FAST_TRAIN + CUTS) == 0
+        recorded = json.loads((runs["flag"] / "manifest.json").read_text())["config"]
+        assert recorded["train.grad_clip_norm"] == {"value": None, "source": "flag"}
+        assert recorded["loss.temperature"] == {"value": 0.5, "source": "file"}
+        for output in ("history.jsonl", "checkpoint.ckpt", "final.ckpt"):
+            assert (runs["flag"] / output).read_bytes() == (
+                runs["no-line"] / output).read_bytes(), output
+
     def test_presets_match_published_settings(self):
         assert PRESETS["docred-like"] == {
             "loss.temperature": 2.0,
@@ -113,6 +131,18 @@ class TestCliContract:
 
     def test_missing_input_exit_3(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "x")]) == 3
+
+    def test_bad_bucket_cuts_exit_3_before_training(self, workspace, tmp_path, monkeypatch,
+                                                    capsys):
+        """The default cuts (10, 20) do not fit the workspace's 8 relations."""
+        calls = []
+        monkeypatch.setattr("docrel.cli.train_model", lambda *args: calls.append(args))
+        out = tmp_path / "run"
+        code = main(["train", "--regime", workspace["regime"], "--out", str(out)] + FAST_TRAIN)
+        assert code == 3
+        assert "bucket cuts (10, 20) invalid for 8 relations" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
 
     def test_selftest_smoke(self, capsys):
         # oracle + invariants only would be faster, but the full run stays quick
@@ -526,6 +556,25 @@ class TestInputsFailClosed:
         path = str(tmp_path / "nope.json")
         assert main(["train", "--from-manifest", path, "--out", str(tmp_path / "x")]) == 3
         assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "lines, lineno, message",
+        [(["train.epochz = 2"], 1, "unknown config key 'train.epochz'"),
+         (["# a comment", "train.epochs = two"], 2,
+          "config key train.epochs: invalid literal for int() with base 10: 'two'"),
+         (["train.epochs = 2", "", "train.epochs = 3"], 3, "config key train.epochs is set twice"),
+         (["train.epochs 2"], 1, "expected 'key = value'")],
+        ids=["unknown-key", "bad-value", "repeated-key", "no-equals"],
+    )
+    def test_bad_config_file_line_exits_3_naming_it(self, workspace, tmp_path, capsys, lines,
+                                                    lineno, message):
+        """Refused even where a flag sets the same key."""
+        path = tmp_path / "exp.conf"
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["train", "--regime", workspace["regime"], "--config", str(path),
+                     "--out", str(tmp_path / "x"), "--set", "train.epochs=1"] + CUTS)
+        assert code == 3
+        assert f"{path}:{lineno}: {message}\n" in capsys.readouterr().err
 
     def test_missing_config_file_exits_3(self, workspace, tmp_path, capsys):
         path = str(tmp_path / "nope.cfg")

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from docrel.config import (
+    PRESETS,
     REGISTRY,
     _ENVIRONMENT_KINDS,
     Manifest,
+    checked,
     environment,
     loss_config_from,
     resolve,
@@ -93,6 +95,57 @@ def test_flag_values_reach_every_field():
     cfg = train_config_from(resolved)
     assert cfg.grad_clip_norm == 1.5
     assert cfg.loss.resample == "once"
+
+
+def test_defaults_and_presets_are_of_their_kinds():
+    for key, spec in REGISTRY.items():
+        assert checked(key, spec.default) == spec.default, key
+    for preset in PRESETS.values():
+        for key, value in preset.items():
+            assert checked(key, value) == value, key
+
+
+# values of each base kind; train.grad_clip_norm (opt_float) draws None too
+KIND_VALUES = {
+    "int": st.integers(-3, 99),
+    "float": st.floats(allow_nan=False),
+    "opt_float": st.none() | st.floats(allow_nan=False),
+    "bool": st.booleans(),
+    "str": st.text(max_size=4),
+}
+
+
+def value_of(key):
+    kind = REGISTRY[key].kind
+    if kind.endswith("_list"):
+        return st.lists(KIND_VALUES[kind.removesuffix("_list")], max_size=3).map(tuple)
+    return KIND_VALUES[kind]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), preset=st.sampled_from([None, *PRESETS]))
+def test_each_key_takes_the_first_layer_that_holds_it(data, preset):
+    """flag > manifest > file > preset > default, a None value included."""
+    drawn = data.draw(st.lists(st.sampled_from(sorted(REGISTRY)), max_size=8))
+    layers = {"flag": {}, "manifest": {}, "file": {}}
+    for key in dict.fromkeys(["train.grad_clip_norm", "loss.temperature", *drawn]):
+        for name in data.draw(st.sets(st.sampled_from(sorted(layers)))):
+            layers[name][key] = data.draw(value_of(key))
+    resolved = resolve(flag_values=layers["flag"], manifest_values=layers["manifest"],
+                       file_values=layers["file"], preset=preset)
+    for key, spec in REGISTRY.items():
+        order = [*layers.items(), (f"preset:{preset}", PRESETS.get(preset, {})),
+                 ("default", {key: spec.default})]
+        source, layer = next((source, layer) for source, layer in order if key in layer)
+        assert resolved[key] == {"value": layer[key], "source": source}, key
+
+
+@pytest.mark.parametrize("layer", ["flag_values", "manifest_values", "file_values"])
+@pytest.mark.parametrize("key, value", [("train.epochs", "3"), ("loss.use_entropy", "yes"),
+                                        ("train.grad_clip_norm", "none")])
+def test_resolve_refuses_a_value_not_of_its_kind_in_any_layer(layer, key, value):
+    with pytest.raises(ConfigError, match=f"config key {key}: '{value}' is not of kind"):
+        resolve(**{layer: {key: value}})
 
 
 def saved_manifest(path):

@@ -281,6 +281,22 @@ class TestSerialization:
         with pytest.raises(error, match="example 3: "):
             replace(small_corpus, examples=tuple(examples)).validate()
 
+    @pytest.mark.parametrize("field", ["head_vectors", "tail_vectors", "context"])
+    def test_vectors_that_are_not_arrays_are_refused(self, small_corpus, tmp_path, field):
+        """``validate`` names the example and the field; save refuses the
+        same before the file is opened."""
+        examples = list(small_corpus.examples)
+        examples[3] = replace(examples[3], **{field: getattr(examples[3], field).tolist()})
+        corpus = replace(small_corpus, examples=tuple(examples))
+        message = f"example 3: {field} is a list, not a NumPy array$"
+        with pytest.raises(DataFormatError, match=message):
+            corpus.validate()
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b"an earlier corpus")
+        with pytest.raises(DataFormatError, match=f"cannot save corpus: {message}"):
+            save_corpus(corpus, path)
+        assert path.read_bytes() == b"an earlier corpus"
+
     def test_mention_views_are_rows_of_the_side_arrays(self, small_corpus):
         ex = replace(small_corpus.examples[1], head_vectors=np.arange(8.0).reshape(2, 4))
         for views, vectors, entity in ((ex.head_mentions, ex.head_vectors, ex.head_id),
@@ -393,6 +409,17 @@ class TestCorpusCache:
                 getattr(corpus, name)[0] = 1
         with pytest.raises(ValueError, match="read-only"):
             corpus.document_groups["doc0"][0] = 5
+
+    @pytest.mark.parametrize("field", ["head_vectors", "tail_vectors", "context"])
+    def test_loaded_vectors_are_read_only(self, tmp_path, field):
+        """A loaded pair's vectors cannot drift from the rows derived from them."""
+        path = tmp_path / "c.jsonl"
+        save_corpus(mention_corpus(), path)
+        loaded = load_corpus(path)
+        derived = [getattr(loaded, name).tobytes() for name in CACHED[:3]]
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(loaded.examples[0], field)[0] += 100
+        assert [getattr(loaded, name).tobytes() for name in CACHED[:3]] == derived
 
     def test_building_or_loading_a_corpus_derives_nothing(self, monkeypatch, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -785,6 +812,9 @@ FAULTS = {
     "set-labels": _with_value("positive_relations", lambda ex: set(ex.positive_relations)),
     "one-side-wider": _with_value("head_vectors", lambda ex: np.ones((1, ex.context.size + 1))),
     "text-vectors": _with_value("head_vectors", lambda ex: ex.head_vectors.astype(str)),
+    "list-head-rows": _with_value("head_vectors", lambda ex: ex.head_vectors.tolist()),
+    "list-tail-rows": _with_value("tail_vectors", lambda ex: ex.tail_vectors.tolist()),
+    "list-context": _with_value("context", lambda ex: ex.context.tolist()),
 }
 
 
