@@ -114,7 +114,10 @@ def _resolved_config(args, replayed: Manifest | None) -> dict[str, dict]:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, raw = item.split("=", 1)
-        flag_values[key.strip()] = coerce(key.strip(), raw)
+        key = key.strip()
+        if key in flag_values:
+            raise ConfigError(f"config key {key} is set twice by --set")
+        flag_values[key] = coerce(key, raw)
 
     return resolve(
         flag_values=flag_values,

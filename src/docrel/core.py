@@ -16,12 +16,10 @@ from __future__ import annotations
 import enum
 import itertools
 import json
-import re
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from json.decoder import scanstring
-from json.encoder import encode_basestring_ascii
-from operator import attrgetter, eq
+from operator import attrgetter
 from typing import Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
@@ -161,7 +159,7 @@ class PairExample:
 # reuse freed heap memory instead of page-faulting fresh pages every pass
 _BLOCK_BYTES = 1 << 16
 
-# the per-pair fields that ``Corpus.column`` reads, in a corpus file's record order
+# the per-pair fields that ``Corpus.column`` reads
 _FIELDS = ("doc_id", "head_id", "tail_id", "positive_relations", "gold_positive_relations")
 # the per-pair vector fields, in a corpus file's row order
 _VECTOR_FIELDS = ("head_vectors", "tail_vectors", "context")
@@ -384,33 +382,12 @@ def logsumexp_pool(mention_embeddings) -> np.ndarray:
     return _segment_lse(mat, np.array([mat.shape[0]]))[0]
 
 
-def _check_pair(head_id: int, tail_id: int, label_sets, n_rel: int, where: str) -> None:
-    """The pair's two ids differ, and every label is one of ``n_rel`` relations.
-
-    Relation indices run ``0 .. n_rel-1``, so the NA index ``n_rel`` is never
-    a valid label. Errors name the pair by ``where``.
-    """
-    if head_id == tail_id:
-        raise DataFormatError(f"{where}: head_id == tail_id == {head_id}")
-    for label_set in label_sets:
-        for r in label_set:
-            if not (0 <= r < n_rel):
-                raise DataFormatError(f"{where}: relation index {r} out of range")
-
-
-def _pairs_valid(heads, tails, label_sets, n_rel: int) -> bool:
-    """``_check_pair`` over a whole corpus at C speed: whether no pair's head
-    id is its tail id and every label of ``label_sets`` is one of ``n_rel``
-    relations. Ids are ``int``s and label sets frozensets of ``int``s."""
-    labels = frozenset().union(*label_sets)
-    return not any(map(eq, heads, tails)) and all(0 <= r < n_rel for r in labels)
-
-
 def _check_example(ex: PairExample, n_rel: int, dim: int, where: str) -> None:
     """The one check that names a fault in an example, by ``where``: the
     doc_id is a ``str``, the label sets frozensets (the gold set may be
     None), every id and label an ``int`` (``True`` and NumPy integers are
-    not), ``_check_pair`` holds for ``n_rel`` relations, the three vector
+    not), both ids within int64 and different, every label one of the
+    ``n_rel`` relations (the NA index ``n_rel`` is not), the three vector
     fields are ``np.ndarray``s (exactly: a list or a subclass is not), each
     side is a nonempty ``(k, dim)`` array, the context a ``(dim,)`` vector,
     and every vector real and finite."""
@@ -423,7 +400,14 @@ def _check_example(ex: PairExample, n_rel: int, dim: int, where: str) -> None:
     for value in (ex.head_id, ex.tail_id, *itertools.chain(*sets)):
         if type(value) is not int:
             raise DataFormatError(f"{where}: id or label {value!r} is not an integer")
-    _check_pair(ex.head_id, ex.tail_id, sets, n_rel, where)
+    for value in (ex.head_id, ex.tail_id):
+        if not -(2**63) <= value < 2**63:
+            raise DataFormatError(f"{where}: id {value} does not fit in int64")
+    if ex.head_id == ex.tail_id:
+        raise DataFormatError(f"{where}: head_id == tail_id == {ex.head_id}")
+    for r in itertools.chain(*sets):
+        if not 0 <= r < n_rel:
+            raise DataFormatError(f"{where}: relation index {r} out of range")
     for name in _VECTOR_FIELDS:
         if type(getattr(ex, name)) is not np.ndarray:
             raise DataFormatError(f"{where}: {name} is a {type(getattr(ex, name)).__name__}, "
@@ -499,87 +483,113 @@ def bucket_relations(vocab: RelationVocabulary, cuts: tuple[int, int]) -> dict[i
 
 
 # ---------------------------------------------------------------------------
-# Serialization, format version 3. A corpus file holds text lines, then one
-# raw payload, as a checkpoint does: one JSON header line, one JSON record
-# line per example, an empty line, then the vectors of every example as
-# little-endian float64 rows of ``embedding_dim`` values. A record holds the
-# example's ids and label sets and its mention counts ``"mentions": [h, t]``;
-# its ``h + t + 1`` rows (the head mentions, then the tail mentions, then the
-# context) follow the rows of the records before it. Raw bytes round-trip
-# every value bitwise, and the payload is written and read in one call. A
-# mention's entity is its pair's head or tail id, so it is not stored.
+# Serialization, format version 4. A corpus file holds one JSON header line
+# (vocabulary, label source, dimension, example count n and ``doc_ids``, the
+# distinct doc_ids in first-appearance order), the little-endian arrays of
+# ``_RECORD_ARRAYS``, then the payload: each example's ``h + t + 1`` float64
+# rows (head mentions, tail mentions, context) after those of the examples
+# before it. Raw bytes round-trip every value bitwise; a mention's entity is
+# its pair's head or tail id, so it is not stored.
 
 _FORMAT = "docrel-corpus"
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
+
+# the record arrays in file order: dtype, and shape given the example count n
+# and the bit-row width w = ceil(|R| / 8); label r is bit r % 8 of byte r // 8
+_RECORD_ARRAYS = (
+    ("<i8", lambda n, w: (n,)),  # doc index into doc_ids
+    ("<i8", lambda n, w: (n, 2)),  # head and tail ids
+    ("<i8", lambda n, w: (n, 2)),  # mention counts [h, t]
+    ("u1", lambda n, w: (n,)),  # has-gold flag
+    ("u1", lambda n, w: (n, 2, w)),  # label and gold sets as bit rows
+)
+
+
+def _record_fault(arrays, n_docs: int, n_rel: int) -> tuple[int, str] | None:
+    """The record predicate over every record at once: the first record that
+    breaks a rule and the rule's message, else None. Its doc index is one of
+    ``n_docs``, its ids differ, its counts are positive, its gold flag is 0
+    (with an all-zero gold row) or 1, and no label bit is at or above ``n_rel``."""
+    doc, ids, counts, has_gold, bits = arrays
+    beyond = bits & np.packbits(np.arange(8 * bits.shape[2]) >= n_rel, bitorder="little")
+    rules = (
+        ((doc < 0) | (doc >= n_docs), lambda k: f"doc index {doc[k]} outside 0..{n_docs - 1}"),
+        (ids[:, 0] == ids[:, 1], lambda k: f"head_id == tail_id == {ids[k, 0]}"),
+        ((counts < 1).any(axis=1),
+         lambda k: f"mention counts {counts[k].tolist()} are not positive"),
+        (has_gold > 1, lambda k: f"gold flag {has_gold[k]} is not 0 or 1"),
+        ((has_gold == 0) & bits[:, 1].any(axis=1), lambda k: "gold labels without the gold flag"),
+        (beyond.any(axis=(1, 2)), lambda k: "relation index "
+         f"{min(r % (8 * bits.shape[2]) for r in _bit_set(beyond[k].tobytes()))} out of range"),
+    )
+    bad = np.logical_or.reduce([rule for rule, _ in rules], axis=0)
+    if not bad.any():
+        return None
+    k = int(bad.argmax())
+    return k, next(message(k) for rule, message in rules if rule[k])
+
+
+def _bit_set(row: bytes) -> frozenset[int]:
+    """The labels of a bit row: ``r`` for bit ``r % 8`` of byte ``r // 8``."""
+    mask = int.from_bytes(row, "little")
+    return frozenset(r for r in range(mask.bit_length()) if mask >> r & 1)
 
 
 def save_corpus(corpus: Corpus, path) -> None:
-    """Write ``corpus`` to ``path`` in format version 3.
-
-    A corpus that ``load_corpus`` would not read back as it is, one that
-    ``Corpus.validate`` refuses, raises DataFormatError before the file is
-    opened, naming the path and the fault as ``validate`` names it. Checks
-    over the whole corpus decide; ``validate`` runs only to name the fault.
-    """
-    header = {
-        "format": _FORMAT,
-        "version": _FORMAT_VERSION,
-        "relations": list(corpus.vocabulary.relations),
-        "na_index": corpus.vocabulary.na_index,
-        "train_frequency": dict(corpus.vocabulary.train_frequency),
-        "label_source": corpus.label_source.value,
-        "embedding_dim": corpus.embedding_dim,
-        "num_examples": len(corpus.examples),
-    }
-    examples, dim = corpus.examples, corpus.embedding_dim
+    """Write ``corpus`` to ``path`` in format version 4. A corpus that
+    ``load_corpus`` would not read back as it is, one that ``Corpus.validate``
+    refuses, raises DataFormatError before the file is opened, naming the
+    fault as ``validate`` does; checks over the whole corpus decide."""
+    vocab, examples, dim = corpus.vocabulary, corpus.examples, corpus.embedding_dim
+    n, n_rel = len(examples), vocab.num_relations
     doc_ids, heads, tails, positive, gold = map(corpus.column, _FIELDS)
-    label_sets = [*positive, *(labels for labels in gold if labels is not None)]
-    # the record lines below need these types
-    if not (
-        set(map(type, label_sets)) <= {frozenset}
-        and set(map(type, itertools.chain(heads, tails, *label_sets))) <= {int}
+    if not (  # the arrays below need these types
+        set(map(type, positive)) <= {frozenset}
+        and set(map(type, gold)) <= {frozenset, type(None)}
+        and set(map(type, itertools.chain(heads, tails, *positive, *filter(None, gold)))) <= {int}
         and set(map(type, doc_ids)) <= {str}
         and all(set(map(type, map(attrgetter(name), examples))) <= {np.ndarray}
                 for name in _VECTOR_FIELDS)
     ):
         _refuse(corpus, path, "ids, labels, doc_ids or vectors of another type")
-    # each line is what json.dumps writes for the record: a doc_id is
-    # encoded by json's own string encoder, every id and label is an int, so
-    # its text is its repr, and a list of them is the list's repr
-    doc_texts = {doc: encode_basestring_ascii(doc) for doc in set(doc_ids)}
-    label_texts = {labels: str(sorted(labels)) for labels in set(label_sets)}
-    label_texts[None] = "null"
-    lines = [json.dumps(header)]
-    rows = []
-    for ex in examples:
-        lines.append(
-            f'{{"doc_id": {doc_texts[ex.doc_id]}, "head_id": {ex.head_id}, '
-            f'"tail_id": {ex.tail_id}, "mentions": [{len(ex.head_vectors)}, '
-            f'{len(ex.tail_vectors)}], "positive_relations": '
-            f'{label_texts[ex.positive_relations]}, "gold_positive_relations": '
-            f'{label_texts[ex.gold_positive_relations]}}}'
-        )
-        rows += (ex.head_vectors, ex.tail_vectors, ex.context[None])
+    rows = [a for ex in examples for a in (ex.head_vectors, ex.tail_vectors, ex.context[None])]
+    # each distinct label set's index; None (no gold set) is 0, with an all-zero bit row
+    distinct = dict(zip(dict.fromkeys([None, *positive, *gold]), itertools.count()))
     try:
         payload = np.concatenate(rows, dtype="<f8") if rows else np.empty((0, dim))
-    except (ValueError, TypeError) as exc:
+        ids = np.array([heads, tails], dtype=np.int64).T
+        bit_rows = np.packbits(label_mask([s or () for s in distinct], n_rel), axis=1,
+                               bitorder="little")
+    except (ValueError, TypeError, OverflowError, ContractError) as exc:
         _refuse(corpus, path, exc)
+    docs = dict(zip(dict.fromkeys(doc_ids), itertools.count()))
+    sets = np.fromiter(map(distinct.__getitem__, itertools.chain(positive, gold)), np.intp, 2 * n)
+    arrays = (
+        np.fromiter(map(docs.__getitem__, doc_ids), np.int64, n),
+        ids,
+        np.fromiter(map(len, rows), np.int64, 3 * n).reshape(n, 3)[:, :2],
+        (sets[n:] != 0).view(np.uint8),
+        bit_rows[sets.reshape(2, n).T],
+    )
     if not (
         payload.shape[1:] == (dim,)
         and np.isfinite(payload).all()
-        and 0 not in map(len, rows)
-        and _pairs_valid(heads, tails, label_sets, corpus.vocabulary.num_relations)
-        and len(set(zip(doc_ids, heads, tails))) == len(heads)
+        and _record_fault(arrays, len(docs), n_rel) is None
+        and len(set(zip(doc_ids, heads, tails))) == n
     ):
         _refuse(corpus, path, "invalid pairs or vectors")
+    header = {"format": _FORMAT, "version": _FORMAT_VERSION, "relations": list(vocab.relations),
+              "na_index": vocab.na_index, "train_frequency": dict(vocab.train_frequency),
+              "label_source": corpus.label_source.value, "embedding_dim": dim,
+              "num_examples": n, "doc_ids": list(docs)}
     with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n\n").encode("utf-8"))
+        fh.write(json.dumps(header).encode() + b"\n")
+        fh.writelines(np.ascontiguousarray(a, dtype) for (dtype, _), a in zip(_RECORD_ARRAYS, arrays))
         fh.write(payload)
 
 
 def _refuse(corpus: Corpus, path, reason) -> NoReturn:
-    """Refuse to save ``corpus``: name its fault as ``Corpus.validate`` does,
-    else give ``reason``."""
+    """Refuse to save ``corpus``, naming its fault as ``validate`` does, else ``reason``."""
     try:
         corpus.validate()
     except (ShapeError, DataFormatError) as exc:
@@ -587,33 +597,21 @@ def _refuse(corpus: Corpus, path, reason) -> NoReturn:
     raise DataFormatError(f"{path}: cannot save corpus: {reason}")
 
 
-def _record_from_json(obj: dict, n_rel: int, where: str) -> tuple:
-    """A checked record: its ids, mention counts and label sets."""
-    n_head, n_tail = obj["mentions"]
-    if not all(type(n) is int and n > 0 for n in (n_head, n_tail)):
-        raise DataFormatError(
-            f"{where}: mention counts {[n_head, n_tail]} are not positive integers"
-        )
-    head_id, tail_id = obj["head_id"], obj["tail_id"]
-    positive, gold = obj["positive_relations"], obj.get("gold_positive_relations")
-    for value in (head_id, tail_id, *positive, *(gold or ())):
-        if type(value) is not int:
-            raise DataFormatError(f"{where}: id or label {value!r} is not an integer")
-    positive = frozenset(positive)
-    gold = frozenset(gold) if gold is not None else None
-    _check_pair(head_id, tail_id, (positive, gold or frozenset()), n_rel, where)
-    return str(obj["doc_id"]), head_id, tail_id, n_head, n_tail, positive, gold
-
-
-# what decoding a JSON value of the wrong shape or type raises
-_DECODE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
-
-
-def _header_from_json(line: bytes, path) -> tuple[dict, RelationVocabulary, LabelSource, int]:
-    if not line:
-        raise DataFormatError(f"{path}: empty corpus file")
+def load_corpus(path) -> Corpus:
+    """Load a corpus file, checking its header, ``_record_fault`` over its
+    arrays, a payload of exactly the rows the counts give, finite values and
+    no repeated (doc_id, head_id, tail_id); DataFormatError names the path,
+    and ``record k`` for a fault in one record. The examples object keeps
+    the payload (one float64 array), counts and columns; examples are built
+    on first access, their vectors read-only row views of the payload."""
     try:
-        header = json.loads(line)
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise DataFormatError(f"{path}: cannot read corpus file: {exc}") from exc
+    start = data.find(b"\n") + 1 or len(data)
+    try:
+        header = json.loads(data[:start])
         if header.get("format") != _FORMAT:
             raise DataFormatError(f"{path}: not a corpus file")
         if header.get("version") != _FORMAT_VERSION:
@@ -621,139 +619,49 @@ def _header_from_json(line: bytes, path) -> tuple[dict, RelationVocabulary, Labe
                 f"{path}:1: corpus format version {header.get('version')!r}, expected "
                 f"{_FORMAT_VERSION}; rebuild the bundle with gen-data and build-regime"
             )
-        dim, frequencies = header["embedding_dim"], header.get("train_frequency", {})
-        counts = (header["na_index"], dim, *frequencies.values())
-        if not all(type(n) is int for n in counts) or dim < 1:
-            raise ValueError(f"na_index {counts[0]!r}, embedding_dim {dim!r} and train "
-                             "frequencies must be integers, the dimension positive")
+        dim, n, doc_ids = header["embedding_dim"], header["num_examples"], header["doc_ids"]
+        frequencies = header.get("train_frequency", {})
+        numbers = (header["na_index"], dim, n, *frequencies.values())
+        if (not all(type(number) is int for number in numbers) or dim < 1 or n < 0
+                or type(doc_ids) is not list or set(map(type, doc_ids)) - {str}):
+            raise ValueError(f"na_index, embedding_dim {dim!r}, num_examples {n!r} and train "
+                             "frequencies must be integers, dim > 0, n >= 0, doc_ids strings")
         vocab = RelationVocabulary(tuple(header["relations"]), header["na_index"], frequencies)
-        return header, vocab, LabelSource(header["label_source"]), dim
-    except (*_DECODE_ERRORS, ConfigError) as exc:
+        label_source = LabelSource(header["label_source"])
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError, ConfigError) as exc:
         raise DataFormatError(f"{path}:1: bad header: {exc!r}") from exc
-
-
-def _records_by_line(lines: list[bytes], n_rel: int, path) -> list:
-    """The records of ``lines``, each decoded and checked on its own: the
-    reference decode, which names the first faulty line."""
-    records = []
-    for lineno, line in enumerate(lines, 2):
-        try:
-            text = line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"{path}: cannot read corpus file: {exc}") from exc
-        try:
-            records.append(_record_from_json(json.loads(text), n_rel, f"{path}:{lineno}"))
-        except _DECODE_ERRORS as exc:
-            raise DataFormatError(f"{path}:{lineno}: bad record: {exc!r}") from exc
-    return list(zip(*records)) or [()] * 7
-
-
-# one record line exactly as save_corpus writes it, newline included; a
-# doc_id is any JSON string token that does not span lines. Digits are
-# ASCII only: ``\d`` would match any Unicode digit, which int() converts and
-# JSON refuses. The pattern is compiled on first use, through re's own
-# cache: compiling it takes about 1 ms, which every import would pay
-_NUMBER = r"(?:0|[1-9][0-9]*)"
-_LABELS = rf"\[(?:{_NUMBER}(?:, {_NUMBER})*)?\]"
-_RECORD_LINE = (
-    rf'^\{{"doc_id": ("[^"\\\n]*(?:\\.[^"\\\n]*)*"), "head_id": (-?{_NUMBER}), '
-    rf'"tail_id": (-?{_NUMBER}), "mentions": \[([1-9][0-9]*), ([1-9][0-9]*)\], '
-    rf'"positive_relations": ({_LABELS}), "gold_positive_relations": (null|{_LABELS})\}}\n'
-)
-
-
-def _label_set(text: str) -> frozenset[int] | None:
-    """A label list as ``_RECORD_LINE`` matches it: ``null``, ``[]`` or ``[3, 5]``."""
-    if text == "null":
-        return None
-    return frozenset(map(int, text[1:-1].split(", "))) if len(text) > 2 else frozenset()
-
-
-def _records_as_saved(section: bytes, n_lines: int, n_rel: int) -> list | None:
-    """The record columns of ``section`` if each of its ``n_lines`` lines is a
-    valid record in the form save_corpus writes, else None.
-
-    One regular-expression pass splits every line into its fields, and each
-    distinct doc_id and label list is decoded once. Where a line does not
-    match on its own, or holds a value that ``_records_by_line`` refuses, the
-    result is None, and the file is then decoded line by line.
-    """
-    try:
-        found = re.findall(_RECORD_LINE, section.decode("utf-8"), re.MULTILINE)
-        if len(found) != n_lines:
-            return None
-        docs, heads, tails, n_head, n_tail, positive, gold = zip(*found) if found else [()] * 7
-        # JSON's own string decoder: it refuses bad escapes and control characters
-        doc_ids = {token: scanstring(token, 1)[0] for token in set(docs)}
-        label_sets = {text: _label_set(text) for text in {*positive, *gold}}
-        heads, tails = list(map(int, heads)), list(map(int, tails))
-    except ValueError:  # not UTF-8, a bad doc_id string, an int too long to convert
-        return None
-    if not _pairs_valid(heads, tails, filter(None, label_sets.values()), n_rel):
-        return None
-    return [
-        list(map(doc_ids.__getitem__, docs)),
-        heads,
-        tails,
-        list(map(int, n_head)),
-        list(map(int, n_tail)),
-        list(map(label_sets.__getitem__, positive)),
-        list(map(label_sets.__getitem__, gold)),
-    ]
-
-
-def load_corpus(path) -> Corpus:
-    """Load and validate a corpus file.
-
-    Every record gets the checks of ``Corpus.validate``. The corpus's
-    examples object keeps one float64 array that holds the whole file's
-    payload, the mention counts and one column per field of
-    ``Corpus.column``, and the corpus derives every array from them. The
-    examples are built on first access, each pair's vectors read-only row
-    views of that array. Record lines in the form save_corpus writes are
-    decoded in one pass; a file with any other line is decoded line by
-    line. A file that cannot be read, is not format version 3, holds a
-    malformed record or a payload of the wrong size raises DataFormatError
-    naming the path, and ``path:line`` for a fault in one record.
-    """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise DataFormatError(f"{path}: cannot read corpus file: {exc}") from exc
-    text_start = data.find(b"\n") + 1 or len(data)
-    header, vocab, label_source, dim = _header_from_json(data[:text_start], path)
-    # the records run to the first empty line, else to the end of the file
-    text_end = data.find(b"\n\n", text_start - 1) + 1 or len(data)
-    section = data[text_start:text_end]
-    # a last line without its newline is a line too
-    n_lines = section.count(b"\n") + (section[-1:] not in (b"", b"\n"))
     n_rel = vocab.num_relations
-    doc_ids, heads, tails, n_head, n_tail, positive, gold = _records_as_saved(
-        section, n_lines, n_rel
-    ) or _records_by_line(section.split(b"\n")[:n_lines], n_rel, path)
-    if header.get("num_examples", len(heads)) != len(heads):
-        raise DataFormatError(
-            f"{path}: header declares {header['num_examples']} examples, found {len(heads)}"
-        )
-    payload = memoryview(data)[text_end + 1 :]
-    rows = sum(n_head) + sum(n_tail) + len(heads)  # Python integers: a huge count cannot wrap
+    arrays = []
+    for dtype, shape in _RECORD_ARRAYS:
+        shape = shape(n, -(-n_rel // 8))
+        if len(data) - start < np.dtype(dtype).itemsize * math.prod(shape):
+            raise DataFormatError(f"{path}: header declares {n} examples, more than its arrays hold")
+        arrays.append(np.frombuffer(data, dtype, math.prod(shape), start).reshape(shape))
+        start += arrays[-1].nbytes
+    fault = _record_fault(arrays, len(doc_ids), n_rel)
+    if fault is not None:
+        raise DataFormatError(f"{path}: record {fault[0]}: {fault[1]}")
+    doc, ids, counts, has_gold, bits = arrays
+    payload = memoryview(data)[start:]
+    rows = sum(counts.ravel().tolist()) + n  # Python integers: a huge count cannot wrap
     if len(payload) != 8 * rows * dim:
-        raise DataFormatError(
-            f"{path}: vectors hold {len(payload)} bytes, expected {rows} rows of {dim} "
-            "float64 values"
-        )
+        raise DataFormatError(f"{path}: vectors hold {len(payload)} bytes, expected {rows} "
+                              f"rows of {dim} float64 values")
     vectors = np.frombuffer(payload, "<f8").reshape(rows, dim).astype(np.float64)
-    counts = np.array((n_head, n_tail), dtype=np.intp).T
-    columns = dict(zip(_FIELDS, (doc_ids, heads, tails, positive, gold)))
-    examples = _LoadedExamples(vectors, counts, columns)
+    # each distinct bit row is decoded once, keyed by its bytes
+    keys = bits.view(f"V{bits.shape[2]}").ravel().tolist() if bits.shape[2] else [b""] * 2 * n
+    sets = {key: _bit_set(key) for key in set(keys)}
+    gold = [sets[key] if flag else None for key, flag in zip(keys[1::2], has_gold.tolist())]
+    columns = dict(zip(_FIELDS, (list(map(doc_ids.__getitem__, doc.tolist())), *ids.T.tolist(),
+                                 list(map(sets.__getitem__, keys[::2])), gold)))
+    examples = _LoadedExamples(vectors, counts.astype(np.intp), columns)
     if not np.isfinite(vectors).all():
         # the record that holds the first non-finite row
         k = int(np.searchsorted(_offsets(counts)[2], np.argmin(np.isfinite(vectors).all(axis=1))))
-        _check_example(examples[k], n_rel, dim, f"{path}:{k + 2}")
+        _check_example(examples[k], n_rel, dim, f"{path}: record {k}")
     vectors.flags.writeable = False  # a pair's vectors cannot drift from the rows derived from them
     corpus = Corpus(vocab, examples, label_source, dim)
-    if len(set(zip(doc_ids, heads, tails))) != len(heads):
+    if len(set(zip(columns["doc_id"], columns["head_id"], columns["tail_id"]))) != n:
         try:
             build_pair_index(corpus)
         except DuplicatePairError as exc:

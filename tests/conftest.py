@@ -76,36 +76,79 @@ def make_corpus(label_sets, n_rel=4, dim=4, docs_of=None, source=LabelSource.GOL
 
 
 class CorpusFile:
-    """A saved corpus file as parts to edit: ``header``, ``records`` (the
-    JSON line ``k`` is ``records[k - 2]``) and ``rows``, each record's vector
-    rows (head mentions, tail mentions, context). ``save`` writes the parts
-    back in the file's layout."""
+    """A saved corpus file (format 4) as parts to edit: the ``header`` dict,
+    ``arrays``, one per record field (``doc_index`` ``(n,)``, ``ids`` and
+    ``counts`` ``(n, 2)``, ``has_gold`` ``(n,)``, ``labels`` ``(n, 2, w)``
+    bit rows), and ``rows``, each record's vector rows (head mentions, tail
+    mentions, context). ``save`` writes the parts back in the file's layout.
+    The parts are read by this class alone, not by ``load_corpus``."""
+
+    FIELDS = (("doc_index", "<i8", ()), ("ids", "<i8", (2,)), ("counts", "<i8", (2,)),
+              ("has_gold", "u1", ()), ("labels", "u1", (2, "w")))
 
     def __init__(self, path):
         with open(path, "rb") as fh:
-            text, payload = fh.read().split(b"\n\n", 1)
-        self.path = path
-        self.header, *self.records = (json.loads(line) for line in text.split(b"\n"))
-        vectors = np.frombuffer(payload, "<f8").reshape(-1, self.header["embedding_dim"])
-        ends = np.cumsum([sum(record["mentions"]) + 1 for record in self.records])
-        self.rows = np.split(vectors.copy(), ends[:-1]) if self.records else []
+            line, data = fh.read().split(b"\n", 1)
+        self.path, self.header = path, json.loads(line)
+        n, width = self.header["num_examples"], -(-len(self.header["relations"]) // 8)
+        self.arrays, offset = {}, 0
+        for name, dtype, trailing in self.FIELDS:
+            shape = (n, *(width if d == "w" else d for d in trailing))
+            array = np.frombuffer(data, dtype, int(np.prod(shape)), offset).reshape(shape)
+            self.arrays[name], offset = array.copy(), offset + array.nbytes
+        vectors = np.frombuffer(data[offset:], "<f8").reshape(-1, self.header["embedding_dim"])
+        ends = np.cumsum(self.arrays["counts"].sum(axis=1) + 1)
+        self.rows = np.split(vectors.copy(), ends[:-1]) if n else []
 
-    def line(self, lineno):
-        return self.header if lineno == 1 else self.records[lineno - 2]
-
-    def edit(self, lineno, record=None, rows=None):
-        """Apply ``record`` to JSON line ``lineno`` and ``rows`` to its rows, then save."""
+    def edit(self, k=None, header=None, rows=None, **fields):
+        """Apply ``header`` to the header dict, set record ``k``'s array
+        ``fields`` (``ids=[4, 4]``, ``has_gold=0``, ...) and apply ``rows``
+        to its rows, then save."""
+        if header is not None:
+            header(self.header)
+        for name, value in fields.items():
+            self.arrays[name][k] = value
         if rows is not None:
-            rows(self.rows[lineno - 2])
-        if record is not None:
-            record(self.line(lineno))
+            rows(self.rows[k])
         self.save()
 
+    def take(self, records):
+        """Keep the records at the indices ``records``, in that order, then save."""
+        self.header["num_examples"] = len(records)
+        self.arrays = {name: array[records] for name, array in self.arrays.items()}
+        self.rows = [self.rows[k] for k in records]
+        self.save()
+
+    def examples(self):
+        """The file's pairs, decoded from the parts: a label set holds ``r``
+        where bit ``r % 8`` of byte ``r // 8`` of its row is set. A record
+        that no pair can hold (a doc index outside ``doc_ids``, a count
+        below 1, a gold flag other than 0 and 1, gold bits without the
+        flag) raises ValueError."""
+        a, doc_ids = self.arrays, self.header["doc_ids"]
+
+        def labels(row):
+            return frozenset(8 * i + b for i, byte in enumerate(row.tolist()) for b in range(8)
+                             if byte >> b & 1)
+
+        pairs = []
+        for k, (rows, (h, t)) in enumerate(zip(self.rows, self.arrays["counts"].tolist())):
+            doc, flag = int(a["doc_index"][k]), int(a["has_gold"][k])
+            positive, gold = map(labels, a["labels"][k])
+            if not (0 <= doc < len(doc_ids) and min(h, t) >= 1 and flag in (0, 1)
+                    and (flag or not gold)):
+                raise ValueError(f"record {k} holds no pair")
+            pairs.append(PairExample(doc_ids[doc], int(a["ids"][k, 0]), int(a["ids"][k, 1]),
+                                     rows[:h], rows[h : h + t], rows[h + t], positive,
+                                     gold if flag else None))
+        return tuple(pairs)
+
     def save(self):
-        text = "".join(json.dumps(line) + "\n" for line in (self.header, *self.records))
-        payload = np.concatenate(self.rows).astype("<f8").tobytes() if self.rows else b""
+        parts = [json.dumps(self.header).encode() + b"\n"]
+        parts += [self.arrays[name].astype(dtype).tobytes() for name, dtype, _ in self.FIELDS]
+        parts += [np.concatenate(self.rows).astype("<f8").tobytes() if self.rows else b""]
         with open(self.path, "wb") as fh:
-            fh.write(text.encode() + b"\n" + payload)
+            fh.write(b"".join(parts))
 
 
 # a corpus file as format version 2 wrote it: each record's vectors a base64
@@ -116,6 +159,16 @@ FORMAT_2_FILE = (
     '{"doc_id": "doc0", "head_id": 0, "tail_id": 1, "mentions": [1, 1], '
     '"vectors": "AAAAAAAA4D8AAAAAAADwvwAAAAAAAABA", "positive_relations": [0], '
     '"gold_positive_relations": null}\n'
+).encode()
+
+# the same corpus as format version 3 wrote it: JSON record lines, an empty
+# line, then the float64 rows
+FORMAT_3_FILE = (
+    b'{"format": "docrel-corpus", "version": 3, "relations": ["r0"], "na_index": 1, '
+    b'"train_frequency": {}, "label_source": "gold", "embedding_dim": 1, "num_examples": 1}\n'
+    b'{"doc_id": "doc0", "head_id": 0, "tail_id": 1, "mentions": [1, 1], '
+    b'"positive_relations": [0], "gold_positive_relations": null}\n\n'
+    + np.array([0.5, -1.0, 2.0], "<f8").tobytes()
 )
 
 

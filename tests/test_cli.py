@@ -24,7 +24,8 @@ from docrel.rng import stream
 
 from docrel_cli import BLAS_THREAD_VARIABLES
 
-from conftest import FORMAT_2_FILE, GEN_ARGS, CorpusFile, counting_pair_examples
+from conftest import (FORMAT_2_FILE, FORMAT_3_FILE, GEN_ARGS, CorpusFile,
+                      counting_pair_examples)
 
 
 CUTS = ["--set", "eval.head_cut=2", "--set", "eval.tail_cut=3"]
@@ -301,12 +302,12 @@ class TestPipelineOutputs:
                 tmp_path / "in-memory" / name).read_bytes(), name
 
 
-def _break_record(regime_dir, out_dir, split, record=None, rows=None):
-    """A copy of a regime bundle whose first ``split`` record is changed by
-    ``record`` and that record's vector rows by ``rows``."""
+def _break_record(regime_dir, out_dir, split, rows=None, **fields):
+    """A copy of a regime bundle whose first ``split`` record gets the array
+    ``fields`` given and has its vector rows changed by ``rows``."""
     shutil.copytree(regime_dir, out_dir)
     path = os.path.join(out_dir, f"{split}.jsonl")
-    CorpusFile(path).edit(2, record, rows)
+    CorpusFile(path).edit(0, rows=rows, **fields)
     return path
 
 
@@ -353,13 +354,13 @@ class TestBlasThreads:
 class TestInputsFailClosed:
     def test_bad_corpus_label_exits_1_without_traceback(self, workspace, tmp_path):
         bundle = str(tmp_path / "bad")
-        dev = _break_record(
-            workspace["regime"], bundle, "dev", lambda r: r.update(positive_relations=[99])
-        )
+        # 8 relations fill a one-byte bit row, so the bad label is a gold one
+        # without the gold flag
+        dev = _break_record(workspace["regime"], bundle, "dev", has_gold=0, labels=[[0], [1]])
         proc = _cli_subprocess("train", "--regime", bundle, "--out", str(tmp_path / "run"),
                                *FAST_TRAIN, *CUTS)
         assert proc.returncode == 1
-        assert f"{dev}:2: relation index 99 out of range" in proc.stderr
+        assert f"{dev}: record 0: gold labels without the gold flag" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_non_finite_vector_exits_1_without_traceback(self, workspace, tmp_path):
@@ -372,22 +373,24 @@ class TestInputsFailClosed:
         proc = _cli_subprocess("train", "--regime", bundle, "--out", str(tmp_path / "run"),
                                *FAST_TRAIN, *CUTS)
         assert proc.returncode == 1
-        assert f"{train}:2: non-finite value in the context" in proc.stderr
+        assert f"{train}: record 0: non-finite value in the context" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_format_2_bundle_exits_1_asking_for_a_rebuild(self, workspace, tmp_path):
-        bundle = tmp_path / "old"
-        shutil.copytree(workspace["regime"], bundle)
-        for split in ("train", "dev", "test"):
-            (bundle / f"{split}.jsonl").write_text(FORMAT_2_FILE)
+        """And a format-3 bundle."""
         checkpoint = str(tmp_path / "head.ckpt")
         save_checkpoint(init_head_params(1, 8, 2, 2, stream(0, "init")), checkpoint)
-        proc = _cli_subprocess("eval", "--regime", str(bundle), "--checkpoint", checkpoint,
-                               "--out", str(tmp_path / "eval"))
-        assert proc.returncode == 1
-        assert (f"{bundle / 'train.jsonl'}:1: corpus format version 2, expected 3; rebuild the "
-                "bundle with gen-data and build-regime") in proc.stderr
-        assert "Traceback" not in proc.stderr
+        for version, data in ((2, FORMAT_2_FILE), (3, FORMAT_3_FILE)):
+            bundle = tmp_path / f"format-{version}"
+            shutil.copytree(workspace["regime"], bundle)
+            for split in ("train", "dev", "test"):
+                (bundle / f"{split}.jsonl").write_bytes(data)
+            proc = _cli_subprocess("eval", "--regime", str(bundle), "--checkpoint", checkpoint,
+                                   "--out", str(tmp_path / f"eval-{version}"))
+            assert proc.returncode == 1
+            assert (f"{bundle / 'train.jsonl'}:1: corpus format version {version}, expected 4; "
+                    "rebuild the bundle with gen-data and build-regime") in proc.stderr
+            assert "Traceback" not in proc.stderr
 
     def test_custom_regime_kind_exits_1(self, workspace, tmp_path, capsys):
         bundle = str(tmp_path / "custom")
@@ -452,8 +455,12 @@ class TestInputsFailClosed:
     )
     def test_invalid_config_value_exits_3(self, workspace, tmp_path, capsys, command, value):
         inputs = [] if command == "gen-data" else ["--regime", workspace["regime"]]
-        code = main([command, "--out", str(tmp_path / "x"), *inputs]
-                    + GEN_ARGS + FAST_TRAIN + CUTS + ["--set", value])
+        # the other flags, without the one for the key under test: a key set twice is refused
+        flags = GEN_ARGS + FAST_TRAIN + CUTS
+        key = value.split("=", 1)[0]
+        flags = [part for pair in zip(flags[::2], flags[1::2])
+                 if not pair[1].startswith(key + "=") for part in pair]
+        code = main([command, "--out", str(tmp_path / "x"), *inputs, *flags, "--set", value])
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("error: invalid configuration: ")
@@ -575,6 +582,15 @@ class TestInputsFailClosed:
                      "--out", str(tmp_path / "x"), "--set", "train.epochs=1"] + CUTS)
         assert code == 3
         assert f"{path}:{lineno}: {message}\n" in capsys.readouterr().err
+
+    def test_repeated_set_flag_exits_3_naming_the_key(self, workspace, tmp_path, capsys):
+        """As a config file's repeated key is: the last flag does not win."""
+        out = tmp_path / "x"
+        code = main(["train", "--regime", workspace["regime"], "--out", str(out),
+                     "--set", "train.epochs=1", "--set", " train.epochs=2"] + CUTS)
+        assert code == 3
+        assert "config key train.epochs is set twice by --set\n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file_exits_3(self, workspace, tmp_path, capsys):
         path = str(tmp_path / "nope.cfg")
