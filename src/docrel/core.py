@@ -106,9 +106,8 @@ class RelationVocabulary:
 
 @dataclass(frozen=True, eq=False)
 class Mention:
-    """One mention of an entity, carrying its embedding: a view of one row
-    of a pair's ``head_vectors`` or ``tail_vectors``, read-only when the
-    pair comes from a loaded corpus."""
+    """An entity with its embedding: the one entry of a pair's
+    ``head_mentions`` or ``tail_mentions``, a view of its pooled row."""
 
     entity_id: int
     embedding: np.ndarray
@@ -118,13 +117,15 @@ class Mention:
 class PairExample:
     """One ordered entity pair with its features and label set.
 
-    ``head_vectors`` and ``tail_vectors`` are ``(k, d)`` arrays, one row per
-    mention of the head or the tail entity. ``positive_relations`` is the
-    label set used for training; an empty set is the NA class.
-    ``gold_positive_relations`` preserves the uncorrupted ground truth when
-    the training labels come from a noisy source. A loaded corpus builds
-    its examples on first access, the vectors of every pair read-only row
-    views of one float64 array per file.
+    ``head_vectors`` and ``tail_vectors`` are the head and tail entities'
+    ``(d,)`` rows, each the log-sum-exp pool of that entity's mention
+    embeddings, taken once where the pair is built (``logsumexp_pool``
+    pools one stack of mentions); ``context`` is the pair's ``(d,)``
+    context vector. ``positive_relations`` is the label set used for
+    training; an empty set is the NA class. ``gold_positive_relations``
+    preserves the uncorrupted ground truth when the training labels come
+    from a noisy source. A loaded corpus builds its examples on first
+    access, the rows of every pair read-only views of the file's payload.
     """
 
     doc_id: str
@@ -136,13 +137,16 @@ class PairExample:
     positive_relations: frozenset[int]
     gold_positive_relations: frozenset[int] | None = None
 
+    # one Mention, a view of the pooled row: the benchmark's
+    # corpus_differences (perfbench/workloads.py) reads these, and they go
+    # when it compares pooled rows instead (ROADMAP item 1 (b))
     @property
     def head_mentions(self) -> tuple[Mention, ...]:
-        return tuple(Mention(self.head_id, row) for row in self.head_vectors)
+        return (Mention(self.head_id, self.head_vectors),)
 
     @property
     def tail_mentions(self) -> tuple[Mention, ...]:
-        return tuple(Mention(self.tail_id, row) for row in self.tail_vectors)
+        return (Mention(self.tail_id, self.tail_vectors),)
 
     @property
     def is_na(self) -> bool:
@@ -154,28 +158,25 @@ class PairExample:
         return self.positive_relations
 
 
-# bytes of each temporary when pooling a corpus or scoring a split: blocks
-# whose arrays stay under the allocator's default mmap threshold (128 KiB)
-# reuse freed heap memory instead of page-faulting fresh pages every pass
-_BLOCK_BYTES = 1 << 16
-
 # the per-pair fields that ``Corpus.column`` reads
 _FIELDS = ("doc_id", "head_id", "tail_id", "positive_relations", "gold_positive_relations")
-# the per-pair vector fields, in a corpus file's row order
+# the per-pair row fields, in a corpus file's row order, and what a message calls them
 _VECTOR_FIELDS = ("head_vectors", "tail_vectors", "context")
+_ROW_NAMES = ("head row", "tail row", "context")
 
 
 @dataclass(frozen=True, eq=False)
 class Corpus:
     """A relation vocabulary and its pair examples. The arrays derived from
     the examples are computed once, on first use, and are read-only; a copy
-    made with ``replace`` derives its own. An in-memory corpus's vector
-    arrays stay its caller's, so writing into one after the first use
-    leaves the derived arrays as they were. A loaded corpus's examples
-    object holds the file's payload (read-only), mention counts and
-    columns, and every array is derived from them, so scoring or training
-    on it builds no ``PairExample``; so does a copy made with ``replace``
-    that keeps it."""
+    made with ``replace`` derives its own. An in-memory corpus stacks its
+    examples' rows, so its caller's arrays stay its caller's, and writing
+    into one after the first use leaves the derived arrays as they were. A
+    loaded corpus's examples object holds the file's payload (read-only)
+    and columns: its pooled and context rows are views of the payload and
+    every other array is derived from the columns, so scoring or training
+    on it builds no ``PairExample`` and pools nothing; so does a copy made
+    with ``replace`` that keeps it."""
 
     vocabulary: RelationVocabulary
     examples: Sequence[PairExample]
@@ -200,16 +201,19 @@ class Corpus:
 
     @cached_property
     def _pair_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(map(_frozen, _pool_sides(self)))
+        if isinstance(self.examples, _LoadedExamples):
+            return tuple(self.examples.rows.swapaxes(0, 1))
+        return tuple(_frozen(_stacked(self.examples, name, self.embedding_dim))
+                     for name in _VECTOR_FIELDS)
 
     @property
     def head_rows(self) -> np.ndarray:
-        """``(n, d)``: each pair's head mentions, log-sum-exp pooled."""
+        """``(n, d)``: each pair's pooled head row."""
         return self._pair_rows[0]
 
     @property
     def tail_rows(self) -> np.ndarray:
-        """``(n, d)``: each pair's tail mentions, log-sum-exp pooled."""
+        """``(n, d)``: each pair's pooled tail row."""
         return self._pair_rows[1]
 
     @property
@@ -252,31 +256,28 @@ class Corpus:
 
 class _LoadedExamples(Sequence):
     """A loaded corpus's examples and what they are built from: the file's
-    payload ``vectors``, each pair's mention ``counts`` and one column per
-    field of ``Corpus.column``. ``len`` is known at once; the tuple of
-    ``PairExample`` is built on first access and kept, each pair's vectors
-    row views of the payload. Indexing and iteration work as on that tuple,
-    and a slice is a tuple."""
+    payload ``rows``, ``(n, 3, d)`` read-only (head, tail and context row
+    of each pair), and one column per field of ``Corpus.column``. ``len``
+    is known at once; the tuple of ``PairExample`` is built on first access
+    and kept, each pair's rows views of the payload. Indexing and iteration
+    work as on that tuple, and a slice is a tuple."""
 
-    __slots__ = ("vectors", "counts", "columns", "_tuple")
+    __slots__ = ("rows", "columns", "_tuple")
 
-    def __init__(self, vectors: np.ndarray, counts: np.ndarray, columns: dict[str, Sequence]):
-        self.vectors, self.counts, self.columns = vectors, counts, columns
+    def __init__(self, rows: np.ndarray, columns: dict[str, Sequence]):
+        self.rows, self.columns = rows, columns
         self._tuple = None
 
     def _built(self) -> tuple[PairExample, ...]:
         if self._tuple is None:
-            starts, tail_starts, context_rows = (a.tolist() for a in _offsets(self.counts))
-            row, columns = self.vectors.__getitem__, self.columns
+            columns = self.columns
             self._tuple = tuple(
                 map(
                     PairExample,
                     columns["doc_id"],
                     columns["head_id"],
                     columns["tail_id"],
-                    map(row, map(slice, starts, tail_starts)),
-                    map(row, map(slice, tail_starts, context_rows)),
-                    map(row, context_rows),
+                    *self.rows.swapaxes(0, 1),
                     columns["positive_relations"],
                     columns["gold_positive_relations"],
                 )
@@ -284,7 +285,7 @@ class _LoadedExamples(Sequence):
         return self._tuple
 
     def __len__(self) -> int:
-        return len(self.counts)
+        return len(self.rows)
 
     def __getitem__(self, index):
         return self._built()[index]
@@ -293,79 +294,50 @@ class _LoadedExamples(Sequence):
         return iter(self._built())
 
 
-def _offsets(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where each record's rows lie in a corpus file's payload: its first
-    head row, its first tail row and its context row, where record ``k``'s
-    ``counts[k].sum() + 1`` rows follow those of the records before it."""
-    context_rows = np.cumsum(counts.sum(axis=1) + 1) - 1
-    tail_starts = context_rows - counts[:, 1]
-    return tail_starts - counts[:, 0], tail_starts, context_rows
-
-
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
 
 
-def _segment_lse(mat: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Componentwise log-sum-exp over consecutive row segments of ``mat``."""
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    shift = np.maximum.reduceat(mat, starts, axis=0)
-    total = np.add.reduceat(np.exp(mat - np.repeat(shift, counts, axis=0)), starts, axis=0)
-    return shift + np.log(total)
+def _stacked(examples: Sequence[PairExample], name: str, dim: int) -> np.ndarray:
+    """``(n, dim)`` float64: row field ``name`` of every example, stacked.
+    ShapeError names the first pair whose row is not ``(dim,)``."""
+    rows = list(map(attrgetter(name), examples))
+    try:  # one copy, and no object per row: the rows are checked by their lengths
+        flat = np.concatenate(rows, dtype=np.float64) if rows else np.empty(0)
+        lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+    except (ValueError, TypeError):  # rows of more than one dimension, or not numbers
+        flat = lengths = None
+    if flat is None or flat.ndim != 1 or (lengths != dim).any():
+        for ex, row in zip(examples, rows):
+            if np.shape(row) != (dim,):
+                raise ShapeError(f"pair {ex.doc_id}/{ex.head_id}/{ex.tail_id}: {name} of shape "
+                                 f"{np.shape(row)}, expected ({dim},)")
+        raise ShapeError(f"{name} values that are not ({dim},) float64 vectors")
+    return flat.reshape(-1, dim)
 
 
-def _pool_sides(corpus: Corpus) -> np.ndarray:
-    """``(3, n, d)``: each pair's head and tail mentions, log-sum-exp pooled,
-    and its context.
+def _segment_lse(rows: np.ndarray, sizes) -> np.ndarray:
+    """``(len(sizes), d)``: componentwise log-sum-exp over consecutive
+    segments of ``rows``, ``sizes[j]`` rows in segment ``j``.
 
-    A pair's head mentions and its tail mentions are two segments of one
-    ``_segment_lse`` call per run of pairs, a run being as many pairs as
-    keep their mention rows under ``_BLOCK_BYTES`` (at least one pair); a
-    row's value does not depend on its run. A loaded corpus takes each run's
-    rows from its payload; any other corpus gathers them from its examples.
+    The segments of each size are pooled together from one ``(m, k, d)``
+    gather. A segment's exponentials are summed as ``e0 + (e1 + ... )``,
+    the tail as NumPy sums a contiguous run (in order below 8 terms,
+    pairwise from 8): the order of ``np.add.reduceat``, so a pooled row
+    does not depend on the segments pooled with it.
     """
-    examples, dim = corpus.examples, corpus.embedding_dim
-    if isinstance(examples, _LoadedExamples):
-        vectors, counts = examples.vectors, examples.counts
-        starts, _, context_rows = _offsets(counts)
-        is_mention = np.ones(len(vectors), dtype=bool)
-        is_mention[context_rows] = False
-
-        def run_rows(run: slice) -> tuple:
-            rows = slice(starts[run.start], context_rows[run.stop - 1] + 1)
-            return vectors[rows][is_mention[rows]], vectors[context_rows[run]]
-    else:
-        # counted without a tuple per pair: thousands of 2-tuples freed at
-        # once would stay on CPython's tuple free list, in the peak RSS
-        sides = (side for ex in examples for side in (ex.head_vectors, ex.tail_vectors))
-        counts = np.fromiter(map(len, sides), np.intp, 2 * len(examples)).reshape(-1, 2)
-        if counts.size and counts.min() == 0:
-            ex = examples[int(np.argmin(counts.min(axis=1)))]
-            raise ContractError(f"pair {ex.doc_id}/{ex.head_id}/{ex.tail_id}: no mentions")
-
-        def run_rows(run: slice) -> tuple:
-            mat = np.concatenate(
-                [side for ex in examples[run] for side in (ex.head_vectors, ex.tail_vectors)],
-                dtype=np.float64,
-            )
-            if mat.shape[1:] != (dim,):
-                raise ShapeError(
-                    f"mentions of shape {mat.shape[1:]} in a corpus of dimension {dim}"
-                )
-            return mat, [ex.context for ex in examples[run]]
-    sizes = counts.sum(axis=1)
-    mention_ends = np.cumsum(sizes)
-    budget = _BLOCK_BYTES // (8 * dim)
-    pooled = np.empty((3, len(examples), dim))
-    k = 0
-    while k < len(examples):
-        before = mention_ends[k] - sizes[k]
-        stop = max(k + 1, int(np.searchsorted(mention_ends, before + budget, side="right")))
-        run = slice(k, stop)
-        mat, pooled[2, run] = run_rows(run)
-        pooled[:2, run] = _segment_lse(mat, counts[run].ravel()).reshape(-1, 2, dim).swapaxes(0, 1)
-        k = stop
+    sizes = np.asarray(sizes, dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    pooled = np.empty((len(sizes), rows.shape[1]))
+    for k in np.flatnonzero(np.bincount(sizes)).tolist():
+        which = np.flatnonzero(sizes == k)
+        stacks = rows[starts[which, None] + np.arange(k)]
+        shift = stacks.max(axis=1)
+        e = np.exp(stacks - shift[:, None])
+        rest = e[:, 1:].sum(axis=1) if k <= 8 else (
+            np.ascontiguousarray(e[:, 1:].swapaxes(1, 2)).sum(axis=2))
+        pooled[which] = shift + np.log(e[:, 0] + rest)
     return pooled
 
 
@@ -379,7 +351,7 @@ def logsumexp_pool(mention_embeddings) -> np.ndarray:
         raise ShapeError(f"logsumexp_pool: ragged mention stack: {exc}") from exc
     if mat.ndim != 2:
         raise ShapeError("logsumexp_pool: mentions must share one dimension")
-    return _segment_lse(mat, np.array([mat.shape[0]]))[0]
+    return _segment_lse(mat, [len(mat)])[0]
 
 
 def _check_example(ex: PairExample, n_rel: int, dim: int, where: str) -> None:
@@ -387,10 +359,9 @@ def _check_example(ex: PairExample, n_rel: int, dim: int, where: str) -> None:
     doc_id is a ``str``, the label sets frozensets (the gold set may be
     None), every id and label an ``int`` (``True`` and NumPy integers are
     not), both ids within int64 and different, every label one of the
-    ``n_rel`` relations (the NA index ``n_rel`` is not), the three vector
+    ``n_rel`` relations (the NA index ``n_rel`` is not), the three row
     fields are ``np.ndarray``s (exactly: a list or a subclass is not), each
-    side is a nonempty ``(k, dim)`` array, the context a ``(dim,)`` vector,
-    and every vector real and finite."""
+    a ``(dim,)`` vector of real, finite values."""
     gold = ex.gold_positive_relations
     sets = (ex.positive_relations,) if gold is None else (ex.positive_relations, gold)
     if type(ex.doc_id) is not str:
@@ -408,23 +379,17 @@ def _check_example(ex: PairExample, n_rel: int, dim: int, where: str) -> None:
     for r in itertools.chain(*sets):
         if not 0 <= r < n_rel:
             raise DataFormatError(f"{where}: relation index {r} out of range")
-    for name in _VECTOR_FIELDS:
-        if type(getattr(ex, name)) is not np.ndarray:
-            raise DataFormatError(f"{where}: {name} is a {type(getattr(ex, name)).__name__}, "
-                                  "not a NumPy array")
-    for side, mentions in (("head", ex.head_vectors), ("tail", ex.tail_vectors)):
-        if mentions.ndim != 2 or mentions.shape[1] != dim:
-            raise ShapeError(f"{where}: {side} mention shape {mentions.shape}, expected (k, {dim})")
-        if not len(mentions):
-            raise DataFormatError(f"{where}: {side} entity with no mentions")
-    if ex.context.shape != (dim,):
-        raise ShapeError(f"{where}: context shape {ex.context.shape}, expected ({dim},)")
-    for vectors in (ex.head_vectors, ex.tail_vectors, ex.context):
-        if not np.can_cast(vectors.dtype, np.float64, "same_kind"):
-            raise DataFormatError(f"{where}: vectors of dtype {vectors.dtype} are not real numbers")
-    if not all(np.isfinite(a).all() for a in (ex.context, ex.head_vectors, ex.tail_vectors)):
-        part = "a mention embedding" if np.isfinite(ex.context).all() else "the context"
-        raise DataFormatError(f"{where}: non-finite value in {part}")
+    for name, row_name in zip(_VECTOR_FIELDS, _ROW_NAMES):
+        row = getattr(ex, name)
+        if type(row) is not np.ndarray:
+            raise DataFormatError(f"{where}: {name} is a {type(row).__name__}, not a NumPy array")
+        if row.shape != (dim,):
+            raise ShapeError(f"{where}: {name} of shape {row.shape}, expected ({dim},)")
+        if not np.can_cast(row.dtype, np.float64, "same_kind"):
+            raise DataFormatError(f"{where}: {name} of dtype {row.dtype} does not hold "
+                                  "real numbers")
+        if not np.isfinite(row).all():
+            raise DataFormatError(f"{where}: non-finite value in the {row_name}")
 
 
 def label_mask(index_sets, width: int) -> np.ndarray:
@@ -432,7 +397,7 @@ def label_mask(index_sets, width: int) -> np.ndarray:
 
     Raises ContractError if an index falls outside ``0 .. width-1``.
     """
-    sizes = [len(s) for s in index_sets]
+    sizes = np.fromiter(map(len, index_sets), np.intp)
     rows = np.repeat(np.arange(len(sizes)), sizes)
     cols = np.fromiter(itertools.chain.from_iterable(index_sets), np.intp, len(rows))
     if cols.size and (cols.min() < 0 or cols.max() >= width):
@@ -483,23 +448,21 @@ def bucket_relations(vocab: RelationVocabulary, cuts: tuple[int, int]) -> dict[i
 
 
 # ---------------------------------------------------------------------------
-# Serialization, format version 4. A corpus file holds one JSON header line
+# Serialization, format version 5. A corpus file holds one JSON header line
 # (vocabulary, label source, dimension, example count n and ``doc_ids``, the
 # distinct doc_ids in first-appearance order), the little-endian arrays of
-# ``_RECORD_ARRAYS``, then the payload: each example's ``h + t + 1`` float64
-# rows (head mentions, tail mentions, context) after those of the examples
-# before it. Raw bytes round-trip every value bitwise; a mention's entity is
-# its pair's head or tail id, so it is not stored.
+# ``_RECORD_ARRAYS``, then the payload: each example's three float64 rows
+# (pooled head, pooled tail, context) after those of the examples before
+# it. Raw bytes round-trip every value bitwise.
 
 _FORMAT = "docrel-corpus"
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
 
 # the record arrays in file order: dtype, and shape given the example count n
 # and the bit-row width w = ceil(|R| / 8); label r is bit r % 8 of byte r // 8
 _RECORD_ARRAYS = (
     ("<i8", lambda n, w: (n,)),  # doc index into doc_ids
     ("<i8", lambda n, w: (n, 2)),  # head and tail ids
-    ("<i8", lambda n, w: (n, 2)),  # mention counts [h, t]
     ("u1", lambda n, w: (n,)),  # has-gold flag
     ("u1", lambda n, w: (n, 2, w)),  # label and gold sets as bit rows
 )
@@ -508,15 +471,13 @@ _RECORD_ARRAYS = (
 def _record_fault(arrays, n_docs: int, n_rel: int) -> tuple[int, str] | None:
     """The record predicate over every record at once: the first record that
     breaks a rule and the rule's message, else None. Its doc index is one of
-    ``n_docs``, its ids differ, its counts are positive, its gold flag is 0
-    (with an all-zero gold row) or 1, and no label bit is at or above ``n_rel``."""
-    doc, ids, counts, has_gold, bits = arrays
+    ``n_docs``, its ids differ, its gold flag is 0 (with an all-zero gold
+    row) or 1, and no label bit is at or above ``n_rel``."""
+    doc, ids, has_gold, bits = arrays
     beyond = bits & np.packbits(np.arange(8 * bits.shape[2]) >= n_rel, bitorder="little")
     rules = (
         ((doc < 0) | (doc >= n_docs), lambda k: f"doc index {doc[k]} outside 0..{n_docs - 1}"),
         (ids[:, 0] == ids[:, 1], lambda k: f"head_id == tail_id == {ids[k, 0]}"),
-        ((counts < 1).any(axis=1),
-         lambda k: f"mention counts {counts[k].tolist()} are not positive"),
         (has_gold > 1, lambda k: f"gold flag {has_gold[k]} is not 0 or 1"),
         ((has_gold == 0) & bits[:, 1].any(axis=1), lambda k: "gold labels without the gold flag"),
         (beyond.any(axis=(1, 2)), lambda k: "relation index "
@@ -536,10 +497,12 @@ def _bit_set(row: bytes) -> frozenset[int]:
 
 
 def save_corpus(corpus: Corpus, path) -> None:
-    """Write ``corpus`` to ``path`` in format version 4. A corpus that
-    ``load_corpus`` would not read back as it is, one that ``Corpus.validate``
-    refuses, raises DataFormatError before the file is opened, naming the
-    fault as ``validate`` does; checks over the whole corpus decide."""
+    """Write ``corpus`` to ``path`` in format version 5, the payload from
+    its ``head_rows``, ``tail_rows`` and ``context_rows``. A corpus that
+    ``load_corpus`` would not read back as it is, one that
+    ``Corpus.validate`` refuses, raises DataFormatError before the file is
+    opened, naming the fault as ``validate`` does; checks over the whole
+    corpus decide."""
     vocab, examples, dim = corpus.vocabulary, corpus.examples, corpus.embedding_dim
     n, n_rel = len(examples), vocab.num_relations
     doc_ids, heads, tails, positive, gold = map(corpus.column, _FIELDS)
@@ -552,28 +515,25 @@ def save_corpus(corpus: Corpus, path) -> None:
                 for name in _VECTOR_FIELDS)
     ):
         _refuse(corpus, path, "ids, labels, doc_ids or vectors of another type")
-    rows = [a for ex in examples for a in (ex.head_vectors, ex.tail_vectors, ex.context[None])]
     # each distinct label set's index; None (no gold set) is 0, with an all-zero bit row
     distinct = dict(zip(dict.fromkeys([None, *positive, *gold]), itertools.count()))
     try:
-        payload = np.concatenate(rows, dtype="<f8") if rows else np.empty((0, dim))
+        payload = np.stack((corpus.head_rows, corpus.tail_rows, corpus.context_rows), axis=1)
         ids = np.array([heads, tails], dtype=np.int64).T
         bit_rows = np.packbits(label_mask([s or () for s in distinct], n_rel), axis=1,
                                bitorder="little")
-    except (ValueError, TypeError, OverflowError, ContractError) as exc:
+    except (ValueError, TypeError, OverflowError, ContractError, ShapeError) as exc:
         _refuse(corpus, path, exc)
     docs = dict(zip(dict.fromkeys(doc_ids), itertools.count()))
     sets = np.fromiter(map(distinct.__getitem__, itertools.chain(positive, gold)), np.intp, 2 * n)
     arrays = (
         np.fromiter(map(docs.__getitem__, doc_ids), np.int64, n),
         ids,
-        np.fromiter(map(len, rows), np.int64, 3 * n).reshape(n, 3)[:, :2],
         (sets[n:] != 0).view(np.uint8),
         bit_rows[sets.reshape(2, n).T],
     )
     if not (
-        payload.shape[1:] == (dim,)
-        and np.isfinite(payload).all()
+        np.isfinite(payload).all()
         and _record_fault(arrays, len(docs), n_rel) is None
         and len(set(zip(doc_ids, heads, tails))) == n
     ):
@@ -585,7 +545,7 @@ def save_corpus(corpus: Corpus, path) -> None:
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode() + b"\n")
         fh.writelines(np.ascontiguousarray(a, dtype) for (dtype, _), a in zip(_RECORD_ARRAYS, arrays))
-        fh.write(payload)
+        fh.write(payload.astype("<f8", copy=False))
 
 
 def _refuse(corpus: Corpus, path, reason) -> NoReturn:
@@ -599,11 +559,12 @@ def _refuse(corpus: Corpus, path, reason) -> NoReturn:
 
 def load_corpus(path) -> Corpus:
     """Load a corpus file, checking its header, ``_record_fault`` over its
-    arrays, a payload of exactly the rows the counts give, finite values and
+    arrays, a payload of exactly three rows per record, finite values and
     no repeated (doc_id, head_id, tail_id); DataFormatError names the path,
     and ``record k`` for a fault in one record. The examples object keeps
-    the payload (one float64 array), counts and columns; examples are built
-    on first access, their vectors read-only row views of the payload."""
+    the payload (one read-only float64 array) and columns: the corpus's
+    pooled and context rows are views of the payload, and examples are
+    built on first access, their rows views of it too."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -641,26 +602,23 @@ def load_corpus(path) -> Corpus:
     fault = _record_fault(arrays, len(doc_ids), n_rel)
     if fault is not None:
         raise DataFormatError(f"{path}: record {fault[0]}: {fault[1]}")
-    doc, ids, counts, has_gold, bits = arrays
+    doc, ids, has_gold, bits = arrays
     payload = memoryview(data)[start:]
-    rows = sum(counts.ravel().tolist()) + n  # Python integers: a huge count cannot wrap
-    if len(payload) != 8 * rows * dim:
-        raise DataFormatError(f"{path}: vectors hold {len(payload)} bytes, expected {rows} "
+    if len(payload) != 8 * 3 * n * dim:
+        raise DataFormatError(f"{path}: vectors hold {len(payload)} bytes, expected {3 * n} "
                               f"rows of {dim} float64 values")
-    vectors = np.frombuffer(payload, "<f8").reshape(rows, dim).astype(np.float64)
+    rows = _frozen(np.frombuffer(payload, "<f8").reshape(n, 3, dim).astype(np.float64))
+    finite = np.isfinite(rows).all(axis=2).ravel()
+    if not finite.all():
+        k, side = divmod(int(finite.argmin()), 3)  # the first non-finite row
+        raise DataFormatError(f"{path}: record {k}: non-finite value in the {_ROW_NAMES[side]}")
     # each distinct bit row is decoded once, keyed by its bytes
     keys = bits.view(f"V{bits.shape[2]}").ravel().tolist() if bits.shape[2] else [b""] * 2 * n
     sets = {key: _bit_set(key) for key in set(keys)}
     gold = [sets[key] if flag else None for key, flag in zip(keys[1::2], has_gold.tolist())]
     columns = dict(zip(_FIELDS, (list(map(doc_ids.__getitem__, doc.tolist())), *ids.T.tolist(),
                                  list(map(sets.__getitem__, keys[::2])), gold)))
-    examples = _LoadedExamples(vectors, counts.astype(np.intp), columns)
-    if not np.isfinite(vectors).all():
-        # the record that holds the first non-finite row
-        k = int(np.searchsorted(_offsets(counts)[2], np.argmin(np.isfinite(vectors).all(axis=1))))
-        _check_example(examples[k], n_rel, dim, f"{path}: record {k}")
-    vectors.flags.writeable = False  # a pair's vectors cannot drift from the rows derived from them
-    corpus = Corpus(vocab, examples, label_source, dim)
+    corpus = Corpus(vocab, _LoadedExamples(rows, columns), label_source, dim)
     if len(set(zip(columns["doc_id"], columns["head_id"], columns["tail_id"]))) != n:
         try:
             build_pair_index(corpus)

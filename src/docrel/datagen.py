@@ -19,6 +19,7 @@ same facts go missing in every corrupted split.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -32,6 +33,7 @@ from .core import (
     LabelSource,
     PairExample,
     RelationVocabulary,
+    _segment_lse,
     count_relation_frequencies,
     load_corpus,
     save_corpus,
@@ -52,6 +54,9 @@ __all__ = [
 
 REGIME_KINDS = ("OOG", "OGG", "GGG", "OOO")
 CORRUPTION_MODES = ("example", "fact")
+# mention stacks pooled per kernel call: bounds the call's temporaries, so
+# that generating a split holds little beside the pairs it has built
+_POOL_SIDES = 256
 
 
 def _zipf_weights(num_relations: int, exponent: float) -> np.ndarray:
@@ -171,10 +176,14 @@ class _World:
                         break
             pair_set[(int(h), int(t))] = frozenset(labels)
         self.kg = list(pair_set.items())
+        self._mixtures: dict[frozenset[int], np.ndarray] = {}
 
     def mixture(self, labels: frozenset[int]) -> np.ndarray:
-        m = self.prototypes[sorted(labels)].sum(axis=0)
-        return m / np.linalg.norm(m)
+        """The unit sum of the prototypes of ``labels``, computed once per label set."""
+        if labels not in self._mixtures:
+            m = self.prototypes[sorted(labels)].sum(axis=0)
+            self._mixtures[labels] = m / np.linalg.norm(m)
+        return self._mixtures[labels]
 
 
 def _noise(rng: np.random.Generator, size, d: int, sigma: float) -> np.ndarray:
@@ -183,7 +192,11 @@ def _noise(rng: np.random.Generator, size, d: int, sigma: float) -> np.ndarray:
 
 
 def generate_synthetic_corpus(config: SyntheticConfig) -> Corpus:
-    """Generate one gold-labeled split from the world defined by the config seed."""
+    """Generate one gold-labeled split from the world defined by the config seed.
+
+    Each side's mention embeddings are drawn, then log-sum-exp pooled once,
+    ``_POOL_SIDES`` sides or more per call, into the pair's head or tail row.
+    """
     world = _World(config)
     d = config.embedding_dim
     vocab = RelationVocabulary.from_relations(
@@ -201,7 +214,9 @@ def generate_synthetic_corpus(config: SyntheticConfig) -> Corpus:
             return base + 0.8 * mixture + _noise(rng, (count, d), d, sig)
         return base + _noise(rng, (count, d), d, 1.0)
 
-    examples: list[PairExample] = []
+    pairs: list[tuple] = []  # doc_id, head id, tail id, context, gold labels
+    sides: list[np.ndarray] = []  # mention stacks not yet pooled: a pair's head, then its tail
+    pooled: list[np.ndarray] = []  # the pooled rows of those stacks, a run at a time
     for doc_index in range(config.num_documents):
         rng = stream(config.seed, config.split, "doc", doc_index)
         doc_id = f"{config.split}-{doc_index:05d}"
@@ -235,23 +250,21 @@ def generate_synthetic_corpus(config: SyntheticConfig) -> Corpus:
                 mixture = None
                 context = _noise(rng, d, d, 1.0)
                 gold = frozenset()
+            pairs.append((doc_id, h, t, context, gold))
+            sides += (make_mentions(rng, h, mixture), make_mentions(rng, t, mixture))
+        if sides and (len(sides) >= _POOL_SIDES or doc_index == config.num_documents - 1):
+            pooled.append(_segment_lse(np.concatenate(sides), list(map(len, sides))))
+            sides.clear()
 
-            examples.append(
-                PairExample(
-                    doc_id=doc_id,
-                    head_id=h,
-                    tail_id=t,
-                    head_vectors=make_mentions(rng, h, mixture),
-                    tail_vectors=make_mentions(rng, t, mixture),
-                    context=context,
-                    positive_relations=gold,
-                    gold_positive_relations=gold,
-                )
-            )
-
+    heads = itertools.chain.from_iterable(run[0::2] for run in pooled)
+    tails = itertools.chain.from_iterable(run[1::2] for run in pooled)
+    examples = tuple(
+        PairExample(doc_id, h, t, head, tail, context, gold, gold)
+        for (doc_id, h, t, context, gold), head, tail in zip(pairs, heads, tails)
+    )
     corpus = Corpus(
         vocabulary=vocab,
-        examples=tuple(examples),
+        examples=examples,
         label_source=LabelSource.SYNTHETIC,
         embedding_dim=d,
     )

@@ -11,6 +11,8 @@ and context vector of a document from two prefix sums over its tokens, one
 of signed unigram buckets and one of signed bigram buckets. Every entry is
 a sum of +-1, held exactly in float64 in any order of addition, so the
 vectors are bitwise those of :func:`hashed_featurizer` on the same tokens.
+Each entity's mention vectors are then log-sum-exp pooled once, every
+entity of the file in one call, and all pairs of an entity share its row.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import json
 
 import numpy as np
 
-from .core import Corpus, LabelSource, PairExample, RelationVocabulary, build_pair_index
+from .core import (Corpus, LabelSource, PairExample, RelationVocabulary, _segment_lse,
+                   build_pair_index)
 from .errors import ConfigError, DataFormatError, DuplicatePairError
 
 __all__ = ["hashed_featurizer", "load_docred_json"]
@@ -186,15 +189,12 @@ def _closest_spans(lo: np.ndarray, hi: np.ndarray, counts: list[int]):
     return np.minimum(los[head_rows], los[tail_rows]), np.maximum(his[head_rows], his[tail_rows])
 
 
-def _document_examples(title, tokens, ids, spans, counts, pair_labels, buckets, dim):
-    """Every ordered pair of distinct entities of one document, head-major."""
+def _document_pairs(tokens, ids, spans, counts, buckets, dim):
+    """One document's mention rows, entity by entity, and every ordered pair
+    of its distinct entities, head-major: head and tail positions and the
+    pair's context row."""
     prefix = _prefix_sums(tokens, buckets, dim)
     lo, hi = np.array(spans, dtype=np.int64).reshape(-1, 2).T
-    mention_rows = _window_rows(prefix, lo, hi)
-    bounds = np.cumsum([0, *counts]).tolist()
-    # one (k, dim) array per entity, shared by all its pairs
-    mentions = [mention_rows[a:b] for a, b in zip(bounds, bounds[1:])]
-
     id_array = np.array(ids)
     # distinct vertexSet entries sharing a surface name make no pair
     heads, tails = np.nonzero(id_array[:, None] != id_array[None, :])
@@ -202,21 +202,7 @@ def _document_examples(title, tokens, ids, spans, counts, pair_labels, buckets, 
     span_lo, span_hi = _closest_spans(lo, hi, counts)
     starts = np.maximum(span_lo[heads, tails] - _CONTEXT_MARGIN, 0)
     ends = np.minimum(span_hi[heads, tails] + _CONTEXT_MARGIN, len(tokens))
-    contexts = _window_rows(prefix, starts, ends)
-
-    return [
-        PairExample(
-            doc_id=str(title),
-            head_id=ids[h],
-            tail_id=ids[t],
-            head_vectors=mentions[h],
-            tail_vectors=mentions[t],
-            context=context,
-            positive_relations=frozenset(pair_labels.get((h, t), ())),
-            gold_positive_relations=None,
-        )
-        for h, t, context in zip(heads.tolist(), tails.tolist(), contexts)
-    ]
+    return _window_rows(prefix, lo, hi), heads, tails, _window_rows(prefix, starts, ends)
 
 
 def load_docred_json(path, dim: int = 64) -> Corpus:
@@ -253,7 +239,8 @@ def load_docred_json(path, dim: int = 64) -> Corpus:
 
     entity_ids: dict[str, int] = {}
     buckets: dict[str, tuple[int, float]] = {}  # gram -> (bucket, sign), hashed once per call
-    examples: list[PairExample] = []
+    documents_pairs = []  # title, ids, first entity row, heads, tails, contexts, labels
+    mention_rows, entity_sizes = [], []
     for doc, (title, triples) in zip(documents, checked):
         tokens, sent_offsets = _flat_tokens(doc["sents"])
 
@@ -283,9 +270,29 @@ def load_docred_json(path, dim: int = 64) -> Corpus:
                 f"at most {_MAX_GRID_CELLS:,} are allowed"
             )
         if ids:
-            examples += _document_examples(
-                title, tokens, ids, spans, counts, pair_labels, buckets, dim
-            )
+            rows, *pairs = _document_pairs(tokens, ids, spans, counts, buckets, dim)
+            documents_pairs.append((title, ids, len(entity_sizes), *pairs, pair_labels))
+            mention_rows.append(rows)
+            entity_sizes += counts
+
+    # each entity of each document pooled once; its pairs share the row
+    entity_rows = []
+    if entity_sizes:
+        entity_rows = list(_segment_lse(np.concatenate(mention_rows), entity_sizes))
+    examples = [
+        PairExample(
+            doc_id=str(title),
+            head_id=ids[h],
+            tail_id=ids[t],
+            head_vectors=entity_rows[first + h],
+            tail_vectors=entity_rows[first + t],
+            context=context,
+            positive_relations=frozenset(pair_labels.get((h, t), ())),
+            gold_positive_relations=None,
+        )
+        for title, ids, first, heads, tails, contexts, pair_labels in documents_pairs
+        for h, t, context in zip(heads.tolist(), tails.tolist(), contexts)
+    ]
 
     corpus = Corpus(
         vocabulary=vocab,

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import _BLOCK_BYTES, Bucket, Corpus
+from .core import Bucket, Corpus
 from .errors import NumericError, ShapeError
 from .head import HeadParams, head_forward
 
@@ -27,8 +27,10 @@ __all__ = [
     "evaluate",
 ]
 
-# bytes of pair embeddings per forward pass when scoring a split
-_EVAL_BLOCK_BYTES = _BLOCK_BYTES
+# bytes of pair embeddings per forward pass when scoring a split: blocks
+# whose arrays stay under the allocator's default mmap threshold (128 KiB)
+# reuse freed heap memory instead of page-faulting fresh pages every pass
+_EVAL_BLOCK_BYTES = 1 << 16
 
 
 def _predicted_mask(f: np.ndarray, na_index: int) -> np.ndarray:
@@ -45,36 +47,40 @@ def predict_labels(f: np.ndarray, na_index: int) -> frozenset[int]:
 
 
 class FactSet(frozenset):
-    """(head entity, relation, tail entity) facts. ``relations_by_pair``
-    indexes them by entity pair, on first use and once per fact set."""
+    """(head entity, relation, tail entity) facts. ``contains`` looks cells
+    up in a sorted int64 key array, built on first use and once per fact
+    set: each fact's entities and relation coded by their rank among the
+    set's distinct entities and relations (``E`` and ``W`` of them), then
+    packed as ``(head * E + tail) * W + relation``, below ``E * E * W``."""
 
     @cached_property
-    def relations_by_pair(self) -> dict[tuple[int, int], list[int]]:
-        index: dict[tuple[int, int], list[int]] = {}
-        for head, r, tail in self:
-            index.setdefault((head, tail), []).append(r)
-        return index
+    def _index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        facts = np.array(list(self), dtype=np.int64).reshape(-1, 3)
+        entities, relations = np.unique(facts[:, ::2]), np.unique(facts[:, 1])
+        head, tail = np.searchsorted(entities, facts[:, ::2]).T
+        keys = (head * len(entities) + tail) * len(relations) + np.searchsorted(relations,
+                                                                                facts[:, 1])
+        return entities, relations, np.sort(keys)
+
+    def contains(self, heads: np.ndarray, relations: np.ndarray, tails: np.ndarray) -> np.ndarray:
+        """Which cells ``(heads[k], relations[k], tails[k])`` are facts."""
+        if not self:
+            return np.zeros(len(heads), dtype=bool)
+        entities, known, keys = self._index
+        found = np.ones(len(heads), dtype=bool)
+        codes = []
+        for values, table in ((heads, entities), (tails, entities), (relations, known)):
+            code = np.searchsorted(table, values)
+            found &= table[np.minimum(code, len(table) - 1)] == values
+            codes.append(code)
+        key = (codes[0] * len(entities) + codes[1]) * len(known) + codes[2]
+        return found & (keys[np.minimum(np.searchsorted(keys, key), len(keys) - 1)] == key)
 
 
 def train_fact_set(corpus: Corpus) -> FactSet:
     """(head entity, relation, tail entity) facts present in the labels."""
     columns = map(corpus.column, ("head_id", "tail_id", "positive_relations"))
     return FactSet((head, r, tail) for head, tail, labels in zip(*columns) for r in labels)
-
-
-def _seen_mask(corpus: Corpus, rows: np.ndarray, facts: FactSet) -> np.ndarray:
-    """``(n, |R|)``: which of the corpus's (pair, relation) triples, over the
-    given rows, are facts in ``facts``."""
-    index = facts.relations_by_pair
-    heads, tails = corpus.column("head_id"), corpus.column("tail_id")
-    triples = [(i, r) for i in rows.tolist() for r in index.get((heads[i], tails[i]), ())]
-    n_rel = corpus.vocabulary.num_relations
-    seen = np.zeros((len(heads), n_rel), dtype=bool)
-    if triples:
-        i, r = np.array(triples).T
-        keep = (r >= 0) & (r < n_rel)
-        seen[i[keep], r[keep]] = True
-    return seen
 
 
 @dataclass(eq=False)
@@ -155,13 +161,17 @@ def evaluate(
     excluded, ign_f1 = 0, f1
     if train_facts:
         facts = train_facts if isinstance(train_facts, FactSet) else FactSet(train_facts)
-        seen = _seen_mask(corpus, np.flatnonzero(predicted.any(axis=1)), facts)
-        excluded = int((predicted & seen).sum())
-        ign_tp = int((hits & ~seen).sum())
+        rows, relations = np.nonzero(predicted)
+        heads, tails = (np.array(corpus.column(name), dtype=np.int64)[rows]
+                        for name in ("head_id", "tail_id"))
+        seen = facts.contains(heads, relations, tails)
+        excluded = int(seen.sum())
+        ign_tp = int((gold[rows, relations] & ~seen).sum())
         ign_f1 = _prf(ign_tp, predicted_count - excluded - ign_tp, gold_count - ign_tp)[2]
 
     order = (Bucket.HEAD, Bucket.MID, Bucket.TAIL)
-    members = np.array([[buckets.get(r) == b for r in range(len(cells))] for b in order])
+    codes = np.array(list(map(buckets.get, range(len(cells)))), dtype=object)
+    members = codes == np.array(order, dtype=object)[:, None]
     bucket_cells = (members.astype(np.int64) @ cells).tolist()
     bucket_f1 = {b: _prf(*bucket_cells[k])[2] for k, b in enumerate(order)}
 

@@ -36,8 +36,8 @@ def make_example(doc, h, t, labels, dim=4, gold=None, seed=0):
         doc_id=doc,
         head_id=h,
         tail_id=t,
-        head_vectors=rng.normal(size=(1, dim)),
-        tail_vectors=rng.normal(size=(1, dim)),
+        head_vectors=rng.normal(size=dim),
+        tail_vectors=rng.normal(size=dim),
         context=rng.normal(size=dim),
         positive_relations=frozenset(labels),
         gold_positive_relations=frozenset(gold) if gold is not None else frozenset(labels),
@@ -76,15 +76,15 @@ def make_corpus(label_sets, n_rel=4, dim=4, docs_of=None, source=LabelSource.GOL
 
 
 class CorpusFile:
-    """A saved corpus file (format 4) as parts to edit: the ``header`` dict,
-    ``arrays``, one per record field (``doc_index`` ``(n,)``, ``ids`` and
-    ``counts`` ``(n, 2)``, ``has_gold`` ``(n,)``, ``labels`` ``(n, 2, w)``
-    bit rows), and ``rows``, each record's vector rows (head mentions, tail
-    mentions, context). ``save`` writes the parts back in the file's layout.
+    """A saved corpus file (format 5) as parts to edit: the ``header`` dict,
+    ``arrays``, one per record field (``doc_index`` ``(n,)``, ``ids``
+    ``(n, 2)``, ``has_gold`` ``(n,)``, ``labels`` ``(n, 2, w)`` bit rows),
+    and ``rows``, each record's three payload rows (pooled head, pooled
+    tail, context). ``save`` writes the parts back in the file's layout.
     The parts are read by this class alone, not by ``load_corpus``."""
 
-    FIELDS = (("doc_index", "<i8", ()), ("ids", "<i8", (2,)), ("counts", "<i8", (2,)),
-              ("has_gold", "u1", ()), ("labels", "u1", (2, "w")))
+    FIELDS = (("doc_index", "<i8", ()), ("ids", "<i8", (2,)), ("has_gold", "u1", ()),
+              ("labels", "u1", (2, "w")))
 
     def __init__(self, path):
         with open(path, "rb") as fh:
@@ -96,9 +96,8 @@ class CorpusFile:
             shape = (n, *(width if d == "w" else d for d in trailing))
             array = np.frombuffer(data, dtype, int(np.prod(shape)), offset).reshape(shape)
             self.arrays[name], offset = array.copy(), offset + array.nbytes
-        vectors = np.frombuffer(data[offset:], "<f8").reshape(-1, self.header["embedding_dim"])
-        ends = np.cumsum(self.arrays["counts"].sum(axis=1) + 1)
-        self.rows = np.split(vectors.copy(), ends[:-1]) if n else []
+        vectors = np.frombuffer(data[offset:], "<f8").copy()
+        self.rows = list(vectors.reshape(n, 3, self.header["embedding_dim"]))
 
     def edit(self, k=None, header=None, rows=None, **fields):
         """Apply ``header`` to the header dict, set record ``k``'s array
@@ -122,9 +121,8 @@ class CorpusFile:
     def examples(self):
         """The file's pairs, decoded from the parts: a label set holds ``r``
         where bit ``r % 8`` of byte ``r // 8`` of its row is set. A record
-        that no pair can hold (a doc index outside ``doc_ids``, a count
-        below 1, a gold flag other than 0 and 1, gold bits without the
-        flag) raises ValueError."""
+        that no pair can hold (a doc index outside ``doc_ids``, a gold flag
+        other than 0 and 1, gold bits without the flag) raises ValueError."""
         a, doc_ids = self.arrays, self.header["doc_ids"]
 
         def labels(row):
@@ -132,15 +130,13 @@ class CorpusFile:
                              if byte >> b & 1)
 
         pairs = []
-        for k, (rows, (h, t)) in enumerate(zip(self.rows, self.arrays["counts"].tolist())):
+        for k, rows in enumerate(self.rows):
             doc, flag = int(a["doc_index"][k]), int(a["has_gold"][k])
             positive, gold = map(labels, a["labels"][k])
-            if not (0 <= doc < len(doc_ids) and min(h, t) >= 1 and flag in (0, 1)
-                    and (flag or not gold)):
+            if not (0 <= doc < len(doc_ids) and flag in (0, 1) and (flag or not gold)):
                 raise ValueError(f"record {k} holds no pair")
             pairs.append(PairExample(doc_ids[doc], int(a["ids"][k, 0]), int(a["ids"][k, 1]),
-                                     rows[:h], rows[h : h + t], rows[h + t], positive,
-                                     gold if flag else None))
+                                     *rows, positive, gold if flag else None))
         return tuple(pairs)
 
     def save(self):
@@ -168,6 +164,18 @@ FORMAT_3_FILE = (
     b'"train_frequency": {}, "label_source": "gold", "embedding_dim": 1, "num_examples": 1}\n'
     b'{"doc_id": "doc0", "head_id": 0, "tail_id": 1, "mentions": [1, 1], '
     b'"positive_relations": [0], "gold_positive_relations": null}\n\n'
+    + np.array([0.5, -1.0, 2.0], "<f8").tobytes()
+)
+
+
+# the same corpus as format version 4 wrote it (the bytes of format 4's
+# save_corpus): a header with doc_ids, the record arrays (doc index, ids,
+# mention counts, gold flag, bit rows), then each mention row and the context
+FORMAT_4_FILE = (
+    b'{"format": "docrel-corpus", "version": 4, "relations": ["r0"], "na_index": 1, '
+    b'"train_frequency": {}, "label_source": "gold", "embedding_dim": 1, "num_examples": 1, '
+    b'"doc_ids": ["doc0"]}\n'
+    + np.array([0, 0, 1, 1, 1], "<i8").tobytes() + bytes([0, 1, 0])
     + np.array([0.5, -1.0, 2.0], "<f8").tobytes()
 )
 

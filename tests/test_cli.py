@@ -24,7 +24,7 @@ from docrel.rng import stream
 
 from docrel_cli import BLAS_THREAD_VARIABLES
 
-from conftest import (FORMAT_2_FILE, FORMAT_3_FILE, GEN_ARGS, CorpusFile,
+from conftest import (FORMAT_2_FILE, FORMAT_3_FILE, FORMAT_4_FILE, GEN_ARGS, CorpusFile,
                       counting_pair_examples)
 
 
@@ -377,10 +377,10 @@ class TestInputsFailClosed:
         assert "Traceback" not in proc.stderr
 
     def test_format_2_bundle_exits_1_asking_for_a_rebuild(self, workspace, tmp_path):
-        """And a format-3 bundle."""
+        """And format-3 and format-4 bundles."""
         checkpoint = str(tmp_path / "head.ckpt")
         save_checkpoint(init_head_params(1, 8, 2, 2, stream(0, "init")), checkpoint)
-        for version, data in ((2, FORMAT_2_FILE), (3, FORMAT_3_FILE)):
+        for version, data in ((2, FORMAT_2_FILE), (3, FORMAT_3_FILE), (4, FORMAT_4_FILE)):
             bundle = tmp_path / f"format-{version}"
             shutil.copytree(workspace["regime"], bundle)
             for split in ("train", "dev", "test"):
@@ -388,7 +388,7 @@ class TestInputsFailClosed:
             proc = _cli_subprocess("eval", "--regime", str(bundle), "--checkpoint", checkpoint,
                                    "--out", str(tmp_path / f"eval-{version}"))
             assert proc.returncode == 1
-            assert (f"{bundle / 'train.jsonl'}:1: corpus format version {version}, expected 4; "
+            assert (f"{bundle / 'train.jsonl'}:1: corpus format version {version}, expected 5; "
                     "rebuild the bundle with gen-data and build-regime") in proc.stderr
             assert "Traceback" not in proc.stderr
 

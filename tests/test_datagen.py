@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from docrel import datagen
 from docrel.core import LabelSource
 from docrel.datagen import (
     SyntheticConfig,
@@ -101,8 +102,10 @@ class TestGenerator:
         assert train_pairs & dev_pairs, "splits should share knowledge-graph facts"
 
     def test_generated_regime_bits_are_pinned(self):
-        """Every id, label and vector of a small fact-noise regime with up to
-        four mentions a side: bits that change here change every bundle."""
+        """Every id, label and pooled row of a small fact-noise regime with up
+        to four mentions a side: bits that change here change every bundle.
+        The digest is the one the rows pooled from the stored mentions gave
+        when corpora kept each mention."""
         gold = generate_regime_splits(replace(SMALL, mentions_per_entity=(1, 4)), 8, 8)
         regime = assemble_regime(gold, 0.4, "OOG", seed=1, corruption="fact")
         digest = hashlib.sha256()
@@ -113,9 +116,26 @@ class TestGenerator:
                                     sorted(ex.positive_relations),
                                     None if gold_labels is None else sorted(gold_labels))).encode())
                 for a in (ex.head_vectors, ex.tail_vectors, ex.context):
-                    digest.update(repr(a.shape).encode() + a.tobytes())
+                    digest.update(a.tobytes())
+            for name, field in (("head_rows", "head_vectors"), ("tail_rows", "tail_vectors"),
+                                ("context_rows", "context")):
+                rows = [getattr(ex, field) for ex in split.examples]
+                assert getattr(split, name).tobytes() == np.stack(rows).tobytes()
         assert digest.hexdigest() == (
-            "793b33e1ed517edfe20aece99ff6315ff2360a21ac1ea66fbd586713f95b3094")
+            "cbd400628a0b6ef09194801e0efab7fccebed4cd5f29724e9067e32cf285839c")
+
+
+@pytest.mark.parametrize("sides_per_run", [1, 7, 10**9])
+def test_pooling_runs_do_not_change_the_rows(monkeypatch, sides_per_run):
+    """Sides are pooled a run at a time; a row does not depend on its run,
+    and each pair gets its own head and tail rows."""
+    config = replace(SMALL, num_documents=6, mentions_per_entity=(1, 4))
+    expected = generate_synthetic_corpus(config)
+    monkeypatch.setattr(datagen, "_POOL_SIDES", sides_per_run)
+    corpus = generate_synthetic_corpus(config)
+    for name in ("head_rows", "tail_rows", "context_rows"):
+        assert getattr(corpus, name).tobytes() == getattr(expected, name).tobytes()
+    assert not np.array_equal(corpus.head_rows, corpus.tail_rows)
 
 
 def at_rate(rate, rng):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from docrel import docred
+from docrel.core import logsumexp_pool
 from docrel.docred import _bucket, hashed_featurizer, load_docred_json
 from docrel.errors import ConfigError, DataFormatError, DocrelError
 
@@ -198,20 +199,20 @@ class TestLoader:
         def refuse(*args):
             raise AssertionError("featurized a document past the grid bound")
 
-        monkeypatch.setattr(docred, "_document_examples", refuse)
+        monkeypatch.setattr(docred, "_document_pairs", refuse)
         monkeypatch.setattr(docred, "_closest_spans", refuse)
         message = r"docred\.json: document 'crowded': 60 entities, the largest with 600 mentions"
         with pytest.raises(DataFormatError, match=message):
             load_docred_json(path, dim=16)
 
     def test_pairs_of_one_entity_share_its_mention_array(self, tmp_path):
-        # one array per entity, not one per pair: the benchmark's DocRED
-        # workload holds every mention row once
+        # one pooled row per entity, not one per pair: the benchmark's DocRED
+        # workload holds every entity row once
         corpus = load_docred_json(docred_gen_file(tmp_path / "docred.json", 0, 2), dim=16)
         first = {}
         for ex in corpus.examples:
-            for entity, vectors in ((ex.head_id, ex.head_vectors), (ex.tail_id, ex.tail_vectors)):
-                assert first.setdefault(entity, vectors) is vectors
+            for entity, row in ((ex.head_id, ex.head_vectors), (ex.tail_id, ex.tail_vectors)):
+                assert first.setdefault(entity, row) is row
         assert 2 * len(first) < len(corpus.examples)
 
 
@@ -317,7 +318,8 @@ def docred_gen_file(path, seed, num_docs):
 
 
 class TestAgainstReference:
-    """The loader's vectors are bitwise those of a per-pair loop."""
+    """The loader's rows are bitwise those of a per-pair loop: each side the
+    ``logsumexp_pool`` of its mentions' featurizer vectors."""
 
     @staticmethod
     def assert_matches_reference(path, dim):
@@ -327,10 +329,11 @@ class TestAgainstReference:
         assert [(ex.doc_id, ex.head_id, ex.tail_id, ex.positive_relations)
                 for ex in corpus.examples] == [(p[0], p[1], p[2], p[6]) for p in pairs]
         for ex, (_, _, _, head, tail, window, _) in zip(corpus.examples, pairs):
-            for side, vectors in ((head, ex.head_vectors), (tail, ex.tail_vectors)):
-                assert same_bits(vectors, np.stack([reference_vector(m, dim) for m in side]))
-                for mention, row in zip(side, vectors):
-                    assert same_bits(hashed_featurizer(mention, [], dim)[0], row)
+            for side, row in ((head, ex.head_vectors), (tail, ex.tail_vectors)):
+                mentions = np.stack([reference_vector(m, dim) for m in side])
+                assert same_bits(mentions, np.stack([hashed_featurizer(m, [], dim)[0]
+                                                     for m in side]))
+                assert same_bits(row, logsumexp_pool(mentions))
             assert same_bits(ex.context, reference_vector(window, dim))
             assert same_bits(hashed_featurizer([], window, dim)[1], ex.context)
         return corpus, pairs
@@ -359,15 +362,16 @@ class TestAgainstReference:
         corpus = load_docred_json(docred_gen_file(tmp_path / "gen.json", 0, 2))
         digest = hashlib.sha256()
         for ex in corpus.examples:
-            for vectors in (ex.head_vectors, ex.tail_vectors, ex.context):
-                digest.update(vectors.tobytes())
+            for row in (ex.head_vectors, ex.tail_vectors, ex.context):
+                digest.update(row.tobytes())
         assert len(corpus.examples) == 200
         assert digest.hexdigest() == PINNED_GEN_SHA256
 
 
 # sha256 of docred_gen seed 0 (2 documents) loaded at dim 64: every pair's
-# head, tail and context bytes in load order
-PINNED_GEN_SHA256 = "6db8a8fc4edffddf69f7485bd3db4266e2dca39abf02dce20ade2d5eb9f7dca9"
+# pooled head, pooled tail and context bytes in load order, as the loader
+# gave them when it kept each mention and corpora pooled them per pair
+PINNED_GEN_SHA256 = "0067dae65a59b6f55fea19327ff631e91ef8e78cc9db634614febfa74149080c"
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

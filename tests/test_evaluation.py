@@ -227,6 +227,19 @@ class TestEvaluate:
             evaluate(params, corpus)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(facts=st.frozensets(st.tuples(st.integers(-3, 5), st.integers(0, 6), st.integers(-3, 5)),
+                           max_size=20),
+       cells=st.lists(st.tuples(st.integers(-4, 6), st.integers(0, 7), st.integers(-4, 6)),
+                      max_size=30))
+def test_fact_set_contains_is_set_membership(facts, cells):
+    """Also for entities and relations that no fact holds."""
+    heads, relations, tails = (np.array([cell[i] for cell in cells], dtype=np.int64)
+                               for i in range(3))
+    got = FactSet(facts).contains(heads, relations, tails)
+    assert got.tolist() == [cell in facts for cell in cells]
+
+
 class TestTrainFactSet:
     def test_facts_are_doc_agnostic(self):
         corpus = make_corpus([{0}, {1}])

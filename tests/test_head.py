@@ -145,14 +145,19 @@ class TestForward:
             head_forward(head, np.concatenate([tail, tail]), context, params)
 
     def test_side_without_mentions_names_the_pair(self):
+        # a side is one pooled (d,) row: an empty one, or a stack of
+        # mentions left unpooled, is named with its pair
         def example(tail, head_vectors):
-            return PairExample("d", 0, tail, np.asarray(head_vectors, float),
-                               np.ones((1, 2)), np.ones(2), frozenset())
+            return PairExample("d", 0, tail, np.asarray(head_vectors, float), np.ones(2),
+                               np.ones(2), frozenset())
 
-        examples = (example(1, [[1, 2]]), example(2, np.zeros((0, 2))))
-        corpus = Corpus(RelationVocabulary.from_relations(["r"]), examples, LabelSource.GOLD, 2)
-        with pytest.raises(ContractError, match="pair d/0/2: no mentions"):
-            corpus.head_rows
+        for bad, shape in ((np.zeros(0), r"\(0,\)"), ([[1, 2]], r"\(1, 2\)")):
+            examples = (example(1, [1, 2]), example(2, bad))
+            corpus = Corpus(RelationVocabulary.from_relations(["r"]), examples, LabelSource.GOLD,
+                            2)
+            with pytest.raises(ShapeError,
+                               match=rf"pair d/0/2: head_vectors of shape {shape}, expected \(2,\)"):
+                corpus.head_rows
 
 
 class TestBackward:

@@ -206,7 +206,7 @@ class TestTrainLoop:
             doc_id=bad.doc_id,
             head_id=bad.head_id,
             tail_id=bad.tail_id,
-            head_vectors=np.full((1, 12), np.inf),
+            head_vectors=np.full(12, np.inf),
             tail_vectors=bad.tail_vectors,
             context=bad.context,
             positive_relations=bad.positive_relations,
