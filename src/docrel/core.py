@@ -124,8 +124,10 @@ class PairExample:
     context vector. ``positive_relations`` is the label set used for
     training; an empty set is the NA class. ``gold_positive_relations``
     preserves the uncorrupted ground truth when the training labels come
-    from a noisy source. A loaded corpus builds its examples on first
-    access, the rows of every pair read-only views of the file's payload.
+    from a noisy source. A loaded corpus builds its examples only when they
+    are read, decoding their ids and label sets from its record arrays
+    then; the rows of every pair are read-only views of its payload.
+    Scoring and training read the corpus's arrays, not its examples.
     """
 
     doc_id: str
@@ -172,11 +174,14 @@ class Corpus:
     made with ``replace`` derives its own. An in-memory corpus stacks its
     examples' rows, so its caller's arrays stay its caller's, and writing
     into one after the first use leaves the derived arrays as they were. A
-    loaded corpus's examples object holds the file's payload (read-only)
-    and columns: its pooled and context rows are views of the payload and
-    every other array is derived from the columns, so scoring or training
-    on it builds no ``PairExample`` and pools nothing; so does a copy made
-    with ``replace`` that keeps it."""
+    loaded corpus's examples object holds the file's payload and record
+    arrays (doc index, ids, gold flag and label bit rows), all read-only:
+    its pooled and context rows are views of the payload, its label and
+    gold rows are unpacked from the bit rows, and its ``pair_ids`` and
+    document groups come from the id and doc index arrays, so scoring or
+    training on it decodes no label set, builds no ``PairExample`` and
+    pools nothing; so does a copy made with ``replace`` that keeps it. Its
+    ``column``s are decoded only when read."""
 
     vocabulary: RelationVocabulary
     examples: Sequence[PairExample]
@@ -193,10 +198,11 @@ class Corpus:
 
     def column(self, name: str) -> Sequence:
         """One field of every pair, one of ``_FIELDS``, in corpus order. A
-        loaded corpus returns its examples object's column; any other reads
-        its examples on each call and keeps nothing."""
+        loaded corpus returns its examples object's column, decoded on the
+        first read; any other reads its examples on each call and keeps
+        nothing."""
         if isinstance(self.examples, _LoadedExamples):
-            return self.examples.columns[name]
+            return self.examples.column(name)
         return list(map(attrgetter(name), self.examples))
 
     @cached_property
@@ -224,14 +230,22 @@ class Corpus:
     @cached_property
     def label_rows(self) -> np.ndarray:
         """``(n, |R|)`` boolean: each pair's training label set."""
-        return _frozen(label_mask(self.column("positive_relations"), self.vocabulary.num_relations))
+        return _frozen(self._label_rows(gold=False))
 
     @cached_property
     def gold_rows(self) -> np.ndarray:
         """``(n, |R|)`` boolean: each pair's gold label set, else its training set."""
-        training, gold = self.column("positive_relations"), self.column("gold_positive_relations")
-        sets = [t if g is None else g for t, g in zip(training, gold)]
-        return _frozen(label_mask(sets, self.vocabulary.num_relations))
+        return _frozen(self._label_rows(gold=True))
+
+    def _label_rows(self, gold: bool) -> np.ndarray:
+        width = self.vocabulary.num_relations
+        if isinstance(self.examples, _LoadedExamples):
+            return self.examples.label_rows(width, gold)
+        sets = self.column("positive_relations")
+        if gold:
+            sets = [t if g is None else g
+                    for t, g in zip(sets, self.column("gold_positive_relations"))]
+        return label_mask(sets, width)
 
     @cached_property
     def na_flags(self) -> np.ndarray:
@@ -239,8 +253,18 @@ class Corpus:
         return _frozen(~self.label_rows.any(axis=1))
 
     @cached_property
+    def pair_ids(self) -> np.ndarray:
+        """``(n, 2)`` int64: each pair's head and tail id."""
+        if isinstance(self.examples, _LoadedExamples):
+            return self.examples.ids.view()
+        ids = np.array([self.column("head_id"), self.column("tail_id")], dtype=np.int64)
+        return _frozen(ids.T.copy())
+
+    @cached_property
     def document_groups(self) -> dict[str, np.ndarray]:
         """Each doc_id, in first-appearance order, with its examples' indices."""
+        if isinstance(self.examples, _LoadedExamples):
+            return _document_groups(self.examples.doc_ids, self.examples.doc)
         groups: dict[str, list[int]] = {}
         for i, doc in enumerate(self.column("doc_id")):
             groups.setdefault(doc, []).append(i)
@@ -255,31 +279,69 @@ class Corpus:
 
 
 class _LoadedExamples(Sequence):
-    """A loaded corpus's examples and what they are built from: the file's
-    payload ``rows``, ``(n, 3, d)`` read-only (head, tail and context row
-    of each pair), and one column per field of ``Corpus.column``. ``len``
-    is known at once; the tuple of ``PairExample`` is built on first access
-    and kept, each pair's rows views of the payload. Indexing and iteration
-    work as on that tuple, and a slice is a tuple."""
+    """A loaded corpus's examples and the arrays they are built from, each
+    a read-only copy, none a view of the file's bytes: ``rows``, the
+    payload, ``(n, 3, d)`` float64 (head, tail and context row of each
+    pair); ``doc_ids``, the header's list; ``doc``, ``(n,)`` int64, each
+    pair's doc_id as the first index in ``doc_ids`` that holds it; ``ids``,
+    ``(n, 2)`` int64 head and tail ids; ``has_gold``, ``(n,)`` uint8 gold
+    flags; and ``bits``, ``(n, 2, w)`` uint8, the label and gold sets as bit
+    rows. ``len`` is known at once. A column of ``Corpus.column`` is
+    decoded on its first read and kept; the tuple of ``PairExample`` is
+    built on first access and kept, each pair's rows views of the payload.
+    Indexing and iteration work as on that tuple, and a slice is a tuple."""
 
-    __slots__ = ("rows", "columns", "_tuple")
+    __slots__ = ("rows", "doc_ids", "doc", "ids", "has_gold", "bits", "_columns", "_tuple")
 
-    def __init__(self, rows: np.ndarray, columns: dict[str, Sequence]):
-        self.rows, self.columns = rows, columns
+    def __init__(self, rows: np.ndarray, doc_ids: list[str], doc: np.ndarray, ids: np.ndarray,
+                 has_gold: np.ndarray, bits: np.ndarray):
+        self.rows, self.doc_ids, self.doc, self.ids = rows, doc_ids, doc, ids
+        self.has_gold, self.bits = has_gold, bits
+        self._columns: dict[str, list] = {}
         self._tuple = None
+
+    def column(self, name: str) -> list:
+        """Field ``name`` of every pair, decoded on the first read and kept."""
+        if name not in self._columns:
+            self._columns[name] = self._decoded(name)
+        return self._columns[name]
+
+    def _decoded(self, name: str) -> list:
+        if name == "doc_id":
+            return list(map(self.doc_ids.__getitem__, self.doc.tolist()))
+        if name == "head_id":
+            return self.ids[:, 0].tolist()
+        if name == "tail_id":
+            return self.ids[:, 1].tolist()
+        gold = name == "gold_positive_relations"
+        bits = self.bits[:, int(gold)]
+        keys = bits.view(f"V{bits.shape[1]}").ravel().tolist() if bits.shape[1] else (
+            [b""] * len(bits))
+        sets = {key: _bit_set(key) for key in set(keys)}  # each distinct bit row decoded once
+        labels = list(map(sets.__getitem__, keys))
+        if gold:
+            return [s if flag else None for s, flag in zip(labels, self.has_gold.tolist())]
+        return labels
+
+    def label_rows(self, width: int, gold: bool) -> np.ndarray:
+        """``(n, width)`` boolean: the label (else gold) bit rows, unpacked
+        with one call; a gold row is the label row where the flag is 0."""
+        bits = self.bits[:, 0]
+        if gold:
+            bits = np.where(self.has_gold[:, None] == 1, self.bits[:, 1], bits)
+        return np.unpackbits(bits, axis=1, count=width, bitorder="little").view(bool)
 
     def _built(self) -> tuple[PairExample, ...]:
         if self._tuple is None:
-            columns = self.columns
             self._tuple = tuple(
                 map(
                     PairExample,
-                    columns["doc_id"],
-                    columns["head_id"],
-                    columns["tail_id"],
+                    self.column("doc_id"),
+                    self.column("head_id"),
+                    self.column("tail_id"),
                     *self.rows.swapaxes(0, 1),
-                    columns["positive_relations"],
-                    columns["gold_positive_relations"],
+                    self.column("positive_relations"),
+                    self.column("gold_positive_relations"),
                 )
             )
         return self._tuple
@@ -297,6 +359,23 @@ class _LoadedExamples(Sequence):
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+def _document_groups(doc_ids: Sequence[str], codes: np.ndarray) -> dict[str, np.ndarray]:
+    """A loaded corpus's document groups: each doc_id with the indices of
+    its pairs, in order of first appearance, where pair ``i`` is in
+    document ``doc_ids[codes[i]]`` and equal doc_ids have equal codes. The
+    groups are read-only slices of one stable sort of ``codes``."""
+    order = _frozen(codes.argsort(kind="stable"))
+    ordered = codes[order]
+    new = np.ones(len(codes), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    starts = new.nonzero()[0]
+    bounds = [*starts.tolist(), len(codes)]
+    names = [doc_ids[code] for code in ordered[starts].tolist()]
+    # a stable sort puts each group's first pair first; rank the groups by it
+    ranked = order[starts].argsort(kind="stable").tolist()
+    return {names[g]: order[bounds[g] : bounds[g + 1]] for g in ranked}
 
 
 def _stacked(examples: Sequence[PairExample], name: str, dim: int) -> np.ndarray:
@@ -562,9 +641,10 @@ def load_corpus(path) -> Corpus:
     arrays, a payload of exactly three rows per record, finite values and
     no repeated (doc_id, head_id, tail_id); DataFormatError names the path,
     and ``record k`` for a fault in one record. The examples object keeps
-    the payload (one read-only float64 array) and columns: the corpus's
-    pooled and context rows are views of the payload, and examples are
-    built on first access, their rows views of it too."""
+    copies of the payload and the record arrays (see ``_LoadedExamples``),
+    and decodes no label set: the corpus's pooled and context rows are
+    views of the payload, and examples are built on first access, their
+    rows views of it too."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -583,7 +663,7 @@ def load_corpus(path) -> Corpus:
         dim, n, doc_ids = header["embedding_dim"], header["num_examples"], header["doc_ids"]
         frequencies = header.get("train_frequency", {})
         numbers = (header["na_index"], dim, n, *frequencies.values())
-        if (not all(type(number) is int for number in numbers) or dim < 1 or n < 0
+        if (set(map(type, numbers)) - {int} or dim < 1 or n < 0
                 or type(doc_ids) is not list or set(map(type, doc_ids)) - {str}):
             raise ValueError(f"na_index, embedding_dim {dim!r}, num_examples {n!r} and train "
                              "frequencies must be integers, dim > 0, n >= 0, doc_ids strings")
@@ -612,14 +692,14 @@ def load_corpus(path) -> Corpus:
     if not finite.all():
         k, side = divmod(int(finite.argmin()), 3)  # the first non-finite row
         raise DataFormatError(f"{path}: record {k}: non-finite value in the {_ROW_NAMES[side]}")
-    # each distinct bit row is decoded once, keyed by its bytes
-    keys = bits.view(f"V{bits.shape[2]}").ravel().tolist() if bits.shape[2] else [b""] * 2 * n
-    sets = {key: _bit_set(key) for key in set(keys)}
-    gold = [sets[key] if flag else None for key, flag in zip(keys[1::2], has_gold.tolist())]
-    columns = dict(zip(_FIELDS, (list(map(doc_ids.__getitem__, doc.tolist())), *ids.T.tolist(),
-                                 list(map(sets.__getitem__, keys[::2])), gold)))
-    corpus = Corpus(vocab, _LoadedExamples(rows, columns), label_source, dim)
-    if len(set(zip(columns["doc_id"], columns["head_id"], columns["tail_id"]))) != n:
+    # each pair's doc as the first index in doc_ids that holds its doc_id, so
+    # that equal doc_ids have equal codes; the copies let the file's bytes go
+    first = dict(zip(reversed(doc_ids), range(len(doc_ids) - 1, -1, -1)))
+    doc = np.fromiter(map(first.__getitem__, doc_ids), np.int64, len(doc_ids))[doc]
+    examples = _LoadedExamples(rows, doc_ids, *map(_frozen, (doc, ids.copy(), has_gold.copy(),
+                                                             bits.copy())))
+    corpus = Corpus(vocab, examples, label_source, dim)
+    if len(set(zip(doc.tolist(), *ids.T.tolist()))) != n:
         try:
             build_pair_index(corpus)
         except DuplicatePairError as exc:

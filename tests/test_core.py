@@ -322,7 +322,7 @@ class TestSerialization:
 
 
 CACHED = ("head_rows", "tail_rows", "context_rows", "label_rows", "gold_rows", "na_flags",
-          "document_groups")
+          "pair_ids", "document_groups")
 
 
 def mention_stacks(seed=0, pairs=40, dim=3):
@@ -483,6 +483,43 @@ class TestCorpusCache:
         for k, name in enumerate(("head_rows", "tail_rows", "context_rows")):
             rows = getattr(loaded, name)
             assert rows.base is payload and np.shares_memory(rows, payload[:, k])
+
+    def test_loaded_arrays_are_no_views_of_the_file_bytes(self, tmp_path):
+        """A loaded corpus keeps copies of what it reads, so the bytes read
+        from its file are freed once it is loaded."""
+        path = tmp_path / "c.jsonl"
+        save_corpus(mention_corpus(), path)
+        loaded = load_corpus(path)
+        held = loaded.examples
+        arrays = [held.rows, held.doc, held.ids, held.has_gold, held.bits,
+                  *(getattr(loaded, name) for name in CACHED[:-1]),
+                  *loaded.document_groups.values()]
+        for array in arrays:
+            base = array
+            while isinstance(base, np.ndarray):
+                base = base.base
+            assert base is None, type(base)
+
+    def test_document_groups_follow_the_records_not_the_header(self, tmp_path):
+        """A loaded corpus's groups come in the order its records first name
+        them, and two header entries that hold one doc_id are one document,
+        also for the duplicate-pair check."""
+        path = tmp_path / "c.jsonl"
+        corpus = make_corpus([{0}, set(), {1}, {0, 2}, set()], docs_of=["b", "a", "b", "c", "a"])
+        save_corpus(corpus, path)
+        saved = CorpusFile(path)
+        saved.header["doc_ids"] = ["a", "c", "b", "a"]
+        saved.arrays["doc_index"][:] = [2, 0, 2, 1, 3]
+        saved.save()
+        loaded = load_corpus(path)
+        assert loaded.column("doc_id") == corpus.column("doc_id")
+        assert list(loaded.document_groups) == ["b", "a", "c"]
+        assert loaded.examples_by_document() == corpus.examples_by_document() == {
+            "b": [0, 2], "a": [1, 4], "c": [3]}
+        saved.edit(4, ids=[2, 3])  # record 1's pair, under the other "a"
+        with pytest.raises(DataFormatError, match=f"{path}: duplicate entity pair: doc='a' "
+                                                  "head=2 tail=3"):
+            load_corpus(path)
 
     @pytest.mark.parametrize("corpus", [
         mention_corpus(),
@@ -960,6 +997,14 @@ def typed_fields(corpus):
     ]
 
 
+def derived_arrays(corpus):
+    """The dtype, shape and bits of each array a corpus derives, and its
+    document groups in order."""
+    arrays = [getattr(corpus, name) for name in CACHED[:-1]]
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays] + [
+        (doc, rows.dtype, rows.tobytes()) for doc, rows in corpus.document_groups.items()]
+
+
 @pytest.mark.parametrize("fault", [None, *FAULTS])
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(data=st.data(), dim=st.integers(1, 4), count=st.integers(1, 5))
@@ -1027,4 +1072,6 @@ def test_one_record_edit_loads_as_edited_or_names_its_record(tmp_path_factory, d
         with pytest.raises(DataFormatError, match=re.escape(f"{path}: record {k}: ")):
             load_corpus(path)
     else:
-        assert typed_fields(load_corpus(path)) == typed_fields(expected)
+        loaded = load_corpus(path)
+        assert typed_fields(loaded) == typed_fields(expected)
+        assert derived_arrays(loaded) == derived_arrays(expected)

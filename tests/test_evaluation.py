@@ -1,15 +1,23 @@
+import cProfile
+import pstats
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from docrel.core import Bucket, bucket_relations
+from docrel import core
+from docrel.core import Bucket, bucket_relations, load_corpus, save_corpus
+from docrel.datagen import (SyntheticConfig, assemble_regime, generate_regime_splits, load_regime,
+                            save_regime)
 from docrel.errors import NumericError, ShapeError
 from docrel.evaluation import FactSet, evaluate, predict_labels, train_fact_set
 from docrel.head import init_head_params
 from docrel.rng import stream
+from docrel.training import TrainConfig, train
 
-from conftest import make_corpus
+from conftest import counting_pair_examples, make_corpus
 
 
 class TestPredictLabels:
@@ -227,17 +235,22 @@ class TestEvaluate:
             evaluate(params, corpus)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(facts=st.frozensets(st.tuples(st.integers(-3, 5), st.integers(0, 6), st.integers(-3, 5)),
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(facts=st.frozensets(st.tuples(st.integers(-3, 5), st.integers(-1, 9), st.integers(-3, 5)),
                            max_size=20),
-       cells=st.lists(st.tuples(st.integers(-4, 6), st.integers(0, 7), st.integers(-4, 6)),
-                      max_size=30))
-def test_fact_set_contains_is_set_membership(facts, cells):
-    """Also for entities and relations that no fact holds."""
-    heads, relations, tails = (np.array([cell[i] for cell in cells], dtype=np.int64)
-                               for i in range(3))
-    got = FactSet(facts).contains(heads, relations, tails)
-    assert got.tolist() == [cell in facts for cell in cells]
+       pairs=st.lists(st.tuples(st.integers(-4, 6), st.integers(-4, 6)), max_size=12),
+       repeats=st.lists(st.integers(0, 11), max_size=6),
+       width=st.integers(0, 7))
+def test_fact_set_seen_mask_is_set_membership(facts, pairs, repeats, width):
+    """For every (pair, relation) cell, also for entities and relations that
+    no fact holds, fact relations at or above the width (or below 0), an
+    empty fact set and pairs scored more than once."""
+    pairs = pairs + [pairs[k % len(pairs)] for k in repeats if pairs]
+    pair_ids = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    got = FactSet(facts).seen(pair_ids, width)
+    assert got.dtype == bool and got.shape == (len(pairs), width)
+    assert got.tolist() == [[(head, r, tail) in facts for r in range(width)]
+                            for head, tail in pairs]
 
 
 class TestTrainFactSet:
@@ -248,3 +261,98 @@ class TestTrainFactSet:
         assert (ex0.head_id, 0, ex0.tail_id) in facts
         assert (ex1.head_id, 1, ex1.tail_id) in facts
         assert len(facts) == 2
+
+
+SPLITS = ("train", "dev", "test")
+ARRAYS = ("label_rows", "gold_rows", "na_flags", "pair_ids")
+
+
+def noisy_regime():
+    """A small OOG regime (facts hidden at rate 0.4) in which every third
+    pair of each split has no gold set, so its gold row is its label row."""
+    world = SyntheticConfig(num_relations=12, num_documents=16, pairs_per_document=(4, 8),
+                            embedding_dim=6, num_entities=30, kg_pairs=40, seed=3)
+    splits = generate_regime_splits(world, dev_documents=5, test_documents=5)
+    regime = assemble_regime(splits, 0.4, "OOG", seed=1, corruption="fact")
+    for split in SPLITS:
+        corpus = getattr(regime, split)
+        examples = tuple(replace(ex, gold_positive_relations=None) if i % 3 == 0 else ex
+                         for i, ex in enumerate(corpus.examples))
+        regime = replace(regime, **{split: replace(corpus, examples=examples)})
+    return regime
+
+
+def test_loading_and_scoring_a_bundle_decodes_no_label_set(monkeypatch, tmp_path):
+    """With the label-set decoders made to raise, a saved bundle loads, is
+    scored with train facts and buckets, gives its arrays and trains one
+    epoch, building no ``PairExample``; each array equals the in-memory
+    corpus's bit for bit, and each report and the trained head equal those
+    of the in-memory regime."""
+    regime = noisy_regime()
+    assert None in regime.train.column("gold_positive_relations")
+    assert (regime.train.gold_rows != regime.train.label_rows).any()
+    save_regime(regime, tmp_path)
+    params = init_head_params(6, 8, 2, regime.train.vocabulary.num_logits, stream(0, "init"))
+    config = TrainConfig(epochs=1, hidden_dim=8, group_count=2, seed=0)
+    buckets = bucket_relations(regime.train.vocabulary, (3, 4))
+    facts = train_fact_set(regime.train)
+    expected = {split: getattr(regime, split) for split in SPLITS}
+    arrays = {split: [getattr(corpus, name) for name in ARRAYS]
+              for split, corpus in expected.items()}
+    reports = {split: evaluate(params, corpus, facts, buckets)
+               for split, corpus in expected.items()}
+    trained = train(regime.train, regime.dev, config)
+
+    def refuse(*args):
+        raise AssertionError("decoded a label set")
+
+    monkeypatch.setattr(core, "_bit_set", refuse)
+    monkeypatch.setattr(core, "label_mask", refuse)
+    with counting_pair_examples() as count:
+        loaded = load_regime(tmp_path)
+        assert train_fact_set(loaded.train) == facts
+        for split in SPLITS:
+            corpus = getattr(loaded, split)
+            for name, array in zip(ARRAYS, arrays[split]):
+                got = getattr(corpus, name)
+                assert (got.dtype, got.shape, got.tobytes()) == (
+                    array.dtype, array.shape, array.tobytes()), (split, name)
+            groups = expected[split].document_groups
+            assert list(corpus.document_groups) == list(groups)
+            for doc, rows in corpus.document_groups.items():
+                assert (rows.dtype, rows.tobytes()) == (groups[doc].dtype, groups[doc].tobytes())
+            report = evaluate(params, corpus, facts, buckets)
+            assert vars(report) == vars(reports[split]), split
+        again = train(loaded.train, loaded.dev, config)
+    assert count == [0]
+    assert again.history == trained.history
+    assert again.params.flat.tobytes() == trained.params.flat.tobytes()
+
+
+# cProfile's Python-level calls per pair of ``load_corpus`` plus ``evaluate``
+# (train facts and buckets) on one loaded split of 366 pairs: 1.41 with
+# NumPy 2.4 on Python 3.11, 2.30 when loading decoded every distinct label
+# bit row and Ign F1 looked up each predicted cell. The bound leaves a
+# margin of about 0.4 calls per pair, so per-pair Python cannot come back
+# unseen.
+CALLS_PER_PAIR = 1.8
+
+
+def test_loading_and_scoring_a_split_makes_few_python_calls_per_pair(tmp_path):
+    world = SyntheticConfig(num_relations=32, num_documents=30, pairs_per_document=(8, 16), seed=5)
+    regime = assemble_regime(generate_regime_splits(world, 2, 2), 0.4, "OGG", seed=1,
+                             corruption="fact")
+    path = tmp_path / "train.jsonl"
+    save_corpus(regime.train, path)
+    facts = train_fact_set(regime.train)
+    buckets = bucket_relations(regime.train.vocabulary, (6, 16))
+    params = init_head_params(32, 32, 4, 33, stream(0, "init"))
+    evaluate(params, load_corpus(path), facts, buckets)  # first calls import and cache
+    profile = cProfile.Profile()
+    profile.enable()
+    evaluate(params, load_corpus(path), facts, buckets)
+    profile.disable()
+    pairs = len(regime.train.examples)
+    calls = pstats.Stats(profile).total_calls
+    assert pairs == 366
+    assert calls / pairs <= CALLS_PER_PAIR, f"{calls} calls for {pairs} pairs"
