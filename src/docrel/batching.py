@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Corpus
+from .core import Corpus, _frozen
 from .errors import ConfigError
 from .rng import stream
 
@@ -34,12 +34,13 @@ class Batch:
 
     ``bp_indices`` are positions with at least one positive relation (the
     contrastive anchors); ``bn_indices`` are the NA-labeled positions;
-    together they partition the batch. ``sampled_negatives`` maps each NA
+    together they partition the batch; ``example_indices``, read-only
+    ``np.intp``, are corpus indices. ``sampled_negatives`` maps each NA
     position to its sampled negative-label set, a tuple sorted ascending
     (filled for sampled training, as by :func:`attach_negative_samples`).
     """
 
-    example_indices: tuple[int, ...]
+    example_indices: np.ndarray
     bp_indices: tuple[int, ...]
     bn_indices: tuple[int, ...]
     sampled_negatives: dict[int, tuple[int, ...]] = field(default_factory=dict)
@@ -63,7 +64,7 @@ def assemble_batches(corpus: Corpus, batch_size: int, rng_seed: int) -> list[Bat
         na = corpus.na_flags[indices]
         batches.append(
             Batch(
-                example_indices=tuple(indices.tolist()),
+                example_indices=_frozen(indices),
                 bp_indices=tuple(np.flatnonzero(~na).tolist()),
                 bn_indices=tuple(np.flatnonzero(na).tolist()),
             )

@@ -124,10 +124,10 @@ class PairExample:
     context vector. ``positive_relations`` is the label set used for
     training; an empty set is the NA class. ``gold_positive_relations``
     preserves the uncorrupted ground truth when the training labels come
-    from a noisy source. A loaded corpus builds its examples only when they
-    are read, decoding their ids and label sets from its record arrays
-    then; the rows of every pair are read-only views of its payload.
-    Scoring and training read the corpus's arrays, not its examples.
+    from a noisy source. A loaded corpus's examples are built from its
+    records (``_Records``) only when they are read; the rows of every pair
+    are then read-only views of its payload. Scoring, training and saving
+    read a corpus's records, not its examples.
     """
 
     doc_id: str
@@ -169,19 +169,20 @@ _ROW_NAMES = ("head row", "tail row", "context")
 
 @dataclass(frozen=True, eq=False)
 class Corpus:
-    """A relation vocabulary and its pair examples. The arrays derived from
-    the examples are computed once, on first use, and are read-only; a copy
-    made with ``replace`` derives its own. An in-memory corpus stacks its
-    examples' rows, so its caller's arrays stay its caller's, and writing
-    into one after the first use leaves the derived arrays as they were. A
-    loaded corpus's examples object holds the file's payload and record
-    arrays (doc index, ids, gold flag and label bit rows), all read-only:
-    its pooled and context rows are views of the payload, its label and
-    gold rows are unpacked from the bit rows, and its ``pair_ids`` and
-    document groups come from the id and doc index arrays, so scoring or
-    training on it decodes no label set, builds no ``PairExample`` and
-    pools nothing; so does a copy made with ``replace`` that keeps it. Its
-    ``column``s are decoded only when read."""
+    """A relation vocabulary and its pair examples. Every array that
+    training, scoring and ``save_corpus`` read comes from one records
+    object, ``_records`` (see ``_Records``), which holds what a corpus file
+    holds. A loaded corpus's examples object is its records, read from the
+    file. Any other corpus encodes its records from its examples, each
+    array on its first read and as a copy, so its caller's arrays stay its
+    caller's, and writing into one after that leaves the arrays as they
+    were. The arrays derived from the records are computed once, on first
+    use, and are read-only. A copy made with ``replace`` derives its own:
+    from the same records while it keeps a loaded corpus's examples object,
+    relation count and dimension, else from its examples. Scoring, training
+    on or saving a loaded corpus thus decodes no label set, builds no
+    ``PairExample`` and pools nothing; its ``column``s are decoded only when
+    read."""
 
     vocabulary: RelationVocabulary
     examples: Sequence[PairExample]
@@ -198,54 +199,44 @@ class Corpus:
 
     def column(self, name: str) -> Sequence:
         """One field of every pair, one of ``_FIELDS``, in corpus order. A
-        loaded corpus returns its examples object's column, decoded on the
-        first read; any other reads its examples on each call and keeps
-        nothing."""
-        if isinstance(self.examples, _LoadedExamples):
+        loaded corpus returns its records' column, decoded on the first
+        read; any other reads its examples on each call and keeps nothing."""
+        if isinstance(self.examples, _Records):
             return self.examples.column(name)
         return list(map(attrgetter(name), self.examples))
 
     @cached_property
-    def _pair_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if isinstance(self.examples, _LoadedExamples):
-            return tuple(self.examples.rows.swapaxes(0, 1))
-        return tuple(_frozen(_stacked(self.examples, name, self.embedding_dim))
-                     for name in _VECTOR_FIELDS)
+    def _records(self) -> _Records:
+        records, n_rel, dim = self.examples, self.vocabulary.num_relations, self.embedding_dim
+        fits = isinstance(records, _Records) and (records.n_rel, records.dim) == (n_rel, dim)
+        return records if fits else _Records(n_rel, dim, examples=records)
 
-    @property
+    @cached_property
     def head_rows(self) -> np.ndarray:
         """``(n, d)``: each pair's pooled head row."""
-        return self._pair_rows[0]
+        return self._records.rows[:, 0]
 
-    @property
+    @cached_property
     def tail_rows(self) -> np.ndarray:
         """``(n, d)``: each pair's pooled tail row."""
-        return self._pair_rows[1]
+        return self._records.rows[:, 1]
 
-    @property
+    @cached_property
     def context_rows(self) -> np.ndarray:
         """``(n, d)``: each pair's context vector."""
-        return self._pair_rows[2]
+        return self._records.rows[:, 2]
 
     @cached_property
     def label_rows(self) -> np.ndarray:
         """``(n, |R|)`` boolean: each pair's training label set."""
-        return _frozen(self._label_rows(gold=False))
+        return _unpacked(self._records.bits[:, 0], self.vocabulary.num_relations)
 
     @cached_property
     def gold_rows(self) -> np.ndarray:
         """``(n, |R|)`` boolean: each pair's gold label set, else its training set."""
-        return _frozen(self._label_rows(gold=True))
-
-    def _label_rows(self, gold: bool) -> np.ndarray:
-        width = self.vocabulary.num_relations
-        if isinstance(self.examples, _LoadedExamples):
-            return self.examples.label_rows(width, gold)
-        sets = self.column("positive_relations")
-        if gold:
-            sets = [t if g is None else g
-                    for t, g in zip(sets, self.column("gold_positive_relations"))]
-        return label_mask(sets, width)
+        bits, has_gold = self._records.bits, self._records.has_gold
+        return _unpacked(np.where(has_gold[:, None] == 1, bits[:, 1], bits[:, 0]),
+                         self.vocabulary.num_relations)
 
     @cached_property
     def na_flags(self) -> np.ndarray:
@@ -255,20 +246,12 @@ class Corpus:
     @cached_property
     def pair_ids(self) -> np.ndarray:
         """``(n, 2)`` int64: each pair's head and tail id."""
-        if isinstance(self.examples, _LoadedExamples):
-            return self.examples.ids.view()
-        ids = np.array([self.column("head_id"), self.column("tail_id")], dtype=np.int64)
-        return _frozen(ids.T.copy())
+        return self._records.ids.view()
 
     @cached_property
     def document_groups(self) -> dict[str, np.ndarray]:
         """Each doc_id, in first-appearance order, with its examples' indices."""
-        if isinstance(self.examples, _LoadedExamples):
-            return _document_groups(self.examples.doc_ids, self.examples.doc)
-        groups: dict[str, list[int]] = {}
-        for i, doc in enumerate(self.column("doc_id")):
-            groups.setdefault(doc, []).append(i)
-        return {doc: _frozen(np.array(rows, dtype=np.intp)) for doc, rows in groups.items()}
+        return _document_groups(self._records.doc_ids, self._records.doc)
 
     def document_order(self) -> list[str]:
         """Distinct doc_ids in first-appearance order."""
@@ -278,27 +261,84 @@ class Corpus:
         return {doc: rows.tolist() for doc, rows in self.document_groups.items()}
 
 
-class _LoadedExamples(Sequence):
-    """A loaded corpus's examples and the arrays they are built from, each
-    a read-only copy, none a view of the file's bytes: ``rows``, the
-    payload, ``(n, 3, d)`` float64 (head, tail and context row of each
-    pair); ``doc_ids``, the header's list; ``doc``, ``(n,)`` int64, each
-    pair's doc_id as the first index in ``doc_ids`` that holds it; ``ids``,
-    ``(n, 2)`` int64 head and tail ids; ``has_gold``, ``(n,)`` uint8 gold
-    flags; and ``bits``, ``(n, 2, w)`` uint8, the label and gold sets as bit
-    rows. ``len`` is known at once. A column of ``Corpus.column`` is
-    decoded on its first read and kept; the tuple of ``PairExample`` is
-    built on first access and kept, each pair's rows views of the payload.
-    Indexing and iteration work as on that tuple, and a slice is a tuple."""
+class _Records(Sequence):
+    """A corpus's records, the arrays a corpus file holds, and its examples.
+    ``rows``, ``(n, 3, dim)`` float64, is each pair's head, tail and context
+    row; ``doc_ids`` a list of doc_ids; ``doc``, ``(n,)`` int64, each pair's
+    doc_id as an index into ``doc_ids``, equal for equal doc_ids; ``ids``,
+    ``(n, 2)`` int64, its head and tail id; ``has_gold``, ``(n,)`` uint8, its
+    gold flag; and ``bits``, ``(n, 2, w)`` uint8, its label and gold set as
+    bit rows of ``w = ceil(n_rel / 8)`` bytes. Every array is read-only.
+    ``typed`` says whether every field is of the type a file holds, so
+    that the arrays hold the examples exactly.
 
-    __slots__ = ("rows", "doc_ids", "doc", "ids", "has_gold", "bits", "_columns", "_tuple")
+    Made from ``examples``, each array is encoded from them on its first
+    read, and ``doc_ids`` lists the distinct doc_ids in first-appearance
+    order. ``load_corpus`` gives every array instead, with the header's
+    ``doc_ids`` and each pair's first index in it that holds its doc_id. A
+    ``column`` is then decoded from the arrays on its first read and kept,
+    and the tuple of ``PairExample`` built on first access and kept, each
+    pair's rows views of ``rows``. Indexing and iteration work as on the
+    examples."""
 
-    def __init__(self, rows: np.ndarray, doc_ids: list[str], doc: np.ndarray, ids: np.ndarray,
-                 has_gold: np.ndarray, bits: np.ndarray):
-        self.rows, self.doc_ids, self.doc, self.ids = rows, doc_ids, doc, ids
-        self.has_gold, self.bits = has_gold, bits
+    def __init__(self, n_rel: int, dim: int, **fields):
+        self.n_rel, self.dim = n_rel, dim
         self._columns: dict[str, list] = {}
-        self._tuple = None
+        vars(self).update(fields)
+
+    @cached_property
+    def examples(self) -> tuple[PairExample, ...]:
+        return tuple(map(PairExample, *map(self.column, _FIELDS[:3]), *self.rows.swapaxes(0, 1),
+                         *map(self.column, _FIELDS[3:])))
+
+    def _field(self, name: str) -> list:
+        return list(map(attrgetter(name), self.examples))
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return _frozen(_stacked(self.examples, self.dim))
+
+    @cached_property
+    def doc_ids(self) -> list[str]:
+        return list(dict.fromkeys(self._field("doc_id")))
+
+    @cached_property
+    def doc(self) -> np.ndarray:
+        index = dict(zip(self.doc_ids, itertools.count()))
+        return _frozen(np.fromiter(map(index.__getitem__, self._field("doc_id")), np.int64,
+                                   len(self.examples)))
+
+    @cached_property
+    def ids(self) -> np.ndarray:
+        ids = np.array([self._field("head_id"), self._field("tail_id")], dtype=np.int64)
+        return _frozen(ids.T.copy())
+
+    @cached_property
+    def has_gold(self) -> np.ndarray:
+        gold = self._field("gold_positive_relations")
+        return _frozen(np.fromiter((g is not None for g in gold), np.uint8, len(gold)))
+
+    @cached_property
+    def bits(self) -> np.ndarray:
+        sets = self._field("positive_relations") + self._field("gold_positive_relations")
+        # each distinct label set packed once; None (no gold set) is an all-zero row
+        distinct = dict(zip(dict.fromkeys([None, *sets]), itertools.count()))
+        packed = np.packbits(label_mask([s or () for s in distinct], self.n_rel), axis=1,
+                             bitorder="little")
+        index = np.fromiter(map(distinct.__getitem__, sets), np.intp, len(sets))
+        return _frozen(packed[index.reshape(2, -1).T])
+
+    @cached_property
+    def typed(self) -> bool:
+        positive, gold = self._field("positive_relations"), self._field("gold_positive_relations")
+        ids = itertools.chain(self._field("head_id"), self._field("tail_id"))
+        return (  # in this order: labels are read once their sets are known to be frozensets
+            set(map(type, positive)) <= {frozenset}
+            and set(map(type, gold)) <= {frozenset, type(None)}
+            and set(map(type, itertools.chain(ids, *positive, *filter(None, gold)))) <= {int}
+            and set(map(type, self._field("doc_id"))) <= {str}
+            and all(set(map(type, self._field(name))) <= {np.ndarray} for name in _VECTOR_FIELDS)
+        )
 
     def column(self, name: str) -> list:
         """Field ``name`` of every pair, decoded on the first read and kept."""
@@ -323,37 +363,14 @@ class _LoadedExamples(Sequence):
             return [s if flag else None for s, flag in zip(labels, self.has_gold.tolist())]
         return labels
 
-    def label_rows(self, width: int, gold: bool) -> np.ndarray:
-        """``(n, width)`` boolean: the label (else gold) bit rows, unpacked
-        with one call; a gold row is the label row where the flag is 0."""
-        bits = self.bits[:, 0]
-        if gold:
-            bits = np.where(self.has_gold[:, None] == 1, self.bits[:, 1], bits)
-        return np.unpackbits(bits, axis=1, count=width, bitorder="little").view(bool)
-
-    def _built(self) -> tuple[PairExample, ...]:
-        if self._tuple is None:
-            self._tuple = tuple(
-                map(
-                    PairExample,
-                    self.column("doc_id"),
-                    self.column("head_id"),
-                    self.column("tail_id"),
-                    *self.rows.swapaxes(0, 1),
-                    self.column("positive_relations"),
-                    self.column("gold_positive_relations"),
-                )
-            )
-        return self._tuple
-
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.doc)
 
     def __getitem__(self, index):
-        return self._built()[index]
+        return self.examples[index]
 
     def __iter__(self):
-        return iter(self._built())
+        return iter(self.examples)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -361,11 +378,16 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _unpacked(bits: np.ndarray, width: int) -> np.ndarray:
+    """``(n, width)`` boolean, read-only: ``(n, w)`` bit rows unpacked with one call."""
+    return _frozen(np.unpackbits(bits, axis=1, count=width, bitorder="little").view(bool))
+
+
 def _document_groups(doc_ids: Sequence[str], codes: np.ndarray) -> dict[str, np.ndarray]:
-    """A loaded corpus's document groups: each doc_id with the indices of
-    its pairs, in order of first appearance, where pair ``i`` is in
-    document ``doc_ids[codes[i]]`` and equal doc_ids have equal codes. The
-    groups are read-only slices of one stable sort of ``codes``."""
+    """Each doc_id with the indices of its pairs, in order of first
+    appearance, where pair ``i`` is in document ``doc_ids[codes[i]]`` and
+    equal doc_ids have equal codes. The groups are read-only slices of one
+    stable sort of ``codes``."""
     order = _frozen(codes.argsort(kind="stable"))
     ordered = codes[order]
     new = np.ones(len(codes), dtype=bool)
@@ -378,22 +400,29 @@ def _document_groups(doc_ids: Sequence[str], codes: np.ndarray) -> dict[str, np.
     return {names[g]: order[bounds[g] : bounds[g + 1]] for g in ranked}
 
 
-def _stacked(examples: Sequence[PairExample], name: str, dim: int) -> np.ndarray:
-    """``(n, dim)`` float64: row field ``name`` of every example, stacked.
-    ShapeError names the first pair whose row is not ``(dim,)``."""
-    rows = list(map(attrgetter(name), examples))
+def _distinct_pairs(doc: np.ndarray, ids: np.ndarray) -> bool:
+    """Whether no (doc code, head_id, tail_id) triple repeats."""
+    return len(set(zip(doc.tolist(), *ids.T.tolist()))) == len(doc)
+
+
+def _stacked(examples: Sequence[PairExample], dim: int) -> np.ndarray:
+    """``(n, 3, dim)`` float64: every example's head, tail and context row,
+    in one copy. ShapeError names the first pair with a row that is not
+    ``(dim,)``."""
+    rows = list(itertools.chain.from_iterable(map(attrgetter(*_VECTOR_FIELDS), examples)))
     try:  # one copy, and no object per row: the rows are checked by their lengths
         flat = np.concatenate(rows, dtype=np.float64) if rows else np.empty(0)
         lengths = np.fromiter(map(len, rows), np.intp, len(rows))
     except (ValueError, TypeError):  # rows of more than one dimension, or not numbers
         flat = lengths = None
     if flat is None or flat.ndim != 1 or (lengths != dim).any():
-        for ex, row in zip(examples, rows):
+        for k, row in enumerate(rows):
             if np.shape(row) != (dim,):
+                ex, name = examples[k // 3], _VECTOR_FIELDS[k % 3]
                 raise ShapeError(f"pair {ex.doc_id}/{ex.head_id}/{ex.tail_id}: {name} of shape "
                                  f"{np.shape(row)}, expected ({dim},)")
-        raise ShapeError(f"{name} values that are not ({dim},) float64 vectors")
-    return flat.reshape(-1, dim)
+        raise ShapeError(f"rows that are not ({dim},) float64 vectors")
+    return flat.reshape(-1, 3, dim)
 
 
 def _segment_lse(rows: np.ndarray, sizes) -> np.ndarray:
@@ -576,55 +605,34 @@ def _bit_set(row: bytes) -> frozenset[int]:
 
 
 def save_corpus(corpus: Corpus, path) -> None:
-    """Write ``corpus`` to ``path`` in format version 5, the payload from
-    its ``head_rows``, ``tail_rows`` and ``context_rows``. A corpus that
+    """Write ``corpus``'s records in format version 5. A corpus that
     ``load_corpus`` would not read back as it is, one that
     ``Corpus.validate`` refuses, raises DataFormatError before the file is
     opened, naming the fault as ``validate`` does; checks over the whole
-    corpus decide."""
-    vocab, examples, dim = corpus.vocabulary, corpus.examples, corpus.embedding_dim
-    n, n_rel = len(examples), vocab.num_relations
-    doc_ids, heads, tails, positive, gold = map(corpus.column, _FIELDS)
-    if not (  # the arrays below need these types
-        set(map(type, positive)) <= {frozenset}
-        and set(map(type, gold)) <= {frozenset, type(None)}
-        and set(map(type, itertools.chain(heads, tails, *positive, *filter(None, gold)))) <= {int}
-        and set(map(type, doc_ids)) <= {str}
-        and all(set(map(type, map(attrgetter(name), examples))) <= {np.ndarray}
-                for name in _VECTOR_FIELDS)
-    ):
+    corpus decide: the records' types, finite rows, ``_record_fault`` and
+    no repeated pair."""
+    vocab, records = corpus.vocabulary, corpus._records
+    if not records.typed:  # the arrays below need these types
         _refuse(corpus, path, "ids, labels, doc_ids or vectors of another type")
-    # each distinct label set's index; None (no gold set) is 0, with an all-zero bit row
-    distinct = dict(zip(dict.fromkeys([None, *positive, *gold]), itertools.count()))
     try:
-        payload = np.stack((corpus.head_rows, corpus.tail_rows, corpus.context_rows), axis=1)
-        ids = np.array([heads, tails], dtype=np.int64).T
-        bit_rows = np.packbits(label_mask([s or () for s in distinct], n_rel), axis=1,
-                               bitorder="little")
+        arrays = (records.doc, records.ids, records.has_gold, records.bits)
+        rows = records.rows
     except (ValueError, TypeError, OverflowError, ContractError, ShapeError) as exc:
         _refuse(corpus, path, exc)
-    docs = dict(zip(dict.fromkeys(doc_ids), itertools.count()))
-    sets = np.fromiter(map(distinct.__getitem__, itertools.chain(positive, gold)), np.intp, 2 * n)
-    arrays = (
-        np.fromiter(map(docs.__getitem__, doc_ids), np.int64, n),
-        ids,
-        (sets[n:] != 0).view(np.uint8),
-        bit_rows[sets.reshape(2, n).T],
-    )
     if not (
-        np.isfinite(payload).all()
-        and _record_fault(arrays, len(docs), n_rel) is None
-        and len(set(zip(doc_ids, heads, tails))) == n
+        np.isfinite(rows).all()
+        and _record_fault(arrays, len(records.doc_ids), vocab.num_relations) is None
+        and _distinct_pairs(records.doc, records.ids)
     ):
         _refuse(corpus, path, "invalid pairs or vectors")
     header = {"format": _FORMAT, "version": _FORMAT_VERSION, "relations": list(vocab.relations),
               "na_index": vocab.na_index, "train_frequency": dict(vocab.train_frequency),
-              "label_source": corpus.label_source.value, "embedding_dim": dim,
-              "num_examples": n, "doc_ids": list(docs)}
+              "label_source": corpus.label_source.value, "embedding_dim": corpus.embedding_dim,
+              "num_examples": len(rows), "doc_ids": records.doc_ids}
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode() + b"\n")
         fh.writelines(np.ascontiguousarray(a, dtype) for (dtype, _), a in zip(_RECORD_ARRAYS, arrays))
-        fh.write(payload.astype("<f8", copy=False))
+        fh.write(rows.astype("<f8", copy=False))
 
 
 def _refuse(corpus: Corpus, path, reason) -> NoReturn:
@@ -640,11 +648,11 @@ def load_corpus(path) -> Corpus:
     """Load a corpus file, checking its header, ``_record_fault`` over its
     arrays, a payload of exactly three rows per record, finite values and
     no repeated (doc_id, head_id, tail_id); DataFormatError names the path,
-    and ``record k`` for a fault in one record. The examples object keeps
-    copies of the payload and the record arrays (see ``_LoadedExamples``),
-    and decodes no label set: the corpus's pooled and context rows are
-    views of the payload, and examples are built on first access, their
-    rows views of it too."""
+    and ``record k`` for a fault in one record. The corpus's examples
+    object is its records (``_Records``), copies of the file's arrays, and
+    decodes no label set: the corpus's pooled and context rows are views
+    of the payload, and examples are built on first access, their rows
+    views of it too."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -696,10 +704,11 @@ def load_corpus(path) -> Corpus:
     # that equal doc_ids have equal codes; the copies let the file's bytes go
     first = dict(zip(reversed(doc_ids), range(len(doc_ids) - 1, -1, -1)))
     doc = np.fromiter(map(first.__getitem__, doc_ids), np.int64, len(doc_ids))[doc]
-    examples = _LoadedExamples(rows, doc_ids, *map(_frozen, (doc, ids.copy(), has_gold.copy(),
-                                                             bits.copy())))
-    corpus = Corpus(vocab, examples, label_source, dim)
-    if len(set(zip(doc.tolist(), *ids.T.tolist()))) != n:
+    records = _Records(n_rel, dim, rows=rows, doc_ids=doc_ids, doc=_frozen(doc),
+                       ids=_frozen(ids.copy()), has_gold=_frozen(has_gold.copy()),
+                       bits=_frozen(bits.copy()), typed=True)
+    corpus = Corpus(vocab, records, label_source, dim)
+    if not _distinct_pairs(doc, ids):
         try:
             build_pair_index(corpus)
         except DuplicatePairError as exc:

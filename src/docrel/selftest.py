@@ -124,7 +124,7 @@ def _loss_case(labels, logits, emb, cfg, bp=(), sampled=None):
     """
     n = len(labels)
     batch = Batch(
-        example_indices=tuple(range(n)),
+        example_indices=np.arange(n),
         bp_indices=tuple(bp),
         bn_indices=tuple(i for i, labels_i in enumerate(labels) if not labels_i),
         sampled_negatives=sampled or {},
@@ -286,7 +286,7 @@ def _tiny_instance(rng, n_rel: int, n: int, dim: int, sampling: bool):
                 sorted(int(r) for r in rng.choice(n_rel, size=size, replace=False))
             )
     batch = Batch(
-        example_indices=tuple(range(n)),
+        example_indices=np.arange(n),
         bp_indices=bp,
         bn_indices=bn,
         sampled_negatives=sampled,

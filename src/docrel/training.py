@@ -165,7 +165,7 @@ def train(
                     batch, train_corpus, loss_cfg.neg_sampling_ratio, rng
                 )
 
-            rows = np.array(batch.example_indices)
+            rows = batch.example_indices
             try:
                 forward = head_forward(head[rows], tail[rows], context[rows], current)
                 out = batch_loss(labels[rows], batch, forward, train_corpus.vocabulary, loss_cfg)

@@ -36,7 +36,10 @@ class TestAssembleBatches:
         corpus = corpus_with_docs(labels, docs)
         a = assemble_batches(corpus, 3, rng_seed=42)
         b = assemble_batches(corpus, 3, rng_seed=42)
-        assert [x.example_indices for x in a] == [x.example_indices for x in b]
+        assert [(x.example_indices.dtype, x.example_indices.tobytes()) for x in a] == [
+            (x.example_indices.dtype, x.example_indices.tobytes()) for x in b]
+        assert all(x.example_indices.dtype == np.intp and not x.example_indices.flags.writeable
+                   for x in a)
 
     def test_documents_stay_whole(self):
         labels = [{0}, {1}, set(), {2}, set(), {0}]

@@ -128,7 +128,8 @@ class TestPartition:
     @staticmethod
     def negative_mask(corpus, config, sample_rng=None):
         rows = (0,) if corpus.examples[0].is_na else ()
-        batch = Batch(example_indices=(0,), bp_indices=(0,)[len(rows):], bn_indices=rows)
+        batch = Batch(example_indices=np.zeros(1, np.intp), bp_indices=(0,)[len(rows):],
+                      bn_indices=rows)
         if sample_rng is not None:
             batch = attach_negative_samples(batch, corpus, config.neg_sampling_ratio, sample_rng)
         n_rel = corpus.vocabulary.num_relations
@@ -403,6 +404,24 @@ class TestCorpusCache:
         for name in ("head_rows", "tail_rows", "context_rows"):
             assert getattr(part, name).tobytes() == getattr(loaded, name)[::-3].tobytes()
 
+    def test_loaded_corpus_under_more_relations_encodes_its_examples(self, tmp_path):
+        """Under a vocabulary of 9 relations, a loaded 3-relation corpus's
+        bit rows are too narrow, so its records are encoded from its
+        examples: its arrays and its saved file are the in-memory corpus's."""
+        path, again, wide = tmp_path / "c.jsonl", tmp_path / "again.jsonl", tmp_path / "w.jsonl"
+        corpus = mention_corpus()
+        save_corpus(corpus, path)
+        vocabulary = RelationVocabulary.from_relations("abcdefghi")
+        in_memory = replace(corpus, vocabulary=vocabulary)
+        loaded = replace(load_corpus(path), vocabulary=vocabulary)
+        assert derived_arrays(loaded) == derived_arrays(in_memory)
+        assert loaded.label_rows.shape == (40, 9)
+        save_corpus(loaded, again)
+        save_corpus(in_memory, wide)
+        assert again.read_bytes() == wide.read_bytes()
+        assert load_corpus(again).column("positive_relations") == corpus.column(
+            "positive_relations")
+
     @pytest.mark.parametrize(
         "changes",
         [{"vocabulary": RelationVocabulary.from_relations(["a", "b", "c"], {"b": 2})},
@@ -521,43 +540,101 @@ class TestCorpusCache:
                                                   "head=2 tail=3"):
             load_corpus(path)
 
-    @pytest.mark.parametrize("corpus", [
-        mention_corpus(),
-        make_corpus([{0}, {1, 2}, set(), {0, 3}, set()]),
-        make_corpus([{1}, set(), {1}, {0, 2}], docs_of=["b", "a", "b", "a"]),
-        make_corpus([]),
-    ], ids=["mentions", "small", "interleaved-docs", "empty"])
-    def test_lazy_examples_equal_eager_ones(self, corpus, tmp_path):
-        path = tmp_path / "c.jsonl"
+    def test_saving_again_encodes_nothing(self, monkeypatch, tmp_path):
+        """A loaded corpus is saved from the records it read, and an
+        in-memory corpus encodes its records once: saving either again
+        builds no ``PairExample``, decodes no label set, stacks no row and
+        builds no label mask, and writes the same bytes."""
+        first, again, twice = (tmp_path / name for name in ("a.jsonl", "b.jsonl", "c.jsonl"))
+        corpus = mention_corpus()
+        save_corpus(corpus, first)
+        loaded = load_corpus(first)
+
+        def refuse(*args):
+            raise AssertionError("encoded or decoded a record again")
+
+        for name in ("_bit_set", "_stacked", "label_mask"):
+            monkeypatch.setattr(core, name, refuse)
+        with counting_pair_examples() as count:
+            save_corpus(loaded, again)
+            save_corpus(corpus, twice)
+        assert count == [0]
+        assert again.read_bytes() == twice.read_bytes() == first.read_bytes()
+
+    # how a drawn corpus names its documents and builds its sides
+    @pytest.mark.parametrize("layout", ["mentions", "small", "interleaved-docs", "empty"])
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data(), n_rel=st.sampled_from([1, 7, 8, 9, 17]))
+    def test_lazy_examples_equal_eager_ones(self, tmp_path_factory, data, n_rel, layout):
+        """Up to 30 pairs over 1 to 17 relations, with a gold set that is
+        None, empty or not; ``mentions`` pools each side from 1 to 4 rows,
+        ``small`` gives each pair a document of its own, and
+        ``interleaved-docs`` reuses three doc_ids in any order. A saved file
+        may have its header's ``doc_ids`` edited: each named twice, out of
+        record order, each record taking either entry."""
+        count = 0 if layout == "empty" else data.draw(st.integers(1, 30))
+        docs = st.sampled_from(["b", "a", "c"]) if layout == "interleaved-docs" else (
+            st.sampled_from([f"doc{k}" for k in range(7)]))
+        labels = st.frozensets(st.integers(0, n_rel - 1), max_size=4)
+        rng = np.random.default_rng(count)
+
+        def side():
+            if layout != "mentions":
+                return rng.normal(size=3)
+            return logsumexp_pool(rng.normal(scale=5, size=(int(rng.integers(1, 5)), 3)))
+
+        examples = tuple(
+            PairExample(f"doc{i}" if layout == "small" else data.draw(docs), 2 * i, 2 * i + 1,
+                        side(), side(), rng.normal(size=3), data.draw(labels),
+                        data.draw(st.none() | labels))
+            for i in range(count)
+        )
+        corpus = Corpus(RelationVocabulary.from_relations([f"r{k}" for k in range(n_rel)]),
+                        examples, LabelSource.ORIGINAL, 3)
+        path = tmp_path_factory.mktemp("lazy") / "c.jsonl"
         save_corpus(corpus, path)
+        if count and data.draw(st.booleans()):
+            saved = CorpusFile(path)
+            m = len(saved.header["doc_ids"])
+            saved.header["doc_ids"] = saved.header["doc_ids"][::-1] * 2
+            second = data.draw(st.lists(st.booleans(), min_size=count, max_size=count))
+            index = saved.arrays["doc_index"]
+            index[:] = m - 1 - index + np.multiply(m, second)
+            saved.save()
         check_lazy_examples(corpus, path)
 
 
 def check_lazy_examples(corpus, path):
-    """Load ``path``, where ``corpus`` was saved: the arrays derived from the
-    loaded columns are built with no ``PairExample`` and equal, bit for bit,
-    those derived from the examples; the examples, built on first access,
-    hold the in-memory corpus's fields and views of the payload."""
+    """Load ``path``, where ``corpus`` was saved: the loaded corpus derives
+    its arrays with no ``PairExample``, and they and its document groups
+    equal, bit for bit, those of ``corpus``, of ``corpus`` under an equal
+    vocabulary and of the loaded corpus given its examples as a tuple; the
+    examples, built on first access, hold the in-memory corpus's fields and
+    views of the payload."""
     with counting_pair_examples() as count:
         loaded = load_corpus(path)
         assert len(loaded.examples) == len(corpus.examples)
         assert [list(loaded.column(f)) for f in core._FIELDS] == [
             corpus.column(f) for f in core._FIELDS]
-        from_columns = [getattr(loaded, name) for name in CACHED]
+        expected = derived_arrays(loaded)
     assert count == [0]
     assert type(loaded.examples[:]) is tuple and type(loaded.examples[1:2]) is tuple
     eager = replace(loaded, examples=loaded.examples[:])
     assert eager.column("doc_id") is not eager.column("doc_id")  # read from its examples
-    for name, array in zip(CACHED[:-1], from_columns):
-        other = getattr(eager, name)
-        assert (other.dtype, other.shape, other.tobytes()) == (
-            array.dtype, array.shape, array.tobytes()), name
-    groups, eager_groups = from_columns[-1], eager.document_groups
-    assert list(groups) == list(eager_groups) == list(dict.fromkeys(
-        ex.doc_id for ex in corpus.examples))
-    for doc, rows in groups.items():
-        assert (rows.dtype, rows.tobytes()) == (eager_groups[doc].dtype,
-                                                eager_groups[doc].tobytes())
+    vocabulary = corpus.vocabulary.with_frequencies({corpus.vocabulary.relations[0]: 3})
+    for other in (corpus, eager, replace(corpus, vocabulary=vocabulary)):
+        assert derived_arrays(other) == expected
+    # the references: label masks of the label sets, and groups built pair by pair
+    positive, gold = (corpus.column(f) for f in core._FIELDS[3:])
+    width = corpus.vocabulary.num_relations
+    assert loaded.label_rows.tobytes() == label_mask(positive, width).tobytes()
+    assert loaded.gold_rows.tobytes() == label_mask(
+        [p if g is None else g for p, g in zip(positive, gold)], width).tobytes()
+    groups = {}
+    for i, ex in enumerate(corpus.examples):
+        groups.setdefault(ex.doc_id, []).append(i)
+    assert list(loaded.examples_by_document().items()) == list(groups.items())
+    assert loaded.pair_ids.tolist() == [[ex.head_id, ex.tail_id] for ex in corpus.examples]
     for x, y in zip(corpus.examples, loaded.examples, strict=True):
         assert [getattr(x, f) for f in core._FIELDS] == [getattr(y, f) for f in core._FIELDS]
         for f in ("head_vectors", "tail_vectors", "context"):

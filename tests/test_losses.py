@@ -321,7 +321,7 @@ def sampled_loss(f, sampled, cfg, labels=frozenset()):
     with the given sampled negative set (no contrastive part)."""
     f = np.asarray(f, dtype=float)
     batch = Batch(
-        example_indices=(0,),
+        example_indices=np.zeros(1, np.intp),
         bp_indices=(),
         bn_indices=(0,),
         sampled_negatives={0: tuple(sampled)},
