@@ -20,7 +20,6 @@ from .core import (
     PairExample,
     RelationVocabulary,
     bucket_relations,
-    build_pair_index,
     load_corpus,
     logsumexp_pool,
     save_corpus,
@@ -30,7 +29,6 @@ from .errors import (
     ContractError,
     DataFormatError,
     DocrelError,
-    DuplicatePairError,
     NonFiniteLossError,
     NumericError,
     ShapeError,

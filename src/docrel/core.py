@@ -20,11 +20,11 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Mapping, NoReturn, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataFormatError, DuplicatePairError, ShapeError
+from .errors import ConfigError, ContractError, DataFormatError, ShapeError
 
 __all__ = [
     "Bucket",
@@ -33,7 +33,6 @@ __all__ = [
     "Mention",
     "PairExample",
     "Corpus",
-    "build_pair_index",
     "bucket_relations",
     "label_mask",
     "logsumexp_pool",
@@ -190,12 +189,25 @@ class Corpus:
     embedding_dim: int
 
     def validate(self) -> None:
-        """Check every example with ``_check_example``, naming the first at
-        fault ``example k``, then that no (doc_id, head_id, tail_id) triple
-        repeats (``build_pair_index``)."""
-        for i, ex in enumerate(self.examples):
-            _check_example(ex, self.vocabulary.num_relations, self.embedding_dim, f"example {i}")
-        build_pair_index(self)
+        """Check the records that ``save_corpus`` would write with the record
+        predicate ``_record_fault``, and name the first example at fault
+        ``example k``. Where the examples cannot be encoded as records (a
+        field of another type, an id outside int64, a label outside
+        ``0 .. |R|-1``, a row that is not a real ``(d,)`` vector),
+        ``_check_example`` names the example. A loaded corpus is checked
+        from the records it read, with no ``PairExample`` built."""
+        records = self._records
+        try:
+            if not records.typed:  # the arrays need these types
+                raise TypeError("ids, labels, doc_ids or vectors of another type")
+            fault = _record_fault(records)
+        except (ValueError, TypeError, OverflowError, ContractError, ShapeError) as exc:
+            for k, ex in enumerate(self.examples):
+                _check_example(ex, self.vocabulary.num_relations, self.embedding_dim,
+                               f"example {k}")
+            raise DataFormatError(str(exc)) from exc
+        if fault is not None:
+            raise DataFormatError(f"example {fault[0]}: {fault[1]}")
 
     def column(self, name: str) -> Sequence:
         """One field of every pair, one of ``_FIELDS``, in corpus order. A
@@ -256,9 +268,6 @@ class Corpus:
     def document_order(self) -> list[str]:
         """Distinct doc_ids in first-appearance order."""
         return list(self.document_groups)
-
-    def examples_by_document(self) -> dict[str, list[int]]:
-        return {doc: rows.tolist() for doc, rows in self.document_groups.items()}
 
 
 class _Records(Sequence):
@@ -400,9 +409,11 @@ def _document_groups(doc_ids: Sequence[str], codes: np.ndarray) -> dict[str, np.
     return {names[g]: order[bounds[g] : bounds[g + 1]] for g in ranked}
 
 
-def _distinct_pairs(doc: np.ndarray, ids: np.ndarray) -> bool:
-    """Whether no (doc code, head_id, tail_id) triple repeats."""
-    return len(set(zip(doc.tolist(), *ids.T.tolist()))) == len(doc)
+def _first_indices(items: list) -> np.ndarray:
+    """``(len(items),)`` int64: for each item, the first index in ``items``
+    that holds an equal item."""
+    first = dict(zip(reversed(items), range(len(items) - 1, -1, -1)))
+    return np.fromiter(map(first.__getitem__, items), np.int64, len(items))
 
 
 def _stacked(examples: Sequence[PairExample], dim: int) -> np.ndarray:
@@ -463,13 +474,14 @@ def logsumexp_pool(mention_embeddings) -> np.ndarray:
 
 
 def _check_example(ex: PairExample, n_rel: int, dim: int, where: str) -> None:
-    """The one check that names a fault in an example, by ``where``: the
-    doc_id is a ``str``, the label sets frozensets (the gold set may be
-    None), every id and label an ``int`` (``True`` and NumPy integers are
-    not), both ids within int64 and different, every label one of the
-    ``n_rel`` relations (the NA index ``n_rel`` is not), the three row
-    fields are ``np.ndarray``s (exactly: a list or a subclass is not), each
-    a ``(dim,)`` vector of real, finite values."""
+    """Name, by ``where``, a fault that keeps an example from being encoded
+    as a record: the doc_id is a ``str``, the label sets frozensets (the
+    gold set may be None), every id and label an ``int`` (``True`` and NumPy
+    integers are not), both ids within int64, every label one of the
+    ``n_rel`` relations (the NA index ``n_rel`` is not), and the three row
+    fields ``np.ndarray``s (exactly: a list or a subclass is not), each a
+    ``(dim,)`` vector of real values. The record predicate
+    ``_record_fault`` holds every other rule."""
     gold = ex.gold_positive_relations
     sets = (ex.positive_relations,) if gold is None else (ex.positive_relations, gold)
     if type(ex.doc_id) is not str:
@@ -482,12 +494,10 @@ def _check_example(ex: PairExample, n_rel: int, dim: int, where: str) -> None:
     for value in (ex.head_id, ex.tail_id):
         if not -(2**63) <= value < 2**63:
             raise DataFormatError(f"{where}: id {value} does not fit in int64")
-    if ex.head_id == ex.tail_id:
-        raise DataFormatError(f"{where}: head_id == tail_id == {ex.head_id}")
     for r in itertools.chain(*sets):
         if not 0 <= r < n_rel:
             raise DataFormatError(f"{where}: relation index {r} out of range")
-    for name, row_name in zip(_VECTOR_FIELDS, _ROW_NAMES):
+    for name in _VECTOR_FIELDS:
         row = getattr(ex, name)
         if type(row) is not np.ndarray:
             raise DataFormatError(f"{where}: {name} is a {type(row).__name__}, not a NumPy array")
@@ -496,8 +506,6 @@ def _check_example(ex: PairExample, n_rel: int, dim: int, where: str) -> None:
         if not np.can_cast(row.dtype, np.float64, "same_kind"):
             raise DataFormatError(f"{where}: {name} of dtype {row.dtype} does not hold "
                                   "real numbers")
-        if not np.isfinite(row).all():
-            raise DataFormatError(f"{where}: non-finite value in the {row_name}")
 
 
 def label_mask(index_sets, width: int) -> np.ndarray:
@@ -513,20 +521,6 @@ def label_mask(index_sets, width: int) -> np.ndarray:
     mask = np.zeros((len(sizes), width), dtype=bool)
     mask[rows, cols] = True
     return mask
-
-
-def build_pair_index(corpus: Corpus) -> dict[tuple[str, int, int], int]:
-    """Map (doc_id, head_id, tail_id) to the example's position.
-
-    Raises DuplicatePairError if the same triple appears twice.
-    """
-    index: dict[tuple[str, int, int], int] = {}
-    keys = zip(corpus.column("doc_id"), corpus.column("head_id"), corpus.column("tail_id"))
-    for i, key in enumerate(keys):
-        if key in index:
-            raise DuplicatePairError(*key)
-        index[key] = i
-    return index
 
 
 def bucket_relations(vocab: RelationVocabulary, cuts: tuple[int, int]) -> dict[int, Bucket]:
@@ -576,21 +570,34 @@ _RECORD_ARRAYS = (
 )
 
 
-def _record_fault(arrays, n_docs: int, n_rel: int) -> tuple[int, str] | None:
-    """The record predicate over every record at once: the first record that
-    breaks a rule and the rule's message, else None. Its doc index is one of
-    ``n_docs``, its ids differ, its gold flag is 0 (with an all-zero gold
-    row) or 1, and no label bit is at or above ``n_rel``."""
-    doc, ids, has_gold, bits = arrays
-    beyond = bits & np.packbits(np.arange(8 * bits.shape[2]) >= n_rel, bitorder="little")
-    rules = (
+def _record_fault(records: _Records) -> tuple[int, str] | None:
+    """The record predicate, over every record at once: the first record
+    that breaks a rule and the rule's message, else None. A record's doc
+    index is one of ``doc_ids``, its ids differ, its gold flag is 0 (with an
+    all-zero gold row) or 1, no label bit is at or above ``n_rel``, its head
+    row, tail row and context are finite, and no earlier record holds its
+    (doc, head_id, tail_id). The last two rules are built only when a test
+    over the whole split fails."""
+    doc, ids, has_gold, bits, rows = attrgetter("doc", "ids", "has_gold", "bits", "rows")(records)
+    n_docs, width = len(records.doc_ids), 8 * bits.shape[2]
+    beyond = bits & np.packbits(np.arange(width) >= records.n_rel, bitorder="little")
+    rules = [
         ((doc < 0) | (doc >= n_docs), lambda k: f"doc index {doc[k]} outside 0..{n_docs - 1}"),
         (ids[:, 0] == ids[:, 1], lambda k: f"head_id == tail_id == {ids[k, 0]}"),
         (has_gold > 1, lambda k: f"gold flag {has_gold[k]} is not 0 or 1"),
         ((has_gold == 0) & bits[:, 1].any(axis=1), lambda k: "gold labels without the gold flag"),
         (beyond.any(axis=(1, 2)), lambda k: "relation index "
-         f"{min(r % (8 * bits.shape[2]) for r in _bit_set(beyond[k].tobytes()))} out of range"),
-    )
+         f"{min(r % width for r in _bit_set(beyond[k].tobytes()))} out of range"),
+    ]
+    if not np.isfinite(rows).all():
+        finite = np.isfinite(rows).all(axis=2)
+        rules += [(~finite[:, side], lambda k, name=name: f"non-finite value in the {name}")
+                  for side, name in enumerate(_ROW_NAMES)]
+    keys = list(zip(doc.tolist(), *ids.T.tolist()))
+    if len(set(keys)) != len(keys):
+        rules.append((_first_indices(keys) != np.arange(len(keys)), lambda k: (
+            f"duplicate entity pair: doc={records.doc_ids[doc[k]]!r} head={ids[k, 0]} "
+            f"tail={ids[k, 1]}")))
     bad = np.logical_or.reduce([rule for rule, _ in rules], axis=0)
     if not bad.any():
         return None
@@ -606,53 +613,34 @@ def _bit_set(row: bytes) -> frozenset[int]:
 
 def save_corpus(corpus: Corpus, path) -> None:
     """Write ``corpus``'s records in format version 5. A corpus that
-    ``load_corpus`` would not read back as it is, one that
-    ``Corpus.validate`` refuses, raises DataFormatError before the file is
-    opened, naming the fault as ``validate`` does; checks over the whole
-    corpus decide: the records' types, finite rows, ``_record_fault`` and
-    no repeated pair."""
-    vocab, records = corpus.vocabulary, corpus._records
-    if not records.typed:  # the arrays below need these types
-        _refuse(corpus, path, "ids, labels, doc_ids or vectors of another type")
-    try:
-        arrays = (records.doc, records.ids, records.has_gold, records.bits)
-        rows = records.rows
-    except (ValueError, TypeError, OverflowError, ContractError, ShapeError) as exc:
-        _refuse(corpus, path, exc)
-    if not (
-        np.isfinite(rows).all()
-        and _record_fault(arrays, len(records.doc_ids), vocab.num_relations) is None
-        and _distinct_pairs(records.doc, records.ids)
-    ):
-        _refuse(corpus, path, "invalid pairs or vectors")
-    header = {"format": _FORMAT, "version": _FORMAT_VERSION, "relations": list(vocab.relations),
-              "na_index": vocab.na_index, "train_frequency": dict(vocab.train_frequency),
-              "label_source": corpus.label_source.value, "embedding_dim": corpus.embedding_dim,
-              "num_examples": len(rows), "doc_ids": records.doc_ids}
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode() + b"\n")
-        fh.writelines(np.ascontiguousarray(a, dtype) for (dtype, _), a in zip(_RECORD_ARRAYS, arrays))
-        fh.write(rows.astype("<f8", copy=False))
-
-
-def _refuse(corpus: Corpus, path, reason) -> NoReturn:
-    """Refuse to save ``corpus``, naming its fault as ``validate`` does, else ``reason``."""
+    ``Corpus.validate`` refuses, one whose records ``load_corpus`` would
+    refuse or not give back as they are, raises DataFormatError before the
+    file is opened, naming the path and the fault as ``validate`` does
+    (``example k``)."""
     try:
         corpus.validate()
     except (ShapeError, DataFormatError) as exc:
         raise DataFormatError(f"{path}: cannot save corpus: {exc}") from exc
-    raise DataFormatError(f"{path}: cannot save corpus: {reason}")
+    vocab, records = corpus.vocabulary, corpus._records
+    header = {"format": _FORMAT, "version": _FORMAT_VERSION, "relations": list(vocab.relations),
+              "na_index": vocab.na_index, "train_frequency": dict(vocab.train_frequency),
+              "label_source": corpus.label_source.value, "embedding_dim": corpus.embedding_dim,
+              "num_examples": len(records.doc), "doc_ids": records.doc_ids}
+    arrays = (records.doc, records.ids, records.has_gold, records.bits)
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode() + b"\n")
+        fh.writelines(np.ascontiguousarray(a, dtype) for (dtype, _), a in zip(_RECORD_ARRAYS, arrays))
+        fh.write(records.rows.astype("<f8", copy=False))
 
 
 def load_corpus(path) -> Corpus:
-    """Load a corpus file, checking its header, ``_record_fault`` over its
-    arrays, a payload of exactly three rows per record, finite values and
-    no repeated (doc_id, head_id, tail_id); DataFormatError names the path,
-    and ``record k`` for a fault in one record. The corpus's examples
-    object is its records (``_Records``), copies of the file's arrays, and
-    decodes no label set: the corpus's pooled and context rows are views
-    of the payload, and examples are built on first access, their rows
-    views of it too."""
+    """Load a corpus file, checking its header, a payload of exactly three
+    rows per record and ``_record_fault`` over its records; DataFormatError
+    names the path, and ``record k`` for a fault in one record. The
+    corpus's examples object is its records (``_Records``), copies of the
+    file's arrays, and decodes no label set: the corpus's pooled and
+    context rows are views of the payload, and examples are built on first
+    access, their rows views of it too."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -687,40 +675,22 @@ def load_corpus(path) -> Corpus:
             raise DataFormatError(f"{path}: header declares {n} examples, more than its arrays hold")
         arrays.append(np.frombuffer(data, dtype, math.prod(shape), start).reshape(shape))
         start += arrays[-1].nbytes
-    fault = _record_fault(arrays, len(doc_ids), n_rel)
-    if fault is not None:
-        raise DataFormatError(f"{path}: record {fault[0]}: {fault[1]}")
     doc, ids, has_gold, bits = arrays
     payload = memoryview(data)[start:]
     if len(payload) != 8 * 3 * n * dim:
         raise DataFormatError(f"{path}: vectors hold {len(payload)} bytes, expected {3 * n} "
                               f"rows of {dim} float64 values")
-    rows = _frozen(np.frombuffer(payload, "<f8").reshape(n, 3, dim).astype(np.float64))
-    finite = np.isfinite(rows).all(axis=2).ravel()
-    if not finite.all():
-        k, side = divmod(int(finite.argmin()), 3)  # the first non-finite row
-        raise DataFormatError(f"{path}: record {k}: non-finite value in the {_ROW_NAMES[side]}")
     # each pair's doc as the first index in doc_ids that holds its doc_id, so
-    # that equal doc_ids have equal codes; the copies let the file's bytes go
-    first = dict(zip(reversed(doc_ids), range(len(doc_ids) - 1, -1, -1)))
-    doc = np.fromiter(map(first.__getitem__, doc_ids), np.int64, len(doc_ids))[doc]
+    # that equal doc_ids have equal codes (an index outside doc_ids is kept,
+    # for the predicate to name); the copies let the file's bytes go
+    inside = (doc >= 0) & (doc < len(doc_ids))
+    doc = doc.copy()
+    doc[inside] = _first_indices(doc_ids)[doc[inside]]
+    rows = _frozen(np.frombuffer(payload, "<f8").reshape(n, 3, dim).astype(np.float64))
     records = _Records(n_rel, dim, rows=rows, doc_ids=doc_ids, doc=_frozen(doc),
                        ids=_frozen(ids.copy()), has_gold=_frozen(has_gold.copy()),
                        bits=_frozen(bits.copy()), typed=True)
-    corpus = Corpus(vocab, records, label_source, dim)
-    if not _distinct_pairs(doc, ids):
-        try:
-            build_pair_index(corpus)
-        except DuplicatePairError as exc:
-            raise DataFormatError(f"{path}: {exc}") from exc
-    return corpus
-
-
-def count_relation_frequencies(corpus: Corpus) -> dict[str, int]:
-    """Count how many examples carry each relation (by current labels)."""
-    relations = corpus.vocabulary.relations
-    counts = dict.fromkeys(relations, 0)
-    for labels in corpus.column("positive_relations"):
-        for r in labels:
-            counts[relations[r]] += 1
-    return counts
+    fault = _record_fault(records)
+    if fault is not None:
+        raise DataFormatError(f"{path}: record {fault[0]}: {fault[1]}")
+    return Corpus(vocab, records, label_source, dim)

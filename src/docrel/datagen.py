@@ -23,6 +23,7 @@ import itertools
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -34,7 +35,6 @@ from .core import (
     PairExample,
     RelationVocabulary,
     _segment_lse,
-    count_relation_frequencies,
     load_corpus,
     save_corpus,
 )
@@ -199,9 +199,6 @@ def generate_synthetic_corpus(config: SyntheticConfig) -> Corpus:
     """
     world = _World(config)
     d = config.embedding_dim
-    vocab = RelationVocabulary.from_relations(
-        [f"R{k:03d}" for k in range(config.num_relations)]
-    )
 
     kg_keys = {pair for pair, _ in world.kg}
     sig = config.prototype_noise_sigma
@@ -262,14 +259,18 @@ def generate_synthetic_corpus(config: SyntheticConfig) -> Corpus:
         PairExample(doc_id, h, t, head, tail, context, gold, gold)
         for (doc_id, h, t, context, gold), head, tail in zip(pairs, heads, tails)
     )
-    corpus = Corpus(
+    # each relation's count of gold labels, zeros kept, in relation order
+    counts = Counter(itertools.chain.from_iterable(gold for *_, gold in pairs))
+    relations = [f"R{k:03d}" for k in range(config.num_relations)]
+    vocab = RelationVocabulary.from_relations(
+        relations, {name: counts[k] for k, name in enumerate(relations)}
+    )
+    return Corpus(
         vocabulary=vocab,
         examples=examples,
         label_source=LabelSource.SYNTHETIC,
         embedding_dim=d,
     )
-    vocab = vocab.with_frequencies(count_relation_frequencies(corpus))
-    return replace(corpus, vocabulary=vocab)
 
 
 def generate_regime_splits(

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from operator import attrgetter
 
 import numpy as np
 
-from .core import (Corpus, LabelSource, PairExample, RelationVocabulary, _segment_lse,
-                   build_pair_index)
-from .errors import ConfigError, DataFormatError, DuplicatePairError
+from .core import (Corpus, LabelSource, PairExample, RelationVocabulary, _first_indices,
+                   _segment_lse)
+from .errors import ConfigError, DataFormatError
 
 __all__ = ["hashed_featurizer", "load_docred_json"]
 
@@ -294,14 +295,13 @@ def load_docred_json(path, dim: int = 64) -> Corpus:
         for h, t, context in zip(heads.tolist(), tails.tolist(), contexts)
     ]
 
-    corpus = Corpus(
+    keys = list(map(attrgetter("doc_id", "head_id", "tail_id"), examples))
+    if len(set(keys)) != len(keys):  # name the first pair that repeats an earlier one
+        doc, head, tail = keys[int((_first_indices(keys) != np.arange(len(keys))).argmax())]
+        raise DataFormatError(f"{path}: duplicate entity pair: doc={doc!r} head={head} tail={tail}")
+    return Corpus(
         vocabulary=vocab,
         examples=tuple(examples),
         label_source=LabelSource.ORIGINAL,
         embedding_dim=dim,
     )
-    try:
-        build_pair_index(corpus)
-    except DuplicatePairError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
-    return corpus

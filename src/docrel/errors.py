@@ -32,16 +32,6 @@ class DataFormatError(DocrelError):
     """Malformed or inconsistent data on disk or in memory."""
 
 
-class DuplicatePairError(DataFormatError):
-    """The same (doc, head, tail) triple appears more than once."""
-
-    def __init__(self, doc_id, head_id, tail_id):
-        self.triple = (doc_id, head_id, tail_id)
-        super().__init__(
-            f"duplicate entity pair: doc={doc_id!r} head={head_id} tail={tail_id}"
-        )
-
-
 class NonFiniteLossError(NumericError):
     """Training hit a non-finite loss; carries diagnostics."""
 

@@ -18,13 +18,12 @@ from docrel.core import (
     PairExample,
     RelationVocabulary,
     bucket_relations,
-    build_pair_index,
     label_mask,
     load_corpus,
     logsumexp_pool,
     save_corpus,
 )
-from docrel.errors import ConfigError, DataFormatError, DocrelError, DuplicatePairError, ShapeError
+from docrel.errors import ConfigError, DataFormatError, DocrelError, ShapeError
 from docrel.evaluation import evaluate
 from docrel.head import init_head_params
 from docrel.losses import LossConfig, _negative_mask
@@ -57,27 +56,42 @@ class TestRelationVocabulary:
 
 
 class TestPairIndex:
-    def test_empty_corpus(self):
+    """A pair's index is its (doc_id, head_id, tail_id): ``validate`` and
+    ``save_corpus`` refuse one that repeats, naming the later example."""
+
+    def test_empty_corpus(self, tmp_path):
         corpus = make_corpus([])
-        assert build_pair_index(corpus) == {}
+        corpus.validate()
+        save_corpus(corpus, tmp_path / "c.jsonl")
+        assert len(load_corpus(tmp_path / "c.jsonl").examples) == 0
 
-    def test_three_distinct_pairs(self):
+    def test_three_distinct_pairs(self, tmp_path):
         corpus = make_corpus([{0}, {1}, set()])
-        index = build_pair_index(corpus)
-        assert len(index) == 3
+        corpus.validate()
+        save_corpus(corpus, tmp_path / "c.jsonl")
+        assert len(load_corpus(tmp_path / "c.jsonl").examples) == 3
 
-    def test_round_trip(self, small_corpus):
-        index = build_pair_index(small_corpus)
-        for i, ex in enumerate(small_corpus.examples):
-            assert index[(ex.doc_id, ex.head_id, ex.tail_id)] == i
+    def test_round_trip(self, small_corpus, tmp_path):
+        # one pair in two documents is two pairs
+        examples = (*small_corpus.examples, replace(small_corpus.examples[1], doc_id="doc2"))
+        corpus = replace(small_corpus, examples=examples)
+        corpus.validate()
+        save_corpus(corpus, tmp_path / "c.jsonl")
+        loaded = load_corpus(tmp_path / "c.jsonl")
+        assert [(ex.doc_id, ex.head_id, ex.tail_id) for ex in loaded.examples] == [
+            (ex.doc_id, ex.head_id, ex.tail_id) for ex in examples]
 
-    def test_duplicate_triple_rejected(self):
+    def test_duplicate_triple_rejected(self, tmp_path):
         vocab = RelationVocabulary.from_relations(["r0", "r1"])
-        examples = (make_example("d", 1, 2, {0}, dim=4), make_example("d", 1, 2, {1}, dim=4))
+        examples = (make_example("d", 1, 2, {0}, dim=4), make_example("e", 1, 2, {0}, dim=4),
+                    make_example("d", 1, 2, {1}, dim=4))
         corpus = Corpus(vocab, examples, LabelSource.GOLD, 4)
-        with pytest.raises(DuplicatePairError) as err:
-            build_pair_index(corpus)
-        assert err.value.triple == ("d", 1, 2)
+        message = "example 2: duplicate entity pair: doc='d' head=1 tail=2"
+        with pytest.raises(DataFormatError, match=f"^{message}$"):
+            corpus.validate()
+        with pytest.raises(DataFormatError, match=f"c.jsonl: cannot save corpus: {message}$"):
+            save_corpus(corpus, tmp_path / "c.jsonl")
+        assert not (tmp_path / "c.jsonl").exists()
 
 
 class TestBuckets:
@@ -228,9 +242,11 @@ class TestSerialization:
           r"id or label np\.int32\(1\) is not an integer"),
          ("doc_id", 3, "doc_id 3 is not a string"),
          ("positive_relations", {0}, r"label sets \(\{0\},.*\) are not frozensets"),
-         ("head_id", 2**63, "id 9223372036854775808 does not fit in int64")],
+         ("head_id", 2**63, "id 9223372036854775808 does not fit in int64"),
+         ("context", np.array(["a", "b", "c", "d"]), "context of dtype <U1 does not hold real "
+                                                      "numbers")],
         ids=["numpy-int-id", "true-label", "numpy-int-gold-label", "int-doc-id", "set-labels",
-             "id-past-int64"],
+             "id-past-int64", "text-context"],
     )
     def test_save_refuses_what_load_would_not_give_back(self, small_corpus, tmp_path, field,
                                                         value, message):
@@ -256,13 +272,13 @@ class TestSerialization:
          ({"tail_vectors": np.array([0.0, np.inf, 0.0, 0.0])},
           "example 3: non-finite value in the tail row"),
          ({"doc_id": "doc1", "head_id": 2, "tail_id": 3},
-          "duplicate entity pair: doc='doc1' head=2 tail=3")],
+          "example 3: duplicate entity pair: doc='doc1' head=2 tail=3")],
         ids=["no-head-mentions", "head-is-tail", "label-past-relations", "negative-label",
              "gold-label-past-relations", "nan-in-context", "inf-in-a-mention", "repeated-pair"],
     )
     def test_save_refuses_what_load_refuses(self, small_corpus, tmp_path, changes, message):
-        """Caught before the file is opened, naming the example or the
-        repeated pair: a file already there stays as it was."""
+        """Caught before the file is opened, naming the example: a file
+        already there stays as it was."""
         examples = list(small_corpus.examples)
         examples[3] = replace(examples[3], **changes)
         path = tmp_path / "corpus.jsonl"
@@ -381,10 +397,8 @@ class TestCorpusCache:
     def test_document_groups_keep_first_appearance_order(self):
         corpus = mention_corpus()
         assert corpus.document_order() == [f"doc{k}" for k in range(7)]
-        groups = corpus.examples_by_document()
-        assert groups["doc2"] == [i for i in range(40) if i % 7 == 2]
-        groups["doc2"].clear()  # a caller's copy, not the cache
-        assert corpus.examples_by_document()["doc2"] != []
+        groups = corpus.document_groups
+        assert groups["doc2"].tolist() == [i for i in range(40) if i % 7 == 2]
 
     def test_replaced_copy_derives_arrays_of_its_own(self):
         corpus = mention_corpus()
@@ -533,12 +547,30 @@ class TestCorpusCache:
         loaded = load_corpus(path)
         assert loaded.column("doc_id") == corpus.column("doc_id")
         assert list(loaded.document_groups) == ["b", "a", "c"]
-        assert loaded.examples_by_document() == corpus.examples_by_document() == {
-            "b": [0, 2], "a": [1, 4], "c": [3]}
+        for groups in (loaded.document_groups, corpus.document_groups):
+            assert {doc: rows.tolist() for doc, rows in groups.items()} == {
+                "b": [0, 2], "a": [1, 4], "c": [3]}
         saved.edit(4, ids=[2, 3])  # record 1's pair, under the other "a"
-        with pytest.raises(DataFormatError, match=f"{path}: duplicate entity pair: doc='a' "
-                                                  "head=2 tail=3"):
+        with pytest.raises(DataFormatError, match=f"{path}: record 4: duplicate entity pair: "
+                                                  "doc='a' head=2 tail=3$"):
             load_corpus(path)
+
+    def test_validating_a_loaded_corpus_builds_no_example(self, monkeypatch, tmp_path):
+        """``validate`` checks the records a loaded corpus read, as
+        ``load_corpus`` did: it builds no ``PairExample`` and calls no
+        per-example check."""
+        path = tmp_path / "c.jsonl"
+        save_corpus(mention_corpus(), path)
+        loaded = load_corpus(path)
+
+        def refuse(*args):
+            raise AssertionError("checked an example")
+
+        monkeypatch.setattr(core, "_check_example", refuse)
+        with counting_pair_examples() as count:
+            loaded.validate()
+            save_corpus(loaded, tmp_path / "again.jsonl")
+        assert count == [0]
 
     def test_saving_again_encodes_nothing(self, monkeypatch, tmp_path):
         """A loaded corpus is saved from the records it read, and an
@@ -633,7 +665,8 @@ def check_lazy_examples(corpus, path):
     groups = {}
     for i, ex in enumerate(corpus.examples):
         groups.setdefault(ex.doc_id, []).append(i)
-    assert list(loaded.examples_by_document().items()) == list(groups.items())
+    assert [(doc, rows.tolist()) for doc, rows in loaded.document_groups.items()] == list(
+        groups.items())
     assert loaded.pair_ids.tolist() == [[ex.head_id, ex.tail_id] for ex in corpus.examples]
     for x, y in zip(corpus.examples, loaded.examples, strict=True):
         assert [getattr(x, f) for f in core._FIELDS] == [getattr(y, f) for f in core._FIELDS]
@@ -741,9 +774,11 @@ class TestLoadFailsClosed:
         with pytest.raises(DataFormatError,
                            match=f"{path}: record 2: non-finite value in the context"):
             load_corpus(path)
-        small_corpus.examples[2].context[0] = np.nan
-        with pytest.raises(DataFormatError, match="example 2: non-finite value in the context"):
-            small_corpus.validate()
+        # in memory: a corpus is checked from the records it encodes from its examples
+        examples = [replace(ex, context=ex.context.copy()) for ex in small_corpus.examples]
+        examples[2].context[0] = np.nan
+        with pytest.raises(DataFormatError, match="^example 2: non-finite value in the context$"):
+            replace(small_corpus, examples=tuple(examples)).validate()
 
     def test_overflowing_literal_in_mention_embedding(self, tmp_path, small_corpus):
         path, saved = self.saved(tmp_path, small_corpus)
@@ -777,7 +812,8 @@ class TestLoadFailsClosed:
     def test_duplicated_pair(self, tmp_path, small_corpus):
         path, saved = self.saved(tmp_path, small_corpus)
         saved.take([0, 1, 1, 2, 3])
-        with pytest.raises(DataFormatError, match=f"{path}: duplicate entity pair"):
+        with pytest.raises(DataFormatError, match=f"{path}: record 2: duplicate entity pair: "
+                                                  "doc='doc1' head=2 tail=3$"):
             load_corpus(path)
 
     def test_truncated_file(self, tmp_path, small_corpus):
@@ -1122,15 +1158,32 @@ EDIT_VALUES = {
 }
 
 
+def shared_pairs_corpus():
+    """Six pairs of three entities in two documents, each pair in both: an
+    edit of one id, or of a doc index, can repeat an earlier pair."""
+    rng = np.random.default_rng(2)
+    examples = tuple(
+        PairExample(doc, h, t, rng.normal(size=2), rng.normal(size=2), rng.normal(size=2),
+                    frozenset({(h + t) % 3}), None if doc == "d1" else frozenset({h}))
+        for h, t in ((0, 1), (0, 2), (1, 2)) for doc in ("d0", "d1")
+    )
+    return Corpus(RelationVocabulary.from_relations(["a", "b", "c"]), examples,
+                  LabelSource.ORIGINAL, 2)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(data=st.data(), field=st.sampled_from(list(EDIT_VALUES)))
-def test_one_record_edit_loads_as_edited_or_names_its_record(tmp_path_factory, data, field):
+@given(data=st.data(), field=st.sampled_from(list(EDIT_VALUES)),
+       shared=st.booleans())
+def test_one_record_edit_loads_as_edited_or_names_its_record(tmp_path_factory, data, field,
+                                                             shared):
     """Edit one field of one record of a saved file: its doc index, one id,
     its gold flag, one byte of a bit row or one payload value. Where
     ``CorpusFile`` decodes the edited file to a valid corpus, it loads as
     that corpus, field for field and bit for bit; else ``load_corpus``
-    names that record."""
-    corpus = mention_corpus(pairs=6, dim=2)  # 3 relations, 6 doc_ids
+    names that record, or, where the edit repeats another record's pair,
+    the later of the two. The six pairs are each in a document of its own,
+    or (``shared``) in two documents that hold the same three pairs."""
+    corpus = shared_pairs_corpus() if shared else mention_corpus(pairs=6, dim=2)  # 3 relations
     path = tmp_path_factory.mktemp("edit") / "c.jsonl"
     save_corpus(corpus, path)
     saved = CorpusFile(path)
@@ -1146,7 +1199,13 @@ def test_one_record_edit_loads_as_edited_or_names_its_record(tmp_path_factory, d
         expected = replace(corpus, examples=saved.examples())
         expected.validate()
     except (ValueError, DocrelError):  # no valid corpus holds the edited record
-        with pytest.raises(DataFormatError, match=re.escape(f"{path}: record {k}: ")):
+        # it, or the later record where it repeats the pair of a later one
+        doc_ids = saved.header["doc_ids"]
+        keys = [(doc_ids[d] if 0 <= d < len(doc_ids) else d, h, t)
+                for d, (h, t) in zip(saved.arrays["doc_index"].tolist(),
+                                     saved.arrays["ids"].tolist())]
+        named = max(j for j, key in enumerate(keys) if key == keys[k])
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: record {named}: ")):
             load_corpus(path)
     else:
         loaded = load_corpus(path)

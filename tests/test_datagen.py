@@ -48,10 +48,7 @@ class TestGenerator:
 
     def test_corpus_valid(self):
         corpus = generate_synthetic_corpus(SMALL)
-        corpus.validate()
-        from docrel.core import build_pair_index
-
-        build_pair_index(corpus)  # no duplicate (doc, h, t)
+        corpus.validate()  # no duplicate (doc, h, t) either
 
     def test_gold_labels_attached(self):
         corpus = generate_synthetic_corpus(SMALL)

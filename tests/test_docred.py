@@ -176,7 +176,7 @@ class TestLoader:
         second = json.loads(json.dumps(DOC))
         second["title"] = "fixture2"
         corpus = load_docred_json(write(tmp_path, [DOC, second]), dim=16)
-        by_doc = corpus.examples_by_document()
+        by_doc = corpus.document_groups
         first_ids = {
             corpus.examples[i].head_id for i in by_doc["fixture"]
         }

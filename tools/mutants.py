@@ -1,0 +1,197 @@
+"""A table of source mutants and the tests that must kill them, and a runner.
+
+    python tools/mutants.py [NAME ...]
+
+Each entry of ``MUTANTS`` replaces one exact text of one file with another,
+and names the tests expected to fail on the mutated source. For each mutant
+(all of them, or those named) the runner copies ``src``, ``tests``,
+``configs`` and ``pyproject.toml`` into a temporary directory, applies the
+mutant there, runs the named tests with pytest, and records each named
+test as killed (a case of it failed) or survived (every case passed).
+The unmutated copy runs first, and every named test must pass on it. The
+runner prints a mutant x test table and exits 1 if a mutant survives any
+of its tests, or if the unmutated copy fails one, else 0. Uses only the
+standard library and pytest.
+
+A tier-1 test (``tests/test_mutants.py``) checks that each old text occurs
+exactly once in its file, so that a refactor that moves the code cannot
+leave the table silently stale.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COPIED = ("src", "tests", "configs", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+CORE = "src/docrel/core.py"
+T = "tests/test_core.py::"
+SAVE_TYPES = T + "TestSerialization::test_save_refuses_what_load_would_not_give_back"
+LOAD_RECORDS = T + "TestLoadFailsClosed::test_record_predicate"
+
+MUTANTS = (
+    # the record predicate, core._record_fault: each rule disabled
+    Mutant("doc-index-rule-off", CORE,
+           "((doc < 0) | (doc >= n_docs), lambda",
+           "((doc < 0) & (doc >= n_docs), lambda",
+           (LOAD_RECORDS + "[doc-index-past-doc-ids]", LOAD_RECORDS + "[negative-doc-index]")),
+    Mutant("head-is-tail-rule-off", CORE,
+           "(ids[:, 0] == ids[:, 1], lambda",
+           "(ids[:, 0] != ids[:, 0], lambda",
+           (LOAD_RECORDS + "[head-is-tail]",
+            T + "TestSerialization::test_save_refuses_what_load_refuses[head-is-tail]")),
+    Mutant("gold-flag-rule-off", CORE,
+           "(has_gold > 1, lambda",
+           "(has_gold > 255, lambda",
+           (LOAD_RECORDS + "[gold-flag-2]",)),
+    Mutant("gold-without-flag-rule-off", CORE,
+           "((has_gold == 0) & bits[:, 1].any(axis=1), lambda",
+           "((has_gold == 2) & bits[:, 1].any(axis=1), lambda",
+           (LOAD_RECORDS + "[gold-labels-without-flag]",)),
+    Mutant("label-beyond-relations-rule-off", CORE,
+           "np.arange(width) >= records.n_rel",
+           "np.arange(width) >= width",
+           (T + "TestLoadFailsClosed::test_out_of_range_label",)),
+    # the two rules built only when a test over the whole split fails: the
+    # test never fails
+    Mutant("finite-fast-path-never-fails", CORE,
+           "if not np.isfinite(rows).all():",
+           "if False:",
+           (T + "TestLoadFailsClosed::test_nan_in_context",
+            T + "TestLoadFailsClosed::test_nan_in_record_k_names_record_k",
+            T + "TestSerialization::test_save_refuses_what_load_refuses[nan-in-context]")),
+    Mutant("repeated-pair-fast-path-never-fails", CORE,
+           "if len(set(keys)) != len(keys):",
+           "if False:",
+           (T + "TestLoadFailsClosed::test_duplicated_pair",
+            T + "TestPairIndex::test_duplicate_triple_rejected",
+            T + "TestSerialization::test_save_refuses_what_load_refuses[repeated-pair]")),
+    # load codes equal doc_ids alike, for groups and the repeated-pair rule
+    Mutant("doc-ids-coded-as-stored", CORE,
+           "doc[inside] = _first_indices(doc_ids)[doc[inside]]",
+           "doc[inside] = doc[inside]",
+           (T + "TestCorpusCache::test_document_groups_follow_the_records_not_the_header",)),
+    # the types the record arrays need: every field passes
+    Mutant("typed-forced-true", CORE,
+           "        return (  # in this order: labels are read",
+           "        return True or (  # in this order: labels are read",
+           (SAVE_TYPES + "[numpy-int-id]", SAVE_TYPES + "[int-doc-id]")),
+    # core._check_example, which names an example that cannot be encoded:
+    # each rule disabled
+    Mutant("check-doc-id-type-off", CORE,
+           "if type(ex.doc_id) is not str:",
+           "if False:",
+           (SAVE_TYPES + "[int-doc-id]",)),
+    Mutant("check-frozenset-type-off", CORE,
+           "if not all(type(s) is frozenset for s in sets):",
+           "if False:",
+           (SAVE_TYPES + "[set-labels]",)),
+    Mutant("check-int-type-off", CORE,
+           "if type(value) is not int:",
+           "if False:",
+           (SAVE_TYPES + "[numpy-int-id]", SAVE_TYPES + "[true-label]",
+            T + "TestLoadFailsClosed::test_non_integer_id_or_label")),
+    Mutant("check-int64-range-off", CORE,
+           "if not -(2**63) <= value < 2**63:",
+           "if False:",
+           (SAVE_TYPES + "[id-past-int64]",)),
+    Mutant("check-label-range-off", CORE,
+           "if not 0 <= r < n_rel:",
+           "if False:",
+           (T + "TestSerialization::test_save_refuses_what_load_refuses[label-past-relations]",
+            T + "TestSerialization::test_save_refuses_what_load_refuses[negative-label]")),
+    Mutant("check-ndarray-type-off", CORE,
+           "if type(row) is not np.ndarray:",
+           "if False:",
+           (T + "TestSerialization::test_vectors_that_are_not_arrays_are_refused",)),
+    Mutant("check-shape-off", CORE,
+           "if row.shape != (dim,):",
+           "if False:",
+           (T + "TestSerialization::test_save_refuses_vectors_of_the_wrong_width",
+            T + "TestSerialization::test_validate_catches_bad_vectors")),
+    Mutant("check-dtype-off", CORE,
+           'if not np.can_cast(row.dtype, np.float64, "same_kind"):',
+           "if False:",
+           (SAVE_TYPES + "[text-context]",)),
+)
+
+
+def copy_tree(into: str) -> None:
+    for name in COPIED:
+        source = os.path.join(ROOT, name)
+        if os.path.isdir(source):
+            shutil.copytree(source, os.path.join(into, name),
+                            ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
+        else:
+            shutil.copy(source, into)
+
+
+def outcomes(tree: str, tests: tuple[str, ...]) -> dict[str, bool]:
+    """Run ``tests`` in ``tree``: for each, whether every case of it passed."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider",
+                          *tests], cwd=tree, env=env, capture_output=True, text=True)
+    results = re.findall(r"^(PASSED|FAILED|ERROR) (\S+)", run.stdout, re.MULTILINE)
+    passed = {}
+    for test in tests:
+        cases = [status for status, node in results
+                 if node == test or node.startswith(test + "[") or node.startswith(test + "::")]
+        passed[test] = bool(cases) and all(status == "PASSED" for status in cases)
+    return passed
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    if argv and len(chosen) != len(set(argv)):
+        print(f"unknown mutants: {sorted(set(argv) - {m.name for m in MUTANTS})}", file=sys.stderr)
+        return 2
+    failed = False
+    with tempfile.TemporaryDirectory(prefix="docrel-mutants-") as scratch:
+        clean = os.path.join(scratch, "clean")
+        copy_tree(clean)
+        tests = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
+        for test, ok in outcomes(clean, tests).items():
+            if not ok:
+                print(f"fails on the unmutated source: {test}")
+                failed = True
+        if failed:
+            return 1
+        width = max(len(m.name) for m in chosen)
+        for mutant in chosen:
+            tree = os.path.join(scratch, mutant.name)
+            copy_tree(tree)
+            path = os.path.join(tree, mutant.path)
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            if text.count(mutant.old) != 1:
+                print(f"{mutant.name}: old text occurs {text.count(mutant.old)} times in "
+                      f"{mutant.path}, not once")
+                failed = True
+                continue
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text.replace(mutant.old, mutant.new))
+            for test, passed in outcomes(tree, mutant.tests).items():
+                print(f"{mutant.name:<{width}}  {'SURVIVED' if passed else 'killed  '}  {test}")
+                failed |= passed
+            shutil.rmtree(tree)
+    return int(failed)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
