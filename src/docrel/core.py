@@ -576,19 +576,26 @@ def _record_fault(records: _Records) -> tuple[int, str] | None:
     index is one of ``doc_ids``, its ids differ, its gold flag is 0 (with an
     all-zero gold row) or 1, no label bit is at or above ``n_rel``, its head
     row, tail row and context are finite, and no earlier record holds its
-    (doc, head_id, tail_id). The last two rules are built only when a test
-    over the whole split fails."""
+    (doc, head_id, tail_id). Each rule's mask over the records is built only
+    when a test over the whole split finds a record that breaks it."""
     doc, ids, has_gold, bits, rows = attrgetter("doc", "ids", "has_gold", "bits", "rows")(records)
     n_docs, width = len(records.doc_ids), 8 * bits.shape[2]
+    same = ids[:, 0] == ids[:, 1]
     beyond = bits & np.packbits(np.arange(width) >= records.n_rel, bitorder="little")
-    rules = [
-        ((doc < 0) | (doc >= n_docs), lambda k: f"doc index {doc[k]} outside 0..{n_docs - 1}"),
-        (ids[:, 0] == ids[:, 1], lambda k: f"head_id == tail_id == {ids[k, 0]}"),
-        (has_gold > 1, lambda k: f"gold flag {has_gold[k]} is not 0 or 1"),
-        ((has_gold == 0) & bits[:, 1].any(axis=1), lambda k: "gold labels without the gold flag"),
-        (beyond.any(axis=(1, 2)), lambda k: "relation index "
-         f"{min(r % width for r in _bit_set(beyond[k].tobytes()))} out of range"),
-    ]
+    rules = []  # each broken rule's mask, and its message for record k
+    if doc.min(initial=0) < 0 or doc.max(initial=-1) >= n_docs:
+        rules.append(((doc < 0) | (doc >= n_docs), lambda k: f"doc index {doc[k]} outside "
+                      f"0..{n_docs - 1}"))
+    if same.any():
+        rules.append((same, lambda k: f"head_id == tail_id == {ids[k, 0]}"))
+    if has_gold.max(initial=0) > 1:
+        rules.append((has_gold > 1, lambda k: f"gold flag {has_gold[k]} is not 0 or 1"))
+    if bits[has_gold == 0, 1].any():
+        rules.append(((has_gold == 0) & bits[:, 1].any(axis=1), lambda k: "gold labels without "
+                      "the gold flag"))
+    if beyond.any():
+        rules.append((beyond.any(axis=(1, 2)), lambda k: "relation index "
+                      f"{min(r % width for r in _bit_set(beyond[k].tobytes()))} out of range"))
     if not np.isfinite(rows).all():
         finite = np.isfinite(rows).all(axis=2)
         rules += [(~finite[:, side], lambda k, name=name: f"non-finite value in the {name}")
@@ -598,10 +605,9 @@ def _record_fault(records: _Records) -> tuple[int, str] | None:
         rules.append((_first_indices(keys) != np.arange(len(keys)), lambda k: (
             f"duplicate entity pair: doc={records.doc_ids[doc[k]]!r} head={ids[k, 0]} "
             f"tail={ids[k, 1]}")))
-    bad = np.logical_or.reduce([rule for rule, _ in rules], axis=0)
-    if not bad.any():
+    if not rules:
         return None
-    k = int(bad.argmax())
+    k = int(np.logical_or.reduce([rule for rule, _ in rules], axis=0).argmax())
     return k, next(message(k) for rule, message in rules if rule[k])
 
 

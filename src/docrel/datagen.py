@@ -7,7 +7,16 @@ pairs from that world; a positive pair's mention and context embeddings
 mix its relations' prototypes with noise, while NA pairs draw isotropic
 background directions of comparable norm. Because facts live in the world
 rather than in single documents, the same (head, relation, tail) fact can
-recur across splits, which keeps train-fact exclusion meaningful.
+recur across splits, which keeps train-fact exclusion meaningful. A
+regime's three splits share one world.
+
+A split is generated in two phases. A draw loop makes every random draw of
+each document's stream in order (pair kind, pair ids, the context's
+normals, then each side's mention count and normals) and keeps them raw,
+with each pair's entity ids and mixture. At the end of a document, once a
+run holds ``_POOL_SIDES`` sides or more, one array pass turns the run's
+draws into context and mention rows, with each element's operations in
+the order of the per-pair formula, and pools each side into its row.
 
 Corruption relabels positive examples as NA while keeping the gold label
 set on the side, which is exactly the false-negative noise the sampled
@@ -54,8 +63,9 @@ __all__ = [
 
 REGIME_KINDS = ("OOG", "OGG", "GGG", "OOO")
 CORRUPTION_MODES = ("example", "fact")
-# mention stacks pooled per kernel call: bounds the call's temporaries, so
-# that generating a split holds little beside the pairs it has built
+# sides per array pass: a run of pairs' raw draws is turned into rows and
+# pooled once it holds this many sides, which bounds the pass's temporaries,
+# so that generating a split holds little beside the pairs it has built
 _POOL_SIDES = 256
 
 
@@ -186,34 +196,50 @@ class _World:
         return self._mixtures[labels]
 
 
-def _noise(rng: np.random.Generator, size, d: int, sigma: float) -> np.ndarray:
-    """Gaussian noise of shape ``size`` whose ``d``-vectors have norm about ``sigma``."""
-    return rng.normal(size=size) * (sigma / math.sqrt(d))
+def _run_rows(world: _World, run: list[tuple], scales: tuple[float, float]) -> tuple:
+    """The ``(n, d)`` head rows, tail rows and contexts of a run of ``n``
+    pairs, from each pair's draws ``(head id, tail id, mixture, context,
+    head mentions, tail mentions)``: raw standard normals, and the mixture
+    None for an NA pair. ``scales`` are the noise scales of a positive and
+    an NA pair. Each element takes the per-pair formula's operations in its
+    order: a context is ``mixture + z*s`` (NA: ``z*s``) and a mention
+    ``(0.6*base + 0.8*mixture) + z*s`` (NA: ``0.6*base + z*s``), pooled by
+    ``_segment_lse``."""
+    head_ids, tail_ids, mixtures, contexts, head_draws, tail_draws = zip(*run)
+    n, sides = len(run), head_draws + tail_draws
+    positive = np.array([m is not None for m in mixtures])
+    no_mixture = np.zeros(world.prototypes.shape[1])
+    mixture = np.array([no_mixture if m is None else m for m in mixtures])
+    scale = np.where(positive, *scales)[:, None]
+    context = np.array(contexts) * scale
+    np.add(mixture, context, out=context, where=positive[:, None])
+    sizes = np.array(list(map(len, sides)))
+    pair = np.repeat(np.arange(2 * n) % n, sizes)  # each mention's pair
+    mentions = 0.6 * world.entity_base[np.repeat(head_ids + tail_ids, sizes)]
+    np.add(mentions, 0.8 * mixture[pair], out=mentions, where=positive[pair, None])
+    mentions += np.concatenate(sides) * scale[pair]
+    pooled = _segment_lse(mentions, sizes)
+    return pooled[:n], pooled[n:], context
 
 
 def generate_synthetic_corpus(config: SyntheticConfig) -> Corpus:
-    """Generate one gold-labeled split from the world defined by the config seed.
+    """Generate one gold-labeled split from the world defined by the config seed."""
+    return _generate_split(config, _World(config))
 
-    Each side's mention embeddings are drawn, then log-sum-exp pooled once,
-    ``_POOL_SIDES`` sides or more per call, into the pair's head or tail row.
-    """
-    world = _World(config)
+
+def _generate_split(config: SyntheticConfig, world: _World) -> Corpus:
+    """Generate one gold-labeled split from ``world``, the config seed's: a
+    draw loop, and ``_run_rows`` once per run of ``_POOL_SIDES`` sides."""
     d = config.embedding_dim
-
     kg_keys = {pair for pair, _ in world.kg}
-    sig = config.prototype_noise_sigma
+    n_kg = len(world.kg)
     m_lo, m_hi = config.mentions_per_entity
+    # noise of a positive pair's rows and of an NA pair's: d-vectors of norm about sigma, 1
+    scales = (config.prototype_noise_sigma / math.sqrt(d), 1.0 / math.sqrt(d))
 
-    def make_mentions(rng, entity: int, mixture: np.ndarray | None) -> np.ndarray:
-        count = int(rng.integers(m_lo, m_hi + 1))
-        base = 0.6 * world.entity_base[entity]
-        if mixture is not None:
-            return base + 0.8 * mixture + _noise(rng, (count, d), d, sig)
-        return base + _noise(rng, (count, d), d, 1.0)
-
-    pairs: list[tuple] = []  # doc_id, head id, tail id, context, gold labels
-    sides: list[np.ndarray] = []  # mention stacks not yet pooled: a pair's head, then its tail
-    pooled: list[np.ndarray] = []  # the pooled rows of those stacks, a run at a time
+    pairs: list[tuple] = []  # doc_id, head id, tail id, gold labels
+    run: list[tuple] = []  # the draws of the pairs not yet pooled, as ``_run_rows`` takes them
+    rows: list[tuple] = []  # each run's head rows, tail rows and contexts
     for doc_index in range(config.num_documents):
         rng = stream(config.seed, config.split, "doc", doc_index)
         doc_id = f"{config.split}-{doc_index:05d}"
@@ -224,16 +250,14 @@ def generate_synthetic_corpus(config: SyntheticConfig) -> Corpus:
             if rng.random() >= config.na_fraction:
                 # positive: draw a knowledge-graph pair not yet in this doc
                 for _ in range(64):
-                    pair, labels = world.kg[int(rng.integers(len(world.kg)))]
+                    pair, labels = world.kg[int(rng.integers(n_kg))]
                     if pair not in seen:
                         break
                 else:
                     continue
                 seen.add(pair)
                 h, t = pair
-                mixture = world.mixture(labels)
-                context = mixture + _noise(rng, d, d, sig)
-                gold = labels
+                mixture, gold = world.mixture(labels), labels
             else:
                 # NA: draw an ordered pair outside the knowledge graph
                 for _ in range(64):
@@ -244,20 +268,20 @@ def generate_synthetic_corpus(config: SyntheticConfig) -> Corpus:
                 else:
                     continue
                 seen.add((h, t))
-                mixture = None
-                context = _noise(rng, d, d, 1.0)
-                gold = frozenset()
-            pairs.append((doc_id, h, t, context, gold))
-            sides += (make_mentions(rng, h, mixture), make_mentions(rng, t, mixture))
-        if sides and (len(sides) >= _POOL_SIDES or doc_index == config.num_documents - 1):
-            pooled.append(_segment_lse(np.concatenate(sides), list(map(len, sides))))
-            sides.clear()
+                mixture, gold = None, frozenset()
+            context = rng.normal(size=d)
+            head = rng.normal(size=(int(rng.integers(m_lo, m_hi + 1)), d))
+            tail = rng.normal(size=(int(rng.integers(m_lo, m_hi + 1)), d))
+            pairs.append((doc_id, h, t, gold))
+            run.append((h, t, mixture, context, head, tail))
+        if run and (2 * len(run) >= _POOL_SIDES or doc_index == config.num_documents - 1):
+            rows.append(_run_rows(world, run, scales))
+            run.clear()
 
-    heads = itertools.chain.from_iterable(run[0::2] for run in pooled)
-    tails = itertools.chain.from_iterable(run[1::2] for run in pooled)
+    pair_rows = itertools.chain.from_iterable(zip(*run_rows) for run_rows in rows)
     examples = tuple(
         PairExample(doc_id, h, t, head, tail, context, gold, gold)
-        for (doc_id, h, t, context, gold), head, tail in zip(pairs, heads, tails)
+        for (doc_id, h, t, gold), (head, tail, context) in zip(pairs, pair_rows)
     )
     # each relation's count of gold labels, zeros kept, in relation order
     counts = Counter(itertools.chain.from_iterable(gold for *_, gold in pairs))
@@ -286,13 +310,10 @@ def generate_regime_splits(
     ):
         if count < 1:
             raise ConfigError(f"data.{split}_docs must be >= 1, got {count}")
-    train = generate_synthetic_corpus(replace(config, split="train"))
-    dev = generate_synthetic_corpus(
-        replace(config, split="dev", num_documents=dev_documents)
-    )
-    test = generate_synthetic_corpus(
-        replace(config, split="test", num_documents=test_documents)
-    )
+    world = _World(config)
+    train = _generate_split(replace(config, split="train"), world)
+    dev = _generate_split(replace(config, split="dev", num_documents=dev_documents), world)
+    test = _generate_split(replace(config, split="test", num_documents=test_documents), world)
     vocab = train.vocabulary
     dev = replace(dev, vocabulary=vocab)
     test = replace(test, vocabulary=vocab)

@@ -1,4 +1,6 @@
+import cProfile
 import hashlib
+import pstats
 from collections import Counter
 from dataclasses import replace
 
@@ -133,6 +135,43 @@ def test_pooling_runs_do_not_change_the_rows(monkeypatch, sides_per_run):
     for name in ("head_rows", "tail_rows", "context_rows"):
         assert getattr(corpus, name).tobytes() == getattr(expected, name).tobytes()
     assert not np.array_equal(corpus.head_rows, corpus.tail_rows)
+
+
+def test_regime_splits_are_the_splits_generated_alone():
+    """The three splits of a regime share one world, and each is bitwise
+    the split that its config generates alone."""
+    config = replace(SMALL, num_documents=12, mentions_per_entity=(1, 4))
+    splits = generate_regime_splits(config, 5, 6)
+    for split, docs, corpus in zip(("train", "dev", "test"), (12, 5, 6), splits):
+        alone = generate_synthetic_corpus(replace(config, split=split, num_documents=docs))
+        assert [(ex.doc_id, ex.head_id, ex.tail_id, ex.positive_relations,
+                 ex.gold_positive_relations) for ex in corpus.examples] == [
+            (ex.doc_id, ex.head_id, ex.tail_id, ex.positive_relations,
+             ex.gold_positive_relations) for ex in alone.examples], split
+        for name in ("head_rows", "tail_rows", "context_rows"):
+            assert getattr(corpus, name).tobytes() == getattr(alone, name).tobytes(), split
+
+
+# cProfile's Python-level calls per generated pair of ``generate_regime_splits``
+# on a world of 32 relations, 30 train documents and 2 + 2 dev and test
+# documents, seed 5 (411 pairs): 25.5 with NumPy 2.4 on Python 3.11, 62.1
+# when each side's mentions were made by a per-pair function and each split
+# built its own world. The bound leaves a margin of about 4.5 calls per
+# pair, so per-pair Python cannot come back unseen.
+GENERATE_CALLS_PER_PAIR = 30
+
+
+def test_generating_a_regime_makes_few_python_calls_per_pair():
+    world = SyntheticConfig(num_relations=32, num_documents=30, pairs_per_document=(8, 16), seed=5)
+    generate_regime_splits(world, 2, 2)  # first calls import and cache
+    profile = cProfile.Profile()
+    profile.enable()
+    splits = generate_regime_splits(world, 2, 2)
+    profile.disable()
+    pairs = sum(len(split.examples) for split in splits)
+    calls = pstats.Stats(profile).total_calls
+    assert pairs == 411
+    assert calls / pairs <= GENERATE_CALLS_PER_PAIR, f"{calls} calls for {pairs} pairs"
 
 
 def at_rate(rate, rng):

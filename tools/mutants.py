@@ -44,6 +44,8 @@ CORE = "src/docrel/core.py"
 T = "tests/test_core.py::"
 SAVE_TYPES = T + "TestSerialization::test_save_refuses_what_load_would_not_give_back"
 LOAD_RECORDS = T + "TestLoadFailsClosed::test_record_predicate"
+DATAGEN = "src/docrel/datagen.py"
+PINNED = "tests/test_datagen.py::TestGenerator::test_generated_regime_bits_are_pinned"
 
 MUTANTS = (
     # the record predicate, core._record_fault: each rule disabled
@@ -52,8 +54,8 @@ MUTANTS = (
            "((doc < 0) & (doc >= n_docs), lambda",
            (LOAD_RECORDS + "[doc-index-past-doc-ids]", LOAD_RECORDS + "[negative-doc-index]")),
     Mutant("head-is-tail-rule-off", CORE,
-           "(ids[:, 0] == ids[:, 1], lambda",
-           "(ids[:, 0] != ids[:, 0], lambda",
+           "same = ids[:, 0] == ids[:, 1]",
+           "same = ids[:, 0] != ids[:, 0]",
            (LOAD_RECORDS + "[head-is-tail]",
             T + "TestSerialization::test_save_refuses_what_load_refuses[head-is-tail]")),
     Mutant("gold-flag-rule-off", CORE,
@@ -68,8 +70,24 @@ MUTANTS = (
            "np.arange(width) >= records.n_rel",
            "np.arange(width) >= width",
            (T + "TestLoadFailsClosed::test_out_of_range_label",)),
-    # the two rules built only when a test over the whole split fails: the
-    # test never fails
+    # a rule's mask is built only when a test over the whole split fails:
+    # the test misses a fault at its boundary, or never fails
+    Mutant("doc-index-test-off-by-one", CORE,
+           "doc.max(initial=-1) >= n_docs:",
+           "doc.max(initial=-1) > n_docs:",
+           (LOAD_RECORDS + "[doc-index-past-doc-ids]",)),
+    Mutant("gold-flag-test-never-fails", CORE,
+           "if has_gold.max(initial=0) > 1:",
+           "if False:",
+           (LOAD_RECORDS + "[gold-flag-2]",)),
+    Mutant("gold-without-flag-test-never-fails", CORE,
+           "if bits[has_gold == 0, 1].any():",
+           "if False:",
+           (LOAD_RECORDS + "[gold-labels-without-flag]",)),
+    Mutant("label-beyond-relations-test-never-fails", CORE,
+           "if beyond.any():",
+           "if False:",
+           (T + "TestLoadFailsClosed::test_out_of_range_label",)),
     Mutant("finite-fast-path-never-fails", CORE,
            "if not np.isfinite(rows).all():",
            "if False:",
@@ -129,6 +147,28 @@ MUTANTS = (
            'if not np.can_cast(row.dtype, np.float64, "same_kind"):',
            "if False:",
            (SAVE_TYPES + "[text-context]",)),
+    # datagen: a split's rows from its draws (pinned bits), and the world the
+    # splits of a regime share
+    Mutant("mention-sum-regrouped", DATAGEN,
+           """    np.add(mentions, 0.8 * mixture[pair], out=mentions, where=positive[pair, None])
+    mentions += np.concatenate(sides) * scale[pair]""",
+           """    noise = np.concatenate(sides) * scale[pair]
+    np.add(0.8 * mixture[pair], noise, out=noise, where=positive[pair, None])
+    mentions += noise""",
+           (PINNED,)),
+    Mutant("na-context-positive-scale", DATAGEN,
+           "context = np.array(contexts) * scale",
+           "context = np.array(contexts) * scales[0]",
+           (PINNED,)),
+    Mutant("context-rows-shifted", DATAGEN,
+           "return pooled[:n], pooled[n:], context",
+           "return pooled[:n], pooled[n:], np.roll(context, 1, axis=0)",
+           (PINNED,)),
+    Mutant("dev-from-another-world", DATAGEN,
+           'split="dev", num_documents=dev_documents), world)',
+           'split="dev", num_documents=dev_documents),\n'
+           '                          _World(replace(config, seed=config.seed + 1)))',
+           ("tests/test_datagen.py::test_regime_splits_are_the_splits_generated_alone", PINNED)),
 )
 
 
