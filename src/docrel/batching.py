@@ -10,7 +10,8 @@ batch. All index sets inside a :class:`Batch` are *batch positions*
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -34,19 +35,29 @@ class Batch:
 
     ``bp_indices`` are positions with at least one positive relation (the
     contrastive anchors); ``bn_indices`` are the NA-labeled positions;
-    together they partition the batch; ``example_indices``, read-only
-    ``np.intp``, are corpus indices. ``sampled_negatives`` maps each NA
-    position to its sampled negative-label set, a tuple sorted ascending
-    (filled for sampled training, as by :func:`attach_negative_samples`).
+    together they partition the batch. They and ``example_indices`` (corpus
+    indices) are read-only ``np.intp`` arrays. For sampled training, as by
+    :func:`attach_negative_samples`, row ``i`` of the boolean
+    ``(len(bn_indices), |R|)`` ``sampled_mask`` is the sampled negative set
+    of position ``bn_indices[i]``; it is None when no sets are attached.
     """
 
     example_indices: np.ndarray
-    bp_indices: tuple[int, ...]
-    bn_indices: tuple[int, ...]
-    sampled_negatives: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    bp_indices: np.ndarray
+    bn_indices: np.ndarray
+    sampled_mask: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.example_indices)
+
+    @property
+    def sampled_negatives(self) -> MappingProxyType:
+        """Read-only: each NA position's sampled set, an ascending tuple read
+        from ``sampled_mask``. No library code reads it; it goes when the
+        benchmark's tracer reads the mask (ROADMAP item 1 (b))."""
+        rows = () if self.sampled_mask is None else self.sampled_mask
+        sets = (tuple(np.flatnonzero(row).tolist()) for row in rows)
+        return MappingProxyType(dict(zip(self.bn_indices.tolist(), sets)))
 
 
 def assemble_batches(corpus: Corpus, batch_size: int, rng_seed: int) -> list[Batch]:
@@ -62,13 +73,7 @@ def assemble_batches(corpus: Corpus, batch_size: int, rng_seed: int) -> list[Bat
     for start in range(0, len(order), batch_size):
         indices = np.concatenate([groups[d] for d in order[start : start + batch_size]])
         na = corpus.na_flags[indices]
-        batches.append(
-            Batch(
-                example_indices=_frozen(indices),
-                bp_indices=tuple(np.flatnonzero(~na).tolist()),
-                bn_indices=tuple(np.flatnonzero(na).tolist()),
-            )
-        )
+        batches.append(Batch(*map(_frozen, (indices, (~na).nonzero()[0], na.nonzero()[0]))))
     return batches
 
 
@@ -97,8 +102,7 @@ def sample_negative_sets(
     k = sampled_set_size(ratio, num_relations)
     if k >= num_relations:
         return np.tile(np.arange(num_relations), (count, 1))
-    keys = rng.random((count, num_relations))
-    return np.sort(np.argpartition(keys, k - 1, axis=1)[:, :k], axis=1)
+    return np.sort(rng.random((count, num_relations)).argpartition(k - 1, axis=1)[:, :k], axis=1)
 
 
 def attach_negative_samples(
@@ -106,9 +110,12 @@ def attach_negative_samples(
 ) -> Batch:
     """Return a copy of the batch with fresh sampled sets for its NA members:
     row i of one :func:`sample_negative_sets` draw for ``bn_indices[i]``."""
-    sets = sample_negative_sets(
-        len(batch.bn_indices), corpus.vocabulary.num_relations, ratio, rng
-    )
-    return replace(
-        batch, sampled_negatives=dict(zip(batch.bn_indices, map(tuple, sets.tolist())))
-    )
+    width = corpus.vocabulary.num_relations
+    return _with_sets(batch, sample_negative_sets(len(batch.bn_indices), width, ratio, rng), width)
+
+
+def _with_sets(batch: Batch, sets: np.ndarray, width: int) -> Batch:
+    """The batch with the ``(len(bn_indices), k)`` indices ``sets`` scattered into its mask."""
+    mask = np.zeros((len(sets), width), dtype=bool)
+    mask[np.arange(len(sets))[:, None], sets] = True
+    return Batch(batch.example_indices, batch.bp_indices, batch.bn_indices, mask)

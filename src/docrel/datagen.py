@@ -168,7 +168,9 @@ class _World:
         self.entity_base /= np.linalg.norm(self.entity_base, axis=1, keepdims=True)
 
         weights = _zipf_weights(n_rel, config.zipf_exponent)
-        self.relation_probs = weights / weights.sum()
+        # ``Generator.choice(n_rel, p=weights / weights.sum())`` looks one random() up in it
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
 
         # knowledge graph: ordered entity pairs with persistent label sets
         pair_set: dict[tuple[int, int], frozenset[int]] = {}
@@ -176,11 +178,11 @@ class _World:
             h, t = rng.integers(0, config.num_entities, size=2)
             if h == t or (int(h), int(t)) in pair_set:
                 continue
-            first = int(rng.choice(n_rel, p=self.relation_probs))
+            first = int(cdf.searchsorted(rng.random(), side="right"))
             labels = {first}
             if rng.random() < config.multi_label_rate:
                 for _ in range(8):
-                    second = int(rng.choice(n_rel, p=self.relation_probs))
+                    second = int(cdf.searchsorted(rng.random(), side="right"))
                     if second != first:
                         labels.add(second)
                         break

@@ -39,7 +39,7 @@ _EVAL_BLOCK_BYTES = 1 << 16
 
 def _predicted_mask(f: np.ndarray, na_index: int) -> np.ndarray:
     """Row-wise: which relations' logits strictly exceed the threshold logit."""
-    if not np.all(np.isfinite(f)):
+    if not np.logical_and.reduce(np.isfinite(f), axis=None):
         raise NumericError("predict_labels: non-finite logits")
     return f[:, :na_index] > f[:, na_index : na_index + 1]
 
@@ -163,17 +163,15 @@ def evaluate(
     predicted = _predicted_mask(f, vocab.na_index)
     gold = corpus.gold_rows if use_gold else corpus.label_rows
 
+    # per relation: tp, fp = predicted - tp and fn = gold - tp
     hits = predicted & gold
-    cells = np.stack(
-        [hits.sum(axis=0), (predicted & ~gold).sum(axis=0), (gold & ~predicted).sum(axis=0)],
-        axis=1,
-    )
-    counted = cells.any(axis=1).nonzero()[0]
+    tp_rel, predicted_rel, gold_rel = (np.add.reduce(m, axis=0) for m in (hits, predicted, gold))
+    cells = np.array((tp_rel, predicted_rel - tp_rel, gold_rel - tp_rel)).T
+    counted = (predicted_rel | gold_rel).nonzero()[0]
     per_relation = dict(zip(counted.tolist(), map(tuple, cells[counted].tolist())))
-    tp, fp, fn = (int(v) for v in cells.sum(axis=0))
+    tp, fp, fn = np.add.reduce(cells).tolist()
     precision, recall, f1 = _prf(tp, fp, fn)
-    predicted_count = int(predicted.sum())
-    gold_count = int(gold.sum())
+    predicted_count, gold_count = tp + fp, tp + fn
 
     # predictions of facts seen in training are dropped for Ign F1, against
     # the same gold set; with no such facts Ign F1 is F1
@@ -186,10 +184,12 @@ def evaluate(
         ign_f1 = _prf(ign_tp, predicted_count - excluded - ign_tp, gold_count - ign_tp)[2]
 
     order = (Bucket.HEAD, Bucket.MID, Bucket.TAIL)
-    codes = np.array(list(map(buckets.get, range(len(cells)))), dtype=object)
-    members = codes == np.array(order, dtype=object)[:, None]
-    bucket_cells = (members.astype(np.int64) @ cells).tolist()
-    bucket_f1 = {b: _prf(*bucket_cells[k])[2] for k, b in enumerate(order)}
+    bucket_f1 = dict.fromkeys(order, 0.0)  # a bucket with no relation
+    if buckets:
+        codes = np.array(list(map(buckets.get, range(len(cells)))), dtype=object)
+        members = codes == np.array(order, dtype=object)[:, None]
+        bucket_cells = (members.astype(np.int64) @ cells).tolist()
+        bucket_f1 = {b: _prf(*bucket_cells[k])[2] for k, b in enumerate(order)}
 
     return EvalReport(
         precision=precision,

@@ -50,9 +50,9 @@ class HeadParams:
     """Learnable parameters of the head.
 
     W_h, W_t, W_c1, W_c2 are (d1, d); W_o is (num_logits, d_x) with
-    d_x = d1^2 / group_count; b_o is (num_logits,). The constructor copies
-    the six arrays into one float64 vector, ``flat``, in ``_PARAM_NAMES``
-    order; the named attributes are views of it.
+    d_x = d1^2 / group_count; b_o is (num_logits,). The constructor checks
+    them and copies the six arrays into one float64 vector, ``flat``, in
+    ``_PARAM_NAMES`` order; the named attributes are views of it.
     """
 
     W_h: np.ndarray
@@ -82,20 +82,13 @@ class HeadParams:
             raise ShapeError(
                 f"W_o shape {self.W_o.shape} != ({self.b_o.shape[0]}, {self.pair_dim})"
             )
-        flat = np.concatenate([np.ravel(a) for a in self.tensors().values()], dtype=float)
+        flat = np.concatenate(list(self.tensors().values()), axis=None, dtype=float)
         object.__setattr__(self, "flat", flat)
-        vars(self).update(self.split(flat))
-        if not np.isfinite(flat).all():
+        shapes = tuple(a.shape for a in self.tensors().values())
+        vars(self).update(_views(flat, shapes), _shapes=shapes)
+        if not np.logical_and.reduce(np.isfinite(flat)):
             bad = next(name for name, a in self.tensors().items() if not np.isfinite(a).all())
             raise ConfigError(f"{bad} contains non-finite values")
-
-    @property
-    def input_dim(self) -> int:
-        return self.W_h.shape[1]
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.W_h.shape[0]
 
     @property
     def pair_dim(self) -> int:
@@ -111,11 +104,13 @@ class HeadParams:
 
     def split(self, vector: np.ndarray) -> dict[str, np.ndarray]:
         """Named views of a vector laid out like ``flat``, such as a gradient."""
-        return _views(vector, [a.shape for a in self.tensors().values()])
+        return _views(vector, self._shapes)
 
     def copy(self) -> "HeadParams":
-        """Parameters with a vector of their own."""
-        return HeadParams(**self.tensors(), group_count=self.group_count)
+        """Parameters with a vector of their own, bit-equal to these and not checked again."""
+        new, flat = object.__new__(HeadParams), self.flat.copy()
+        vars(new).update(vars(self), flat=flat, **self.split(flat))
+        return new
 
 
 def _views(vector: np.ndarray, shapes) -> dict[str, np.ndarray]:
@@ -151,6 +146,8 @@ class BatchForward:
 
 def _divide_rows(a: np.ndarray, norm: np.ndarray, out=None) -> np.ndarray:
     """``a / norm`` row by row, with zero rows where ``norm`` is 0."""
+    if np.logical_and.reduce(norm):  # no norm is 0
+        return np.divide(a, norm[:, None], out=out)
     zero = norm == 0.0
     out = np.divide(a, np.where(zero, 1.0, norm)[:, None], out=out)
     out[zero] = 0.0
@@ -169,7 +166,7 @@ def head_forward(
     pooled head and tail mentions and its context, as gathered from a
     corpus's ``head_rows``, ``tail_rows`` and ``context_rows``.
     """
-    n, d = len(h_head), params.input_dim
+    n, (d1, d) = len(h_head), params.W_h.shape
     if not h_head.shape == h_tail.shape == context.shape == (n, d):
         raise ShapeError(
             f"head_forward: inputs {h_head.shape}, {h_tail.shape} and {context.shape}: "
@@ -179,7 +176,7 @@ def head_forward(
     z_t = np.tanh(h_tail @ params.W_t.T + context @ params.W_c2.T)
 
     P = params.group_count
-    g = params.hidden_dim // P
+    g = d1 // P
     # per-group outer products, flattened row-major and concatenated
     x = np.einsum("npi,npj->npij", z_h.reshape(n, P, g), z_t.reshape(n, P, g))
     x = x.reshape(n, P * g * g)
@@ -209,7 +206,7 @@ def head_backward(
     grad_x = grad_f @ params.W_o + _divide_rows(tangent, forward.norm, out=tangent)
 
     P = params.group_count
-    g = params.hidden_dim // P
+    g = params.W_h.shape[0] // P
     z_h, z_t = forward.z_h, forward.z_t
     gx = grad_x.reshape(n, P, g, g)
     grad_z_h = np.einsum("npij,npj->npi", gx, z_t.reshape(n, P, g)).reshape(n, -1)
@@ -225,7 +222,7 @@ def head_backward(
     np.matmul(grad_a_h.T, forward.context, out=out["W_c1"])
     np.matmul(grad_a_t.T, forward.context, out=out["W_c2"])
     np.matmul(grad_f.T, x, out=out["W_o"])
-    np.sum(grad_f, axis=0, out=out["b_o"])
+    np.add.reduce(grad_f, axis=0, out=out["b_o"])
     return grads
 
 
@@ -241,15 +238,10 @@ def init_head_params(
     pair_dim = hidden_dim * hidden_dim // group_count
     bound_o = 1.0 / np.sqrt(pair_dim)
 
-    def u(shape, b):
-        return rng.uniform(-b, b, size=shape)
-
+    # W_h, W_t, W_c1 and W_c2 from one draw, then W_o: the stream's order
     return HeadParams(
-        W_h=u((hidden_dim, input_dim), bound),
-        W_t=u((hidden_dim, input_dim), bound),
-        W_c1=u((hidden_dim, input_dim), bound),
-        W_c2=u((hidden_dim, input_dim), bound),
-        W_o=u((num_logits, pair_dim), bound_o),
+        *rng.uniform(-bound, bound, size=(4, hidden_dim, input_dim)),
+        W_o=rng.uniform(-bound_o, bound_o, size=(num_logits, pair_dim)),
         b_o=np.zeros(num_logits),
         group_count=group_count,
     )

@@ -21,15 +21,17 @@ w.r.t. the logits and unit embeddings:
   maximization, for anchors with none (the long-tail branch).
 
 For NA-labeled examples, negative-label sampling penalizes only a sampled
-subset of the negative relations (false-negative robustness).
+subset of the negative relations (false-negative robustness); a batch
+carries the subsets as one boolean mask over its NA rows.
 
 ``batch_loss`` is the one implementation of these values, used for
 training, gradients and the finite-difference checks. Its arithmetic is two
 row functions: ``_threshold_rows`` over the ``(n, |R|)`` logit gaps and
 ``_contrastive_rows`` over the anchors' rows of the ``n x n`` similarities,
-with overflow-safe forms (``sigma`` and ``log(1+e^z)`` branch at zero;
-``0*log 0`` is taken as 0) in a fixed order, so results are reproducible bit
-for bit. :mod:`docrel.oracle` is the independent reference for the values.
+each a fixed sequence of whole-array NumPy calls (no per-row Python), with
+overflow-safe forms (``sigma`` and ``log(1+e^z)`` branch at zero; ``0*log 0``
+is taken as 0) in a fixed order, so results are reproducible bit for bit.
+:mod:`docrel.oracle` is the independent reference for the values.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import label_mask
 from .errors import ConfigError, ContractError, NumericError, ShapeError
 
 __all__ = ["LossConfig", "BatchLossOutput", "batch_loss"]
@@ -94,36 +95,37 @@ class BatchLossOutput:
 # combined batch objective
 
 def _masked_logsumexp(s: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise log-sum-exp over the masked entries, and their softmax.
-
-    Every row must have at least one masked entry.
-    """
-    masked = np.where(mask, s, -np.inf)
-    shift = masked.max(axis=1, keepdims=True)
-    w = np.exp(masked - shift)
-    total = w.sum(axis=1, keepdims=True)
-    return (shift + np.log(total))[:, 0], w / total
+    """Row-wise log-sum-exp over the masked entries, and their softmax; every row needs one."""
+    w = np.where(mask, s, -np.inf)
+    shift = np.maximum.reduce(w, axis=1, keepdims=True)
+    np.exp(np.subtract(w, shift, out=w), out=w)
+    total = np.add.reduce(w, axis=1, keepdims=True)
+    return (shift + np.log(total))[:, 0], np.divide(w, total, out=w)
 
 
-def _negative_mask(labels: np.ndarray, batch, config: LossConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The penalized negatives N of every position and which rows were sampled.
+def _negative_mask(
+    labels: np.ndarray, batch, config: LossConfig
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The penalized negatives N of every position, and which rows were sampled (None: none).
 
     N is the complement of the label mask, except that with sampling
-    enabled each NA position uses its sampled set.
+    enabled NA position ``bn_indices[i]`` uses row ``i`` of ``batch.sampled_mask``.
     """
-    negatives = ~labels
-    sampled_rows = np.zeros(labels.shape[0], dtype=bool)
-    if config.use_neg_sampling and batch.bn_indices:
-        sets = [batch.sampled_negatives.get(pos) for pos in batch.bn_indices]
-        for pos, sampled in zip(batch.bn_indices, sets):
-            if not sampled:  # none attached, or an empty set
-                raise ContractError(f"batch position {pos}: sampling on but no sampled negatives")
-        rows = np.asarray(batch.bn_indices, dtype=np.intp)
-        sampled_mask = label_mask(sets, labels.shape[1])
-        if (sampled_mask & labels[rows]).any():
-            raise ContractError("sampled labels outside the negative set")
-        negatives[rows] = sampled_mask
-        sampled_rows[rows] = True
+    negatives, rows = ~labels, batch.bn_indices
+    if not (config.use_neg_sampling and len(rows)):
+        return negatives, None
+    sampled, shape = batch.sampled_mask, (len(rows), labels.shape[1])
+    if sampled is None or sampled.shape != shape:
+        raise ContractError(f"sampling on but no sampled mask of shape {shape}")
+    filled = np.logical_or.reduce(sampled, axis=1)
+    if not np.logical_and.reduce(filled):
+        pos = rows[filled.argmin()]
+        raise ContractError(f"batch position {pos}: sampling on but no sampled negatives")
+    if np.logical_or.reduce(sampled & labels[rows], axis=None):
+        raise ContractError("sampled labels outside the negative set")
+    negatives[rows] = sampled
+    sampled_rows = np.zeros(len(labels), dtype=bool)
+    sampled_rows[rows] = True
     return negatives, sampled_rows
 
 
@@ -132,34 +134,38 @@ def _threshold_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row threshold and entropy terms over logit gaps ``f_r - f_na``.
 
-    ``labels`` (Y) and ``negatives`` (N) mask the gaps that enter each row.
-    Returns the per-row ``pmt`` values, the per-row ``em`` values (zeros
-    with the entropy term off) and the gradient of their sum w.r.t. ``gap``.
+    ``labels`` (Y) and ``negatives`` (N), disjoint, mask the gaps that enter
+    each row. Returns the per-row ``pmt`` values, the per-row ``em`` values
+    (zeros with the entropy term off) and the gradient of their sum w.r.t.
+    ``gap``.
     """
-    # two-way softmax of each relation against the threshold, overflow-safe
+    # each relation's two-way softmax against the threshold, overflow-safe: p = sigma(gap)
+    # and q = sigma(-gap) are s = sigma(|gap|) = e^-soft and t = e^-hard, swapped below 0
     neg_gap = np.negative(gap)
-    decay = np.exp(np.minimum(gap, neg_gap))  # e^-|gap|
+    low = np.minimum(gap, neg_gap)  # -|gap|
+    decay = np.exp(low)
     soft = np.log1p(decay)
+    hard = soft - low
     denom = 1.0 + decay
+    s, t = 1.0 / denom, decay / denom
     above = gap >= 0.0
-    p = np.where(above, 1.0, decay) / denom  # sigma(gap)
-    q = np.where(above, decay, 1.0) / denom  # sigma(-gap)
-    nll_pos = np.maximum(neg_gap, 0.0) + soft  # -log p
-    nll_neg = np.maximum(gap, 0.0) + soft  # -log q
-
-    pmt_rows = np.where(labels, nll_pos, np.where(negatives, nll_neg, 0.0)).sum(axis=1)
-    grad_gap = np.where(labels, -q, np.where(negatives, p, 0.0))
+    p, q = np.where(above, s, t), np.where(above, t, s)
+    inside = labels | negatives
+    nll = np.where(labels ^ above, hard, soft)  # -log p on a label, -log q on a negative
+    pmt_rows = np.add.reduce(np.where(inside, nll, 0.0), axis=1)
+    grad_gap = np.where(labels, np.negative(q), p)
     if not config.use_entropy:
-        return pmt_rows, np.zeros(gap.shape[0]), grad_gap
-    entropy = p * nll_pos + q * nll_neg
-    # the entropy summed over Y and over N, each over its normalizer
+        return pmt_rows, np.zeros(gap.shape[0]), np.where(inside, grad_gap, 0.0)
+    # the entropy p * -log p + q * -log q over Y and over N, each over its normalizer
     sides = np.array((labels, negatives))
-    sizes = sides.sum(axis=2)
-    gamma = np.maximum(1, sizes) if config.entropy_norm == "set_size" else np.ones(sizes.shape)
-    em_pos, em_neg = np.where(sides, entropy, 0.0).sum(axis=2) / gamma
-    entry_gamma = np.where(labels, gamma[0][:, None], gamma[1][:, None])
-    grad_gap += np.where(labels | negatives, neg_gap * p * q / entry_gamma, 0.0)
-    return pmt_rows, em_pos + em_neg, grad_gap
+    em_sides = np.add.reduce(np.where(sides, s * soft + t * hard, 0.0), axis=2)
+    grad_entropy = neg_gap * p * q
+    if config.entropy_norm == "set_size":  # "unit" divides by 1
+        gamma = np.maximum(1, np.add.reduce(sides, axis=2))
+        em_sides /= gamma
+        grad_entropy /= np.where(labels, gamma[0][:, None], gamma[1][:, None])
+    grad_gap += grad_entropy
+    return pmt_rows, em_sides[0] + em_sides[1], np.where(inside, grad_gap, 0.0)
 
 
 def _contrastive_rows(
@@ -174,16 +180,18 @@ def _contrastive_rows(
     value. Returns the values, which anchors have a positive, and the
     gradient of the values' sum w.r.t. ``sims``.
     """
-    others = np.ones(sims.shape, dtype=bool)
-    others[np.arange(anchors.size), anchors] = False
+    others = anchors[:, None] != np.arange(sims.shape[1])
     y = labels.astype(np.float64)
     positives = (y[anchors] @ y.T > 0.0) & others
     values, grad_sims = _masked_logsumexp(sims, others)
-    has_pos = positives.any(axis=1)
-    if has_pos.any():
-        pos_lse, pos_soft = _masked_logsumexp(sims[has_pos], positives[has_pos])
-        values[has_pos] += np.log(positives[has_pos].sum(axis=1)) - pos_lse
-        grad_sims[has_pos] -= pos_soft
+    has_pos = np.logical_or.reduce(positives, axis=1)
+    if np.logical_or.reduce(has_pos):
+        # every anchor row in one pass: a row without positives runs over its (finite)
+        # denominator and is multiplied by 0; adding -0.0 or subtracting 0.0 changes no bit
+        positives |= others & ~has_pos[:, None]
+        pos_lse, pos_soft = _masked_logsumexp(sims, positives)
+        values += (np.log(np.add.reduce(positives, axis=1)) - pos_lse) * has_pos
+        grad_sims -= pos_soft * has_pos[:, None]
     return values, has_pos, grad_sims
 
 
@@ -196,8 +204,11 @@ def batch_loss(labels, batch, forward, vocab, config: LossConfig) -> BatchLossOu
     embeddings ``x_unit`` per batch position (a
     :class:`~docrel.head.BatchForward`). The threshold and entropy terms
     are reductions over the logit gaps ``D = f[:, :|R|] - f[:, na]`` masked
-    by Y and N (its penalized negatives, see ``_negative_mask``), with
-    per-row set-size normalizers. At sampling ratio 1.0 a sampled set is
+    by Y and N, with per-row set-size normalizers. N, the penalized
+    negatives, is the complement of Y, except that with sampling on the NA
+    rows ``batch.bn_indices`` take the rows of ``batch.sampled_mask`` (see
+    ``_negative_mask``); the parts split off those rows' total as
+    ``sampled_neg``. At sampling ratio 1.0 a sampled set is
     every relation, so N equals the complement of Y and the sampled
     objective runs the unsampled arithmetic exactly. The contrastive part
     is row-masked log-sum-exp over the anchors' rows of ``U U^T / tau`` and
@@ -213,41 +224,41 @@ def batch_loss(labels, batch, forward, vocab, config: LossConfig) -> BatchLossOu
             f"batch_loss: logits {f.shape}, embeddings {unit.shape} and labels "
             f"{labels.shape}, expected ({n}, {vocab.num_logits}) logits and ({n}, {n_rel}) labels"
         )
-    if not np.isfinite(f).all():
+    if not np.logical_and.reduce(np.isfinite(f), axis=None):
         raise NumericError("batch_loss: non-finite logit input")
 
-    negatives, sampled_rows = _negative_mask(labels, batch, config)
+    negatives, sampled = _negative_mask(labels, batch, config)
     pmt_rows, em_rows, grad_gap = _threshold_rows(
         f[:, :n_rel] - f[:, na : na + 1], labels, negatives, config
     )
-    grad_logits = np.zeros_like(f)
+    grad_logits = np.empty(f.shape)
     grad_logits[:, :n_rel] = grad_gap
-    grad_logits[:, na] = -grad_gap.sum(axis=1)
-    classification = float((pmt_rows + em_rows).sum())
-    parts = {
-        "pmt": float(pmt_rows[~sampled_rows].sum()),
-        "em": float(em_rows[~sampled_rows].sum()),
-        "scl": 0.0,
-        "lt": 0.0,
-        "sampled_neg": float((pmt_rows + em_rows)[sampled_rows].sum()),
-    }
+    np.negative(np.add.reduce(grad_gap, axis=1), out=grad_logits[:, na])
+    row_totals = pmt_rows + em_rows
+    classification = float(np.add.reduce(row_totals))
+    # the unsampled rows' parts and the sampled rows' total
+    kept = slice(None) if sampled is None else ~sampled
+    parts = {"pmt": float(np.add.reduce(pmt_rows[kept])), "em": float(np.add.reduce(em_rows[kept])),
+             "scl": 0.0, "lt": 0.0,
+             "sampled_neg": 0.0 if sampled is None else float(np.add.reduce(row_totals[sampled]))}
 
     lam = config.contrastive_weight
-    anchors = np.asarray(batch.bp_indices, dtype=np.intp)
+    anchors = batch.bp_indices
     contrastive = 0.0
-    if config.use_contrastive and lam != 0.0 and n >= 2 and anchors.size:
+    if config.use_contrastive and lam != 0.0 and n >= 2 and len(anchors):
         tau = config.temperature
-        sims = unit[anchors] @ unit.T / tau
+        anchor_unit = unit[anchors]
+        sims = anchor_unit @ unit.T / tau
         values, has_pos, grad_sims = _contrastive_rows(sims, labels, anchors)
-        parts["scl"] = float(values[has_pos].sum())
-        parts["lt"] = float(values[~has_pos].sum())
+        parts["scl"] = float(np.add.reduce(values[has_pos]))
+        parts["lt"] = float(np.add.reduce(values[~has_pos]))
         contrastive = parts["scl"] + parts["lt"]
-        grad_embeddings = grad_sims.T @ unit[anchors]  # through unit.T, then unit[anchors]
+        grad_embeddings = grad_sims.T @ anchor_unit  # through unit.T, then unit[anchors]
         grad_embeddings /= tau
         grad_embeddings[anchors] += grad_sims @ unit / tau
         grad_embeddings *= lam
     else:
-        grad_embeddings = np.zeros_like(unit)
+        grad_embeddings = np.zeros(unit.shape)
 
     total = classification + lam * contrastive
     return BatchLossOutput(

@@ -10,6 +10,7 @@ stable across processes and platforms.
 from __future__ import annotations
 
 import hashlib
+from functools import cache
 
 import numpy as np
 
@@ -19,8 +20,12 @@ def _tag_code(tag: int | str) -> int:
         return int(tag)
     if isinstance(tag, int):
         return tag & 0xFFFFFFFF
-    digest = hashlib.sha256(str(tag).encode("utf-8")).digest()
-    return int.from_bytes(digest[:4], "little")
+    return _text_code(str(tag))
+
+
+@cache  # the first four bytes of the text's SHA-256, once per text (a few fixed names)
+def _text_code(text: str) -> int:
+    return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:4], "little")
 
 
 def stream(seed: int, *tags: int | str) -> np.random.Generator:

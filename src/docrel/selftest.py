@@ -118,17 +118,20 @@ def _unit_rows(rng, n: int, dim: int) -> np.ndarray:
 def _loss_case(labels, logits, emb, cfg, bp=(), sampled=None):
     """``batch_loss`` and its oracle value on a batch given by its parts.
 
-    NA positions are the unlabeled ones and ``bp`` the contrastive anchors.
+    NA positions are the unlabeled ones, ``bp`` the contrastive anchors and
+    ``sampled`` the NA positions' sampled sets as a batch's ``sampled_mask``.
     Both callables read ``logits`` and ``emb`` when called, so finite
     differences that perturb those arrays in place move both values.
     """
     n = len(labels)
+    na_positions = [i for i, labels_i in enumerate(labels) if not labels_i]
     batch = Batch(
         example_indices=np.arange(n),
-        bp_indices=tuple(bp),
-        bn_indices=tuple(i for i, labels_i in enumerate(labels) if not labels_i),
-        sampled_negatives=sampled or {},
+        bp_indices=np.array(bp, dtype=np.intp),
+        bn_indices=np.array(na_positions, dtype=np.intp),
+        sampled_mask=sampled,
     )
+    sampled_sets = {} if sampled is None else dict(zip(na_positions, map(np.flatnonzero, sampled)))
     vocab = RelationVocabulary.from_relations([f"r{k}" for k in range(logits.shape[1] - 1)])
     mask = label_mask(labels, vocab.num_relations)
     forward = _forwards_for(logits, emb)
@@ -139,7 +142,7 @@ def _loss_case(labels, logits, emb, cfg, bp=(), sampled=None):
     def reference() -> float:
         return oracle.batch_total(
             labels, vocab.num_relations, vocab.na_index, logits, emb, batch.bp_indices,
-            batch.sampled_negatives, cfg.temperature, cfg.contrastive_weight,
+            sampled_sets, cfg.temperature, cfg.contrastive_weight,
             cfg.entropy_norm, cfg.use_entropy, cfg.use_contrastive, cfg.use_neg_sampling,
         )
 
@@ -223,9 +226,9 @@ def _check_sampled(result: SuiteResult, seed: int) -> None:
                 f = _random_logits(rng, n_rel + 1, scale)[None, :]
                 size = max(1, round(ratio * n_rel))
                 drawn = rng.choice(n_rel, size=size, replace=False)
-                sampled = tuple(sorted(int(r) for r in drawn))
                 cfg = LossConfig(entropy_norm=mode, use_contrastive=False, use_neg_sampling=True)
-                case = _loss_case([frozenset()], f, NO_EMBEDDING, cfg, sampled={0: sampled})
+                sampled = label_mask([drawn], n_rel)
+                case = _loss_case([frozenset()], f, NO_EMBEDDING, cfg, sampled=sampled)
                 label = f"sampled ratio={ratio} {mode} scale={scale}"
                 _check_case(result, label, case, {"grad_logits": f})
 
@@ -276,20 +279,16 @@ def _tiny_instance(rng, n_rel: int, n: int, dim: int, sampling: bool):
             labels.append(frozenset(int(r) for r in rng.choice(n_rel, size=k, replace=False)))
     if n >= 2 and all(not l for l in labels):
         labels[0] = frozenset({0})  # keep at least one anchor
-    bp = tuple(i for i, l in enumerate(labels) if l)
-    bn = tuple(i for i, l in enumerate(labels) if not l)
-    sampled = {}
-    if sampling:
-        for pos in bn:
-            size = int(rng.integers(1, n_rel + 1))
-            sampled[pos] = tuple(
-                sorted(int(r) for r in rng.choice(n_rel, size=size, replace=False))
-            )
+    bp = [i for i, l in enumerate(labels) if l]
+    bn = [i for i, l in enumerate(labels) if not l]
+    draws = [rng.choice(n_rel, size=int(rng.integers(1, n_rel + 1)), replace=False)
+             for _ in (bn if sampling else ())]  # a set of 1 to n_rel relations per NA position
+    sampled = label_mask(draws, n_rel) if sampling else None
     batch = Batch(
         example_indices=np.arange(n),
-        bp_indices=bp,
-        bn_indices=bn,
-        sampled_negatives=sampled,
+        bp_indices=np.array(bp, dtype=np.intp),
+        bn_indices=np.array(bn, dtype=np.intp),
+        sampled_mask=sampled,
     )
     logits = rng.normal(scale=1.5, size=(n, n_rel + 1))
     emb = _unit_rows(rng, n, dim)
@@ -313,9 +312,7 @@ def _check_batch_loss(result: SuiteResult, seed: int) -> None:
                     entropy_norm="set_size" if n % 2 else "unit",
                     use_neg_sampling=sampling,
                 )
-                case = _loss_case(
-                    labels, logits, emb, cfg, batch.bp_indices, batch.sampled_negatives
-                )
+                case = _loss_case(labels, logits, emb, cfg, batch.bp_indices, batch.sampled_mask)
                 wrt = {"grad_logits": logits, "grad_embeddings": emb}
                 _check_case(result, f"batch n={n} lam={lam} sampling={sampling}", case, wrt)
 
@@ -422,7 +419,7 @@ def run_oracle_equivalence(seed: int = 0, instances: int = 50) -> SuiteResult:
             use_neg_sampling=sampling,
         )
         kernel, reference = _loss_case(
-            labels, logits, emb, cfg, batch.bp_indices, batch.sampled_negatives
+            labels, logits, emb, cfg, batch.bp_indices, batch.sampled_mask
         )
         out = kernel()
         expected = reference()

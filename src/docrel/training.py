@@ -5,11 +5,12 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .batching import (
+    _with_sets,
     assemble_batches,
     attach_negative_samples,
     batch_count,
@@ -86,13 +87,12 @@ class TrainResult:
         return self.history[self.best_epoch]["dev"]["f1"] if self.history else 0.0
 
 
-def _fixed_samples(corpus: Corpus, ratio: float, seed: int) -> dict[int, tuple[int, ...]]:
-    """One sampled negative set per NA example, reused every epoch, from one draw."""
-    na = np.flatnonzero(corpus.na_flags).tolist()
-    sets = sample_negative_sets(
-        len(na), corpus.vocabulary.num_relations, ratio, stream(seed, "negsample", "once")
-    )
-    return dict(zip(na, map(tuple, sets.tolist())))
+def _fixed_samples(corpus: Corpus, ratio: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """One sampled negative set per NA example, reused every epoch, from one
+    draw: the ``(n_na, k)`` sets in corpus order, and each NA example's row."""
+    na, rng = corpus.na_flags, stream(seed, "negsample", "once")
+    sets = sample_negative_sets(np.count_nonzero(na), corpus.vocabulary.num_relations, ratio, rng)
+    return sets, np.cumsum(na) - 1
 
 
 def train(
@@ -130,9 +130,9 @@ def train(
 
     total_steps = batch_count(train_corpus, config.batch_size) * config.epochs
 
-    once_samples: dict[int, tuple[int, ...]] | None = None
+    ratio = loss_cfg.neg_sampling_ratio
     if loss_cfg.use_neg_sampling and loss_cfg.resample == "once":
-        once_samples = _fixed_samples(train_corpus, loss_cfg.neg_sampling_ratio, config.seed)
+        once_sets, once_row = _fixed_samples(train_corpus, ratio, config.seed)
 
     head, tail = train_corpus.head_rows, train_corpus.tail_rows
     context, labels = train_corpus.context_rows, train_corpus.label_rows
@@ -156,14 +156,12 @@ def train(
 
         for batch_index, batch in enumerate(batches):
             if loss_cfg.use_neg_sampling and loss_cfg.resample == "once":
-                fixed = {pos: once_samples[batch.example_indices[pos]] for pos in batch.bn_indices}
-                batch = replace(batch, sampled_negatives=fixed)
+                sets = once_sets[once_row[batch.example_indices[batch.bn_indices]]]
+                batch = _with_sets(batch, sets, train_corpus.vocabulary.num_relations)
             elif loss_cfg.use_neg_sampling:
                 if loss_cfg.resample == "per_step":
                     rng = stream(config.seed, "negsample", epoch, batch_index)
-                batch = attach_negative_samples(
-                    batch, train_corpus, loss_cfg.neg_sampling_ratio, rng
-                )
+                batch = attach_negative_samples(batch, train_corpus, ratio, rng)
 
             rows = batch.example_indices
             try:
@@ -185,26 +183,13 @@ def train(
             step += 1
 
         dev_report = evaluate(current, dev_corpus, use_gold=False)
-        record = {
-            "epoch": epoch,
-            "loss_total": epoch_total,
-            "loss_parts": dict(epoch_parts),
-            "dev": {
-                "precision": dev_report.precision,
-                "recall": dev_report.recall,
-                "f1": dev_report.f1,
-            },
-        }
-        history.append(record)
-        seconds = time.perf_counter() - started
-        logger.info(
-            "epoch %d: loss=%.4f dev_f1=%.4f wall=%.3fs pairs/s=%.0f",
-            epoch,
-            epoch_total,
-            dev_report.f1,
-            seconds,
-            len(train_corpus.examples) / seconds,
+        dev = {key: getattr(dev_report, key) for key in ("precision", "recall", "f1")}
+        history.append(
+            {"epoch": epoch, "loss_total": epoch_total, "loss_parts": dict(epoch_parts), "dev": dev}
         )
+        seconds = time.perf_counter() - started
+        logger.info("epoch %d: loss=%.4f dev_f1=%.4f wall=%.3fs pairs/s=%.0f", epoch, epoch_total,
+                    dev_report.f1, seconds, len(train_corpus.examples) / seconds)
         if dev_report.f1 > best_f1:
             best_f1 = dev_report.f1
             best_epoch = epoch

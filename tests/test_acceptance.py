@@ -147,8 +147,8 @@ def test_criterion_4_sampling_consistency():
         n_rel = int(rng.integers(3, 7))
         labels, batch, logits, emb = _tiny_instance(rng, n_rel, int(rng.integers(2, 7)), 6, False)
         vocab = RelationVocabulary.from_relations([f"r{k}" for k in range(n_rel)])
-        full = {pos: tuple(range(n_rel)) for pos in batch.bn_indices}
-        batch_on = replace(batch, sampled_negatives=full)
+        full = np.ones((len(batch.bn_indices), n_rel), dtype=bool)
+        batch_on = replace(batch, sampled_mask=full)
         cfg_off = LossConfig(temperature=0.7, contrastive_weight=1.3, entropy_norm="set_size")
         cfg_on = replace(cfg_off, use_neg_sampling=True, neg_sampling_ratio=1.0)
         mask = label_mask(labels, vocab.num_relations)

@@ -121,7 +121,7 @@ class TestPositiveSets:
     def test_na_position_is_not_an_anchor(self):
         batch, emb, parts, expected = contrastive_parts([{0}, set()])
         anchor = list(batch.example_indices).index(0)
-        assert batch.bp_indices == (anchor,)
+        assert batch.bp_indices.tolist() == [anchor]
         assert parts["scl"] == 0.0
         assert close(parts["lt"], oracle.lt(anchor, emb, 0.7))
 
@@ -208,7 +208,7 @@ class TestNegativeSampling:
         # would overlap them, and batch_loss refuses it
         corpus = corpus_with_docs([{3}, set()], ["a", "a"], n_rel=6)
         batch = assemble_batches(corpus, 4, rng_seed=0)[0]
-        wrong = replace(batch, bp_indices=(), bn_indices=(0, 1))
+        wrong = replace(batch, bp_indices=np.zeros(0, np.intp), bn_indices=np.arange(2))
         wrong = attach_negative_samples(wrong, corpus, 1.0, stream(0, "s"))
         rows = corpus.label_rows[list(batch.example_indices)]
         logits = np.zeros((2, corpus.vocabulary.num_logits))
@@ -221,7 +221,29 @@ class TestNegativeSampling:
         corpus = corpus_with_docs([{0}, set(), set()], ["a", "a", "a"], n_rel=6)
         batch = assemble_batches(corpus, 4, rng_seed=0)[0]
         out = attach_negative_samples(batch, corpus, 0.5, stream(0, "s"))
-        assert set(out.sampled_negatives) == set(out.bn_indices)
+        assert set(out.sampled_negatives) == set(out.bn_indices.tolist())
         for sampled in out.sampled_negatives.values():
             assert len(sampled) == 3  # round-half-up(0.5 * 6)
-        assert batch.sampled_negatives == {}  # original untouched
+        assert batch.sampled_mask is None and batch.sampled_negatives == {}  # original untouched
+
+    def test_attached_mask_rows_are_the_drawn_sets(self):
+        """Row i of the mask is row i of one ``sample_negative_sets`` draw,
+        set at its indices and nowhere else; ``sampled_negatives`` reads it."""
+        labels = [set(), {0}, set(), set(), {2}, set(), set()]
+        corpus = corpus_with_docs(labels, ["a"] * len(labels), n_rel=9)
+        batch = assemble_batches(corpus, 4, rng_seed=0)[0]
+        out = attach_negative_samples(batch, corpus, 0.4, stream(3, "s"))
+        sets = sample_negative_sets(len(batch.bn_indices), 9, 0.4, stream(3, "s"))
+        assert out.sampled_mask.shape == (len(batch.bn_indices), 9) == (5, 9)
+        for row, drawn in zip(out.sampled_mask, sets):
+            assert np.flatnonzero(row).tolist() == drawn.tolist()
+        expected = dict(zip(batch.bn_indices.tolist(), map(tuple, sets.tolist())))
+        assert out.sampled_negatives == expected
+        for name in ("example_indices", "bp_indices", "bn_indices"):
+            assert getattr(out, name) is getattr(batch, name)
+
+    def test_index_arrays_are_read_only_intp(self):
+        corpus = corpus_with_docs([{0}, set(), {1}], ["a", "a", "b"])
+        for batch in assemble_batches(corpus, 2, rng_seed=1):
+            for indices in (batch.example_indices, batch.bp_indices, batch.bn_indices):
+                assert indices.dtype == np.intp and not indices.flags.writeable

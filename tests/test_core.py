@@ -141,9 +141,9 @@ class TestPartition:
 
     @staticmethod
     def negative_mask(corpus, config, sample_rng=None):
-        rows = (0,) if corpus.examples[0].is_na else ()
-        batch = Batch(example_indices=np.zeros(1, np.intp), bp_indices=(0,)[len(rows):],
-                      bn_indices=rows)
+        na = np.array([corpus.examples[0].is_na])
+        batch = Batch(example_indices=np.zeros(1, np.intp), bp_indices=np.flatnonzero(~na),
+                      bn_indices=np.flatnonzero(na))
         if sample_rng is not None:
             batch = attach_negative_samples(batch, corpus, config.neg_sampling_ratio, sample_rng)
         n_rel = corpus.vocabulary.num_relations

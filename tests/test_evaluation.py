@@ -138,6 +138,26 @@ class TestEvaluate:
         assert blocked.per_relation == whole.per_relation
         assert blocked.predicted_triple_count == sum(map(len, pred_sets))
 
+    def test_per_relation_counts_match_enumeration(self, monkeypatch):
+        """Each relation with a prediction or a gold label gets its (tp, fp, fn);
+        r4 is predicted and never gold, r5 neither."""
+        gold_sets = [{0}, {1, 2}, set(), {3}, {0, 3}, {2}]
+        pred_sets = [{0}, {1, 4}, {2}, set(), {0, 3, 1}, {4}]
+        corpus = make_corpus(gold_sets, n_rel=6)
+        report = eval_with_logits(corpus, logits_for(corpus, pred_sets), monkeypatch)
+        expected = {}
+        for r in range(6):
+            tp = sum(r in g and r in p for g, p in zip(gold_sets, pred_sets))
+            fp = sum(r in p and r not in g for g, p in zip(gold_sets, pred_sets))
+            fn = sum(r in g and r not in p for g, p in zip(gold_sets, pred_sets))
+            if tp or fp or fn:
+                expected[r] = (tp, fp, fn)
+        assert report.per_relation == expected and 4 in expected and 5 not in expected
+        assert report.gold_triple_count == sum(map(len, gold_sets))
+        # micro totals: tp 4, fp 4, fn 3
+        assert (report.precision, report.recall) == (4 / 8, 4 / 7)
+        assert report.bucket_f1 == {Bucket.HEAD: 0.0, Bucket.MID: 0.0, Bucket.TAIL: 0.0}
+
     def test_micro_f1_identity(self, monkeypatch):
         corpus = make_corpus([{0, 1}, {2}, set()])
         report = eval_with_logits(

@@ -277,8 +277,8 @@ class TestParamsAndCheckpoint:
                 b_o=params.b_o,
                 group_count=1,
             )
-        with pytest.raises(ConfigError, match="W_h contains non-finite values"):
-            params.copy()
+        # a copy takes the bits as they are, without checking them again
+        assert np.isnan(params.copy().W_h[0, 0])
 
     def test_copy_holds_equal_arrays_of_its_own(self):
         params = init_head_params(6, 4, 2, 3, stream(0, "init"))
@@ -288,6 +288,13 @@ class TestParamsAndCheckpoint:
         assert not np.shares_memory(copy.flat, params.flat)
         for name, array in params.tensors().items():
             assert copy.tensors()[name].tobytes() == array.tobytes()
+            assert np.shares_memory(copy.tensors()[name], copy.flat)
+        # independent both ways: an update to either leaves the other as it was
+        before = params.flat.copy()
+        np.add(copy.flat, 1.0, out=copy.flat)
+        assert params.flat.tobytes() == before.tobytes()
+        params.W_o[0, 0] = 7.0
+        assert copy.W_o[0, 0] == params.split(before)["W_o"][0, 0] + 1.0
 
     def test_tensors_are_views_of_one_vector_in_name_order(self):
         given = init_head_params(3, 4, 2, 5, stream(0, "init")).tensors()

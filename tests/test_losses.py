@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from docrel import oracle
 from docrel.core import RelationVocabulary, label_mask
 from docrel.errors import ConfigError, ContractError, NumericError, ShapeError
-from docrel.losses import LossConfig, _threshold_rows, batch_loss
+from docrel.losses import LossConfig, _negative_mask, _threshold_rows, batch_loss
 from docrel.batching import Batch
 from docrel.rng import stream
 from docrel.selftest import (
@@ -316,17 +316,18 @@ class TestL2Loss:
         assert abs(mine - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
-def sampled_loss(f, sampled, cfg, labels=frozenset()):
+def sampled_loss(f, sampled, cfg, labels=frozenset(), width=None):
     """batch_loss of a one-example batch whose example is an NA position
-    with the given sampled negative set (no contrastive part)."""
+    with the given sampled negative set (no contrastive part), as a mask
+    ``width`` wide (default |R|)."""
     f = np.asarray(f, dtype=float)
+    vocab = RelationVocabulary.from_relations([f"r{k}" for k in range(f.shape[0] - 1)])
     batch = Batch(
         example_indices=np.zeros(1, np.intp),
-        bp_indices=(),
-        bn_indices=(0,),
-        sampled_negatives={0: tuple(sampled)},
+        bp_indices=np.zeros(0, np.intp),
+        bn_indices=np.zeros(1, np.intp),
+        sampled_mask=label_mask([sampled], width or vocab.num_relations),
     )
-    vocab = RelationVocabulary.from_relations([f"r{k}" for k in range(f.shape[0] - 1)])
     cfg = replace(cfg, use_neg_sampling=True, use_contrastive=False)
     mask = label_mask([labels], vocab.num_relations)
     return batch_loss(mask, batch, _forwards_for(f[None, :], np.zeros((1, 1))), vocab, cfg).total
@@ -367,13 +368,37 @@ class TestSampledNegativeLoss:
         cfg = LossConfig()
         with pytest.raises(ContractError):
             sampled_loss(f, (0,), cfg, labels={0})  # a positive of the example
-        with pytest.raises(ContractError):
-            sampled_loss(f, (2,), cfg)  # the threshold class
+        with pytest.raises(ContractError, match=r"no sampled mask of shape \(1, 2\)"):
+            sampled_loss(f, (2,), cfg, width=3)  # the threshold class
 
     def test_empty_sample_rejected(self):
         cfg = LossConfig()
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="batch position 0: .* no sampled negatives"):
             sampled_loss(np.zeros(2), (), cfg)
+
+    @staticmethod
+    def three_positions(sampled, labels=(set(), {1}, set())):
+        """``_negative_mask`` on positions 0 and 2 as NA, with sampled rows ``sampled``."""
+        label_rows = label_mask(labels, 4)
+        batch = Batch(example_indices=np.arange(3), bp_indices=np.array([1]),
+                      bn_indices=np.array([0, 2]), sampled_mask=label_mask(sampled, 4))
+        return _negative_mask(label_rows, batch, LossConfig(use_neg_sampling=True))
+
+    def test_negative_mask_names_the_position_of_an_empty_row(self):
+        with pytest.raises(ContractError, match="batch position 2: .* no sampled negatives"):
+            self.three_positions([{0, 3}, set()])
+        with pytest.raises(ContractError, match="batch position 0: .* no sampled negatives"):
+            self.three_positions([set(), {1}])
+
+    def test_negative_mask_refuses_a_sampled_positive(self):
+        with pytest.raises(ContractError, match="sampled labels outside the negative set"):
+            self.three_positions([{0}, {2, 3}], labels=(set(), {1}, {3}))
+
+    def test_negative_mask_takes_the_sampled_rows(self):
+        negatives, sampled_rows = self.three_positions([{0, 3}, {1}])
+        assert negatives.tolist() == [[True, False, False, True], [True, False, True, True],
+                                      [False, True, False, False]]
+        assert sampled_rows.tolist() == [True, False, True]
 
 
 def build_batch_inputs(seed, n_rel, n, sampling):
@@ -411,10 +436,8 @@ class TestBatchLoss:
 
     def test_full_ratio_sampling_is_bitwise_identical(self):
         labels, batch, logits, emb, vocab = build_batch_inputs(9, 5, 5, False)
-        full_sets = {pos: tuple(range(5)) for pos in batch.bn_indices}
-        from dataclasses import replace as d_replace
-
-        batch_sampled = d_replace(batch, sampled_negatives=full_sets)
+        full_sets = np.ones((len(batch.bn_indices), 5), dtype=bool)
+        batch_sampled = replace(batch, sampled_mask=full_sets)
         cfg_off = LossConfig(temperature=0.5, contrastive_weight=0.7, entropy_norm="set_size")
         cfg_on = LossConfig(
             temperature=0.5, contrastive_weight=0.7, entropy_norm="set_size",

@@ -46,6 +46,11 @@ SAVE_TYPES = T + "TestSerialization::test_save_refuses_what_load_would_not_give_
 LOAD_RECORDS = T + "TestLoadFailsClosed::test_record_predicate"
 DATAGEN = "src/docrel/datagen.py"
 PINNED = "tests/test_datagen.py::TestGenerator::test_generated_regime_bits_are_pinned"
+BATCHING, LOSSES, HEAD = "src/docrel/batching.py", "src/docrel/losses.py", "src/docrel/head.py"
+EVALUATION = "src/docrel/evaluation.py"
+SAMPLED = "tests/test_losses.py::TestSampledNegativeLoss::"
+EVALUATE = "tests/test_evaluation.py::TestEvaluate::"
+ORACLE_BATCH = "tests/test_losses.py::TestBatchLoss::test_training_sized_batch_matches_oracle"
 
 MUTANTS = (
     # the record predicate, core._record_fault: each rule disabled
@@ -169,6 +174,63 @@ MUTANTS = (
            'split="dev", num_documents=dev_documents),\n'
            '                          _World(replace(config, seed=config.seed + 1)))',
            ("tests/test_datagen.py::test_regime_splits_are_the_splits_generated_alone", PINNED)),
+    # the training step: a batch's sampled mask, the loss's checks of it,
+    # the contrastive positive sets, a parameter copy, evaluation's counts
+    Mutant("sampled-mask-rows-reversed", BATCHING,
+           "mask[np.arange(len(sets))[:, None], sets] = True",
+           "mask[np.arange(len(sets))[::-1, None], sets] = True",
+           ("tests/test_batching.py::TestNegativeSampling::"
+            "test_attached_mask_rows_are_the_drawn_sets",)),
+    Mutant("empty-sampled-row-check-off", LOSSES,
+           "if not np.logical_and.reduce(filled):",
+           "if False:",
+           (SAMPLED + "test_negative_mask_names_the_position_of_an_empty_row",
+            SAMPLED + "test_empty_sample_rejected")),
+    Mutant("empty-sampled-row-named-by-na-index", LOSSES,
+           "pos = rows[filled.argmin()]",
+           "pos = filled.argmin()",
+           (SAMPLED + "test_negative_mask_names_the_position_of_an_empty_row",)),
+    Mutant("sampled-positive-check-off", LOSSES,
+           "if np.logical_or.reduce(sampled & labels[rows], axis=None):",
+           "if False:",
+           (SAMPLED + "test_negative_mask_refuses_a_sampled_positive",
+            SAMPLED + "test_sample_outside_negative_set_rejected",
+            "tests/test_batching.py::TestNegativeSampling::"
+            "test_sets_covering_a_positive_rejected_by_batch_loss")),
+    Mutant("positive-sets-whole-denominator", LOSSES,
+           "positives |= others & ~has_pos[:, None]",
+           "positives |= others",
+           (ORACLE_BATCH,
+            "tests/test_batching.py::TestPositiveSets::test_five_example_brute_force")),
+    Mutant("scl-gain-on-long-tail-rows", LOSSES,
+           "values += (np.log(np.add.reduce(positives, axis=1)) - pos_lse) * has_pos",
+           "values += np.log(np.add.reduce(positives, axis=1)) - pos_lse",
+           (ORACLE_BATCH,)),
+    Mutant("scl-gradient-on-long-tail-rows", LOSSES,
+           "grad_sims -= pos_soft * has_pos[:, None]",
+           "grad_sims -= pos_soft",
+           ("tests/test_acceptance.py::test_criterion_1_gradient_correctness",)),
+    Mutant("copy-views-the-source", HEAD,
+           "vars(new).update(vars(self), flat=flat, **self.split(flat))",
+           "vars(new).update(vars(self), flat=flat)",
+           ("tests/test_head.py::TestParamsAndCheckpoint::"
+            "test_copy_holds_equal_arrays_of_its_own",)),
+    Mutant("per-relation-fp-and-fn-swapped", EVALUATION,
+           "cells = np.array((tp_rel, predicted_rel - tp_rel, gold_rel - tp_rel)).T",
+           "cells = np.array((tp_rel, gold_rel - tp_rel, predicted_rel - tp_rel)).T",
+           (EVALUATE + "test_per_relation_counts_match_enumeration",)),
+    Mutant("per-relation-gold-only", EVALUATION,
+           "counted = (predicted_rel | gold_rel).nonzero()[0]",
+           "counted = gold_rel.nonzero()[0]",
+           (EVALUATE + "test_per_relation_counts_match_enumeration",)),
+    Mutant("micro-fp-and-fn-swapped", EVALUATION,
+           "precision, recall, f1 = _prf(tp, fp, fn)",
+           "precision, recall, f1 = _prf(tp, fn, fp)",
+           (EVALUATE + "test_per_relation_counts_match_enumeration",)),
+    Mutant("bucket-block-skipped", EVALUATION,
+           "    if buckets:\n        codes",
+           "    if not buckets:\n        codes",
+           (EVALUATE + "test_bucket_f1_micro_within_bucket",)),
 )
 
 
