@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -123,10 +123,12 @@ class PairExample:
     context vector. ``positive_relations`` is the label set used for
     training; an empty set is the NA class. ``gold_positive_relations``
     preserves the uncorrupted ground truth when the training labels come
-    from a noisy source. A loaded corpus's examples are built from its
-    records (``_Records``) only when they are read; the rows of every pair
-    are then read-only views of its payload. Scoring, training and saving
-    read a corpus's records, not its examples.
+    from a noisy source. The examples of a loaded, generated or relabelled
+    corpus are built from its records (``_Records``) only when they are
+    read, the rows of every pair read-only views of its records' rows.
+    Scoring, training and saving read a corpus's records, not its
+    examples; a corpus built by hand from examples is encoded into records
+    once (``_encoded``).
     """
 
     doc_id: str
@@ -153,13 +155,8 @@ class PairExample:
     def is_na(self) -> bool:
         return not self.positive_relations
 
-    def labels(self, use_gold: bool) -> frozenset[int]:
-        if use_gold and self.gold_positive_relations is not None:
-            return self.gold_positive_relations
-        return self.positive_relations
 
-
-# the per-pair fields that ``Corpus.column`` reads
+# the per-pair fields beside the rows, in a ``PairExample``'s order
 _FIELDS = ("doc_id", "head_id", "tail_id", "positive_relations", "gold_positive_relations")
 # the per-pair row fields, in a corpus file's row order, and what a message calls them
 _VECTOR_FIELDS = ("head_vectors", "tail_vectors", "context")
@@ -171,17 +168,17 @@ class Corpus:
     """A relation vocabulary and its pair examples. Every array that
     training, scoring and ``save_corpus`` read comes from one records
     object, ``_records`` (see ``_Records``), which holds what a corpus file
-    holds. A loaded corpus's examples object is its records, read from the
-    file. Any other corpus encodes its records from its examples, each
-    array on its first read and as a copy, so its caller's arrays stay its
-    caller's, and writing into one after that leaves the arrays as they
-    were. The arrays derived from the records are computed once, on first
-    use, and are read-only. A copy made with ``replace`` derives its own:
-    from the same records while it keeps a loaded corpus's examples object,
-    relation count and dimension, else from its examples. Scoring, training
-    on or saving a loaded corpus thus decodes no label set, builds no
-    ``PairExample`` and pools nothing; its ``column``s are decoded only when
-    read."""
+    holds. ``load_corpus``, the generator and ``relabel_as_na`` give a
+    corpus its records as its examples object, built from the arrays they
+    hold. A corpus built by hand from ``PairExample``s has its records
+    encoded from them by ``_encoded`` on the first read of an array, each
+    field read once and each array a copy, so its caller's arrays stay its
+    caller's. The arrays derived from the records are computed once, on
+    first use, and are read-only. A copy made with ``replace`` derives its
+    own: from the same records while it keeps records as its examples
+    object, with their relation count and dimension, else from its
+    examples. Scoring, training on or saving a corpus with records thus
+    decodes no label set, builds no ``PairExample`` and pools nothing."""
 
     vocabulary: RelationVocabulary
     examples: Sequence[PairExample]
@@ -194,10 +191,10 @@ class Corpus:
         ``example k``. Where the examples cannot be encoded as records (a
         field of another type, an id outside int64, a label outside
         ``0 .. |R|-1``, a row that is not a real ``(d,)`` vector),
-        ``_check_example`` names the example. A loaded corpus is checked
-        from the records it read, with no ``PairExample`` built."""
-        records = self._records
+        ``_check_example`` names the example. A corpus with records is
+        checked from them, with no ``PairExample`` built."""
         try:
+            records = self._records
             if not records.typed:  # the arrays need these types
                 raise TypeError("ids, labels, doc_ids or vectors of another type")
             fault = _record_fault(records)
@@ -209,19 +206,11 @@ class Corpus:
         if fault is not None:
             raise DataFormatError(f"example {fault[0]}: {fault[1]}")
 
-    def column(self, name: str) -> Sequence:
-        """One field of every pair, one of ``_FIELDS``, in corpus order. A
-        loaded corpus returns its records' column, decoded on the first
-        read; any other reads its examples on each call and keeps nothing."""
-        if isinstance(self.examples, _Records):
-            return self.examples.column(name)
-        return list(map(attrgetter(name), self.examples))
-
     @cached_property
     def _records(self) -> _Records:
         records, n_rel, dim = self.examples, self.vocabulary.num_relations, self.embedding_dim
         fits = isinstance(records, _Records) and (records.n_rel, records.dim) == (n_rel, dim)
-        return records if fits else _Records(n_rel, dim, examples=records)
+        return records if fits else _encoded(records, n_rel, dim)
 
     @cached_property
     def head_rows(self) -> np.ndarray:
@@ -277,100 +266,40 @@ class _Records(Sequence):
     doc_id as an index into ``doc_ids``, equal for equal doc_ids; ``ids``,
     ``(n, 2)`` int64, its head and tail id; ``has_gold``, ``(n,)`` uint8, its
     gold flag; and ``bits``, ``(n, 2, w)`` uint8, its label and gold set as
-    bit rows of ``w = ceil(n_rel / 8)`` bytes. Every array is read-only.
-    ``typed`` says whether every field is of the type a file holds, so
-    that the arrays hold the examples exactly.
+    bit rows of ``w = ceil(n_rel / 8)`` bytes. ``rows`` may be given as a
+    function that returns it, called on its first read. The arrays are
+    made read-only here and may be shared with other records. ``typed``
+    says whether the arrays hold their examples exactly: false only where
+    ``_encoded`` read a field of a type that a file does not hold.
 
-    Made from ``examples``, each array is encoded from them on its first
-    read, and ``doc_ids`` lists the distinct doc_ids in first-appearance
-    order. ``load_corpus`` gives every array instead, with the header's
-    ``doc_ids`` and each pair's first index in it that holds its doc_id. A
-    ``column`` is then decoded from the arrays on its first read and kept,
-    and the tuple of ``PairExample`` built on first access and kept, each
-    pair's rows views of ``rows``. Indexing and iteration work as on the
-    examples."""
+    Indexing and iteration work as on the examples: the tuple of
+    ``PairExample`` is decoded from the arrays on first access and kept,
+    each distinct bit row decoded once and each pair's rows views of
+    ``rows``."""
 
-    def __init__(self, n_rel: int, dim: int, **fields):
-        self.n_rel, self.dim = n_rel, dim
-        self._columns: dict[str, list] = {}
-        vars(self).update(fields)
-
-    @cached_property
-    def examples(self) -> tuple[PairExample, ...]:
-        return tuple(map(PairExample, *map(self.column, _FIELDS[:3]), *self.rows.swapaxes(0, 1),
-                         *map(self.column, _FIELDS[3:])))
-
-    def _field(self, name: str) -> list:
-        return list(map(attrgetter(name), self.examples))
+    def __init__(self, n_rel: int, dim: int, rows: np.ndarray | Callable[[], np.ndarray],
+                 doc_ids: list[str], doc: np.ndarray, ids: np.ndarray, has_gold: np.ndarray,
+                 bits: np.ndarray, typed: bool = True):
+        self.n_rel, self.dim, self.doc_ids, self.typed = n_rel, dim, doc_ids, typed
+        self._rows = rows
+        self.doc, self.ids, self.has_gold, self.bits = map(_frozen, (doc, ids, has_gold, bits))
 
     @cached_property
     def rows(self) -> np.ndarray:
-        return _frozen(_stacked(self.examples, self.dim))
+        rows = self._rows() if callable(self._rows) else self._rows
+        del self._rows  # the function, and what it holds, goes once called
+        return _frozen(rows)
 
     @cached_property
-    def doc_ids(self) -> list[str]:
-        return list(dict.fromkeys(self._field("doc_id")))
-
-    @cached_property
-    def doc(self) -> np.ndarray:
-        index = dict(zip(self.doc_ids, itertools.count()))
-        return _frozen(np.fromiter(map(index.__getitem__, self._field("doc_id")), np.int64,
-                                   len(self.examples)))
-
-    @cached_property
-    def ids(self) -> np.ndarray:
-        ids = np.array([self._field("head_id"), self._field("tail_id")], dtype=np.int64)
-        return _frozen(ids.T.copy())
-
-    @cached_property
-    def has_gold(self) -> np.ndarray:
-        gold = self._field("gold_positive_relations")
-        return _frozen(np.fromiter((g is not None for g in gold), np.uint8, len(gold)))
-
-    @cached_property
-    def bits(self) -> np.ndarray:
-        sets = self._field("positive_relations") + self._field("gold_positive_relations")
-        # each distinct label set packed once; None (no gold set) is an all-zero row
-        distinct = dict(zip(dict.fromkeys([None, *sets]), itertools.count()))
-        packed = np.packbits(label_mask([s or () for s in distinct], self.n_rel), axis=1,
-                             bitorder="little")
-        index = np.fromiter(map(distinct.__getitem__, sets), np.intp, len(sets))
-        return _frozen(packed[index.reshape(2, -1).T])
-
-    @cached_property
-    def typed(self) -> bool:
-        positive, gold = self._field("positive_relations"), self._field("gold_positive_relations")
-        ids = itertools.chain(self._field("head_id"), self._field("tail_id"))
-        return (  # in this order: labels are read once their sets are known to be frozensets
-            set(map(type, positive)) <= {frozenset}
-            and set(map(type, gold)) <= {frozenset, type(None)}
-            and set(map(type, itertools.chain(ids, *positive, *filter(None, gold)))) <= {int}
-            and set(map(type, self._field("doc_id"))) <= {str}
-            and all(set(map(type, self._field(name))) <= {np.ndarray} for name in _VECTOR_FIELDS)
-        )
-
-    def column(self, name: str) -> list:
-        """Field ``name`` of every pair, decoded on the first read and kept."""
-        if name not in self._columns:
-            self._columns[name] = self._decoded(name)
-        return self._columns[name]
-
-    def _decoded(self, name: str) -> list:
-        if name == "doc_id":
-            return list(map(self.doc_ids.__getitem__, self.doc.tolist()))
-        if name == "head_id":
-            return self.ids[:, 0].tolist()
-        if name == "tail_id":
-            return self.ids[:, 1].tolist()
-        gold = name == "gold_positive_relations"
-        bits = self.bits[:, int(gold)]
-        keys = bits.view(f"V{bits.shape[1]}").ravel().tolist() if bits.shape[1] else (
-            [b""] * len(bits))
+    def examples(self) -> tuple[PairExample, ...]:
+        n, width = self.bits.shape[::2]
+        keys = self.bits.reshape(2 * n, width).view(f"V{width}").ravel().tolist() if width else (
+            [b""] * 2 * n)
         sets = {key: _bit_set(key) for key in set(keys)}  # each distinct bit row decoded once
         labels = list(map(sets.__getitem__, keys))
-        if gold:
-            return [s if flag else None for s, flag in zip(labels, self.has_gold.tolist())]
-        return labels
+        gold = [s if flag else None for s, flag in zip(labels[1::2], self.has_gold.tolist())]
+        return tuple(map(PairExample, map(self.doc_ids.__getitem__, self.doc.tolist()),
+                         *self.ids.T.tolist(), *self.rows.swapaxes(0, 1), labels[0::2], gold))
 
     def __len__(self) -> int:
         return len(self.doc)
@@ -380,6 +309,55 @@ class _Records(Sequence):
 
     def __iter__(self):
         return iter(self.examples)
+
+
+def _encoded(examples: Sequence[PairExample], n_rel: int, dim: int) -> _Records:
+    """The records of examples built by hand, each field of each example
+    read once; ``doc_ids`` lists the distinct doc_ids in first-appearance
+    order, and each distinct label set is packed once. The rows are stacked
+    in one copy on their first read, so that a corpus only grouped by
+    document holds no second copy of them; ShapeError then names the first
+    pair with a row that is not ``(dim,)``. A field of a type that a file
+    does not hold clears ``typed``, or raises what encoding it raises."""
+    doc_id, head, tail, positive, gold, *vectors = (
+        tuple(map(attrgetter(name), examples)) for name in (*_FIELDS, *_VECTOR_FIELDS))
+    typed = (  # in this order: labels are read once their sets are known to be frozensets
+        set(map(type, positive)) <= {frozenset}
+        and set(map(type, gold)) <= {frozenset, type(None)}
+        and set(map(type, itertools.chain(head, tail, *positive, *filter(None, gold)))) <= {int}
+        and set(map(type, doc_id)) <= {str}
+        and set(map(type, itertools.chain(*vectors))) <= {np.ndarray}
+    )
+
+    def stacked() -> np.ndarray:
+        rows = list(itertools.chain.from_iterable(zip(*vectors)))
+        try:  # one copy, and no object per row: the rows are checked by their lengths
+            flat = np.concatenate(rows, dtype=np.float64) if rows else np.empty(0)
+            lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+        except (ValueError, TypeError):  # rows of more than one dimension, or not numbers
+            flat = lengths = None
+        if flat is None or flat.ndim != 1 or (lengths != dim).any():
+            for k, row in enumerate(rows):
+                if np.shape(row) != (dim,):
+                    ex, name = examples[k // 3], _VECTOR_FIELDS[k % 3]
+                    raise ShapeError(f"pair {ex.doc_id}/{ex.head_id}/{ex.tail_id}: {name} of "
+                                     f"shape {np.shape(row)}, expected ({dim},)")
+            raise ShapeError(f"rows that are not ({dim},) float64 vectors")
+        return flat.reshape(-1, 3, dim)
+
+    doc_ids = list(dict.fromkeys(doc_id))
+    index = dict(zip(doc_ids, itertools.count()))
+    sets = positive + gold
+    # each distinct label set packed once; None (no gold set) is an all-zero row
+    distinct = dict(zip(dict.fromkeys([None, *sets]), itertools.count()))
+    packed = np.packbits(label_mask([s or () for s in distinct], n_rel), axis=1,
+                         bitorder="little")
+    codes = np.fromiter(map(distinct.__getitem__, sets), np.intp, len(sets)).reshape(2, -1)
+    return _Records(n_rel, dim, stacked, doc_ids,
+                    np.fromiter(map(index.__getitem__, doc_id), np.int64, len(doc_id)),
+                    np.array([head, tail], dtype=np.int64).T.copy(),
+                    (codes[1] != 0).astype(np.uint8),  # code 0: None, no gold set
+                    packed[codes.T], typed)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -414,26 +392,6 @@ def _first_indices(items: list) -> np.ndarray:
     that holds an equal item."""
     first = dict(zip(reversed(items), range(len(items) - 1, -1, -1)))
     return np.fromiter(map(first.__getitem__, items), np.int64, len(items))
-
-
-def _stacked(examples: Sequence[PairExample], dim: int) -> np.ndarray:
-    """``(n, 3, dim)`` float64: every example's head, tail and context row,
-    in one copy. ShapeError names the first pair with a row that is not
-    ``(dim,)``."""
-    rows = list(itertools.chain.from_iterable(map(attrgetter(*_VECTOR_FIELDS), examples)))
-    try:  # one copy, and no object per row: the rows are checked by their lengths
-        flat = np.concatenate(rows, dtype=np.float64) if rows else np.empty(0)
-        lengths = np.fromiter(map(len, rows), np.intp, len(rows))
-    except (ValueError, TypeError):  # rows of more than one dimension, or not numbers
-        flat = lengths = None
-    if flat is None or flat.ndim != 1 or (lengths != dim).any():
-        for k, row in enumerate(rows):
-            if np.shape(row) != (dim,):
-                ex, name = examples[k // 3], _VECTOR_FIELDS[k % 3]
-                raise ShapeError(f"pair {ex.doc_id}/{ex.head_id}/{ex.tail_id}: {name} of shape "
-                                 f"{np.shape(row)}, expected ({dim},)")
-        raise ShapeError(f"rows that are not ({dim},) float64 vectors")
-    return flat.reshape(-1, 3, dim)
 
 
 def _segment_lse(rows: np.ndarray, sizes) -> np.ndarray:
@@ -692,10 +650,8 @@ def load_corpus(path) -> Corpus:
     inside = (doc >= 0) & (doc < len(doc_ids))
     doc = doc.copy()
     doc[inside] = _first_indices(doc_ids)[doc[inside]]
-    rows = _frozen(np.frombuffer(payload, "<f8").reshape(n, 3, dim).astype(np.float64))
-    records = _Records(n_rel, dim, rows=rows, doc_ids=doc_ids, doc=_frozen(doc),
-                       ids=_frozen(ids.copy()), has_gold=_frozen(has_gold.copy()),
-                       bits=_frozen(bits.copy()), typed=True)
+    rows = np.frombuffer(payload, "<f8").reshape(n, 3, dim).astype(np.float64)
+    records = _Records(n_rel, dim, rows, doc_ids, doc, ids.copy(), has_gold.copy(), bits.copy())
     fault = _record_fault(records)
     if fault is not None:
         raise DataFormatError(f"{path}: record {fault[0]}: {fault[1]}")

@@ -13,41 +13,42 @@ regime's three splits share one world.
 A split is generated in two phases. A draw loop makes every random draw of
 each document's stream in order (pair kind, pair ids, the context's
 normals, then each side's mention count and normals) and keeps them raw,
-with each pair's entity ids and mixture. At the end of a document, once a
-run holds ``_POOL_SIDES`` sides or more, one array pass turns the run's
-draws into context and mention rows, with each element's operations in
-the order of the per-pair formula, and pools each side into its row.
+with each pair's document, entity ids, knowledge-graph entry and mixture.
+At the end of a document, once a run holds ``_POOL_SIDES`` sides or more,
+one array pass turns the run's draws into context and mention rows, with
+each element's operations in the order of the per-pair formula, and pools
+each side into its row. The split is then built as records, the arrays a
+corpus file holds, with no object per pair.
 
-Corruption relabels positive examples as NA while keeping the gold label
-set on the side, which is exactly the false-negative noise the sampled
-objective is meant to survive. It comes in two modes: ``example`` drops
-each positive example independently with the noise rate, and ``fact``
+Corruption relabels positive pairs as NA while keeping the gold label set
+on the side, which is exactly the false-negative noise the sampled
+objective is meant to survive: ``relabel_as_na`` rewrites the label bits
+and gold flags of the pairs of a mask. It comes in two modes: ``example``
+drops each positive pair independently with the noise rate, and ``fact``
 hides a sampled set of (head, tail) fact pairs wherever they occur, so the
 same facts go missing in every corrupted split.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
 from .core import (
     Corpus,
     LabelSource,
-    PairExample,
     RelationVocabulary,
+    _Records,
     _segment_lse,
+    label_mask,
     load_corpus,
     save_corpus,
 )
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, ContractError, DataFormatError
 from .rng import stream
 
 __all__ = [
@@ -188,6 +189,8 @@ class _World:
                         break
             pair_set[(int(h), int(t))] = frozenset(labels)
         self.kg = list(pair_set.items())
+        # each knowledge-graph pair's label set as a mask row, then an NA pair's empty row
+        self.kg_labels = label_mask([*pair_set.values(), ()], n_rel)
         self._mixtures: dict[frozenset[int], np.ndarray] = {}
 
     def mixture(self, labels: frozenset[int]) -> np.ndarray:
@@ -239,12 +242,11 @@ def _generate_split(config: SyntheticConfig, world: _World) -> Corpus:
     # noise of a positive pair's rows and of an NA pair's: d-vectors of norm about sigma, 1
     scales = (config.prototype_noise_sigma / math.sqrt(d), 1.0 / math.sqrt(d))
 
-    pairs: list[tuple] = []  # doc_id, head id, tail id, gold labels
+    pairs: list[tuple] = []  # doc index, head id, tail id, knowledge-graph index (NA: n_kg)
     run: list[tuple] = []  # the draws of the pairs not yet pooled, as ``_run_rows`` takes them
-    rows: list[tuple] = []  # each run's head rows, tail rows and contexts
+    rows: list[np.ndarray] = []  # each run's (n, 3, d) head rows, tail rows and contexts
     for doc_index in range(config.num_documents):
         rng = stream(config.seed, config.split, "doc", doc_index)
-        doc_id = f"{config.split}-{doc_index:05d}"
         lo, hi = config.pairs_per_document
         n_pairs = int(rng.integers(lo, hi + 1))
         seen: set[tuple[int, int]] = set()
@@ -252,14 +254,15 @@ def _generate_split(config: SyntheticConfig, world: _World) -> Corpus:
             if rng.random() >= config.na_fraction:
                 # positive: draw a knowledge-graph pair not yet in this doc
                 for _ in range(64):
-                    pair, labels = world.kg[int(rng.integers(n_kg))]
+                    fact = int(rng.integers(n_kg))
+                    pair, labels = world.kg[fact]
                     if pair not in seen:
                         break
                 else:
                     continue
                 seen.add(pair)
                 h, t = pair
-                mixture, gold = world.mixture(labels), labels
+                mixture = world.mixture(labels)
             else:
                 # NA: draw an ordered pair outside the knowledge graph
                 for _ in range(64):
@@ -270,33 +273,30 @@ def _generate_split(config: SyntheticConfig, world: _World) -> Corpus:
                 else:
                     continue
                 seen.add((h, t))
-                mixture, gold = None, frozenset()
+                fact, mixture = n_kg, None
             context = rng.normal(size=d)
             head = rng.normal(size=(int(rng.integers(m_lo, m_hi + 1)), d))
             tail = rng.normal(size=(int(rng.integers(m_lo, m_hi + 1)), d))
-            pairs.append((doc_id, h, t, gold))
+            pairs.append((doc_index, h, t, fact))
             run.append((h, t, mixture, context, head, tail))
         if run and (2 * len(run) >= _POOL_SIDES or doc_index == config.num_documents - 1):
-            rows.append(_run_rows(world, run, scales))
+            rows.append(np.stack(_run_rows(world, run, scales), axis=1))
             run.clear()
 
-    pair_rows = itertools.chain.from_iterable(zip(*run_rows) for run_rows in rows)
-    examples = tuple(
-        PairExample(doc_id, h, t, head, tail, context, gold, gold)
-        for (doc_id, h, t, gold), (head, tail, context) in zip(pairs, pair_rows)
-    )
-    # each relation's count of gold labels, zeros kept, in relation order
-    counts = Counter(itertools.chain.from_iterable(gold for *_, gold in pairs))
+    table = np.array(pairs, np.int64).reshape(-1, 4)
+    docs, doc = np.unique(table[:, 0], return_inverse=True)  # doc indices rise with the pairs
+    labels = world.kg_labels[table[:, 3]]  # each pair's gold set, its training set too
+    bits = np.packbits(labels, axis=1, bitorder="little")
     relations = [f"R{k:03d}" for k in range(config.num_relations)]
-    vocab = RelationVocabulary.from_relations(
-        relations, {name: counts[k] for k, name in enumerate(relations)}
-    )
-    return Corpus(
-        vocabulary=vocab,
-        examples=examples,
-        label_source=LabelSource.SYNTHETIC,
-        embedding_dim=d,
-    )
+    # each relation's count of gold labels, zeros kept, in relation order
+    vocab = RelationVocabulary.from_relations(relations,
+                                              dict(zip(relations, labels.sum(axis=0).tolist())))
+    records = _Records(config.num_relations, d,
+                       np.concatenate(rows) if rows else np.empty((0, 3, d)),
+                       [f"{config.split}-{k:05d}" for k in docs.tolist()], doc,
+                       table[:, 1:3].copy(), np.ones(len(table), np.uint8),
+                       np.stack((bits, bits), axis=1))
+    return Corpus(vocab, records, LabelSource.SYNTHETIC, d)
 
 
 def generate_regime_splits(
@@ -322,27 +322,27 @@ def generate_regime_splits(
     return train, dev, test
 
 
-def relabel_as_na(
-    corpus: Corpus, predicate: Callable[[PairExample], bool]
-) -> tuple[Corpus, int]:
-    """Relabel as NA every positive example for which ``predicate`` holds.
-
-    The predicate sees positive examples only, in corpus order, so a
-    predicate that draws from an RNG draws once per positive example. Gold
-    labels are preserved; NA examples are untouched. Returns the corrupted
-    corpus (tagged as original/noisy labels) and the number of examples
-    corrupted.
+def relabel_as_na(corpus: Corpus, hide: np.ndarray) -> tuple[Corpus, int]:
+    """Relabel as NA every positive pair where the boolean ``(n,)`` mask
+    ``hide`` is true; a true entry on an NA pair changes nothing. A
+    relabelled pair keeps its gold set as its gold set, or its label set
+    where it had none. Returns the corrupted corpus (tagged as
+    original/noisy labels), whose records have new label bits and gold
+    flags and share the input's rows, ids and documents, and the number of
+    pairs relabelled.
     """
-    corrupted = 0
-    new_examples = []
-    for ex in corpus.examples:
-        if ex.positive_relations and predicate(ex):
-            gold = ex.labels(use_gold=True)
-            ex = replace(ex, positive_relations=frozenset(), gold_positive_relations=gold)
-            corrupted += 1
-        new_examples.append(ex)
-    out = replace(corpus, examples=tuple(new_examples), label_source=LabelSource.ORIGINAL)
-    return out, corrupted
+    records, hide = corpus._records, np.asarray(hide, dtype=bool)
+    if hide.shape != (len(records),):
+        raise ContractError(f"relabel mask of shape {hide.shape}, expected ({len(records)},)")
+    hide = hide & ~corpus.na_flags
+    bits, has_gold = records.bits.copy(), records.has_gold.copy()
+    bits[hide, 1] = np.where(has_gold[hide, None] == 1, bits[hide, 1], bits[hide, 0])
+    bits[hide, 0] = 0
+    has_gold[hide] = 1
+    relabelled = _Records(records.n_rel, records.dim, records.rows, records.doc_ids, records.doc,
+                          records.ids, has_gold, bits)
+    out = replace(corpus, examples=relabelled, label_source=LabelSource.ORIGINAL)
+    return out, int(hide.sum())
 
 
 def assemble_regime(
@@ -360,9 +360,11 @@ def assemble_regime(
 
     ``corruption`` picks the noise model for O splits: ``example`` drops
     each positive example's labels independently (independent streams per
-    split), while ``fact`` hides a sampled set of (head, tail) fact pairs
-    consistently across all O splits, mimicking an annotation process that
-    misses the same facts in train and dev.
+    split, one draw per positive pair in corpus order), while ``fact``
+    hides a sampled set of (head, tail) fact pairs consistently across all
+    O splits, mimicking an annotation process that misses the same facts in
+    train and dev: one draw per distinct positive (head, tail) pair of the
+    three splits, in sorted order.
     """
     if kind not in REGIME_KINDS:
         raise ConfigError(f"unknown regime kind {kind!r}")
@@ -372,37 +374,25 @@ def assemble_regime(
         raise ConfigError(
             f"unknown corruption mode {corruption!r}; expected one of {CORRUPTION_MODES}"
         )
-    train, dev, test = gold_splits
-    hidden: frozenset[tuple[int, int]] = frozenset()
-    if corruption == "fact" and noise_rate > 0:
-        pairs = sorted(
-            {
-                (ex.head_id, ex.tail_id)
-                for split in gold_splits
-                for ex in split.examples
-                if ex.positive_relations
-            }
-        )
-        rng = stream(seed, "noise", "facts")
-        mask = rng.random(len(pairs)) < noise_rate
-        hidden = frozenset(p for p, hide in zip(pairs, mask) if hide)
+    positive = [~split.na_flags for split in gold_splits]
+    if corruption == "fact":
+        keys = np.concatenate([split.pair_ids[p] for split, p in zip(gold_splits, positive)])
+        # the distinct (head, tail) rows in the order ``sorted`` gives their tuples
+        facts, fact_of = np.unique(keys, axis=0, return_inverse=True)
+        hidden = stream(seed, "noise", "facts").random(len(facts)) < noise_rate
+        drops = np.split(hidden[fact_of.ravel()], np.cumsum([p.sum() for p in positive])[:2])
+    else:
+        drops = [stream(seed, "noise", tag).random(p.sum()) < noise_rate
+                 for tag, p in zip(("train", "dev", "test"), positive)]
 
-    def pick(split: Corpus, letter: str, tag: str) -> Corpus:
+    def pick(split: Corpus, letter: str, p: np.ndarray, drop: np.ndarray) -> Corpus:
         if letter == "G":
             return replace(split, label_source=LabelSource.GOLD)
-        if corruption == "fact":
-            noisy, _ = relabel_as_na(split, lambda ex: (ex.head_id, ex.tail_id) in hidden)
-        else:
-            rng = stream(seed, "noise", tag)
-            noisy, _ = relabel_as_na(split, lambda ex: rng.random() < noise_rate)
-        return noisy
+        hide = p.copy()
+        hide[p] = drop
+        return relabel_as_na(split, hide)[0]
 
-    return Regime(
-        train=pick(train, kind[0], "train"),
-        dev=pick(dev, kind[1], "dev"),
-        test=pick(test, kind[2], "test"),
-        name=kind,
-    )
+    return Regime(*map(pick, gold_splits, kind, positive, drops), name=kind)
 
 
 def save_regime(regime: Regime, directory, manifest_extra: dict | None = None) -> None:

@@ -274,8 +274,18 @@ class TestPipelineOutputs:
 
     def test_train_and_eval_on_a_bundle_build_no_pair_example(self, workspace, tmp_path,
                                                               monkeypatch):
-        """``train`` and ``eval`` on a saved bundle build no ``PairExample`` and
-        write what they write from the bundle's corpora held in memory."""
+        """``gen-data`` and ``build-regime`` (in both corruption modes) build
+        no ``PairExample``; ``train`` and ``eval`` on a saved bundle build
+        none and write what they write from the bundle's corpora held in
+        memory."""
+        gold = str(tmp_path / "gold")
+        with counting_pair_examples() as count:
+            assert main(["gen-data", "--out", gold] + GEN_ARGS) == 0
+            for corruption in ("example", "fact"):
+                assert main(["build-regime", "--data", gold, "--out", str(tmp_path / corruption),
+                             "--set", "regime.kind=OOG", "--set", "regime.noise_rate=0.3",
+                             "--set", f"regime.corruption={corruption}"]) == 0
+        assert count == [0]
 
         def in_memory(directory):
             loaded = load_regime(directory)

@@ -414,7 +414,7 @@ class TestCorpusCache:
         save_corpus(mention_corpus(), path)
         loaded = load_corpus(path)
         part = replace(loaded, examples=loaded.examples[::-3])
-        assert part.column("head_id") == [ex.head_id for ex in loaded.examples[::-3]]
+        assert part.pair_ids[:, 0].tolist() == [ex.head_id for ex in loaded.examples[::-3]]
         for name in ("head_rows", "tail_rows", "context_rows"):
             assert getattr(part, name).tobytes() == getattr(loaded, name)[::-3].tobytes()
 
@@ -433,8 +433,8 @@ class TestCorpusCache:
         save_corpus(loaded, again)
         save_corpus(in_memory, wide)
         assert again.read_bytes() == wide.read_bytes()
-        assert load_corpus(again).column("positive_relations") == corpus.column(
-            "positive_relations")
+        assert [ex.positive_relations for ex in load_corpus(again).examples] == [
+            ex.positive_relations for ex in corpus.examples]
 
     @pytest.mark.parametrize(
         "changes",
@@ -488,7 +488,7 @@ class TestCorpusCache:
         def refuse(*args):
             raise AssertionError("pooled or derived while building a corpus")
 
-        for name in ("_segment_lse", "_stacked", "label_mask"):
+        for name in ("_segment_lse", "_encoded", "label_mask"):
             monkeypatch.setattr(core, name, refuse)
         with counting_pair_examples() as count:
             loaded = load_corpus(path)
@@ -508,7 +508,7 @@ class TestCorpusCache:
             raise AssertionError("pooled or stacked a loaded split")
 
         monkeypatch.setattr(core, "_segment_lse", refuse)
-        monkeypatch.setattr(core, "_stacked", refuse)
+        monkeypatch.setattr(core, "_encoded", refuse)
         loaded = load_corpus(path)
         assert evaluate(params, loaded).summary() == expected
         payload = loaded.examples.rows
@@ -545,7 +545,7 @@ class TestCorpusCache:
         saved.arrays["doc_index"][:] = [2, 0, 2, 1, 3]
         saved.save()
         loaded = load_corpus(path)
-        assert loaded.column("doc_id") == corpus.column("doc_id")
+        assert [ex.doc_id for ex in loaded.examples] == [ex.doc_id for ex in corpus.examples]
         assert list(loaded.document_groups) == ["b", "a", "c"]
         for groups in (loaded.document_groups, corpus.document_groups):
             assert {doc: rows.tolist() for doc, rows in groups.items()} == {
@@ -585,7 +585,7 @@ class TestCorpusCache:
         def refuse(*args):
             raise AssertionError("encoded or decoded a record again")
 
-        for name in ("_bit_set", "_stacked", "label_mask"):
+        for name in ("_bit_set", "_encoded", "label_mask"):
             monkeypatch.setattr(core, name, refuse)
         with counting_pair_examples() as count:
             save_corpus(loaded, again)
@@ -646,18 +646,16 @@ def check_lazy_examples(corpus, path):
     with counting_pair_examples() as count:
         loaded = load_corpus(path)
         assert len(loaded.examples) == len(corpus.examples)
-        assert [list(loaded.column(f)) for f in core._FIELDS] == [
-            corpus.column(f) for f in core._FIELDS]
         expected = derived_arrays(loaded)
     assert count == [0]
     assert type(loaded.examples[:]) is tuple and type(loaded.examples[1:2]) is tuple
     eager = replace(loaded, examples=loaded.examples[:])
-    assert eager.column("doc_id") is not eager.column("doc_id")  # read from its examples
     vocabulary = corpus.vocabulary.with_frequencies({corpus.vocabulary.relations[0]: 3})
     for other in (corpus, eager, replace(corpus, vocabulary=vocabulary)):
         assert derived_arrays(other) == expected
     # the references: label masks of the label sets, and groups built pair by pair
-    positive, gold = (corpus.column(f) for f in core._FIELDS[3:])
+    positive = [ex.positive_relations for ex in corpus.examples]
+    gold = [ex.gold_positive_relations for ex in corpus.examples]
     width = corpus.vocabulary.num_relations
     assert loaded.label_rows.tobytes() == label_mask(positive, width).tobytes()
     assert loaded.gold_rows.tobytes() == label_mask(

@@ -46,6 +46,8 @@ SAVE_TYPES = T + "TestSerialization::test_save_refuses_what_load_would_not_give_
 LOAD_RECORDS = T + "TestLoadFailsClosed::test_record_predicate"
 DATAGEN = "src/docrel/datagen.py"
 PINNED = "tests/test_datagen.py::TestGenerator::test_generated_regime_bits_are_pinned"
+REFERENCE = "tests/test_datagen.py::test_assembled_regime_is_the_per_pair_reference"
+RELABEL = "tests/test_datagen.py::TestRelabelAsNa::"
 BATCHING, LOSSES, HEAD = "src/docrel/batching.py", "src/docrel/losses.py", "src/docrel/head.py"
 EVALUATION = "src/docrel/evaluation.py"
 SAMPLED = "tests/test_losses.py::TestSampledNegativeLoss::"
@@ -112,9 +114,15 @@ MUTANTS = (
            (T + "TestCorpusCache::test_document_groups_follow_the_records_not_the_header",)),
     # the types the record arrays need: every field passes
     Mutant("typed-forced-true", CORE,
-           "        return (  # in this order: labels are read",
-           "        return True or (  # in this order: labels are read",
+           "    typed = (  # in this order: labels are read",
+           "    typed = True or (  # in this order: labels are read",
            (SAVE_TYPES + "[numpy-int-id]", SAVE_TYPES + "[int-doc-id]")),
+    # records hold read-only arrays, shared by the corpora derived from them
+    Mutant("records-left-writable", CORE,
+           "        return _frozen(rows)\n",
+           "        return rows\n",
+           (T + "TestCorpusCache::test_scoring_a_loaded_split_pools_nothing",
+            T + "TestCorpusCache::test_cached_arrays_are_read_only")),
     # core._check_example, which names an example that cannot be encoded:
     # each rule disabled
     Mutant("check-doc-id-type-off", CORE,
@@ -174,6 +182,31 @@ MUTANTS = (
            'split="dev", num_documents=dev_documents),\n'
            '                          _World(replace(config, seed=config.seed + 1)))',
            ("tests/test_datagen.py::test_regime_splits_are_the_splits_generated_alone", PINNED)),
+    # the relabel mask: which pairs a regime relabels as NA, and what they keep
+    Mutant("relabel-gold-flag-left-0", DATAGEN,
+           "    has_gold[hide] = 1\n",
+           "    has_gold[hide] = has_gold[hide]\n",
+           (REFERENCE,)),
+    Mutant("relabel-na-pairs-counted", DATAGEN,
+           "hide = hide & ~corpus.na_flags",
+           "hide = hide | False",
+           (RELABEL + "test_true_entries_on_na_pairs_change_nothing",)),
+    Mutant("relabel-mask-shape-check-off", DATAGEN,
+           "if hide.shape != (len(records),):",
+           "if False:",
+           (RELABEL + "test_mask_of_another_shape_rejected",)),
+    Mutant("example-draw-over-all-pairs", DATAGEN,
+           'stream(seed, "noise", tag).random(p.sum()) < noise_rate',
+           'stream(seed, "noise", tag).random(len(p))[p] < noise_rate',
+           (REFERENCE,)),
+    Mutant("fact-keys-head-only", DATAGEN,
+           "split.pair_ids[p] for split, p in",
+           "split.pair_ids[p][:, :1] for split, p in",
+           (REFERENCE, PINNED)),
+    Mutant("generated-gold-flag-0", DATAGEN,
+           "np.ones(len(table), np.uint8)",
+           "np.zeros(len(table), np.uint8)",
+           (PINNED,)),
     # the training step: a batch's sampled mask, the loss's checks of it,
     # the contrastive positive sets, a parameter copy, evaluation's counts
     Mutant("sampled-mask-rows-reversed", BATCHING,
