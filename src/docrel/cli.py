@@ -5,7 +5,9 @@ selftest. Configuration comes from ``--set section.key=value`` flags, an
 optional ``--config`` file, an optional ``--preset``, and built-in
 defaults, in that precedence order; every run writes a manifest recording
 each resolved value and its source, and ``--from-manifest`` replays a
-recorded run.
+recorded run. ``selftest``, ``ablate`` and ``sweep-ratio`` import the
+modules that only they use (``docrel.selftest``, ``docrel.experiments``)
+when they run, so the other commands do not load them.
 
 Exit codes: 0 success, 1 operational failure, 2 usage error, 3 invalid
 configuration, 4 numeric failure.
@@ -38,10 +40,8 @@ from .core import bucket_relations
 from .datagen import Regime, assemble_regime, load_regime, save_regime
 from .errors import ConfigError, DocrelError, NumericError
 from .evaluation import EvalReport, evaluate, train_fact_set
-from .experiments import run_ablation, sweep_sampling_ratio
 from .head import load_checkpoint, save_checkpoint
 from .reports import write_ablation_csv, write_eval_csv, write_json, write_sweep_csvs
-from .selftest import run_all
 from .training import train as train_model
 
 OUT_DIR_ENV = "DOCREL_OUT_DIR"
@@ -271,6 +271,8 @@ def _eval(args, resolved, out_dir, inputs) -> dict[str, str]:
 
 
 def _ablate(args, resolved, out_dir, inputs) -> dict[str, str]:
+    from .experiments import run_ablation
+
     v = values(resolved)
     rows = run_ablation(
         load_regime(inputs["regime"]),
@@ -291,6 +293,8 @@ def _ablate(args, resolved, out_dir, inputs) -> dict[str, str]:
 
 
 def _sweep_ratio(args, resolved, out_dir, inputs) -> dict[str, str]:
+    from .experiments import sweep_sampling_ratio
+
     v = values(resolved)
     rows = sweep_sampling_ratio(
         load_regime(inputs["regime"]),
@@ -310,6 +314,8 @@ def _sweep_ratio(args, resolved, out_dir, inputs) -> dict[str, str]:
 
 
 def _selftest(seed: int) -> int:
+    from .selftest import run_all
+
     ok = True
     for result in run_all(seed):
         print(result.line())

@@ -66,15 +66,7 @@ class HeadParams:
 
     def __post_init__(self):
         d1, d = self.W_h.shape
-        if min(d1, d, len(self.b_o), self.group_count) < 1:
-            raise ShapeError(
-                f"head dimensions must be >= 1: input {d}, hidden {d1}, "
-                f"logits {len(self.b_o)}, group count {self.group_count}"
-            )
-        if d1 % self.group_count != 0:
-            raise ConfigError(
-                f"hidden dim {d1} not divisible by group count {self.group_count}"
-            )
+        _check_dims(d, d1, self.group_count, len(self.b_o))
         for name in ("W_t", "W_c1", "W_c2"):
             if getattr(self, name).shape != (d1, d):
                 raise ShapeError(f"{name} shape {getattr(self, name).shape} != ({d1}, {d})")
@@ -111,6 +103,18 @@ class HeadParams:
         new, flat = object.__new__(HeadParams), self.flat.copy()
         vars(new).update(vars(self), flat=flat, **self.split(flat))
         return new
+
+
+def _check_dims(input_dim: int, hidden_dim: int, group_count: int, num_logits: int) -> None:
+    if min(input_dim, hidden_dim, num_logits, group_count) < 1:
+        raise ShapeError(
+            f"head dimensions must be >= 1: input {input_dim}, hidden {hidden_dim}, "
+            f"logits {num_logits}, group count {group_count}"
+        )
+    if hidden_dim % group_count != 0:
+        raise ConfigError(
+            f"hidden dim {hidden_dim} not divisible by group count {group_count}"
+        )
 
 
 def _views(vector: np.ndarray, shapes) -> dict[str, np.ndarray]:
@@ -233,7 +237,10 @@ def init_head_params(
     num_logits: int,
     rng: np.random.Generator,
 ) -> HeadParams:
-    """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)]; zero output bias."""
+    """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)]; zero output bias.
+
+    Raises ``ShapeError``/``ConfigError`` as ``HeadParams`` does, before any draw."""
+    _check_dims(input_dim, hidden_dim, group_count, num_logits)
     bound = 1.0 / np.sqrt(input_dim)
     pair_dim = hidden_dim * hidden_dim // group_count
     bound_o = 1.0 / np.sqrt(pair_dim)

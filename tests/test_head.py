@@ -318,11 +318,17 @@ class TestParamsAndCheckpoint:
     def test_zero_dimension_rejected(self, d, d1, n_logits):
         with pytest.raises(ShapeError, match="head dimensions must be >= 1"):
             zero_params(d, d1, 2, n_logits)
+        rng = stream(0, "init")
+        with pytest.raises(ShapeError, match="head dimensions must be >= 1"):
+            init_head_params(d, d1, 2, n_logits, rng)
+        assert rng.bit_generator.state == stream(0, "init").bit_generator.state  # no draw
 
     def test_zero_group_count_rejected(self):
         tensors = zero_params(3, 4, 1, 5).tensors()
         with pytest.raises(ShapeError, match="group count 0"):
             HeadParams(**tensors, group_count=0)
+        with pytest.raises(ShapeError, match="group count 0"):
+            init_head_params(3, 4, 0, 5, stream(0, "init"))
 
     def test_init_bounds_and_determinism(self):
         a = init_head_params(16, 8, 2, 5, stream(7, "init"))

@@ -264,6 +264,21 @@ MUTANTS = (
            "    if buckets:\n        codes",
            "    if not buckets:\n        codes",
            (EVALUATE + "test_bucket_f1_micro_within_bucket",)),
+    # lazy package exports, the stream's entropy words, the init's dimension check
+    Mutant("export-from-a-re-exporting-module", "src/docrel/__init__.py",
+           '"save_corpus"], "core"),\n    **dict.fromkeys(["ConfigError", ',
+           '"save_corpus", "ConfigError"], "core"),\n    **dict.fromkeys([',
+           ("tests/test_imports.py::"
+            "test_every_public_name_resolves_to_the_object_of_its_defining_module",)),
+    Mutant("stream-seed-high-word-dropped", "src/docrel/rng.py",
+           "words = [seed & _WORD, seed >> 32] if seed >> 32 else [seed]",
+           "words = [seed & _WORD]",
+           ("tests/test_rng.py::test_stream_is_seed_sequence_of_seed_and_tag_words",)),
+    Mutant("init-dimension-check-off", HEAD,
+           "    _check_dims(input_dim, hidden_dim, group_count, num_logits)\n    bound",
+           "    bound",
+           ("tests/test_head.py::TestParamsAndCheckpoint::test_zero_dimension_rejected",
+            "tests/test_head.py::TestParamsAndCheckpoint::test_zero_group_count_rejected")),
 )
 
 

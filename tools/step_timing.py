@@ -21,6 +21,12 @@ Prints per side the best and the median seconds of each, the ratio of the
 medians, parent over change, and in how many rounds the change was faster.
 Exits 1 if any result differs, else 0.
 Uses the standard library and NumPy.
+
+Like the benchmark (``perfbench/run.py``), it runs BLAS and OpenMP on one
+thread: it sets the benchmark's six thread variables to 1 before NumPy is
+imported, unless the environment already sets any of them. A BLAS that
+splits docrel's small matrix products over several threads makes the
+timings unlike the benchmark's.
 """
 
 from __future__ import annotations
@@ -36,6 +42,12 @@ import time
 from dataclasses import replace
 
 from same_outputs import extract, git
+
+# perfbench/run.py's BLAS and OpenMP thread variables; NumPy is imported later, by each side
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+if not any(var in os.environ for var in THREAD_VARS):
+    os.environ.update(dict.fromkeys(THREAD_VARS, "1"))
 
 # the benchmark's noise world, corruption and training settings (perfbench/workloads.py)
 NOISE_WORLD = dict(num_relations=32, num_documents=200, pairs_per_document=(12, 18),
